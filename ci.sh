@@ -67,6 +67,18 @@ grep -q '"dense_materializations": 0' BENCH_large.json || {
   exit 1
 }
 
+echo "== perfbench traced smoke =="
+# one short traced run of the sweep and large workloads (about 20 s
+# together): every answer is checked against the workload's oracle and the
+# layer replay (lower layers called directly) must agree with the
+# program's output; either failure exits nonzero
+for w in sweep large; do
+  bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 1 >/dev/null || {
+    echo "ci: perfbench $w run failed its answer or replay checks" >&2
+    exit 1
+  }
+done
+
 echo "== guard-rails demo =="
 demo=examples/sharpe/fallback_demo.sharpe
 out=$(dune exec bin/sharpe.exe -- --diagnostics json "$demo")

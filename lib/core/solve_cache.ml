@@ -291,7 +291,9 @@ let instance_cache : Srn.t Structhash.Table.t =
 (* Solve [net] reusing cached intermediates filed under [key].  The
    skeleton hit skips exploration; the instance hit additionally demands
    bit-identical edge weights and returns the previously solved instance
-   (with its accumulated measure caches). *)
+   (with its accumulated measure caches).  On an instance miss the weights
+   computed for the key are the ones the solve uses: every rate closure
+   runs once per edge per lookup. *)
 let solve_srn ~key net =
   let sk =
     Structhash.Table.find_or_add skeleton_cache key (fun () ->
@@ -305,7 +307,7 @@ let solve_srn ~key net =
     w;
   let ikey = Structhash.finish b in
   Structhash.Table.find_or_add instance_cache ikey (fun () ->
-      Srn.solve ~skeleton:sk net)
+      Srn.solve ~skeleton:sk ~weights:w net)
 
 (* --- PEPA models ------------------------------------------------------- *)
 

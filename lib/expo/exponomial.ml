@@ -130,14 +130,62 @@ let integrate_term { coeff = a; power = k; rate = b } =
 
 let integrate f = normalize (List.concat_map integrate_term f)
 
+(* --- double-double arithmetic ---------------------------------------------
+
+   Convolving terms whose rates are a short gap apart produces
+   coefficients of order (rate / gap)^order — ~1e9 for an erlang(4, 4.5)
+   against an erlang(5, 4) — that cancel to a CDF value in [0, 1] near
+   t = 0.  One ulp of such a coefficient is ~1e-7 there, so [convolve]
+   carries every coefficient as an unevaluated sum hi + lo (about 32
+   significant digits) and rounds each output coefficient once: the
+   result is then the correctly rounded convolution of its operands in
+   all but boundary cases, whichever operand comes first.  (A three-way
+   convolution still rounds its intermediate, which the next convolution
+   can amplify into an ulp of its largest coefficient.) *)
+
+type dd = { hi : float; lo : float }
+
+let dd_zero = { hi = 0.0; lo = 0.0 }
+
+let fast_two_sum a b =
+  let s = a +. b in
+  { hi = s; lo = b -. (s -. a) }
+
+let dd_add x y =
+  let s = x.hi +. y.hi in
+  let bb = s -. x.hi in
+  let e = (x.hi -. (s -. bb)) +. (y.hi -. bb) in
+  fast_two_sum s (e +. x.lo +. y.lo)
+
+let dd_mul x b =
+  let p = x.hi *. b in
+  fast_two_sum p (Float.fma x.hi b (-.p) +. (x.lo *. b))
+
+let dd_div x b =
+  let q = x.hi /. b in
+  let p = q *. b in
+  let r = x.hi -. p -. Float.fma q b (-.p) +. x.lo in
+  fast_two_sum q (r /. b)
+
+let dd_of f = { hi = f; lo = 0.0 }
+
+(* Summed in double-double: the terms of a convolution's tail can be ~1e10
+   apiece and cancel to a mean of order 1. *)
 let integral_to_inf f =
-  List.fold_left
-    (fun acc tm ->
-      if tm.rate < 0.0 && not (same_rate tm.rate 0.0) then
-        acc +. (tm.coeff *. factorial tm.power
-                /. Float.pow (-.tm.rate) (float_of_int (tm.power + 1)))
-      else invalid_arg "Exponomial.integral_to_inf: divergent term")
-    0.0 f
+  let s =
+    List.fold_left
+      (fun acc tm ->
+        if tm.rate < 0.0 && not (same_rate tm.rate 0.0) then begin
+          let x = ref (dd_mul (dd_of tm.coeff) (factorial tm.power)) in
+          for _ = 0 to tm.power do
+            x := dd_div !x (-.tm.rate)
+          done;
+          dd_add acc !x
+        end
+        else invalid_arg "Exponomial.integral_to_inf: divergent term")
+      dd_zero f
+  in
+  s.hi +. s.lo
 
 let limit_at_inf f =
   List.fold_left
@@ -156,57 +204,77 @@ let mass_at_zero f = eval f 0.0
    of gamma = alpha - beta, amplifying coefficient roundoff by
    eps_machine / |gamma_rel| across terms that almost cancel; below 1e-8
    relative separation that amplified noise (~1e-8) exceeds the error of
-   simply merging the rates (O(|gamma| t) ~ 1e-8 over unit horizons), so
-   merging is the more accurate branch — and it cannot blow up. *)
+   simply merging the rates (O(|gamma| t) ~ 1e-8 over the horizon 1/rate
+   where the mass lies), so merging is the more accurate branch — and it
+   cannot blow up.  The distance is relative to the rates alone: an
+   absolute floor would merge rates of 5.3944e-6 and 5.3934e-6, whose
+   means differ by 2e-4. *)
 let conv_rate_eps = 1e-8
 
 let near_rate b1 b2 =
-  Float.abs (b1 -. b2)
-  <= conv_rate_eps *. Float.max 1.0 (Float.max (Float.abs b1) (Float.abs b2))
+  Float.abs (b1 -. b2) <= conv_rate_eps *. Float.max (Float.abs b1) (Float.abs b2)
 
 (* contribution of density term (a, m, alpha) against CDF term (c, n, beta):
-   a*c * integral over (0,t] of x^m e^(alpha x) (t-x)^n e^(beta (t-x)) dx *)
-let conv_pair (a, m, alpha) (c, n, beta) =
-  let w0 = a *. c in
+   a*c * integral over (0,t] of x^m e^(alpha x) (t-x)^n e^(beta (t-x)) dx,
+   each coefficient passed to [emit power rate] *)
+let conv_pair emit (a, m, alpha) (c, n, beta) =
+  let w0 = dd_mul a c in
   if near_rate alpha beta then
     (* e^(beta t) * m! n! / (m+n+1)! * t^(m+n+1); for nearly-equal rates
        split the (tiny) difference symmetrically between the operands *)
     let rate = if alpha = beta then beta else 0.5 *. (alpha +. beta) in
-    [ { coeff = w0 *. factorial m *. factorial n /. factorial (m + n + 1);
-        power = m + n + 1;
-        rate } ]
+    emit (m + n + 1) rate
+      (dd_div (dd_mul (dd_mul w0 (factorial m)) (factorial n)) (factorial (m + n + 1)))
   else begin
-    let gamma = alpha -. beta in
-    let acc = ref [] in
-    for j = 0 to n do
-      let wj = w0 *. binom n j *. (if j land 1 = 1 then -1.0 else 1.0) in
-      let p = m + j in
-      (* e^(gamma t) part -> combines with e^(beta t) to give e^(alpha t) *)
-      for i = 0 to p do
-        let c' = wj *. (if i land 1 = 1 then -1.0 else 1.0) *. falling p i
-                 /. Float.pow gamma (float_of_int (i + 1)) in
-        acc := { coeff = c'; power = n - j + p - i; rate = alpha } :: !acc
-      done;
-      (* constant part of I(p, gamma, t) -> stays with e^(beta t) *)
-      let c0 = -.wj *. (if p land 1 = 1 then -1.0 else 1.0) *. factorial p
-               /. Float.pow gamma (float_of_int (p + 1)) in
-      acc := { coeff = c0; power = n - j; rate = beta } :: !acc
-    done;
-    !acc
+    (* Partial fractions of the Laplace transform
+       m! n! / ((s - alpha)^(m+1) (s - beta)^(n+1)): with d = alpha - beta,
+       the coefficient of t^(k-1) e^(alpha t) / (k-1)! is
+       (-1)^(m+1-k) C(m+n+1-k, m+1-k) / d^(m+n+2-k), and symmetrically for
+       beta with -d.  Each coefficient is one product — no alternating sum
+       cancels away its leading digits. *)
+    let w = dd_mul (dd_mul w0 (factorial m)) (factorial n) in
+    let side rate order other d =
+      for k = 1 to order do
+        let sign = if (order - k) land 1 = 1 then -1.0 else 1.0 in
+        let x = ref (dd_mul w (sign *. binom (order + other - k - 1) (order - k))) in
+        for _ = 1 to order + other - k do
+          x := dd_div !x d
+        done;
+        emit (k - 1) rate (dd_div !x (factorial (k - 1)))
+      done
+    in
+    let d = alpha -. beta in
+    side alpha (m + 1) (n + 1) d;
+    side beta (n + 1) (m + 1) (-.d)
   end
 
 let convolve f g =
-  let f0 = mass_at_zero f in
-  let density = deriv f in
-  let cont =
-    List.concat_map
-      (fun df ->
-        List.concat_map
-          (fun tg -> conv_pair (df.coeff, df.power, df.rate) (tg.coeff, tg.power, tg.rate))
-          g)
-      density
+  (* cells keyed by (power, rate), accumulated in double-double *)
+  let cells tbl power rate x =
+    let k = (power, rate) in
+    Hashtbl.replace tbl k
+      (dd_add x (Option.value ~default:dd_zero (Hashtbl.find_opt tbl k)))
   in
-  normalize (scale f0 g @ cont)
+  (* the atom at zero and the density of f, both unrounded *)
+  let f0 =
+    List.fold_left (fun acc t -> if t.power = 0 then dd_add acc (dd_of t.coeff) else acc) dd_zero f
+  in
+  let density = Hashtbl.create 16 in
+  List.iter
+    (fun t ->
+      if t.rate <> 0.0 then cells density t.power t.rate (dd_mul (dd_of t.coeff) t.rate);
+      if t.power > 0 then
+        cells density (t.power - 1) t.rate (dd_mul (dd_of t.coeff) (float_of_int t.power)))
+    f;
+  let out = Hashtbl.create 32 in
+  List.iter (fun tg -> cells out tg.power tg.rate (dd_mul f0 tg.coeff)) g;
+  Hashtbl.iter
+    (fun (m, alpha) a ->
+      if a.hi <> 0.0 then
+        List.iter (fun tg -> conv_pair (cells out) (a, m, alpha) (tg.coeff, tg.power, tg.rate)) g)
+    density;
+  normalize
+    (Hashtbl.fold (fun (power, rate) x acc -> { coeff = x.hi +. x.lo; power; rate } :: acc) out [])
 
 let mean f = integral_to_inf (sub (const (limit_at_inf f)) f)
 

@@ -17,20 +17,31 @@ let make_error msg =
   Diag.emit Diag.Error ~solver:"ctmc" msg;
   invalid_arg ("Ctmc.make: " ^ msg)
 
+(* One off-diagonal rate into the builder; [exit.(i)] accumulates in call
+   order, so each constructor's summation order is its input order. *)
+let add_rate b exit i j r =
+  if i = j then make_error "self loop";
+  if not (Float.is_finite r) then make_error "non-finite rate";
+  if r < 0.0 then make_error "negative rate";
+  if r > 0.0 then begin
+    Sparse.add b i j r;
+    exit.(i) <- exit.(i) +. r
+  end
+
 let make ~n rates =
   let b = Sparse.builder ~rows:n ~cols:n in
   let exit = Array.make n 0.0 in
-  List.iter
-    (fun (i, j, r) ->
-      if i = j then make_error "self loop";
-      if not (Float.is_finite r) then make_error "non-finite rate";
-      if r < 0.0 then make_error "negative rate";
-      if r > 0.0 then begin
-        Sparse.add b i j r;
-        exit.(i) <- exit.(i) +. r
-      end)
-    rates;
+  List.iter (fun (i, j, r) -> add_rate b exit i j r) rates;
   Array.iteri (fun i e -> if e > 0.0 then Sparse.add b i i (-.e)) exit;
+  { n; q = Sparse.finalize b; exit; unif = None }
+
+let of_rows ~n row =
+  let b = Sparse.builder ~rows:n ~cols:n in
+  let exit = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    row i (add_rate b exit i);
+    if exit.(i) > 0.0 then Sparse.add b i i (-.exit.(i))
+  done;
   { n; q = Sparse.finalize b; exit; unif = None }
 
 (* Adopt a CSR generator built elsewhere (e.g. by the PEPA front end's
@@ -143,8 +154,11 @@ let transient_many ?(eps = 1e-12) c ~init ts =
     if t <= 0.0 then (t, Array.copy init)
     else begin
       let w = Poisson.window ~eps (lambda *. t) in
-      let acc = Array.make c.n 0.0 in
-      let v = ref (Array.copy init) in
+      let n = c.n in
+      let acc = Array.make n 0.0 in
+      (* two iterates swapped after every multiply: a step allocates
+         nothing, so a long series puts no vectors on the major heap *)
+      let v = ref (Array.copy init) and spare = ref (Array.make n 0.0) in
       (* steady-state detection: once the DTMC iterate stops moving
          (sup-norm step below delta), every remaining term contributes the
          same vector, so the Poisson tail collapses to one update.  The
@@ -156,8 +170,10 @@ let transient_many ?(eps = 1e-12) c ~init ts =
         Deadline.check ();
         let kk = !k in
         if kk >= w.Poisson.left then begin
-          let wk = w.Poisson.weights.(kk - w.Poisson.left) in
-          Array.iteri (fun i vi -> acc.(i) <- acc.(i) +. (wk *. vi)) !v
+          let wk = w.Poisson.weights.(kk - w.Poisson.left) and cur = !v in
+          for i = 0 to n - 1 do
+            acc.(i) <- acc.(i) +. (wk *. cur.(i))
+          done
         end;
         if kk >= w.Poisson.right then finished := true
         else begin
@@ -166,23 +182,25 @@ let transient_many ?(eps = 1e-12) c ~init ts =
              row-parallel when the chain is large and this call is not
              already inside a pool task (the per-time-point fan-out
              below keeps nested multiplies serial) *)
-          let v' = Sparse.par_mat_vec pt !v in
+          let cur = !v and next = !spare in
+          Sparse.par_mat_vec_into pt cur next;
           let step = ref 0.0 in
-          Array.iteri
-            (fun i vi ->
-              let d = Float.abs (v'.(i) -. vi) in
-              if d > !step then step := d)
-            !v;
-          v := v';
+          for i = 0 to n - 1 do
+            let d = Float.abs (next.(i) -. cur.(i)) in
+            if d > !step then step := d
+          done;
+          v := next;
+          spare := cur;
           if !step <= delta then begin
             (* remaining Poisson mass, all weighting the settled vector *)
             let tail = ref 0.0 in
             for j = max (kk + 1) w.Poisson.left to w.Poisson.right do
               tail := !tail +. w.Poisson.weights.(j - w.Poisson.left)
             done;
-            Array.iteri
-              (fun i vi -> acc.(i) <- acc.(i) +. (!tail *. vi))
-              !v;
+            let tail = !tail in
+            for i = 0 to n - 1 do
+              acc.(i) <- acc.(i) +. (tail *. next.(i))
+            done;
             finished := true
           end
         end;

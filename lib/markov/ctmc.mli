@@ -10,9 +10,19 @@ type t
 
 val make : n:int -> (int * int * float) list -> t
 (** [make ~n rates] with [rates = [(i, j, rate); ...]], [i <> j], all rates
-    nonnegative and finite.  Duplicate edges are summed.  Invalid input
-    emits a {!Sharpe_numerics.Diag.Error} diagnostic before raising
+    nonnegative and finite.  Duplicate edges are summed, and exit rates
+    accumulated, in list order.  Invalid input emits a
+    {!Sharpe_numerics.Diag.Error} diagnostic before raising
     [Invalid_argument]. *)
+
+val of_rows : n:int -> (int -> (int -> float -> unit) -> unit) -> t
+(** [of_rows ~n row] builds the chain row by row: [row i emit] calls
+    [emit j r] for each rate [r] from [i] to [j], under the same checks
+    as {!make}.  Duplicate edges are summed, and [i]'s exit rate
+    accumulated, in emission order — so emitting each row's entries in
+    the order they appear in [make]'s list gives a bit-identical chain.
+    No entry list is built: rates go straight into the generator's CSR
+    assembly. *)
 
 val of_generator : Sharpe_numerics.Sparse.t -> t
 (** Adopt a CSR generator built elsewhere (diagonal included): exit

@@ -1,8 +1,15 @@
+(* Entries accumulate in growable unboxed arrays (one int array per index,
+   one float array for values) rather than a list of boxed triples: a
+   10^5-state generator would otherwise put every entry on the heap twice
+   before the CSR arrays exist. *)
 type builder = {
   b_rows : int;
   b_cols : int;
-  mutable entries : (int * int * float) list;
+  mutable bi : int array;
+  mutable bj : int array;
+  mutable bv : float array;
   mutable count : int;
+  mutable row_ordered : bool; (* rows were added in nondecreasing order *)
 }
 
 type t = {
@@ -15,108 +22,132 @@ type t = {
 
 let builder ~rows ~cols =
   if rows < 0 || cols < 0 then invalid_arg "Sparse.builder";
-  { b_rows = rows; b_cols = cols; entries = []; count = 0 }
+  let cap = 16 in
+  { b_rows = rows; b_cols = cols; bi = Array.make cap 0; bj = Array.make cap 0;
+    bv = Array.make cap 0.0; count = 0; row_ordered = true }
+
+let grow b =
+  let cap = 2 * Array.length b.bv in
+  let extend a z =
+    let a' = Array.make cap z in
+    Array.blit a 0 a' 0 b.count;
+    a'
+  in
+  b.bi <- extend b.bi 0;
+  b.bj <- extend b.bj 0;
+  b.bv <- extend b.bv 0.0
 
 let add b i j x =
   if i < 0 || i >= b.b_rows || j < 0 || j >= b.b_cols then
     invalid_arg "Sparse.add: index out of range";
   if x <> 0.0 then begin
-    b.entries <- (i, j, x) :: b.entries;
-    b.count <- b.count + 1
+    let k = b.count in
+    if k = Array.length b.bv then grow b;
+    if k > 0 && i < b.bi.(k - 1) then b.row_ordered <- false;
+    b.bi.(k) <- i;
+    b.bj.(k) <- j;
+    b.bv.(k) <- x;
+    b.count <- k + 1
   end
 
+(* Stable sort of cj/cv.(lo..hi-1) by column.  Rows are short and usually
+   nearly sorted, so insertion sort; a long row goes through a stable sort
+   of its index permutation instead of risking quadratic time. *)
+let sort_row cj cv lo hi =
+  if hi - lo <= 32 then
+    for k = lo + 1 to hi - 1 do
+      let j = cj.(k) and v = cv.(k) in
+      let p = ref (k - 1) in
+      while !p >= lo && cj.(!p) > j do
+        cj.(!p + 1) <- cj.(!p);
+        cv.(!p + 1) <- cv.(!p);
+        decr p
+      done;
+      cj.(!p + 1) <- j;
+      cv.(!p + 1) <- v
+    done
+  else begin
+    let perm = Array.init (hi - lo) (fun k -> lo + k) in
+    Array.stable_sort (fun a b -> compare cj.(a) cj.(b)) perm;
+    let sj = Array.map (Array.get cj) perm and sv = Array.map (Array.get cv) perm in
+    Array.blit sj 0 cj lo (hi - lo);
+    Array.blit sv 0 cv lo (hi - lo)
+  end
+
+(* O(nnz) assembly: a counting sort groups entries by row (skipped when
+   rows arrived in order), a stable per-row sort orders the columns, and
+   duplicates are summed left to right — i.e. in insertion order — with
+   zero sums dropped. *)
 let finalize b =
-  let triples = Array.of_list b.entries in
-  Array.sort
-    (fun (i1, j1, _) (i2, j2, _) -> if i1 <> i2 then compare i1 i2 else compare j1 j2)
-    triples;
-  (* sum duplicates *)
-  let n = Array.length triples in
-  let merged = ref [] and m = ref 0 in
-  let k = ref 0 in
-  while !k < n do
-    let i, j, _ = triples.(!k) in
-    let s = ref 0.0 in
-    while !k < n && (let i', j', _ = triples.(!k) in i' = i && j' = j) do
-      let _, _, v = triples.(!k) in
-      s := !s +. v;
-      incr k
-    done;
-    if !s <> 0.0 then begin
-      merged := (i, j, !s) :: !merged;
-      incr m
-    end
+  let n = b.count and rows = b.b_rows in
+  let row_ptr = Array.make (rows + 1) 0 in
+  for k = 0 to n - 1 do
+    let i = b.bi.(k) in
+    row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
   done;
-  let merged = Array.of_list (List.rev !merged) in
-  let nnz = Array.length merged in
-  let row_ptr = Array.make (b.b_rows + 1) 0 in
-  Array.iter (fun (i, _, _) -> row_ptr.(i + 1) <- row_ptr.(i + 1) + 1) merged;
-  for i = 1 to b.b_rows do
+  for i = 1 to rows do
     row_ptr.(i) <- row_ptr.(i) + row_ptr.(i - 1)
   done;
-  let col_idx = Array.make nnz 0 and values = Array.make nnz 0.0 in
-  Array.iteri
-    (fun k (_, j, v) ->
-      col_idx.(k) <- j;
-      values.(k) <- v)
-    merged;
-  { rows = b.b_rows; cols = b.b_cols; row_ptr; col_idx; values }
+  let cj, cv =
+    if b.row_ordered then (Array.sub b.bj 0 n, Array.sub b.bv 0 n)
+    else begin
+      let cj = Array.make n 0 and cv = Array.make n 0.0 in
+      let next = Array.sub row_ptr 0 rows in
+      for k = 0 to n - 1 do
+        let i = b.bi.(k) in
+        let p = next.(i) in
+        cj.(p) <- b.bj.(k);
+        cv.(p) <- b.bv.(k);
+        next.(i) <- p + 1
+      done;
+      (cj, cv)
+    end
+  in
+  (* sum duplicates and compact in place: the write cursor never passes
+     the read cursor *)
+  let w = ref 0 in
+  let start = ref 0 in
+  for i = 0 to rows - 1 do
+    let hi = row_ptr.(i + 1) in
+    sort_row cj cv !start hi;
+    let k = ref !start in
+    while !k < hi do
+      let j = cj.(!k) in
+      let s = ref cv.(!k) in
+      incr k;
+      while !k < hi && cj.(!k) = j do
+        s := !s +. cv.(!k);
+        incr k
+      done;
+      if !s <> 0.0 then begin
+        cj.(!w) <- j;
+        cv.(!w) <- !s;
+        incr w
+      end
+    done;
+    start := hi;
+    row_ptr.(i + 1) <- !w
+  done;
+  let nnz = !w in
+  { rows;
+    cols = b.b_cols;
+    row_ptr;
+    col_idx = (if nnz = n then cj else Array.sub cj 0 nnz);
+    values = (if nnz = n then cv else Array.sub cv 0 nnz) }
 
 let of_triplets ~rows ~cols ts =
   let b = builder ~rows ~cols in
   List.iter (fun (i, j, x) -> add b i j x) ts;
   finalize b
 
-(* Direct CSR constructor from per-row entry lists.  Unlike the triplet
-   builder this never materializes an all-entries list or sorts globally:
-   each row is sorted and duplicate-merged on its own, and values land in
-   growable arrays.  This is the construction path for large generated
-   models (10^5-10^6 states), where the builder's list of boxed triples
-   would dominate peak memory. *)
+(* Per-row entry lists through the same builder: rows arrive in order, so
+   [finalize] skips its counting sort. *)
 let of_rows ~rows ~cols f =
-  if rows < 0 || cols < 0 then invalid_arg "Sparse.of_rows";
-  let cap = ref (max 1024 rows) in
-  let ci = ref (Array.make !cap 0) and vs = ref (Array.make !cap 0.0) in
-  let len = ref 0 in
-  let push j v =
-    if !len = !cap then begin
-      cap := 2 * !cap;
-      let ci' = Array.make !cap 0 and vs' = Array.make !cap 0.0 in
-      Array.blit !ci 0 ci' 0 !len;
-      Array.blit !vs 0 vs' 0 !len;
-      ci := ci';
-      vs := vs'
-    end;
-    !ci.(!len) <- j;
-    !vs.(!len) <- v;
-    incr len
-  in
-  let row_ptr = Array.make (rows + 1) 0 in
+  let b = builder ~rows ~cols in
   for i = 0 to rows - 1 do
-    let entries =
-      List.sort (fun (j1, _) (j2, _) -> compare j1 j2) (f i)
-    in
-    let rec emit = function
-      | [] -> ()
-      | (j, v) :: rest ->
-          if j < 0 || j >= cols then invalid_arg "Sparse.of_rows: column";
-          (* merge duplicates within the row *)
-          let rec take acc = function
-            | (j', v') :: tl when j' = j -> take (acc +. v') tl
-            | tl -> (acc, tl)
-          in
-          let v, rest = take v rest in
-          if v <> 0.0 then push j v;
-          emit rest
-    in
-    emit entries;
-    row_ptr.(i + 1) <- !len
+    List.iter (fun (j, v) -> add b i j v) (f i)
   done;
-  { rows;
-    cols;
-    row_ptr;
-    col_idx = Array.sub !ci 0 !len;
-    values = Array.sub !vs 0 !len }
+  finalize b
 
 let of_raw ~rows ~cols ~row_ptr ~col_idx ~values =
   if

@@ -5,7 +5,8 @@
     uniformization engine work on this representation. *)
 
 type builder
-(** Mutable triplet accumulator.  Duplicate [(i, j)] entries are summed. *)
+(** Mutable triplet accumulator over growable unboxed arrays.  Duplicate
+    [(i, j)] entries are summed. *)
 
 type t
 (** Immutable CSR matrix. *)
@@ -13,7 +14,11 @@ type t
 val builder : rows:int -> cols:int -> builder
 val add : builder -> int -> int -> float -> unit
 val finalize : builder -> t
-(** Compresses to CSR, summing duplicates and dropping explicit zeros. *)
+(** Compresses to CSR in O(nnz) plus per-row sorts: entries are grouped by
+    row (a counting sort, skipped when rows were added in nondecreasing
+    order), stably sorted by column within each row, and each cell's
+    duplicates are summed in insertion order.  Zero inputs and zero sums
+    are dropped.  The builder is left unchanged. *)
 
 val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
 val of_dense : Matrix.t -> t
@@ -21,10 +26,10 @@ val to_dense : t -> Matrix.t
 
 val of_rows : rows:int -> cols:int -> (int -> (int * float) list) -> t
 (** [of_rows ~rows ~cols f] builds the matrix whose row [i] holds the
-    [(column, value)] entries of [f i] (any order; duplicates summed,
-    zeros dropped).  Unlike the triplet builder this never accumulates a
-    global entry list — the construction path for 10^5–10^6-state
-    generated models. *)
+    [(column, value)] entries of [f i] (any order; duplicates summed in
+    list order, zeros dropped), calling [f] once per row in row order.
+    A wrapper over the builder whose rows arrive in order, so
+    [finalize] skips its counting sort. *)
 
 val of_raw :
   rows:int -> cols:int ->

@@ -36,12 +36,16 @@ let add_int b i =
 
 let add_bool b v = Buffer.add_string b (if v then "T" else "F")
 
-(* Bit-exact: two floats get the same encoding iff they are the same
-   IEEE value (all NaNs collapse, which is fine for cache keys). *)
+(* Bit-exact: the tag then the 8 raw bytes of the IEEE bit pattern,
+   little-endian.  Two floats get the same encoding iff they have the same
+   bit pattern: [0.] and [-0.] differ, and [bits_of_float] keeps a NaN's
+   sign and payload, so distinct NaNs get distinct keys (a spurious miss
+   at worst, never a wrong hit).  The field is fixed-width, so it needs no
+   terminator and the bytes may spell any tag or bracket without breaking
+   injectivity. *)
 let add_float b x =
   Buffer.add_char b 'f';
-  Buffer.add_string b (Printf.sprintf "%Lx" (Int64.bits_of_float x));
-  Buffer.add_char b ';'
+  Buffer.add_int64_le b (Int64.bits_of_float x)
 
 let add_list b f xs =
   Buffer.add_char b '[';

@@ -32,16 +32,16 @@ val add_int : builder -> int -> unit
 val add_bool : builder -> bool -> unit
 
 val add_float : builder -> float -> unit
-(** Bit-exact (IEEE bit pattern), so keys distinguish [0.] from [-0.]
-    and collapse all NaNs. *)
+(** Bit-exact: a tag byte and the 8 bytes of the IEEE bit pattern.  Keys
+    distinguish [0.] from [-0.], and NaNs with different payloads. *)
 
 val add_list : builder -> (builder -> 'a -> unit) -> 'a list -> unit
 val add_array : builder -> (builder -> 'a -> unit) -> 'a array -> unit
 
 val finish : builder -> string
 (** The canonical key.  Injective: two different field sequences cannot
-    serialize to the same string (every field is length- or
-    terminator-delimited). *)
+    serialize to the same string (every field is length-prefixed,
+    terminator-delimited or fixed-width). *)
 
 (** {1 Global cache switches and statistics} *)
 

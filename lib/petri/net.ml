@@ -81,8 +81,16 @@ let enabled t m =
     List.filter (fun i -> eff i = best) raw
   end
 
-let is_vanishing t m =
-  List.exists (fun i -> t.trans.(i).kind = Immediate) (enabled t m)
+(* FNV-1a over every place (offset basis cut to OCaml's 63-bit ints),
+   folded to a nonnegative int.  The final xor-shift carries the high
+   product bits down into the low bits a power-of-two bucket mask keeps. *)
+let hash_marking (m : marking) =
+  let h = ref 0x0bf29ce484222325 in
+  for i = 0 to Array.length m - 1 do
+    h := (!h lxor Array.unsafe_get m i) * 0x100000001b3
+  done;
+  let h = !h in
+  (h lxor (h lsr 32)) land max_int
 
 let fire t i m =
   let tr = t.trans.(i) in

@@ -45,8 +45,9 @@ val structurally_enabled : t -> transition -> marking -> bool
 val enabled : t -> marking -> int list
 (** Indices of the fireable transitions after the priority rule. *)
 
-val is_vanishing : t -> marking -> bool
-(** Some immediate transition is fireable. *)
+val hash_marking : marking -> int
+(** A nonnegative hash of every place's token count, computed without
+    allocating (the hash of reachability's marking table). *)
 
 val fire : t -> int -> marking -> marking
 

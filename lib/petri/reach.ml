@@ -47,15 +47,8 @@ module MarkingTbl = Hashtbl.Make (struct
   type t = int array
 
   let equal = ( = )
-  let hash m = Hashtbl.hash (Array.to_list m)
+  let hash = Net.hash_marking
 end)
-
-type raw = {
-  markings : Net.marking array;
-  vanishing : bool array;
-  (* per marking: (target, rate-or-weight) list *)
-  succs : (int * float) array array;
-}
 
 let explore_skeleton ?(max_markings = 200_000) n =
   let ids = MarkingTbl.create 1024 in
@@ -78,12 +71,15 @@ let explore_skeleton ?(max_markings = 200_000) n =
   in
   let m0 = Net.initial_marking n in
   ignore (intern m0);
+  let trans = Net.transitions n in
   let succs = ref [] and vans = ref [] in
   while not (Queue.is_empty queue) do
     Deadline.check ();
     let i, m = Queue.pop queue in
     let en = Net.enabled n m in
-    let vanishing = Net.is_vanishing n m in
+    (* after the priority rule an enabled immediate transition excludes
+       every timed one, so one immediate in [en] makes [m] vanishing *)
+    let vanishing = List.exists (fun ti -> trans.(ti).Net.kind = Net.Immediate) en in
     let out = List.map (fun ti -> (intern (Net.fire n ti m), ti)) en in
     succs := (i, Array.of_list out) :: !succs;
     vans := (i, vanishing) :: !vans
@@ -97,21 +93,26 @@ let explore_skeleton ?(max_markings = 200_000) n =
   List.iter (fun (i, v) -> van_arr.(i) <- v) !vans;
   { sk_markings = markings; sk_vanishing = van_arr; sk_succs = succ_arr }
 
-(* Evaluate the current rate/weight of every skeleton edge: the cheap,
-   parameter-dependent half of exploration. *)
-let weigh n sk =
+(* The current rate/weight of every skeleton edge: the cheap,
+   parameter-dependent half of exploration, and the only place a rate
+   closure is evaluated when solving from a skeleton. *)
+let edge_weights n sk =
   let trans = Net.transitions n in
-  Array.mapi
+  (* filled in place rather than by [Array.mapi]: seeding an array longer
+     than 256 fields with a freshly allocated row forces a minor
+     collection, a stop-the-world pause on every domain, per call *)
+  let w = Array.make (Array.length sk.sk_succs) [||] in
+  Array.iteri
     (fun i out ->
       let m = sk.sk_markings.(i) in
-      Array.map (fun (dst, ti) -> (dst, trans.(ti).Net.rate m)) out)
-    sk.sk_succs
-
-let edge_weights n sk = Array.map (Array.map snd) (weigh n sk)
+      w.(i) <- Array.map (fun (_, ti) -> trans.(ti).Net.rate m) out)
+    sk.sk_succs;
+  w
 
 (* absorption distributions of vanishing markings over tangible markings *)
-let vanishing_absorption raw tangible_id =
-  let n = Array.length raw.markings in
+let vanishing_absorption sk w tangible_id =
+  let n = Array.length sk.sk_markings in
+  let total v = Array.fold_left ( +. ) 0.0 w.(v) in
   let memo : (int * float) list option array = Array.make n None in
   let on_stack = Array.make n false in
   let cyclic = ref false in
@@ -126,14 +127,14 @@ let vanishing_absorption raw tangible_id =
         end
         else begin
           on_stack.(v) <- true;
-          let total = Array.fold_left (fun a (_, w) -> a +. w) 0.0 raw.succs.(v) in
+          let total = total v in
           if total <= 0.0 then
             limit_error "vanishing marking %d has no enabled weight" v;
           let acc = Hashtbl.create 8 in
-          Array.iter
-            (fun (dst, w) ->
-              let p = w /. total in
-              if raw.vanishing.(dst) then
+          Array.iteri
+            (fun k (dst, _) ->
+              let p = w.(v).(k) /. total in
+              if sk.sk_vanishing.(dst) then
                 List.iter
                   (fun (t, q) ->
                     Hashtbl.replace acc t
@@ -142,7 +143,7 @@ let vanishing_absorption raw tangible_id =
               else
                 Hashtbl.replace acc tangible_id.(dst)
                   (p +. Option.value ~default:0.0 (Hashtbl.find_opt acc tangible_id.(dst))))
-            raw.succs.(v);
+            sk.sk_succs.(v);
           on_stack.(v) <- false;
           let d = Hashtbl.fold (fun t p l -> (t, p) :: l) acc [] in
           memo.(v) <- Some d;
@@ -150,7 +151,7 @@ let vanishing_absorption raw tangible_id =
         end
   in
   let vanishing_ids =
-    List.filter (fun i -> raw.vanishing.(i)) (List.init n Fun.id)
+    List.filter (fun i -> sk.sk_vanishing.(i)) (List.init n Fun.id)
   in
   List.iter (fun v -> ignore (solve v)) vanishing_ids;
   if not !cyclic then fun v -> Option.get memo.(v)
@@ -168,17 +169,17 @@ let vanishing_absorption raw tangible_id =
     (* bt : (v-index, tangible) -> prob *)
     Array.iteri
       (fun k v ->
-        let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 raw.succs.(v) in
-        Array.iter
-          (fun (dst, w) ->
-            let p = w /. total in
-            if raw.vanishing.(dst) then
+        let total = total v in
+        Array.iteri
+          (fun e (dst, _) ->
+            let p = w.(v).(e) /. total in
+            if sk.sk_vanishing.(dst) then
               Matrix.add_to a k (Hashtbl.find vidx dst) (-.p)
             else begin
               let key = (k, tangible_id.(dst)) in
               Hashtbl.replace bt key (p +. Option.value ~default:0.0 (Hashtbl.find_opt bt key))
             end)
-          raw.succs.(v))
+          sk.sk_succs.(v))
       vs;
     (* collect tangible columns present *)
     let cols = Hashtbl.create 64 in
@@ -195,49 +196,58 @@ let vanishing_absorption raw tangible_id =
       Hashtbl.fold (fun (v', t) p acc -> if v' = v then (t, p) :: acc else acc) sol []
   end
 
-let build ?max_markings ?skeleton n =
+let build ?max_markings ?skeleton ?weights n =
   let sk =
     match skeleton with
     | Some sk -> sk
     | None -> explore_skeleton ?max_markings n
   in
-  let raw =
-    { markings = sk.sk_markings;
-      vanishing = sk.sk_vanishing;
-      succs = weigh n sk }
+  let w =
+    match weights with
+    | None -> edge_weights n sk
+    | Some w ->
+        if
+          Array.length w <> Array.length sk.sk_succs
+          || not (Array.for_all2 (fun wr out -> Array.length wr = Array.length out) w sk.sk_succs)
+        then invalid_arg "Reach.build: weights do not match the skeleton";
+        w
   in
-  let nmk = Array.length raw.markings in
-  let tangible_id = Array.make nmk (-1) in
-  let tangibles = ref [] and nt = ref 0 in
+  let vanishing = sk.sk_vanishing in
+  let nmk = Array.length sk.sk_markings in
+  let tangible_id = Array.make nmk (-1) and nt = ref 0 in
   for i = 0 to nmk - 1 do
-    if not raw.vanishing.(i) then begin
+    if not vanishing.(i) then begin
       tangible_id.(i) <- !nt;
-      incr nt;
-      tangibles := raw.markings.(i) :: !tangibles
+      incr nt
     end
   done;
-  let tangibles = Array.of_list (List.rev !tangibles) in
-  let absorb = vanishing_absorption raw tangible_id in
-  let rates = ref [] in
-  for i = 0 to nmk - 1 do
-    if not raw.vanishing.(i) then begin
-      let src = tangible_id.(i) in
-      Array.iter
-        (fun (dst, r) ->
-          if raw.vanishing.(dst) then
-            List.iter
-              (fun (t, p) -> if t <> src then rates := (src, t, r *. p) :: !rates)
-              (absorb dst)
+  let tangible_of = Array.make !nt 0 in
+  Array.iteri (fun i t -> if t >= 0 then tangible_of.(t) <- i) tangible_id;
+  let tangibles = Array.map (Array.get sk.sk_markings) tangible_of in
+  let absorb = vanishing_absorption sk w tangible_id in
+  (* The chain sums each exit rate, and each cell's duplicates, in
+     emission order.  Rows are emitted last edge first and absorption
+     lists last entry first: the order that keeps exit rates bit-identical
+     to earlier releases, so Krylov iteration counts and residuals on
+     large nets do not move. *)
+  let ctmc =
+    Sharpe_markov.Ctmc.of_rows ~n:!nt (fun src emit ->
+        let i = tangible_of.(src) in
+        let out = sk.sk_succs.(i) and wi = w.(i) in
+        for k = Array.length out - 1 downto 0 do
+          let dst, _ = out.(k) and r = wi.(k) in
+          if vanishing.(dst) then
+            List.fold_right
+              (fun (t, p) () -> if t <> src then emit t (r *. p))
+              (absorb dst) ()
           else begin
             let d = tangible_id.(dst) in
-            if d <> src then rates := (src, d, r) :: !rates
-          end)
-        raw.succs.(i)
-    end
-  done;
-  let ctmc = Sharpe_markov.Ctmc.make ~n:!nt !rates in
+            if d <> src then emit d r
+          end
+        done)
+  in
   let init = Array.make !nt 0.0 in
-  if raw.vanishing.(0) then
+  if vanishing.(0) then
     List.iter (fun (t, p) -> init.(t) <- init.(t) +. p) (absorb 0)
   else init.(tangible_id.(0)) <- 1.0;
   { net = n; skel = sk; tangibles; nv = nmk - !nt; ctmc; init }

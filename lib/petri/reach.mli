@@ -23,12 +23,19 @@ val edge_weights : Net.t -> skeleton -> float array array
     as the skeleton's successor lists) under the net's rate closures —
     the parameter-dependent half of the analysis, cheap to evaluate. *)
 
-val build : ?max_markings:int -> ?skeleton:skeleton -> Net.t -> t
+val build :
+  ?max_markings:int -> ?skeleton:skeleton -> ?weights:float array array ->
+  Net.t -> t
 (** [build n] explores the reachability set and extracts the CTMC.
     [~skeleton] skips exploration and only re-evaluates edge
     rates/weights; the caller must guarantee the skeleton was built from
     a structurally identical net (same places, arcs, cardinality and
     guard behaviour, priorities and initial marking — rates may differ).
+    [~weights] skips that re-evaluation too: it must be
+    [edge_weights n sk] for the skeleton in use (a caller that already
+    computed them, e.g. for a cache key, passes them on so every rate
+    closure runs once).  Raises [Invalid_argument] if its shape does not
+    match the skeleton's successor lists.
     @raise Failure if the net is unbounded beyond [max_markings]
     (default 200_000) or a vanishing loop never reaches a tangible
     marking. *)

@@ -8,9 +8,14 @@ type t = {
   cumulatives : (float, float array) Hashtbl.t; (* t -> L(t) *)
 }
 
-let solve ?max_markings ?skeleton n =
-  let g = Reach.build ?max_markings ?skeleton n in
-  let markings = Array.init (Reach.n_tangible g) (Reach.tangible_marking g) in
+let solve ?max_markings ?skeleton ?weights n =
+  let g = Reach.build ?max_markings ?skeleton ?weights n in
+  (* filled in place: [Array.init] seeded with a fresh copy would force a
+     minor collection on every domain for any net past 256 markings *)
+  let markings = Array.make (Reach.n_tangible g) [||] in
+  for i = 0 to Array.length markings - 1 do
+    markings.(i) <- Reach.tangible_marking g i
+  done;
   { g; markings; steady = None;
     transients = Hashtbl.create 16; cumulatives = Hashtbl.create 16 }
 

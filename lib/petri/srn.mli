@@ -6,10 +6,13 @@
 
 type t
 
-val solve : ?max_markings:int -> ?skeleton:Reach.skeleton -> Net.t -> t
+val solve :
+  ?max_markings:int -> ?skeleton:Reach.skeleton ->
+  ?weights:float array array -> Net.t -> t
 (** [~skeleton] reuses a previously explored reachability skeleton (see
     {!Reach.build}): only edge rates/weights are re-evaluated, which is
-    the sweep-loop fast path. *)
+    the sweep-loop fast path.  [~weights] hands over those already
+    evaluated edge weights ({!Reach.edge_weights}). *)
 
 val graph : t -> Reach.t
 

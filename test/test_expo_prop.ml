@@ -17,8 +17,14 @@ let close ?(eps = 1e-9) a b =
    routinely produce pairs ~1e-3 apart whose convolutions disagree past
    any fixed tolerance depending on operand order.  Grid rates are
    either exactly equal — handled by the exact equal-rate path — or at
-   least 0.5 apart, keeping every identity well-conditioned even for
-   erlang factors of order 5 (amplification bounded by 2^5). *)
+   least 0.5 apart.  That bounds, but does not tame, the amplification:
+   erlang factors of orders 4 and 5 at rates 0.5 apart give coefficients
+   of ~1e9 that cancel to a CDF value near t = 0, so one ulp of a
+   coefficient is ~1e-7 there.  [convolve] rounds each coefficient once,
+   which makes commutativity hold; a three-way convolution still rounds
+   its intermediate, and on such triples associativity can miss the
+   1e-7 tolerance by an ulp even in exact arithmetic (see the regression
+   cases below). *)
 let cdf_gen =
   QCheck.Gen.(
     let rate = map (fun i -> 0.5 *. float_of_int (1 + i)) (int_bound 8) in
@@ -178,6 +184,42 @@ let prop_mass_at_zero =
       and g = D.mixture q (1.0 -. q) 2.0 in
       close (E.mass_at_zero (E.convolve f g)) (p *. q))
 
+(* Deterministic regressions: counterexamples the properties above once
+   found, each now computed to a correctly rounded result. *)
+let regression_assoc () =
+  let f = D.erlang 4 4.5 and g = D.exponential 2.0 and h = D.erlang 5 4.0 in
+  let l = E.convolve (E.convolve f g) h
+  and r = E.convolve f (E.convolve g h) in
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "erlang(4,4.5)*exp(2)*erlang(5,4) at t=%g" t)
+        true
+        (close ~eps:1e-7 (E.eval l t) (E.eval r t)))
+    sample_ts
+
+let regression_commute () =
+  let f = D.erlang 3 4.0 and g = D.erlang 5 3.5 in
+  let fg = E.convolve f g and gf = E.convolve g f in
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "erlang(3,4)*erlang(5,3.5) at t=%g" t)
+        true
+        (close (E.eval fg t) (E.eval gf t)))
+    sample_ts
+
+let regression_means () =
+  let h = E.convolve (D.erlang 5 4.0) (D.erlang 5 4.5) in
+  Alcotest.(check bool) "mean of erlang(5,4)*erlang(5,4.5)" true
+    (close ~eps:1e-7 (E.mean h) ((5.0 /. 4.0) +. (5.0 /. 4.5)));
+  (* rates 2e-4 apart in relative terms must not be merged as equal *)
+  let a = 5.3944431344305057e-06 and b = 5.3934229631571664e-06 in
+  let h = E.convolve (D.exponential a) (D.exponential b) in
+  let expected = (1.0 /. a) +. (1.0 /. b) in
+  Alcotest.(check bool) "mean of two nearby tiny-rate exponentials" true
+    (Float.abs (E.mean h -. expected) <= 1e-9 *. expected)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_convolve_commutes; prop_convolve_assoc; prop_convolve_mean_adds;
@@ -185,3 +227,6 @@ let suite =
       prop_cdf_limit; prop_complement; prop_mixture_weights;
       prop_mass_at_zero; prop_extreme_convolve_commutes;
       prop_extreme_convolve_mass; prop_extreme_convolve_mean_adds ]
+  @ [ ("associativity regression", `Quick, regression_assoc);
+      ("commutativity regression", `Quick, regression_commute);
+      ("mean regressions", `Quick, regression_means) ]

@@ -212,6 +212,58 @@ let prop_steady_is_fixed_point =
       let r = Sharpe_numerics.Sparse.vec_mat pi (Ctmc.generator c) in
       Array.for_all (fun x -> Float.abs x < 1e-8) r)
 
+(* [of_rows] emitting each row's rates in list order builds the same chain
+   as [make] on the list, bit for bit: duplicate cells and exit rates are
+   summed in the same order. *)
+let prop_of_rows_matches_make =
+  QCheck.Test.make ~name:"of_rows is make in emission order" ~count:200
+    QCheck.(
+      list_of_size (Gen.int_bound 60)
+        (triple (int_bound 4) (int_bound 4) (float_range 0.0 10.0)))
+    (fun ts ->
+      let n = 5 in
+      let ts = List.filter (fun (i, j, _) -> i <> j) ts in
+      let a = Ctmc.make ~n ts in
+      let b =
+        Ctmc.of_rows ~n (fun i emit ->
+            List.iter (fun (i', j, r) -> if i' = i then emit j r) ts)
+      in
+      let bits (rp, ci, vs) = (rp, ci, Array.map Int64.bits_of_float vs) in
+      let exits c = List.init n (fun i -> Int64.bits_of_float (Ctmc.exit_rate c i)) in
+      bits (Sharpe_numerics.Sparse.raw (Ctmc.generator a))
+      = bits (Sharpe_numerics.Sparse.raw (Ctmc.generator b))
+      && exits a = exits b)
+
+(* A uniformization step reuses two iterates, so a long series allocates
+   a few vectors in all rather than one per Poisson term (a vector past
+   256 floats goes straight to the major heap and paces the major
+   collector). *)
+let test_transient_allocates_per_solve () =
+  let n = 1000 in
+  let c =
+    Ctmc.make ~n
+      (List.concat
+         (List.init n (fun i -> [ (i, (i + 1) mod n, 1.0); (i, (i + n - 1) mod n, 0.5) ])))
+  in
+  let init = Array.init n (fun i -> if i = 0 then 1.0 else 0.0) in
+  ignore (Ctmc.transient c ~init 1.0);
+  (* allocated words of one solve, the least of three: a solve that
+     allocates per term does so every time *)
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let once () =
+    let w0 = words () in
+    let pi = Ctmc.transient c ~init 200.0 in
+    let w = words () -. w0 in
+    checkf6 "mass" 1.0 (Array.fold_left ( +. ) 0.0 pi);
+    w
+  in
+  let w = List.fold_left Float.min infinity (List.init 3 (fun _ -> once ())) in
+  if w > float_of_int (10 * n) then
+    Alcotest.failf "transient allocated %.0f words for a %d-state chain" w n
+
 let suite =
   [ ("construction", `Quick, test_construction);
     ("duplicate edges sum", `Quick, test_duplicate_edges_sum);
@@ -233,5 +285,8 @@ let suite =
     ("fast mttf close to exact", `Quick, test_mttf_fast_close_to_exact);
     ("acyclic rejects negative rates", `Quick, test_acyclic_negative_rate_rejected);
     ("acyclic predecessor adjacency", `Quick, test_acyclic_predecessors_adjacency);
+    ("transient allocates per solve, not per step", `Quick, test_transient_allocates_per_solve);
     QCheck_alcotest.to_alcotest prop_transient_is_distribution;
-    QCheck_alcotest.to_alcotest prop_steady_is_fixed_point ]
+    QCheck_alcotest.to_alcotest prop_steady_is_fixed_point;
+    QCheck_alcotest.to_alcotest prop_of_rows_matches_make ]
+

@@ -238,6 +238,80 @@ let prop_sparse_dense_agree =
       let a = Sparse.vec_mat v s and b = Matrix.vec_mat v d in
       Array.for_all2 (fun x y -> Float.abs (x -. y) < 1e-9) a b)
 
+(* Reference CSR assembly: drop zero inputs, stable-sort by (row, column),
+   sum each cell's entries left to right, drop zero sums.  Returns the
+   cells as (row, column, sum, number of entries summed). *)
+let reference_cells ts =
+  let ts = List.filter (fun (_, _, v) -> v <> 0.0) ts in
+  let ts = List.stable_sort (fun (i1, j1, _) (i2, j2, _) -> compare (i1, j1) (i2, j2)) ts in
+  let rec merge = function
+    | [] -> []
+    | (i, j, v) :: rest ->
+        let rec take s k = function
+          | (i', j', v') :: tl when i' = i && j' = j -> take (s +. v') (k + 1) tl
+          | tl -> (s, k, tl)
+        in
+        let s, k, rest = take v 1 rest in
+        if s <> 0.0 then (i, j, s, k) :: merge rest else merge rest
+  in
+  merge ts
+
+(* Exact structure; values bit-equal wherever a cell summed at most two
+   entries (two-term sums are order-free), within 1e-12 otherwise. *)
+let matches_reference ~rows ts m =
+  let cells = reference_cells ts in
+  let row_ptr, col_idx, values = Sparse.raw m in
+  let counts = Array.make (rows + 1) 0 in
+  List.iter (fun (i, _, _, _) -> counts.(i + 1) <- counts.(i + 1) + 1) cells;
+  for i = 1 to rows do
+    counts.(i) <- counts.(i) + counts.(i - 1)
+  done;
+  counts = row_ptr
+  && List.length cells = Array.length col_idx
+  && List.for_all2
+       (fun (_, j, s, k) (j', v) ->
+         j = j'
+         && (if k <= 2 then Int64.bits_of_float s = Int64.bits_of_float v
+             else Float.abs (s -. v) <= 1e-12 *. Float.max 1.0 (Float.abs s)))
+       cells
+       (List.combine (Array.to_list col_idx) (Array.to_list values))
+
+(* Triplets over a few rows and columns, so cells collect duplicates and
+   some rows stay empty; values on a small integer grid, so many cells
+   cancel to exactly zero, mixed with arbitrary floats.  Up to 300 entries
+   over as few as one row also exercises the long-row sort. *)
+let triplets_gen =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun rows ->
+    int_range 1 8 >>= fun cols ->
+    let value =
+      frequency
+        [ (3, map float_of_int (int_range (-3) 3)); (1, float_range (-10.) 10.) ]
+    in
+    list_size (int_bound 300) (triple (int_bound (rows - 1)) (int_bound (cols - 1)) value)
+    >|= fun ts -> (rows, cols, ts))
+
+let triplets_arb =
+  QCheck.make
+    ~print:(fun (r, c, ts) ->
+      Printf.sprintf "%dx%d %s" r c
+        (String.concat " " (List.map (fun (i, j, v) -> Printf.sprintf "(%d,%d,%h)" i j v) ts)))
+    triplets_gen
+
+let prop_finalize_reference =
+  QCheck.Test.make ~name:"finalize equals sort-and-merge reference" ~count:300
+    triplets_arb (fun (rows, cols, ts) ->
+      matches_reference ~rows ts (Sparse.of_triplets ~rows ~cols ts))
+
+let prop_of_rows_reference =
+  QCheck.Test.make ~name:"of_rows equals sort-and-merge reference" ~count:300
+    triplets_arb (fun (rows, cols, ts) ->
+      let m =
+        Sparse.of_rows ~rows ~cols (fun i ->
+            List.filter_map (fun (i', j, v) -> if i' = i then Some (j, v) else None) ts)
+      in
+      matches_reference ~rows ts m)
+
 let suite =
   [ ("matrix mul", `Quick, test_matrix_mul);
     ("matrix identity", `Quick, test_matrix_identity);
@@ -261,4 +335,6 @@ let suite =
     ("poisson window covers mode", `Quick, test_poisson_window_covers_mode);
     ("poisson window tail mass", `Quick, test_poisson_window_tail_mass);
     QCheck_alcotest.to_alcotest prop_gauss_solves;
-    QCheck_alcotest.to_alcotest prop_sparse_dense_agree ]
+    QCheck_alcotest.to_alcotest prop_sparse_dense_agree;
+    QCheck_alcotest.to_alcotest prop_finalize_reference;
+    QCheck_alcotest.to_alcotest prop_of_rows_reference ]

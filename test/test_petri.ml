@@ -239,6 +239,90 @@ let prop_mmmb_matches_queueing_formula =
       in
       Float.abs (Srn.etok s "buf" -. expected) < 1e-8)
 
+(* The marking table's hash reads every place: 14-place markings that
+   differ only past index 10 (where a structural hash of the marking as a
+   list stops looking) must not share a hash. *)
+let test_hash_covers_every_place () =
+  let base = Array.make 14 1 in
+  let hashes =
+    List.concat_map
+      (fun p ->
+        List.init 8 (fun v ->
+            let m = Array.copy base in
+            m.(p) <- v + 2;
+            Net.hash_marking m))
+      [ 10; 11; 12; 13 ]
+  in
+  Alcotest.(check int) "33 markings, 33 hashes" 33
+    (List.length (List.sort_uniq compare (Net.hash_marking base :: hashes)));
+  Alcotest.(check bool) "nonnegative" true (List.for_all (fun h -> h >= 0) hashes)
+
+(* 3 tokens circulating on a 12-place ring: C(14, 3) = 364 markings, and
+   by symmetry each place holds 3/12 tokens on average. *)
+let test_twelve_place_ring () =
+  let k = 12 in
+  let places = List.init k (fun i -> (Printf.sprintf "p%d" i, if i = 0 then 3 else 0)) in
+  let transitions =
+    List.init k (fun i ->
+        timed (Printf.sprintf "t%d" i) (const 1.0) ~ins:[ (i, one_) ]
+          ~outs:[ ((i + 1) mod k, one_) ] ())
+  in
+  let s = Srn.solve (Net.build ~places ~transitions) in
+  Alcotest.(check int) "tangible markings" 364 (Reach.n_tangible (Srn.graph s));
+  checkf6 "tokens in the last place" 0.25 (Srn.etok s "p11")
+
+(* Seeding an array of more than 256 fields with a freshly allocated block
+   empties the minor heap first, and a minor collection stops every
+   domain.  Evaluating the edge weights of a net and solving it from its
+   skeleton must not do that: with a minor heap large enough for all they
+   allocate, no minor collection may happen at all. *)
+let test_solve_forces_no_minor_collection () =
+  let k = 12 in
+  let places = List.init k (fun i -> (Printf.sprintf "p%d" i, if i = 0 then 3 else 0)) in
+  let transitions =
+    List.init k (fun i ->
+        timed (Printf.sprintf "t%d" i) (const 1.0) ~ins:[ (i, one_) ]
+          ~outs:[ ((i + 1) mod k, one_) ] ())
+  in
+  let n = Net.build ~places ~transitions in
+  let sk = Reach.explore_skeleton n in
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 1 lsl 22 };
+  (* the least of three attempts: a forced collection happens every time *)
+  let once () =
+    Gc.full_major ();
+    let before = (Gc.quick_stat ()).Gc.minor_collections in
+    let w = Reach.edge_weights n sk in
+    let s = Srn.solve ~skeleton:sk ~weights:w n in
+    let after = (Gc.quick_stat ()).Gc.minor_collections in
+    Alcotest.(check int) "364 markings" 364 (Reach.n_tangible (Srn.graph s));
+    after - before
+  in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      let least = List.fold_left min max_int (List.init 3 (fun _ -> once ())) in
+      Alcotest.(check int) "minor collections" 0 least)
+
+(* Handing [build] the weights it would evaluate itself changes nothing:
+   the generator and initial vector come out bit-identical, on random
+   token-conserving nets with and without vanishing markings. *)
+let prop_weights_passthrough =
+  QCheck.Test.make ~name:"build ~weights is build" ~count:100 QCheck.small_nat
+    (fun seed ->
+      let n = Sharpe_check.Gen.srn (Sharpe_check.Srng.make seed) in
+      let sk = Reach.explore_skeleton n in
+      let a = Reach.build ~skeleton:sk n
+      and b = Reach.build ~skeleton:sk ~weights:(Reach.edge_weights n sk) n in
+      let bits g =
+        let rp, ci, vs = Sharpe_numerics.Sparse.raw (Sharpe_markov.Ctmc.generator (Reach.ctmc g)) in
+        ( rp,
+          ci,
+          Array.map Int64.bits_of_float vs,
+          Array.map Int64.bits_of_float (Reach.initial_distribution g) )
+      in
+      bits a = bits b)
+
 let suite =
   [ ("M/M/1/K closed form (paper)", `Quick, test_mm1k_no_failure_closed_form);
     ("M/M/1/K reachability size", `Quick, test_mm1k_reachability_size);
@@ -253,4 +337,8 @@ let suite =
     ("cumulative reward", `Quick, test_cumulative_reward);
     ("vanishing loop solved", `Quick, test_vanishing_loop);
     ("unbounded net detected", `Quick, test_unbounded_detected);
-    QCheck_alcotest.to_alcotest prop_mmmb_matches_queueing_formula ]
+    ("marking hash covers every place", `Quick, test_hash_covers_every_place);
+    ("12-place ring reachability", `Quick, test_twelve_place_ring);
+    ("solve forces no minor collection", `Quick, test_solve_forces_no_minor_collection);
+    QCheck_alcotest.to_alcotest prop_mmmb_matches_queueing_formula;
+    QCheck_alcotest.to_alcotest prop_weights_passthrough ]
