@@ -23,6 +23,17 @@ echo "== golden suite =="
 # a golden drift is reported even when someone trims the runtest alias
 dune exec test/test_main.exe -- test golden >/dev/null
 
+echo "== golden byte-exact =="
+# the harness above matches numbers at 1e-9; the CLI's stdout on every
+# example must also equal its golden file byte for byte
+for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
+  golden="test/golden/$(basename "$f" .sharpe).out"
+  ./_build/default/bin/sharpe.exe "$f" 2>/dev/null | cmp -s - "$golden" || {
+    echo "ci: $f output differs from $golden" >&2
+    exit 1
+  }
+done
+
 echo "== bench smoke =="
 # quick pass over every experiment (timing suite skipped); the bench
 # binary itself exits nonzero when any solver emitted an error-severity

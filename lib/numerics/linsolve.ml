@@ -44,22 +44,17 @@ let gauss_in_place a b =
   x
 
 let gauss a b = gauss_in_place (Matrix.copy a) (Array.copy b)
-
 let gauss_matrix a bm =
-  let n = Matrix.rows a in
-  let cols = Matrix.cols bm in
-  let out = Matrix.create ~rows:n ~cols in
-  for j = 0 to cols - 1 do
-    let x = gauss a (Matrix.col bm j) in
-    Array.iteri (fun i v -> Matrix.set out i j v) x
+  let out = Matrix.create ~rows:(Matrix.rows a) ~cols:(Matrix.cols bm) in
+  for j = 0 to Matrix.cols bm - 1 do
+    Array.iteri (fun i v -> Matrix.set out i j v) (gauss a (Matrix.col bm j))
   done;
   out
 
 let inverse a = gauss_matrix a (Matrix.identity (Matrix.rows a))
-
 type iter_stats = { iterations : int; residual : float; converged : bool }
 
-(* Largest dense system the fallback chains will build; beyond this a
+(* Largest dense system the solver ladder escalates to; beyond this a
    failed iterative solve is reported as an error instead of silently
    blowing up memory/time on an O(n^3) elimination. *)
 let direct_cap = 4096
@@ -73,42 +68,28 @@ let set_method m = Atomic.set method_ref m
 let current_method () = Atomic.get method_ref
 
 let with_method m f =
-  let old = Atomic.get method_ref in
-  Atomic.set method_ref m;
-  Fun.protect ~finally:(fun () -> Atomic.set method_ref old) f
+  let old = current_method () in
+  set_method m;
+  Fun.protect ~finally:(fun () -> set_method old) f
 
-let method_to_string = function
-  | Auto -> "auto"
-  | Gauss_seidel -> "gs"
-  | Sor -> "sor"
-  | Bicgstab -> "bicgstab"
-  | Gmres -> "gmres"
-  | Gth -> "gth"
-  | Direct -> "direct"
+let method_names =
+  [ (Auto, "auto"); (Gauss_seidel, "gs"); (Sor, "sor"); (Bicgstab, "bicgstab");
+    (Gmres, "gmres"); (Gth, "gth"); (Direct, "direct") ]
+
+let method_to_string m = List.assoc m method_names
 
 let method_of_string = function
-  | "auto" -> Some Auto
-  | "gs" | "gauss-seidel" -> Some Gauss_seidel
-  | "sor" -> Some Sor
-  | "bicgstab" -> Some Bicgstab
-  | "gmres" -> Some Gmres
-  | "gth" -> Some Gth
-  | "direct" -> Some Direct
-  | _ -> None
+  | "gauss-seidel" -> Some Gauss_seidel
+  | s -> List.find_map (fun (m, name) -> if name = s then Some m else None) method_names
 
-(* Size heuristic for the automatic chain: systems with at least this
-   many unknowns skip the stationary sweeps (whose spectral gap closes
-   as diffusion-like state spaces grow) and try preconditioned Krylov
-   first. *)
+(* Systems with at least this many unknowns try preconditioned Krylov
+   before the stationary sweeps, whose spectral gap closes as
+   diffusion-like state spaces grow. *)
 let krylov_threshold = 20_000
 
-(* --- dense-materialization accounting ---------------------------------- *)
-
-(* Every time a sparse system is expanded to a dense matrix (the direct
-   fallbacks), this counter ticks.  Large-model paths must keep it at
-   zero — the bench asserts so — and a dense expansion beyond the
-   direct-solve cap is loud, because at that size it is a performance
-   bug, not a fallback. *)
+(* Ticks on every expansion of a sparse system to a dense matrix.
+   Large-model paths must keep it at zero — the bench asserts so — and an
+   expansion beyond the direct-solve cap is loud: a bug, not a fallback. *)
 let dense_count_ref = Atomic.make 0
 let dense_count () = Atomic.get dense_count_ref
 let reset_dense_count () = Atomic.set dense_count_ref 0
@@ -123,8 +104,6 @@ let note_dense ~solver n =
 (* Negative steady-state entries below this magnitude are ordinary
    floating-point noise; above it the clamp is reported. *)
 let clamp_warn = 1e-9
-
-let verify_tol_of tol = Float.max (tol *. 1e4) 1e-9
 
 let inf_norm x = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 x
 
@@ -153,75 +132,62 @@ let sweep ~omega a b x =
   done;
   !delta
 
-(* Over-relaxation factor from an observed contraction ratio [rho] of the
-   Gauss-Seidel sweeps (Young's optimal omega with rho_GS = rho_Jacobi^2);
-   oscillating or divergent sweeps fall back to under-relaxation. *)
+(* Young's optimal omega from the observed Gauss-Seidel contraction ratio
+   (rho_GS = rho_Jacobi^2); oscillating or divergent sweeps under-relax. *)
 let adaptive_omega rho =
   if Float.is_finite rho && rho > 0.0 && rho < 1.0 then
     Float.min 1.95 (2.0 /. (1.0 +. sqrt (1.0 -. rho)))
   else 0.5
 
-(* Core SOR loop; additionally estimates the per-sweep contraction ratio
-   (used to pick the over-relaxation factor when escalating) and aborts
-   early on numeric blow-up instead of sweeping a divergent iterate
-   [max_iter] times. *)
-let sor_rate ?(max_iter = 100_000) ?(tol = 1e-12) ?(omega = 1.0) ?x0 a b =
-  let n = Array.length b in
-  let x = match x0 with Some v -> Array.copy v | None -> Array.make n 0.0 in
-  let k = ref 0 and delta = ref infinity in
-  let prev = ref nan and rho = ref nan in
-  let diverged = ref false and continue_ = ref true in
-  while !continue_ do
+(* The loop of both SOR flavours: [step ()] sweeps once and returns the
+   relative change, until it drops to [tol] or [max_iter] sweeps are
+   spent.  Returns the last change, the sweep count and the observed
+   contraction ratio (which picks omega when escalating).  A [linear] loop
+   sweeps at least once and aborts on numeric blow-up. *)
+let sweep_loop ~linear ~max_iter ~tol step =
+  let k = ref 0 and delta = ref infinity and prev = ref nan and rho = ref nan in
+  let go = ref (linear || max_iter > 0) in
+  while !go do
     Deadline.check ();
+    let d = step () in
     incr k;
-    let d = sweep ~omega a b x in
     delta := d;
-    if Float.is_nan d || d > 1e100 then begin
-      diverged := true;
-      continue_ := false
-    end
-    else begin
+    let blown = linear && (Float.is_nan d || d > 1e100) in
+    if not blown then begin
       if !prev > 0.0 then begin
         let r = d /. !prev in
         rho := if Float.is_nan !rho then r else 0.5 *. (!rho +. r)
       end;
-      prev := d;
-      if d <= tol || !k >= max_iter then continue_ := false
-    end
+      prev := d
+    end;
+    go := (not blown) && d > tol && !k < max_iter
   done;
-  let converged = (not !diverged) && !delta <= tol in
-  (x, { iterations = !k; residual = !delta; converged }, !rho)
+  (!delta, !k, !rho)
 
-let solver_name omega = if omega = 1.0 then "gauss_seidel" else "sor"
+(* SOR on a copy of [x0]: the iterate, last change, sweeps and ratio *)
+let sor_rate ~max_iter ~tol ~omega x0 a b =
+  let x = Array.copy x0 in
+  let delta, k, rho = sweep_loop ~linear:true ~max_iter ~tol (fun () -> sweep ~omega a b x) in
+  (x, delta, k, rho)
 
-let sor ?max_iter ?tol ?(omega = 1.0) ?x0 a b =
-  let x, stats, _ = sor_rate ?max_iter ?tol ~omega ?x0 a b in
-  if not stats.converged then
-    Diag.emitf Diag.Non_convergence ~solver:(solver_name omega)
-      ~iterations:stats.iterations ~residual:stats.residual ?tolerance:tol
-      (if Float.is_nan stats.residual || stats.residual > 1e100 then
-         "diverged (iterate overflow) after %d sweeps"
+let sor ?(max_iter = 100_000) ?tol ?(omega = 1.0) ?x0 a b =
+  let x0 = match x0 with Some v -> v | None -> Array.make (Array.length b) 0.0 in
+  let tol' = Option.value tol ~default:1e-12 in
+  let x, delta, k, _ = sor_rate ~max_iter ~tol:tol' ~omega x0 a b in
+  if not (delta <= tol') then
+    Diag.emitf Diag.Non_convergence ~solver:(if omega = 1.0 then "gauss_seidel" else "sor")
+      ~iterations:k ~residual:delta ?tolerance:tol
+      (if Float.is_nan delta || delta > 1e100 then "diverged (iterate overflow) after %d sweeps"
        else "no convergence after %d sweeps")
-      stats.iterations;
-  (x, stats)
+      k;
+  (x, { iterations = k; residual = delta; converged = delta <= tol' })
 
 let gauss_seidel ?max_iter ?tol ?x0 a b = sor ?max_iter ?tol ~omega:1.0 ?x0 a b
 
-(* --- Krylov dispatch --------------------------------------------------- *)
-
-(* Best preconditioner the matrix supports: ILU(0) when it factors,
-   Jacobi when the diagonal is merely nonzero, identity as last resort. *)
-let precond_for a =
-  match Krylov.ilu0 a with
-  | Some p -> p
-  | None -> ( match Krylov.jacobi a with Some p -> p | None -> Krylov.identity)
-
-(* Row equilibration: scale every row to unit inf-norm.  Generator rows
-   span the full rate range (orders of magnitude apart on stiff chains);
-   without it the ILU pivots inherit that spread and the norm driving
-   the Krylov stopping test is dominated by the fastest states.  The
-   solution of [D A x = D b] is that of [A x = b], so callers verify
-   against the original system as before. *)
+(* Row equilibration to unit inf-norm rows.  Generator rows span the full
+   rate range; without it the ILU pivots inherit that spread and the
+   fastest states dominate the Krylov stopping test.  [D A x = D b] has
+   the solution of [A x = b], which callers verify as before. *)
 let equilibrate a b =
   let n = Sparse.rows a in
   let d = Array.make n 1.0 in
@@ -232,9 +198,8 @@ let equilibrate a b =
   (Sparse.scale_rows d a, Array.mapi (fun i v -> d.(i) *. v) b)
 
 (* One Krylov solve with iterative refinement: on ill-conditioned systems
-   the iteration stagnates a few digits short of [tol], but each pass
-   still gains those digits — re-solving against the residual and adding
-   the correction compounds them to full accuracy. *)
+   the iteration stagnates a few digits short of [tol]; re-solving against
+   the residual and adding the correction compounds the digits gained. *)
 let krylov_refined variant ~tol a b p =
   let n = Array.length b in
   let run rhs =
@@ -246,255 +211,58 @@ let krylov_refined variant ~tol a b p =
   let bnorm = Float.max (nrm2 b) 1e-300 in
   let x, st0 = run b in
   let iters = ref st0.Krylov.iterations in
-  let res = ref st0.Krylov.residual in
   let scratch = Array.make n 0.0 in
-  let rounds = ref 0 in
-  let stop = ref st0.Krylov.converged in
-  while (not !stop) && !rounds < 2 do
-    incr rounds;
+  let residual () =
     Sparse.par_mat_vec_into a x scratch;
     for i = 0 to n - 1 do
       scratch.(i) <- b.(i) -. scratch.(i)
-    done;
-    let d, std = run scratch in
-    for i = 0 to n - 1 do
-      x.(i) <- x.(i) +. d.(i)
-    done;
-    iters := !iters + std.Krylov.iterations;
-    Sparse.par_mat_vec_into a x scratch;
-    for i = 0 to n - 1 do
-      scratch.(i) <- b.(i) -. scratch.(i)
-    done;
-    let r = nrm2 scratch /. bnorm in
-    (* stop when converged, or when a pass stops paying for itself *)
-    if r <= tol || r >= 0.5 *. !res then stop := true;
-    res := r
-  done;
-  (x, { Krylov.iterations = !iters; residual = !res; converged = !res <= tol })
+    done
+  in
+  (* at most two passes; stop when converged, or when a pass stops
+     paying for itself *)
+  let rec refine rounds res =
+    if rounds = 2 then res
+    else begin
+      residual ();
+      let d, std = run scratch in
+      for i = 0 to n - 1 do
+        x.(i) <- x.(i) +. d.(i)
+      done;
+      iters := !iters + std.Krylov.iterations;
+      residual ();
+      let r = nrm2 scratch /. bnorm in
+      if r <= tol || r >= 0.5 *. res then r else refine (rounds + 1) r
+    end
+  in
+  let res = if st0.Krylov.converged then st0.Krylov.residual else refine 0 st0.Krylov.residual in
+  (x, { Krylov.iterations = !iters; residual = res; converged = res <= tol })
 
 let krylov_run variant ?(tol = 1e-12) a b =
   let a, b = equilibrate a b in
-  let variant_name =
-    match variant with `Bicgstab -> "bicgstab" | `Gmres -> "gmres"
-  in
-  (* Preconditioner ladder.  An ILU(0) factor on a pattern far from
-     elimination-closed can make the iteration worse than a diagonal
-     scaling, or than no preconditioner at all (BiCGStab's recursion is
-     the fragile one) — on failure retry down the ladder and keep the
-     best solve. *)
-  let ladder =
-    let tail = match Krylov.jacobi a with Some j -> [ j ] | None -> [] in
-    let l = (precond_for a :: tail) @ [ Krylov.identity ] in
-    List.filteri
-      (fun i p ->
-        List.for_all
-          (fun (j, q) -> j >= i || q.Krylov.p_name <> p.Krylov.p_name)
-          (List.mapi (fun j q -> (j, q)) l))
-      l
+  let variant_name = match variant with `Bicgstab -> "bicgstab" | `Gmres -> "gmres" in
+  (* Preconditioners, best first: ILU(0) when it factors, Jacobi when the
+     diagonal is nonzero, identity.  ILU(0) far from elimination-closed
+     patterns can do worse than either (BiCGStab's recursion is the
+     fragile one): on failure retry down the list, keep the best solve. *)
+  let preconds =
+    Option.to_list (Krylov.ilu0 a) @ Option.to_list (Krylov.jacobi a) @ [ Krylov.identity ]
   in
   let rec go iters best = function
     | [] ->
         let x, st, p = Option.get best in
-        ( x,
-          { st with Krylov.iterations = iters },
-          Printf.sprintf "%s(%s)" variant_name p.Krylov.p_name )
-    | p :: rest -> (
+        (x, { st with Krylov.iterations = iters }, variant_name ^ "(" ^ p.Krylov.p_name ^ ")")
+    | p :: rest ->
         let x, st = krylov_refined variant ~tol a b p in
-        let iters = iters + st.Krylov.iterations in
         let best =
           match best with
-          | Some (_, st0, _) when st0.Krylov.residual <= st.Krylov.residual ->
-              best
+          | Some (_, st0, _) when st0.Krylov.residual <= st.Krylov.residual -> best
           | _ -> Some (x, st, p)
         in
-        if st.Krylov.converged then go iters best []
-        else go iters best rest)
+        go (iters + st.Krylov.iterations) best (if st.Krylov.converged then [] else rest)
   in
-  go 0 None ladder
+  go 0 None preconds
 
-(* Robust Ax = b: Gauss-Seidel -> SOR with adaptive over-relaxation ->
-   direct Gaussian elimination, every hop recorded as a diagnostic and the
-   accepted iterate verified against the true residual ||Ax - b||_inf.
-   Systems at or above [krylov_threshold] unknowns try preconditioned
-   BiCGStab first; a forced method (see [set_method]) runs alone and
-   reports an error instead of silently escalating. *)
-let solve ?(max_iter = 100_000) ?(tol = 1e-12) a b =
-  let n = Array.length b in
-  let scale = Float.max 1.0 (inf_norm b) in
-  let verify_tol = Float.max (tol *. 1e4) 1e-8 in
-  let verified x = residual_inf a x b /. scale in
-  let direct ~from =
-    (match from with
-    | None -> ()
-    | Some src ->
-        Diag.emitf Diag.Fallback ~solver:"linsolve"
-          "%s: falling back to direct Gaussian elimination" src);
-    note_dense ~solver:"linsolve" n;
-    let x =
-      try gauss (Sparse.to_dense a) b
-      with Singular ->
-        Diag.emit Diag.Error ~solver:"gauss"
-          "direct fallback hit a singular pivot: system has no unique solution";
-        raise Singular
-    in
-    let r = verified x in
-    if r > verify_tol then
-      Diag.emit Diag.Warning ~solver:"gauss" ~residual:r ~tolerance:verify_tol
-        "direct-solve residual above verification tolerance (ill-conditioned system)";
-    x
-  in
-  (* a converged-and-verified Krylov solve, or None with a diagnostic *)
-  let try_krylov variant =
-    let x, st, name = krylov_run variant ~tol:(Float.min tol 1e-10) a b in
-    let r = verified x in
-    if st.Krylov.converged && r <= verify_tol then begin
-      Diag.emitf Diag.Info ~solver:name ~iterations:st.Krylov.iterations
-        ~residual:r ~tolerance:verify_tol "converged (n=%d, nnz=%d)" n
-        (Sparse.nnz a);
-      Some x
-    end
-    else begin
-      Diag.emit Diag.Non_convergence ~solver:name ~iterations:st.Krylov.iterations
-        ~residual:r ~tolerance:verify_tol
-        (if st.Krylov.converged then
-           "iterate stalled: post-solve residual verification failed"
-         else "no convergence within iteration budget");
-      None
-    end
-  in
-  let forced_fail ~solver x r =
-    Diag.emitf Diag.Error ~solver ~residual:r ~tolerance:verify_tol
-      "forced method did not produce a verified solution (no fallback under \
-       --solver)";
-    x
-  in
-  let stationary ~then_krylov () =
-    match
-      try `Ok (sor_rate ~max_iter ~tol ~omega:1.0 a b) with Singular -> `Sing
-    with
-    | `Sing -> direct ~from:(Some "gauss_seidel hit a zero diagonal")
-    | `Ok (x1, st1, rho) -> (
-        let r1 = verified x1 in
-        if st1.converged && r1 <= verify_tol then x1
-        else begin
-          Diag.emit Diag.Non_convergence ~solver:"gauss_seidel"
-            ~iterations:st1.iterations ~residual:r1 ~tolerance:verify_tol
-            (if st1.converged then
-               "iterate stalled: post-solve residual verification failed"
-             else "no convergence within iteration budget");
-          let omega = adaptive_omega rho in
-          Diag.emitf Diag.Fallback ~solver:"linsolve"
-            "escalating to SOR (adaptive omega=%.3f)" omega;
-          let x0 = if Float.is_finite r1 && r1 < 1e100 then Some x1 else None in
-          match
-            try `Ok (sor_rate ~max_iter ~tol ~omega ?x0 a b)
-            with Singular -> `Sing
-          with
-          | `Sing -> direct ~from:(Some "sor hit a zero diagonal")
-          | `Ok (x2, st2, _) ->
-              let r2 = verified x2 in
-              if st2.converged && r2 <= verify_tol then x2
-              else begin
-                Diag.emit Diag.Non_convergence ~solver:"sor"
-                  ~iterations:st2.iterations ~residual:r2 ~tolerance:verify_tol
-                  "no convergence within iteration budget";
-                if n <= direct_cap then direct ~from:(Some "sor")
-                else begin
-                  match
-                    if then_krylov then begin
-                      Diag.emit Diag.Fallback ~solver:"linsolve"
-                        "escalating to preconditioned BiCGStab";
-                      try_krylov `Bicgstab
-                    end
-                    else None
-                  with
-                  | Some x -> x
-                  | None ->
-                      Diag.emitf Diag.Error ~solver:"linsolve"
-                        ~residual:(Float.min r1 r2) ~tolerance:verify_tol
-                        "system of size %d exceeds the direct-solve cap (%d); \
-                         returning best unverified iterate"
-                        n direct_cap;
-                      if r2 < r1 then x2 else x1
-                end
-              end
-        end)
-  in
-  match current_method () with
-  | Bicgstab -> (
-      match try_krylov `Bicgstab with
-      | Some x -> x
-      | None ->
-          let x, st, name = krylov_run `Bicgstab ~tol:(Float.min tol 1e-10) a b in
-          ignore st;
-          forced_fail ~solver:name x (verified x))
-  | Gmres -> (
-      match try_krylov `Gmres with
-      | Some x -> x
-      | None ->
-          let x, st, name = krylov_run `Gmres ~tol:(Float.min tol 1e-10) a b in
-          ignore st;
-          forced_fail ~solver:name x (verified x))
-  | Direct -> direct ~from:None
-  | Gauss_seidel -> (
-      match
-        try `Ok (sor_rate ~max_iter ~tol ~omega:1.0 a b)
-        with Singular -> `Sing
-      with
-      | `Sing ->
-          Diag.emit Diag.Error ~solver:"gauss_seidel"
-            "zero diagonal entry (no fallback under --solver)";
-          raise Singular
-      | `Ok (x, st, _) ->
-          let r = verified x in
-          if st.converged && r <= verify_tol then x
-          else forced_fail ~solver:"gauss_seidel" x r)
-  | Sor -> (
-      (* short Gauss-Seidel probe to estimate the contraction ratio that
-         picks the over-relaxation factor; the over-relaxed run then gets
-         a bounded trial window and must beat the probe's step size, or
-         the budget is finished at omega = 1 — Young's formula assumes a
-         property-A ordering and can oscillate without blowing up on a
-         general sweep operator, which would otherwise burn the whole
-         [max_iter] budget producing nothing *)
-      match
-        try
-          let probe = max 10 (min 100 (max_iter / 10)) in
-          let x0, d0, rho =
-            let x0, st, rho = sor_rate ~max_iter:probe ~tol ~omega:1.0 a b in
-            (x0, st.residual, rho)
-          in
-          let omega = adaptive_omega rho in
-          let trial = max 50 (min 1_000 (max_iter / 20)) in
-          let x1, st1, _ = sor_rate ~max_iter:trial ~tol ~omega ~x0 a b in
-          if st1.converged then `Ok (omega, (x1, st1, nan))
-          else if st1.residual < d0 then
-            `Ok (omega, sor_rate ~max_iter:(max_iter - trial) ~tol ~omega ~x0:x1 a b)
-          else `Ok (1.0, sor_rate ~max_iter:(max_iter - trial) ~tol ~omega:1.0 ~x0 a b)
-        with Singular -> `Sing
-      with
-      | `Sing ->
-          Diag.emit Diag.Error ~solver:"sor"
-            "zero diagonal entry (no fallback under --solver)";
-          raise Singular
-      | `Ok (_, (x, st, _)) ->
-          let r = verified x in
-          if st.converged && r <= verify_tol then x
-          else forced_fail ~solver:"sor" x r)
-  | Gth | Auto ->
-      (* GTH applies to CTMC steady states only; for a general system the
-         automatic chain stands in *)
-      if n >= krylov_threshold then
-        match try_krylov `Bicgstab with
-        | Some x -> x
-        | None -> (
-            match try_krylov `Gmres with
-            | Some x -> x
-            | None ->
-                Diag.emit Diag.Fallback ~solver:"linsolve"
-                  "krylov failed: falling back to stationary sweeps";
-                stationary ~then_krylov:false ())
-      else stationary ~then_krylov:true ()
+let uniform n = Array.make n (1.0 /. float_of_int n)
 
 let normalize_l1 x =
   let s = Array.fold_left ( +. ) 0.0 x in
@@ -504,20 +272,12 @@ let normalize_l1 x =
    level, then renormalize. *)
 let clamp_normalize ~solver x =
   let worst = ref 0.0 in
-  Array.iteri
-    (fun i v ->
-      if v < 0.0 then begin
-        if -.v > !worst then worst := -.v;
-        x.(i) <- 0.0
-      end)
-    x;
+  Array.iteri (fun i v -> if v < 0.0 then (worst := Float.max !worst (-.v); x.(i) <- 0.0)) x;
   if !worst > clamp_warn then
     Diag.emitf Diag.Warning ~solver ~residual:!worst
       "clamped negative probability entries (largest magnitude %.3g)" !worst;
   normalize_l1 x;
   x
-
-(* --- DTMC steady state ------------------------------------------------ *)
 
 let dtmc_residual p x =
   let y = Sparse.vec_mat x p in
@@ -525,188 +285,49 @@ let dtmc_residual p x =
   Array.iteri (fun i v -> worst := Float.max !worst (Float.abs (v -. x.(i)))) y;
   !worst
 
-let dtmc_direct p =
-  (* pi (P - I) = 0 with the last equation replaced by sum pi = 1 *)
-  let n = Sparse.rows p in
-  note_dense ~solver:"dtmc_steady_state" n;
-  let a = Matrix.create ~rows:n ~cols:n in
-  Sparse.iter p (fun i j v -> Matrix.add_to a j i v);
-  for i = 0 to n - 1 do
-    Matrix.add_to a i i (-1.0)
-  done;
-  for j = 0 to n - 1 do
-    Matrix.set a (n - 1) j 1.0
-  done;
-  let b = Array.make n 0.0 in
-  b.(n - 1) <- 1.0;
-  gauss a b
+let ctmc_residual q x = inf_norm (Sparse.vec_mat x q)
 
-(* A = (P - I)^T with its last row replaced by ones, b = e_{n-1}: the CSR
-   form of the replaced-equation system [dtmc_direct] eliminates. *)
-let dtmc_krylov_system p =
+(* Normalized power iteration from the uniform vector.  Returns the last
+   two iterates, the step count, the last change, and whether a period-2
+   limit cycle (a periodic chain) was entered.  It iterates on the
+   transpose: [mat_vec pT x] adds the terms of [vec_mat x p] in the same
+   order, so the result is the same, and the row-parallel kernel applies. *)
+let dtmc_power ~max_iter ~tol p =
   let n = Sparse.rows p in
   let pt = Sparse.transpose p in
-  let a =
-    Sparse.of_rows ~rows:n ~cols:n (fun i ->
-        if i = n - 1 then List.init n (fun j -> (j, 1.0))
-        else
-          (i, -1.0)
-          :: List.rev (Sparse.fold_row pt i (fun acc j v -> (j, v) :: acc) []))
-  in
-  let b = Array.make n 0.0 in
-  b.(n - 1) <- 1.0;
-  (a, b)
+  let x = ref (uniform n) in
+  let xprev = ref (Array.copy !x) in
+  let k = ref 0 and delta = ref infinity and oscillating = ref false in
+  while !delta > tol && !k < max_iter && not !oscillating do
+    Deadline.check ();
+    let x' = Sparse.par_mat_vec pt !x in
+    normalize_l1 x';
+    let d = ref 0.0 and d2 = ref 0.0 in
+    Array.iteri
+      (fun i v ->
+        d := Float.max !d (Float.abs (v -. !x.(i)));
+        d2 := Float.max !d2 (Float.abs (v -. !xprev.(i))))
+      x';
+    delta := !d;
+    (* x_{k+1} ~ x_{k-1} while x_{k+1} <> x_k: a period-2 limit cycle *)
+    if !k > 2 && !d2 <= tol && !d > tol then oscillating := true;
+    xprev := !x;
+    x := x';
+    incr k
+  done;
+  (!x, !xprev, !k, !delta, !oscillating)
 
-let dtmc_steady_state ?(max_iter = 1_000_000) ?(tol = 1e-13) p =
+(* P - I, the generator-shaped form of a stochastic matrix *)
+let minus_identity p =
   let n = Sparse.rows p in
-  if n = 0 then [||]
-  else if n = 1 then [| 1.0 |]
-  else begin
-    let solver = "dtmc_steady_state" in
-    let verify_tol = verify_tol_of tol in
-    (* one Krylov attempt on the replaced-row system; [Some pi] only when
-       converged AND the true residual pi P = pi verifies *)
-    let krylov_attempt variant =
-      let a, b = dtmc_krylov_system p in
-      let ktol = Float.max 1e-12 (tol *. 10.0) in
-      let x, st, name = krylov_run variant ~tol:ktol a b in
-      let r = dtmc_residual p x /. Float.max 1.0 (inf_norm x) in
-      if st.Krylov.converged && r <= verify_tol then begin
-        Diag.emitf Diag.Info ~solver:name ~iterations:st.Krylov.iterations
-          ~residual:r ~tolerance:verify_tol
-          "krylov steady state (n=%d, nnz=%d)" n (Sparse.nnz p);
-        Some (clamp_normalize ~solver x)
-      end
-      else begin
-        Diag.emit Diag.Non_convergence ~solver:name
-          ~iterations:st.Krylov.iterations ~residual:r ~tolerance:verify_tol
-          (if st.Krylov.converged then
-             "iterate stalled: post-solve residual verification of pi P = pi \
-              failed"
-           else "no convergence within iteration budget");
-        None
-      end
-    in
-    let forced_krylov variant =
-      match krylov_attempt variant with
-      | Some x -> x
-      | None ->
-          Diag.emit Diag.Error ~solver
-            "forced krylov method did not produce a verified steady state (no \
-             fallback under --solver)";
-          Array.make n (1.0 /. float_of_int n)
-    in
-    let power_chain () =
-    (* Iterate on the transpose: [vec_mat x p] and [mat_vec pT x] add the
-       same nonnegative terms in the same per-entry order (increasing
-       source row), so the switch is bit-identical — and the row-parallel
-       kernel applies, where the scatter form could not be partitioned
-       without changing the reduction order. *)
-    let pt = Sparse.transpose p in
-    let x = ref (Array.make n (1.0 /. float_of_int n)) in
-    let xprev = ref (Array.copy !x) in
-    let k = ref 0 and delta = ref infinity and oscillating = ref false in
-    while !delta > tol && !k < max_iter && not !oscillating do
-      Deadline.check ();
-      let x' = Sparse.par_mat_vec pt !x in
-      normalize_l1 x';
-      let d = ref 0.0 and d2 = ref 0.0 in
-      Array.iteri
-        (fun i v ->
-          d := Float.max !d (Float.abs (v -. !x.(i)));
-          d2 := Float.max !d2 (Float.abs (v -. !xprev.(i))))
-        x';
-      delta := !d;
-      (* x_{k+1} ~ x_{k-1} while x_{k+1} <> x_k: the iterate entered a
-         period-2 limit cycle (periodic chain) and will never converge *)
-      if !k > 2 && !d2 <= tol && !d > tol then oscillating := true;
-      xprev := !x;
-      x := x';
-      incr k
-    done;
-    let accept v = dtmc_residual p v /. Float.max 1.0 (inf_norm v) <= verify_tol in
-    if !delta <= tol && accept !x then clamp_normalize ~solver !x
-    else begin
-      Diag.emit Diag.Non_convergence ~solver ~iterations:!k
-        ~residual:(dtmc_residual p !x) ~tolerance:verify_tol
-        (if !oscillating then
-           "power iteration entered a period-2 limit cycle (periodic chain)"
-         else if !delta <= tol then
-           "iterate stalled: post-solve residual verification failed"
-         else "no convergence within iteration budget");
-      if n <= direct_cap then begin
-        Diag.emit Diag.Fallback ~solver
-          "escalating to direct solve of pi (P - I) = 0";
-        let y = dtmc_direct p in
-        let r = dtmc_residual p y in
-        if r /. Float.max 1.0 (inf_norm y) > verify_tol then
-          Diag.emit Diag.Warning ~solver ~residual:r ~tolerance:verify_tol
-            "direct steady-state residual above verification tolerance";
-        clamp_normalize ~solver y
-      end
-      else begin
-        (* too large for elimination: preconditioned Krylov on the
-           replaced-row system (unless already attempted above), then a
-           Cesaro average that repairs period-2 cycles; otherwise return
-           the best iterate, loudly *)
-        match
-          if n < krylov_threshold then begin
-            Diag.emit Diag.Fallback ~solver
-              "escalating to preconditioned BiCGStab";
-            krylov_attempt `Bicgstab
-          end
-          else None
-        with
-        | Some y -> y
-        | None ->
-            let avg = Array.init n (fun i -> 0.5 *. (!x.(i) +. !xprev.(i))) in
-            if accept avg then begin
-              Diag.emit Diag.Warning ~solver
-                "accepted Cesaro-averaged iterate for a periodic chain";
-              clamp_normalize ~solver avg
-            end
-            else begin
-              Diag.emitf Diag.Error ~solver ~residual:(dtmc_residual p !x)
-                ~tolerance:verify_tol
-                "chain of size %d exceeds the direct-solve cap (%d); returning unverified iterate"
-                n direct_cap;
-              clamp_normalize ~solver !x
-            end
-      end
-    end
-    in
-    match current_method () with
-    | Bicgstab -> forced_krylov `Bicgstab
-    | Gmres -> forced_krylov `Gmres
-    | Direct ->
-        let y = dtmc_direct p in
-        let r = dtmc_residual p y /. Float.max 1.0 (inf_norm y) in
-        if r > verify_tol then
-          Diag.emit Diag.Warning ~solver ~residual:r ~tolerance:verify_tol
-            "direct steady-state residual above verification tolerance";
-        clamp_normalize ~solver y
-    | Gauss_seidel | Sor | Gth | Auto -> (
-        (* no GS/SOR/GTH specialization exists for the DTMC path: the
-           automatic chain stands in for those forcings *)
-        if n >= krylov_threshold then
-          match krylov_attempt `Bicgstab with
-          | Some x -> x
-          | None -> (
-              match krylov_attempt `Gmres with
-              | Some x -> x
-              | None ->
-                  Diag.emit Diag.Fallback ~solver
-                    "krylov failed: falling back to power iteration";
-                  power_chain ())
-        else power_chain ())
-  end
+  Sparse.of_rows ~rows:n ~cols:n (fun i ->
+      (i, -1.0) :: List.rev (Sparse.fold_row p i (fun acc j v -> (j, v) :: acc) []))
 
-(* --- CTMC steady state ------------------------------------------------ *)
-
-let steady_state_direct q =
-  (* replace last equation of Q^T pi = 0 with sum pi = 1 *)
+(* Q^T pi = 0 with the last equation replaced by sum pi = 1, by dense
+   elimination; a DTMC passes P - I. *)
+let replaced_row_direct ~solver q =
   let n = Sparse.rows q in
-  note_dense ~solver:"ctmc_steady_state" n;
+  note_dense ~solver n;
   let a = Matrix.create ~rows:n ~cols:n in
   Sparse.iter q (fun i j v -> Matrix.set a j i v);
   for j = 0 to n - 1 do
@@ -716,74 +337,54 @@ let steady_state_direct q =
   b.(n - 1) <- 1.0;
   gauss a b
 
-let ctmc_residual q x =
-  let r = Sparse.vec_mat x q in
-  inf_norm r
+let steady_state_direct q = replaced_row_direct ~solver:"ctmc_steady_state" q
 
 (* Gauss-Seidel / SOR sweeps on Q^T x = 0 with per-sweep normalization:
    the thesis' steady-state method; converges orders of magnitude faster
-   than power iteration on stiff chains.  Returns the final relative
+   than power iteration on stiff chains.  Returns [x], the final relative
    change, the sweep count, and the observed contraction ratio. *)
 let ctmc_sweeps ~omega ~max_iter ~tol qt x =
   let n = Array.length x in
-  let k = ref 0 and delta = ref infinity in
-  let prev = ref nan and rho = ref nan in
-  while !delta > tol && !k < max_iter do
-    Deadline.check ();
-    let d = ref 0.0 in
-    for i = 0 to n - 1 do
-      let diag = ref 0.0 and s = ref 0.0 in
-      Sparse.iter_row qt i (fun j v ->
-          if j = i then diag := v else s := !s +. (v *. x.(j)));
-      if !diag <> 0.0 then begin
-        let xi' = -. !s /. !diag in
-        let xi'' = x.(i) +. (omega *. (xi' -. x.(i))) in
-        (* floor the change denominator well above the denormal range:
-           entries below 1e-60 of a normalized probability vector cannot
-           influence any measure, and their floating-point twitching must
-           not keep an otherwise-converged sweep iterating forever *)
-        let change = Float.abs (xi'' -. x.(i)) /. Float.max 1e-60 (Float.abs xi'') in
-        if change > !d then d := change;
-        x.(i) <- xi''
-      end
-    done;
-    normalize_l1 x;
-    delta := !d;
-    if !prev > 0.0 then begin
-      let r = !d /. !prev in
-      rho := if Float.is_nan !rho then r else 0.5 *. (!rho +. r)
-    end;
-    prev := !d;
-    incr k
-  done;
-  (!delta, !k, !rho)
+  let delta, k, rho =
+    sweep_loop ~linear:false ~max_iter ~tol (fun () ->
+        let d = ref 0.0 in
+        for i = 0 to n - 1 do
+          let diag = ref 0.0 and s = ref 0.0 in
+          Sparse.iter_row qt i (fun j v -> if j = i then diag := v else s := !s +. (v *. x.(j)));
+          if !diag <> 0.0 then begin
+            let xi' = -. !s /. !diag in
+            let xi'' = x.(i) +. (omega *. (xi' -. x.(i))) in
+            (* entries below 1e-60 cannot influence any measure; their
+               floating-point twitching must not keep a sweep going forever *)
+            let change = Float.abs (xi'' -. x.(i)) /. Float.max 1e-60 (Float.abs xi'') in
+            if change > !d then d := change;
+            x.(i) <- xi''
+          end
+        done;
+        normalize_l1 x;
+        !d)
+  in
+  (x, delta, k, rho)
 
 (* Half-bandwidth of the sparsity pattern: max |i - j| over stored entries. *)
 let bandwidth q =
   let b = ref 0 in
-  Sparse.iter q (fun i j _ ->
-      let d = abs (i - j) in
-      if d > !b then b := d);
+  Sparse.iter q (fun i j _ -> b := max !b (abs (i - j)));
   !b
 
-(* Grassmann-Taksar-Heyman state elimination on band storage.  When every
-   transition of the generator satisfies |i - j| <= bw, eliminating states
-   in decreasing index order creates fill only between the surviving
-   neighbours of the eliminated state, which all lie inside the band, so
-   the O(n * bw^2) cost and O(n * bw) memory hold throughout.  The
-   algorithm is subtraction-free: every intermediate quantity is a sum or
-   product of nonnegative rates, which keeps the stationary vector
-   componentwise accurate even on stiff or nearly-decomposable chains
-   where sweep methods stall.  Returns [None] when some state has no
-   transition to a lower-indexed survivor (chain not irreducible). *)
+(* Grassmann-Taksar-Heyman state elimination on band storage.  With every
+   transition inside |i - j| <= bw, eliminating states in decreasing
+   index order keeps all fill inside the band: O(n * bw^2) work, O(n * bw)
+   memory.  Subtraction-free, so the stationary vector stays componentwise
+   accurate on stiff or nearly-decomposable chains where sweeps stall.
+   [None] when some state has no transition to a lower-indexed survivor. *)
 let ctmc_gth_banded q bw =
   let n = Sparse.rows q in
   let w = (2 * bw) + 1 in
   let band = Array.make_matrix n w 0.0 in
   Sparse.iter q (fun i j v -> if i <> j then band.(i).(j - i + bw) <- v);
   let s = Array.make n 0.0 in
-  let ok = ref true in
-  let k = ref (n - 1) in
+  let ok = ref true and k = ref (n - 1) in
   while !ok && !k >= 1 do
     let kk = !k in
     let lo = max 0 (kk - bw) in
@@ -827,7 +428,7 @@ let ctmc_gth_banded q bw =
   end
 
 (* A = (Q^T with its last row replaced by ones), b = e_{n-1}: the exact
-   system [steady_state_direct] eliminates, kept in CSR so the Krylov
+   system [replaced_row_direct] eliminates, kept in CSR so the Krylov
    tier never touches a dense matrix.  Built by raw-array splicing: rows
    0..n-2 of Q^T are blitted, the last row becomes n explicit ones. *)
 let ctmc_krylov_system q =
@@ -850,218 +451,344 @@ let ctmc_krylov_system q =
   b.(n - 1) <- 1.0;
   (Sparse.of_raw ~rows:n ~cols:n ~row_ptr:rp' ~col_idx:ci' ~values:v', b)
 
-let ctmc_steady_state ?(max_iter = 200_000) ?(tol = 1e-13) ?(direct_threshold = 500)
-    q =
-  let n = Sparse.rows q in
-  if n = 0 then [||]
-  else if n = 1 then [| 1.0 |]
-  else begin
-    let solver = "ctmc_steady_state" in
-    let qnorm =
-      Float.max 1e-300 (2.0 *. inf_norm (Sparse.diag q))
-    in
-    let verify_tol = verify_tol_of tol in
-    let rel x = ctmc_residual q x /. qnorm in
-    let direct ~from () =
-      (match from with
-      | None -> ()
-      | Some src ->
-          Diag.emitf Diag.Fallback ~solver
-            "%s: falling back to direct solve of pi Q = 0" src);
-      let x = steady_state_direct q in
-      let r = rel x in
-      if r > verify_tol then
-        Diag.emit Diag.Warning ~solver ~residual:r ~tolerance:verify_tol
-          "direct steady-state residual above verification tolerance";
-      clamp_normalize ~solver x
-    in
-    (* one Krylov attempt on the replaced-row system; [Some pi] only when
-       converged AND the true residual pi Q = 0 verifies *)
-    let krylov_attempt variant =
-      let a, b = ctmc_krylov_system q in
-      let ktol = Float.max 1e-12 (tol *. 10.0) in
-      let x, st, name = krylov_run variant ~tol:ktol a b in
-      let r = rel x in
-      if st.Krylov.converged && r <= verify_tol then begin
-        Diag.emitf Diag.Info ~solver:name ~iterations:st.Krylov.iterations
-          ~residual:r ~tolerance:verify_tol
-          "krylov steady state (n=%d, nnz=%d)" n (Sparse.nnz q);
-        Some (clamp_normalize ~solver x)
+(* --- the solver ladder ------------------------------------------------- *)
+
+(* Verify-then-escalate, as data.  An engine proposes a vector; [attempt]
+   checks the true residual against the problem's verify tolerance,
+   records the outcome, and accepts or hands the carry to the next rung.
+   [Auto] is a size-directed engine list per problem; a forced method is
+   a one-engine list whose failure is an error, not an escalation. *)
+
+type problem = {
+  n : int;
+  nnz : int;
+  solver : string;  (** solver field of the ladder's own records *)
+  balance : string;  (** "" for a linear solve, else the balance equation *)
+  residual : float array -> float;  (** relative true residual *)
+  verify_tol : float;
+  system : (Sparse.t * float array) Lazy.t;  (** what the Krylov rungs solve *)
+  ktol : float;
+  finish : float array -> float array;  (** applied to the answer *)
+}
+
+type carry = {
+  mutable best : (float array * float) option;  (** best sweep iterate, residual *)
+  mutable rho : float;  (** Gauss-Seidel contraction ratio: picks SOR's omega *)
+  mutable prev : float array option;  (** previous power iterate *)
+  mutable from : string;  (** the rung that last gave up *)
+}
+
+type outcome =
+  | Iterate of { label : string; x : float array; iters : int; converged : bool;
+                 why : string;  (** the Non_convergence message *)
+                 krylov : bool  (** recorded on success; never the carry's best *) }
+  | Exact of float array  (** direct elimination: accepted as is *)
+  | Checked of { x : float array option; note : Diag.severity * string }
+      (** banded GTH or a Cesaro average: accepted with [note] when it
+          verifies, passed over silently otherwise *)
+  | Zero_diagonal
+
+type engine = {
+  name : string;
+  applicable : unit -> bool;
+  via : (carry -> string) option;  (** Fallback record when escalated to *)
+  run : carry -> outcome;
+}
+
+let engine name run = { name; applicable = (fun () -> true); via = None; run }
+let via msg e = { e with via = Some msg }
+let steady p = p.balance <> ""
+let no_budget = "no convergence within iteration budget"
+let stalled p = "iterate stalled: post-solve residual verification" ^ p.balance ^ " failed"
+
+(* Keep the better sweep iterate (the earlier on ties); a vector swept on in
+   place replaces its own entry. *)
+let keep c x r =
+  match c.best with
+  | Some (y, r0) when y != x -> c.best <- Some ((if r < r0 then x else y), Float.min r0 r)
+  | _ -> c.best <- Some (x, r)
+
+let attempt p ~forced c e =
+  let vt = p.verify_tol in
+  let refuse ?(solver = p.solver) ?iterations ?residual what =
+    Diag.emitf Diag.Error ~solver ?iterations ?residual
+      ?tolerance:(Option.map (fun _ -> vt) residual)
+      "%s (no fallback under --solver)" what
+  in
+  match e.run c with
+  | Zero_diagonal ->
+      if forced then (refuse ~solver:e.name "zero diagonal entry"; raise Singular);
+      c.from <- e.name ^ " hit a zero diagonal";
+      `Zero_diagonal
+  | Exact x -> `Accept (p.finish x)
+  | Iterate { label; x; iters; converged; why; krylov } ->
+      let r = p.residual x in
+      if not krylov then keep c x r;
+      if converged && r <= vt then begin
+        if krylov then
+          Diag.emitf Diag.Info ~solver:label ~iterations:iters ~residual:r ~tolerance:vt
+            "%s (n=%d, nnz=%d)"
+            (if steady p then "krylov steady state" else "converged")
+            p.n p.nnz;
+        `Accept (p.finish x)
       end
       else begin
-        Diag.emit Diag.Non_convergence ~solver:name
-          ~iterations:st.Krylov.iterations ~residual:r ~tolerance:verify_tol
-          (if st.Krylov.converged then
-             "iterate stalled: post-solve residual verification of pi Q failed"
-           else "no convergence within iteration budget");
-        None
+        if krylov || not forced then
+          Diag.emit Diag.Non_convergence ~solver:label ~iterations:iters ~residual:r
+            ~tolerance:vt why;
+        c.from <- label;
+        if not forced then `Next
+        else if krylov && steady p then (
+          refuse "forced krylov method did not produce a verified steady state";
+          `Accept (uniform p.n))
+        else (
+          refuse ~solver:label ~residual:r ?iterations:(if steady p then Some iters else None)
+            ("forced method did not produce a verified "
+            ^ if steady p then "steady state" else "solution");
+          `Accept (p.finish x))
       end
-    in
-    let forced_krylov variant =
-      match krylov_attempt variant with
-      | Some x -> x
-      | None ->
-          Diag.emit Diag.Error ~solver
-            "forced krylov method did not produce a verified steady state (no \
-             fallback under --solver)";
-          Array.make n (1.0 /. float_of_int n)
-    in
-    let sweeps_chain ~try_krylov_last () =
-      let qt = Sparse.transpose q in
-      let x = Array.make n (1.0 /. float_of_int n) in
-      let delta, iters, rho = ctmc_sweeps ~omega:1.0 ~max_iter ~tol qt x in
-      let r = rel x in
-      if delta <= tol && r <= verify_tol then clamp_normalize ~solver x
-      else begin
-        Diag.emit Diag.Non_convergence ~solver:"ctmc_gauss_seidel"
-          ~iterations:iters ~residual:r ~tolerance:verify_tol
-          (if delta <= tol then
-             "iterate stalled: post-solve residual verification of pi Q failed"
-           else "no convergence within iteration budget");
-        let omega = adaptive_omega rho in
-        Diag.emitf Diag.Fallback ~solver
-          "escalating to SOR sweeps (adaptive omega=%.3f)" omega;
-        let delta2, iters2, _ = ctmc_sweeps ~omega ~max_iter ~tol qt x in
-        let r2 = rel x in
-        if delta2 <= tol && r2 <= verify_tol then clamp_normalize ~solver x
-        else begin
-          Diag.emit Diag.Non_convergence ~solver:"ctmc_sor" ~iterations:iters2
-            ~residual:r2 ~tolerance:verify_tol
-            "no convergence within iteration budget";
-          if n <= direct_cap then direct ~from:(Some "ctmc_sor") ()
-          else begin
-            match
-              if try_krylov_last then begin
-                Diag.emit Diag.Fallback ~solver
-                  "escalating to preconditioned BiCGStab";
-                krylov_attempt `Bicgstab
-              end
-              else None
-            with
-            | Some y -> y
-            | None ->
-                Diag.emitf Diag.Error ~solver ~residual:r2 ~tolerance:verify_tol
-                  "chain of size %d exceeds the direct-solve cap (%d); returning unverified iterate"
-                  n direct_cap;
-                clamp_normalize ~solver x
-          end
-        end
-      end
-    in
-    let auto () =
-      if n <= direct_threshold then direct ~from:None ()
-      else begin
-        (* A banded generator whose elimination cost n*bw^2 fits inside the
-           direct budget (threshold^3) is solved exactly by subtraction-free
-           GTH elimination: O(n*bw^2) work, and immune to the sweep stalls
-           that nearly-decomposable lattice chains provoke. *)
-        let bw = bandwidth q in
-        let band_cost =
-          float_of_int n *. float_of_int bw *. float_of_int bw
-        in
-        let band_budget = float_of_int direct_threshold ** 3.0 in
-        let banded =
-          if bw > 0 && band_cost <= band_budget then ctmc_gth_banded q bw
-          else None
-        in
-        match
-          match banded with
-          | Some x when rel x <= verify_tol -> Some x
-          | _ -> None
-        with
-        | Some x ->
-            Diag.emitf Diag.Info ~solver
-              "banded GTH elimination (n=%d, bandwidth=%d)" n bw;
-            clamp_normalize ~solver x
-        | None -> (
-            if n >= krylov_threshold then
-              match krylov_attempt `Bicgstab with
-              | Some x -> x
-              | None -> (
-                  match krylov_attempt `Gmres with
-                  | Some x -> x
-                  | None ->
-                      Diag.emit Diag.Fallback ~solver
-                        "krylov failed: falling back to stationary sweeps";
-                      sweeps_chain ~try_krylov_last:false ())
-            else sweeps_chain ~try_krylov_last:true ())
-      end
-    in
-    match current_method () with
-    | Auto -> auto ()
-    | Bicgstab -> forced_krylov `Bicgstab
-    | Gmres -> forced_krylov `Gmres
-    | Direct -> direct ~from:None ()
-    | Gth -> (
-        (* forced GTH runs the banded elimination whatever the bandwidth:
-           the caller asked for the exact subtraction-free answer and
-           accepts the n*bw^2 cost *)
-        let bw = bandwidth q in
-        match (if bw > 0 then ctmc_gth_banded q bw else None) with
-        | Some x when rel x <= verify_tol ->
-            Diag.emitf Diag.Info ~solver
-              "banded GTH elimination (n=%d, bandwidth=%d)" n bw;
-            clamp_normalize ~solver x
-        | Some x ->
-            Diag.emit Diag.Error ~solver ~residual:(rel x)
-              ~tolerance:verify_tol
-              "forced GTH elimination failed residual verification (no \
-               fallback under --solver)";
-            clamp_normalize ~solver x
-        | None ->
-            Diag.emit Diag.Error ~solver
-              "forced GTH elimination failed: no transition to a \
-               lower-indexed state (no fallback under --solver)";
-            Array.make n (1.0 /. float_of_int n))
-    | Gauss_seidel ->
-        let qt = Sparse.transpose q in
-        let x = Array.make n (1.0 /. float_of_int n) in
-        let delta, iters, _ = ctmc_sweeps ~omega:1.0 ~max_iter ~tol qt x in
-        let r = rel x in
-        if delta <= tol && r <= verify_tol then clamp_normalize ~solver x
-        else begin
-          Diag.emit Diag.Error ~solver:"ctmc_gauss_seidel" ~iterations:iters
-            ~residual:r ~tolerance:verify_tol
-            "forced method did not produce a verified steady state (no \
-             fallback under --solver)";
-          clamp_normalize ~solver x
-        end
-    | Sor ->
-        (* short Gauss-Seidel probe for the contraction ratio that picks
-           the over-relaxation factor; the over-relaxed run gets a
-           bounded trial window and must beat the probe's step size, or
-           the remaining budget runs at omega = 1 — over-relaxation can
-           oscillate without blowing up on a general CTMC sweep operator,
-           and a forced method that silently burns [max_iter] sweeps on a
-           non-contracting iterate helps nobody *)
-        let qt = Sparse.transpose q in
-        let x = Array.make n (1.0 /. float_of_int n) in
+  | Checked { x = Some x; note = sev, msg } when p.residual x <= vt ->
+      Diag.emit sev ~solver:p.solver msg;
+      `Accept (p.finish x)
+  | Checked _ when not forced -> `Next
+  | Checked { x = Some x; _ } ->
+      refuse ~residual:(p.residual x) "forced GTH elimination failed residual verification";
+      `Accept (p.finish x)
+  | Checked { x = None; _ } ->
+      refuse "forced GTH elimination failed: no transition to a lower-indexed state";
+      `Accept (uniform p.n)
+
+let krylov_engine p variant =
+  engine "krylov" (fun _ ->
+      let a, b = Lazy.force p.system in
+      let x, st, label = krylov_run variant ~tol:p.ktol a b in
+      let converged = st.Krylov.converged in
+      Iterate
+        { label; x; iters = st.Krylov.iterations; converged; krylov = true;
+          why = (if converged then stalled p else no_budget) })
+
+(* Run the ladder of the current method.  Forced BiCGStab/GMRES, or a
+   method [forcings] pairs with an engine, runs that engine alone; any
+   other method runs the [Auto] list: [head], then the [stationary] rungs
+   and [fallback] backed by BiCGStab below [krylov_threshold], or BiCGStab
+   and GMRES backed by them at or above it, then [repair].  A zero
+   diagonal jumps straight to [fallback]; a ladder that runs out returns
+   the best sweep iterate, loudly (every [Auto] list holds a sweep rung). *)
+let run p ~fallback ~backing ~stationary ?(head = []) ?(repair = []) forcings =
+  let krylov = krylov_engine p in
+  let auto =
+    match stationary @ [ fallback ] with
+    | first :: rest when p.n >= krylov_threshold ->
+        krylov `Bicgstab :: krylov `Gmres
+        :: via (fun _ -> "krylov failed: falling back to " ^ backing) first :: rest
+    | sweeps ->
+        sweeps @ [ via (fun _ -> "escalating to preconditioned BiCGStab") (krylov `Bicgstab) ]
+  in
+  let only =
+    List.assoc_opt (current_method ())
+      ((Bicgstab, krylov `Bicgstab) :: (Gmres, krylov `Gmres) :: forcings)
+  in
+  let forced = Option.is_some only and c = { best = None; rho = nan; prev = None; from = "" } in
+  let rec go = function
+    | [] ->
+        let x, r = Option.get c.best in
+        Diag.emitf Diag.Error ~solver:p.solver ~residual:r ~tolerance:p.verify_tol
+          "%s of size %d exceeds the direct-solve cap (%d); returning %sunverified iterate"
+          (if steady p then "chain" else "system") p.n direct_cap
+          (if steady p then "" else "best ");
+        p.finish x
+    | e :: rest -> if e.applicable () then step e rest else go rest
+  and step e rest =
+    Option.iter (fun msg -> Diag.emit Diag.Fallback ~solver:p.solver (msg c)) e.via;
+    match attempt p ~forced c e with
+    | `Accept x -> x
+    | `Next -> go rest
+    | `Zero_diagonal -> step fallback []
+  in
+  go (match only with Some e -> [ e ] | None -> head @ auto @ repair)
+
+(* Direct elimination: accepted as is, with a Warning when even it misses
+   the verify tolerance ([report] is the residual the Warning shows);
+   escalated to, it applies within the dense cap only. *)
+let direct_engine p ?(report = p.residual)
+    ?(warn = (p.solver, "direct steady-state residual above verification tolerance"))
+    eliminate =
+  engine "direct" (fun _ ->
+      let x = eliminate () in
+      if p.residual x > p.verify_tol then
+        Diag.emit Diag.Warning ~solver:(fst warn) ~residual:(report x) ~tolerance:p.verify_tol
+          (snd warn);
+      Exact x)
+
+let escalated p msg direct = { (via msg direct) with applicable = (fun () -> p.n <= direct_cap) }
+
+(* The stationary rungs shared by [solve] and the CTMC: Gauss-Seidel, SOR
+   behind it, and forced SOR.  [sw omega k x0] runs at most [k] sweeps
+   from [x0] and returns the iterate, its last relative change, the sweep
+   count and the contraction ratio; [cold ()] is the cold start. *)
+let sweep_engines p ~sw ~cold ~tol ~max_iter ~prefix ~escalate =
+  let swept name ~stall run =
+    engine (prefix ^ name) (fun c ->
+        match run c with
+        | exception Singular -> Zero_diagonal
+        | x, d, k, _ ->
+            Iterate
+              { label = prefix ^ name; x; iters = k; converged = d <= tol; krylov = false;
+                why = (if d <= tol then stall else no_budget) })
+  in
+  let gs =
+    swept "gauss_seidel" ~stall:(stalled p) (fun c ->
+        let ((_, _, _, rho) as result) = sw 1.0 max_iter (cold ()) in
+        c.rho <- rho;
+        result)
+  in
+  (* omega from the observed contraction ratio, warm-started from the
+     Gauss-Seidel iterate unless that blew up *)
+  let sor =
+    via (fun c -> Printf.sprintf "%s (adaptive omega=%.3f)" escalate (adaptive_omega c.rho))
+      (swept "sor" ~stall:no_budget (fun c ->
+           match c.best with
+           | Some (x, r) when Float.is_finite r && r < 1e100 ->
+               sw (adaptive_omega c.rho) max_iter x
+           | _ -> sw (adaptive_omega c.rho) max_iter (cold ())))
+  in
+  (* Forced SOR: a short Gauss-Seidel probe picks omega; the over-relaxed
+     run gets a bounded trial window and must beat the probe's step, or
+     the rest of the budget runs at omega = 1 (Young's formula assumes a
+     property-A ordering and can oscillate on a general sweep operator). *)
+  let window =
+    swept "sor" ~stall:no_budget (fun _ ->
         let probe = max 10 (min 100 (max_iter / 10)) in
-        let d0, _, rho = ctmc_sweeps ~omega:1.0 ~max_iter:probe ~tol qt x in
+        let x0, d0, _, rho = sw 1.0 probe (cold ()) in
         let omega = adaptive_omega rho in
         let trial = max 50 (min 1_000 (max_iter / 20)) in
-        let xo = Array.copy x in
-        let d1, it1, _ = ctmc_sweeps ~omega ~max_iter:trial ~tol qt xo in
-        let delta, iters, x =
-          if d1 <= tol then (d1, probe + it1, xo)
-          else if d1 < d0 then
-            let d, it, _ =
-              ctmc_sweeps ~omega ~max_iter:(max_iter - trial) ~tol qt xo
-            in
-            (d, probe + trial + it, xo)
-          else
-            let d, it, _ =
-              ctmc_sweeps ~omega:1.0 ~max_iter:(max_iter - trial) ~tol qt x
-            in
-            (d, probe + trial + it, x)
-        in
-        let r = rel x in
-        if delta <= tol && r <= verify_tol then clamp_normalize ~solver x
-        else begin
-          Diag.emit Diag.Error ~solver:"ctmc_sor" ~iterations:iters ~residual:r
-            ~tolerance:verify_tol
-            "forced method did not produce a verified steady state (no \
-             fallback under --solver)";
-          clamp_normalize ~solver x
-        end
+        let x1, d1, k1, _ = sw omega trial (Array.copy x0) in
+        if d1 <= tol then (x1, d1, probe + k1, nan)
+        else
+          let omega, x = if d1 < d0 then (omega, x1) else (1.0, x0) in
+          let x, d, k, rho = sw omega (max_iter - trial) x in
+          (x, d, probe + trial + k, rho))
+  in
+  (gs, sor, window)
+
+(* --- the three problems ------------------------------------------------ *)
+
+(* Robust Ax = b, verified against ||Ax - b||_inf / max(1, ||b||_inf). *)
+let solve ?(max_iter = 100_000) ?(tol = 1e-12) a b =
+  let n = Array.length b in
+  let scale = Float.max 1.0 (inf_norm b) in
+  let p =
+    { n; nnz = Sparse.nnz a; solver = "linsolve"; balance = "";
+      residual = (fun x -> residual_inf a x b /. scale);
+      verify_tol = Float.max (tol *. 1e4) 1e-8;
+      system = Lazy.from_val (a, b); ktol = Float.min tol 1e-10; finish = Fun.id }
+  in
+  let gs, sor, window =
+    sweep_engines p ~tol ~max_iter ~prefix:"" ~escalate:"escalating to SOR"
+      ~cold:(fun () -> Array.make n 0.0)
+      ~sw:(fun omega max_iter x0 -> sor_rate ~max_iter ~tol ~omega x0 a b)
+  in
+  let direct =
+    direct_engine p
+      ~warn:("gauss", "direct-solve residual above verification tolerance (ill-conditioned system)")
+      (fun () ->
+        note_dense ~solver:"linsolve" n;
+        try gauss (Sparse.to_dense a) b
+        with Singular ->
+          Diag.emit Diag.Error ~solver:"gauss"
+            "direct fallback hit a singular pivot: system has no unique solution";
+          raise Singular)
+  in
+  run p ~backing:"stationary sweeps" ~stationary:[ gs; sor ]
+    ~fallback:
+      (escalated p (fun c -> c.from ^ ": falling back to direct Gaussian elimination") direct)
+    [ (Gauss_seidel, gs); (Sor, window); (Direct, direct) ]
+
+let steady_problem ~solver ~balance ~tol ~residual ~system m =
+  { n = Sparse.rows m; nnz = Sparse.nnz m; solver; balance; residual;
+    verify_tol = Float.max (tol *. 1e4) 1e-9;
+    system; ktol = Float.max 1e-12 (tol *. 10.0); finish = clamp_normalize ~solver }
+
+let ctmc_steady_state ?(max_iter = 200_000) ?(tol = 1e-13) ?(direct_threshold = 500) q =
+  let n = Sparse.rows q in
+  if n <= 1 then Array.make n 1.0
+  else begin
+    let solver = "ctmc_steady_state" in
+    let qnorm = Float.max 1e-300 (2.0 *. inf_norm (Sparse.diag q)) in
+    let p =
+      steady_problem ~solver ~balance:" of pi Q" ~tol q
+        ~residual:(fun x -> ctmc_residual q x /. qnorm)
+        ~system:(lazy (ctmc_krylov_system q))
+    in
+    let qt = lazy (Sparse.transpose q) in
+    let gs, sor, window =
+      sweep_engines p ~tol ~max_iter ~prefix:"ctmc_" ~escalate:"escalating to SOR sweeps"
+        ~cold:(fun () -> uniform n)
+        ~sw:(fun omega max_iter x -> ctmc_sweeps ~omega ~max_iter ~tol (Lazy.force qt) x)
+    in
+    let direct =
+      direct_engine p (fun () -> steady_state_direct q)
+    in
+    (* banded GTH: [Auto] takes it when its O(n*bw^2) cost fits the direct
+       budget (threshold^3); forced, it runs whatever the bandwidth *)
+    let bw = lazy (bandwidth q) in
+    let gth =
+      engine "gth" (fun _ ->
+          let bw = Lazy.force bw in
+          let note = Printf.sprintf "banded GTH elimination (n=%d, bandwidth=%d)" n bw in
+          Checked { x = (if bw > 0 then ctmc_gth_banded q bw else None); note = (Diag.Info, note) })
+    in
+    let fits_budget () =
+      let bw = float_of_int (Lazy.force bw) in
+      bw > 0.0 && float_of_int n *. bw *. bw <= float_of_int direct_threshold ** 3.0
+    in
+    run p ~backing:"stationary sweeps" ~stationary:[ gs; sor ]
+      ~fallback:
+        (escalated p (fun c -> c.from ^ ": falling back to direct solve of pi Q = 0") direct)
+      ~head:
+        [ { direct with applicable = (fun () -> n <= direct_threshold) };
+          { gth with applicable = fits_budget } ]
+      [ (Gauss_seidel, gs); (Sor, window); (Gth, gth); (Direct, direct) ]
+  end
+
+let dtmc_steady_state ?(max_iter = 1_000_000) ?(tol = 1e-13) pm =
+  let n = Sparse.rows pm in
+  if n <= 1 then Array.make n 1.0
+  else begin
+    let solver = "dtmc_steady_state" in
+    let p =
+      steady_problem ~solver ~balance:" of pi P = pi" ~tol pm
+        ~residual:(fun x -> dtmc_residual pm x /. Float.max 1.0 (inf_norm x))
+        ~system:(lazy (ctmc_krylov_system (minus_identity pm)))
+    in
+    let direct ?report () =
+      direct_engine p ?report (fun () -> replaced_row_direct ~solver (minus_identity pm))
+    in
+    let power =
+      engine solver (fun c ->
+          let x, xprev, k, delta, oscillating = dtmc_power ~max_iter ~tol pm in
+          c.prev <- Some xprev;
+          let why =
+            if oscillating then "power iteration entered a period-2 limit cycle (periodic chain)"
+            else if delta <= tol then "iterate stalled: post-solve residual verification failed"
+            else no_budget
+          in
+          Iterate { label = solver; x; iters = k; converged = delta <= tol; krylov = false; why })
+    in
+    (* the mean of two successive power iterates repairs a period-2 cycle *)
+    let cesaro =
+      engine "cesaro" (fun c ->
+          let x, _ = Option.get c.best and xp = Option.get c.prev in
+          Checked
+            { x = Some (Array.init n (fun i -> 0.5 *. (x.(i) +. xp.(i))));
+              note = (Diag.Warning, "accepted Cesaro-averaged iterate for a periodic chain") })
+    in
+    (* Power iteration is the only stationary method for a DTMC: forced
+       Gauss-Seidel, SOR and GTH run the [Auto] list.  Escalated to, the
+       direct solve reports the raw residual. *)
+    run p ~backing:"power iteration" ~stationary:[ power ] ~repair:[ cesaro ]
+      ~fallback:
+        (escalated p (fun _ -> "escalating to direct solve of pi (P - I) = 0")
+           (direct ~report:(dtmc_residual pm) ()))
+      [ (Direct, direct ()) ]
   end

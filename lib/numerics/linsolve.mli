@@ -5,27 +5,42 @@
     small dense systems (vanishing-marking elimination, embedded DTMCs,
     fundamental-matrix MTTF).
 
-    Failure semantics: no solver fails silently.  Iterative solvers verify
-    their accepted iterate against the true residual and record a
-    {!Diag.Non_convergence} diagnostic when the budget runs out or
-    verification fails; {!solve}, {!ctmc_steady_state} and
-    {!dtmc_steady_state} then escalate automatically (Gauss–Seidel → SOR
-    with adaptive over-relaxation → direct elimination), each hop recorded
-    as a {!Diag.Fallback}.  Negative steady-state entries are clamped with
-    a {!Diag.Warning} carrying the clamped magnitude. *)
+    Failure semantics: no solver fails silently.  {!solve},
+    {!ctmc_steady_state} and {!dtmc_steady_state} run one solver ladder:
+    each rung's answer is verified against the true residual, a rejected
+    one is recorded as a {!Diag.Non_convergence} diagnostic, and the next
+    rung is announced by a {!Diag.Fallback}.  Under [Auto] the rungs are,
+    with [n] the number of unknowns:
+
+    {v
+    problem         n < krylov_threshold                  n >= krylov_threshold
+    solve           GS, SOR, direct, BiCGStab             BiCGStab, GMRES, GS, SOR
+    CTMC steady     direct (n <= direct_threshold), banded GTH, then
+                    GS, SOR, direct, BiCGStab             BiCGStab, GMRES, GS, SOR
+    DTMC steady     power, direct, BiCGStab, Cesaro       BiCGStab, GMRES, power, Cesaro
+    v}
+
+    SOR's over-relaxation factor is adapted to the contraction rate
+    Gauss–Seidel observed; escalated to, direct elimination applies up to
+    4096 unknowns; the Cesaro rung averages the last two power iterates of
+    a periodic chain.  A ladder that runs out returns the best iterate with
+    a {!Diag.Error}.  Negative steady-state entries are clamped with a
+    {!Diag.Warning} carrying the clamped magnitude. *)
 
 exception Singular
 (** Raised by the direct solvers when elimination hits a (near-)zero pivot. *)
 
 (** {1 Solver selection}
 
-    The automatic escalation chain can be overridden (the [--solver]
-    flag): a forced method runs alone and records a {!Diag.Error} when it
-    fails, instead of silently escalating — which keeps differential
-    solver-vs-solver comparisons meaningful. *)
+    The [Auto] ladder can be overridden (the [--solver] flag): a forced
+    method runs alone and records a {!Diag.Error} when it fails, instead
+    of silently escalating — which keeps differential solver-vs-solver
+    comparisons meaningful.  A method with no engine for the problem
+    ([Gth] on {!solve}; [Gauss_seidel], [Sor], [Gth] on
+    {!dtmc_steady_state}) runs the [Auto] ladder instead. *)
 
 type method_ =
-  | Auto  (** size-directed chain: direct / banded GTH / Krylov / sweeps *)
+  | Auto  (** the size-directed ladder tabled above *)
   | Gauss_seidel
   | Sor
   | Bicgstab
@@ -47,8 +62,8 @@ val method_of_string : string -> method_ option
     [gth], [direct]. *)
 
 val krylov_threshold : int
-(** Systems with at least this many unknowns skip the stationary sweeps
-    and try preconditioned Krylov first under [Auto]. *)
+(** Systems with at least this many unknowns try preconditioned Krylov
+    before the stationary sweeps under [Auto]. *)
 
 (** {1 Dense-materialization accounting}
 
@@ -98,11 +113,13 @@ val sor :
 (** Successive over-relaxation; [omega = 1] degenerates to Gauss–Seidel. *)
 
 val solve : ?max_iter:int -> ?tol:float -> Sparse.t -> float array -> float array
-(** [solve a b] solves [a x = b] with the automatic escalation chain:
-    Gauss–Seidel, then SOR with an over-relaxation factor adapted to the
-    observed contraction rate, then direct Gaussian elimination — each hop
-    recorded as a {!Diag.Fallback} diagnostic, and the accepted answer
-    verified against [||a x - b||_inf].
+(** [solve a b] solves [a x = b] with the solver ladder (see the table
+    above): below {!krylov_threshold} unknowns Gauss–Seidel, then SOR with
+    an over-relaxation factor adapted to the observed contraction rate,
+    then direct Gaussian elimination, then preconditioned BiCGStab — each
+    hop recorded as a {!Diag.Fallback} diagnostic, and the accepted answer
+    verified against [||a x - b||_inf].  A zero diagonal sends the sweeps
+    straight to direct elimination.
     @raise Singular if even the direct solve finds no unique solution. *)
 
 val steady_state_direct : Sparse.t -> float array
@@ -128,8 +145,8 @@ val ctmc_steady_state :
     generators within the elimination budget by subtraction-free GTH;
     systems of at least {!krylov_threshold} states by preconditioned
     BiCGStab/GMRES on the CSR replaced-row system; the rest by
-    Gauss–Seidel sweeps with the SOR/Krylov/direct escalation chain
-    behind them.  The accepted vector is verified against
+    Gauss–Seidel sweeps with SOR, direct elimination and BiCGStab behind
+    them.  The accepted vector is verified against
     [||pi Q||_inf]; result entries are nonnegative and sum to 1. *)
 
 val dtmc_steady_state :

@@ -332,14 +332,16 @@ let derive ?(max_states = default_max_states) ~resolve (m : model) : t =
   let trans = Array.make n [] in
   List.iter (fun (i, out) -> trans.(i) <- out) !trans_rev;
   (* 4. CSR generator: off-diagonals plus derived diagonal, one row at a
-     time; of_rows sums duplicates and drops explicit zeros. *)
+     time; of_rows sums duplicates and drops explicit zeros.  Self-loops
+     leave the state unchanged, so they stay out of both the diagonal
+     total and the entries (summing them in cancels only up to rounding,
+     which can leave a positive diagonal); they still count in the
+     per-action throughput data below. *)
   let q =
     Sparse.of_rows ~rows:n ~cols:n (fun i ->
-        let total =
-          List.fold_left (fun acc (_, _, r) -> acc +. r) 0.0 trans.(i)
-        in
-        (i, -.total)
-        :: List.map (fun (_, j, r) -> (j, r)) trans.(i))
+        let out = List.filter (fun (_, j, _) -> j <> i) trans.(i) in
+        let total = List.fold_left (fun acc (_, _, r) -> acc +. r) 0.0 out in
+        (i, -.total) :: List.map (fun (_, j, r) -> (j, r)) out)
   in
   let state_arr = Array.make (max n 1) [||] in
   List.iteri (fun k gs -> state_arr.(n - 1 - k) <- gs) !state_list;

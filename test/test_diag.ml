@@ -168,6 +168,179 @@ let test_dtmc_periodic_fallback () =
     (sev_solver recs)
 
 (* ------------------------------------------------------------------ *)
+(* Escalation paths pinned bit for bit                                 *)
+
+(* Every record field, floats in hex, so a ladder rewrite that changes a
+   message, an iteration count or the last bit of a residual fails. *)
+let pin recs =
+  let opt f = function Some v -> f v | None -> "-" in
+  List.map
+    (fun r ->
+      Printf.sprintf "%s %s it=%s r=%s tol=%s | %s"
+        (Diag.severity_to_string r.Diag.severity)
+        r.Diag.solver
+        (opt string_of_int r.Diag.iterations)
+        (opt (Printf.sprintf "%h") r.Diag.residual)
+        (opt (Printf.sprintf "%h") r.Diag.tolerance)
+        r.Diag.message)
+    recs
+
+let pinned = Alcotest.(check (list string))
+
+(* digest of the exact bits of a vector *)
+let fingerprint x =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") x))))
+
+let fp = Alcotest.(check string)
+
+(* 1-D Poisson matrix: symmetric, property A, Gauss-Seidel contraction
+   cos^2(pi/(n+1)) — slow enough that the SOR window matters *)
+let poisson n =
+  Sparse.of_triplets ~rows:n ~cols:n
+    (List.concat
+       (List.init n (fun i ->
+            ((i, i, 2.0) :: (if i > 0 then [ (i, i - 1, -1.0) ] else []))
+            @ if i < n - 1 then [ (i, i + 1, -1.0) ] else [])))
+
+(* birth-death generator on n states *)
+let birth_death n =
+  let lam = 1.0 and mu = 1.3 in
+  let e =
+    List.concat
+      (List.init n (fun i ->
+           (if i < n - 1 then [ (i, i + 1, lam) ] else [])
+           @ if i > 0 then [ (i, i - 1, mu) ] else []))
+  in
+  let d = Array.make n 0.0 in
+  List.iter (fun (i, _, r) -> d.(i) <- d.(i) -. r) e;
+  Sparse.of_triplets ~rows:n ~cols:n
+    (e @ Array.to_list (Array.mapi (fun i r -> (i, i, r)) d))
+
+let forced m f = Diag.capture (fun () -> Linsolve.with_method m f)
+
+let test_solve_forced_sor () =
+  let a = poisson 40 in
+  let b = Array.make 40 1.0 in
+  (* window converges: the over-relaxed trial finishes the solve *)
+  let x, recs = forced Linsolve.Sor (fun () -> Linsolve.solve a b) in
+  pinned "trial converges: silent" [] (pin recs);
+  Alcotest.(check bool) "verified" true (Linsolve.residual_inf a x b <= 1e-8);
+  fp "trial converges: iterate" "a2c510f097d3163483958b216e65bcd4" (fingerprint x);
+  (* window too short: the trial beats the probe and keeps omega *)
+  let x, recs = forced Linsolve.Sor (fun () -> Linsolve.solve ~max_iter:2000 a b) in
+  pinned "omega kept: silent" [] (pin recs);
+  fp "omega kept: iterate" "a2c510f097d3163483958b216e65bcd4" (fingerprint x);
+  (* budget exhausted: one error, best iterate returned *)
+  let x, recs = forced Linsolve.Sor (fun () -> Linsolve.solve ~max_iter:200 a b) in
+  pinned "budget exhausted" [ "error sor it=- r=0x1.c618231de8p-8 tol=0x1.5798ee2308c3ap-27 | forced \
+       method did not produce a verified solution (no fallback under --solver)" ] (pin recs);
+  fp "budget exhausted: iterate" "57a3b201e2976f599a934615a361eb32" (fingerprint x);
+  (* the over-relaxed trial blows up: the budget finishes at omega = 1 *)
+  let cyc =
+    Sparse.of_triplets ~rows:5 ~cols:5
+      (List.concat
+         (List.init 5 (fun i -> [ (i, i, 1.0); (i, (i + 1) mod 5, -0.99) ])))
+  in
+  let b = Array.make 5 1.0 in
+  let x, recs = forced Linsolve.Sor (fun () -> Linsolve.solve cyc b) in
+  pinned "omega rejected: silent" [] (pin recs);
+  Alcotest.(check bool) "omega rejected: verified" true
+    (Linsolve.residual_inf cyc x b <= 1e-8);
+  fp "omega rejected: iterate" "85ff3e00f027bb96d3c6d4bc7c576d5e" (fingerprint x);
+  (* Gauss-Seidel diverges and so does the under-relaxed trial *)
+  let x, recs =
+    forced Linsolve.Sor (fun () -> Linsolve.solve (awkward ()) [| 5.0; 4.0 |])
+  in
+  pinned "divergent" [ "error sor it=- r=nan tol=0x1.5798ee2308c3ap-27 | forced method did not \
+       produce a verified solution (no fallback under --solver)" ] (pin recs);
+  fp "divergent: iterate" "ca19a7ff0e6293032a8207f6b9929140" (fingerprint x)
+
+let test_ctmc_forced_sor () =
+  let q = birth_death 60 in
+  let pi, recs =
+    forced Linsolve.Sor (fun () ->
+        Linsolve.ctmc_steady_state ~direct_threshold:0 q)
+  in
+  pinned "converges: silent" [] (pin recs);
+  fp "converges: pi" "f53ba731c6bed79c2ce6f2bc2c1e5b90" (fingerprint pi);
+  let pi, recs =
+    forced Linsolve.Sor (fun () ->
+        Linsolve.ctmc_steady_state ~direct_threshold:0 ~max_iter:2000
+          (ncd_generator ()))
+  in
+  pinned "NCD budget exhausted" [ "error ctmc_sor it=2100 r=0x1.38cp-41 tol=0x1.12e0be826d695p-30 | forced \
+       method did not produce a verified steady state (no fallback under --solver)" ] (pin recs);
+  fp "NCD: pi" "2a9d8bd708c630f8573f3cbc7f8d357b" (fingerprint pi);
+  (* a ring whose over-relaxed trial oscillates: finished at omega = 1 *)
+  let ring =
+    let n = 20 in
+    let e =
+      List.concat
+        (List.init n (fun i ->
+             [ (i, (i + 1) mod n, 1.0 +. float_of_int (i mod 3));
+               ((i + 1) mod n, i, 3.0) ]))
+    in
+    let d = Array.make n 0.0 in
+    List.iter (fun (i, _, r) -> d.(i) <- d.(i) -. r) e;
+    Sparse.of_triplets ~rows:n ~cols:n
+      (e @ Array.to_list (Array.mapi (fun i r -> (i, i, r)) d))
+  in
+  let pi, recs =
+    forced Linsolve.Sor (fun () ->
+        Linsolve.ctmc_steady_state ~direct_threshold:0 ring)
+  in
+  pinned "omega rejected: silent" [] (pin recs);
+  fp "omega rejected: pi" "a2b365543b1568eed7a9e87eefc23d9a" (fingerprint pi)
+
+(* singular and inconsistent: no Krylov variant can verify *)
+let test_solve_forced_bicgstab_fails () =
+  let a =
+    Sparse.of_triplets ~rows:2 ~cols:2
+      [ (0, 0, 1.0); (0, 1, 1.0); (1, 0, 1.0); (1, 1, 1.0) ]
+  in
+  let x, recs = forced Linsolve.Bicgstab (fun () -> Linsolve.solve a [| 1.0; 2.0 |]) in
+  pinned "non-convergence then error" [ "non-convergence bicgstab(jacobi) it=10 r=0x1p-2 tol=0x1.5798ee2308c3ap-27 \
+       | no convergence within iteration budget";
+      "error bicgstab(jacobi) it=- r=0x1p-2 tol=0x1.5798ee2308c3ap-27 | forced \
+       method did not produce a verified solution (no fallback under --solver)" ] (pin recs);
+  fp "iterate returned" "7cfaf8f0d754b19a3ae85abebaa9ea9d" (fingerprint x)
+
+let test_solve_zero_diagonal () =
+  let a = Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 1, 1.0); (1, 0, 1.0) ] in
+  let x, recs = Diag.capture (fun () -> Linsolve.solve a [| 2.0; 3.0 |]) in
+  check_float "x0" 3.0 x.(0);
+  check_float "x1" 2.0 x.(1);
+  pinned "direct fallback" [ "fallback linsolve it=- r=- tol=- | gauss_seidel hit a zero diagonal: \
+       falling back to direct Gaussian elimination" ] (pin recs)
+
+(* stand-ins: a forcing with no specialization for the problem runs the
+   automatic ladder, records and bits included *)
+let same_as_auto name m f =
+  let x_auto, r_auto = forced Linsolve.Auto f in
+  let x, r = forced m f in
+  pinned (name ^ ": records") (pin r_auto) (pin r);
+  fp (name ^ ": result") (fingerprint x_auto) (fingerprint x)
+
+let test_forced_stand_ins () =
+  let periodic =
+    Sparse.of_triplets ~rows:3 ~cols:3
+      [ (0, 1, 0.5); (0, 2, 0.5); (1, 0, 1.0); (2, 0, 1.0) ]
+  in
+  same_as_auto "solve gth" Linsolve.Gth (fun () ->
+      Linsolve.solve (awkward ()) [| 5.0; 4.0 |]);
+  same_as_auto "solve gth, convergent" Linsolve.Gth (fun () ->
+      Linsolve.solve (poisson 40) (Array.make 40 1.0));
+  List.iter
+    (fun m ->
+      same_as_auto
+        ("dtmc " ^ Linsolve.method_to_string m)
+        m
+        (fun () -> Linsolve.dtmc_steady_state periodic))
+    Linsolve.[ Gauss_seidel; Sor; Gth ]
+
+(* ------------------------------------------------------------------ *)
 (* CTMC well-formedness and uniformization warnings                    *)
 
 let test_ctmc_validate_unreachable () =
@@ -260,6 +433,12 @@ let suite =
       test_gauss_seidel_divergence_diagnosed;
     Alcotest.test_case "ctmc NCD fallback chain" `Quick test_ctmc_ncd_fallback_chain;
     Alcotest.test_case "dtmc periodic fallback" `Quick test_dtmc_periodic_fallback;
+    Alcotest.test_case "solve forced sor window" `Quick test_solve_forced_sor;
+    Alcotest.test_case "ctmc forced sor window" `Quick test_ctmc_forced_sor;
+    Alcotest.test_case "solve forced bicgstab fails" `Quick
+      test_solve_forced_bicgstab_fails;
+    Alcotest.test_case "solve zero diagonal" `Quick test_solve_zero_diagonal;
+    Alcotest.test_case "forced stand-ins run auto" `Quick test_forced_stand_ins;
     Alcotest.test_case "ctmc validate unreachable" `Quick test_ctmc_validate_unreachable;
     Alcotest.test_case "ctmc validate clean" `Quick test_ctmc_validate_clean;
     Alcotest.test_case "ctmc make rejects nan" `Quick test_ctmc_make_rejects_nan;

@@ -7,6 +7,12 @@
    ulps does not trip the suite), everything else must match exactly,
    and line/token structure must be identical.
 
+   Each example's diagnostic stream is pinned too: the records the run
+   emits, rendered by [Diag.records_to_json], must match
+   test/golden/<name>.diag.json byte for byte.  A solver refactor that
+   keeps the numbers but changes which rung accepted a solve, or the
+   wording of a fallback, shows up there.
+
    Regenerate after an intentional output change with
 
      UPDATE_GOLDEN=1 dune runtest
@@ -15,6 +21,7 @@
    locates it by walking up from the build directory). *)
 
 module Interp = Sharpe_lang.Interp
+module Diag = Sharpe_numerics.Diag
 
 let src_root =
   let rec find dir depth =
@@ -58,11 +65,14 @@ let write_file path s =
 
 let run_example (dir, file) =
   let buf = Buffer.create 4096 in
-  let outcome =
-    Interp.run_program_file ~print:(Buffer.add_string buf)
-      (Filename.concat dir file)
+  let outcome, records =
+    Diag.capture (fun () ->
+        Interp.run_program_file ~print:(Buffer.add_string buf)
+          (Filename.concat dir file))
   in
-  (Buffer.contents buf, outcome.Interp.failed_statements)
+  ( Buffer.contents buf,
+    outcome.Interp.failed_statements,
+    Diag.records_to_json records ^ "\n" )
 
 (* Token-wise diff at 1e-9 relative tolerance for numeric fields. *)
 let tol = 1e-9
@@ -102,20 +112,29 @@ let diff_outputs ~golden ~actual =
     in
     go 1 gl al
 
-let check_example ((_, file) as ex) () =
-  let out, failed = run_example ex in
-  Alcotest.(check int) (file ^ ": failed statements") 0 failed;
-  let golden_path =
-    Filename.concat golden_dir (Filename.remove_extension file ^ ".out")
-  in
-  if update_mode then write_file golden_path out
-  else if not (Sys.file_exists golden_path) then
+let golden_file file suffix =
+  let path = Filename.concat golden_dir (Filename.remove_extension file ^ suffix) in
+  if (not update_mode) && not (Sys.file_exists path) then
     Alcotest.failf "%s: no golden file %s (run UPDATE_GOLDEN=1 dune runtest)"
-      file golden_path
-  else
-    match diff_outputs ~golden:(read_file golden_path) ~actual:out with
+      file path;
+  path
+
+let check_example ((_, file) as ex) () =
+  let out, failed, diag = run_example ex in
+  Alcotest.(check int) (file ^ ": failed statements") 0 failed;
+  let out_path = golden_file file ".out" in
+  let diag_path = golden_file file ".diag.json" in
+  if update_mode then begin
+    write_file out_path out;
+    write_file diag_path diag
+  end
+  else begin
+    (match diff_outputs ~golden:(read_file out_path) ~actual:out with
     | None -> ()
-    | Some msg -> Alcotest.failf "%s: output drifted from golden file: %s" file msg
+    | Some msg -> Alcotest.failf "%s: output drifted from golden file: %s" file msg);
+    if read_file diag_path <> diag then
+      Alcotest.failf "%s: diagnostic stream drifted from %s" file diag_path
+  end
 
 let suite =
   List.map

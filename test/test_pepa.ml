@@ -198,6 +198,28 @@ let test_parse_positions () =
         (contains msg "line 2, col ")
   | _ -> Alcotest.fail "expected a parse error"
 
+(* --- self-loops --------------------------------------------------------- *)
+
+(* A state whose only moves are self-loops must have an empty generator
+   row.  Summing the loops into the diagonal left rounding residue
+   (here (-(0.1 + 0.25) + 0.1) + 0.25 > 0): a positive diagonal that
+   made uniformization divide by a floor rate and the transient NaN.
+   The loops still count for throughput. *)
+let test_self_loop_only () =
+  let c =
+    Pepa.compile ~resolve:(fun _ -> None)
+      (Pepa.parse "P = (a, 0.1).P + (b, 0.25).P\nP\n")
+  in
+  Alcotest.(check int) "one state" 1 (Pepa.n_states c);
+  Alcotest.(check int) "empty generator" 0
+    (Sharpe_numerics.Sparse.nnz (Pepa.generator c));
+  List.iter
+    (fun t ->
+      let pi = Pepa.transient c t in
+      checkf 0.0 (Printf.sprintf "pi(t=%g)" t) 1.0 pi.(0);
+      checkf 1e-15 (Printf.sprintf "tput b (t=%g)" t) 0.25 (Pepa.throughput c pi "b"))
+    [ 0.4; 1.7 ]
+
 (* --- lexer warning dedupe regression ----------------------------------- *)
 
 let test_truncation_warned_once () =
@@ -221,4 +243,5 @@ let suite =
     ("state cap", `Quick, test_state_cap);
     ("wellformedness errors", `Quick, test_wellformedness_errors);
     ("parse error positions", `Quick, test_parse_positions);
+    ("self-loop-only state", `Quick, test_self_loop_only);
     ("truncation warning dedupe", `Quick, test_truncation_warned_once) ]
