@@ -34,6 +34,17 @@ for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
   }
 done
 
+echo "== golden no-cache byte-exact =="
+# the same files cold: every solve cache (skeleton, rate key, instance)
+# is an optimisation only and must never change an answer
+for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
+  golden="test/golden/$(basename "$f" .sharpe).out"
+  ./_build/default/bin/sharpe.exe --no-cache "$f" 2>/dev/null | cmp -s - "$golden" || {
+    echo "ci: $f output under --no-cache differs from $golden" >&2
+    exit 1
+  }
+done
+
 echo "== bench smoke =="
 # quick pass over every experiment (timing suite skipped); the bench
 # binary itself exits nonzero when any solver emitted an error-severity

@@ -510,25 +510,33 @@ and build_srn mctx places timed immediate inputs outputs inhibitors =
     | None -> err "srn: unknown place %s" n
   in
   let net_ref : Net.t option ref = ref None in
-  let with_marking m = { mctx with marking = Some (net_ref, m) } in
+  let nctx = { mctx with marking = Some net_ref } in
+  (* a literal (most arc multiplicities and many rates) reads neither the
+     marking nor the context *)
+  let at_marking = function
+    | Num x -> fun _ -> x
+    | e -> fun m -> eval_at nctx m e
+  in
   let rate_fn spec =
     match spec with
-    | `Ind e -> fun m -> ev (with_marking m) e
+    | `Ind e | `Gendep e -> at_marking e
     | `Placedep (p, e) ->
-        let i = pidx p in
-        fun m -> float_of_int m.(i) *. ev (with_marking m) e
-    | `Gendep e -> fun m -> ev (with_marking m) e
+        let i = pidx p and r = at_marking e in
+        fun m -> float_of_int m.(i) *. r m
   in
   let guard_fn = function
     | None -> fun _ -> true
-    | Some g -> fun m -> truthy (ev (with_marking m) g)
+    | Some g ->
+        let g = at_marking g in
+        fun m -> truthy (g m)
   in
   let arcs_for tname arcs select =
     List.filter_map
       (fun (a, b, card) ->
         let place, trans = select (a, b) in
         if trans = tname then
-          Some (pidx place, fun m -> int_of_float (Float.round (ev (with_marking m) card)))
+          let c = at_marking card in
+          Some (pidx place, fun m -> int_of_float (Float.round (c m)))
         else None)
       arcs
   in
@@ -551,8 +559,8 @@ and build_srn mctx places timed immediate inputs outputs inhibitors =
     Solve_cache.srn_key mctx ~places:places' ~timed ~immediate ~inputs
       ~outputs ~inhibitors
   with
-  | Some key when Sharpe_numerics.Structhash.enabled () ->
-      Solve_cache.solve_srn ~key net
+  | Some (key, rates) when Sharpe_numerics.Structhash.enabled () ->
+      Solve_cache.solve_srn ~key ?rates net
   | _ -> Srn.solve net
 
 and build_pepa mctx past =
@@ -588,10 +596,9 @@ let srn_of ctx sys arg_groups =
   | nm, _ -> err "%s is not an SRN/GSPN model" nm
 
 let reward_of_func ctx (s : Sharpe_petri.Srn.t) fname =
-  let net_ref = ref (Some (Srn.net s)) in
-  fun m ->
-    let c = { ctx with marking = Some (net_ref, m) } in
-    eval_expr c (Call (fname, []))
+  let c = { ctx with marking = Some (ref (Some (Srn.net s))) } in
+  let call = Call (fname, []) in
+  fun m -> eval_at c m call
 
 let markov_init mi =
   match mi.mk_init with

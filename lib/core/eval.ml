@@ -106,9 +106,20 @@ type env = {
 type ctx = {
   env : env;
   locals : (string, float) Hashtbl.t list;
-  marking : (Net.t option ref * int array) option;
+  marking : Net.t option ref option;
+      (* the net whose marking #(p), ?(t) and Rate(t) read: the one in
+         [current_marking] (the ref is filled once the net is built) *)
   in_func : bool;
 }
+
+(* The marking a net closure is being evaluated at, one cell per domain.
+   [eval_at] sets it around each evaluation and restores it afterwards,
+   so a closure attaches its marking without copying the context, nested
+   evaluations (a rate reading ?(t) re-enters its own net, a hierarchical
+   rate solves another) each see their own marking, and two domains
+   evaluating closures of the same net never share a cell. *)
+let current_marking : Net.marking ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
 
 let make_env ?(print = print_string) ?(fuel_limit = default_fuel_limit) () =
   { table = Hashtbl.create 64;
@@ -123,7 +134,17 @@ let make_env ?(print = print_string) ?(fuel_limit = default_fuel_limit) () =
 let base_ctx env = { env; locals = []; marking = None; in_func = false }
 let touch env = env.version <- env.version + 1
 
-let lookup_local ctx n = List.find_map (fun tbl -> Hashtbl.find_opt tbl n) ctx.locals
+(* The innermost local binding of [n].  A loop rather than
+   [List.find_map]: rate closures look names up once per edge, and the
+   closure would be allocated on every lookup. *)
+let rec find_local n = function
+  | [] -> None
+  | tbl :: rest -> (
+      match Hashtbl.find_opt tbl n with
+      | None -> find_local n rest
+      | found -> found)
+
+let lookup_local ctx n = find_local n ctx.locals
 
 let set_binding env n b =
   Hashtbl.replace env.table n b;
@@ -169,22 +190,22 @@ let rec eval_expr ctx e : float =
   | Neg e -> -.eval_expr ctx e
   | Not e -> bool_ (not (truthy (eval_expr ctx e)))
   | Binop (op, a, b) -> eval_binop ctx op a b
-  | TokCount p -> (
-      match ctx.marking with
-      | Some (net, m) -> (
-          match !net with
-          | Some n -> float_of_int m.(Net.place_index n p)
-          | None -> err "#(%s) used while the net is being built" p)
-      | None -> err "#(%s) outside a marking context" p)
-  | Enabled t -> (
-      match ctx.marking with
-      | Some (net, m) -> (
-          match !net with
-          | Some n -> bool_ (Net.enabled_named n m t)
-          | None -> err "?(%s) used while the net is being built" t)
-      | None -> err "?(%s) outside a marking context" t)
+  | TokCount p ->
+      let n = marked_net ctx "#" p in
+      float_of_int !(Domain.DLS.get current_marking).(Net.place_index n p)
+  | Enabled t ->
+      let n = marked_net ctx "?" t in
+      bool_ (Net.enabled_named n !(Domain.DLS.get current_marking) t)
   | Tmpl _ -> err "templated name used as a numeric value"
   | Call (f, groups) -> eval_call ctx f groups
+
+and marked_net ctx what name =
+  match ctx.marking with
+  | Some net -> (
+      match !net with
+      | Some n -> n
+      | None -> err "%s(%s) used while the net is being built" what name)
+  | None -> err "%s(%s) outside a marking context" what name
 
 and eval_ident ctx n =
   match lookup_local ctx n with
@@ -248,13 +269,9 @@ and eval_call ctx f groups =
         i := !i +. 1.0
       done;
       !acc
-  | "Rate", [ [ Ident t ] ] -> (
-      match ctx.marking with
-      | Some (net, m) -> (
-          match !net with
-          | Some n -> Net.rate_in n m t
-          | None -> err "Rate(%s) used while the net is being built" t)
-      | None -> err "Rate(%s) outside a marking context" t)
+  | "Rate", [ [ Ident t ] ] ->
+      let n = marked_net ctx "Rate" t in
+      Net.rate_in n !(Domain.DLS.get current_marking) t
   | _ -> (
       match Hashtbl.find_opt ctx.env.table f with
       | Some (Func (params, _)) -> call_func ctx f params (List.concat groups)
@@ -274,6 +291,20 @@ and call_func ctx fname params arg_exprs =
       | Some v -> v
       | None -> err "function %s returned no value" fname)
   | _ -> err "%s is not a function" fname
+
+(* [eval_at ctx m e]: [e] at marking [m] of [ctx]'s net. *)
+and eval_at ctx m e =
+  let cell = Domain.DLS.get current_marking in
+  let saved = !cell in
+  cell := m;
+  match eval_expr ctx e with
+  | v ->
+      cell := saved;
+      v
+  | exception ex ->
+      let bt = Printexc.get_raw_backtrace () in
+      cell := saved;
+      Printexc.raise_with_backtrace ex bt
 
 (* --- statements ------------------------------------------------------ *)
 
@@ -368,7 +399,7 @@ and exec_stmt ctx stmt : float option =
       let n = Array.length values in
       let parallel_ok =
         Pool.jobs () > 1 && n > 1 && (not (Pool.in_worker ()))
-        && (not ctx.in_func) && ctx.marking = None && parallel_safe body
+        && (not ctx.in_func) && Option.is_none ctx.marking && parallel_safe body
       in
       if parallel_ok then exec_loop_parallel ctx v values body
       else begin

@@ -10,40 +10,61 @@
    - the reachability skeleton (marking set, tangible/vanishing
      partition, successor graph) depends on places, initial tokens,
      arcs and their cardinalities, guards, priorities and transition
-     kinds — never on rate values;
+     kinds — and on rates only through which of them are 0;
    - the solved instance (skeleton + CTMC + accumulated measure caches)
      additionally depends on the rate/weight value of every edge.
 
-   This module computes a canonical STRUCTURAL KEY for a net being
-   built: the evaluated places and priorities, the arc lists, and the
-   guard/cardinality expression ASTs together with the transitive
-   closure of their free identifiers' current definitions (values for
-   bound constants and model parameters, ASTs for `var` expressions and
-   functions).  Rate expressions are deliberately excluded — they are
-   the parameter half, re-evaluated every iteration.
+   Keys.  The STRUCTURAL KEY of a net being built holds the evaluated
+   places and priorities, the arc lists, and the guard/cardinality
+   expression ASTs together with the transitive closure of their free
+   identifiers' current definitions ([close_over]: values for bound
+   constants, loop variables and model parameters, ASTs for `var`
+   expressions and functions).  The RATE KEY is the structural key plus
+   every timed rate and immediate weight AST, pinned the same way.  The
+   INSTANCE KEY is the structural key plus the skeleton's zero-rated
+   pairs and every edge weight, bit for bit.
 
    Keying discipline: anything that can change which markings are
-   reachable or which transitions are enabled must be in the key;
-   anything that only scales rates must not be.  When a guard or
-   cardinality calls something whose behaviour we cannot pin down
+   reachable or which transitions are enabled must be in the structural
+   key; anything that only scales rates must not be.  When a guard or
+   cardinality calls something whose behaviour cannot be pinned down
    symbolically (an analysis builtin, an undefined name), the net is
-   treated as UNCACHEABLE and solved cold — correctness first.
+   UNCACHEABLE and solved cold — correctness first.  A rate that cannot
+   be pinned (a hierarchical model's rate calling an analysis builtin)
+   only loses the rate key: such nets take the weights path below.
 
-   Two tables sit behind the key, both domain-local (see Structhash):
+   Zero rates.  Exploration leaves a timed transition out where its rate
+   is not positive, so the one way a rate reaches the skeleton is by
+   being 0: a skeleton explored at L = 0 lacks every marking only an
+   L-transition reaches.  A skeleton therefore records the (marking,
+   transition) pairs it left out for that reason, and a cached skeleton
+   stands only while it [Reach.fits] the current rates — every timed
+   edge still positive, every recorded pair still not.  Two skeletons of
+   one structural key can carry identical weights (rates trading places
+   between two transitions), and their recorded pairs are what keeps
+   their instances apart in the instance key.
 
-   - "srn_skeleton": structural key -> reachability skeleton.  A hit
-     skips state-space exploration; edge rates are re-evaluated.
-   - "srn_instance": structural key + bit-exact edge weights -> the
-     fully solved Srn.t.  A hit returns the same instance, preserving
-     its accumulated steady-state/transient caches across iterations of
-     an enclosing time loop.
+   Three tables (see Structhash):
 
-   Soundness of the instance cache: a lookup recomputes the key from
-   the CURRENT environment, so a hit certifies that every binding the
-   net's guards and cardinalities can observe, and the rate value at
-   every reachable marking, are identical to when the instance was
-   cached — the cached net closures therefore evaluate exactly like the
-   fresh ones would. *)
+   - "srn_skeleton" (process-shared): structural key -> reachability
+     skeleton.  A hit that still fits skips state-space exploration.
+   - "srn_instance" (domain-local): instance key -> the fully solved
+     Srn.t.  A hit returns the same instance, preserving its accumulated
+     steady-state/transient caches across iterations of an enclosing
+     time loop.
+   - "srn_rates" (domain-local): rate key -> instance key.  A hit skips
+     weighing the edges and building the instance key: the lookup costs
+     the keys' serialization and three table probes, not a pass through
+     the interpreter per edge.
+
+   Soundness: a lookup recomputes its keys from the CURRENT environment.
+   A rate-key hit certifies that every binding the net's guards,
+   cardinalities and rates can observe is what it was when the entry was
+   filed, so exploring and weighing now would give the same skeleton,
+   zero-rated pairs and weights, and hence the same instance key.  An
+   instance hit certifies the same skeleton and the same rate at every
+   edge — the cached net closures evaluate exactly like the fresh ones
+   would. *)
 
 open Ast
 module Structhash = Sharpe_numerics.Structhash
@@ -149,31 +170,37 @@ let add_fbody b = function
 (* Append the definitions of every free identifier reachable from [e] to
    the key: locals (model parameters, loop variables of sum) pin their
    VALUE; environment bindings pin value / var-AST / function-AST and
-   recurse.  [bound] are names bound inside the expression itself. *)
+   recurse.  [bound] are names bound inside the expression itself.
+
+   Names resolve the way the evaluator resolves them.  In [e] itself a
+   name is read from the locals first ([outer]); a function body sees
+   only its own parameters and binds, and a var expression none, so
+   every other name there is read from the environment even where a
+   local of the same name exists.  A called function's name is always
+   looked up in the environment, whatever is bound locally.  [visited] records each definition
+   pinned, by name and by whether it was a local's. *)
 let close_over (ctx : Eval.ctx) b visited e =
-  let rec go bound e =
+  let rec go outer bound e =
     match e with
     | Num _ | TokCount _ | Enabled _ -> ()
-    | Neg e | Not e -> go bound e
+    | Neg e | Not e -> go outer bound e
     | Binop (_, x, y) ->
-        go bound x;
-        go bound y
+        go outer bound x;
+        go outer bound y
     | Tmpl parts ->
-        List.iter (function Lit _ -> () | Sub e -> go bound e) parts
-    | Ident n -> free bound n
+        List.iter (function Lit _ -> () | Sub e -> go outer bound e) parts
+    | Ident n -> free outer bound n
     | Call ("sum", [ [ Ident v; lo; hi; body ] ]) ->
-        go bound lo;
-        go bound hi;
-        go (v :: bound) body
+        go outer bound lo;
+        go outer bound hi;
+        go outer (v :: bound) body
     | Call (f, groups) ->
-        let user_func =
-          match Hashtbl.find_opt ctx.env.table f with
-          | Some (Eval.Func _) -> true
-          | _ -> false
-        in
-        if user_func then free bound f
-        else if not (List.mem f pure_builtins) then raise Uncacheable;
-        List.iter (List.iter (go bound)) groups
+        (match Hashtbl.find_opt ctx.env.table f with
+        | Some (Eval.Func _) -> free false [] f
+        (* any binding named exp shadows the builtin (Eval.eval_call) *)
+        | Some _ when f = "exp" -> raise Uncacheable
+        | _ -> if not (List.mem f pure_builtins) then raise Uncacheable);
+        List.iter (List.iter (go outer bound)) groups
   (* Definitely-assigned walk over a function body: a name [bind]-ed on
      every path to a read is function-local (never reaches the
      environment), anything else read is a free identifier to pin.
@@ -182,14 +209,14 @@ let close_over (ctx : Eval.ctx) b visited e =
   and go_stmt bound s =
     match s with
     | SBind (n, e, _) ->
-        go bound e;
+        go false bound e;
         n :: bound
     | SExpr items ->
-        List.iter (fun (_, e) -> go bound e) items;
+        List.iter (fun (_, e) -> go false bound e) items;
         bound
     | SEcho _ -> bound
     | SIf (clauses, els) ->
-        List.iter (fun (c, _) -> go bound c) clauses;
+        List.iter (fun (c, _) -> go false bound c) clauses;
         let outs =
           go_stmts bound els
           :: List.map (fun (_, ss) -> go_stmts bound ss) clauses
@@ -201,47 +228,57 @@ let close_over (ctx : Eval.ctx) b visited e =
     | SVar _ | SFunc _ | SModel _ | SWhile _ | SLoop _ | SFormat _
     | SEpsilon _ | SSwitch _ ->
         raise Uncacheable
-  and free bound n =
-    if List.mem n bound || Hashtbl.mem visited n then ()
-    else begin
-      Hashtbl.add visited n ();
-      Structhash.add_string b "def";
-      Structhash.add_string b n;
-      match Eval.lookup_local ctx n with
-      | Some v -> Structhash.add_float b v
-      | None -> (
-          match Hashtbl.find_opt ctx.env.table n with
-          | Some (Eval.Val v) -> Structhash.add_float b v
-          | Some (Eval.VarExpr e) ->
-              Structhash.add_string b "x";
-              add_expr b e;
-              go [] e
-          | Some (Eval.Func (params, body)) ->
-              Structhash.add_string b "f";
-              Structhash.add_list b Structhash.add_string params;
-              add_fbody b body;
-              (match body with
-              | FExpr e -> go params e
-              | FStmts ss -> ignore (go_stmts params ss))
-          | Some (Eval.Model _) | None -> raise Uncacheable)
+  and free outer bound n =
+    if not (List.mem n bound) then begin
+      let local = if outer then Eval.lookup_local ctx n else None in
+      let id = (Option.is_some local, n) in
+      if not (Hashtbl.mem visited id) then begin
+        Hashtbl.add visited id ();
+        match local with
+        | Some v ->
+            Structhash.add_string b "local";
+            Structhash.add_string b n;
+            Structhash.add_float b v
+        | None -> (
+            Structhash.add_string b "def";
+            Structhash.add_string b n;
+            match Hashtbl.find_opt ctx.env.table n with
+            | Some (Eval.Val v) -> Structhash.add_float b v
+            | Some (Eval.VarExpr e) ->
+                Structhash.add_string b "x";
+                add_expr b e;
+                go false [] e
+            | Some (Eval.Func (params, body)) ->
+                Structhash.add_string b "f";
+                Structhash.add_list b Structhash.add_string params;
+                add_fbody b body;
+                (match body with
+                | FExpr e -> go false params e
+                | FStmts ss -> ignore (go_stmts params ss))
+            | Some (Eval.Model _) | None -> raise Uncacheable)
+      end
     end
   in
-  go [] e
+  go true [] e
 
-(* Structural key of an SRN being built.  [places] carries the evaluated
-   initial token counts; guard, cardinality and priority expressions come
-   from the AST.  Returns [None] when the structure cannot be pinned. *)
+(* Keys of an SRN being built.  [places] carries the evaluated initial
+   token counts; guard, cardinality, priority and rate expressions come
+   from the AST.  [None] when the structure cannot be pinned; a rate key
+   of [None] when the structure can but some rate cannot. *)
 let srn_key (ctx : Eval.ctx) ~places ~timed ~immediate ~inputs ~outputs
     ~inhibitors =
   try
     let b = Structhash.builder "srn" in
     let visited = Hashtbl.create 16 in
+    let add_pinned e =
+      add_expr b e;
+      close_over ctx b visited e
+    in
     let add_opt_expr tag = function
       | None -> Structhash.add_string b "-"
       | Some e ->
           Structhash.add_string b tag;
-          add_expr b e;
-          close_over ctx b visited e
+          add_pinned e
     in
     Structhash.add_list b
       (fun b (n, k) ->
@@ -263,8 +300,7 @@ let srn_key (ctx : Eval.ctx) ~places ~timed ~immediate ~inputs ~outputs
     let add_arc (a, c, card) =
       Structhash.add_string b a;
       Structhash.add_string b c;
-      add_expr b card;
-      close_over ctx b visited card
+      add_pinned card
     in
     Structhash.add_string b "in";
     List.iter add_arc inputs;
@@ -272,42 +308,115 @@ let srn_key (ctx : Eval.ctx) ~places ~timed ~immediate ~inputs ~outputs
     List.iter add_arc outputs;
     Structhash.add_string b "inh";
     List.iter add_arc inhibitors;
-    Some (Structhash.finish b)
+    let key = Structhash.finish b in
+    (* the rate key goes on from the structural key: definitions it
+       already pinned stay [visited] *)
+    let add_rate (tr : srn_trans) =
+      match tr.st_rate with
+      | `Ind e ->
+          Structhash.add_string b "ri";
+          add_pinned e
+      | `Placedep (p, e) ->
+          Structhash.add_string b "rp";
+          Structhash.add_string b p;
+          add_pinned e
+      | `Gendep e ->
+          Structhash.add_string b "rg";
+          add_pinned e
+    in
+    let rates =
+      try
+        Structhash.add_string b "rates";
+        List.iter add_rate timed;
+        List.iter add_rate immediate;
+        Some (Structhash.finish b)
+      with Uncacheable -> None
+    in
+    Some (key, rates)
   with Uncacheable -> None
 
-(* --- the two cache tables --------------------------------------------- *)
+(* --- the three cache tables ------------------------------------------- *)
 
-(* Skeletons are immutable, so the table is process-shared (one mutex):
+(* Skeletons are immutable, so the table is process-shared (lock-striped):
    a skeleton explored while serving one evaluation-server request is a
-   hit for every later request on any worker domain.  The instance table
-   stays domain-local — a solved Srn.t carries mutable measure caches
-   that must never be touched by two domains. *)
+   hit for every later request on any worker domain.  The instance and
+   rate tables stay domain-local — a solved Srn.t carries mutable measure
+   caches that must never be touched by two domains, and a rate key names
+   an instance key of its own domain's table. *)
 let skeleton_cache : Reach.skeleton Structhash.Table.t =
   Structhash.Table.create ~shared:true "srn_skeleton"
 
 let instance_cache : Srn.t Structhash.Table.t =
   Structhash.Table.create "srn_instance"
 
-(* Solve [net] reusing cached intermediates filed under [key].  The
-   skeleton hit skips exploration; the instance hit additionally demands
-   bit-identical edge weights and returns the previously solved instance
-   (with its accumulated measure caches).  On an instance miss the weights
-   computed for the key are the ones the solve uses: every rate closure
-   runs once per edge per lookup. *)
-let solve_srn ~key net =
-  let sk =
-    Structhash.Table.find_or_add skeleton_cache key (fun () ->
-        Reach.explore_skeleton net)
-  in
-  let w = Reach.edge_weights net sk in
+let rate_cache : string Structhash.Table.t =
+  Structhash.Table.create "srn_rates"
+
+(* The structural key, the skeleton's zero-rated pairs and every edge
+   weight bit for bit: together they name one skeleton and one CTMC. *)
+let instance_key key sk w =
   let b = Structhash.builder "srn-inst" in
   Structhash.add_string b key;
   Structhash.add_array b
+    (fun b (i, t) ->
+      Structhash.add_int b i;
+      Structhash.add_int b t)
+    (Reach.zero_rated sk);
+  Structhash.add_array b
     (fun b row -> Structhash.add_array b Structhash.add_float row)
     w;
-  let ikey = Structhash.finish b in
-  Structhash.Table.find_or_add instance_cache ikey (fun () ->
-      Srn.solve ~skeleton:sk ~weights:w net)
+  Structhash.finish b
+
+(* Solve [net] reusing the cached intermediates filed under [key] and,
+   when the rates could be pinned, [rates].
+
+   The weights path evaluates every edge weight of the cached skeleton
+   (a skeleton that no longer [fits] the rates is explored again and
+   counts as a miss), builds the instance key from them and looks the
+   instance up; on an instance miss those weights are the ones the solve
+   uses, so every rate closure runs once per edge per lookup.
+
+   A rate-key hit skips all of that: the rates are the ones the entry was
+   filed under, so the weights, and the instance key they gave, are too.
+   It still looks the skeleton up, so the skeleton counts read the same
+   with or without the rate key; the skeleton only serves when the
+   instance has been dropped since (a trim, or a solve that did not
+   finish). *)
+let solve_srn ~key ?rates net =
+  let w = ref [||] in
+  let explore () =
+    let sk = Reach.explore_skeleton net in
+    w := Reach.edge_weights net sk;
+    sk
+  in
+  let fits sk =
+    w := Reach.edge_weights net sk;
+    Reach.fits net sk !w
+  in
+  let by_weights () =
+    let sk = Structhash.Table.find_or_add skeleton_cache key ~valid:fits explore in
+    (sk, instance_key key sk !w)
+  in
+  let solve sk () = Srn.solve ~skeleton:sk ~weights:!w net in
+  match rates with
+  | None ->
+      let sk, ikey = by_weights () in
+      Structhash.Table.find_or_add instance_cache ikey (solve sk)
+  | Some rkey -> (
+      let weighed = ref None in
+      let ikey =
+        Structhash.Table.find_or_add rate_cache rkey (fun () ->
+            let sk, ikey = by_weights () in
+            weighed := Some sk;
+            ikey)
+      in
+      match !weighed with
+      | Some sk -> Structhash.Table.find_or_add instance_cache ikey (solve sk)
+      | None ->
+          let sk = Structhash.Table.find_or_add skeleton_cache key explore in
+          Structhash.Table.find_or_add instance_cache ikey (fun () ->
+              let sk = if fits sk then sk else fst (by_weights ()) in
+              solve sk ()))
 
 (* --- PEPA models ------------------------------------------------------- *)
 

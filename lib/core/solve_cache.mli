@@ -9,16 +9,21 @@
     identifiers, priorities, transition kinds) — and deliberately
     excludes rate expressions, which are the per-iteration parameters.
 
-    Two domain-local tables ({!Sharpe_numerics.Structhash.Table}):
+    Three tables ({!Sharpe_numerics.Structhash.Table}):
     ["srn_skeleton"] maps the structural key to the reachability
-    skeleton (a hit skips state-space exploration and only re-weights
-    edges), and ["srn_instance"] maps structural key + bit-exact edge
-    weights to the fully solved {!Sharpe_petri.Srn.t} (a hit preserves
-    accumulated steady/transient measure caches across iterations).
+    skeleton (a hit that still fits the current rates skips state-space
+    exploration; rates matter to it only where they are 0),
+    ["srn_instance"] maps structural key + zero-rated pairs + bit-exact
+    edge weights to the fully solved {!Sharpe_petri.Srn.t} (a hit
+    preserves accumulated steady/transient measure caches across
+    iterations), and ["srn_rates"] maps the rate key — structural key +
+    pinned rate and weight ASTs — to the instance key, so a repeated
+    lookup skips weighing the edges.
 
     Nets whose guards or cardinalities call analysis builtins or other
     constructs that cannot be pinned symbolically are reported
-    uncacheable ({!srn_key} = [None]) and solved cold. *)
+    uncacheable ({!srn_key} = [None]) and solved cold; nets whose rates
+    cannot be pinned are weighed on every lookup. *)
 
 val srn_key :
   Eval.ctx ->
@@ -28,15 +33,20 @@ val srn_key :
   inputs:(string * string * Ast.expr) list ->
   outputs:(string * string * Ast.expr) list ->
   inhibitors:(string * string * Ast.expr) list ->
-  string option
-(** Canonical structural key of a net being built under [ctx]; [places]
-    carries the already-evaluated initial token counts.  [None] when the
-    structure cannot be pinned down (then solve cold). *)
+  (string * string option) option
+(** The structural key of a net being built under [ctx] ([places] carries
+    the already-evaluated initial token counts) and its rate key: the
+    structural key plus every timed rate and immediate weight AST with
+    the definitions of its free identifiers.  [None] when the structure
+    cannot be pinned down (then solve cold); a rate key of [None] when
+    some rate cannot (then {!solve_srn} re-weights on every lookup). *)
 
-val solve_srn : key:string -> Sharpe_petri.Net.t -> Sharpe_petri.Srn.t
-(** Solve the net, reusing the cached reachability skeleton (and, when
-    every edge weight is bit-identical, the cached solved instance)
-    filed under [key]. *)
+val solve_srn :
+  key:string -> ?rates:string -> Sharpe_petri.Net.t -> Sharpe_petri.Srn.t
+(** Solve the net, reusing the cached reachability skeleton filed under
+    [key] while it fits the current rates, and the cached solved instance
+    when every edge weight is bit-identical.  With [~rates] (the rate key)
+    a repeated lookup finds the instance without evaluating any weight. *)
 
 val pepa_key : Eval.ctx -> Sharpe_pepa.Ast.model -> string option
 (** Skeleton key of a PEPA model under [ctx]: the canonical AST plus

@@ -210,20 +210,21 @@ module Table = struct
         trimmers := (fun () -> trim_table t) :: !trimmers);
     t
 
-  let find_or_add t key compute =
+  let find_or_add ?valid t key compute =
+    let usable v = match valid with None -> true | Some ok -> ok v in
     if not (enabled ()) then compute ()
     else
       match t.store with
       | Local slot -> (
           let tbl = table_of_ref t.epoch (Domain.DLS.get slot) in
           match Hashtbl.find_opt tbl key with
-          | Some v ->
+          | Some v when usable v ->
               Atomic.incr t.hits;
               v
-          | None ->
+          | _ ->
               Atomic.incr t.misses;
               let v = compute () in
-              Hashtbl.add tbl key v;
+              Hashtbl.replace tbl key v;
               v)
       | Shared segs -> (
           let seg = segment_of segs key in
@@ -231,17 +232,22 @@ module Table = struct
             Mutex.protect seg.seg_mutex (fun () ->
                 Hashtbl.find_opt (table_of_ref t.epoch seg.seg_store) key)
           in
+          (* [valid] runs outside the lock, like [compute] *)
           match found with
-          | Some v ->
+          | Some v when usable v ->
               Atomic.incr t.hits;
               v
-          | None ->
+          | _ ->
               Atomic.incr t.misses;
               (* compute OUTSIDE the lock: a slow exploration must not
                  stall every other domain's lookups.  Two domains may
-                 race to compute the same key; both results are built
-                 from identical structure, so last-write-wins is
-                 harmless (one redundant solve, never a wrong one). *)
+                 race to compute the same key, and their results need
+                 not be equal when the key does not capture every input
+                 (an SRN skeleton depends on which rates are 0).
+                 Last-write-wins is still harmless: a caller whose key
+                 does capture every input gets interchangeable values,
+                 and one that does not passes [valid], which re-checks
+                 whatever a later lookup reads. *)
               let v = compute () in
               Mutex.protect seg.seg_mutex (fun () ->
                   Hashtbl.replace (table_of_ref t.epoch seg.seg_store) key v);

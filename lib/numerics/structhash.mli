@@ -85,13 +85,17 @@ module Table : sig
       module initialization, once per cache site.  [~shared:true] uses
       one mutex-protected store for the whole process instead of one
       store per domain — only sound when the cached values are immutable
-      (the computing function may run twice for a racing key; the results
-      must be interchangeable). *)
+      (the computing function may run twice for a racing key, and the
+      last result stored wins: the results must be interchangeable, or
+      every lookup must re-check them with [valid]). *)
 
-  val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
+  val find_or_add : ?valid:('a -> bool) -> 'a t -> string -> (unit -> 'a) -> 'a
   (** [find_or_add t key compute] returns the cached value for [key] or
       computes, stores and returns it.  When caching is disabled it just
-      runs [compute] (and counts nothing). *)
+      runs [compute] (and counts nothing).  A cached value for which
+      [valid] returns [false] counts as a miss and is replaced by a fresh
+      [compute]: for values whose key cannot capture every input (an SRN
+      skeleton depends on which rates are zero). *)
 
   val find_opt : 'a t -> string -> 'a option
 end

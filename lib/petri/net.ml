@@ -56,7 +56,8 @@ let transition_index t name =
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Net: unknown transition %s" name)
 
-let structurally_enabled _t tr m =
+(* Guard, input and inhibitor conditions: everything but the rate. *)
+let arcs_allow tr m =
   tr.guard m
   && List.for_all (fun (p, mult) -> m.(p) >= mult m) tr.inputs
   && List.for_all
@@ -65,21 +66,28 @@ let structurally_enabled _t tr m =
          (* cardinality-0 inhibitor arcs never inhibit (degenerate) *)
          c = 0 || m.(p) < c)
        tr.inhibitors
-  && (tr.kind = Immediate || tr.rate m > 0.0)
 
-let enabled t m =
-  let raw = ref [] in
-  Array.iteri (fun i tr -> if structurally_enabled t tr m then raw := i :: !raw) t.trans;
-  let raw = List.rev !raw in
-  if raw = [] then []
-  else begin
-    let eff i =
-      let tr = t.trans.(i) in
-      (if tr.kind = Immediate then 1_000_000 else 0) + tr.priority
-    in
-    let best = List.fold_left (fun b i -> max b (eff i)) min_int raw in
-    List.filter (fun i -> eff i = best) raw
-  end
+let enabled_and_zero_rated t m =
+  let raw = ref [] and zero = ref [] in
+  Array.iteri
+    (fun i tr ->
+      if arcs_allow tr m then
+        if tr.kind = Immediate || tr.rate m > 0.0 then raw := i :: !raw
+        else zero := i :: !zero)
+    t.trans;
+  let eff i =
+    let tr = t.trans.(i) in
+    (if tr.kind = Immediate then 1_000_000 else 0) + tr.priority
+  in
+  let best = List.fold_left (fun b i -> max b (eff i)) min_int !raw in
+  (* a zero-rated transition below [best] would stay disabled by priority
+     at any rate, so only those at or above it are reported *)
+  ( List.rev (List.filter (fun i -> eff i = best) !raw),
+    match !zero with
+    | [] -> []
+    | zero -> List.rev (List.filter (fun i -> eff i >= best) zero) )
+
+let enabled t m = fst (enabled_and_zero_rated t m)
 
 (* FNV-1a over every place (offset basis cut to OCaml's 63-bit ints),
    folded to a nonnegative int.  The final xor-shift carries the high

@@ -39,11 +39,17 @@ val initial_marking : t -> marking
 val transitions : t -> transition array
 val transition_index : t -> string -> int
 
-val structurally_enabled : t -> transition -> marking -> bool
-(** Guard, input and inhibitor conditions, ignoring priorities. *)
-
 val enabled : t -> marking -> int list
-(** Indices of the fireable transitions after the priority rule. *)
+(** Indices of the fireable transitions after the priority rule: among
+    those whose guard, input and inhibitor conditions hold and, for a
+    timed transition, whose rate is positive. *)
+
+val enabled_and_zero_rated : t -> marking -> int list * int list
+(** [enabled] together with the timed transitions it left out only
+    because their rate is not positive (0, negative or NaN) and that the
+    priority rule would keep if it were: the transitions whose rate
+    decides, beside the net's structure, what [enabled] returns in this
+    marking.  Both lists in increasing index order. *)
 
 val hash_marking : marking -> int
 (** A nonnegative hash of every place's token count, computed without

@@ -6,12 +6,18 @@ open Sharpe_numerics
    determined entirely by net structure (places, arcs, cardinalities,
    guards, priorities, initial marking) and never by rate or weight
    values, so a sweep that only re-binds rates can re-weight a cached
-   skeleton instead of re-exploring the state space. *)
+   skeleton instead of re-exploring the state space.  The one exception
+   is a rate of 0: exploration leaves a timed transition out where its
+   rate is not positive, and [sk_zero_rated] records where it did so that
+   [fits] can tell when the current rates would explore differently. *)
 type skeleton = {
   sk_markings : Net.marking array;
   sk_vanishing : bool array;
   sk_succs : (int * int) array array;
       (* per marking: (target marking, firing transition index) *)
+  sk_zero_rated : (int * int) array;
+      (* (marking, transition) pairs left out only for a rate that is not
+         positive, in exploration order (see [Net.enabled_and_zero_rated]) *)
 }
 
 type t = {
@@ -72,11 +78,12 @@ let explore_skeleton ?(max_markings = 200_000) n =
   let m0 = Net.initial_marking n in
   ignore (intern m0);
   let trans = Net.transitions n in
-  let succs = ref [] and vans = ref [] in
+  let succs = ref [] and vans = ref [] and zeros = ref [] in
   while not (Queue.is_empty queue) do
     Deadline.check ();
     let i, m = Queue.pop queue in
-    let en = Net.enabled n m in
+    let en, zero = Net.enabled_and_zero_rated n m in
+    if zero <> [] then List.iter (fun ti -> zeros := (i, ti) :: !zeros) zero;
     (* after the priority rule an enabled immediate transition excludes
        every timed one, so one immediate in [en] makes [m] vanishing *)
     let vanishing = List.exists (fun ti -> trans.(ti).Net.kind = Net.Immediate) en in
@@ -91,7 +98,10 @@ let explore_skeleton ?(max_markings = 200_000) n =
   List.iter (fun (i, s) -> succ_arr.(i) <- s) !succs;
   let van_arr = Array.make nmk false in
   List.iter (fun (i, v) -> van_arr.(i) <- v) !vans;
-  { sk_markings = markings; sk_vanishing = van_arr; sk_succs = succ_arr }
+  { sk_markings = markings; sk_vanishing = van_arr; sk_succs = succ_arr;
+    sk_zero_rated = Array.of_list (List.rev !zeros) }
+
+let zero_rated sk = sk.sk_zero_rated
 
 (* The current rate/weight of every skeleton edge: the cheap,
    parameter-dependent half of exploration, and the only place a rate
@@ -102,12 +112,35 @@ let edge_weights n sk =
      than 256 fields with a freshly allocated row forces a minor
      collection, a stop-the-world pause on every domain, per call *)
   let w = Array.make (Array.length sk.sk_succs) [||] in
+  for i = 0 to Array.length w - 1 do
+    let out = sk.sk_succs.(i) and m = sk.sk_markings.(i) in
+    let row = Array.create_float (Array.length out) in
+    for k = 0 to Array.length out - 1 do
+      row.(k) <- trans.(snd out.(k)).Net.rate m
+    done;
+    w.(i) <- row
+  done;
+  w
+
+(* Exploration under the current rates would rebuild [sk] exactly when
+   every timed edge still has a positive rate and every transition left
+   out for a rate that was not positive still has none: the enabled set
+   of each marking, and with it every successor list, is then the same. *)
+let fits n sk w =
+  let trans = Net.transitions n in
+  let ok = ref true in
   Array.iteri
     (fun i out ->
-      let m = sk.sk_markings.(i) in
-      w.(i) <- Array.map (fun (_, ti) -> trans.(ti).Net.rate m) out)
+      let wi = w.(i) in
+      for k = 0 to Array.length out - 1 do
+        if trans.(snd out.(k)).Net.kind = Net.Timed && not (wi.(k) > 0.0) then
+          ok := false
+      done)
     sk.sk_succs;
-  w
+  !ok
+  && Array.for_all
+       (fun (i, ti) -> not (trans.(ti).Net.rate sk.sk_markings.(i) > 0.0))
+       sk.sk_zero_rated
 
 (* absorption distributions of vanishing markings over tangible markings *)
 let vanishing_absorption sk w tangible_id =

@@ -13,15 +13,32 @@ type skeleton
     transition indices.  Determined entirely by net structure (places,
     arcs, cardinalities, guards, priorities, initial marking) — never by
     rate or weight values — so a sweep that only re-binds rates can
-    re-weight a cached skeleton instead of re-exploring. *)
+    re-weight a cached skeleton instead of re-exploring — except where a
+    timed rate is 0: exploration leaves such a transition out, so a rate
+    turning positive (or an edge's rate turning 0) can change the
+    skeleton.  {!fits} tells when it does. *)
 
 val explore_skeleton : ?max_markings:int -> Net.t -> skeleton
 val n_markings : skeleton -> int
+
+val zero_rated : skeleton -> (int * int) array
+(** The (marking, transition) pairs exploration left out only because the
+    timed transition's rate was not positive there and the priority rule
+    would have kept it otherwise, in exploration order.  Two skeletons
+    explored from structurally identical nets are equal whenever their
+    [zero_rated] pairs are (the first marking where they would differ
+    has such a pair in one and not the other). *)
 
 val edge_weights : Net.t -> skeleton -> float array array
 (** The current rate/weight of every skeleton edge (same iteration order
     as the skeleton's successor lists) under the net's rate closures —
     the parameter-dependent half of the analysis, cheap to evaluate. *)
+
+val fits : Net.t -> skeleton -> float array array -> bool
+(** [fits n sk (edge_weights n sk)]: whether exploring [n] now would
+    build [sk] again — every timed edge has a positive rate and every
+    {!zero_rated} pair still has none.  A skeleton reused for a
+    structurally identical net must fit it. *)
 
 val build :
   ?max_markings:int -> ?skeleton:skeleton -> ?weights:float array array ->
@@ -30,7 +47,8 @@ val build :
     [~skeleton] skips exploration and only re-evaluates edge
     rates/weights; the caller must guarantee the skeleton was built from
     a structurally identical net (same places, arcs, cardinality and
-    guard behaviour, priorities and initial marking — rates may differ).
+    guard behaviour, priorities and initial marking — rates may differ)
+    and that it {!fits} this net's rates.
     [~weights] skips that re-evaluation too: it must be
     [edge_weights n sk] for the skeleton in use (a caller that already
     computed them, e.g. for a cache key, passes them on so every rate

@@ -167,7 +167,371 @@ let test_wfs_loop_cache_counts () =
   Alcotest.(check (pair int int)) "srn_skeleton hits, misses" (29, 1)
     (stat "srn_skeleton");
   Alcotest.(check (pair int int)) "srn_instance hits, misses" (27, 3)
+    (stat "srn_instance");
+  Alcotest.(check (pair int int)) "srn_rates hits, misses" (27, 3)
+    (stat "srn_rates")
+
+(* --- zero rates and the skeleton ----------------------------------------- *)
+
+(* Exploration leaves a timed transition out where its rate is 0, so a
+   skeleton explored at L = 0 has no edge out of the initial marking.
+   Reused after L turns positive it would keep the token in [src]; cold,
+   the token ends in [buf].  Both loop directions, against the cold run. *)
+let zero_rate_queue loop last =
+  Printf.sprintf
+    {|srn q (L)
+src 1
+buf 0
+end
+arr ind L
+end
+end
+src arr 1
+end
+arr buf 1
+end
+end
+%s
+  expr etok(q, buf; L)
+end
+expr etok(q, buf; %s)
+end
+|}
+    loop last
+
+let cached_and_cold program =
+  fresh_cache ();
+  let cached, f1 = run program in
+  Structhash.set_enabled false;
+  let cold, f2 =
+    Fun.protect ~finally:(fun () -> Structhash.set_enabled true) (fun () -> run program)
+  in
+  (cached, f1, cold, f2)
+
+(* Two transitions out of [p] whose rates trade places between L = 0 and
+   L = 1: the two skeletons differ ({p, r} against {p, q}) but carry the
+   same weights, [[1]; []].  Only the zero-rated pairs tell their solved
+   instances apart. *)
+let fork =
+  {|srn fork (L)
+p 1
+q 0
+r 0
+end
+a ind L
+b ind 1 - L
+end
+end
+p a 1
+p b 1
+end
+a q 1
+b r 1
+end
+end
+loop L, 0, 1, 1
+  expr etok(fork, q; L)
+end
+loop L, 1, 0, -1
+  expr etok(fork, q; L)
+end
+end
+|}
+
+let test_zero_rate_skeleton () =
+  List.iter
+    (fun (program, expected) ->
+      let cached, f1, cold, f2 = cached_and_cold program in
+      Alcotest.(check int) "no failed statements (cold)" 0 f2;
+      Alcotest.(check int) "no failed statements (cached)" 0 f1;
+      Alcotest.(check string) "cold answers" expected
+        (String.concat ","
+           (List.filter_map
+              (fun l ->
+                match List.rev (String.split_on_char ' ' l) with
+                | v :: _ :: _ -> Some v
+                | _ -> None)
+              (String.split_on_char '\n' cold)));
+      Alcotest.(check string) "cached output equals cold output" cold cached)
+    [ (zero_rate_queue "loop L, 0, 1, 1" "1", "0.000000,1.000000,1.000000");
+      (zero_rate_queue "loop L, 1, 0, -1" "0", "1.000000,0.000000,0.000000");
+      (fork, "0.000000,1.000000,1.000000,0.000000") ]
+
+(* The skeleton table is shared by every session of the process: one
+   session exploring the queue at L = 0 must not decide what another sees
+   at L = 1. *)
+let test_zero_rate_across_sessions () =
+  fresh_cache ();
+  let a = Interp.Session.create () and b = Interp.Session.create () in
+  let out_a, _ = Interp.Session.eval a (zero_rate_queue "loop L, 0, 0, 1" "0") in
+  let out_b, _ = Interp.Session.eval b (zero_rate_queue "loop L, 1, 1, 1" "1") in
+  Alcotest.(check string) "session a at L = 0"
+    "etok(q, buf; L): 0.000000\netok(q, buf; 0): 0.000000\n" out_a;
+  Alcotest.(check string) "session b at L = 1"
+    "etok(q, buf; L): 1.000000\netok(q, buf; 1): 1.000000\n" out_b
+
+(* --- the rate key ------------------------------------------------------- *)
+
+(* A two-place repairable system whose failure rate is [fl]; [body] asks
+   for measures while some input of that rate changes and comes back, so
+   the rate key both misses and hits.  The structural key never changes. *)
+let repairable ?(params = "") ?(prelude = "") fl body =
+  Printf.sprintf
+    {|format 8
+%s
+srn m (%s)
+up 3
+dn 0
+end
+fl %s
+rp ind 1.0
+end
+end
+up fl 1
+dn rp 1
+end
+fl dn 1
+rp up 1
+end
+end
+func nup() #(up)
+%s
+end
+|}
+    prelude params fl body
+
+let rate_programs =
+  [ ( "re-bound constant",
+      repairable ~prelude:"bind lam 0.5" "placedep up lam"
+        "expr srn_exrss(m; nup)\nbind lam 2\nexpr srn_exrss(m; nup)\n\
+         bind lam 0.5\nexpr srn_exrss(m; nup)\nexpr srn_exrt(1, m; nup)" );
+    ( "model parameter",
+      repairable ~params:"lam" "placedep up lam"
+        "loop r, 1, 3, 1\n  expr srn_exrss(m; nup; r)\n  expr srn_exrt(2, m; nup; r)\nend\n\
+         expr srn_exrss(m; nup; 1)\nexpr srn_exrss(m; nup; 2)" );
+    ( "loop variable",
+      repairable "ind r"
+        "loop r, 1, 2, 1\n  loop t, 1, 3, 1\n    expr srn_exrt(t, m; nup)\n  end\nend\n\
+         loop r, 2, 1, -1\n  expr srn_exrss(m; nup)\nend" );
+    ( "redefined func",
+      repairable ~prelude:"func f() 0.5" "ind f()"
+        "expr srn_exrss(m; nup)\nfunc f() 0.5 * 3\nexpr srn_exrss(m; nup)\n\
+         func f() 0.5\nexpr srn_exrss(m; nup)\nfunc f() 1.5\nexpr srn_exrss(m; nup)" );
+    ( "var expression",
+      repairable ~prelude:"bind a 1\nvar v a * 0.25" "ind v"
+        "expr srn_exrss(m; nup)\nbind a 4\nexpr srn_exrss(m; nup)\n\
+         var v a * 0.0625\nexpr srn_exrss(m; nup)\nbind a 1\nvar v a * 0.25\n\
+         expr srn_exrss(m; nup)" );
+    (* a function body and a var expression read the global L, not the
+       model parameter of the same name *)
+    ( "global read by a func under a parameter of its name",
+      repairable ~params:"L" ~prelude:"bind L 1\nfunc f() L * 0.5" "ind f()"
+        "expr srn_exrss(m; nup; 5)\nbind L 3\nexpr srn_exrss(m; nup; 5)\n\
+         bind L 1\nexpr srn_exrss(m; nup; 5)" );
+    ( "global read by a var under a parameter of its name",
+      repairable ~params:"L" ~prelude:"bind L 1\nvar v L * 0.5" "ind v"
+        "expr srn_exrss(m; nup; 5)\nbind L 3\nexpr srn_exrss(m; nup; 5)\n\
+         bind L 1\nexpr srn_exrss(m; nup; 5)" );
+    (* a call looks its name up in the environment, never in the locals *)
+    ( "func called under a parameter of its name",
+      repairable ~params:"f" ~prelude:"func f() 0.5" "ind f()"
+        "expr srn_exrss(m; nup; 1)\nfunc f() 1.5\nexpr srn_exrss(m; nup; 1)\n\
+         func f() 0.5\nexpr srn_exrss(m; nup; 1)" );
+    ( "marking-dependent rate",
+      repairable ~prelude:"bind lam 0.5" "gendep lam * #(up) * #(up)"
+        "loop lam, 1, 3, 1\n  expr srn_exrss(m; nup)\nend\nbind lam 1\n\
+         expr srn_exrss(m; nup)\nexpr srn_exrt(1, m; nup)" );
+    ( "immediate weight 1 - c",
+      {|format 8
+srn w (c)
+up 2
+st 0
+dn 0
+sd 0
+end
+fl placedep up 0.1
+rp ind 1.0
+rs ind 0.5
+end
+cv ind c
+uc ind 1 - c
+end
+up fl 1
+st cv 1
+st uc 1
+dn rp 1
+sd rs 1
+end
+fl st 1
+cv dn 1
+uc sd 1
+rp up 1
+rs up 1
+end
+end
+end
+func nup() #(up)
+loop c, 0.2, 0.8, 0.3
+  expr srn_exrss(w; nup; c)
+  expr srn_exrt(1, w; nup; c)
+end
+expr srn_exrss(w; nup; 0.5)
+end
+|} ) ]
+
+let test_rate_key_matches_cold () =
+  List.iter
+    (fun (name, program) ->
+      let cached, f1, cold, f2 = cached_and_cold program in
+      Alcotest.(check int) (name ^ ": no failed statements (cold)") 0 f2;
+      Alcotest.(check int) (name ^ ": no failed statements (cached)") 0 f1;
+      Alcotest.(check string) (name ^ ": cached output equals cold output")
+        cold cached;
+      fresh_cache ();
+      ignore (run program);
+      let hits, misses = stat "srn_rates" in
+      Alcotest.(check bool) (name ^ ": the rate key hits and misses") true
+        (hits > 0 && misses > 1))
+    rate_programs
+
+(* A rate that calls an analysis builtin (a hierarchical model) cannot be
+   pinned: every lookup re-weights, and the instance table still serves. *)
+let test_hierarchical_rate_weights_path () =
+  let program =
+    {|format 8
+bind lam 0.5
+block b
+comp c exp(lam)
+end
+|}
+    ^ repairable "ind 1 / mean(b)"
+        "expr srn_exrss(m; nup)\nexpr srn_exrt(1, m; nup)\nbind lam 2\n\
+         expr srn_exrss(m; nup)\nbind lam 0.5\nexpr srn_exrss(m; nup)"
+  in
+  let cached, f1, cold, f2 = cached_and_cold program in
+  Alcotest.(check int) "no failed statements (cold)" 0 f2;
+  Alcotest.(check int) "no failed statements (cached)" 0 f1;
+  Alcotest.(check string) "cached output equals cold output" cold cached;
+  fresh_cache ();
+  ignore (run program);
+  Alcotest.(check (pair int int)) "no rate key" (0, 0) (stat "srn_rates");
+  Alcotest.(check (pair int int)) "instances by weight" (1, 2)
     (stat "srn_instance")
+
+(* A binding named exp shadows the builtin, so exp(x) in a rate stops
+   evaluating: the rate key must not answer for it. *)
+let test_shadowed_exp_rate () =
+  let program =
+    repairable "placedep up exp(0 - 1)"
+      "expr srn_exrss(m; nup)\nbind exp 2\nexpr srn_exrss(m; nup)"
+  in
+  let cached, f1, cold, f2 = cached_and_cold program in
+  Alcotest.(check int) "the shadowed call fails (cold)" 1 f2;
+  Alcotest.(check int) "the shadowed call fails (cached)" 1 f1;
+  Alcotest.(check string) "cached output equals cold output" cold cached
+
+(* --- allocation on the sweep path --------------------------------------- *)
+
+module Parser = Sharpe_lang.Parser
+module Builtins = Sharpe_lang.Builtins
+module Reach = Sharpe_petri.Reach
+
+(* n tokens on a three-place ring: C(n + 2, 2) markings, three rate forms
+   (a global, a model parameter, a marking-dependent expression) *)
+let ring_program =
+  {|bind lam 0.5
+srn ring (n, mu)
+p0 n
+p1 0
+p2 0
+end
+t0 placedep p0 lam
+t1 ind mu
+t2 gendep #(p2) * 0.5 + lam
+end
+end
+p0 t0 1
+p1 t1 1
+p2 t2 1
+end
+t0 p1 1
+t1 p2 1
+t2 p0 1
+end
+end
+|}
+
+let least_words f =
+  List.fold_left min infinity
+    (List.init 3 (fun _ ->
+         let w0 = Gc.minor_words () in
+         ignore (Sys.opaque_identity (f ()));
+         Gc.minor_words () -. w0))
+
+let ring_session () =
+  fresh_cache ();
+  let env = Eval.make_env ~print:ignore () in
+  let ctx = Eval.base_ctx env in
+  List.iter (fun st -> ignore (Eval.exec_stmt ctx st)) (Parser.parse_string ring_program);
+  let inst n =
+    match Builtins.instantiate ctx "ring" [ float_of_int n; 2.0 ] with
+    | Eval.ISrn s -> s
+    | _ -> Alcotest.fail "ring is not an SRN"
+  in
+  (env, inst)
+
+(* Evaluating an interpreted rate closure must not copy the interpreter
+   context: what an edge costs is the expression's own evaluation (about
+   7 words on this ring; a context copy alone was 10 more). *)
+let test_edge_weights_allocation () =
+  let _, inst = ring_session () in
+  let s = inst 43 in
+  let net = Srn.net s and sk = Srn.skeleton_of s in
+  Alcotest.(check int) "990 markings" 990 (Reach.n_markings sk);
+  let edges =
+    Array.fold_left (fun a r -> a + Array.length r) 0 (Reach.edge_weights net sk)
+  in
+  let per_edge = least_words (fun () -> Reach.edge_weights net sk) /. float_of_int edges in
+  if per_edge > 10.0 then
+    Alcotest.failf "edge_weights allocates %.1f minor words per edge (bound 10)" per_edge
+
+(* The marking a closure reads sits in a per-domain cell: two domains
+   weighing the same interpreted net at once both get the serial weights. *)
+let test_closures_on_two_domains () =
+  let _, inst = ring_session () in
+  let s = inst 20 in
+  let net = Srn.net s and sk = Srn.skeleton_of s in
+  let serial = Reach.edge_weights net sk in
+  let weigh () = List.init 20 (fun _ -> Reach.edge_weights net sk) in
+  let other = Domain.spawn weigh in
+  let here = weigh () in
+  let there = Domain.join other in
+  List.iter
+    (fun w ->
+      if w <> serial then Alcotest.fail "weights differ from the serial ones")
+    (here @ there)
+
+(* A repeated lookup that the rate key answers costs the same on a net
+   four times the size: nothing in it is proportional to the edge count. *)
+let test_rate_key_hit_allocation () =
+  let env, inst = ring_session () in
+  let hit n =
+    ignore (inst n);
+    least_words (fun () ->
+        Eval.touch env;
+        inst n)
+  in
+  let small = hit 20 and large = hit 43 in
+  let s = inst 43 and s' = inst 20 in
+  let edges s =
+    Array.fold_left (fun a r -> a + Array.length r) 0
+      (Reach.edge_weights (Srn.net s) (Srn.skeleton_of s))
+  in
+  let extra_edges = float_of_int (edges s - edges s') in
+  if large -. small > extra_edges /. 10.0 then
+    Alcotest.failf "a rate-key hit on %.0f more edges allocates %.0f more minor words"
+      extra_edges (large -. small);
+  Alcotest.(check (pair int int)) "the lookups hit the rate key" (7, 2) (stat "srn_rates")
 
 (* --- structural keys --------------------------------------------------- *)
 
@@ -588,6 +952,22 @@ let suite =
       test_instance_cache_transients;
     Alcotest.test_case "wfs loop cache hits and misses" `Quick
       test_wfs_loop_cache_counts;
+    Alcotest.test_case "zero-rate skeleton matches cold" `Quick
+      test_zero_rate_skeleton;
+    Alcotest.test_case "zero-rate skeleton across sessions" `Quick
+      test_zero_rate_across_sessions;
+    Alcotest.test_case "rate key matches cold runs" `Quick
+      test_rate_key_matches_cold;
+    Alcotest.test_case "hierarchical rate takes the weights path" `Quick
+      test_hierarchical_rate_weights_path;
+    Alcotest.test_case "shadowed exp in a rate matches cold" `Quick
+      test_shadowed_exp_rate;
+    Alcotest.test_case "edge weights allocate per edge, not per context" `Quick
+      test_edge_weights_allocation;
+    Alcotest.test_case "rate-key hit allocates nothing per edge" `Quick
+      test_rate_key_hit_allocation;
+    Alcotest.test_case "net closures on two domains at once" `Quick
+      test_closures_on_two_domains;
     Alcotest.test_case "float keys are bit-exact and injective" `Quick
       test_float_keys;
     QCheck_alcotest.to_alcotest prop_key_roundtrip;
