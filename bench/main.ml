@@ -1,12 +1,17 @@
-(* Benchmark harness: regenerates every table and figure of the paper
+(* Experiment harness: regenerates every table and figure of the paper
    (thesis "The Reconstruction of SHARPE" / the DSN-2002 SHARPE tool paper)
-   and times the solver kernels with Bechamel.
+   and runs the daemon's chaos and crash-recovery soaks.  Timing lives in
+   perfbench/, the repository's one benchmark.
 
    Usage:
-     main.exe                 run every experiment, then the timing suite
+     main.exe                 run every experiment
      main.exe --quick         skip the slow experiments (E7 ATM, E23 Erlang)
      main.exe --table E9      run a single experiment
-     main.exe --no-time       skip the Bechamel timing suite
+     main.exe --chaos [--seconds S] [--clients N] [--seed K]
+                              the chaos soak, then the crash-recovery soak
+
+   The run exits 1 when an experiment raises or a solver records an
+   error-severity diagnostic.
 
    Experiment ids follow DESIGN.md's experiment index.  Every experiment
    prints the rows of the corresponding paper artifact; several also print a
@@ -14,7 +19,6 @@
    thesis' own hand-reduced CTMC) so the reproduction can be judged in
    place. *)
 
-module E = Sharpe_expo.Exponomial
 module D = Sharpe_expo.Dist
 module Ctmc = Sharpe_markov.Ctmc
 module Fast_mttf = Sharpe_markov.Fast_mttf
@@ -23,7 +27,6 @@ module Srn = Sharpe_petri.Srn
 module Reach = Sharpe_petri.Reach
 module Rbd = Sharpe_rbd.Rbd
 module Ftree = Sharpe_ftree.Ftree
-module Pfqn = Sharpe_pfqn.Pfqn
 
 let printf = Printf.printf
 
@@ -399,175 +402,27 @@ let a4 () =
 let () = register "A4" "ablation - fast (aggregated) MTTF vs exact MTTF" a4
 
 (* ====================================================================== *)
-(* S1 — sweep engine: serial-cold vs structural-cache vs cache+parallel   *)
+(* --chaos: fault-injection soak for the daemon                           *)
 (* ====================================================================== *)
 
-(* A coverage sweep over the E1 wfs net scaled to N workstations (state
-   space grows quadratically in N), run three ways through the actual
-   interpreter loop:
+(* `bench --chaos [--seconds S] [--clients N] [--seed K]` runs an
+   in-process sharped under deliberately hostile conditions — injected
+   worker-job crashes and slowdowns, malformed frames, mid-request
+   disconnects, and session churn against a small session cap with a
+   short TTL — while N concurrent clients replay [chaos_model] below.
 
-     serial-cold    solve cache disabled, 1 domain — every (c, t) point
-                    re-explores the reachability set and re-eliminates
-                    the vanishing markings from scratch;
-     cached-serial  structural solve cache enabled, 1 domain;
-     cached-jobs4   cache enabled, loop iterations on 4 domains.
+   Pass criteria: the daemon never crashes (it still answers at the
+   end), every successful eval's output is byte-identical to the golden
+   output computed in-process, every failure is a parseable structured
+   response with a known error kind, the session count stays within its
+   cap, and process RSS stays bounded. *)
 
-   All three must print bit-identical output; wall-clock times land in
-   BENCH_sweep.json at the repository root. *)
+let chaos_allowed_kinds =
+  [ "bad_request"; "oversized"; "overloaded"; "timeout"; "internal_error";
+    "session_expired"; "quota_exhausted"; "eval_error" ]
 
-let quick_mode = ref false
-
-let sweep_program n =
-  Printf.sprintf
-    {|format 8
-func avail()
-if ((#(wsup) > 0) and (#(fsup) == 1))
-1
-else
-0
-end
-end
-
-srn wfs (c)
-wsup %d
-fsup 1
-wst 0
-wsdn 0
-fsdn 0
-end
-wsfl placedep wsup 0.0001
-fsfl ind 0.00005
-wsrp ind 1.0
-fsrp ind 0.5
-end
-wscv ind c
-wsuc ind 1 - c
-end
-wsup wsfl 1
-fsup fsfl 1
-fsup wsuc 1
-wst wscv 1
-wst wsuc 1
-wsdn wsrp 1
-fsdn fsrp 1
-end
-wsfl wst 1
-wsrp wsup 1
-fsfl fsdn 1
-fsrp fsup 1
-wscv wsdn 1
-wsuc wsdn 1
-wsuc fsdn 1
-end
-fsdn wsfl 1
-fsdn wsrp 1
-wsdn fsfl 2
-end
-
-loop c, 0.70, 0.90, %s
-  loop t, 1, 10, 1
-    expr srn_exrt(t, wfs; avail; c)
-  end
-  expr srn_exrt(20, wfs; avail; c)
-end
-
-end
-|}
-    n
-    (if !quick_mode then "0.05" else "0.01")
-
-let repo_root = Filename.dirname (Filename.dirname examples_dir)
-
-let s1 () =
-  let module Structhash = Sharpe_numerics.Structhash in
-  let module Pool = Sharpe_numerics.Pool in
-  let n = if !quick_mode then 10 else 120 in
-  let program = sweep_program n in
-  let time_config ~cache ~jobs () =
-    Structhash.set_enabled cache;
-    Structhash.clear_all ();
-    Structhash.reset_stats ();
-    Pool.set_jobs jobs;
-    Pool.reset_participation ();
-    let buf = Buffer.create 65536 in
-    let t0 = Unix.gettimeofday () in
-    Sharpe_lang.Interp.run_string ~print:(Buffer.add_string buf) program;
-    let dt = Unix.gettimeofday () -. t0 in
-    let part = Pool.participation () in
-    Structhash.set_enabled true;
-    Pool.set_jobs 1;
-    (dt, Buffer.contents buf, part)
-  in
-  let t_cold, out_cold, _ = time_config ~cache:false ~jobs:1 () in
-  let t_cached, out_cached, _ = time_config ~cache:true ~jobs:1 () in
-  let effective = (Pool.set_jobs 4; Pool.jobs ()) in
-  let t_par, out_par, part = time_config ~cache:true ~jobs:4 () in
-  (* the clamp result says how many domains were ALLOWED; the scheduler's
-     participation stats say how many actually executed sweep tasks — the
-     distinction this bench used to erase by printing one variable twice *)
-  let measured = max 1 part.Pool.distinct_domains in
-  let same = out_cached = out_cold && out_par = out_cold in
-  printf "  wfs(%d) coverage sweep, %d output lines\n" n
-    (List.length (String.split_on_char '\n' out_cold) - 1);
-  printf "  serial-cold   (no cache, 1 domain):  %8.3f s\n" t_cold;
-  printf "  cached-serial (cache, 1 domain):     %8.3f s   (%.2fx)\n" t_cached
-    (t_cold /. t_cached);
-  printf "  cached-jobs4  (cache, %d domain(s)):  %8.3f s   (%.2fx)\n" effective
-    t_par (t_cold /. t_par);
-  printf
-    "  jobs=4 measured participation: %d distinct domain(s), %d batch(es) \
-     (%d serial), max %d domain(s) in one batch\n"
-    measured part.Pool.batches part.Pool.serial_batches
-    part.Pool.max_batch_domains;
-  printf "  outputs bit-identical across configurations: %b\n" same;
-  if not same then failwith "S1: sweep outputs differ across configurations";
-  (* written in quick mode too: effective_domains is how the
-     clamped-to-serial parallelism regression stays visible in CI, and a
-     quick smoke that skipped the file would hide it *)
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"wfs(%d) coverage sweep, c in [0.70, 0.90] \
-       step %s, 11 time points each%s\",\n\
-      \  \"serial_cold_s\": %.4f,\n\
-      \  \"cached_serial_s\": %.4f,\n\
-      \  \"cached_jobs4_s\": %.4f,\n\
-      \  \"effective_domains\": %d,\n\
-      \  \"measured_jobs4_domains\": %d,\n\
-      \  \"jobs4_batches\": %d,\n\
-      \  \"jobs4_serial_batches\": %d,\n\
-      \  \"jobs4_max_batch_domains\": %d,\n\
-      \  \"speedup_cached\": %.2f,\n\
-      \  \"speedup_cached_jobs4\": %.2f,\n\
-      \  \"outputs_identical\": %b\n}\n"
-      n
-      (if !quick_mode then "0.05" else "0.01")
-      (if !quick_mode then " (quick mode)" else "")
-      t_cold t_cached t_par effective measured part.Pool.batches
-      part.Pool.serial_batches part.Pool.max_batch_domains
-      (t_cold /. t_cached) (t_cold /. t_par) same
-  in
-  let path = Filename.concat repo_root "BENCH_sweep.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  printf "  wrote %s\n" path
-
-let () =
-  register "S1" "sweep engine - serial-cold vs solve cache vs cache + 4 domains" s1
-
-(* ====================================================================== *)
-(* S2 — server mode: warm daemon vs one process per evaluation            *)
-(* ====================================================================== *)
-
-(* The server-mode value proposition measured directly: N evaluations of a
-   small SRN model, (a) cold — one `sharpe FILE` process spawn per
-   evaluation, paying binary startup, parsing and a cold solve cache every
-   time; (b) warm — the same N evaluations against one in-process sharped
-   daemon over a Unix socket, 8 concurrent client threads, warm worker
-   domains and a shared structural solve cache.  Wall-clock times and the
-   daemon's own cache statistics land in BENCH_server.json. *)
-
-let server_model =
+(* the soak's golden eval: a two-place SRN's steady-state reward *)
+let chaos_model =
   {|format 8
 func nup() #(up)
 srn m ()
@@ -589,472 +444,6 @@ expr srn_exrss(m; nup)
 end
 |}
 
-let s2 () =
-  let module Server = Sharpe_server.Server in
-  let module Json = Sharpe_server.Json in
-  let module Structhash = Sharpe_numerics.Structhash in
-  let n_evals = if !quick_mode then 12 else 100 in
-  let clients = 8 in
-  (* --- cold: one process per evaluation ------------------------------- *)
-  let model_path = Filename.temp_file "sharpe_bench" ".sharpe" in
-  let oc = open_out model_path in
-  output_string oc server_model;
-  close_out oc;
-  let sharpe_exe =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/sharpe.exe"
-  in
-  let cold_cmd =
-    Printf.sprintf "%s %s > /dev/null 2>&1"
-      (Filename.quote sharpe_exe) (Filename.quote model_path)
-  in
-  if Sys.command cold_cmd <> 0 then
-    failwith "S2: cold sharpe run failed on the benchmark model";
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to n_evals do
-    ignore (Sys.command cold_cmd)
-  done;
-  let t_cold = Unix.gettimeofday () -. t0 in
-  Sys.remove model_path;
-  (* --- warm: one daemon, concurrent clients --------------------------- *)
-  Structhash.clear_all ();
-  Structhash.reset_stats ();
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sharpe_bench_%d.sock" (Unix.getpid ()))
-  in
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let ready = ref false in
-  let server =
-    Thread.create
-      (fun () ->
-        Server.serve
-          ~ready:(fun () ->
-            Mutex.protect ready_m (fun () ->
-                ready := true;
-                Condition.signal ready_c))
-          (`Unix sock))
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX sock);
-    fd
-  in
-  let send_line fd line =
-    let b = Bytes.of_string (line ^ "\n") in
-    let len = Bytes.length b in
-    let off = ref 0 in
-    while !off < len do
-      off := !off + Unix.write fd b !off (len - !off)
-    done
-  in
-  let recv_line fd =
-    let b = Buffer.create 4096 in
-    let one = Bytes.create 1 in
-    let rec go () =
-      match Unix.read fd one 0 1 with
-      | 0 -> Buffer.contents b
-      | _ ->
-          if Bytes.get one 0 = '\n' then Buffer.contents b
-          else begin
-            Buffer.add_char b (Bytes.get one 0);
-            go ()
-          end
-    in
-    go ()
-  in
-  let eval_req =
-    Json.to_string
-      (Json.Obj [ ("op", Json.Str "eval"); ("src", Json.Str server_model) ])
-  in
-  let eval_ok fd =
-    send_line fd eval_req;
-    match Json.parse (recv_line fd) with
-    | Ok r -> Json.member "ok" r = Some (Json.Bool true)
-    | Error _ -> false
-  in
-  (* warm-up: skeletons explored, worker domains spawned *)
-  let fd0 = connect () in
-  if not (eval_ok fd0) then failwith "S2: warm-up eval failed";
-  Unix.close fd0;
-  let failures = Atomic.make 0 in
-  let per_client i =
-    (n_evals / clients) + if i < n_evals mod clients then 1 else 0
-  in
-  let lat_mutex = Mutex.create () in
-  let latencies = ref [] in
-  let t0 = Unix.gettimeofday () in
-  let ts =
-    List.init clients (fun i ->
-        Thread.create
-          (fun () ->
-            let fd = connect () in
-            let mine = ref [] in
-            for _ = 1 to per_client i do
-              let t = Unix.gettimeofday () in
-              if not (eval_ok fd) then Atomic.incr failures;
-              mine := (Unix.gettimeofday () -. t) :: !mine
-            done;
-            Unix.close fd;
-            Mutex.protect lat_mutex (fun () ->
-                latencies := !mine @ !latencies))
-          ())
-  in
-  List.iter Thread.join ts;
-  let t_warm = Unix.gettimeofday () -. t0 in
-  (* exact client-observed p99 (the daemon's own histogram is log-bucketed) *)
-  let p99_latency_us =
-    let a = Array.of_list !latencies in
-    Array.sort compare a;
-    let n = Array.length a in
-    if n = 0 then 0.0
-    else a.(min (n - 1) (int_of_float (ceil (0.99 *. float_of_int n)) - 1))
-         *. 1e6
-  in
-  (* daemon-side statistics, then shutdown *)
-  let fd = connect () in
-  send_line fd (Json.to_string (Json.Obj [ ("op", Json.Str "stats") ]));
-  let stats_resp = recv_line fd in
-  send_line fd (Json.to_string (Json.Obj [ ("op", Json.Str "shutdown") ]));
-  ignore (recv_line fd);
-  Unix.close fd;
-  Thread.join server;
-  (* --- overload + churn: a deliberately under-provisioned daemon -------- *)
-  (* Same workload, but behind an admission limit of 2 and a 4-session cap
-     with a 50 ms TTL: 16 clients provoke load shedding and session
-     eviction, measuring the shed rate and eviction count instead of
-     failing.  Every rejection must still be a structured response. *)
-  let stressed =
-    { Server.default_config with
-      workers = 2;
-      max_concurrent = 2;
-      max_sessions = 4;
-      session_ttl = Some 0.05;
-      retry_after_ms = 5 }
-  in
-  let sock2 = sock ^ ".ovl" in
-  let ready2 = ref false in
-  let server2 =
-    Thread.create
-      (fun () ->
-        Server.serve ~config:stressed
-          ~ready:(fun () ->
-            Mutex.protect ready_m (fun () ->
-                ready2 := true;
-                Condition.signal ready_c))
-          (`Unix sock2))
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !ready2 do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  let connect2 () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX sock2);
-    fd
-  in
-  let n_stress = if !quick_mode then 64 else 512 in
-  let stress_clients = 16 in
-  let n_ok = Atomic.make 0
-  and n_shed = Atomic.make 0
-  and n_other = Atomic.make 0
-  and n_garbled = Atomic.make 0 in
-  let stress_ts =
-    List.init stress_clients (fun i ->
-        Thread.create
-          (fun () ->
-            let fd = connect2 () in
-            for k = 1 to n_stress / stress_clients do
-              let session =
-                Printf.sprintf "churn%d" (((i * 31) + k) mod 8)
-              in
-              send_line fd
-                (Json.to_string
-                   (Json.Obj
-                      [ ("op", Json.Str "eval");
-                        ("session", Json.Str session);
-                        ("src", Json.Str server_model) ]));
-              match Json.parse (recv_line fd) with
-              | Error _ -> Atomic.incr n_garbled
-              | Ok r -> (
-                  if Json.member "ok" r = Some (Json.Bool true) then
-                    Atomic.incr n_ok
-                  else
-                    match
-                      Option.bind (Json.member "error" r) (fun e ->
-                          Option.bind (Json.member "kind" e) Json.to_str)
-                    with
-                    | Some "overloaded" -> Atomic.incr n_shed
-                    | _ -> Atomic.incr n_other)
-            done;
-            Unix.close fd)
-          ())
-  in
-  List.iter Thread.join stress_ts;
-  let fd2 = connect2 () in
-  send_line fd2 (Json.to_string (Json.Obj [ ("op", Json.Str "stats") ]));
-  let stress_stats = recv_line fd2 in
-  send_line fd2 (Json.to_string (Json.Obj [ ("op", Json.Str "shutdown") ]));
-  ignore (recv_line fd2);
-  Unix.close fd2;
-  Thread.join server2;
-  let stress_stat name =
-    match Json.parse stress_stats with
-    | Error _ -> -1.0
-    | Ok resp -> (
-        match
-          Option.bind
-            (Option.bind (Json.member "stats" resp) (Json.member name))
-            Json.to_float
-        with
-        | Some x -> x
-        | None -> -1.0)
-  in
-  let n_stress_sent =
-    Atomic.get n_ok + Atomic.get n_shed + Atomic.get n_other
-    + Atomic.get n_garbled
-  in
-  let shed_rate =
-    if n_stress_sent = 0 then 0.0
-    else float_of_int (Atomic.get n_shed) /. float_of_int n_stress_sent
-  in
-  let evictions = stress_stat "evictions" in
-  if Atomic.get n_garbled > 0 then
-    failwith "S2: unparseable response under overload";
-  let cache_stat name =
-    match Json.parse stats_resp with
-    | Error _ -> (0, 0)
-    | Ok resp -> (
-        match
-          Option.bind (Json.member "stats" resp) (Json.member "cache")
-        with
-        | Some (Json.List entries) ->
-            List.fold_left
-              (fun acc e ->
-                if Json.member "name" e = Some (Json.Str name) then
-                  ( (match Option.bind (Json.member "hits" e) Json.to_float with
-                    | Some h -> int_of_float h
-                    | None -> 0),
-                    match Option.bind (Json.member "misses" e) Json.to_float with
-                    | Some m -> int_of_float m
-                    | None -> 0 )
-                else acc)
-              (0, 0) entries
-        | _ -> (0, 0))
-  in
-  let error_diags =
-    match Json.parse stats_resp with
-    | Ok resp -> (
-        match
-          Option.bind
-            (Option.bind (Json.member "stats" resp)
-               (Json.member "error_diagnostics"))
-            Json.to_float
-        with
-        | Some x -> int_of_float x
-        | None -> -1)
-    | Error _ -> -1
-  in
-  let skel_hits, skel_misses = cache_stat "srn_skeleton" in
-  let inst_hits, inst_misses = cache_stat "srn_instance" in
-  let speedup = t_cold /. t_warm in
-  printf "  %d evaluations of a small SRN (steady-state reward)\n" n_evals;
-  printf "  cold  (1 process spawn per eval):      %8.3f s\n" t_cold;
-  printf "  warm  (daemon, %d client threads):      %8.3f s   (%.1fx)\n"
-    clients t_warm speedup;
-  printf "  daemon cache: srn_skeleton %d hits / %d misses, srn_instance %d hits / %d misses\n"
-    skel_hits skel_misses inst_hits inst_misses;
-  printf "  daemon error diagnostics: %d, failed client evals: %d\n"
-    error_diags (Atomic.get failures);
-  printf "  warm p99 latency: %.0f us\n" p99_latency_us;
-  printf
-    "  overload phase (max_concurrent=2, 4-session cap, 50 ms TTL, %d \
-     clients): %d ok, %d shed (%.0f%%), %d other, %.0f evictions\n"
-    stress_clients (Atomic.get n_ok) (Atomic.get n_shed)
-    (shed_rate *. 100.0) (Atomic.get n_other) evictions;
-  if Atomic.get failures > 0 then failwith "S2: some daemon evals failed";
-  if skel_hits = 0 then
-    failwith "S2: expected structural-cache hits on a warm daemon";
-  if not !quick_mode then begin
-    let json =
-      Printf.sprintf
-        "{\n  \"experiment\": \"%d evals of a small SRN: cold process \
-         spawns vs warm sharped daemon, %d concurrent clients\",\n\
-        \  \"cold_process_spawns_s\": %.4f,\n\
-        \  \"warm_daemon_s\": %.4f,\n\
-        \  \"speedup\": %.2f,\n\
-        \  \"clients\": %d,\n\
-        \  \"srn_skeleton_hits\": %d,\n\
-        \  \"srn_skeleton_misses\": %d,\n\
-        \  \"srn_instance_hits\": %d,\n\
-        \  \"srn_instance_misses\": %d,\n\
-        \  \"daemon_error_diagnostics\": %d,\n\
-        \  \"p99_latency_us\": %.1f,\n\
-        \  \"shed_rate\": %.4f,\n\
-        \  \"evictions\": %.0f\n}\n"
-        n_evals clients t_cold t_warm speedup clients skel_hits skel_misses
-        inst_hits inst_misses error_diags p99_latency_us shed_rate evictions
-    in
-    let path = Filename.concat repo_root "BENCH_server.json" in
-    let oc = open_out path in
-    output_string oc json;
-    close_out oc;
-    printf "  wrote %s\n" path
-  end
-
-let () =
-  register "S2" "server mode - warm daemon vs one process per evaluation" s2
-
-(* ====================================================================== *)
-(* S3 — large-model tier: 10^6-state CTMC steady state, cold, via Krylov  *)
-(* ====================================================================== *)
-
-(* A seeded birth-death CTMC (10^6 states full, 2*10^5 quick) built
-   straight into CSR and solved cold under a forced preconditioned
-   BiCGStab.  Three properties are asserted, each failing the bench run
-   through an error-severity diagnostic:
-
-     - the steady state verifies to a relative residual <= 1e-9;
-     - no dense matrix was materialized anywhere on the path (the
-       Linsolve dense-fallback counter stays at 0);
-     - the Krylov answer agrees with an independent banded-GTH solve
-       (O(n) at bandwidth 1) on per-decile probability masses.
-
-   States, nnz, wall-clock, peak heap words and the verified residual
-   land in BENCH_large.json at the repository root. *)
-
-let s3 () =
-  let module Sparse = Sharpe_numerics.Sparse in
-  let module Linsolve = Sharpe_numerics.Linsolve in
-  let module Diag = Sharpe_numerics.Diag in
-  let module R = Sharpe_check.Srng in
-  let n = if !quick_mode then 200_000 else 1_000_000 in
-  let r = R.make 2002 in
-  let up = Array.init (n - 1) (fun _ -> R.range r 0.5 2.0) in
-  (* correlated down rates keep the stationary vector's dynamic range —
-     and with it the system's condition number — bounded (see
-     Gen.birth_death_q); the per-level jitter shrinks as 1/sqrt(n) so
-     the log-pi random walk spans ~1 order of magnitude at any size and
-     a 1e-18 Krylov residual stays a ~1e-9 solution error *)
-  let jitter = 1.0 /. sqrt (float_of_int n) in
-  let down =
-    Array.map (fun u -> u *. Float.exp (R.range r (-.jitter) jitter)) up
-  in
-  let q =
-    Sparse.of_rows ~rows:n ~cols:n (fun i ->
-        let es = if i < n - 1 then [ (i + 1, up.(i)) ] else [] in
-        let es = if i > 0 then (i - 1, down.(i - 1)) :: es else es in
-        let exit = List.fold_left (fun a (_, v) -> a +. v) 0.0 es in
-        (i, -.exit) :: es)
-  in
-  Linsolve.reset_dense_count ();
-  let t0 = Unix.gettimeofday () in
-  let pi =
-    Linsolve.with_method Linsolve.Bicgstab (fun () ->
-        Linsolve.ctmc_steady_state q)
-  in
-  let solve_time = Unix.gettimeofday () -. t0 in
-  let dense = Linsolve.dense_count () in
-  let peak_words = (Gc.stat ()).Gc.top_heap_words in
-  (* independent residual check: ||pi Q||_inf relative to ||Q||_inf *)
-  let residual =
-    let rq = Sparse.vec_mat pi q in
-    let rmax = Array.fold_left (fun a v -> Float.max a (Float.abs v)) 0.0 rq in
-    let qnorm = ref 0.0 in
-    for i = 0 to n - 1 do
-      let s = Sparse.fold_row q i (fun acc _ v -> acc +. Float.abs v) 0.0 in
-      if s > !qnorm then qnorm := s
-    done;
-    rmax /. Float.max 1e-300 !qnorm
-  in
-  (* independent engine: banded GTH, O(n) at bandwidth 1 *)
-  let gth =
-    Linsolve.with_method Linsolve.Gth (fun () -> Linsolve.ctmc_steady_state q)
-  in
-  let worst_decile = ref 0.0 in
-  let da = Array.make 10 0.0 and db = Array.make 10 0.0 in
-  Array.iteri (fun i v -> da.(i * 10 / n) <- da.(i * 10 / n) +. v) pi;
-  Array.iteri (fun i v -> db.(i * 10 / n) <- db.(i * 10 / n) +. v) gth;
-  for d = 0 to 9 do
-    let e =
-      Float.abs (da.(d) -. db.(d))
-      /. Float.max 1.0 (Float.max (Float.abs da.(d)) (Float.abs db.(d)))
-    in
-    if e > !worst_decile then worst_decile := e
-  done;
-  printf "  birth-death CTMC, %d states, %d nnz, cold CSR solve\n" n
-    (Sparse.nnz q);
-  printf "  bicgstab steady state:   %8.3f s\n" solve_time;
-  printf "  verified residual:       %.3g\n" residual;
-  printf "  dense materializations:  %d\n" dense;
-  printf "  peak heap words:         %d\n" peak_words;
-  printf "  worst decile mass delta vs banded GTH: %.3g\n" !worst_decile;
-  if not (residual <= 1e-9) then
-    Diag.emitf Diag.Error ~solver:"bench_s3" ~residual
-      "S3: large-model steady state failed the 1e-9 residual bar (%.3g)"
-      residual;
-  if dense > 0 then
-    Diag.emitf Diag.Error ~solver:"bench_s3"
-      "S3: %d dense matrix materialization(s) on the large-model path" dense;
-  (* a birth-death chain's steady-state system has condition ~ n^2
-     (diffusion spectrum), so at 10^6 states a machine-epsilon residual
-     still leaves a ~1e-6 solution error against the componentwise-exact
-     GTH elimination; 1e-5 is an order of headroom above that floor and
-     three below any genuine solver break *)
-  if not (!worst_decile <= 1e-5) then
-    Diag.emitf Diag.Error ~solver:"bench_s3" ~residual:!worst_decile
-      "S3: bicgstab and banded GTH disagree on decile masses (%.3g)"
-      !worst_decile;
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"cold CSR steady-state solve of a seeded \
-       %d-state birth-death CTMC, forced preconditioned BiCGStab, \
-       cross-checked against banded GTH\",\n\
-      \  \"states\": %d,\n\
-      \  \"nnz\": %d,\n\
-      \  \"solve_time_s\": %.4f,\n\
-      \  \"peak_words\": %d,\n\
-      \  \"residual\": %.3e,\n\
-      \  \"dense_materializations\": %d,\n\
-      \  \"worst_decile_err_vs_gth\": %.3e\n}\n"
-      n n (Sparse.nnz q) solve_time peak_words residual dense !worst_decile
-  in
-  let path = Filename.concat repo_root "BENCH_large.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  printf "  wrote %s\n" path
-
-let () =
-  register "S3" "large-model tier - 10^6-state CTMC steady state via Krylov" s3
-
-(* ====================================================================== *)
-(* --chaos: fault-injection soak for the daemon                           *)
-(* ====================================================================== *)
-
-(* `bench --chaos [--seconds S] [--clients N] [--seed K]` runs an
-   in-process sharped under deliberately hostile conditions — injected
-   worker-job crashes and slowdowns, malformed frames, mid-request
-   disconnects, and session churn against a small session cap with a
-   short TTL — while N concurrent clients replay the golden S2 workload.
-
-   Pass criteria: the daemon never crashes (it still answers at the
-   end), every successful eval's output is byte-identical to the golden
-   output computed in-process, every failure is a parseable structured
-   response with a known error kind, the session count stays within its
-   cap, and process RSS stays bounded. *)
-
-let chaos_allowed_kinds =
-  [ "bad_request"; "oversized"; "overloaded"; "timeout"; "internal_error";
-    "session_expired"; "quota_exhausted"; "eval_error" ]
-
 let rss_bytes () =
   try
     let ic = open_in "/proc/self/statm" in
@@ -1073,7 +462,7 @@ let chaos_main ~seconds ~clients ~seed =
   let module Interp = Sharpe_lang.Interp in
   (* the golden answer, computed once without any daemon in the way *)
   let expected_output, expected_outcome =
-    Interp.Session.eval (Interp.Session.create ()) server_model
+    Interp.Session.eval (Interp.Session.create ()) chaos_model
   in
   if expected_outcome.Interp.failed_statements <> 0 then
     failwith "chaos: golden model fails outside the daemon";
@@ -1182,7 +571,7 @@ let chaos_main ~seconds ~clients ~seed =
           (Client.request ~policy ~rng (`Unix sock)
              (Json.Obj
                 [ ("id", Json.Str rid); ("op", Json.Str "eval");
-                  ("src", Json.Str server_model);
+                  ("src", Json.Str chaos_model);
                   ("request_id", Json.Str rid) ]))
       end
       else if x < 0.75 then begin
@@ -1396,29 +785,18 @@ let chaos_main ~seconds ~clients ~seed =
    evaluated before the crash must answer its query bit-identically to an
    uninterrupted in-process session, and a pre-crash request_id must
    replay its recorded response.  Finally the restarted daemon is drained
-   with SIGTERM and must exit 0.  recovery_time_ms and journal_bytes are
-   merged into BENCH_server.json. *)
+   with SIGTERM and must exit 0.  The acked-bind and session counts,
+   recovery_time_ms and journal_bytes are written to BENCH_server.json. *)
 
-let merge_bench_server_json kvs =
+let write_bench_server_json kvs =
   let module Json = Sharpe_server.Json in
+  let repo_root = Filename.dirname (Filename.dirname examples_dir) in
   let path = Filename.concat repo_root "BENCH_server.json" in
-  let base =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.parse s with Ok (Json.Obj fields) -> fields | _ -> []
-    end
-    else []
-  in
-  let base = List.filter (fun (k, _) -> not (List.mem_assoc k kvs)) base in
   let oc = open_out path in
-  output_string oc (Json.to_string (Json.Obj (base @ kvs)));
+  output_string oc (Json.to_string (Json.Obj kvs));
   output_string oc "\n";
   close_out oc;
-  printf "  merged %s into %s\n"
-    (String.concat ", " (List.map fst kvs))
-    path
+  printf "  wrote %s\n" path
 
 let crash_recovery_soak ~seed =
   let module Client = Sharpe_server.Client in
@@ -1564,7 +942,7 @@ let crash_recovery_soak ~seed =
           pid n_acked recovered recovery_ms journal_bytes;
         fail_if (recovered < 1.0) "restart recovered no sessions";
         fail_if (recovery_ms < 0.0) "health reported no recovery_ms";
-        merge_bench_server_json
+        write_bench_server_json
           [ ("crash_recovery_acked_binds", Json.Num (float_of_int n_acked));
             ("crash_recovery_sessions", Json.Num recovered);
             ("recovery_time_ms", Json.Num recovery_ms);
@@ -1650,75 +1028,6 @@ let crash_recovery_soak ~seed =
   end
 
 (* ====================================================================== *)
-(* Bechamel timing suite                                                  *)
-(* ====================================================================== *)
-
-let timing_tests () =
-  let open Bechamel in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let s_cached = Srn.solve (wfs_net 0.9) in
-  let hand = wfs_figure27_ctmc 0.9 in
-  let big_chain =
-    Ctmc.make ~n:50
-      (List.concat (List.init 49 (fun i -> [ (i, i + 1, 1.0); (i + 1, i, 2.0) ])))
-  in
-  let big_init = Array.init 50 (fun i -> if i = 0 then 1.0 else 0.0) in
-  let mva_net =
-    Pfqn.make
-      ~stations:
-        [ ("cpu", Pfqn.Fcfs 89.3); ("term", Pfqn.Is (1.0 /. 15.0));
-          ("io1", Pfqn.Fcfs 44.6); ("io2", Pfqn.Fcfs 26.8); ("io3", Pfqn.Fcfs 13.4) ]
-      ~routing:
-        [ ("cpu", "term", 0.05); ("cpu", "io1", 0.5); ("cpu", "io2", 0.3);
-          ("cpu", "io3", 0.15); ("io1", "cpu", 1.0); ("io2", "cpu", 1.0);
-          ("io3", "cpu", 1.0); ("term", "cpu", 1.0) ]
-  in
-  let tests =
-    [ mk "E1 wfs: SRN reachability + vanishing elimination" (fun () ->
-          ignore (Srn.solve (wfs_net 0.9)));
-      mk "E1 wfs: cached-instance transient reward at t=10" (fun () ->
-          ignore (Srn.exrt s_cached wfs_avail 10.0));
-      mk "E1 baseline: 6-state CTMC steady state (direct)" (fun () ->
-          ignore (Ctmc.steady_state hand));
-      mk "E23 kernel: uniformization, 50-state chain, t=10" (fun () ->
-          ignore (Ctmc.transient big_chain ~init:big_init 10.0));
-      mk "E17 ftree 2p3m: BDD build + symbolic cdf" (fun () ->
-          let t = Ftree.create () in
-          Ftree.basic t "proc" (D.exponential (1.0 /. 720.0));
-          Ftree.basic t "mem" (D.exponential (1.0 /. 1440.0));
-          Ftree.gate t "procs" Ftree.And [ "proc"; "proc" ];
-          Ftree.gate t "mems" (Ftree.Kofn_identical (3, 3)) [ "mem" ];
-          Ftree.gate t "top" Ftree.Or [ "procs"; "mems" ];
-          ignore (Ftree.cdf t));
-      mk "E20 kernel: exponomial convolution Erlang5*Erlang5" (fun () ->
-          ignore (E.convolve (D.erlang 5 1.0) (D.erlang 5 2.0)));
-      mk "E21 pfqn ex9.16: exact MVA, 60 customers" (fun () ->
-          ignore (Pfqn.solve mva_net ~customers:60));
-      mk "language: parse + solve a block model" (fun () ->
-          ignore
-            (Sharpe_lang.Interp.eval_output
-               "block m\ncomp c exp(0.001)\nparallel top c c\nend\nexpr mean(m)")) ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  printf "\n== Timing (Bechamel, monotonic clock, OLS ns/run) ==\n%!";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name o ->
-          match Analyze.OLS.estimates o with
-          | Some (est :: _) -> printf "  %-55s %14.1f ns/run\n%!" name est
-          | _ -> printf "  %-55s (no estimate)\n%!" name)
-        ols)
-    tests
-
-(* ====================================================================== *)
 (* main                                                                   *)
 (* ====================================================================== *)
 
@@ -1747,8 +1056,6 @@ let () =
     exit (max rc rc2)
   end;
   let quick = List.mem "--quick" args in
-  quick_mode := quick;
-  let no_time = List.mem "--no-time" args in
   let only =
     let rec find = function
       | "--table" :: id :: _ -> Some id
@@ -1763,25 +1070,34 @@ let () =
            (match only with Some id -> e.id = id | None -> true)
            && not (quick && e.slow))
   in
-  List.iter
-    (fun e ->
-      printf "== %s: %s ==\n%!" e.id e.title;
-      (try e.run () with exn -> printf "  ERROR: %s\n" (Printexc.to_string exn));
-      printf "\n%!")
-    todo;
-  if (not no_time) && only = None then timing_tests ();
-  (* any error-severity diagnostic accumulated by a solver during the
-     experiments is a correctness problem, not noise: surface it and
-     fail, so CI smoke runs catch silent solver breakage *)
+  let failed =
+    List.filter_map
+      (fun e ->
+        printf "== %s: %s ==\n%!" e.id e.title;
+        let failure =
+          match e.run () with
+          | () -> None
+          | exception exn ->
+              printf "  ERROR: %s\n" (Printexc.to_string exn);
+              Some e.id
+        in
+        printf "\n%!";
+        failure)
+      todo
+  in
+  if failed <> [] then
+    Printf.eprintf "bench: experiment(s) failed: %s\n" (String.concat ", " failed);
+  (* an experiment that raised, or any error-severity diagnostic a
+     solver accumulated during the experiments, is a correctness
+     problem, not noise: name it on stderr and fail, so CI smoke runs
+     catch silent breakage *)
   let module Diag = Sharpe_numerics.Diag in
   let errors =
     List.filter
       (fun r -> r.Diag.severity = Diag.Error)
       (Diag.default_records ())
   in
-  if errors <> [] then begin
-    List.iter
-      (fun r -> Printf.eprintf "bench: %s\n" (Diag.record_to_string r))
-      errors;
-    exit 1
-  end
+  List.iter
+    (fun r -> Printf.eprintf "bench: %s\n" (Diag.record_to_string r))
+    errors;
+  if failed <> [] || errors <> [] then exit 1

@@ -46,60 +46,48 @@ for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
 done
 
 echo "== bench smoke =="
-# quick pass over every experiment (timing suite skipped); the bench
-# binary itself exits nonzero when any solver emitted an error-severity
-# diagnostic, which aborts the build under set -e.  S3 (the large-model
-# tier) solves a 200k-state chain cold under forced BiCGStab in quick
-# mode and fails the run on a residual > 1e-9, any dense
-# materialization, or disagreement with an independent GTH solve.
-dune exec bench/main.exe -- --quick --no-time >/dev/null
-grep -q '"effective_domains"' BENCH_sweep.json || {
-  echo "ci: BENCH_sweep.json does not record effective_domains" >&2
-  exit 1
-}
-grep -q '"measured_jobs4_domains"' BENCH_sweep.json || {
-  echo "ci: BENCH_sweep.json does not record measured_jobs4_domains" >&2
-  exit 1
-}
-# On a multi-core host the jobs=4 sweep must actually engage >1 domain
-# (measured participation, not the clamp value) and parallelism must not
-# cost speedup.  Single-core hosts legitimately clamp to serial, so the
-# assertions are gated on what the hardware offers.  The speedup check
-# compares two short wall-clock runs, so it allows a 10% noise margin —
-# only a clearly-slower parallel run (the serial-collapse regression)
-# fails the build.
-if [ "$(nproc)" -gt 1 ]; then
-  measured=$(sed -n 's/.*"measured_jobs4_domains": \([0-9][0-9]*\).*/\1/p' BENCH_sweep.json)
-  [ -n "$measured" ] && [ "$measured" -gt 1 ] || {
-    echo "ci: jobs=4 sweep executed on $measured domain(s) despite $(nproc) cores" >&2
-    exit 1
-  }
-  awk -F': ' '
-    /"speedup_cached":/ { plain = $2 + 0 }
-    /"speedup_cached_jobs4":/ { par = $2 + 0 }
-    END {
-      if (par < 0.9 * plain) {
-        printf "ci: jobs=4 speedup %.2f below 90%% of serial cached speedup %.2f\n", par, plain > "/dev/stderr"
-        exit 1
-      }
-    }' BENCH_sweep.json
-fi
-grep -q '"dense_materializations": 0' BENCH_large.json || {
-  echo "ci: BENCH_large.json reports dense materializations on the large-model path" >&2
-  exit 1
-}
+# quick pass over every paper experiment (the slow E7 and E23 skipped);
+# the bench binary exits nonzero when an experiment raises or a solver
+# emitted an error-severity diagnostic, which aborts the build under set -e
+dune exec bench/main.exe -- --quick >/dev/null
 
 echo "== perfbench traced smoke =="
-# one short traced run of the sweep and large workloads (about 20 s
-# together): every answer is checked against the workload's oracle and the
-# layer replay (lower layers called directly) must agree with the
-# program's output; either failure exits nonzero
-for w in sweep large; do
-  bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 1 >/dev/null || {
-    echo "ci: perfbench $w run failed its answer or replay checks" >&2
+# short traced runs of the sweep and large workloads: every answer is
+# checked against the workload's oracle and the layer replay (lower layers
+# called directly) must agree with the program's output; either failure
+# exits nonzero.  Stdout has one `name value unit` line per metric.
+pbout="${TMPDIR:-/tmp}/sharpe_ci_perfbench_$$.txt"
+perfbench_smoke() {
+  bash perfbench/run.sh --workload "$1" --seed 1 --seconds "$2" --trace 1 >"$pbout" || {
+    echo "ci: perfbench $1 run failed its answer or replay checks" >&2
     exit 1
   }
-done
+}
+metric() { awk -v k="$1" '$1 == k { print $2 }' "$pbout"; }
+# 3 s gives each third (untraced, traced at jobs=nproc, traced at jobs=1)
+# 1 s; nproc * pool.scaling_eff is the jobs=nproc speedup over jobs=1.
+perfbench_smoke sweep 3
+# On a multi-core host the sweep must execute on >1 domain (measured, not
+# the clamp value) and must not lose to serial beyond a 10% noise margin.
+if [ "$(nproc)" -gt 1 ]; then
+  domains=$(metric pool.distinct_domains)
+  awk -v d="$domains" 'BEGIN { exit !(d > 1) }' || {
+    echo "ci: sweep at jobs=$(nproc) ran on '$domains' domain(s)" >&2
+    exit 1
+  }
+  eff=$(metric pool.scaling_eff)
+  awk -v n="$(nproc)" -v e="$eff" 'BEGIN { exit !(e != "" && n * e >= 0.9) }' || {
+    echo "ci: sweep speedup over jobs=1 is $(nproc) x '$eff', below 0.9" >&2
+    exit 1
+  }
+fi
+perfbench_smoke large 1
+dense=$(metric linsolve.dense_materializations)
+[ "$dense" = 0 ] || {
+  echo "ci: large run reports '$dense' dense materializations per op" >&2
+  exit 1
+}
+rm -f "$pbout"
 
 echo "== guard-rails demo =="
 demo=examples/sharpe/fallback_demo.sharpe

@@ -13,16 +13,15 @@
    Batch scheduling is chunked work-stealing rather than a single shared
    claim counter.  With one atomic counter and fine-grained tasks, the
    calling domain — already running, cache-warm — would drain the whole
-   batch before a woken worker claimed its first index, which is exactly
-   the serial collapse recorded as [jobs4_effective_domains: 1] in
-   BENCH_sweep.json.  Chunking fixes the granularity half: the index
-   space is split into contiguous chunks (at most ~8 per participant),
-   each participant starts claiming inside its own region, and steals
-   from the other regions once its own is drained.  A worker that wakes
-   late therefore still finds whole chunks unclaimed.  Which domain ran
-   which chunk is recorded per batch ([participation]) so the bench can
-   report MEASURED multi-domain execution instead of the configured
-   clamp value.
+   batch before a woken worker claimed its first index, collapsing a
+   parallel sweep onto one domain.  Chunking fixes the granularity
+   half: the index space is split into contiguous chunks (at most ~8 per
+   participant), each participant starts claiming inside its own region,
+   and steals from the other regions once its own is drained.  A worker
+   that wakes late therefore still finds whole chunks unclaimed.  Which
+   domain ran which chunk is recorded per batch ([participation]) so the
+   benchmark can report MEASURED multi-domain execution
+   ([pool.distinct_domains]) instead of the configured clamp value.
 
    [run n f] keeps its PR-2 determinism contract exactly:
 
@@ -81,8 +80,7 @@ let set_jobs ?(clamp = true) n =
   in
   (* ANY reduction is a visible diagnostic, not just the collapse to 1:
      a 16 -> 4 clamp quietly quarters the expected speedup, and the
-     16 -> 1 case silently turns every sweep serial (the regression
-     recorded as jobs4_effective_domains: 1 in BENCH_sweep.json). *)
+     16 -> 1 case silently turns every sweep serial. *)
   if clamp && n > 1 && eff < n then begin
     let first =
       Mutex.protect warned_mutex (fun () ->

@@ -85,8 +85,7 @@ val run_ranges : int -> (int -> int -> unit) -> unit
 
     The scheduler records which domains actually executed batch tasks —
     the measurement that distinguishes "4 domains configured" from
-    "1 domain did all the work" (the regression behind
-    [jobs4_effective_domains: 1] in BENCH_sweep.json). *)
+    "1 domain did all the work". *)
 
 type participation = {
   batches : int;  (** pool-scheduled batches since the last reset *)

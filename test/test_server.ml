@@ -566,6 +566,73 @@ let test_panic_barrier () =
       Alcotest.(check bool) "daemon serves after the panic" true (is_ok resp2);
       Unix.close fd)
 
+(* A warm daemon answers a repeated model from its structural solve
+   cache: the second eval of the same SRN must find the skeleton the
+   first one explored, and the stats op must say so. *)
+let warm_srn_model =
+  {|format 8
+func nup() #(up)
+srn m ()
+up 2
+dn 0
+end
+fl placedep up 0.5
+rp ind 1.0
+end
+end
+up fl 1
+dn rp 1
+end
+fl dn 1
+rp up 1
+end
+end
+expr srn_exrss(m; nup)
+end
+|}
+
+let test_warm_daemon_skeleton_hits () =
+  let module Structhash = Sharpe_numerics.Structhash in
+  Structhash.set_enabled true;
+  Structhash.clear_all ();
+  Structhash.reset_stats ();
+  with_server (fun path ->
+      let fd = connect path in
+      let eval () =
+        let r =
+          roundtrip fd [ ("op", Json.Str "eval"); ("src", Json.Str warm_srn_model) ]
+        in
+        Alcotest.(check bool) "eval ok" true (is_ok r);
+        Option.bind (Json.member "output" r) Json.to_str
+      in
+      let skeleton_hits () =
+        match
+          Option.bind
+            (Json.member "stats" (roundtrip fd [ ("op", Json.Str "stats") ]))
+            (Json.member "cache")
+        with
+        | Some (Json.List entries) ->
+            List.find_map
+              (fun e ->
+                if Json.member "name" e = Some (Json.Str "srn_skeleton") then
+                  Option.bind (Json.member "hits" e) Json.to_float
+                else None)
+              entries
+            |> Option.value ~default:(-1.0)
+        | _ -> Alcotest.fail "stats lacks the cache table list"
+      in
+      let cold = eval () in
+      let hits_cold = skeleton_hits () in
+      let warm = eval () in
+      let hits_warm = skeleton_hits () in
+      Alcotest.(check (option string)) "warm answer equals cold answer" cold warm;
+      Alcotest.(check bool)
+        (Printf.sprintf "srn_skeleton hits %g -> %g: the second eval hit" hits_cold
+           hits_warm)
+        true
+        (hits_warm >= 1.0 && hits_warm > hits_cold);
+      Unix.close fd)
+
 let suite =
   [ Alcotest.test_case "in-process session isolation" `Quick
       test_session_isolation_inprocess;
@@ -593,4 +660,6 @@ let suite =
     Alcotest.test_case "request_id idempotency" `Quick
       test_request_id_idempotency;
     Alcotest.test_case "panic barrier keeps the daemon alive" `Quick
-      test_panic_barrier ]
+      test_panic_barrier;
+    Alcotest.test_case "warm daemon hits the skeleton cache" `Quick
+      test_warm_daemon_skeleton_hits ]
