@@ -45,6 +45,18 @@ for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
   }
 done
 
+echo "== golden jobs=2 byte-exact =="
+# the same files on two domains: loops fan out over the pool and every
+# domain keeps its own transient iterate workspace, none of which may
+# change an answer
+for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
+  golden="test/golden/$(basename "$f" .sharpe).out"
+  ./_build/default/bin/sharpe.exe --jobs 2 "$f" 2>/dev/null | cmp -s - "$golden" || {
+    echo "ci: $f output under --jobs 2 differs from $golden" >&2
+    exit 1
+  }
+done
+
 echo "== bench smoke =="
 # quick pass over every paper experiment (the slow E7 and E23 skipped);
 # the bench binary exits nonzero when an experiment raises or a solver

@@ -138,6 +138,97 @@ let uniformized_dtmc c =
 let check_init c init =
   if Array.length init <> c.n then invalid_arg "Ctmc: init length"
 
+(* --- the iterate workspace ------------------------------------------ *)
+
+(* Uniformization writes pi(t) = sum_k Poisson_k(lambda t) v_k with
+   v_k = init P^k, and the iterates do not depend on t.  Each domain
+   therefore keeps the iterates of its last series in a workspace keyed
+   by the uniformized matrix (physical identity of P^T) and the bit
+   pattern of the start vector (held as v_0): a run of queries on one
+   chain and start vector -- a [loop t] of [srn_exrt], Markov [value]
+   over t, the remainders after one ladder rung -- pays the longest
+   series once instead of every series in full.
+
+   Answers do not depend on what is resident: every v_(k+1) is the same
+   [par_mat_vec_into] product of v_k whichever domain or query computed
+   it (the row-parallel split is bit-identical to serial), and each
+   point still adds w_k v_k in k order and collapses the tail at the
+   same k.  So the order of queries and the number of domains change
+   only the number of multiplies, never an output bit or a Diag record.
+
+   At most [iterate_budget] bytes of iterates are held per domain; a
+   series that runs past them streams the rest from the last stored
+   iterate through two scratch vectors. *)
+let iterate_budget = 32 * 1024 * 1024
+
+type workspace = {
+  mutable pt : Sparse.t option; (* key: the uniformized P^T *)
+  mutable dim : int; (* length of every allocated slot *)
+  mutable vs : float array array; (* vs.(k) = v_k for k < count *)
+  mutable steps : float array; (* steps.(k) = sup |v_(k+1) - v_k| *)
+  mutable count : int;
+      (* advanced only once an iterate and its step are both written, so
+         a series cut short by a deadline leaves a valid prefix *)
+}
+
+let workspace_key : workspace Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { pt = None; dim = 0; vs = [||]; steps = [||]; count = 0 })
+
+let workspace_bytes () =
+  let ws = Domain.DLS.get workspace_key in
+  Array.fold_left (fun b v -> b + (8 * Array.length v)) 0 ws.vs
+
+let slots n = iterate_budget / (8 * max 1 n)
+
+(* slot [k] of [ws], allocated on first use; [k] < [slots ws.dim] *)
+let slot ws k =
+  if k >= Array.length ws.vs then begin
+    let len = min (slots ws.dim) (max 8 (2 * Array.length ws.vs)) in
+    let vs = Array.make len [||] and steps = Array.make len 0.0 in
+    Array.blit ws.vs 0 vs 0 (Array.length ws.vs);
+    Array.blit ws.steps 0 steps 0 (Array.length ws.steps);
+    ws.vs <- vs;
+    ws.steps <- steps
+  end;
+  if Array.length ws.vs.(k) <> ws.dim then ws.vs.(k) <- Array.make ws.dim 0.0;
+  ws.vs.(k)
+
+let same_bits a b =
+  let n = Array.length a in
+  let rec go i =
+    i = n
+    || Int64.equal (Int64.bits_of_float a.(i)) (Int64.bits_of_float b.(i))
+       && go (i + 1)
+  in
+  Array.length b = n && go 0
+
+(* The calling domain's workspace, re-keyed to ([pt], [init]) unless it
+   already holds that series. *)
+let workspace pt init =
+  let ws = Domain.DLS.get workspace_key in
+  let held =
+    ws.count > 0
+    && (match ws.pt with Some p -> p == pt | None -> false)
+    && same_bits ws.vs.(0) init
+  in
+  if not held then begin
+    let n = Array.length init in
+    ws.count <- 0;
+    if n <> ws.dim then begin
+      ws.dim <- n;
+      ws.vs <- [||];
+      ws.steps <- [||]
+    end;
+    if slots n > 0 then begin
+      ws.pt <- Some pt;
+      Array.blit init 0 (slot ws 0) 0 n;
+      ws.count <- 1
+    end
+    else ws.pt <- None
+  end;
+  ws
+
 let transient_many ?(eps = 1e-12) c ~init ts =
   check_init c init;
   let lambda, _, pt = uniformized_full c in
@@ -156,41 +247,62 @@ let transient_many ?(eps = 1e-12) c ~init ts =
       let w = Poisson.window ~eps (lambda *. t) in
       let n = c.n in
       let acc = Array.make n 0.0 in
-      (* two iterates swapped after every multiply: a step allocates
-         nothing, so a long series puts no vectors on the major heap *)
-      let v = ref (Array.copy init) and spare = ref (Array.make n 0.0) in
+      let ws = workspace pt init in
+      let cap = slots n in
+      (* past the budget: two scratch vectors swapped after every multiply,
+         so a long series puts no vectors on the major heap *)
+      let scratch = lazy (Array.make n 0.0, Array.make n 0.0) in
       (* steady-state detection: once the DTMC iterate stops moving
          (sup-norm step below delta), every remaining term contributes the
          same vector, so the Poisson tail collapses to one update.  The
          committed error is at most the tail mass times delta. *)
       let delta = eps /. 8.0 in
+      let v = ref init in
       let k = ref 0 in
       let finished = ref false in
       while not !finished do
         Deadline.check ();
-        let kk = !k in
+        let kk = !k and cur = !v in
         if kk >= w.Poisson.left then begin
-          let wk = w.Poisson.weights.(kk - w.Poisson.left) and cur = !v in
+          let wk = w.Poisson.weights.(kk - w.Poisson.left) in
           for i = 0 to n - 1 do
             acc.(i) <- acc.(i) +. (wk *. cur.(i))
           done
         end;
         if kk >= w.Poisson.right then finished := true
         else begin
-          (* v P as P^T v: identical accumulation order per output entry
-             for this nonnegative system, hence bit-identical — and
-             row-parallel when the chain is large and this call is not
-             already inside a pool task (the per-time-point fan-out
-             below keeps nested multiplies serial) *)
-          let cur = !v and next = !spare in
-          Sparse.par_mat_vec_into pt cur next;
           let step = ref 0.0 in
-          for i = 0 to n - 1 do
-            let d = Float.abs (next.(i) -. cur.(i)) in
-            if d > !step then step := d
-          done;
+          let next =
+            if kk + 1 < ws.count then begin
+              step := ws.steps.(kk);
+              ws.vs.(kk + 1)
+            end
+            else begin
+              let keep = kk + 1 = ws.count && ws.count < cap in
+              let next =
+                if keep then slot ws (kk + 1)
+                else
+                  let a, b = Lazy.force scratch in
+                  if cur == a then b else a
+              in
+              (* v P as P^T v: identical accumulation order per output
+                 entry for this nonnegative system, hence bit-identical —
+                 and row-parallel when the chain is large and this call is
+                 not already inside a pool task (the per-time-point
+                 fan-out below keeps nested multiplies serial) *)
+              Sparse.par_mat_vec_into pt cur next;
+              for i = 0 to n - 1 do
+                let d = Float.abs (next.(i) -. cur.(i)) in
+                if d > !step then step := d
+              done;
+              if keep then begin
+                ws.steps.(kk) <- !step;
+                ws.count <- kk + 2
+              end;
+              next
+            end
+          in
           v := next;
-          spare := cur;
           if !step <= delta then begin
             (* remaining Poisson mass, all weighting the settled vector *)
             let tail = ref 0.0 in
@@ -226,7 +338,9 @@ let cumulative ?(eps = 1e-12) c ~init t =
     let lambda, _, pt = uniformized_full c in
     let mean = lambda *. t in
     let acc = Array.make c.n 0.0 in
-    let v = ref (Array.copy init) in
+    (* two iterates swapped after every multiply: a term allocates
+       nothing *)
+    let v = ref (Array.copy init) and spare = ref (Array.make c.n 0.0) in
     (* weight for power k is (1 - sum_(j<=k) poisson_j(mean)) / lambda; track
        the survivor function directly (seeded with expm1) so the first
        weights stay accurate even for nearly-absorbing chains whose
@@ -249,7 +363,10 @@ let cumulative ?(eps = 1e-12) c ~init t =
         continue_ := false
       end
       else begin
-        v := Sparse.par_mat_vec pt !v;
+        let cur = !v and next = !spare in
+        Sparse.par_mat_vec_into pt cur next;
+        v := next;
+        spare := cur;
         incr k;
         survivor := Float.max 0.0 (!survivor -. Poisson.pmf mean !k)
       end

@@ -51,7 +51,19 @@ val steady_state : ?tol:float -> t -> float array
 
 val transient : ?eps:float -> t -> init:float array -> float -> float array
 (** [transient c ~init t]: state probabilities at time [t] by uniformization
-    with left/right truncation. *)
+    with left/right truncation.  The iterates [init P^k] are read from a
+    per-domain workspace keyed by the uniformized matrix and the bits of
+    [init], so consecutive queries on one chain and start vector pay the
+    longest series once; the result is bit-identical whatever the
+    workspace holds. *)
+
+val iterate_budget : int
+(** Bytes of iterates the transient workspace holds per domain (32 MiB);
+    a series past it streams the remaining iterates. *)
+
+val workspace_bytes : unit -> int
+(** Bytes of iterate storage the calling domain's workspace has
+    allocated: at most {!iterate_budget}. *)
 
 val transient_many :
   ?eps:float -> t -> init:float array -> float list -> (float * float array) list

@@ -142,6 +142,8 @@ let fits n sk w =
        (fun (i, ti) -> not (trans.(ti).Net.rate sk.sk_markings.(i) > 0.0))
        sk.sk_zero_rated
 
+type mass = { mutable p : float }
+
 (* absorption distributions of vanishing markings over tangible markings *)
 let vanishing_absorption sk w tangible_id =
   let n = Array.length sk.sk_markings in
@@ -163,22 +165,25 @@ let vanishing_absorption sk w tangible_id =
           let total = total v in
           if total <= 0.0 then
             limit_error "vanishing marking %d has no enabled weight" v;
+          (* one mutable cell per tangible target, updated in place; a
+             first sighting is seeded [+. 0.0] and inserted at the same
+             bucket position [Hashtbl.replace] would use, so the fold
+             below lists the same pairs in the same order *)
           let acc = Hashtbl.create 8 in
+          let add t x =
+            match Hashtbl.find_opt acc t with
+            | Some cell -> cell.p <- x +. cell.p
+            | None -> Hashtbl.add acc t { p = x +. 0.0 }
+          in
           Array.iteri
             (fun k (dst, _) ->
               let p = w.(v).(k) /. total in
               if sk.sk_vanishing.(dst) then
-                List.iter
-                  (fun (t, q) ->
-                    Hashtbl.replace acc t
-                      (p *. q +. Option.value ~default:0.0 (Hashtbl.find_opt acc t)))
-                  (solve dst)
-              else
-                Hashtbl.replace acc tangible_id.(dst)
-                  (p +. Option.value ~default:0.0 (Hashtbl.find_opt acc tangible_id.(dst))))
+                List.iter (fun (t, q) -> add t (p *. q)) (solve dst)
+              else add tangible_id.(dst) p)
             sk.sk_succs.(v);
           on_stack.(v) <- false;
-          let d = Hashtbl.fold (fun t p l -> (t, p) :: l) acc [] in
+          let d = Hashtbl.fold (fun t cell l -> (t, cell.p) :: l) acc [] in
           memo.(v) <- Some d;
           d
         end

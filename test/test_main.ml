@@ -15,6 +15,7 @@ let () =
       ("expo-properties", Test_expo_prop.suite);
       ("krylov", Test_krylov.suite);
       ("sweep-engine", Test_sweep.suite);
+      ("uniformization", Test_uniformization.suite);
       ("differential", Test_differential.suite);
       ("server", Test_server.suite);
       ("journal", Test_journal.suite);

@@ -1,0 +1,335 @@
+(* Bit-identity of transients read through the per-domain iterate
+   workspace.  The oracle is the point loop [Ctmc.transient] ran before
+   iterates were shared: every query restarts from its start vector and
+   streams the series through two swapped buffers.  Whatever the
+   workspace holds -- another chain, another start vector, a shorter or
+   longer prefix, a prefix cut short by a deadline, or nothing past the
+   byte budget -- every answer must carry the oracle's bits. *)
+
+module Sparse = Sharpe_numerics.Sparse
+module Poisson = Sharpe_numerics.Poisson
+module Pool = Sharpe_numerics.Pool
+module Deadline = Sharpe_numerics.Deadline
+module Ctmc = Sharpe_markov.Ctmc
+module Net = Sharpe_petri.Net
+module Reach = Sharpe_petri.Reach
+module Srn = Sharpe_petri.Srn
+module Gen = Sharpe_check.Gen
+module Srng = Sharpe_check.Srng
+
+(* pi(t) from [init] and the last k the series reached (below the window's
+   right end when the iterates settled first) *)
+let oracle ?(eps = 1e-12) c ~init t =
+  let lambda, p = Ctmc.uniformized_dtmc c in
+  let pt = Sparse.transpose p in
+  if t <= 0.0 then (Array.copy init, 0)
+  else begin
+    let w = Poisson.window ~eps (lambda *. t) in
+    let n = Ctmc.n_states c in
+    let acc = Array.make n 0.0 in
+    let v = ref (Array.copy init) and spare = ref (Array.make n 0.0) in
+    let delta = eps /. 8.0 in
+    let k = ref 0 in
+    let finished = ref false in
+    while not !finished do
+      let kk = !k in
+      if kk >= w.Poisson.left then begin
+        let wk = w.Poisson.weights.(kk - w.Poisson.left) and cur = !v in
+        for i = 0 to n - 1 do
+          acc.(i) <- acc.(i) +. (wk *. cur.(i))
+        done
+      end;
+      if kk >= w.Poisson.right then finished := true
+      else begin
+        let cur = !v and next = !spare in
+        Sparse.par_mat_vec_into pt cur next;
+        let step = ref 0.0 in
+        for i = 0 to n - 1 do
+          let d = Float.abs (next.(i) -. cur.(i)) in
+          if d > !step then step := d
+        done;
+        v := next;
+        spare := cur;
+        if !step <= delta then begin
+          let tail = ref 0.0 in
+          for j = max (kk + 1) w.Poisson.left to w.Poisson.right do
+            tail := !tail +. w.Poisson.weights.(j - w.Poisson.left)
+          done;
+          let tail = !tail in
+          for i = 0 to n - 1 do
+            acc.(i) <- acc.(i) +. (tail *. next.(i))
+          done;
+          finished := true
+        end
+      end;
+      if not !finished then incr k
+    done;
+    (acc, !k)
+  end
+
+let bits = Int64.bits_of_float
+
+let check_bits msg expect got =
+  Alcotest.(check int) (msg ^ ": length") (Array.length expect)
+    (Array.length got);
+  Array.iteri
+    (fun i x ->
+      if not (Int64.equal (bits x) (bits got.(i))) then
+        Alcotest.failf "%s: entry %d is %h, the oracle's is %h" msg i got.(i) x)
+    expect
+
+let check_point msg c ~init t =
+  check_bits
+    (Printf.sprintf "%s at t=%g" msg t)
+    (fst (oracle c ~init t))
+    (Ctmc.transient c ~init t)
+
+let with_jobs n f =
+  Pool.set_jobs ~clamp:false n;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs 1) f
+
+let shuffle r l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Srng.int r (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  Array.to_list a
+
+let unit_vector n i = Array.init n (fun j -> if j = i then 1.0 else 0.0)
+
+let random_distribution r n =
+  let v = Array.init n (fun _ -> Srng.float r) in
+  let s = Array.fold_left ( +. ) 0.0 v in
+  Array.map (fun x -> x /. s) v
+
+(* a random chain, a start vector and eight times in [0, 2], shuffled *)
+let case seed =
+  let r = Srng.make seed in
+  let c, init =
+    if seed mod 2 = 0 then Gen.acyclic_ctmc r
+    else
+      let c = Gen.irreducible_ctmc r in
+      (c, random_distribution r (Ctmc.n_states c))
+  in
+  let ts = 0.0 :: List.init 7 (fun _ -> Srng.log_range r 1e-3 2.0) in
+  (c, init, shuffle r ts)
+
+let test_random_chains () =
+  for seed = 1 to 24 do
+    let c, init, ts = case seed in
+    List.iter (check_point (Printf.sprintf "seed %d" seed) c ~init) ts;
+    (* again, now that the workspace holds the longest series *)
+    List.iter (check_point (Printf.sprintf "seed %d, warm" seed) c ~init) ts
+  done
+
+let test_transient_many_jobs2 () =
+  for seed = 1 to 8 do
+    let c, init, ts = case seed in
+    let got = with_jobs 2 (fun () -> Ctmc.transient_many c ~init ts) in
+    List.iter
+      (fun (t, pi) ->
+        check_bits
+          (Printf.sprintf "seed %d, jobs=2, t=%g" seed t)
+          (fst (oracle c ~init t)) pi)
+      got
+  done
+
+(* a 6-state ring with chords: it settles within a few hundred terms *)
+let ring ?(chord = 0.5) () =
+  Ctmc.make ~n:6
+    (List.concat
+       (List.init 6 (fun i ->
+            [ (i, (i + 1) mod 6, 1.0 +. float_of_int i);
+              (i, (i + 3) mod 6, chord) ])))
+
+let test_rekey () =
+  let a, init_a, ts_a = case 3 and b, init_b, ts_b = case 5 in
+  let init_a' = random_distribution (Srng.make 99) (Ctmc.n_states a) in
+  (* equal in value to [init_a] but not in bits (signed zeros): the
+     workspace keys it as another series *)
+  let init_a_neg0 = Array.map (fun x -> if x = 0.0 then -0.0 else x) init_a in
+  List.iteri
+    (fun i (ta, tb) ->
+      check_point "chain A" a ~init:init_a ta;
+      check_point "chain B" b ~init:init_b tb;
+      check_point "chain A, second start" a ~init:init_a' tb;
+      if i mod 2 = 0 then
+        check_point "chain A, -0.0 start" a ~init:init_a_neg0 ta;
+      check_point "chain A again" a ~init:init_a tb)
+    (List.combine ts_a ts_b);
+  (* two chains of one size from one start vector: only the matrix tells
+     their series apart *)
+  let r1 = ring () and r2 = ring ~chord:2.5 () in
+  let init = unit_vector 6 0 in
+  List.iter
+    (fun t ->
+      check_point "ring" r1 ~init t;
+      check_point "ring, other chord rate" r2 ~init t)
+    [ 0.5; 3.0; 1.0; 8.0; 0.2 ]
+
+let test_settling_sides () =
+  let c = ring () in
+  let init = unit_vector 6 0 in
+  let lambda, _ = Ctmc.uniformized_dtmc c in
+  let settle = snd (oracle c ~init (2000.0 /. lambda)) in
+  let mults = [ 0.1; 0.25; 0.5; 0.9; 1.0; 1.1; 2.0; 4.0 ] in
+  let ts = List.map (fun m -> m *. float_of_int settle /. lambda) mults in
+  let right t = (Poisson.window (lambda *. t)).Poisson.right in
+  Alcotest.(check bool) "some window ends before the settling index" true
+    (List.exists (fun t -> right t < settle) ts);
+  Alcotest.(check bool) "some window runs past the settling index" true
+    (List.exists (fun t -> right t > settle) ts);
+  (* short windows first, then long, then short again *)
+  List.iter (check_point "ring" c ~init) ts;
+  List.iter (check_point "ring, reversed" c ~init) (List.rev ts)
+
+(* --- through the SRN ladder ----------------------------------------- *)
+
+let repairable_net () =
+  let one _ = 1 in
+  let no_guard _ = true in
+  Net.build
+    ~places:[ ("up", 3); ("dn", 0) ]
+    ~transitions:
+      [ { Net.t_name = "fl"; kind = Net.Timed;
+          rate = (fun m -> 0.4 *. float_of_int m.(0));
+          guard = no_guard; priority = 0;
+          inputs = [ (0, one) ]; outputs = [ (1, one) ]; inhibitors = [] };
+        { Net.t_name = "rp"; kind = Net.Timed; rate = (fun _ -> 1.0);
+          guard = no_guard; priority = 0;
+          inputs = [ (1, one) ]; outputs = [ (0, one) ]; inhibitors = [] } ]
+
+let reward m = float_of_int m.(0)
+
+(* The ladder with the oracle: rungs every 256 uniformization terms (the
+   spacing Srn's ladder uses), each from the one before, then the
+   remainder from the last rung below t; the reward summed as Srn does. *)
+let oracle_exrt s t =
+  let g = Srn.graph s in
+  let c = Reach.ctmc g and init0 = Reach.initial_distribution g in
+  let lambda, _ = Ctmc.uniformized_dtmc c in
+  let delta = 256.0 /. lambda in
+  let pi =
+    if t <= delta then fst (oracle c ~init:init0 t)
+    else begin
+      let m = min (int_of_float (Float.ceil (t /. delta)) - 1) 100_000 in
+      let cp = ref init0 in
+      for _ = 1 to m do
+        cp := fst (oracle c ~init:!cp delta)
+      done;
+      fst (oracle c ~init:!cp (t -. (float_of_int m *. delta)))
+    end
+  in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i p ->
+      if p <> 0.0 then acc := !acc +. (p *. reward (Reach.tangible_marking g i)))
+    pi;
+  !acc
+
+let ladder_times s =
+  let c = Reach.ctmc (Srn.graph s) in
+  let lambda, _ = Ctmc.uniformized_dtmc c in
+  let delta = 256.0 /. lambda in
+  (* both sides of the first rungs, out of order *)
+  List.map (fun m -> m *. delta) [ 2.5; 0.3; 1.0; 3.2; 0.9; 1.7; 2.0 ]
+
+let check_reward msg expect got =
+  if not (Int64.equal (bits expect) (bits got)) then
+    Alcotest.failf "%s: %h, the oracle's is %h" msg got expect
+
+let test_srn_exrt_ladder () =
+  let s = Srn.solve (repairable_net ()) in
+  List.iter
+    (fun t ->
+      check_reward (Printf.sprintf "exrt t=%g" t) (oracle_exrt s t)
+        (Srn.exrt s reward t))
+    (ladder_times s)
+
+let test_srn_exrt_many_jobs2 () =
+  let s = Srn.solve (repairable_net ()) in
+  let ts = ladder_times s in
+  let got = with_jobs 2 (fun () -> Srn.exrt_many s reward ts) in
+  List.iter
+    (fun (t, x) ->
+      check_reward (Printf.sprintf "exrt_many jobs=2 t=%g" t) (oracle_exrt s t) x)
+    got
+
+(* --- past the byte budget ------------------------------------------- *)
+
+(* a birth-death chain that is far from settled after a few hundred
+   terms, and long enough that a window of lambda t ~ 200 needs more
+   iterates than the budget holds *)
+let birth_death ?(up = 1.0) n =
+  Ctmc.of_rows ~n (fun i emit ->
+      if i < n - 1 then emit (i + 1) up;
+      if i > 0 then emit (i - 1) 0.9)
+
+let test_budget () =
+  let n = 20_000 in
+  let c = birth_death n in
+  let init = unit_vector n 0 in
+  let lambda, _ = Ctmc.uniformized_dtmc c in
+  let t = 200.0 /. lambda in
+  let slots = Ctmc.iterate_budget / (8 * n) in
+  Alcotest.(check bool) "the window is longer than the budget holds" true
+    ((Poisson.window (lambda *. t)).Poisson.right > slots);
+  List.iter (check_point "birth-death" c ~init) [ t; 0.5 *. t; 1.2 *. t; t ];
+  let bytes = Ctmc.workspace_bytes () in
+  Alcotest.(check bool)
+    (Printf.sprintf "workspace %d bytes within the %d-byte budget" bytes
+       Ctmc.iterate_budget)
+    true
+    (bytes > 0 && bytes <= Ctmc.iterate_budget)
+
+(* --- a query cut short by a deadline -------------------------------- *)
+
+let test_after_timeout () =
+  let n = 20_000 in
+  (* mass on every state, so a multiply cut between its row ranges leaves
+     rows that differ from the finished product *)
+  let init = random_distribution (Srng.make 17) n in
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          List.iter
+            (fun timeout ->
+              let msg = Printf.sprintf "jobs=%d, after a %gs timeout" jobs timeout in
+              (* a fresh chain, so the cut lands while the workspace is
+                 still filling, over slots that held another series *)
+              let c = birth_death ~up:(1.0 +. timeout +. float_of_int jobs) n in
+              let lambda, _ = Ctmc.uniformized_dtmc c in
+              (* a series of ~50 000 terms: far beyond the timeout.  At
+                 jobs=2 each multiply splits into row ranges that re-check
+                 the deadline, so the cut can land inside a multiply. *)
+              (match
+                 Deadline.with_timeout timeout (fun () ->
+                     Ctmc.transient c ~init (50_000.0 /. lambda))
+               with
+              | _ -> Alcotest.fail "the long series finished inside its timeout"
+              | exception Deadline.Timed_out -> ());
+              List.iter
+                (fun lt -> check_point msg c ~init (lt /. lambda))
+                [ 40.0; 150.0; 300.0 ])
+            [ 0.001; 0.002; 0.003; 0.005; 0.01; 0.05 ]))
+    [ 1; 2 ]
+
+let suite =
+  [ Alcotest.test_case "random chains, shuffled times" `Quick
+      test_random_chains;
+    Alcotest.test_case "transient_many at jobs=2" `Quick
+      test_transient_many_jobs2;
+    Alcotest.test_case "second chain and start vector re-key" `Quick
+      test_rekey;
+    Alcotest.test_case "both sides of the settling index" `Quick
+      test_settling_sides;
+    Alcotest.test_case "Srn.exrt past the ladder spacing" `Quick
+      test_srn_exrt_ladder;
+    Alcotest.test_case "Srn.exrt_many at jobs=2" `Quick
+      test_srn_exrt_many_jobs2;
+    Alcotest.test_case "window past the byte budget" `Quick test_budget;
+    Alcotest.test_case "query after a Timed_out query" `Quick
+      test_after_timeout ]
