@@ -109,8 +109,7 @@ let e1 () =
       let hand = wfs_figure27_ctmc c in
       let init = [| 1.0; 0.0; 0.0; 0.0; 0.0; 0.0 |] in
       let ts = [ 1.0; 2.0; 5.0; 10.0; 20.0 ] in
-      (* whole time grid in one call: the uncached points fan out over
-         the pool (bit-identical to point-by-point queries) *)
+      (* whole time grid in one call, evaluated point by point *)
       List.iter
         (fun (t, a_srn) ->
           let pi = Ctmc.transient hand ~init t in

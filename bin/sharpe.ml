@@ -5,11 +5,7 @@
    the file keeps executing.  Diagnostics go to stderr (human form) or
    stdout (--diagnostics json); the exit code tells automation what
    happened: 0 clean, 1 any error, 2 any warning-or-worse under --strict,
-   3 when --timeout expired and the run was cancelled.
-
-   --serve turns the process into the sharped evaluation daemon on a
-   Unix-domain socket (see PROTOCOL.md); sharped(1) is the same server
-   with more listener options. *)
+   3 when --timeout expired and the run was cancelled. *)
 
 module Diag = Sharpe_numerics.Diag
 module Deadline = Sharpe_numerics.Deadline
@@ -17,7 +13,6 @@ module Linsolve = Sharpe_numerics.Linsolve
 module Interp = Sharpe_lang.Interp
 module Pool = Sharpe_numerics.Pool
 module Structhash = Sharpe_numerics.Structhash
-module Server = Sharpe_server.Server
 module Check = Sharpe_check.Check
 
 let run_batch timeout files =
@@ -163,40 +158,27 @@ let run_selfcheck strict diag_fmt ~pairs count seed inject bench timeout =
           close_out oc);
       report strict diag_fmt false (records, 0, false)
 
-let run strict diag_fmt jobs no_cache cache_stats solver timeout serve selfcheck
+let run strict diag_fmt jobs no_cache cache_stats solver timeout selfcheck
     selfcheck_large seed inject bench files =
   Pool.set_jobs jobs;
   Structhash.set_enabled (not no_cache);
   Linsolve.set_method solver;
-  match (serve, selfcheck, selfcheck_large) with
-  | Some path, _, _ -> (
-      try
-        Server.serve
-          ~config:
-            { Server.default_config with
-              default_timeout = timeout;
-              workers = max Server.default_config.Server.workers jobs }
-          (`Unix path);
-        0
-      with Server.Bind_error msg ->
-        prerr_endline ("sharpe: " ^ msg);
-        1)
-  | None, Some _, Some _ ->
+  match (selfcheck, selfcheck_large) with
+  | Some _, Some _ ->
       prerr_endline
         "sharpe: --selfcheck and --selfcheck-large cannot be combined (run \
          them as two invocations)";
       Cmdliner.Cmd.Exit.cli_error
-  | None, Some count, None ->
+  | Some count, None ->
       run_selfcheck strict diag_fmt ~pairs:Check.pair_names count seed inject
         bench timeout
-  | None, None, Some count ->
+  | None, Some count ->
       run_selfcheck strict diag_fmt ~pairs:Check.large_pair_names count seed
         inject bench timeout
-  | None, None, None when files = [] ->
-      prerr_endline
-        "sharpe: no input files (expected FILE..., --serve SOCKET or --selfcheck)";
+  | None, None when files = [] ->
+      prerr_endline "sharpe: no input files (expected FILE... or --selfcheck)";
       Cmdliner.Cmd.Exit.cli_error
-  | None, None, None ->
+  | None, None ->
       report strict diag_fmt cache_stats (run_batch timeout files)
 
 open Cmdliner
@@ -228,8 +210,9 @@ let jobs =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Evaluate independent loop iterations and transient time points \
-           on up to $(docv) domains.  Output order and printed values are \
+          "Evaluate independent loop iterations, and the rows of large \
+           sparse matrix-vector products, on up to $(docv) domains.  \
+           Output order and printed values are \
            identical to a serial run; loops whose bodies rebind shared \
            state fall back to serial execution automatically.")
 
@@ -284,20 +267,7 @@ let timeout =
           "Cancel the whole run after $(docv) seconds of wall-clock time: \
            solvers and loops hit a cooperative cancellation point, the \
            cancellation is reported as an error diagnostic, and the exit \
-           status is 3.  With $(b,--serve), sets the default per-request \
-           deadline instead.")
-
-let serve =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "serve" ] ~docv:"SOCKET"
-        ~doc:
-          "Do not run input files; listen on the Unix-domain socket \
-           $(docv) as an evaluation daemon speaking the newline-delimited \
-           JSON protocol of PROTOCOL.md (same server as sharped(1), which \
-           also offers TCP and tuning options).  Runs until a client sends \
-           a $(i,shutdown) request.")
+           status is 3.")
 
 let selfcheck =
   Arg.(
@@ -380,7 +350,7 @@ let cmd =
   Cmd.v (Cmd.info "sharpe" ~version:"2002-ocaml" ~doc ~man)
     Term.(
       const run $ strict $ diag_fmt $ jobs $ no_cache $ cache_stats $ solver
-      $ timeout $ serve $ selfcheck $ selfcheck_large $ seed $ selfcheck_inject
+      $ timeout $ selfcheck $ selfcheck_large $ seed $ selfcheck_inject
       $ selfcheck_bench $ files)
 
 let () = exit (Cmd.eval' cmd)

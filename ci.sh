@@ -132,6 +132,18 @@ grep -q '"name": "pepa-vs-product"' BENCH_check.json || {
   echo "ci: selfcheck bench is missing the pepa-vs-product pair" >&2
   exit 1
 }
+# the same sweep on two domains must count and err exactly as on one:
+# every line of its record but the wall-clock one equals BENCH_check.json
+sc2="${TMPDIR:-/tmp}/sharpe_ci_selfcheck2_$$.json"
+./_build/default/bin/sharpe.exe --selfcheck=200 --seed 1 --jobs 2 \
+  --selfcheck-bench "$sc2" >/dev/null
+grep -v '"elapsed_s"' BENCH_check.json >"$sc2.jobs1"
+grep -v '"elapsed_s"' "$sc2" | cmp -s "$sc2.jobs1" - || {
+  echo "ci: selfcheck at --jobs 2 differs from BENCH_check.json:" >&2
+  grep -v '"elapsed_s"' "$sc2" | diff "$sc2.jobs1" - >&2
+  exit 1
+}
+rm -f "$sc2" "$sc2.jobs1"
 # the harness must also be able to FAIL: perturb one engine and demand a
 # nonzero exit plus a diagnostic carrying the reproducing seed
 if inject_out=$(./_build/default/bin/sharpe.exe --selfcheck=5 --seed 1 \

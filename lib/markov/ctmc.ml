@@ -288,8 +288,7 @@ let transient_many ?(eps = 1e-12) c ~init ts =
               (* v P as P^T v: identical accumulation order per output
                  entry for this nonnegative system, hence bit-identical —
                  and row-parallel when the chain is large and this call is
-                 not already inside a pool task (the per-time-point
-                 fan-out below keeps nested multiplies serial) *)
+                 not already inside a pool task *)
               Sparse.par_mat_vec_into pt cur next;
               for i = 0 to n - 1 do
                 let d = Float.abs (next.(i) -. cur.(i)) in
@@ -321,10 +320,9 @@ let transient_many ?(eps = 1e-12) c ~init ts =
       (t, acc)
     end
   in
-  (* time points are independent given (lambda, p); the pool keeps result
-     and diagnostic order identical to the serial evaluation *)
-  let ts = Array.of_list ts in
-  Array.to_list (Pool.run (Array.length ts) (fun i -> point ts.(i)))
+  (* the points run in order on the calling domain, each reading the
+     series the points before it left in the workspace *)
+  List.map point ts
 
 let transient ?eps c ~init t =
   match transient_many ?eps c ~init [ t ] with

@@ -67,11 +67,16 @@ val workspace_bytes : unit -> int
 
 val transient_many :
   ?eps:float -> t -> init:float array -> float list -> (float * float array) list
-(** Evaluate at several time points (shared setup). *)
+(** {!transient} at each time point, in order on the calling domain, with
+    one provenance diagnostic for the whole list; the points read one
+    series from the workspace. *)
 
 val cumulative : ?eps:float -> t -> init:float array -> float -> float array
 (** [cumulative c ~init t]: L(t) = integral over (0,t] of the state
-    probability vector — expected total time spent in each state by [t]. *)
+    probability vector — expected total time spent in each state by [t].
+    It streams the iterates [init P^k] through two buffers: it neither
+    reads nor re-keys the transient workspace, so a long series holds
+    two vectors, not the budget. *)
 
 val expected_reward_ss : t -> reward:(int -> float) -> float
 (** Steady-state expected reward rate (irreducible chains). *)

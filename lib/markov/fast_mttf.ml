@@ -38,8 +38,10 @@ let mttf_fast c ~init { reada; readf } =
       let sub = Ctmc.make ~n:na !internal in
       let w =
         (* if A is not internally connected the steady solve may fail;
-           fall back to uniform weights *)
-        try Ctmc.steady_state sub with _ -> Array.make na (1.0 /. float_of_int na)
+           fall back to uniform weights (a cancellation still unwinds) *)
+        try Ctmc.steady_state sub
+        with Linsolve.Singular | Failure _ | Invalid_argument _ ->
+          Array.make na (1.0 /. float_of_int na)
       in
       (* build the aggregated chain: A collapses to macro-state [n'] = 0 *)
       let keep = List.filter (fun s -> not in_a.(s)) (List.init n Fun.id) in

@@ -1,4 +1,5 @@
 module Ctmc = Sharpe_markov.Ctmc
+module Linsolve = Sharpe_numerics.Linsolve
 
 type t = {
   g : Reach.t;
@@ -35,10 +36,13 @@ let steady s =
            && Ctmc.absorbing_states c <> List.init (Ctmc.n_states c) Fun.id
         then begin
           let init = Reach.initial_distribution s.g in
+          (* a failed absorption solve falls back; a cancellation
+             ([Deadline.Timed_out]) unwinds *)
           try Ctmc.absorption_probs c ~init
-          with _ -> Sharpe_numerics.Linsolve.ctmc_steady_state (Ctmc.generator c)
+          with Linsolve.Singular | Failure _ | Invalid_argument _ ->
+            Linsolve.ctmc_steady_state (Ctmc.generator c)
         end
-        else Sharpe_numerics.Linsolve.ctmc_steady_state (Ctmc.generator c)
+        else Linsolve.ctmc_steady_state (Ctmc.generator c)
       in
       s.steady <- Some pi;
       pi
@@ -122,71 +126,6 @@ let transient_at s t =
       Hashtbl.replace s.transients t pi;
       pi
 
-(* Evaluate pi(t) for a whole grid of times, fanning the points out over
-   the pool.  The ladder prefix is built once, serially, by querying the
-   largest missing time; each point task then reads a SNAPSHOT of the
-   checkpoint table (the live Hashtbl is not thread-safe) and advances
-   from its highest resident rung, collecting the stride-th rungs it
-   recomputes along the way.  Rung values are canonical (rung j =
-   transient(rung (j-1), delta) whatever subset is resident — see the
-   ladder comment above), so the fan-out is bit-identical to querying the
-   same times serially; the queried points AND the collected rungs are
-   written back on the calling domain afterwards, leaving the table as
-   populated as the serial path would have — a later query pays the same
-   (bounded) recomputation either way. *)
-let transient_many s ts =
-  let misses =
-    List.sort_uniq compare
-      (List.filter (fun t -> not (Hashtbl.mem s.transients t)) ts)
-  in
-  (match List.rev misses with
-  | [] -> ()
-  | tmax :: _ -> ignore (transient_at s tmax));
-  let rest = List.filter (fun t -> not (Hashtbl.mem s.transients t)) misses in
-  (match rest with
-  | [] -> ()
-  | _ ->
-      let c = Reach.ctmc s.g in
-      let init0 = Reach.initial_distribution s.g in
-      let lambda, _ = Ctmc.uniformized_dtmc c in
-      let delta = ladder_chunk /. lambda in
-      let snapshot = Hashtbl.copy s.transients in
-      let point t =
-        if (not (Float.is_finite delta)) || delta <= 0.0 || t <= delta then
-          (Ctmc.transient c ~init:init0 t, [])
-        else begin
-          let m = min (int_of_float (Float.ceil (t /. delta)) - 1) 100_000 in
-          let stride = 1 + ((m - 1) / ladder_budget) in
-          let start = ref 0 and cp = ref init0 in
-          for j = 1 to m do
-            match Hashtbl.find_opt snapshot (float_of_int j *. delta) with
-            | Some v ->
-                start := j;
-                cp := v
-            | None -> ()
-          done;
-          let rungs = ref [] in
-          for j = !start + 1 to m do
-            let v = Ctmc.transient c ~init:!cp delta in
-            if j mod stride = 0 then
-              rungs := (float_of_int j *. delta, v) :: !rungs;
-            cp := v
-          done;
-          (Ctmc.transient c ~init:!cp (t -. (float_of_int m *. delta)),
-           !rungs)
-        end
-      in
-      let arr = Array.of_list rest in
-      let pis =
-        Sharpe_numerics.Pool.run (Array.length arr) (fun i -> point arr.(i))
-      in
-      Array.iteri
-        (fun i (pi, rungs) ->
-          List.iter (fun (tj, v) -> Hashtbl.replace s.transients tj v) rungs;
-          Hashtbl.replace s.transients arr.(i) pi)
-        pis);
-  List.map (fun t -> (t, transient_at s t)) ts
-
 let cumulative_at s t =
   match Hashtbl.find_opt s.cumulatives t with
   | Some l -> l
@@ -198,8 +137,7 @@ let cumulative_at s t =
 
 let exrt s reward t = weighted s (transient_at s t) reward
 
-let exrt_many s reward ts =
-  List.map (fun (t, pi) -> (t, weighted s pi reward)) (transient_many s ts)
+let exrt_many s reward ts = List.map (fun t -> (t, exrt s reward t)) ts
 
 let cexrt s reward t = weighted s (cumulative_at s t) reward
 

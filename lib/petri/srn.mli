@@ -28,14 +28,9 @@ val exrss : t -> (Net.marking -> float) -> float
 val exrt : t -> (Net.marking -> float) -> float -> float
 (** [srn_exrt]: expected reward rate at time t. *)
 
-val transient_many : t -> float list -> (float * float array) list
-(** Tangible-marking distributions at each requested time, evaluated with
-    the uncached points fanned out over the {!Sharpe_numerics.Pool}
-    (bit-identical to querying the times one by one — the checkpoint
-    ladder's rung values are canonical whatever subset is resident). *)
-
 val exrt_many : t -> (Net.marking -> float) -> float list -> (float * float) list
-(** [exrt] over a grid of time points via {!transient_many}. *)
+(** [exrt] at each time point in order, paired with its time: the same
+    values and diagnostics as the calls made one by one. *)
 
 val cexrt : t -> (Net.marking -> float) -> float -> float
 (** [srn_cexrt]: cumulative expected reward over (0, t]. *)

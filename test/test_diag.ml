@@ -394,6 +394,80 @@ let test_cumulative_truncation_warning () =
   | l -> Alcotest.failf "expected one truncation warning, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
+(* Cancellation is not a solve failure                                 *)
+
+(* Run [f] under a deadline that has passed by the time [f]'s solve first
+   checks it ([with_until] checks on entry, so the deadline expires
+   during a sleep inside), and return the records emitted before the
+   [Timed_out] that must unwind it. *)
+let records_of_cancelled f =
+  let sink = Diag.create_sink () in
+  match
+    Diag.with_sink sink (fun () ->
+        Deadline.with_until (Unix.gettimeofday () +. 0.02) (fun () ->
+            Unix.sleepf 0.05;
+            f ()))
+  with
+  | _ -> Alcotest.fail "the solve finished past its deadline"
+  | exception Deadline.Timed_out -> Diag.records sink
+
+let test_srn_steady_timeout_unwinds () =
+  (* The vanishing initial marking resolves to the absorbing marking D
+     (tangible index 0) or to a chain of 600 transient markings: tokens
+     move p -> q and back, and the all-p marking dies to D.  The
+     absorption solve over 600 transient markings takes the iterative
+     sparse path, which checks the deadline; the fallback steady-state
+     solve would take banded GTH (every marking has a move to a lower
+     index), which never checks it and reports itself as
+     ctmc_steady_state. *)
+  let module Net = Sharpe_petri.Net in
+  let n = 600 in
+  let s = 0 and p = 1 and q = 2 and d = 3 in
+  let arc ?(k = 1) i = (i, fun _ -> k) in
+  let t ?(kind = Net.Timed) ?(guard = fun _ -> true) name rate ins outs =
+    { Net.t_name = name; kind; rate = (fun _ -> rate); guard; priority = 0;
+      inputs = ins; outputs = outs; inhibitors = [] }
+  in
+  let net =
+    Net.build
+      ~places:[ ("s", 1); ("p", 0); ("q", 0); ("d", 0) ]
+      ~transitions:
+        [ t ~kind:Net.Immediate "to_d" 1.0 [ arc s ] [ arc d ];
+          t ~kind:Net.Immediate "to_p" 1.0 [ arc s ] [ arc ~k:n p ];
+          t "f" 1.0 ~guard:(fun m -> m.(q) < n - 1) [ arc p ] [ arc q ];
+          t "r" 0.5 [ arc q ] [ arc p ];
+          t "die" 0.01 [ arc ~k:n p ] [ arc d ] ]
+  in
+  let srn = Sharpe_petri.Srn.solve net in
+  let recs =
+    records_of_cancelled (fun () ->
+        Sharpe_petri.Srn.exrss srn (fun m -> float_of_int m.(q)))
+  in
+  Alcotest.(check (list string)) "no fallback steady-state solve" []
+    (List.filter_map
+       (fun r -> if r.Diag.solver = "ctmc_steady_state" then Some r.Diag.message else None)
+       recs)
+
+let test_fast_mttf_timeout_unwinds () =
+  (* 1000 aggregated states in a ring: the ring's bandwidth puts banded
+     GTH over budget, so their steady state takes Gauss-Seidel sweeps,
+     which check the deadline.  The aggregated chain has three states,
+     so the uniform-weight fallback would finish without a check. *)
+  let na = 1000 in
+  let a i = 2 + i in
+  let rates =
+    (1, 0, 0.5) :: (1, a 0, 1.0)
+    :: List.concat
+         (List.init na (fun i -> [ (a i, a ((i + 1) mod na), 1.0); (a i, 1, 0.001) ]))
+  in
+  let c = Sharpe_markov.Ctmc.make ~n:(na + 2) rates in
+  let init = Array.init (na + 2) (fun i -> if i = a 0 then 1.0 else 0.0) in
+  ignore
+    (records_of_cancelled (fun () ->
+         Sharpe_markov.Fast_mttf.mttf_fast c ~init
+           { Sharpe_markov.Fast_mttf.reada = List.init na a; readf = [ 0 ] }))
+
+(* ------------------------------------------------------------------ *)
 (* Language level: per-statement recovery and error reporting          *)
 
 let test_interp_recovers_per_statement () =
@@ -444,6 +518,10 @@ let suite =
     Alcotest.test_case "ctmc make rejects nan" `Quick test_ctmc_make_rejects_nan;
     Alcotest.test_case "cumulative truncation warning" `Quick
       test_cumulative_truncation_warning;
+    Alcotest.test_case "srn steady: timeout unwinds, no fallback" `Quick
+      test_srn_steady_timeout_unwinds;
+    Alcotest.test_case "fast mttf: timeout unwinds, no fallback" `Quick
+      test_fast_mttf_timeout_unwinds;
     Alcotest.test_case "interp per-statement recovery" `Quick
       test_interp_recovers_per_statement;
     Alcotest.test_case "interp parse error diagnostic" `Quick

@@ -13,6 +13,12 @@
    keeps the numbers but changes which rung accepted a solve, or the
    wording of a fallback, shows up there.
 
+   Every example runs a second time on two pool domains (the clamp off,
+   so the parallel path runs on any host) against the same golden files:
+   loop fan-outs and per-domain iterate workspaces may change neither
+   the output nor the diagnostic stream -- except three examples'
+   streams, [transient_dependent] below.
+
    Regenerate after an intentional output change with
 
      UPDATE_GOLDEN=1 dune runtest
@@ -22,6 +28,8 @@
 
 module Interp = Sharpe_lang.Interp
 module Diag = Sharpe_numerics.Diag
+module Pool = Sharpe_numerics.Pool
+module Structhash = Sharpe_numerics.Structhash
 
 let src_root =
   let rec find dir depth =
@@ -63,12 +71,19 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let run_example (dir, file) =
+let run_example ~jobs (dir, file) =
   let buf = Buffer.create 4096 in
+  (* cold caches, as in a fresh process: a solve the jobs=1 run left
+     cached would skip its diagnostics at jobs=2 *)
+  Structhash.clear_all ();
   let outcome, records =
-    Diag.capture (fun () ->
-        Interp.run_program_file ~print:(Buffer.add_string buf)
-          (Filename.concat dir file))
+    Pool.set_jobs ~clamp:false jobs;
+    Fun.protect
+      ~finally:(fun () -> Pool.set_jobs 1)
+      (fun () ->
+        Diag.capture (fun () ->
+            Interp.run_program_file ~print:(Buffer.add_string buf)
+              (Filename.concat dir file)))
   in
   ( Buffer.contents buf,
     outcome.Interp.failed_statements,
@@ -119,24 +134,41 @@ let golden_file file suffix =
       file path;
   path
 
-let check_example ((_, file) as ex) () =
-  let out, failed, diag = run_example ex in
-  Alcotest.(check int) (file ^ ": failed statements") 0 failed;
+(* Examples whose parallel loops query SRN transients.  A transient
+   emits its ctmc_transient provenance record on a cache miss only, and
+   at jobs=2 the solved instances, with their checkpoint ladders and
+   cached time points, are per domain: how many misses a run takes
+   depends on which domain ran which iteration, so the jobs=2 stream
+   varies from run to run.  Every record of these streams is a
+   ctmc_transient one, so their jobs=2 runs compare outputs only; the
+   ROADMAP item "Transient provenance records depend on cache
+   residency" is the fix. *)
+let transient_dependent = [ "atm.sharpe"; "database.sharpe"; "software.sharpe" ]
+
+(* the jobs=2 run only compares: the golden files come from jobs=1 *)
+let check_example ~jobs ((_, file) as ex) () =
+  let out, failed, diag = run_example ~jobs ex in
+  let name = if jobs = 1 then file else Printf.sprintf "%s at jobs=%d" file jobs in
+  Alcotest.(check int) (name ^ ": failed statements") 0 failed;
   let out_path = golden_file file ".out" in
   let diag_path = golden_file file ".diag.json" in
-  if update_mode then begin
+  if update_mode && jobs = 1 then begin
     write_file out_path out;
     write_file diag_path diag
   end
   else begin
     (match diff_outputs ~golden:(read_file out_path) ~actual:out with
     | None -> ()
-    | Some msg -> Alcotest.failf "%s: output drifted from golden file: %s" file msg);
-    if read_file diag_path <> diag then
-      Alcotest.failf "%s: diagnostic stream drifted from %s" file diag_path
+    | Some msg -> Alcotest.failf "%s: output drifted from golden file: %s" name msg);
+    if
+      not (jobs > 1 && List.mem file transient_dependent)
+      && read_file diag_path <> diag
+    then Alcotest.failf "%s: diagnostic stream drifted from %s" name diag_path
   end
 
 let suite =
-  List.map
-    (fun ((_, file) as ex) -> Alcotest.test_case file `Slow (check_example ex))
+  List.concat_map
+    (fun ((_, file) as ex) ->
+      [ Alcotest.test_case file `Slow (check_example ~jobs:1 ex);
+        Alcotest.test_case (file ^ " at jobs=2") `Slow (check_example ~jobs:2 ex) ])
     examples

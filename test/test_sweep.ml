@@ -850,9 +850,9 @@ let test_sharded_cache_parallel () =
   done
 
 let test_ctmc_parallel_transient_bits () =
-  (* birth-death chain large enough that the ladder and uniformization do
-     real work; parallel fan-out plus forced-parallel SpMV must be
-     bit-identical to the serial evaluation *)
+  (* birth-death chain large enough that uniformization does real work;
+     forced-parallel SpMV must be bit-identical to the serial
+     evaluation *)
   let n = 150 in
   let rates =
     List.concat
@@ -897,9 +897,8 @@ let repairable_net () =
           inputs = [ (1, one_) ]; outputs = [ (0, one_) ]; inhibitors = [] } ]
 
 let test_srn_transient_many_bits () =
-  (* horizons past the checkpoint-ladder spacing, so the fan-out path
-     reads resident rungs while the serial baseline builds them one
-     query at a time — canonical rungs make both bit-identical *)
+  (* horizons past the checkpoint-ladder spacing: the time grid at
+     jobs=4 must carry the bits of the same queries one by one *)
   let ts = [ 50.0; 150.0; 250.0; 350.0 ] in
   let reward m = float_of_int m.(0) in
   let s_serial = Srn.solve (repairable_net ()) in

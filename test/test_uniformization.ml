@@ -1,15 +1,19 @@
 (* Bit-identity of transients read through the per-domain iterate
-   workspace.  The oracle is the point loop [Ctmc.transient] ran before
-   iterates were shared: every query restarts from its start vector and
-   streams the series through two swapped buffers.  Whatever the
-   workspace holds -- another chain, another start vector, a shorter or
-   longer prefix, a prefix cut short by a deadline, or nothing past the
-   byte budget -- every answer must carry the oracle's bits. *)
+   workspace, and of cumulatives beside them.  The oracles are the loops
+   [Ctmc.transient] and [Ctmc.cumulative] ran before iterates were
+   shared: every query restarts from its start vector and streams the
+   series through two swapped buffers.  Whatever the workspace holds --
+   another chain, another start vector, a shorter or longer prefix, a
+   prefix cut short by a deadline, or nothing past the byte budget --
+   every answer must carry the oracle's bits.  A cumulative still
+   streams: it must carry its oracle's bits whatever the workspace
+   holds, and leave the transients' series alone. *)
 
 module Sparse = Sharpe_numerics.Sparse
 module Poisson = Sharpe_numerics.Poisson
 module Pool = Sharpe_numerics.Pool
 module Deadline = Sharpe_numerics.Deadline
+module Diag = Sharpe_numerics.Diag
 module Ctmc = Sharpe_markov.Ctmc
 module Net = Sharpe_petri.Net
 module Reach = Sharpe_petri.Reach
@@ -67,6 +71,36 @@ let oracle ?(eps = 1e-12) c ~init t =
     (acc, !k)
   end
 
+(* L(t) from [init] and the number of terms the series took *)
+let cumulative_oracle ?(eps = 1e-12) c ~init t =
+  let lambda, p = Ctmc.uniformized_dtmc c in
+  let pt = Sparse.transpose p in
+  let n = Ctmc.n_states c in
+  if t <= 0.0 then (Array.make n 0.0, 0)
+  else begin
+    let mean = lambda *. t in
+    let acc = Array.make n 0.0 in
+    let v = ref (Array.copy init) and spare = ref (Array.make n 0.0) in
+    let survivor = ref (-.Float.expm1 (-.mean)) in
+    let k = ref 0 in
+    let continue_ = ref true in
+    while !continue_ do
+      let wk = Float.max 0.0 (!survivor /. lambda) in
+      if wk > 0.0 then Array.iteri (fun i vi -> acc.(i) <- acc.(i) +. (wk *. vi)) !v;
+      if float_of_int !k > mean && !survivor < eps then continue_ := false
+      else if !k > 5_000_000 then continue_ := false
+      else begin
+        let cur = !v and next = !spare in
+        Sparse.par_mat_vec_into pt cur next;
+        v := next;
+        spare := cur;
+        incr k;
+        survivor := Float.max 0.0 (!survivor -. Poisson.pmf mean !k)
+      end
+    done;
+    (acc, !k)
+  end
+
 let bits = Int64.bits_of_float
 
 let check_bits msg expect got =
@@ -83,6 +117,12 @@ let check_point msg c ~init t =
     (Printf.sprintf "%s at t=%g" msg t)
     (fst (oracle c ~init t))
     (Ctmc.transient c ~init t)
+
+let check_cumulative msg c ~init t =
+  check_bits
+    (Printf.sprintf "%s, cumulative at t=%g" msg t)
+    (fst (cumulative_oracle c ~init t))
+    (Ctmc.cumulative c ~init t)
 
 let with_jobs n f =
   Pool.set_jobs ~clamp:false n;
@@ -135,6 +175,23 @@ let test_transient_many_jobs2 () =
           (Printf.sprintf "seed %d, jobs=2, t=%g" seed t)
           (fst (oracle c ~init t)) pi)
       got
+  done
+
+(* cumulatives on cold and warm workspaces, alone and interleaved with
+   transients on the same chain and start vector: neither kind of query
+   may disturb the other *)
+let test_cumulative () =
+  for seed = 1 to 24 do
+    let c, init, ts = case seed in
+    let msg = Printf.sprintf "seed %d" seed in
+    List.iter (check_cumulative msg c ~init) ts;
+    (* transients after cumulatives, then cumulatives after transients *)
+    List.iter
+      (fun t ->
+        check_point msg c ~init t;
+        check_cumulative (msg ^ ", beside transients") c ~init (2.0 *. t);
+        check_cumulative (msg ^ ", beside transients") c ~init (0.5 *. t))
+      ts
   done
 
 (* a 6-state ring with chords: it settles within a few hundred terms *)
@@ -252,11 +309,18 @@ let test_srn_exrt_ladder () =
 let test_srn_exrt_many_jobs2 () =
   let s = Srn.solve (repairable_net ()) in
   let ts = ladder_times s in
-  let got = with_jobs 2 (fun () -> Srn.exrt_many s reward ts) in
+  let got, records =
+    Diag.capture (fun () -> with_jobs 2 (fun () -> Srn.exrt_many s reward ts))
+  in
   List.iter
     (fun (t, x) ->
       check_reward (Printf.sprintf "exrt_many jobs=2 t=%g" t) (oracle_exrt s t) x)
-    got
+    got;
+  (* the same queries one by one, on a fresh instance *)
+  let s' = Srn.solve (repairable_net ()) in
+  let _, one_by_one = Diag.capture (fun () -> List.map (Srn.exrt s' reward) ts) in
+  Alcotest.(check string) "exrt_many's records are those of exrt one by one"
+    (Diag.records_to_json one_by_one) (Diag.records_to_json records)
 
 (* --- past the byte budget ------------------------------------------- *)
 
@@ -278,6 +342,10 @@ let test_budget () =
   Alcotest.(check bool) "the window is longer than the budget holds" true
     ((Poisson.window (lambda *. t)).Poisson.right > slots);
   List.iter (check_point "birth-death" c ~init) [ t; 0.5 *. t; 1.2 *. t; t ];
+  Alcotest.(check bool) "the cumulative series is longer than the budget holds" true
+    (snd (cumulative_oracle c ~init t) > slots);
+  List.iter (check_cumulative "birth-death" c ~init) [ t; 0.5 *. t ];
+  with_jobs 2 (fun () -> check_cumulative "birth-death, jobs=2" c ~init t);
   let bytes = Ctmc.workspace_bytes () in
   Alcotest.(check bool)
     (Printf.sprintf "workspace %d bytes within the %d-byte budget" bytes
@@ -322,6 +390,7 @@ let suite =
       test_random_chains;
     Alcotest.test_case "transient_many at jobs=2" `Quick
       test_transient_many_jobs2;
+    Alcotest.test_case "cumulative beside transients" `Quick test_cumulative;
     Alcotest.test_case "second chain and start vector re-key" `Quick
       test_rekey;
     Alcotest.test_case "both sides of the settling index" `Quick
