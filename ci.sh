@@ -18,6 +18,24 @@ else
   echo "== fmt skipped (ocamlformat not installed) =="
 fi
 
+echo "== unused exports =="
+# every top-level val of a library interface must be named somewhere but
+# its own definition: more than once in its own .ml, or in another .ml
+unused=""
+for mli in $(find lib -name '*.mli' | sort); do
+  ml="${mli%i}"
+  for v in $(sed -n "s/^val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli"); do
+    [ "$(grep -cw -- "$v" "$ml")" -le 1 ] || continue
+    grep -rlw --include='*.ml' -- "$v" lib bin bench perfbench test |
+      grep -qvx "$ml" || unused="$unused $mli:$v"
+  done
+done
+[ -z "$unused" ] || {
+  echo "ci: exported but never used:" >&2
+  printf '  %s\n' $unused >&2
+  exit 1
+}
+
 echo "== golden suite =="
 # the golden harness lives inside dune runtest; re-run just that binary so
 # a golden drift is reported even when someone trims the runtest alias

@@ -44,18 +44,18 @@
    between two transitions), and their recorded pairs are what keeps
    their instances apart in the instance key.
 
-   Three tables (see Structhash):
+   Three tables, each domain-local (see Structhash):
 
-   - "srn_skeleton" (process-shared): structural key -> reachability
-     skeleton.  A hit that still fits skips state-space exploration.
-   - "srn_instance" (domain-local): instance key -> the fully solved
-     Srn.t.  A hit returns the same instance, preserving its accumulated
+   - "srn_skeleton": structural key -> reachability skeleton.  A hit
+     that still fits skips state-space exploration.
+   - "srn_instance": instance key -> the fully solved Srn.t.  A hit
+     returns the same instance, preserving its accumulated
      steady-state/transient caches across iterations of an enclosing
      time loop.
-   - "srn_rates" (domain-local): rate key -> instance key.  A hit skips
-     weighing the edges and building the instance key: the lookup costs
-     the keys' serialization and three table probes, not a pass through
-     the interpreter per edge.
+   - "srn_rates": rate key -> instance key.  A hit skips weighing the
+     edges and building the instance key: the lookup costs the keys'
+     serialization and three table probes, not a pass through the
+     interpreter per edge.
 
    Soundness: a lookup recomputes its keys from the CURRENT environment.
    A rate-key hit certifies that every binding the net's guards,
@@ -337,14 +337,15 @@ let srn_key (ctx : Eval.ctx) ~places ~timed ~immediate ~inputs ~outputs
 
 (* --- the three cache tables ------------------------------------------- *)
 
-(* Skeletons are immutable, so the table is process-shared (lock-striped):
-   a skeleton explored while serving one evaluation-server request is a
-   hit for every later request on any worker domain.  The instance and
-   rate tables stay domain-local — a solved Srn.t carries mutable measure
-   caches that must never be touched by two domains, and a rate key names
-   an instance key of its own domain's table. *)
+(* All three tables are domain-local, like every Structhash table: a
+   solved Srn.t carries mutable measure caches that must never be touched
+   by two domains, and a rate key names an instance key of its own
+   domain's table.  Skeletons are immutable and could be shared, but no
+   workload gains from it: a sweep's domains miss together when the loop
+   fans out, and an evaluation-server worker explores a structure at most
+   once more than a shared table would. *)
 let skeleton_cache : Reach.skeleton Structhash.Table.t =
-  Structhash.Table.create ~shared:true "srn_skeleton"
+  Structhash.Table.create "srn_skeleton"
 
 let instance_cache : Srn.t Structhash.Table.t =
   Structhash.Table.create "srn_instance"

@@ -27,11 +27,6 @@ let basic t ~comp ~state p =
   Hashtbl.add t.probs (comp, state) p;
   note_comp t comp
 
-let set_state_prob t ~comp ~state p =
-  if not (Hashtbl.mem t.probs (comp, state)) then
-    invalid_arg (Printf.sprintf "Mstree: unknown state %s:%s" comp state);
-  Hashtbl.replace t.probs (comp, state) p
-
 let transfer t name ~comp ~state =
   if not (Hashtbl.mem t.probs (comp, state)) then
     invalid_arg (Printf.sprintf "Mstree: transfer of unknown state %s:%s" comp state);

@@ -20,10 +20,6 @@ val basic : t -> comp:string -> state:string -> float -> unit
 (** Declare a component state with its probability.  Probabilities of a
     component's states must not exceed 1 (checked at analysis time). *)
 
-val set_state_prob : t -> comp:string -> state:string -> float -> unit
-(** Re-assign a state probability (used when probabilities come from another
-    model evaluated at a time point, as in the thesis's network example). *)
-
 val transfer : t -> string -> comp:string -> state:string -> unit
 (** Alias a fresh name to an existing component state. *)
 

@@ -101,20 +101,6 @@ let clear s = s.items <- []
 
 let count s sev = List.length (List.filter (fun r -> r.severity = sev) s.items)
 
-let count_at_least s sev =
-  let k = severity_rank sev in
-  List.length (List.filter (fun r -> severity_rank r.severity >= k) s.items)
-
-let max_severity s =
-  List.fold_left
-    (fun acc r ->
-      match acc with
-      | None -> Some r.severity
-      | Some m ->
-          if severity_rank r.severity > severity_rank m then Some r.severity
-          else acc)
-    None s.items
-
 (* Installed sinks (innermost first) and the context stack are
    domain-local: a worker domain of the parallel pool starts with an
    empty stack, captures its records in its own sink, and the pool
@@ -133,7 +119,6 @@ let default_mutex = Mutex.create ()
 let default_records () =
   Mutex.protect default_mutex (fun () -> records default_sink)
 
-let reset_default () = Mutex.protect default_mutex (fun () -> clear default_sink)
 
 let push_record r =
   match !(Domain.DLS.get sinks_key) with

@@ -96,12 +96,6 @@ val clear : sink -> unit
 val count : sink -> severity -> int
 (** Number of records of exactly that severity. *)
 
-val count_at_least : sink -> severity -> int
-(** Number of records of that severity or worse. *)
-
-val max_severity : sink -> severity option
-(** Worst severity recorded, or [None] when empty. *)
-
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** Install [sink] for the dynamic extent of the callback (sinks nest;
     every installed sink receives every record).  Exception-safe. *)
@@ -122,5 +116,3 @@ val capture : (unit -> 'a) -> 'a * record list
 val default_records : unit -> record list
 (** Records that were emitted while no sink was installed (bounded: only
     the most recent are kept). *)
-
-val reset_default : unit -> unit

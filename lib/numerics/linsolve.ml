@@ -78,10 +78,6 @@ let method_names =
 
 let method_to_string m = List.assoc m method_names
 
-let method_of_string = function
-  | "gauss-seidel" -> Some Gauss_seidel
-  | s -> List.find_map (fun (m, name) -> if name = s then Some m else None) method_names
-
 (* Systems with at least this many unknowns try preconditioned Krylov
    before the stationary sweeps, whose spectral gap closes as
    diffusion-like state spaces grow. *)
@@ -92,7 +88,6 @@ let krylov_threshold = 20_000
    expansion beyond the direct-solve cap is loud: a bug, not a fallback. *)
 let dense_count_ref = Atomic.make 0
 let dense_count () = Atomic.get dense_count_ref
-let reset_dense_count () = Atomic.set dense_count_ref 0
 
 let note_dense ~solver n =
   Atomic.incr dense_count_ref;

@@ -57,10 +57,6 @@ val with_method : method_ -> (unit -> 'a) -> 'a
 
 val method_to_string : method_ -> string
 
-val method_of_string : string -> method_ option
-(** Accepts [auto], [gs]/[gauss-seidel], [sor], [bicgstab], [gmres],
-    [gth], [direct]. *)
-
 val krylov_threshold : int
 (** Systems with at least this many unknowns try preconditioned Krylov
     before the stationary sweeps under [Auto]. *)
@@ -73,7 +69,6 @@ val krylov_threshold : int
     direct-solve cap additionally records a {!Diag.Warning}. *)
 
 val dense_count : unit -> int
-val reset_dense_count : unit -> unit
 
 val note_dense : solver:string -> int -> unit
 (** Record a dense materialization of an [n]-state system.  Exported for

@@ -36,9 +36,6 @@ let of_arrays a =
     a;
   m
 
-let to_arrays m =
-  Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
-
 let copy m = { m with data = Array.copy m.data }
 let map f m = { m with data = Array.map f m.data }
 

@@ -14,8 +14,6 @@ val identity : int -> t
 val of_arrays : float array array -> t
 (** Copies its input.  All rows must have equal length. *)
 
-val to_arrays : t -> float array array
-
 val rows : t -> int
 val cols : t -> int
 

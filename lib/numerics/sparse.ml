@@ -321,7 +321,6 @@ let scale_rows d t =
   done;
   { t with values }
 
-let row_sums t = Array.init t.rows (fun i -> fold_row t i (fun s _ x -> s +. x) 0.0)
 let diag t = Array.init (min t.rows t.cols) (fun i -> get t i i)
 
 let pp ppf t =

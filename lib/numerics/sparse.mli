@@ -91,6 +91,5 @@ val scale_rows : float array -> t -> t
 (** [scale_rows d t] multiplies row [i] by [d.(i)] (values copied,
     structure shared). *)
 
-val row_sums : t -> float array
 val diag : t -> float array
 val pp : Format.formatter -> t -> unit

@@ -7,16 +7,11 @@
     cache hit can only ever return a value computed from an identical
     structure.
 
-    {!Table}s are domain-local by default: each domain of the parallel
-    pool sees its own storage, so cached values containing mutable state
-    (BDD managers, solved SRN instances) are never shared across domains.
-    Tables created with [~shared:true] instead keep one store for the
-    whole process, lock-striped into independently-locked segments keyed
-    by the key's hash so concurrent domains only contend when their keys
-    land in the same segment — sound only for immutable cached values,
-    and what lets the evaluation server's requests warm each other's
-    caches regardless of which worker domain serves them.  Hit/miss
-    counters and the table registry are synchronized (atomics behind a
+    {!Table}s are domain-local: each domain of the parallel pool sees its
+    own storage, so cached values containing mutable state (BDD managers,
+    solved SRN instances) are never shared across domains, and a value
+    computed on one domain is a miss on every other.  Hit/miss counters
+    and the table registry are synchronized (atomics behind a
     mutex-protected registry) and surfaced through {!Diag} by
     {!report}. *)
 
@@ -54,12 +49,9 @@ val enabled : unit -> bool
 val clear_all : unit -> unit
 (** Invalidate every table in every domain (lazily, on next access). *)
 
-val trim_all : unit -> int
-(** Shrink every table under memory pressure without emptying the caches
-    wholesale: shared tables drop about half their entries in place
-    (returning the number dropped); domain-local tables are cleared
-    lazily on each domain's next access (their drops are not counted).
-    The evaluation server calls this when its session-memory budget
+val trim_all : unit -> unit
+(** The memory-pressure valve: {!clear_all}, counted in {!trims}.  The
+    evaluation server calls this when its session-memory budget
     overflows, before evicting sessions. *)
 
 val trims : unit -> int
@@ -80,14 +72,9 @@ val report : unit -> unit
 module Table : sig
   type 'a t
 
-  val create : ?shared:bool -> string -> 'a t
+  val create : string -> 'a t
   (** [create name] registers a table under [name] for {!stats}.  Call at
-      module initialization, once per cache site.  [~shared:true] uses
-      one mutex-protected store for the whole process instead of one
-      store per domain — only sound when the cached values are immutable
-      (the computing function may run twice for a racing key, and the
-      last result stored wins: the results must be interchangeable, or
-      every lookup must re-check them with [valid]). *)
+      module initialization, once per cache site. *)
 
   val find_or_add : ?valid:('a -> bool) -> 'a t -> string -> (unit -> 'a) -> 'a
   (** [find_or_add t key compute] returns the cached value for [key] or
@@ -96,6 +83,4 @@ module Table : sig
       [valid] returns [false] counts as a miss and is replaced by a fresh
       [compute]: for values whose key cannot capture every input (an SRN
       skeleton depends on which rates are zero). *)
-
-  val find_opt : 'a t -> string -> 'a option
 end

@@ -40,14 +40,11 @@ let build ~places ~transitions =
   Array.iter (fun n -> if n < 0 then invalid_arg "Net: negative initial tokens") initial;
   { place_names; place_idx; trans; trans_idx; initial }
 
-let n_places t = Array.length t.place_names
-
 let place_index t name =
   match Hashtbl.find_opt t.place_idx name with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Net: unknown place %s" name)
 
-let place_name t i = t.place_names.(i)
 let initial_marking t = Array.copy t.initial
 let transitions t = t.trans
 

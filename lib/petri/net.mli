@@ -32,9 +32,7 @@ val build :
   places:(string * int) list -> transitions:transition list -> t
 (** [places] associates names with initial token counts. *)
 
-val n_places : t -> int
 val place_index : t -> string -> int
-val place_name : t -> int -> string
 val initial_marking : t -> marking
 val transitions : t -> transition array
 val transition_index : t -> string -> int

@@ -291,6 +291,3 @@ let build ?max_markings ?skeleton ?weights n =
   { net = n; skel = sk; tangibles; nv = nmk - !nt; ctmc; init }
 
 let n_vanishing g = g.nv
-
-let throughput_rate g name i =
-  Net.rate_in g.net g.tangibles.(i) name

@@ -70,7 +70,3 @@ val ctmc : t -> Sharpe_markov.Ctmc.t
 val initial_distribution : t -> float array
 (** Distribution over tangible markings at time 0 (the initial marking's
     vanishing cascade already resolved). *)
-
-val throughput_rate : t -> string -> int -> float
-(** [throughput_rate g trans i]: the firing rate of the named *timed*
-    transition in tangible marking [i] (0 if not fireable there). *)

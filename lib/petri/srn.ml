@@ -6,6 +6,7 @@ type t = {
   markings : Net.marking array;
   mutable steady : float array option; (* cached *)
   transients : (float, float array) Hashtbl.t; (* t -> pi(t) *)
+  rungs : (int, float array) Hashtbl.t; (* j -> ladder rung pi(j*delta) *)
   cumulatives : (float, float array) Hashtbl.t; (* t -> L(t) *)
 }
 
@@ -18,7 +19,8 @@ let solve ?max_markings ?skeleton ?weights n =
     markings.(i) <- Reach.tangible_marking g i
   done;
   { g; markings; steady = None;
-    transients = Hashtbl.create 16; cumulatives = Hashtbl.create 16 }
+    transients = Hashtbl.create 16; rungs = Hashtbl.create 16;
+    cumulatives = Hashtbl.create 16 }
 
 let graph s = s.g
 let skeleton_of s = Reach.skeleton_of s.g
@@ -68,9 +70,11 @@ let exrss s reward = weighted s (steady s) reward
    forward from the last retained checkpoint on the next query.  Rung j
    is always transient(rung (j-1), delta), whatever subset happens to be
    resident, and the ladder grid is a function of the chain and t alone —
-   never of query order — so thinned and unthinned ladders, parallel and
-   serial sweeps, cached and uncached runs all produce bit-identical
-   values.
+   never of query order.  Rungs live in their own table, keyed by index,
+   so a query whose t is a rung time bit for bit neither reads nor seeds
+   a rung.  Thinned and unthinned ladders, parallel and serial sweeps,
+   cached and uncached runs, and queries in any order all produce
+   bit-identical values.
 
    Every [Ctmc.transient] below reads its iterates rung·P^k from the
    calling domain's iterate workspace, keyed by the chain's uniformized
@@ -107,7 +111,7 @@ let transient_at s t =
           (* skip ahead to the highest resident rung <= m ... *)
           let start = ref 0 and cp = ref init0 in
           for j = 1 to m do
-            match Hashtbl.find_opt s.transients (float_of_int j *. delta) with
+            match Hashtbl.find_opt s.rungs j with
             | Some v ->
                 start := j;
                 cp := v
@@ -116,8 +120,7 @@ let transient_at s t =
           (* ... and recompute forward, retaining every stride-th rung *)
           for j = !start + 1 to m do
             let v = Ctmc.transient c ~init:!cp delta in
-            if j mod stride = 0 then
-              Hashtbl.replace s.transients (float_of_int j *. delta) v;
+            if j mod stride = 0 then Hashtbl.replace s.rungs j v;
             cp := v
           done;
           Ctmc.transient c ~init:!cp (t -. (float_of_int m *. delta))
@@ -152,7 +155,6 @@ let cexrinf s reward =
     ~reward:(fun i -> reward s.markings.(i))
 
 let tput s trans = exrss s (fun m -> Net.rate_in (net s) m trans)
-let tput_at s trans t = exrt s (fun m -> Net.rate_in (net s) m trans) t
 
 let util s trans =
   exrss s (fun m -> if Net.enabled_named (net s) m trans then 1.0 else 0.0)
@@ -161,16 +163,6 @@ let etok s place =
   let i = Net.place_index (net s) place in
   exrss s (fun m -> float_of_int m.(i))
 
-let etok_at s place t =
-  let i = Net.place_index (net s) place in
-  exrt s (fun m -> float_of_int m.(i)) t
-
 let prempty s place =
   let i = Net.place_index (net s) place in
   exrss s (fun m -> if m.(i) = 0 then 1.0 else 0.0)
-
-let prempty_at s place t =
-  let i = Net.place_index (net s) place in
-  exrt s (fun m -> if m.(i) = 0 then 1.0 else 0.0) t
-
-let prob_of s pred = exrss s (fun m -> if pred m then 1.0 else 0.0)

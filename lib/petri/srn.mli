@@ -47,20 +47,11 @@ val cexrinf : t -> (Net.marking -> float) -> float
 val tput : t -> string -> float
 (** Steady-state throughput of a timed transition. *)
 
-val tput_at : t -> string -> float -> float
-
 val util : t -> string -> float
 (** Steady-state probability that the transition is fireable. *)
 
 val etok : t -> string -> float
 (** Steady-state mean number of tokens in a place. *)
 
-val etok_at : t -> string -> float -> float
-
 val prempty : t -> string -> float
 (** Steady-state probability that a place is empty. *)
-
-val prempty_at : t -> string -> float -> float
-
-val prob_of : t -> (Net.marking -> bool) -> float
-(** Steady-state probability of the markings satisfying a predicate. *)

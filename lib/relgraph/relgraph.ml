@@ -8,11 +8,10 @@ type arc = { from_ : string; to_ : string; physical : edge; bidirect : bool }
 type t = {
   mutable arcs : arc list; (* reversed declaration order *)
   mutable nvars : int;
-  mutable src : string option;
   mutable snk : string option;
 }
 
-let create () = { arcs = []; nvars = 0; src = None; snk = None }
+let create () = { arcs = []; nvars = 0; snk = None }
 
 let edge ?(bidirect = false) g u v dist =
   let physical = { var = g.nvars; dist } in
@@ -23,7 +22,6 @@ let edge ?(bidirect = false) g u v dist =
 let repeat_edge ?(bidirect = false) g u v physical =
   g.arcs <- { from_ = u; to_ = v; physical; bidirect } :: g.arcs
 
-let set_source g s = g.src <- Some s
 let set_sink g s = g.snk <- Some s
 
 let nodes g =
@@ -31,16 +29,13 @@ let nodes g =
     (List.concat_map (fun a -> [ a.from_; a.to_ ]) g.arcs)
 
 let source g =
-  match g.src with
-  | Some s -> s
-  | None -> (
-      let has_in n =
-        List.exists (fun a -> a.to_ = n || (a.bidirect && a.from_ = n)) g.arcs
-      in
-      match List.filter (fun n -> not (has_in n)) (nodes g) with
-      | [ s ] -> s
-      | [] -> invalid_arg "Relgraph: no source node (set one explicitly)"
-      | _ -> invalid_arg "Relgraph: ambiguous source (set one explicitly)")
+  let has_in n =
+    List.exists (fun a -> a.to_ = n || (a.bidirect && a.from_ = n)) g.arcs
+  in
+  match List.filter (fun n -> not (has_in n)) (nodes g) with
+  | [ s ] -> s
+  | [] -> invalid_arg "Relgraph: no source node"
+  | _ -> invalid_arg "Relgraph: ambiguous source"
 
 let sink g =
   match g.snk with

@@ -9,7 +9,7 @@
 
     The source is the unique node without incoming edges and the sink the
     unique node without outgoing ones (directed edges only are considered;
-    SHARPE's convention), unless set explicitly. *)
+    SHARPE's convention), unless {!set_sink} names the sink. *)
 
 type t
 type edge
@@ -22,7 +22,6 @@ val edge : ?bidirect:bool -> t -> string -> string -> Sharpe_expo.Exponomial.t -
 val repeat_edge : ?bidirect:bool -> t -> string -> string -> edge -> unit
 (** Add another graph edge backed by the *same* physical component. *)
 
-val set_source : t -> string -> unit
 val set_sink : t -> string -> unit
 
 val source : t -> string

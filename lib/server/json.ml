@@ -284,4 +284,3 @@ let parse s =
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 let to_float = function Num x -> Some x | _ -> None
 let to_str = function Str s -> Some s | _ -> None
-let obj_keys = function Obj fields -> List.map fst fields | _ -> []

@@ -28,4 +28,3 @@ val member : string -> t -> t option
 
 val to_float : t -> float option
 val to_str : t -> string option
-val obj_keys : t -> string list

@@ -485,7 +485,7 @@ let maintenance st =
         Stats.set_session_bytes st.stats total;
         match st.config.memory_budget with
         | Some budget when total > budget ->
-            ignore (Structhash.trim_all ());
+            Structhash.trim_all ();
             let entries =
               Hashtbl.fold (fun _ e acc -> e :: acc) st.sessions []
             in

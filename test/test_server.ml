@@ -568,7 +568,9 @@ let test_panic_barrier () =
 
 (* A warm daemon answers a repeated model from its structural solve
    cache: the second eval of the same SRN must find the skeleton the
-   first one explored, and the stats op must say so. *)
+   first one explored, and the stats op must say so.  The skeleton table
+   is domain-local, so the daemon runs one worker domain: with two, the
+   second eval may land on the domain that has not seen the net. *)
 let warm_srn_model =
   {|format 8
 func nup() #(up)
@@ -591,46 +593,91 @@ expr srn_exrss(m; nup)
 end
 |}
 
-let test_warm_daemon_skeleton_hits () =
+let eval_warm_model fd fields =
+  let r =
+    roundtrip fd
+      ([ ("op", Json.Str "eval"); ("src", Json.Str warm_srn_model) ] @ fields)
+  in
+  Alcotest.(check bool) "eval ok" true (is_ok r);
+  Option.bind (Json.member "output" r) Json.to_str
+
+let daemon_stats fd =
+  Option.value
+    (Json.member "stats" (roundtrip fd [ ("op", Json.Str "stats") ]))
+    ~default:Json.Null
+
+(* [field] ("hits" or "misses") of the srn_skeleton entry of [stats] *)
+let skeleton_count stats field =
+  match Json.member "cache" stats with
+  | Some (Json.List entries) ->
+      List.find_map
+        (fun e ->
+          if Json.member "name" e = Some (Json.Str "srn_skeleton") then
+            Option.bind (Json.member field e) Json.to_float
+          else None)
+        entries
+      |> Option.value ~default:(-1.0)
+  | _ -> Alcotest.fail "stats lacks the cache table list"
+
+let fresh_structhash () =
   let module Structhash = Sharpe_numerics.Structhash in
   Structhash.set_enabled true;
   Structhash.clear_all ();
-  Structhash.reset_stats ();
-  with_server (fun path ->
+  Structhash.reset_stats ()
+
+let test_warm_daemon_skeleton_hits () =
+  fresh_structhash ();
+  let config = { Server.default_config with workers = 1 } in
+  with_server ~config (fun path ->
       let fd = connect path in
-      let eval () =
-        let r =
-          roundtrip fd [ ("op", Json.Str "eval"); ("src", Json.Str warm_srn_model) ]
-        in
-        Alcotest.(check bool) "eval ok" true (is_ok r);
-        Option.bind (Json.member "output" r) Json.to_str
-      in
-      let skeleton_hits () =
-        match
-          Option.bind
-            (Json.member "stats" (roundtrip fd [ ("op", Json.Str "stats") ]))
-            (Json.member "cache")
-        with
-        | Some (Json.List entries) ->
-            List.find_map
-              (fun e ->
-                if Json.member "name" e = Some (Json.Str "srn_skeleton") then
-                  Option.bind (Json.member "hits" e) Json.to_float
-                else None)
-              entries
-            |> Option.value ~default:(-1.0)
-        | _ -> Alcotest.fail "stats lacks the cache table list"
-      in
-      let cold = eval () in
-      let hits_cold = skeleton_hits () in
-      let warm = eval () in
-      let hits_warm = skeleton_hits () in
+      let cold = eval_warm_model fd [] in
+      let hits_cold = skeleton_count (daemon_stats fd) "hits" in
+      let warm = eval_warm_model fd [] in
+      let hits_warm = skeleton_count (daemon_stats fd) "hits" in
       Alcotest.(check (option string)) "warm answer equals cold answer" cold warm;
       Alcotest.(check bool)
         (Printf.sprintf "srn_skeleton hits %g -> %g: the second eval hit" hits_cold
            hits_warm)
         true
         (hits_warm >= 1.0 && hits_warm > hits_cold);
+      Unix.close fd)
+
+(* The memory-budget valve: a session over a 1-byte budget makes the
+   daemon's maintenance trim the solve caches, and the next eval of the
+   same model explores its skeleton again and still gives the same
+   answer. *)
+let test_memory_budget_trims_caches () =
+  fresh_structhash ();
+  let config =
+    { Server.default_config with workers = 1; memory_budget = Some 1 }
+  in
+  with_server ~config (fun path ->
+      let fd = connect path in
+      let first = eval_warm_model fd [ ("session", Json.Str "heavy") ] in
+      let trims stats =
+        Option.value ~default:0.0
+          (Option.bind (Json.member "cache_trims" stats) Json.to_float)
+      in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec await_trim () =
+        let stats = daemon_stats fd in
+        if trims stats > 0.0 then stats
+        else if Unix.gettimeofday () > deadline then
+          Alcotest.fail "no cache trim within 10 s of overflowing the budget"
+        else begin
+          Unix.sleepf 0.02;
+          await_trim ()
+        end
+      in
+      let misses_before = skeleton_count (await_trim ()) "misses" in
+      let again = eval_warm_model fd [] in
+      let misses_after = skeleton_count (daemon_stats fd) "misses" in
+      Alcotest.(check (option string)) "answer unchanged by the trim" first again;
+      Alcotest.(check bool)
+        (Printf.sprintf "srn_skeleton misses %g -> %g: the trim dropped the \
+                         skeleton" misses_before misses_after)
+        true
+        (misses_after >= misses_before +. 1.0);
       Unix.close fd)
 
 let suite =
@@ -662,4 +709,6 @@ let suite =
     Alcotest.test_case "panic barrier keeps the daemon alive" `Quick
       test_panic_barrier;
     Alcotest.test_case "warm daemon hits the skeleton cache" `Quick
-      test_warm_daemon_skeleton_hits ]
+      test_warm_daemon_skeleton_hits;
+    Alcotest.test_case "memory budget trims the solve caches" `Quick
+      test_memory_budget_trims_caches ]

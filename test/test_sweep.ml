@@ -257,7 +257,7 @@ let test_zero_rate_skeleton () =
       (zero_rate_queue "loop L, 1, 0, -1" "0", "1.000000,0.000000,0.000000");
       (fork, "0.000000,1.000000,1.000000,0.000000") ]
 
-(* The skeleton table is shared by every session of the process: one
+(* Two sessions evaluated on one domain read the same skeleton table: one
    session exploring the queue at L = 0 must not decide what another sees
    at L = 1. *)
 let test_zero_rate_across_sessions () =
@@ -826,11 +826,14 @@ let test_vec_mat_as_transposed_mat_vec () =
   Alcotest.(check (list int64)) "vec_mat == transposed mat_vec bitwise"
     (bits via_vec_mat) (bits via_transpose)
 
-let sharded_tbl = lazy (Structhash.Table.create ~shared:true "test_sharded")
+let local_tbl = lazy (Structhash.Table.create "test_domain_local")
 
-let test_sharded_cache_parallel () =
+(* Every domain keeps its own table: each of the 16 keys misses at most
+   once per domain that ran a task, and every other lookup hits. *)
+let test_domain_local_cache_parallel () =
   fresh_cache ();
-  let tbl = Lazy.force sharded_tbl in
+  let tbl = Lazy.force local_tbl in
+  Pool.reset_participation ();
   let results =
     with_jobs 4 (fun () ->
         Pool.run 64 (fun i ->
@@ -843,11 +846,20 @@ let test_sharded_cache_parallel () =
       Alcotest.(check int) "concurrent lookups see the right value"
         (i mod 16 * 7) v)
     results;
-  for k = 0 to 15 do
-    Alcotest.(check (option int)) "every key resident afterwards"
-      (Some (k * 7))
-      (Structhash.Table.find_opt tbl (Printf.sprintf "key%d" k))
-  done
+  let domains = (Pool.participation ()).distinct_domains in
+  match
+    List.find_opt
+      (fun (s : Structhash.stat) -> s.name = "test_domain_local")
+      (Structhash.stats ())
+  with
+  | None -> Alcotest.fail "the table is not in Structhash.stats"
+  | Some s ->
+      Alcotest.(check int) "every lookup counted once" 64 (s.hits + s.misses);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d misses on %d domains: at most 16 per domain"
+           s.misses domains)
+        true
+        (s.misses <= 16 * domains)
 
 let test_ctmc_parallel_transient_bits () =
   (* birth-death chain large enough that uniformization does real work;
@@ -994,8 +1006,8 @@ let suite =
       test_par_spmv_bit_identical;
     Alcotest.test_case "vec_mat equals transposed mat_vec bitwise" `Quick
       test_vec_mat_as_transposed_mat_vec;
-    Alcotest.test_case "sharded shared cache under parallel load" `Quick
-      test_sharded_cache_parallel;
+    Alcotest.test_case "domain-local cache under parallel load" `Quick
+      test_domain_local_cache_parallel;
     Alcotest.test_case "parallel CTMC transients are bit-identical" `Quick
       test_ctmc_parallel_transient_bits;
     Alcotest.test_case "SRN transient_many matches serial bitwise" `Quick

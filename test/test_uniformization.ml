@@ -322,6 +322,56 @@ let test_srn_exrt_many_jobs2 () =
   Alcotest.(check string) "exrt_many's records are those of exrt one by one"
     (Diag.records_to_json one_by_one) (Diag.records_to_json records)
 
+(* Query order.  Ladder rungs are keyed by index, apart from the answers
+   filed by time: a query whose t is a rung time bit for bit must neither
+   read a rung an earlier query left (grid case) nor seed one a later
+   query starts from (off-grid case).  On a two-place repairable net with
+   failure rate [fl] and repair rate 1, each case asks one question on a
+   fresh instance and again after another query; the bits must agree. *)
+let repairable_fl fl =
+  let one _ = 1 in
+  let no_guard _ = true in
+  Net.build
+    ~places:[ ("up", 3); ("dn", 0) ]
+    ~transitions:
+      [ { Net.t_name = "fl"; kind = Net.Timed; rate = (fun _ -> fl);
+          guard = no_guard; priority = 0;
+          inputs = [ (0, one) ]; outputs = [ (1, one) ]; inhibitors = [] };
+        { Net.t_name = "rp"; kind = Net.Timed; rate = (fun _ -> 1.0);
+          guard = no_guard; priority = 0;
+          inputs = [ (1, one) ]; outputs = [ (0, one) ]; inhibitors = [] } ]
+
+let test_srn_exrt_query_order () =
+  let grid_diffs = ref [] and off_grid_diffs = ref [] in
+  List.iter
+    (fun fl ->
+      let net = repairable_fl fl in
+      let s0 = Srn.solve net in
+      let lambda, _ = Ctmc.uniformized_dtmc (Reach.ctmc (Srn.graph s0)) in
+      (* rung j sits at [float_of_int j *. delta], as in Srn *)
+      let delta = 256.0 /. lambda in
+      let at j = float_of_int j *. delta in
+      let exrt ?before t =
+        let s = Srn.solve net in
+        Option.iter (fun t' -> ignore (Srn.exrt s reward t')) before;
+        Srn.exrt s reward t
+      in
+      for j = 2 to 9 do
+        let case = Printf.sprintf "fl=%g j=%d" fl j in
+        if bits (exrt (at j)) <> bits (exrt ~before:(at (j + 2)) (at j)) then
+          grid_diffs := case :: !grid_diffs;
+        let t = at (j + 2) +. 0.5 in
+        if bits (exrt t) <> bits (exrt ~before:(at j) t) then
+          off_grid_diffs := case :: !off_grid_diffs
+      done)
+    [ 2.5; 3.7; 0.3; 7.1; 1.9; 4.4 ];
+  Alcotest.(check (list string))
+    "grid-time queries of 48 that depend on a later query run first" []
+    (List.rev !grid_diffs);
+  Alcotest.(check (list string))
+    "queries of 48 that depend on a grid-time query run first" []
+    (List.rev !off_grid_diffs)
+
 (* --- past the byte budget ------------------------------------------- *)
 
 (* a birth-death chain that is far from settled after a few hundred
@@ -399,6 +449,8 @@ let suite =
       test_srn_exrt_ladder;
     Alcotest.test_case "Srn.exrt_many at jobs=2" `Quick
       test_srn_exrt_many_jobs2;
+    Alcotest.test_case "Srn.exrt independent of query order" `Quick
+      test_srn_exrt_query_order;
     Alcotest.test_case "window past the byte budget" `Quick test_budget;
     Alcotest.test_case "query after a Timed_out query" `Quick
       test_after_timeout ]
