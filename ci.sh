@@ -181,13 +181,23 @@ echo "== large-model selfcheck =="
 # fixed-seed sweep of the Krylov tier: 13 models per large pair (52 total,
 # 10^4-10^5 states each), forced Krylov engines vs forced classic oracles,
 # capped by --timeout so a solver regression cannot hang CI.  A nonzero
-# exit (discrepancy, engine error, or deadline) aborts the build.
+# exit (discrepancy, engine error, or deadline) aborts the build.  Every
+# line of its record but the wall-clock one must equal
+# BENCH_check_large.json, which pins each pair's worst error.
+scl="${TMPDIR:-/tmp}/sharpe_ci_selfcheck_large_$$.json"
 ./_build/default/bin/sharpe.exe --selfcheck-large=13 --seed 1 \
-  --timeout 600 --selfcheck-bench BENCH_check_large.json
-grep -q '"discrepancies": 0' BENCH_check_large.json || {
+  --timeout 600 --selfcheck-bench "$scl"
+grep -q '"discrepancies": 0' "$scl" || {
   echo "ci: large-model selfcheck bench reports discrepancies" >&2
   exit 1
 }
+grep -v '"elapsed_s"' BENCH_check_large.json >"$scl.committed"
+grep -v '"elapsed_s"' "$scl" | cmp -s "$scl.committed" - || {
+  echo "ci: large-model selfcheck differs from BENCH_check_large.json:" >&2
+  grep -v '"elapsed_s"' "$scl" | diff "$scl.committed" - >&2
+  exit 1
+}
+rm -f "$scl" "$scl.committed"
 
 echo "== server smoke =="
 # start sharped on a temp socket, hit it with concurrent clients running

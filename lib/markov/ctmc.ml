@@ -233,18 +233,27 @@ let transient_many ?(eps = 1e-12) c ~init ts =
   check_init c init;
   let lambda, _, pt = uniformized_full c in
   (* record the truncated-uniformization provenance once per solve *)
-  (match List.filter (fun t -> t > 0.0) ts with
-  | [] -> ()
-  | pos ->
-      let tmax = List.fold_left Float.max 0.0 pos in
-      let w = Poisson.window ~eps (lambda *. tmax) in
-      Diag.emitf Diag.Info ~solver:"ctmc_transient" ~tolerance:eps
-        "uniformization with lambda=%.6g; largest Poisson window [%d, %d] (lambda t = %.6g)"
-        lambda w.Poisson.left w.Poisson.right (lambda *. tmax));
+  let largest =
+    match List.filter (fun t -> t > 0.0) ts with
+    | [] -> None
+    | pos ->
+        let tmax = List.fold_left Float.max 0.0 pos in
+        let w = Poisson.window ~eps (lambda *. tmax) in
+        Diag.emitf Diag.Info ~solver:"ctmc_transient" ~tolerance:eps
+          "uniformization with lambda=%.6g; largest Poisson window [%d, %d] (lambda t = %.6g)"
+          lambda w.Poisson.left w.Poisson.right (lambda *. tmax);
+        Some (tmax, w)
+  in
   let point t =
     if t <= 0.0 then (t, Array.copy init)
     else begin
-      let w = Poisson.window ~eps (lambda *. t) in
+      (* the window at tmax is already computed: a single-point solve
+         reuses it instead of computing it twice *)
+      let w =
+        match largest with
+        | Some (tmax, w) when t = tmax -> w
+        | _ -> Poisson.window ~eps (lambda *. t)
+      in
       let n = c.n in
       let acc = Array.make n 0.0 in
       let ws = workspace pt init in

@@ -1,55 +1,89 @@
 exception Singular
 
-let gauss_in_place a b =
-  let n = Array.length b in
-  if Matrix.rows a <> n || Matrix.cols a <> n then invalid_arg "Linsolve.gauss: shape";
+(* Gaussian elimination with partial pivoting of the n x n matrix [a]
+   against the n x m right-hand sides [b], both in place on their raw
+   row-major storage; on return [b] holds the solution.  Row offsets are
+   hoisted out of the inner loops.  Pivots and multipliers depend on [a]
+   alone, so every column of [b] sees exactly the operations, in the same
+   order, that a one-column solve applies to it.  Zero pivot-row entries
+   are not skipped: [-0.0 -. f *. -0.0] is [+0.0] for positive [f], and a
+   NaN [f] times zero is NaN, so skipping them would change bits. *)
+let eliminate a b m =
+  let n = Matrix.rows a in
+  let ad = Matrix.raw a in
   for k = 0 to n - 1 do
     (* partial pivoting *)
     let piv = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs (Matrix.get a i k) > Float.abs (Matrix.get a !piv k) then piv := i
+      if Float.abs ad.((i * n) + k) > Float.abs ad.((!piv * n) + k) then piv := i
     done;
+    let rk = k * n and bk = k * m in
     if !piv <> k then begin
+      let rp = !piv * n and bp = !piv * m in
       for j = 0 to n - 1 do
-        let t = Matrix.get a k j in
-        Matrix.set a k j (Matrix.get a !piv j);
-        Matrix.set a !piv j t
+        let t = ad.(rk + j) in
+        ad.(rk + j) <- ad.(rp + j);
+        ad.(rp + j) <- t
       done;
-      let t = b.(k) in
-      b.(k) <- b.(!piv);
-      b.(!piv) <- t
+      for c = 0 to m - 1 do
+        let t = b.(bk + c) in
+        b.(bk + c) <- b.(bp + c);
+        b.(bp + c) <- t
+      done
     end;
-    let akk = Matrix.get a k k in
+    let akk = ad.(rk + k) in
     if Float.abs akk < 1e-300 then raise Singular;
     for i = k + 1 to n - 1 do
-      let f = Matrix.get a i k /. akk in
+      let ri = i * n in
+      let f = ad.(ri + k) /. akk in
       if f <> 0.0 then begin
-        Matrix.set a i k 0.0;
+        ad.(ri + k) <- 0.0;
         for j = k + 1 to n - 1 do
-          Matrix.set a i j (Matrix.get a i j -. (f *. Matrix.get a k j))
+          ad.(ri + j) <- ad.(ri + j) -. (f *. ad.(rk + j))
         done;
-        b.(i) <- b.(i) -. (f *. b.(k))
+        let bi = i * m in
+        for c = 0 to m - 1 do
+          b.(bi + c) <- b.(bi + c) -. (f *. b.(bk + c))
+        done
       end
     done
   done;
-  (* back substitution *)
-  let x = Array.make n 0.0 in
+  (* back substitution, row i of [b] becoming row i of the solution *)
   for i = n - 1 downto 0 do
-    let s = ref b.(i) in
+    let ri = i * n and bi = i * m in
     for j = i + 1 to n - 1 do
-      s := !s -. (Matrix.get a i j *. x.(j))
+      let aij = ad.(ri + j) and bj = j * m in
+      for c = 0 to m - 1 do
+        b.(bi + c) <- b.(bi + c) -. (aij *. b.(bj + c))
+      done
     done;
-    x.(i) <- !s /. Matrix.get a i i
-  done;
+    let aii = ad.(ri + i) in
+    for c = 0 to m - 1 do
+      b.(bi + c) <- b.(bi + c) /. aii
+    done
+  done
+
+let check_shape a n =
+  if Matrix.rows a <> n || Matrix.cols a <> n then invalid_arg "Linsolve.gauss: shape"
+
+let gauss a b =
+  let n = Array.length b in
+  check_shape a n;
+  let x = Array.copy b in
+  eliminate (Matrix.copy a) x 1;
   x
 
-let gauss a b = gauss_in_place (Matrix.copy a) (Array.copy b)
+(* One elimination of [a] for all columns of [bm]; with no columns there
+   is nothing to solve, and [a] is neither checked nor eliminated. *)
 let gauss_matrix a bm =
-  let out = Matrix.create ~rows:(Matrix.rows a) ~cols:(Matrix.cols bm) in
-  for j = 0 to Matrix.cols bm - 1 do
-    Array.iteri (fun i v -> Matrix.set out i j v) (gauss a (Matrix.col bm j))
-  done;
-  out
+  let m = Matrix.cols bm in
+  if m = 0 then Matrix.create ~rows:(Matrix.rows a) ~cols:0
+  else begin
+    check_shape a (Matrix.rows bm);
+    let x = Matrix.copy bm in
+    eliminate (Matrix.copy a) (Matrix.raw x) m;
+    x
+  end
 
 let inverse a = gauss_matrix a (Matrix.identity (Matrix.rows a))
 type iter_stats = { iterations : int; residual : float; converged : bool }
@@ -369,8 +403,9 @@ let bandwidth q =
 
 (* Grassmann-Taksar-Heyman state elimination on band storage.  With every
    transition inside |i - j| <= bw, eliminating states in decreasing
-   index order keeps all fill inside the band: O(n * bw^2) work, O(n * bw)
-   memory.  Subtraction-free, so the stationary vector stays componentwise
+   index order keeps all fill inside the band: O(n * bw) memory, and at
+   most O(n * bw^2) work, since each pivot's update runs over its row's
+   positive entries only.  Subtraction-free, so the stationary vector stays componentwise
    accurate on stiff or nearly-decomposable chains where sweeps stall.
    [None] when some state has no transition to a lower-indexed survivor. *)
 let ctmc_gth_banded q bw =
@@ -379,27 +414,36 @@ let ctmc_gth_banded q bw =
   let band = Array.make_matrix n w 0.0 in
   Sparse.iter q (fun i j v -> if i <> j then band.(i).(j - i + bw) <- v);
   let s = Array.make n 0.0 in
+  (* the pivot row's positive entries left of its diagonal, ascending:
+     eliminating state kk writes neither row kk nor column kk, so this
+     list is the set of [j] the update touches, read once per pivot *)
+  let cols = Array.make bw 0 and vals = Array.make bw 0.0 in
   let ok = ref true and k = ref (n - 1) in
   while !ok && !k >= 1 do
     let kk = !k in
     let lo = max 0 (kk - bw) in
-    let sk = ref 0.0 in
+    let rowk = band.(kk) in
+    let sk = ref 0.0 and nz = ref 0 in
     for j = lo to kk - 1 do
-      sk := !sk +. band.(kk).(j - kk + bw)
+      let qkj = rowk.(j - kk + bw) in
+      sk := !sk +. qkj;
+      if qkj > 0.0 then begin
+        cols.(!nz) <- j;
+        vals.(!nz) <- qkj;
+        incr nz
+      end
     done;
     if !sk <= 0.0 then ok := false
     else begin
       s.(kk) <- !sk;
       for i = lo to kk - 1 do
-        let qik = band.(i).(kk - i + bw) in
+        let rowi = band.(i) in
+        let qik = rowi.(kk - i + bw) in
         if qik > 0.0 then begin
-          let f = qik /. !sk in
-          for j = lo to kk - 1 do
-            if j <> i then begin
-              let qkj = band.(kk).(j - kk + bw) in
-              if qkj > 0.0 then
-                band.(i).(j - i + bw) <- band.(i).(j - i + bw) +. (f *. qkj)
-            end
+          let f = qik /. !sk and off = bw - i in
+          for t = 0 to !nz - 1 do
+            let j = cols.(t) in
+            if j <> i then rowi.(j + off) <- rowi.(j + off) +. (f *. vals.(t))
           done
         end
       done

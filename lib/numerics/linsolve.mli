@@ -79,7 +79,11 @@ val gauss : Matrix.t -> float array -> float array
     pivoting.  [a] is not modified.  @raise Singular on singular systems. *)
 
 val gauss_matrix : Matrix.t -> Matrix.t -> Matrix.t
-(** [gauss_matrix a b] solves [a X = B] column-by-column. *)
+(** [gauss_matrix a b] solves [a X = B] with one elimination of [a],
+    each row swap and multiplier applied to every column of [B]: column
+    [j] of the result is bit for bit [gauss a (Matrix.col b j)].  Neither
+    argument is modified; a [B] with no columns gives an empty result
+    without touching [a].  @raise Singular on singular systems. *)
 
 val inverse : Matrix.t -> Matrix.t
 
@@ -124,6 +128,13 @@ val steady_state_direct : Sparse.t -> float array
     differential self-check harness can confront it with the iterative
     path.  The result is NOT clamped or renormalized.
     @raise Singular on reducible generators. *)
+
+val ctmc_gth_banded : Sparse.t -> int -> float array option
+(** [ctmc_gth_banded q bw] is the stationary vector of the generator [q]
+    by Grassmann–Taksar–Heyman elimination on band storage, every
+    off-diagonal entry of [q] lying within [|i - j| <= bw].
+    [None] when some state has no transition to a lower-indexed state
+    still present.  Not verified; this is the [Gth] rung's engine. *)
 
 val ctmc_krylov_system : Sparse.t -> Sparse.t * float array
 (** [ctmc_krylov_system q] is the CSR replaced-row system [(A, b)] with

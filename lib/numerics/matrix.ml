@@ -6,6 +6,7 @@ let create ~rows ~cols =
 
 let rows m = m.rows
 let cols m = m.cols
+let raw m = m.data
 let idx m i j = (i * m.cols) + j
 
 let get m i j =

@@ -17,6 +17,11 @@ val of_arrays : float array array -> t
 val rows : t -> int
 val cols : t -> int
 
+val raw : t -> float array
+(** The row-major storage itself, not a copy: entry [(i, j)] sits at
+    [i * cols + j], and writes to it write the matrix.  For the
+    elimination kernels' inner loops. *)
+
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val add_to : t -> int -> int -> float -> unit

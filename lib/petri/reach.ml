@@ -219,19 +219,30 @@ let vanishing_absorption sk w tangible_id =
             end)
           sk.sk_succs.(v))
       vs;
-    (* collect tangible columns present *)
+    (* collect tangible columns present, numbered in iteration order *)
     let cols = Hashtbl.create 64 in
     Hashtbl.iter (fun (_, t) _ -> Hashtbl.replace cols t ()) bt;
+    let order = Hashtbl.fold (fun t () l -> t :: l) cols [] |> List.rev |> Array.of_list in
+    let m = Array.length order in
+    let col = Hashtbl.create m in
+    Array.iteri (fun c t -> Hashtbl.replace col t c) order;
+    let b = Matrix.create ~rows:nv ~cols:m in
+    Hashtbl.iter (fun (k, t) p -> Matrix.add_to b k (Hashtbl.find col t) p) bt;
+    (* one elimination for every column; [sol] is filled column by column
+       in the order above *)
+    let x = Linsolve.gauss_matrix a b in
     let sol = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun t () ->
-        let b = Array.make nv 0.0 in
-        Hashtbl.iter (fun (k, t') p -> if t' = t then b.(k) <- b.(k) +. p) bt;
-        let x = Linsolve.gauss a b in
-        Array.iteri (fun k p -> if Float.abs p > 1e-15 then Hashtbl.add sol (vs.(k), t) p) x)
-      cols;
-    fun v ->
-      Hashtbl.fold (fun (v', t) p acc -> if v' = v then (t, p) :: acc else acc) sol []
+    Array.iteri
+      (fun c t ->
+        for k = 0 to nv - 1 do
+          let p = Matrix.get x k c in
+          if Float.abs p > 1e-15 then Hashtbl.add sol (vs.(k), t) p
+        done)
+      order;
+    (* each marking's pairs, prepended in [sol]'s fold order *)
+    let by_marking = Array.make n [] in
+    Hashtbl.iter (fun (v, t) p -> by_marking.(v) <- (t, p) :: by_marking.(v)) sol;
+    fun v -> by_marking.(v)
   end
 
 let build ?max_markings ?skeleton ?weights n =

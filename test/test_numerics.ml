@@ -312,6 +312,275 @@ let prop_of_rows_reference =
       in
       matches_reference ~rows ts m)
 
+(* ------------------------------------------------------------------ *)
+(* Elimination kernels, bit for bit against their earlier form         *)
+
+(* The kernels as they were before banded GTH walked only the pivot
+   row's positive entries and dense elimination indexed raw row-major
+   storage and solved every right-hand side in one pass: the reference
+   the current kernels must reproduce bit for bit. *)
+module Reference = struct
+  exception Singular
+
+  let gauss_in_place a b =
+    let n = Array.length b in
+    if Matrix.rows a <> n || Matrix.cols a <> n then invalid_arg "Linsolve.gauss: shape";
+    for k = 0 to n - 1 do
+      (* partial pivoting *)
+      let piv = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs (Matrix.get a i k) > Float.abs (Matrix.get a !piv k) then piv := i
+      done;
+      if !piv <> k then begin
+        for j = 0 to n - 1 do
+          let t = Matrix.get a k j in
+          Matrix.set a k j (Matrix.get a !piv j);
+          Matrix.set a !piv j t
+        done;
+        let t = b.(k) in
+        b.(k) <- b.(!piv);
+        b.(!piv) <- t
+      end;
+      let akk = Matrix.get a k k in
+      if Float.abs akk < 1e-300 then raise Singular;
+      for i = k + 1 to n - 1 do
+        let f = Matrix.get a i k /. akk in
+        if f <> 0.0 then begin
+          Matrix.set a i k 0.0;
+          for j = k + 1 to n - 1 do
+            Matrix.set a i j (Matrix.get a i j -. (f *. Matrix.get a k j))
+          done;
+          b.(i) <- b.(i) -. (f *. b.(k))
+        end
+      done
+    done;
+    (* back substitution *)
+    let x = Array.make n 0.0 in
+    for i = n - 1 downto 0 do
+      let s = ref b.(i) in
+      for j = i + 1 to n - 1 do
+        s := !s -. (Matrix.get a i j *. x.(j))
+      done;
+      x.(i) <- !s /. Matrix.get a i i
+    done;
+    x
+
+  let gauss a b = gauss_in_place (Matrix.copy a) (Array.copy b)
+  let gauss_matrix a bm =
+    let out = Matrix.create ~rows:(Matrix.rows a) ~cols:(Matrix.cols bm) in
+    for j = 0 to Matrix.cols bm - 1 do
+      Array.iteri (fun i v -> Matrix.set out i j v) (gauss a (Matrix.col bm j))
+    done;
+    out
+
+  let normalize_l1 x =
+    let s = Array.fold_left ( +. ) 0.0 x in
+    if s <> 0.0 then Array.iteri (fun i v -> x.(i) <- v /. s) x
+
+  let ctmc_gth_banded q bw =
+    let n = Sparse.rows q in
+    let w = (2 * bw) + 1 in
+    let band = Array.make_matrix n w 0.0 in
+    Sparse.iter q (fun i j v -> if i <> j then band.(i).(j - i + bw) <- v);
+    let s = Array.make n 0.0 in
+    let ok = ref true and k = ref (n - 1) in
+    while !ok && !k >= 1 do
+      let kk = !k in
+      let lo = max 0 (kk - bw) in
+      let sk = ref 0.0 in
+      for j = lo to kk - 1 do
+        sk := !sk +. band.(kk).(j - kk + bw)
+      done;
+      if !sk <= 0.0 then ok := false
+      else begin
+        s.(kk) <- !sk;
+        for i = lo to kk - 1 do
+          let qik = band.(i).(kk - i + bw) in
+          if qik > 0.0 then begin
+            let f = qik /. !sk in
+            for j = lo to kk - 1 do
+              if j <> i then begin
+                let qkj = band.(kk).(j - kk + bw) in
+                if qkj > 0.0 then
+                  band.(i).(j - i + bw) <- band.(i).(j - i + bw) +. (f *. qkj)
+              end
+            done
+          end
+        done
+      end;
+      decr k
+    done;
+    if not !ok then None
+    else begin
+      let pi = Array.make n 0.0 in
+      pi.(0) <- 1.0;
+      for kk = 1 to n - 1 do
+        let lo = max 0 (kk - bw) in
+        let acc = ref 0.0 in
+        for i = lo to kk - 1 do
+          acc := !acc +. (pi.(i) *. band.(i).(kk - i + bw))
+        done;
+        pi.(kk) <- !acc /. s.(kk)
+      done;
+      normalize_l1 pi;
+      Some pi
+    end
+end
+
+let bits a = Array.map Int64.bits_of_float a
+
+let same_bits what x y =
+  Alcotest.(check int) (what ^ ": length") (Array.length x) (Array.length y);
+  Array.iteri
+    (fun i v ->
+      if Int64.bits_of_float v <> Int64.bits_of_float y.(i) then
+        Alcotest.failf "%s: entry %d differs, %h against %h" what i v y.(i))
+    x
+
+let check_gth what q =
+  let bw = ref 0 in
+  Sparse.iter q (fun i j _ -> bw := max !bw (abs (i - j)));
+  match (Reference.ctmc_gth_banded q !bw, Linsolve.ctmc_gth_banded q !bw) with
+  | None, None -> `None
+  | Some x, Some y -> same_bits what x y; `Some
+  | _ -> Alcotest.failf "%s: one kernel eliminated, the other found no lower move" what
+
+(* A random banded generator: each in-band cell holds a rate with
+   probability [density], rates mixing small integers and arbitrary
+   floats; with [holes], a few rows get no move to a lower state. *)
+let banded_generator rng ~n ~bw ~density ~holes =
+  let rate () =
+    if Random.State.bool rng then float_of_int (1 + Random.State.int rng 5)
+    else Random.State.float rng 10.0 +. 1e-3
+  in
+  let cut = Array.init n (fun _ -> holes && Random.State.int rng 50 = 0) in
+  let ts = ref [] in
+  for i = 0 to n - 1 do
+    let out = ref 0.0 in
+    for j = max 0 (i - bw) to min (n - 1) (i + bw) do
+      if j <> i && (not (cut.(i) && j < i)) && Random.State.float rng 1.0 < density then begin
+        let r = rate () in
+        out := !out +. r;
+        ts := (i, j, r) :: !ts
+      end
+    done;
+    (* a neighbour move keeps most chains irreducible *)
+    if i > 0 && not cut.(i) then begin
+      ts := (i, i - 1, 0.5) :: !ts;
+      out := !out +. 0.5
+    end;
+    ts := (i, i, -. !out) :: !ts
+  done;
+  Sparse.of_triplets ~rows:n ~cols:n !ts
+
+(* The composite performability chain [cp] of examples/sharpe/erlang_loss
+   at C channels, states numbered in order of first appearance *)
+let erlang_cp c =
+  let lambda = 49.0 and mu = 3.0 and mttf = 1000.0 and mttr = 24.0 in
+  let ids = Hashtbl.create 64 and ts = ref [] in
+  let id s =
+    match Hashtbl.find_opt ids s with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length ids in
+        Hashtbl.add ids s k;
+        k
+  in
+  let edge a b r = ts := (id a, id b, r) :: !ts in
+  for j = 1 to c do
+    for i = c downto j do
+      let st i j = Printf.sprintf "%d_%d" i j in
+      edge (st i (j - 1)) (st (i - 1) (j - 1)) (float_of_int (i - j + 1) /. mttf);
+      edge (st (i - 1) (j - 1)) (st i (j - 1)) (1.0 /. mttr);
+      edge (st i (j - 1)) (st i j) lambda;
+      edge (st i j) (st i (j - 1)) (float_of_int j *. mu);
+      edge (st i j) (st (i - 1) (j - 1)) (float_of_int j /. mttf)
+    done
+  done;
+  let n = Hashtbl.length ids in
+  let out = Array.make n 0.0 in
+  List.iter (fun (i, _, r) -> out.(i) <- out.(i) +. r) (List.rev !ts);
+  Sparse.of_triplets ~rows:n ~cols:n
+    (List.rev !ts @ List.init n (fun i -> (i, i, -.out.(i))))
+
+let test_gth_kernel_bits () =
+  let rng = Random.State.make [| 20 |] in
+  let some = ref 0 and none = ref 0 in
+  for case = 1 to 60 do
+    let n = if case mod 15 = 0 then 1200 else 2 + Random.State.int rng 300 in
+    let bw = 1 + Random.State.int rng (min 100 (n - 1)) in
+    let density = [| 0.05; 0.2; 0.5; 1.0 |].(Random.State.int rng 4) in
+    let holes = case mod 3 = 0 in
+    match check_gth (Printf.sprintf "case %d (n=%d bw=%d)" case n bw)
+            (banded_generator rng ~n ~bw ~density ~holes) with
+    | `Some -> incr some
+    | `None -> incr none
+  done;
+  Alcotest.(check bool) "both outcomes exercised" true (!some > 0 && !none > 0);
+  Alcotest.(check bool) "erlang cp at C = 45" true (check_gth "erlang cp" (erlang_cp 45) = `Some)
+
+type outcome = Solved of int64 array | Singular_raised
+
+let outcome f = try Solved (bits (f ())) with Linsolve.Singular | Reference.Singular -> Singular_raised
+
+(* A random dense system with exact zeros, negative zeros, small
+   integers (so eliminations cancel exactly), arbitrary floats and, now
+   and then, an infinite entry; [singular] repeats a row. *)
+let dense_system rng ~n ~singular =
+  let entry () =
+    match Random.State.int rng 10 with
+    | 0 | 1 | 2 -> 0.0
+    | 3 -> -0.0
+    | 4 | 5 -> float_of_int (Random.State.int rng 7 - 3)
+    | _ -> Random.State.float rng 2.0 -. 1.0
+  in
+  let a = Array.init n (fun _ -> Array.init n (fun _ -> entry ())) in
+  if Random.State.int rng 8 = 0 then
+    a.(Random.State.int rng n).(Random.State.int rng n) <-
+      (if Random.State.bool rng then Float.infinity else Float.neg_infinity);
+  if singular && n > 1 then a.(n - 1) <- Array.copy a.(0);
+  (Matrix.of_arrays a, entry)
+
+let same_dense_outcome what a b =
+  let r = outcome (fun () -> Reference.gauss a b) in
+  if r <> outcome (fun () -> Linsolve.gauss a b) then Alcotest.failf "gauss, %s" what;
+  r
+
+let test_dense_kernel_bits () =
+  (* Two systems where a pivot-row zero still counts.  Eliminating the
+     first column subtracts [f *. -0.0] from a [-0.0] for [f] > 0, which
+     leaves [+0.0]; back substitution over signed zeros keeps that sign
+     in the solution.  In the second, the first step puts an infinity in
+     two rows of the next column, whose multiplier is then inf / inf =
+     NaN, and NaN times a zero pivot-row entry is NaN. *)
+  let fixed = [
+    ("signed zeros", [| [| -1.; 0.; -0. |]; [| -2.; 3.; -0. |]; [| 0.; 0.; -4. |] |], [| -0.; 0.; 0. |]);
+    ("NaN multiplier", [| [| -1.; -0.; 0. |]; [| -0.5; 0.; 0. |]; [| 3.; Float.infinity; -0. |] |], [| 0.; 0.; -0. |]) ]
+  in
+  List.iter (fun (what, a, b) -> ignore (same_dense_outcome what (Matrix.of_arrays a) b)) fixed;
+  let rng = Random.State.make [| 21 |] in
+  let solved = ref 0 and singular = ref 0 in
+  for case = 1 to 2000 do
+    let n = 1 + Random.State.int rng (if case mod 10 = 0 then 40 else 8) in
+    let a, entry = dense_system rng ~n ~singular:(case mod 5 = 0) in
+    (* a right-hand side of signed zeros makes the solution's zero signs
+       depend on every zero the elimination leaves in [a] *)
+    let zeros = case mod 4 = 0 in
+    let entry () = if zeros then (if Random.State.bool rng then 0.0 else -0.0) else entry () in
+    let b = Array.init n (fun _ -> entry ()) in
+    let what = Printf.sprintf "case %d (n=%d)" case n in
+    (match same_dense_outcome what a b with
+     | Solved _ -> incr solved
+     | Singular_raised -> incr singular);
+    let m = Random.State.int rng 5 in
+    let bm = Matrix.of_arrays (Array.init n (fun _ -> Array.init m (fun _ -> entry ()))) in
+    let flat x = Array.concat (List.init (Matrix.rows x) (Matrix.row x)) in
+    if outcome (fun () -> flat (Reference.gauss_matrix a bm))
+       <> outcome (fun () -> flat (Linsolve.gauss_matrix a bm))
+    then Alcotest.failf "gauss_matrix with %d columns, %s" m what
+  done;
+  Alcotest.(check bool) "both outcomes exercised" true (!solved > 0 && !singular > 0)
+
 let suite =
   [ ("matrix mul", `Quick, test_matrix_mul);
     ("matrix identity", `Quick, test_matrix_identity);
@@ -326,6 +595,8 @@ let suite =
     ("gauss pivoting", `Quick, test_gauss_pivoting);
     ("gauss singular", `Quick, test_gauss_singular);
     ("matrix inverse", `Quick, test_inverse);
+    ("banded GTH bit-identical to the full-band loop", `Quick, test_gth_kernel_bits);
+    ("dense elimination bit-identical to the per-entry loop", `Quick, test_dense_kernel_bits);
     ("gauss-seidel", `Quick, test_gauss_seidel);
     ("sor matches gs", `Quick, test_sor_matches_gs);
     ("ctmc steady state birth-death", `Quick, test_ctmc_steady_birth_death);

@@ -323,6 +323,46 @@ let prop_weights_passthrough =
       in
       bits a = bits b)
 
+(* a token circulating src -> {a -> b -> c -> a} -> out_i -> src: the
+   immediate cycle a, b, c leaves to three tangible places, and a second
+   token makes each vanishing marking of the cycle come in four copies *)
+let three_exit_cycle_net () =
+  let places =
+    [ ("a", 1); ("b", 0); ("c", 0); ("src", 1); ("out1", 0); ("out2", 0); ("out3", 0) ]
+  in
+  let transitions =
+    [ immediate "ab" (const 1.0) ~ins:[ (0, one_) ] ~outs:[ (1, one_) ] ();
+      immediate "bc" (const 2.0) ~ins:[ (1, one_) ] ~outs:[ (2, one_) ] ();
+      immediate "ca" (const 0.5) ~ins:[ (2, one_) ] ~outs:[ (0, one_) ] ();
+      immediate "a1" (const 0.3) ~ins:[ (0, one_) ] ~outs:[ (4, one_) ] ();
+      immediate "b2" (const 0.7) ~ins:[ (1, one_) ] ~outs:[ (5, one_) ] ();
+      immediate "c3" (const 1.1) ~ins:[ (2, one_) ] ~outs:[ (6, one_) ] ();
+      timed "go" (const 1.5) ~ins:[ (3, one_) ] ~outs:[ (0, one_) ] ();
+      timed "r1" (const 2.0) ~ins:[ (4, one_) ] ~outs:[ (3, one_) ] ();
+      timed "r2" (const 3.0) ~ins:[ (5, one_) ] ~outs:[ (3, one_) ] ();
+      timed "r3" (const 0.7) ~ins:[ (6, one_) ] ~outs:[ (3, one_) ] () ]
+  in
+  Net.build ~places ~transitions
+
+let test_three_exit_vanishing_cycle () =
+  let s = Srn.solve (three_exit_cycle_net ()) in
+  Alcotest.(check int) "vanishing markings" 12 (Reach.n_vanishing (Srn.graph s));
+  let tok p m = float_of_int m.(p) in
+  let measures =
+    List.map (fun p -> Srn.exrss s (tok p)) [ 3; 4; 5; 6 ]
+    @ List.map (Srn.tput s) [ "r1"; "r2"; "r3" ]
+    @ [ Srn.exrt s (tok 4) 0.7; Srn.exrt s (tok 6) 0.7 ]
+  in
+  (* the values the per-column solve and the filtered fold over every
+     absorption pair gave, bit for bit *)
+  let expected =
+    [ 0x1.c17522afe830ep-1; 0x1.21724f5bb0bb5p-3; 0x1.41e8506b8f06ep-4;
+      0x1.cdf13f6bb9bf6p-1; 0x1.09ac4d509c9dbp-2; 0x1.cb30207eafe0ep-3;
+      0x1.c2fcfb57da736p-2; 0x1.a3c8139e785c6p-3; 0x1.45437baa7e206p-1 ]
+  in
+  Alcotest.(check (list int64)) "measure bits"
+    (List.map Int64.bits_of_float expected) (List.map Int64.bits_of_float measures)
+
 let suite =
   [ ("M/M/1/K closed form (paper)", `Quick, test_mm1k_no_failure_closed_form);
     ("M/M/1/K reachability size", `Quick, test_mm1k_reachability_size);
@@ -336,6 +376,7 @@ let suite =
     ("mtta / cexrinf (paper C.4.1)", `Quick, test_mtta_and_cexrinf);
     ("cumulative reward", `Quick, test_cumulative_reward);
     ("vanishing loop solved", `Quick, test_vanishing_loop);
+    ("vanishing cycle with three tangible exits", `Quick, test_three_exit_vanishing_cycle);
     ("unbounded net detected", `Quick, test_unbounded_detected);
     ("marking hash covers every place", `Quick, test_hash_covers_every_place);
     ("12-place ring reachability", `Quick, test_twelve_place_ring);
