@@ -5,6 +5,14 @@
 set -eu
 cd "$(dirname "$0")"
 
+# test/test_golden.ml rewrites the goldens whenever UPDATE_GOLDEN is
+# non-empty, after which every golden step would pass against the files
+# it just wrote: refuse to run rather than check nothing
+if [ -n "${UPDATE_GOLDEN:-}" ]; then
+  echo "ci: UPDATE_GOLDEN is set; unset it (regenerate goldens with dune runtest alone)" >&2
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

@@ -16,16 +16,69 @@ module F = Sharpe_bdd.Formula
 let ev ctx e = eval_expr ctx e
 let ev_int ctx e = int_of_float (Float.round (ev ctx e))
 
-let tname_str ctx (tn : tname) =
-  String.concat ""
-    (List.map
-       (function
-         | Lit s -> s
-         | Sub e ->
-             let v = ev ctx e in
-             if Float.is_integer v then string_of_int (int_of_float v)
-             else Printf.sprintf "%g" v)
-       tn)
+(* [v]'s decimal digits, as [string_of_int] writes them, for |v| < 1e15 *)
+let rec add_digits buf v =
+  if v < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf (-v)
+  end
+  else begin
+    if v >= 10 then add_digits buf (v / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (v mod 10)))
+  end
+
+(* A subscript's text: an integer's digits (-0.0 writes "0"), [%g]
+   otherwise *)
+let add_subscript buf v =
+  if Float.is_integer v then
+    if Float.abs v < 1e15 then add_digits buf (int_of_float v)
+    else Buffer.add_string buf (string_of_int (int_of_float v))
+  else Buffer.add_string buf (Printf.sprintf "%g" v)
+
+(* The name [tn] spells under [ctx], written into [buf] (cleared first).
+   A subscript may solve another model, whose build writes its own
+   buffer: a buffer belongs to one build or call, never to a domain. *)
+let tname_in buf ctx (tn : tname) =
+  match tn with
+  | [ Lit s ] -> s
+  | _ ->
+      Buffer.clear buf;
+      List.iter
+        (function Lit s -> Buffer.add_string buf s | Sub e -> add_subscript buf (ev ctx e))
+        tn;
+      Buffer.contents buf
+
+let tname_str ctx tn = tname_in (Buffer.create 16) ctx tn
+
+(* The states of a chain being built, numbered in order of first
+   appearance, and the buffer the build writes templated names into. *)
+type states = {
+  index : (string, int) Hashtbl.t;
+  mutable names : string list; (* newest first *)
+  buf : Buffer.t;
+}
+
+let new_states () = { index = Hashtbl.create 32; names = []; buf = Buffer.create 32 }
+
+let intern st n =
+  match Hashtbl.find_opt st.index n with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length st.index in
+      Hashtbl.add st.index n i;
+      st.names <- n :: st.names;
+      i
+
+let state_names st = Array.of_list (List.rev st.names)
+
+(* The edge [a b x], its value [x] already evaluated.  Value, then
+   target, then source is the order an edge's expressions are read in,
+   which fixes the first error and the order of diagnostics; states are
+   numbered source first. *)
+let edge st ctx a b x =
+  let nb = tname_in st.buf ctx b in
+  let i = intern st (tname_in st.buf ctx a) in
+  (i, intern st nb, x)
 
 let name_of ctx = function
   | Ident n -> n
@@ -92,7 +145,7 @@ let rec instantiate ctx mname (arg_vals : float list) : instance =
           (List.length arg_vals);
       let tbl = Hashtbl.create 8 in
       List.iter2 (fun p v -> Hashtbl.replace tbl p v) params arg_vals;
-      let mctx = { ctx with locals = [ tbl ] } in
+      let mctx = { ctx with locals = [ Tbl tbl ] } in
       let version = ctx.env.version in
       let inst =
         Sharpe_numerics.Diag.with_context ("model " ^ mname) (fun () ->
@@ -324,56 +377,49 @@ and build_mpfqn mctx routing stations chains =
   let pops = List.map (fun (c, e) -> (c, ev_int mctx e)) chains in
   IMpfqn (Mpfqn.make ~stations:stations' ~chains:chain_names ~rates ~routing:routing', pops)
 
-and expand_medges mctx edges =
-  List.concat_map
-    (fun e ->
+(* Edges as (source, target, rate) triples, newest first. *)
+and fold_medges mctx st acc edges =
+  List.fold_left
+    (fun acc e ->
       match e with
-      | MEdge (a, b, rate) -> [ (tname_str mctx a, tname_str mctx b, ev mctx rate) ]
+      | MEdge (a, b, rate) ->
+          let r = ev mctx rate in
+          edge st mctx a b r :: acc
       | MEdgeLoop (v, lo, hi, step, body) ->
-          expand_loop mctx v lo hi step (fun c -> expand_medges c body))
-    edges
+          expand_loop mctx v lo hi step (fun c acc -> fold_medges c st acc body) acc)
+    acc edges
 
+(* [f] folded over the loop's iterations, [v] bound in a cell of its own *)
 and expand_loop : 'a. ctx -> string -> expr -> expr -> expr option ->
-                  (ctx -> 'a list) -> 'a list =
-  fun mctx v lo hi step f ->
+                  (ctx -> 'a -> 'a) -> 'a -> 'a =
+  fun mctx v lo hi step f acc ->
   let lo = ev mctx lo and hi = ev mctx hi in
   let step = match step with Some s -> ev mctx s | None -> if hi >= lo then 1.0 else -1.0 in
   if step = 0.0 then err "loop step is zero";
-  let tbl = Hashtbl.create 1 in
-  let c = { mctx with locals = tbl :: mctx.locals } in
-  let out = ref [] in
+  let cell = ref lo in
+  let c = { mctx with locals = Var (v, cell) :: mctx.locals } in
+  let acc = ref acc in
   let x = ref lo in
   let continues x = if step > 0.0 then x <= hi +. 1e-9 else x >= hi -. 1e-9 in
   while continues !x do
-    Hashtbl.replace tbl v !x;
-    out := List.rev_append (f c) !out;
+    cell := !x;
+    acc := f c !acc;
     x := !x +. step
   done;
-  List.rev !out
+  !acc
 
-and expand_msets mctx sets =
-  List.concat_map
-    (fun s ->
+and expand_msets mctx sets = List.rev (fold_msets mctx [] sets)
+
+and fold_msets mctx acc sets =
+  List.fold_left
+    (fun acc s ->
       match s with
-      | MSet (n, e) -> [ (tname_str mctx n, ev mctx e) ]
+      | MSet (n, e) ->
+          let v = ev mctx e in
+          (tname_str mctx n, v) :: acc
       | MSetLoop (v, lo, hi, step, body) ->
-          expand_loop mctx v lo hi step (fun c -> expand_msets c body))
-    sets
-
-and state_table (pairs : (string * string) list) extra =
-  let idx = Hashtbl.create 32 in
-  let names = ref [] in
-  let count = ref 0 in
-  let add n =
-    if not (Hashtbl.mem idx n) then begin
-      Hashtbl.add idx n !count;
-      incr count;
-      names := n :: !names
-    end
-  in
-  List.iter (fun (a, b) -> add a; add b) pairs;
-  List.iter add extra;
-  (idx, Array.of_list (List.rev !names))
+          expand_loop mctx v lo hi step (fun c acc -> fold_msets c acc body) acc)
+    acc sets
 
 and build_rewards mctx idx n rewards =
   match rewards with
@@ -416,12 +462,10 @@ and build_fast mctx idx fast =
       Some (reada, readf)
 
 and build_markov mctx edges rewards init fastmttf =
-  let es = expand_medges mctx edges in
-  let idx, names = state_table (List.map (fun (a, b, _) -> (a, b)) es) [] in
+  let st = new_states () in
+  let rates = List.rev (fold_medges mctx st [] edges) in
+  let idx = st.index and names = state_names st in
   let n = Array.length names in
-  let rates =
-    List.map (fun (a, b, r) -> (Hashtbl.find idx a, Hashtbl.find idx b, r)) es
-  in
   let ctmc = Ctmc.make ~n rates in
   let init = build_init mctx idx n init in
   Ctmc.validate ?init ~names:(fun i -> names.(i)) ctmc;
@@ -438,23 +482,22 @@ and build_markov mctx edges rewards init fastmttf =
     mk_fast = fast;
     mk_steady = ref None }
 
-and expand_smedges mctx edges =
-  List.concat_map
-    (fun e ->
+and fold_smedges mctx st acc edges =
+  List.fold_left
+    (fun acc e ->
       match e with
       | SmEdge (a, b, d) ->
-          [ (tname_str mctx a, tname_str mctx b, dist_of_expr mctx d) ]
+          let d = dist_of_expr mctx d in
+          edge st mctx a b d :: acc
       | SmEdgeLoop (v, lo, hi, step, body) ->
-          expand_loop mctx v lo hi step (fun c -> expand_smedges c body))
-    edges
+          expand_loop mctx v lo hi step (fun c acc -> fold_smedges c st acc body) acc)
+    acc edges
 
 and build_semimark mctx mode edges rewards init fastmttf =
-  let es = expand_smedges mctx edges in
-  let idx, names = state_table (List.map (fun (a, b, _) -> (a, b)) es) [] in
+  let st = new_states () in
+  let kernel = List.rev (fold_smedges mctx st [] edges) in
+  let idx = st.index and names = state_names st in
   let n = Array.length names in
-  let kernel =
-    List.map (fun (a, b, d) -> (Hashtbl.find idx a, Hashtbl.find idx b, d)) es
-  in
   let sm = SM.make ~mode ~n kernel in
   { sm;
     sm_index = idx;
@@ -464,19 +507,12 @@ and build_semimark mctx mode edges rewards init fastmttf =
     sm_fast = build_fast mctx idx fastmttf }
 
 and build_mrgp mctx edges rewards =
-  let idx = Hashtbl.create 16 in
-  let count = ref 0 in
-  let add n =
-    if not (Hashtbl.mem idx n) then begin
-      Hashtbl.add idx n !count;
-      incr count
-    end
-  in
-  List.iter (fun (a, _, b, _) -> add a; add b) edges;
+  let st = new_states () in
   let exp_edges = ref [] and gen_edges = ref [] in
   List.iter
     (fun (a, kind, b, d) ->
-      let i = Hashtbl.find idx a and j = Hashtbl.find idx b in
+      let i = intern st a in
+      let j = intern st b in
       match kind with
       | `NonReg -> (
           match d with
@@ -484,12 +520,13 @@ and build_mrgp mctx edges rewards =
           | _ -> err "mrgp: non-regenerative edges must be exponential")
       | `Reg -> gen_edges := (i, j, dist_of_expr mctx d) :: !gen_edges)
     edges;
-  let mg = Mrgp.make ~n:!count ~exp_edges:!exp_edges ~gen_edges:!gen_edges in
+  let idx = st.index and count = Hashtbl.length st.index in
+  let mg = Mrgp.make ~n:count ~exp_edges:!exp_edges ~gen_edges:!gen_edges in
   let reward =
     match rewards with
     | [] -> None
     | rs ->
-        let arr = Array.make !count 0.0 in
+        let arr = Array.make count 0.0 in
         List.iter
           (fun (n, e) ->
             match Hashtbl.find_opt idx n with

@@ -103,9 +103,17 @@ type env = {
   print : string -> unit;
 }
 
+(* One level of local bindings.  A loop variable ([expand_loop] in
+   Builtins, the [sum] builtin) is a single cell its loop overwrites per
+   iteration; function and instance parameters, and names a function
+   body binds, live in a table. *)
+type scope =
+  | Var of string * float ref
+  | Tbl of (string, float) Hashtbl.t
+
 type ctx = {
   env : env;
-  locals : (string, float) Hashtbl.t list;
+  locals : scope list; (* innermost first *)
   marking : Net.t option ref option;
       (* the net whose marking #(p), ?(t) and Rate(t) read: the one in
          [current_marking] (the ref is filled once the net is built) *)
@@ -139,7 +147,8 @@ let touch env = env.version <- env.version + 1
    closure would be allocated on every lookup. *)
 let rec find_local n = function
   | [] -> None
-  | tbl :: rest -> (
+  | Var (v, x) :: rest -> if String.equal v n then Some !x else find_local n rest
+  | Tbl tbl :: rest -> (
       match Hashtbl.find_opt tbl n with
       | None -> find_local n rest
       | found -> found)
@@ -258,13 +267,13 @@ and eval_call ctx f groups =
       1.0 -. exp (-.a *. Float.pow t b)
   | "sum", [ [ Ident v; lo; hi; body ] ] ->
       let lo = eval_expr ctx lo and hi = eval_expr ctx hi in
-      let tbl = Hashtbl.create 1 in
-      let ctx' = { ctx with locals = tbl :: ctx.locals } in
+      let cell = ref lo in
+      let ctx' = { ctx with locals = Var (v, cell) :: ctx.locals } in
       let acc = ref 0.0 in
       let i = ref lo in
       while !i <= hi +. 1e-9 do
         Deadline.check ();
-        Hashtbl.replace tbl v !i;
+        cell := !i;
         acc := !acc +. eval_expr ctx' body;
         i := !i +. 1.0
       done;
@@ -283,7 +292,7 @@ and call_func ctx fname params arg_exprs =
     err "function %s expects %d argument(s), got %d" fname expected got;
   let tbl = Hashtbl.create 8 in
   List.iter2 (fun p a -> Hashtbl.replace tbl p (eval_expr ctx a)) params arg_exprs;
-  let fctx = { ctx with locals = [ tbl ]; in_func = true } in
+  let fctx = { ctx with locals = [ Tbl tbl ]; in_func = true } in
   match Hashtbl.find_opt ctx.env.table fname with
   | Some (Func (_, FExpr e)) -> eval_expr fctx e
   | Some (Func (_, FStmts body)) -> (
@@ -331,7 +340,7 @@ and exec_stmt ctx stmt : float option =
   | SBind (n, e, form) ->
       let v = eval_expr ctx e in
       (match ctx.locals with
-      | tbl :: _ when ctx.in_func -> Hashtbl.replace tbl n v
+      | Tbl tbl :: _ when ctx.in_func -> Hashtbl.replace tbl n v
       | _ ->
           set_binding ctx.env n (Val v);
           (* SHARPE echoes single-statement binds of computed expressions *)
@@ -406,7 +415,7 @@ and exec_stmt ctx stmt : float option =
         let last = ref None in
         let set x =
           match ctx.locals with
-          | tbl :: _ when ctx.in_func -> Hashtbl.replace tbl v x
+          | Tbl tbl :: _ when ctx.in_func -> Hashtbl.replace tbl v x
           | _ ->
               Hashtbl.replace ctx.env.table v (Val x);
               touch ctx.env

@@ -364,7 +364,8 @@ let replaced_row_direct ~solver q =
   done;
   let b = Array.make n 0.0 in
   b.(n - 1) <- 1.0;
-  gauss a b
+  eliminate a b 1;
+  b
 
 let steady_state_direct q = replaced_row_direct ~solver:"ctmc_steady_state" q
 
@@ -441,9 +442,12 @@ let ctmc_gth_banded q bw =
         let qik = rowi.(kk - i + bw) in
         if qik > 0.0 then begin
           let f = qik /. !sk and off = bw - i in
+          (* j = i writes only the diagonal slot (i, i), which nothing
+             reads: the sums and the forward pass read off-diagonal
+             slots only *)
           for t = 0 to !nz - 1 do
-            let j = cols.(t) in
-            if j <> i then rowi.(j + off) <- rowi.(j + off) +. (f *. vals.(t))
+            let j = cols.(t) + off in
+            rowi.(j) <- rowi.(j) +. (f *. vals.(t))
           done
         end
       done
@@ -732,7 +736,11 @@ let solve ?(max_iter = 100_000) ?(tol = 1e-12) a b =
       ~warn:("gauss", "direct-solve residual above verification tolerance (ill-conditioned system)")
       (fun () ->
         note_dense ~solver:"linsolve" n;
-        try gauss (Sparse.to_dense a) b
+        try
+          let d = Sparse.to_dense a and x = Array.copy b in
+          check_shape d n;
+          eliminate d x 1;
+          x
         with Singular ->
           Diag.emit Diag.Error ~solver:"gauss"
             "direct fallback hit a singular pivot: system has no unique solution";

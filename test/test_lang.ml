@@ -337,6 +337,272 @@ let test_undefined_name () =
     (try ignore (run "expr nosuchvar") ; false
      with Sharpe_lang.Eval.Error _ -> true)
 
+(* --- markov instantiation against the former expansion --------------- *)
+
+module Eval = Sharpe_lang.Eval
+module Builtins = Sharpe_lang.Builtins
+module Ctmc = Sharpe_markov.Ctmc
+module Pool = Sharpe_numerics.Pool
+
+(* The former expansion of a markov model's edges: names joined from
+   mapped strings, loop variables in one-entry tables, and states
+   numbered by a second pass over the expanded name pairs. *)
+module Reference = struct
+  open Sharpe_lang.Ast
+  open Eval
+
+  let ev ctx e = eval_expr ctx e
+
+  let tname_str ctx (tn : tname) =
+    String.concat ""
+      (List.map
+         (function
+           | Lit s -> s
+           | Sub e ->
+               let v = ev ctx e in
+               if Float.is_integer v then string_of_int (int_of_float v)
+               else Printf.sprintf "%g" v)
+         tn)
+
+  let rec expand_medges mctx edges =
+    List.concat_map
+      (fun e ->
+        match e with
+        | MEdge (a, b, rate) -> [ (tname_str mctx a, tname_str mctx b, ev mctx rate) ]
+        | MEdgeLoop (v, lo, hi, step, body) ->
+            expand_loop mctx v lo hi step (fun c -> expand_medges c body))
+      edges
+
+  and expand_loop : 'a. ctx -> string -> expr -> expr -> expr option ->
+                    (ctx -> 'a list) -> 'a list =
+    fun mctx v lo hi step f ->
+    let lo = ev mctx lo and hi = ev mctx hi in
+    let step = match step with Some s -> ev mctx s | None -> if hi >= lo then 1.0 else -1.0 in
+    if step = 0.0 then err "loop step is zero";
+    let tbl = Hashtbl.create 1 in
+    let c = { mctx with locals = Tbl tbl :: mctx.locals } in
+    let out = ref [] in
+    let x = ref lo in
+    let continues x = if step > 0.0 then x <= hi +. 1e-9 else x >= hi -. 1e-9 in
+    while continues !x do
+      Hashtbl.replace tbl v !x;
+      out := List.rev_append (f c) !out;
+      x := !x +. step
+    done;
+    List.rev !out
+
+  let state_table (pairs : (string * string) list) extra =
+    let idx = Hashtbl.create 32 in
+    let names = ref [] in
+    let count = ref 0 in
+    let add n =
+      if not (Hashtbl.mem idx n) then begin
+        Hashtbl.add idx n !count;
+        incr count;
+        names := n :: !names
+      end
+    in
+    List.iter (fun (a, b) -> add a; add b) pairs;
+    List.iter add extra;
+    (idx, Array.of_list (List.rev !names))
+
+  let build_markov mctx edges =
+    let es = expand_medges mctx edges in
+    let idx, names = state_table (List.map (fun (a, b, _) -> (a, b)) es) [] in
+    let n = Array.length names in
+    let rates =
+      List.map (fun (a, b, r) -> (Hashtbl.find idx a, Hashtbl.find idx b, r)) es
+    in
+    (idx, names, Ctmc.make ~n rates)
+
+  let instantiate ctx mname args =
+    match Hashtbl.find_opt ctx.env.table mname with
+    | Some (Model (MMarkov { params; edges; _ })) ->
+        let tbl = Hashtbl.create 8 in
+        List.iter2 (fun p v -> Hashtbl.replace tbl p v) params args;
+        build_markov { ctx with locals = [ Tbl tbl ] } edges
+    | _ -> Alcotest.failf "no markov model %s" mname
+end
+
+let program_ctx src =
+  let ctx = Eval.base_ctx (Eval.make_env ~print:ignore ()) in
+  List.iter (fun st -> ignore (Eval.exec_stmt ctx st)) (Sharpe_lang.Parser.parse_string src);
+  ctx
+
+let bits_of x = Int64.bits_of_float x
+
+(* The instance [Builtins.instantiate] builds has the former state
+   order, index and generator, bit for bit. *)
+let same_instance ctx mname args =
+  let what = Printf.sprintf "%s(%s)" mname (String.concat "," (List.map string_of_float args)) in
+  let idx, names, ctmc = Reference.instantiate ctx mname args in
+  let mi =
+    match Builtins.instantiate ctx mname args with
+    | Eval.IMarkov mi -> mi
+    | _ -> Alcotest.failf "%s is not a markov instance" what
+  in
+  Alcotest.(check (array string)) (what ^ ": names") names mi.Eval.mk_names;
+  Alcotest.(check int) (what ^ ": index size") (Hashtbl.length idx) (Hashtbl.length mi.mk_index);
+  Hashtbl.iter
+    (fun n i -> Alcotest.(check (option int)) (what ^ ": index of " ^ n) (Some i)
+        (Hashtbl.find_opt mi.mk_index n))
+    idx;
+  let entries c =
+    let acc = ref [] in
+    Sharpe_numerics.Sparse.iter (Ctmc.generator c) (fun i j v -> acc := (i, j, bits_of v) :: !acc);
+    List.rev !acc
+  in
+  if entries ctmc <> entries mi.mk_ctmc then Alcotest.failf "%s: generator differs" what;
+  for i = 0 to Array.length names - 1 do
+    if bits_of (Ctmc.exit_rate ctmc i) <> bits_of (Ctmc.exit_rate mi.mk_ctmc i) then
+      Alcotest.failf "%s: exit rate of %s differs" what names.(i)
+  done;
+  (idx, names, ctmc)
+
+let expansion_program = {|
+bind k 7
+bind q 2
+markov inner(c)
+loop i, 0, c
+$(i) $(i+1) 1+i
+$(i+1) $(i) 2
+end
+end
+markov steps
+loop i, 3, -2, -1
+loop j, 0, 1, 0.25
+a$(i)_$(j) a$(i-1)_$(j) 1+i*i+j
+a$(i-1)_$(j) b$(j/3) 2
+end
+end
+b$(0) a$(3)_$(0) 1.5
+b$(0) a$(3)_$(0) 0.5
+a$(3)_$(0) b$(0) 0.25
+end
+markov subs
+s$(-3) s$(1e15) 1
+s$(1e15) s$(-0) 2
+s$(-0) s$(0*-1)x 3
+s$(0*-1)x s$(1e15-1) 4
+s$(1e15-1) s$(-(1e15-1)) 5
+s$(-(1e15-1)) s$(-1e15) 6
+s$(-1e15) s$(2^60) 7
+s$(2^60) s$(1/0) 8
+s$(1/0) s$(-3) 9
+end
+markov shadow(p)
+loop p, 1, 2
+loop k, 0, 1
+loop p, 5, 6
+x$(p)_$(k) y$(p) p+k+1
+end
+y$(p+4) x$(p+4)_$(k) k+p
+end
+end
+z$(k)_$(p)_$(q) y$(5) 1
+y$(5) z$(k)_$(p)_$(q) q
+loop q, 0.5, -0.5, -0.5
+z$(k)_$(p)_$(2) w$(q) q+1
+w$(q) z$(k)_$(p)_$(2) 1
+end
+end
+markov nested(c)
+loop i, 0, c
+$(i)_$(prob(inner, $(0); i+1)) $(i+1)_$(prob(inner, $(0); i+2)) 1+prob(inner, $(1); i+1)
+$(i+1)_$(prob(inner, $(0); i+2)) $(i)_$(prob(inner, $(0); i+1)) 3
+end
+end
+|}
+
+let test_expansion_bit_identical () =
+  let ctx = program_ctx expansion_program in
+  let cases =
+    [ ("inner", [ 3.0 ]); ("steps", []); ("subs", []); ("shadow", [ 9.0 ]);
+      ("shadow", [ -0.5 ]); ("nested", [ 4.0 ]); ("nested", [ 2.0 ]) ]
+  in
+  List.iter (fun (m, args) -> ignore (same_instance ctx m args)) cases;
+  (* the names the fractional steps, the wide subscripts and the nested
+     solves must have written *)
+  let names m args =
+    let _, names, _ = same_instance ctx m args in
+    Array.to_list names
+  in
+  let has m args n =
+    Alcotest.(check bool) (m ^ " has " ^ n) true (List.mem n (names m args))
+  in
+  has "steps" [] "a-2_0.75";
+  has "steps" [] "b0.0833333";
+  List.iter (has "subs" [])
+    [ "s-3"; "s1000000000000000"; "s0"; "s0x"; "s999999999999999";
+      "s-999999999999999"; "s-1000000000000000"; "s1152921504606846976"; "sinf" ];
+  has "shadow" [ 9.0 ] "x6_1";
+  has "shadow" [ 9.0 ] "z7_9_2";
+  has "shadow" [ 9.0 ] "w-0.5";
+  Alcotest.(check bool) "nested names carry %g subscripts" true
+    (List.exists (fun n -> String.length n > 4 && String.contains n '.') (names "nested" [ 4.0 ]));
+  (* a value and a name that both fail: the value is read first *)
+  let bad = program_ctx "markov bad\n$(nosuch_a) y nosuch_rate\nend\n" in
+  let message f = try ignore (f ()); "no error" with Eval.Error m -> m in
+  Alcotest.(check string) "first error"
+    (message (fun () -> Reference.instantiate bad "bad" []))
+    (message (fun () -> Builtins.instantiate bad "bad" []))
+
+(* The same models solved in a loop fanned out over two domains: every
+   printed probability is the one the former instance gives. *)
+let test_expansion_parallel_loop () =
+  let src =
+    expansion_program
+    ^ "format 17\nloop c, 1, 6\nexpr prob(nested, $(c)_$(prob(inner, $(0); c+1)); c)\nend\n"
+  in
+  let buf = Buffer.create 1024 in
+  Pool.set_jobs ~clamp:false 2;
+  let outcome =
+    Fun.protect ~finally:(fun () -> Pool.set_jobs 1) (fun () ->
+        Sharpe_lang.Interp.run_program ~print:(Buffer.add_string buf) src)
+  in
+  Alcotest.(check int) "no failed statements" 0 outcome.Sharpe_lang.Interp.failed_statements;
+  let out = Buffer.contents buf in
+  let ctx = program_ctx expansion_program in
+  let steady m c = Ctmc.steady_state (let _, _, chain = Reference.instantiate ctx m [ c ] in chain) in
+  for c = 1 to 6 do
+    let c' = float_of_int c in
+    let idx, _, chain = Reference.instantiate ctx "nested" [ c' ] in
+    let t0 = Sharpe_lang.Ast.Num (steady "inner" (c' +. 1.0)).(0) in
+    let state = Printf.sprintf "%d_%s" c (Reference.tname_str ctx [ Sharpe_lang.Ast.Sub t0 ]) in
+    let expected = (Ctmc.steady_state chain).(Hashtbl.find idx state) in
+    let got = result_nth out "prob(nested" (c - 1) in
+    if bits_of expected <> bits_of got then
+      Alcotest.failf "c = %d: %h printed, %h expected" c got expected
+  done
+
+(* Integer subscripts are written digit by digit; the text is
+   [string_of_int]'s. *)
+let test_subscript_digits () =
+  let buf = Buffer.create 32 in
+  let text v =
+    Buffer.clear buf;
+    Builtins.add_subscript buf v;
+    Buffer.contents buf
+  in
+  let check v =
+    let n = int_of_float v in
+    if text v <> string_of_int n then Alcotest.failf "%d written as %s" n (text v)
+  in
+  for n = 0 to 1_000_000 do
+    check (float_of_int n)
+  done;
+  let rng = Random.State.make [| 22 |] in
+  for _ = 1 to 100_000 do
+    let v = Float.round (Random.State.float rng 1e15) in
+    if v < 1e15 then begin
+      check v;
+      check (-.v)
+    end
+  done;
+  List.iter check [ -0.0; -1.0; 999_999_999_999_999.0; -999_999_999_999_999.0 ];
+  Alcotest.(check string) "-0" "0" (text (-0.0));
+  Alcotest.(check string) "fraction" "0.25" (text 0.25)
+
 let suite =
   [ ("lexer scientific numbers", `Quick, test_lexer_scientific);
     ("lexer 29-char truncation", `Quick, test_lexer_name_truncation);
@@ -370,4 +636,7 @@ let suite =
     ("hierarchy: ftree over markov", `Quick, test_hierarchy_ftree_over_markov);
     ("instance cache invalidation", `Quick, test_instance_cache_invalidation);
     ("parse errors", `Quick, test_parse_errors_reported);
-    ("runtime errors", `Quick, test_undefined_name) ]
+    ("runtime errors", `Quick, test_undefined_name);
+    ("markov expansion bit-identical to the former one", `Quick, test_expansion_bit_identical);
+    ("markov expansion in a loop at jobs=2", `Quick, test_expansion_parallel_loop);
+    ("subscript digits equal string_of_int", `Quick, test_subscript_digits) ]

@@ -581,6 +581,29 @@ let test_dense_kernel_bits () =
   done;
   Alcotest.(check bool) "both outcomes exercised" true (!solved > 0 && !singular > 0)
 
+(* The direct steady-state solve eliminates the matrix it assembles
+   rather than a copy of it: one n x n matrix allocated, not two, and
+   the same bits [gauss] gives on the same system. *)
+let test_direct_steady_in_place () =
+  let n = 400 in
+  let rng = Random.State.make [| 22 |] in
+  let q = banded_generator rng ~n ~bw:6 ~density:0.5 ~holes:false in
+  let a, b = Linsolve.ctmc_krylov_system q in
+  let expected = Linsolve.gauss (Sparse.to_dense a) b in
+  (* the runtime adds a domain's direct major allocations to its
+     counters at the end of a major slice: full cycles on both sides
+     settle them, so the difference counts this solve alone *)
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let pi = Linsolve.steady_state_direct q in
+  Gc.full_major ();
+  let used = Gc.allocated_bytes () -. before in
+  let matrix = 8.0 *. float_of_int (n * n) in
+  if used >= 1.5 *. matrix then
+    Alcotest.failf "steady_state_direct allocated %.0f bytes, %.2f n x n matrices" used
+      (used /. matrix);
+  same_bits "steady_state_direct against gauss" expected pi
+
 let suite =
   [ ("matrix mul", `Quick, test_matrix_mul);
     ("matrix identity", `Quick, test_matrix_identity);
@@ -597,6 +620,7 @@ let suite =
     ("matrix inverse", `Quick, test_inverse);
     ("banded GTH bit-identical to the full-band loop", `Quick, test_gth_kernel_bits);
     ("dense elimination bit-identical to the per-entry loop", `Quick, test_dense_kernel_bits);
+    ("direct steady state eliminates its own matrix", `Quick, test_direct_steady_in_place);
     ("gauss-seidel", `Quick, test_gauss_seidel);
     ("sor matches gs", `Quick, test_sor_matches_gs);
     ("ctmc steady state birth-death", `Quick, test_ctmc_steady_birth_death);
