@@ -34,7 +34,7 @@ for mli in $(find lib -name '*.mli' | sort); do
   ml="${mli%i}"
   for v in $(sed -n "s/^val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli"); do
     [ "$(grep -cw -- "$v" "$ml")" -le 1 ] || continue
-    grep -rlw --include='*.ml' -- "$v" lib bin bench perfbench test |
+    grep -rlw --include='*.ml' -- "$v" lib bin perfbench test |
       grep -qvx "$ml" || unused="$unused $mli:$v"
   done
 done
@@ -82,12 +82,6 @@ for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
     exit 1
   }
 done
-
-echo "== bench smoke =="
-# quick pass over every paper experiment (the slow E7 and E23 skipped);
-# the bench binary exits nonzero when an experiment raises or a solver
-# emitted an error-severity diagnostic, which aborts the build under set -e
-dune exec bench/main.exe -- --quick >/dev/null
 
 echo "== perfbench traced smoke =="
 # short traced runs of the sweep and large workloads: every answer is
@@ -266,18 +260,19 @@ trap - EXIT
 rm -rf "$smokedir" "$sock"
 
 echo "== chaos soak =="
-# fixed-seed fault-injection soak: 16 concurrent clients replay the
-# golden workload against an in-process daemon with injected worker
-# crashes and slowdowns, malformed frames, mid-request disconnects and
-# session churn.  The harness exits nonzero on any daemon crash,
-# non-structured failure, non-golden successful output, session-cap
-# overflow or unbounded RSS.  It then runs the crash-recovery soak:
-# SIGKILL a journaled sharped (--fsync always) mid-load, restart it on
-# the same journal directory, and demand every acknowledged bind reads
-# back, a pre-crash model answers bit-identically, a pre-crash
-# request_id replays its recorded response, and SIGTERM drains to exit
-# 0.  Recovery metrics land in BENCH_server.json.
-./_build/default/bench/main.exe --chaos --seconds 5 --clients 16 --seed 1
+# test/soak.ml, a fixed-seed (1) fault-injection soak: for 5 s, 16
+# concurrent clients replay the golden workload against an in-process
+# daemon with injected worker crashes and slowdowns, malformed frames,
+# mid-request disconnects and session churn.  It exits nonzero on any
+# daemon crash, non-structured failure, non-golden successful output,
+# session-cap overflow or unbounded RSS.  It then runs the
+# crash-recovery soak: SIGKILL a journaled sharped (--fsync always)
+# mid-load, restart it on the same journal directory, and demand every
+# acknowledged bind reads back, a pre-crash model answers
+# bit-identically, a pre-crash request_id replays its recorded response,
+# and SIGTERM drains to exit 0.  Recovery metrics land in
+# BENCH_server.json in the working directory (the repo root).
+./_build/default/test/soak.exe
 grep -q '"recovery_time_ms"' BENCH_server.json || {
   echo "ci: crash-recovery soak did not record recovery_time_ms" >&2
   exit 1

@@ -495,6 +495,26 @@ let test_interp_parse_error_is_diagnostic () =
        (fun r -> r.Diag.severity = Diag.Error && r.Diag.solver = "parser")
        out.Sharpe_lang.Interp.diagnostics)
 
+(* a library caller that installs no sink reads its records from the
+   bounded default sink *)
+let test_default_sink () =
+  let tag = "default-sink-test" in
+  let mine () =
+    List.filter_map
+      (fun r -> if r.Diag.solver = tag then Some r.Diag.message else None)
+      (Diag.default_records ())
+  in
+  Diag.emit Diag.Warning ~solver:tag "first";
+  ignore (Diag.capture (fun () -> Diag.emit Diag.Warning ~solver:tag "captured"));
+  Alcotest.(check (list string)) "uncaptured only" [ "first" ] (mine ());
+  for i = 1 to 2000 do
+    Diag.emitf Diag.Info ~solver:tag "n%d" i
+  done;
+  Alcotest.(check bool) "bounded" true (List.length (Diag.default_records ()) <= 1024);
+  let msgs = mine () in
+  Alcotest.(check bool) "newest kept" true (List.mem "n2000" msgs);
+  Alcotest.(check bool) "oldest dropped" false (List.mem "first" msgs)
+
 let suite =
   [ Alcotest.test_case "capture and context" `Quick test_capture_and_context;
     Alcotest.test_case "capture isolation" `Quick test_capture_isolation;
@@ -525,4 +545,5 @@ let suite =
     Alcotest.test_case "interp per-statement recovery" `Quick
       test_interp_recovers_per_statement;
     Alcotest.test_case "interp parse error diagnostic" `Quick
-      test_interp_parse_error_is_diagnostic ]
+      test_interp_parse_error_is_diagnostic;
+    Alcotest.test_case "default sink keeps the newest records" `Quick test_default_sink ]

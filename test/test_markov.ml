@@ -156,6 +156,42 @@ let test_mttf_fast_close_to_exact () =
   let fast = Fast_mttf.mttf_fast c ~init { reada = [ 1; 2 ]; readf = [ 0 ] } in
   Alcotest.(check bool) "within 1%" true (Float.abs (fast -. exact) /. exact < 0.01)
 
+(* Three units failing one by one (3 -> 2 -> 1 -> 0, rates 3l, 2l, l),
+   each degraded state repaired at rate m, state 0 absorbing.  From the
+   first-passage system T3 = 1/(3l) + T2, (2l+m) T2 = 1 + 2l T1 + m T3,
+   (l+m) T1 = 1 + m T2 the differences solve one after another, every
+   term positive, so the closed form keeps full precision however stiff *)
+let three_unit_mttf l m =
+  let d3 = 1.0 /. (3.0 *. l) in
+  let d2 = (1.0 +. (m *. d3)) /. (2.0 *. l) in
+  let t1 = (1.0 +. (m *. d2)) /. l in
+  t1 +. d2 +. d3
+
+let test_mttf_three_unit_closed_form () =
+  let init = [| 0.0; 0.0; 0.0; 1.0 |] in
+  List.iter
+    (fun (ratio, fast_bound, exact_bound) ->
+      let c =
+        Ctmc.make ~n:4
+          [ (3, 2, 3.0 *. ratio); (2, 1, 2.0 *. ratio); (1, 0, ratio);
+            (2, 3, 1.0); (1, 2, 1.0) ]
+      in
+      let want = three_unit_mttf ratio 1.0 in
+      let rel x = Float.abs (x -. want) /. want in
+      let fast = Fast_mttf.mttf_fast c ~init { reada = [ 2; 3 ]; readf = [ 0 ] } in
+      let exact = Fast_mttf.mttf c ~init ~readf:[ 0 ] in
+      if rel exact > exact_bound then
+        Alcotest.failf "l/m=%g: mttf rel. error %.2e > %.0e" ratio (rel exact)
+          exact_bound;
+      if rel fast > fast_bound then
+        Alcotest.failf "l/m=%g: mttf_fast rel. error %.2e > %.0e" ratio (rel fast)
+          fast_bound)
+    (* aggregation's error shrinks with l/m.  The exact side loses digits
+       as the chain stiffens: Ctmc.time_in_transient solves Q_TT^T by dense
+       Gauss elimination, which cancels (measured 2.6e-9 at 1e-4, 6.0e-6
+       at 1e-6), so its bounds there record that loss, not a tolerance *)
+    [ (1e-2, 5e-4, 1e-12); (1e-4, 5e-8, 5e-9); (1e-6, 2e-10, 1e-5) ]
+
 (* --- properties ---------------------------------------------------- *)
 
 let test_acyclic_negative_rate_rejected () =
@@ -283,6 +319,8 @@ let suite =
     ("absorption cdf mean = mtta", `Quick, test_absorption_cdf_mean_is_mtta);
     ("mttf exact 2-unit", `Quick, test_mttf_exact);
     ("fast mttf close to exact", `Quick, test_mttf_fast_close_to_exact);
+    ("mttf 3-unit = closed form, fast and exact", `Quick,
+     test_mttf_three_unit_closed_form);
     ("acyclic rejects negative rates", `Quick, test_acyclic_negative_rate_rejected);
     ("acyclic predecessor adjacency", `Quick, test_acyclic_predecessors_adjacency);
     ("transient allocates per solve, not per step", `Quick, test_transient_allocates_per_solve);

@@ -354,6 +354,68 @@ let test_golden_ftx = golden "ftree_extra.sharpe" "sysunrel" 0.3 1e-9
 let test_golden_mtta = golden "srn_mtta.sharpe" "mtta(mttatest)" 33.0461838 1e-6
 let test_golden_pfqn = golden "pfqn916.sharpe" "ER(60)" 3.112092 1e-5
 
+let lines_from out prefix =
+  String.split_on_char '\n' out
+  |> List.filter (String.starts_with ~prefix)
+
+(* §2.4.4: M/M/m/b's measures against its birth-death closed form *)
+let test_mmmb_closed_form () =
+  match run_example_file "mmmb.sharpe" with
+  | None -> ()
+  | Some out ->
+      let lam = 0.9 and mu = 0.1 and m = 2 and b = 2 in
+      let unnorm = Array.make (b + 1) 1.0 in
+      for n = 1 to b do
+        unnorm.(n) <- unnorm.(n - 1) *. lam /. (float_of_int (min n m) *. mu)
+      done;
+      let z = Array.fold_left ( +. ) 0.0 unnorm in
+      let pi n = unnorm.(n) /. z in
+      let qlength = (1.0 *. pi 1) +. (2.0 *. pi 2) in
+      (* the output prints 9 significant digits *)
+      List.iter
+        (fun (key, want) ->
+          let got = value_after out ("srn_exrss(example3; " ^ key ^ ")") in
+          if Float.abs (got -. want) > 1e-8 *. Float.abs want then
+            Alcotest.failf "mmmb %s: printed %.9g, closed form %.9g" key got want)
+        [ ("qlength1", qlength); ("probrej", pi b); ("probempty", pi 0) ]
+
+(* §2.4.9: the thesis prints this example's whole output file; every
+   number it prints must be ours at the precision it prints *)
+let test_cellular_fp_thesis_output () =
+  match run_example_file "cellular_fp.sharpe" with
+  | None -> ()
+  | Some out ->
+      (* the bound names, at the thesis' six decimals *)
+      let series name =
+        List.map
+          (fun l -> Scanf.sscanf l "%_s <- %f" (Printf.sprintf "%.6f"))
+          (lines_from out (name ^ " <- "))
+      in
+      Alcotest.(check (list string)) "tp"
+        [ "4.054972"; "5.557387"; "6.098202"; "6.280690"; "6.340547"; "6.359983" ]
+        (series "tp");
+      Alcotest.(check (list string)) "err"
+        [ "0.950678"; "0.270346"; "0.088684"; "0.029055"; "0.009440"; "0.003056" ]
+        (series "err");
+      List.iter
+        (fun (key, thesis) ->
+          Alcotest.(check string) key (Printf.sprintf "%.8e" thesis)
+            (Printf.sprintf "%.8e" (value_after out key)))
+        [ ("srn_exrss(icupc98; BH)", 6.50059657e-3);
+          ("srn_exrss(icupc98; BN)", 3.03008702e-2);
+          ("srn_exrss(icupc98; ACh)", 8.70770327);
+          ("srn_exrss(icupc98; fnum)/srn_exrss(icupc98; ftput2)", 4.21143605e-4) ]
+
+(* §3.9.2: the MPFQN version of the terminal system must print exactly
+   the PFQN version's response times *)
+let test_mpfqn_er_equals_pfqn () =
+  match (run_example_file "pfqn916.sharpe", run_example_file "mpfqn916.sharpe") with
+  | Some pfqn, Some mpfqn ->
+      let er = lines_from pfqn "ER(" in
+      Alcotest.(check int) "ER rows" 6 (List.length er);
+      Alcotest.(check (list string)) "ER(n)" er (lines_from mpfqn "ER(")
+  | _ -> ()
+
 let suite =
   [ ("pretty round trips (cases)", `Quick, test_pretty_roundtrip_cases);
     QCheck_alcotest.to_alcotest prop_pretty_roundtrip;
@@ -381,4 +443,8 @@ let suite =
     ("golden: gspn mm1k", `Quick, test_golden_mm1k);
     ("golden: ftree TEST_KEY", `Quick, test_golden_ftx);
     ("golden: srn mtta", `Quick, test_golden_mtta);
-    ("golden: pfqn ER(60)", `Quick, test_golden_pfqn) ]
+    ("golden: pfqn ER(60)", `Quick, test_golden_pfqn);
+    ("golden: mmmb = birth-death closed form (paper)", `Quick, test_mmmb_closed_form);
+    ("golden: cellular fixed point = thesis output (paper)", `Quick,
+     test_cellular_fp_thesis_output);
+    ("golden: mpfqn ER = pfqn ER (paper)", `Quick, test_mpfqn_er_equals_pfqn) ]

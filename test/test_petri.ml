@@ -2,6 +2,7 @@
    guards, priorities, marking-dependent features, measures. *)
 module Net = Sharpe_petri.Net
 module Reach = Sharpe_petri.Reach
+module Ctmc = Sharpe_markov.Ctmc
 module Srn = Sharpe_petri.Srn
 
 let checkf6 = Alcotest.(check (float 1e-6))
@@ -81,20 +82,46 @@ let wfs_avail m =
   (* avail = wsup > 0 and fsup = 1 *)
   if m.(0) > 0 && m.(1) = 1 then 1.0 else 0.0
 
+(* Figure 2.7's CTMC, built by hand: states 0:(2 ws up, fs up) 1:(1,up)
+   2:(0,up) 3:(2,dn) 4:(1,dn) 5:(0,dn); a workstation failure is covered
+   with probability c, else it takes the file server down with it *)
+let wfs_figure27_ctmc c =
+  let lw = 0.0001 and lf = 0.00005 and muw = 1.0 and muf = 0.5 in
+  Ctmc.make ~n:6
+    [ (0, 1, 2.0 *. lw *. c); (0, 4, 2.0 *. lw *. (1.0 -. c)); (0, 3, lf);
+      (1, 2, lw *. c); (1, 5, lw *. (1.0 -. c)); (1, 4, lf);
+      (1, 0, muw); (2, 1, muw);
+      (3, 0, muf); (4, 1, muf); (5, 2, muf) ]
+
 let test_wfs_vanishing_eliminated () =
   let s = Srn.solve (wfs_net 0.9) in
-  Alcotest.(check bool) "has vanishing" true (Reach.n_vanishing (Srn.graph s) > 0);
+  Alcotest.(check int) "tangible markings" 6 (Reach.n_tangible (Srn.graph s));
+  Alcotest.(check int) "vanishing markings" 2 (Reach.n_vanishing (Srn.graph s));
   (* availability at t=0 is 1 and decreases *)
   checkf6 "avail(0)" 1.0 (Srn.exrt s wfs_avail 0.0);
   let a1 = Srn.exrt s wfs_avail 1.0 and a10 = Srn.exrt s wfs_avail 10.0 in
   Alcotest.(check bool) "decreasing" true (1.0 > a1 && a1 > a10 && a10 > 0.9)
 
 let test_wfs_transient_sane () =
-  (* availability stays near 1 for these tiny failure rates; more coverage
-     comes from the bench comparison against the hand-built CTMC *)
+  (* availability stays near 1 for these tiny failure rates *)
   let s = Srn.solve (wfs_net 0.7) in
   let a20 = Srn.exrt s wfs_avail 20.0 in
   Alcotest.(check bool) "high availability" true (a20 > 0.99 && a20 <= 1.0)
+
+(* Figure 2.9: the net's availability curve equals that of the thesis'
+   own reduction of it (Figure 2.7) *)
+let test_wfs_matches_figure27 () =
+  List.iter
+    (fun c ->
+      let s = Srn.solve (wfs_net c) and hand = wfs_figure27_ctmc c in
+      List.iter
+        (fun t ->
+          let pi = Ctmc.transient hand ~init:[| 1.0; 0.0; 0.0; 0.0; 0.0; 0.0 |] t in
+          Alcotest.(check (float 1e-12))
+            (Printf.sprintf "avail c=%g t=%g" c t)
+            (pi.(0) +. pi.(1)) (Srn.exrt s wfs_avail t))
+        [ 1.0; 2.0; 5.0; 10.0; 20.0 ])
+    [ 0.7; 0.8; 0.9 ]
 
 (* Molloy's example — thesis §2.4.2 *)
 let molloy_net () =
@@ -368,6 +395,7 @@ let suite =
     ("M/M/1/K reachability size", `Quick, test_mm1k_reachability_size);
     ("wfs vanishing elimination (paper)", `Quick, test_wfs_vanishing_eliminated);
     ("wfs transient sane (paper)", `Quick, test_wfs_transient_sane);
+    ("wfs = hand-built Figure 2.7 CTMC (paper)", `Quick, test_wfs_matches_figure27);
     ("Molloy invariants (paper)", `Quick, test_molloy_steady_state);
     ("immediate priorities", `Quick, test_priorities);
     ("guards", `Quick, test_guard_blocks);
