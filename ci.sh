@@ -49,38 +49,24 @@ echo "== golden suite =="
 # a golden drift is reported even when someone trims the runtest alias
 dune exec test/test_main.exe -- test golden >/dev/null
 
-echo "== golden byte-exact =="
 # the harness above matches numbers at 1e-9; the CLI's stdout on every
-# example must also equal its golden file byte for byte
-for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
-  golden="test/golden/$(basename "$f" .sharpe).out"
-  ./_build/default/bin/sharpe.exe "$f" 2>/dev/null | cmp -s - "$golden" || {
-    echo "ci: $f output differs from $golden" >&2
-    exit 1
-  }
-done
-
-echo "== golden no-cache byte-exact =="
-# the same files cold: every solve cache (skeleton, rate key, instance)
-# is an optimisation only and must never change an answer
-for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
-  golden="test/golden/$(basename "$f" .sharpe).out"
-  ./_build/default/bin/sharpe.exe --no-cache "$f" 2>/dev/null | cmp -s - "$golden" || {
-    echo "ci: $f output under --no-cache differs from $golden" >&2
-    exit 1
-  }
-done
-
-echo "== golden jobs=2 byte-exact =="
-# the same files on two domains: loops fan out over the pool and every
-# domain keeps its own transient iterate workspace, none of which may
-# change an answer
-for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
-  golden="test/golden/$(basename "$f" .sharpe).out"
-  ./_build/default/bin/sharpe.exe --jobs 2 "$f" 2>/dev/null | cmp -s - "$golden" || {
-    echo "ci: $f output under --jobs 2 differs from $golden" >&2
-    exit 1
-  }
+# example must also equal its golden file byte for byte, in three runs:
+# - no flags;
+# - --no-cache: the same files cold, since every solve cache (skeleton,
+#   rate key, instance) is an optimisation only and must never change an
+#   answer;
+# - --jobs 2: loops fan out over the pool and every domain keeps its own
+#   transient iterate workspace, none of which may change an answer.
+for flags in "" "--no-cache" "--jobs 2"; do
+  echo "== golden byte-exact${flags:+ under $flags} =="
+  for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
+    golden="test/golden/$(basename "$f" .sharpe).out"
+    # $flags unquoted on purpose: "--jobs 2" is two arguments, "" none
+    ./_build/default/bin/sharpe.exe $flags "$f" 2>/dev/null | cmp -s - "$golden" || {
+      echo "ci: $f output${flags:+ under $flags} differs from $golden" >&2
+      exit 1
+    }
+  done
 done
 
 echo "== perfbench traced smoke =="

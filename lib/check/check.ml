@@ -66,7 +66,7 @@ let check_acyclic r =
   let n = Ctmc.n_states c in
   let probs = Acyclic.state_probabilities c ~init in
   let ts = [ 0.05; 0.3; 1.0; 3.0 ] in
-  let numeric = Ctmc.transient_many c ~init ts in
+  let numeric = List.map (fun t -> (t, Ctmc.transient c ~init t)) ts in
   List.concat_map
     (fun (t, v) ->
       List.init n (fun i ->

@@ -637,14 +637,17 @@ let reward_of_func ctx (s : Sharpe_petri.Srn.t) fname =
   let call = Call (fname, []) in
   fun m -> eval_at c m call
 
+(* the default initial vector: all mass on the first-declared state *)
+let first_state n =
+  let init = Array.make n 0.0 in
+  init.(0) <- 1.0;
+  init
+
 let markov_init mi =
-  match mi.mk_init with
-  | Some init -> init
-  | None ->
-      (* default: all mass on the first-declared state *)
-      let init = Array.make (Array.length mi.mk_names) 0.0 in
-      init.(0) <- 1.0;
-      init
+  match mi.mk_init with Some init -> init | None -> first_state (Array.length mi.mk_names)
+
+let semimark_init si =
+  match si.sm_init with Some init -> init | None -> first_state (Array.length si.sm_names)
 
 let markov_steady mi =
   match !(mi.mk_steady) with
@@ -671,6 +674,16 @@ let pepa_steady (p : pepa_inst) =
    evaluation errors *)
 let pepa_measure f = try f () with Pepa.Error m -> err "pepa: %s" m
 
+(* unreliability at [t] of a combinatorial model or an SPG *)
+let tvalue_of ctx inst t =
+  match inst with
+  | IRbd b -> Rbd.unreliability b t
+  | IFtree ft -> Ftree.prob_at ft t
+  | IPms p -> Pms.unreliability ~side:ctx.env.side p t
+  | IRelgraph g -> Relgraph.unreliability g t
+  | ISpg (g, _) -> E.eval (Spg.completion_cdf g) t
+  | _ -> err "tvalue: unsupported model type"
+
 (* --- the dispatcher --------------------------------------------------- *)
 
 let rec dispatch ctx f (groups : expr list list) : float =
@@ -679,25 +692,13 @@ let rec dispatch ctx f (groups : expr list list) : float =
   | "tvalue", (t :: sys :: rest_in_g1) :: rest ->
       let t = ev ctx t in
       let _, inst = model_of ctx sys (if rest_in_g1 = [] then rest else [ rest_in_g1 ] @ rest) in
-      (match inst with
-      | IRbd b -> Rbd.unreliability b t
-      | IFtree ft -> Ftree.prob_at ft t
-      | IPms p -> Pms.unreliability ~side:ctx.env.side p t
-      | IRelgraph g -> Relgraph.unreliability g t
-      | ISpg (g, _) -> E.eval (Spg.completion_cdf g) t
-      | _ -> err "tvalue: unsupported model type")
+      tvalue_of ctx inst t
   | "tvalue", [ t ] :: sys_grp :: rest -> (
       let t = ev ctx t in
       match sys_grp with
       | sys :: more ->
           let _, inst = model_of ctx sys (if more = [] then rest else [ more ] @ rest) in
-          (match inst with
-          | IRbd b -> Rbd.unreliability b t
-          | IFtree ft -> Ftree.prob_at ft t
-          | IPms p -> Pms.unreliability ~side:ctx.env.side p t
-          | IRelgraph g -> Relgraph.unreliability g t
-          | ISpg (g, _) -> E.eval (Spg.completion_cdf g) t
-          | _ -> err "tvalue: unsupported model type")
+          tvalue_of ctx inst t
       | [] -> err "tvalue: missing model")
   (* ---- transient state probability of a chain ---- *)
   | "value", [ t ] :: (sys :: more) :: rest -> (
@@ -711,15 +712,7 @@ let rec dispatch ctx f (groups : expr list list) : float =
           let pi = Ctmc.transient mi.mk_ctmc ~init t in
           pi.(state_idx mi.mk_index state "markov")
       | _, ISemimark si ->
-          let init =
-            match si.sm_init with
-            | Some i -> i
-            | None ->
-                let i = Array.make (Array.length si.sm_names) 0.0 in
-                i.(0) <- 1.0;
-                i
-          in
-          let occ = SM.occupancy si.sm ~init in
+          let occ = SM.occupancy si.sm ~init:(semimark_init si) in
           E.eval occ.(state_idx si.sm_index state "semi-markov") t
       | _, IPepa p ->
           pepa_measure (fun () ->
@@ -734,12 +727,7 @@ let rec dispatch ctx f (groups : expr list list) : float =
       | _, ISpg (g, _) -> Spg.mean g
       | _, IMarkov mi -> Ctmc.mtta mi.mk_ctmc ~init:(markov_init mi)
       | _, ISemimark si ->
-          SM.mean_time_to_absorption si.sm
-            ~init:(match si.sm_init with
-                   | Some i -> i
-                   | None ->
-                       let i = Array.make (Array.length si.sm_names) 0.0 in
-                       i.(0) <- 1.0; i)
+          SM.mean_time_to_absorption si.sm ~init:(semimark_init si)
       | nm, _ -> err "mean: unsupported model %s" nm)
   | "var", (sys :: more) :: rest -> (
       match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
@@ -821,15 +809,7 @@ let rec dispatch ctx f (groups : expr list list) : float =
           | None -> err "fastmttf: model %s has no fastmttf section" nm)
       | nm, ISemimark si -> (
           match si.sm_fast with
-          | Some (_, readf) ->
-              let init =
-                match si.sm_init with
-                | Some i -> i
-                | None ->
-                    let i = Array.make (Array.length si.sm_names) 0.0 in
-                    i.(0) <- 1.0; i
-              in
-              SM.mttf si.sm ~init ~readf
+          | Some (_, readf) -> SM.mttf si.sm ~init:(semimark_init si) ~readf
           | None -> err "fastmttf: model %s has no fastmttf section" nm)
       | nm, _ -> err "fastmttf: %s is not a chain model" nm)
   (* ---- importance measures ---- *)
@@ -972,14 +952,7 @@ let print_analysis ctx text e =
               in
               print_expo total)
       | ISemimark si -> (
-          let init =
-            match si.sm_init with
-            | Some i -> i
-            | None ->
-                let i = Array.make (Array.length si.sm_names) 0.0 in
-                i.(0) <- 1.0; i
-          in
-          let fp = SM.first_passage si.sm ~init in
+          let fp = SM.first_passage si.sm ~init:(semimark_init si) in
           match more with
           | [ s ] -> print_expo fp.(state_idx si.sm_index (name_of ctx s) "semi-markov")
           | _ -> err "%s: semi-markov needs a state" which)

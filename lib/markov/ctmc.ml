@@ -229,114 +229,90 @@ let workspace pt init =
   end;
   ws
 
-let transient_many ?(eps = 1e-12) c ~init ts =
+let transient ?(eps = 1e-12) c ~init t =
   check_init c init;
-  let lambda, _, pt = uniformized_full c in
-  (* record the truncated-uniformization provenance once per solve *)
-  let largest =
-    match List.filter (fun t -> t > 0.0) ts with
-    | [] -> None
-    | pos ->
-        let tmax = List.fold_left Float.max 0.0 pos in
-        let w = Poisson.window ~eps (lambda *. tmax) in
-        Diag.emitf Diag.Info ~solver:"ctmc_transient" ~tolerance:eps
-          "uniformization with lambda=%.6g; largest Poisson window [%d, %d] (lambda t = %.6g)"
-          lambda w.Poisson.left w.Poisson.right (lambda *. tmax);
-        Some (tmax, w)
-  in
-  let point t =
-    if t <= 0.0 then (t, Array.copy init)
-    else begin
-      (* the window at tmax is already computed: a single-point solve
-         reuses it instead of computing it twice *)
-      let w =
-        match largest with
-        | Some (tmax, w) when t = tmax -> w
-        | _ -> Poisson.window ~eps (lambda *. t)
-      in
-      let n = c.n in
-      let acc = Array.make n 0.0 in
-      let ws = workspace pt init in
-      let cap = slots n in
-      (* past the budget: two scratch vectors swapped after every multiply,
-         so a long series puts no vectors on the major heap *)
-      let scratch = lazy (Array.make n 0.0, Array.make n 0.0) in
-      (* steady-state detection: once the DTMC iterate stops moving
-         (sup-norm step below delta), every remaining term contributes the
-         same vector, so the Poisson tail collapses to one update.  The
-         committed error is at most the tail mass times delta. *)
-      let delta = eps /. 8.0 in
-      let v = ref init in
-      let k = ref 0 in
-      let finished = ref false in
-      while not !finished do
-        Deadline.check ();
-        let kk = !k and cur = !v in
-        if kk >= w.Poisson.left then begin
-          let wk = w.Poisson.weights.(kk - w.Poisson.left) in
-          for i = 0 to n - 1 do
-            acc.(i) <- acc.(i) +. (wk *. cur.(i))
-          done
-        end;
-        if kk >= w.Poisson.right then finished := true
-        else begin
-          let step = ref 0.0 in
-          let next =
-            if kk + 1 < ws.count then begin
-              step := ws.steps.(kk);
-              ws.vs.(kk + 1)
-            end
-            else begin
-              let keep = kk + 1 = ws.count && ws.count < cap in
-              let next =
-                if keep then slot ws (kk + 1)
-                else
-                  let a, b = Lazy.force scratch in
-                  if cur == a then b else a
-              in
-              (* v P as P^T v: identical accumulation order per output
-                 entry for this nonnegative system, hence bit-identical —
-                 and row-parallel when the chain is large and this call is
-                 not already inside a pool task *)
-              Sparse.par_mat_vec_into pt cur next;
-              for i = 0 to n - 1 do
-                let d = Float.abs (next.(i) -. cur.(i)) in
-                if d > !step then step := d
-              done;
-              if keep then begin
-                ws.steps.(kk) <- !step;
-                ws.count <- kk + 2
-              end;
-              next
-            end
-          in
-          v := next;
-          if !step <= delta then begin
-            (* remaining Poisson mass, all weighting the settled vector *)
-            let tail = ref 0.0 in
-            for j = max (kk + 1) w.Poisson.left to w.Poisson.right do
-              tail := !tail +. w.Poisson.weights.(j - w.Poisson.left)
-            done;
-            let tail = !tail in
-            for i = 0 to n - 1 do
-              acc.(i) <- acc.(i) +. (tail *. next.(i))
-            done;
-            finished := true
+  if t <= 0.0 then Array.copy init
+  else begin
+    let lambda, _, pt = uniformized_full c in
+    (* record the truncated-uniformization provenance once per solve *)
+    let w = Poisson.window ~eps (lambda *. t) in
+    Diag.emitf Diag.Info ~solver:"ctmc_transient" ~tolerance:eps
+      "uniformization with lambda=%.6g; largest Poisson window [%d, %d] (lambda t = %.6g)"
+      lambda w.Poisson.left w.Poisson.right (lambda *. t);
+    let n = c.n in
+    let acc = Array.make n 0.0 in
+    let ws = workspace pt init in
+    let cap = slots n in
+    (* past the budget: two scratch vectors swapped after every multiply,
+       so a long series puts no vectors on the major heap *)
+    let scratch = lazy (Array.make n 0.0, Array.make n 0.0) in
+    (* steady-state detection: once the DTMC iterate stops moving
+       (sup-norm step below delta), every remaining term contributes the
+       same vector, so the Poisson tail collapses to one update.  The
+       committed error is at most the tail mass times delta. *)
+    let delta = eps /. 8.0 in
+    let v = ref init in
+    let k = ref 0 in
+    let finished = ref false in
+    while not !finished do
+      Deadline.check ();
+      let kk = !k and cur = !v in
+      if kk >= w.Poisson.left then begin
+        let wk = w.Poisson.weights.(kk - w.Poisson.left) in
+        for i = 0 to n - 1 do
+          acc.(i) <- acc.(i) +. (wk *. cur.(i))
+        done
+      end;
+      if kk >= w.Poisson.right then finished := true
+      else begin
+        let step = ref 0.0 in
+        let next =
+          if kk + 1 < ws.count then begin
+            step := ws.steps.(kk);
+            ws.vs.(kk + 1)
           end
-        end;
-        incr k
-      done;
-      (t, acc)
-    end
-  in
-  (* the points run in order on the calling domain, each reading the
-     series the points before it left in the workspace *)
-  List.map point ts
-
-let transient ?eps c ~init t =
-  match transient_many ?eps c ~init [ t ] with
-  | [ (_, v) ] -> v
-  | _ -> assert false
+          else begin
+            let keep = kk + 1 = ws.count && ws.count < cap in
+            let next =
+              if keep then slot ws (kk + 1)
+              else
+                let a, b = Lazy.force scratch in
+                if cur == a then b else a
+            in
+            (* v P as P^T v: identical accumulation order per output
+               entry for this nonnegative system, hence bit-identical —
+               and row-parallel when the chain is large and this call is
+               not already inside a pool task *)
+            Sparse.par_mat_vec_into pt cur next;
+            for i = 0 to n - 1 do
+              let d = Float.abs (next.(i) -. cur.(i)) in
+              if d > !step then step := d
+            done;
+            if keep then begin
+              ws.steps.(kk) <- !step;
+              ws.count <- kk + 2
+            end;
+            next
+          end
+        in
+        v := next;
+        if !step <= delta then begin
+          (* remaining Poisson mass, all weighting the settled vector *)
+          let tail = ref 0.0 in
+          for j = max (kk + 1) w.Poisson.left to w.Poisson.right do
+            tail := !tail +. w.Poisson.weights.(j - w.Poisson.left)
+          done;
+          let tail = !tail in
+          for i = 0 to n - 1 do
+            acc.(i) <- acc.(i) +. (tail *. next.(i))
+          done;
+          finished := true
+        end
+      end;
+      incr k
+    done;
+    acc
+  end
 
 let cumulative ?(eps = 1e-12) c ~init t =
   check_init c init;

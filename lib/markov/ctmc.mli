@@ -51,11 +51,14 @@ val steady_state : ?tol:float -> t -> float array
 
 val transient : ?eps:float -> t -> init:float array -> float -> float array
 (** [transient c ~init t]: state probabilities at time [t] by uniformization
-    with left/right truncation.  The iterates [init P^k] are read from a
-    per-domain workspace keyed by the uniformized matrix and the bits of
-    [init], so consecutive queries on one chain and start vector pay the
-    longest series once; the result is bit-identical whatever the
-    workspace holds. *)
+    with left/right truncation, recorded as one
+    {!Sharpe_numerics.Diag.Info} provenance record (none for [t <= 0],
+    which returns a copy of [init]).  The iterates [init P^k] are read
+    from a per-domain workspace keyed by the uniformized matrix and the
+    bits of [init], so consecutive queries on one chain and start vector
+    (mapping [transient] over a list of points, say) pay the longest
+    series once; the result is bit-identical whatever the workspace
+    holds. *)
 
 val iterate_budget : int
 (** Bytes of iterates the transient workspace holds per domain (32 MiB);
@@ -64,12 +67,6 @@ val iterate_budget : int
 val workspace_bytes : unit -> int
 (** Bytes of iterate storage the calling domain's workspace has
     allocated: at most {!iterate_budget}. *)
-
-val transient_many :
-  ?eps:float -> t -> init:float array -> float list -> (float * float array) list
-(** {!transient} at each time point, in order on the calling domain, with
-    one provenance diagnostic for the whole list; the points read one
-    series from the workspace. *)
 
 val cumulative : ?eps:float -> t -> init:float array -> float -> float array
 (** [cumulative c ~init t]: L(t) = integral over (0,t] of the state

@@ -8,7 +8,8 @@
     the [reada] states into a single macro-state weighted by their
     conditional steady-state distribution, which is the speed/stability trick
     of the paper — on the paper's rare-failure models the two agree to many
-    digits (bench A4 measures both). *)
+    digits (the [markov] test "mttf 3-unit = closed form, fast and exact",
+    experiment A4, checks both against the closed form). *)
 
 type spec = { reada : int list; readf : int list }
 

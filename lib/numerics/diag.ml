@@ -105,31 +105,15 @@ let count s sev = List.length (List.filter (fun r -> r.severity = sev) s.items)
    domain-local: a worker domain of the parallel pool starts with an
    empty stack, captures its records in its own sink, and the pool
    replays them on the spawning domain (via [emit_record]) in
-   deterministic order.  Only the shared default sink needs a lock. *)
+   deterministic order.  Nothing is shared, so nothing is locked. *)
 let sinks_key : sink list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let context_key : string list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref []) (* innermost first *)
 
-let default_limit = 1024
-let default_sink = create_sink ()
-let default_mutex = Mutex.create ()
-
-let default_records () =
-  Mutex.protect default_mutex (fun () -> records default_sink)
-
-
-let push_record r =
-  match !(Domain.DLS.get sinks_key) with
-  | [] ->
-      Mutex.protect default_mutex (fun () ->
-          default_sink.items <- r :: default_sink.items;
-          (* bounded: drop the oldest half when the cap is exceeded *)
-          if List.length default_sink.items > default_limit then
-            default_sink.items <-
-              List.filteri (fun i _ -> i < default_limit / 2) default_sink.items)
-  | ss -> List.iter (fun s -> s.items <- r :: s.items) ss
+(* every installed sink receives the record; with none it is dropped *)
+let push_record r = List.iter (fun s -> s.items <- r :: s.items) !(Domain.DLS.get sinks_key)
 
 let current_context () = List.rev !(Domain.DLS.get context_key)
 

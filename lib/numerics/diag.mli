@@ -3,11 +3,11 @@
     SHARPE's contract is that the numbers it prints can be trusted; the
     solvers therefore never fail silently.  Every iterative solve, clamp,
     truncation and fallback emits a severity-tagged {!record} into the
-    current {!sink}.  The CLI installs a sink around a whole run and turns
-    the collected records into a stderr summary / JSON report and an exit
-    code; tests use {!capture} to assert on the exact diagnostic sequence;
-    library users who install no sink get a bounded in-memory default sink
-    they can inspect via {!default_records}. *)
+    installed {!sink}s.  The CLI installs a sink around a whole run and
+    turns the collected records into a stderr summary / JSON report and an
+    exit code; tests use {!capture} to assert on the exact diagnostic
+    sequence.  A record emitted while no sink is installed is dropped: a
+    library caller that wants the records installs a sink. *)
 
 type severity =
   | Info  (** provenance worth recording (truncation windows, solver choice) *)
@@ -58,7 +58,7 @@ val emit :
   string ->
   unit
 (** Append a record (stamped with the current context) to every installed
-    sink, or to the bounded default sink when none is installed. *)
+    sink; with no sink installed the record is dropped. *)
 
 val emitf :
   ?iterations:int ->
@@ -110,9 +110,3 @@ val with_isolated_sink : sink -> (unit -> 'a) -> 'a
 val capture : (unit -> 'a) -> 'a * record list
 (** [capture f] runs [f] under a fresh sink and returns its result with
     the records emitted — the test-suite entry point. *)
-
-(** {1 Default sink} *)
-
-val default_records : unit -> record list
-(** Records that were emitted while no sink was installed (bounded: only
-    the most recent are kept). *)

@@ -67,26 +67,21 @@ let check_shape a n =
   if Matrix.rows a <> n || Matrix.cols a <> n then invalid_arg "Linsolve.gauss: shape"
 
 let gauss a b =
-  let n = Array.length b in
-  check_shape a n;
-  let x = Array.copy b in
-  eliminate (Matrix.copy a) x 1;
-  x
+  check_shape a (Array.length b);
+  eliminate a b 1;
+  b
 
 (* One elimination of [a] for all columns of [bm]; with no columns there
    is nothing to solve, and [a] is neither checked nor eliminated. *)
 let gauss_matrix a bm =
   let m = Matrix.cols bm in
-  if m = 0 then Matrix.create ~rows:(Matrix.rows a) ~cols:0
-  else begin
+  if m > 0 then begin
     check_shape a (Matrix.rows bm);
-    let x = Matrix.copy bm in
-    eliminate (Matrix.copy a) (Matrix.raw x) m;
-    x
-  end
+    eliminate a (Matrix.raw bm) m
+  end;
+  bm
 
 let inverse a = gauss_matrix a (Matrix.identity (Matrix.rows a))
-type iter_stats = { iterations : int; residual : float; converged : bool }
 
 (* Largest dense system the solver ladder escalates to; beyond this a
    failed iterative solve is reported as an error instead of silently
@@ -105,12 +100,6 @@ let with_method m f =
   let old = current_method () in
   set_method m;
   Fun.protect ~finally:(fun () -> set_method old) f
-
-let method_names =
-  [ (Auto, "auto"); (Gauss_seidel, "gs"); (Sor, "sor"); (Bicgstab, "bicgstab");
-    (Gmres, "gmres"); (Gth, "gth"); (Direct, "direct") ]
-
-let method_to_string m = List.assoc m method_names
 
 (* Systems with at least this many unknowns try preconditioned Krylov
    before the stationary sweeps, whose spectral gap closes as
@@ -168,11 +157,11 @@ let adaptive_omega rho =
     Float.min 1.95 (2.0 /. (1.0 +. sqrt (1.0 -. rho)))
   else 0.5
 
-(* The loop of both SOR flavours: [step ()] sweeps once and returns the
-   relative change, until it drops to [tol] or [max_iter] sweeps are
-   spent.  Returns the last change, the sweep count and the observed
-   contraction ratio (which picks omega when escalating).  A [linear] loop
-   sweeps at least once and aborts on numeric blow-up. *)
+(* The sweep loop: [step ()] sweeps once and returns the relative change,
+   until it drops to [tol] or [max_iter] sweeps are spent.  Returns the
+   last change, the sweep count and the observed contraction ratio (which
+   picks SOR's omega).  A [linear] loop sweeps at least once and aborts on
+   numeric blow-up. *)
 let sweep_loop ~linear ~max_iter ~tol step =
   let k = ref 0 and delta = ref infinity and prev = ref nan and rho = ref nan in
   let go = ref (linear || max_iter > 0) in
@@ -192,26 +181,6 @@ let sweep_loop ~linear ~max_iter ~tol step =
     go := (not blown) && d > tol && !k < max_iter
   done;
   (!delta, !k, !rho)
-
-(* SOR on a copy of [x0]: the iterate, last change, sweeps and ratio *)
-let sor_rate ~max_iter ~tol ~omega x0 a b =
-  let x = Array.copy x0 in
-  let delta, k, rho = sweep_loop ~linear:true ~max_iter ~tol (fun () -> sweep ~omega a b x) in
-  (x, delta, k, rho)
-
-let sor ?(max_iter = 100_000) ?tol ?(omega = 1.0) ?x0 a b =
-  let x0 = match x0 with Some v -> v | None -> Array.make (Array.length b) 0.0 in
-  let tol' = Option.value tol ~default:1e-12 in
-  let x, delta, k, _ = sor_rate ~max_iter ~tol:tol' ~omega x0 a b in
-  if not (delta <= tol') then
-    Diag.emitf Diag.Non_convergence ~solver:(if omega = 1.0 then "gauss_seidel" else "sor")
-      ~iterations:k ~residual:delta ?tolerance:tol
-      (if Float.is_nan delta || delta > 1e100 then "diverged (iterate overflow) after %d sweeps"
-       else "no convergence after %d sweeps")
-      k;
-  (x, { iterations = k; residual = delta; converged = delta <= tol' })
-
-let gauss_seidel ?max_iter ?tol ?x0 a b = sor ?max_iter ?tol ~omega:1.0 ?x0 a b
 
 (* Row equilibration to unit inf-norm rows.  Generator rows span the full
    rate range; without it the ILU pivots inherit that spread and the
@@ -369,32 +338,30 @@ let replaced_row_direct ~solver q =
 
 let steady_state_direct q = replaced_row_direct ~solver:"ctmc_steady_state" q
 
-(* Gauss-Seidel / SOR sweeps on Q^T x = 0 with per-sweep normalization:
-   the thesis' steady-state method; converges orders of magnitude faster
-   than power iteration on stiff chains.  Returns [x], the final relative
-   change, the sweep count, and the observed contraction ratio. *)
+(* Gauss-Seidel / SOR sweeps on Q^T x = 0 with per-sweep normalization,
+   on [x] in place: the thesis' steady-state method; converges orders of
+   magnitude faster than power iteration on stiff chains.  Returns the
+   final relative change, the sweep count, and the observed contraction
+   ratio. *)
 let ctmc_sweeps ~omega ~max_iter ~tol qt x =
   let n = Array.length x in
-  let delta, k, rho =
-    sweep_loop ~linear:false ~max_iter ~tol (fun () ->
-        let d = ref 0.0 in
-        for i = 0 to n - 1 do
-          let diag = ref 0.0 and s = ref 0.0 in
-          Sparse.iter_row qt i (fun j v -> if j = i then diag := v else s := !s +. (v *. x.(j)));
-          if !diag <> 0.0 then begin
-            let xi' = -. !s /. !diag in
-            let xi'' = x.(i) +. (omega *. (xi' -. x.(i))) in
-            (* entries below 1e-60 cannot influence any measure; their
-               floating-point twitching must not keep a sweep going forever *)
-            let change = Float.abs (xi'' -. x.(i)) /. Float.max 1e-60 (Float.abs xi'') in
-            if change > !d then d := change;
-            x.(i) <- xi''
-          end
-        done;
-        normalize_l1 x;
-        !d)
-  in
-  (x, delta, k, rho)
+  sweep_loop ~linear:false ~max_iter ~tol (fun () ->
+      let d = ref 0.0 in
+      for i = 0 to n - 1 do
+        let diag = ref 0.0 and s = ref 0.0 in
+        Sparse.iter_row qt i (fun j v -> if j = i then diag := v else s := !s +. (v *. x.(j)));
+        if !diag <> 0.0 then begin
+          let xi' = -. !s /. !diag in
+          let xi'' = x.(i) +. (omega *. (xi' -. x.(i))) in
+          (* entries below 1e-60 cannot influence any measure; their
+             floating-point twitching must not keep a sweep going forever *)
+          let change = Float.abs (xi'' -. x.(i)) /. Float.max 1e-60 (Float.abs xi'') in
+          if change > !d then d := change;
+          x.(i) <- xi''
+        end
+      done;
+      normalize_l1 x;
+      !d)
 
 (* Half-bandwidth of the sparsity pattern: max |i - j| over stored entries. *)
 let bandwidth q =
@@ -516,7 +483,6 @@ type problem = {
 
 type carry = {
   mutable best : (float array * float) option;  (** best sweep iterate, residual *)
-  mutable rho : float;  (** Gauss-Seidel contraction ratio: picks SOR's omega *)
   mutable prev : float array option;  (** previous power iterate *)
   mutable from : string;  (** the rung that last gave up *)
 }
@@ -544,12 +510,13 @@ let steady p = p.balance <> ""
 let no_budget = "no convergence within iteration budget"
 let stalled p = "iterate stalled: post-solve residual verification" ^ p.balance ^ " failed"
 
-(* Keep the better sweep iterate (the earlier on ties); a vector swept on in
-   place replaces its own entry. *)
+(* Keep the better sweep iterate, the earlier on ties. *)
 let keep c x r =
-  match c.best with
-  | Some (y, r0) when y != x -> c.best <- Some ((if r < r0 then x else y), Float.min r0 r)
-  | _ -> c.best <- Some (x, r)
+  c.best <-
+    Some
+      (match c.best with
+       | Some (y, r0) -> ((if r < r0 then x else y), Float.min r0 r)
+       | None -> (x, r))
 
 let attempt p ~forced c e =
   let vt = p.verify_tol in
@@ -631,7 +598,7 @@ let run p ~fallback ~backing ~stationary ?(head = []) ?(repair = []) forcings =
     List.assoc_opt (current_method ())
       ((Bicgstab, krylov `Bicgstab) :: (Gmres, krylov `Gmres) :: forcings)
   in
-  let forced = Option.is_some only and c = { best = None; rho = nan; prev = None; from = "" } in
+  let forced = Option.is_some only and c = { best = None; prev = None; from = "" } in
   let rec go = function
     | [] ->
         let x, r = Option.get c.best in
@@ -651,68 +618,61 @@ let run p ~fallback ~backing ~stationary ?(head = []) ?(repair = []) forcings =
   go (match only with Some e -> [ e ] | None -> head @ auto @ repair)
 
 (* Direct elimination: accepted as is, with a Warning when even it misses
-   the verify tolerance ([report] is the residual the Warning shows);
-   escalated to, it applies within the dense cap only. *)
-let direct_engine p ?(report = p.residual)
+   the verify tolerance; escalated to, it applies within the dense cap
+   only. *)
+let direct_engine p
     ?(warn = (p.solver, "direct steady-state residual above verification tolerance"))
     eliminate =
   engine "direct" (fun _ ->
       let x = eliminate () in
-      if p.residual x > p.verify_tol then
-        Diag.emit Diag.Warning ~solver:(fst warn) ~residual:(report x) ~tolerance:p.verify_tol
-          (snd warn);
+      let r = p.residual x in
+      if r > p.verify_tol then
+        Diag.emit Diag.Warning ~solver:(fst warn) ~residual:r ~tolerance:p.verify_tol (snd warn);
       Exact x)
 
 let escalated p msg direct = { (via msg direct) with applicable = (fun () -> p.n <= direct_cap) }
 
-(* The stationary rungs shared by [solve] and the CTMC: Gauss-Seidel, SOR
-   behind it, and forced SOR.  [sw omega k x0] runs at most [k] sweeps
-   from [x0] and returns the iterate, its last relative change, the sweep
-   count and the contraction ratio; [cold ()] is the cold start. *)
-let sweep_engines p ~sw ~cold ~tol ~max_iter ~prefix ~escalate =
+(* The stationary rungs shared by [solve] and the CTMC: Gauss-Seidel and
+   SOR.  [sw omega k x] runs at most [k] sweeps on [x] in place and
+   returns its last relative change, the sweep count and the contraction
+   ratio; [cold ()] is a fresh cold start.  SOR serves both [Auto], where
+   it follows Gauss-Seidel, and a forced [Sor]: a short Gauss-Seidel
+   probe picks omega; the over-relaxed run gets a bounded trial window
+   and must beat the probe's step, or the rest of the budget runs at
+   omega = 1 (Young's formula assumes a property-A ordering and can
+   oscillate on a general sweep operator). *)
+let sweep_engines p ~sw ~cold ~tol ~max_iter ~prefix =
   let swept name ~stall run =
-    engine (prefix ^ name) (fun c ->
-        match run c with
+    engine (prefix ^ name) (fun _ ->
+        match run () with
         | exception Singular -> Zero_diagonal
-        | x, d, k, _ ->
+        | x, d, k ->
             Iterate
               { label = prefix ^ name; x; iters = k; converged = d <= tol; krylov = false;
                 why = (if d <= tol then stall else no_budget) })
   in
   let gs =
-    swept "gauss_seidel" ~stall:(stalled p) (fun c ->
-        let ((_, _, _, rho) as result) = sw 1.0 max_iter (cold ()) in
-        c.rho <- rho;
-        result)
+    swept "gauss_seidel" ~stall:(stalled p) (fun () ->
+        let x = cold () in
+        let d, k, _ = sw 1.0 max_iter x in
+        (x, d, k))
   in
-  (* omega from the observed contraction ratio, warm-started from the
-     Gauss-Seidel iterate unless that blew up *)
   let sor =
-    via (fun c -> Printf.sprintf "%s (adaptive omega=%.3f)" escalate (adaptive_omega c.rho))
-      (swept "sor" ~stall:no_budget (fun c ->
-           match c.best with
-           | Some (x, r) when Float.is_finite r && r < 1e100 ->
-               sw (adaptive_omega c.rho) max_iter x
-           | _ -> sw (adaptive_omega c.rho) max_iter (cold ())))
-  in
-  (* Forced SOR: a short Gauss-Seidel probe picks omega; the over-relaxed
-     run gets a bounded trial window and must beat the probe's step, or
-     the rest of the budget runs at omega = 1 (Young's formula assumes a
-     property-A ordering and can oscillate on a general sweep operator). *)
-  let window =
-    swept "sor" ~stall:no_budget (fun _ ->
+    swept "sor" ~stall:no_budget (fun () ->
         let probe = max 10 (min 100 (max_iter / 10)) in
-        let x0, d0, _, rho = sw 1.0 probe (cold ()) in
+        let x0 = cold () in
+        let d0, _, rho = sw 1.0 probe x0 in
         let omega = adaptive_omega rho in
         let trial = max 50 (min 1_000 (max_iter / 20)) in
-        let x1, d1, k1, _ = sw omega trial (Array.copy x0) in
-        if d1 <= tol then (x1, d1, probe + k1, nan)
+        let x1 = Array.copy x0 in
+        let d1, k1, _ = sw omega trial x1 in
+        if d1 <= tol then (x1, d1, probe + k1)
         else
           let omega, x = if d1 < d0 then (omega, x1) else (1.0, x0) in
-          let x, d, k, rho = sw omega (max_iter - trial) x in
-          (x, d, probe + trial + k, rho))
+          let d, k, _ = sw omega (max_iter - trial) x in
+          (x, d, probe + trial + k))
   in
-  (gs, sor, window)
+  (gs, sor)
 
 (* --- the three problems ------------------------------------------------ *)
 
@@ -726,30 +686,27 @@ let solve ?(max_iter = 100_000) ?(tol = 1e-12) a b =
       verify_tol = Float.max (tol *. 1e4) 1e-8;
       system = Lazy.from_val (a, b); ktol = Float.min tol 1e-10; finish = Fun.id }
   in
-  let gs, sor, window =
-    sweep_engines p ~tol ~max_iter ~prefix:"" ~escalate:"escalating to SOR"
+  let gs, sor =
+    sweep_engines p ~tol ~max_iter ~prefix:""
       ~cold:(fun () -> Array.make n 0.0)
-      ~sw:(fun omega max_iter x0 -> sor_rate ~max_iter ~tol ~omega x0 a b)
+      ~sw:(fun omega max_iter x ->
+        sweep_loop ~linear:true ~max_iter ~tol (fun () -> sweep ~omega a b x))
   in
   let direct =
     direct_engine p
       ~warn:("gauss", "direct-solve residual above verification tolerance (ill-conditioned system)")
       (fun () ->
         note_dense ~solver:"linsolve" n;
-        try
-          let d = Sparse.to_dense a and x = Array.copy b in
-          check_shape d n;
-          eliminate d x 1;
-          x
+        try gauss (Sparse.to_dense a) (Array.copy b)
         with Singular ->
           Diag.emit Diag.Error ~solver:"gauss"
             "direct fallback hit a singular pivot: system has no unique solution";
           raise Singular)
   in
-  run p ~backing:"stationary sweeps" ~stationary:[ gs; sor ]
+  run p ~backing:"stationary sweeps" ~stationary:[ gs; via (fun _ -> "escalating to SOR") sor ]
     ~fallback:
       (escalated p (fun c -> c.from ^ ": falling back to direct Gaussian elimination") direct)
-    [ (Gauss_seidel, gs); (Sor, window); (Direct, direct) ]
+    [ (Gauss_seidel, gs); (Sor, sor); (Direct, direct) ]
 
 let steady_problem ~solver ~balance ~tol ~residual ~system m =
   { n = Sparse.rows m; nnz = Sparse.nnz m; solver; balance; residual;
@@ -768,14 +725,12 @@ let ctmc_steady_state ?(max_iter = 200_000) ?(tol = 1e-13) ?(direct_threshold = 
         ~system:(lazy (ctmc_krylov_system q))
     in
     let qt = lazy (Sparse.transpose q) in
-    let gs, sor, window =
-      sweep_engines p ~tol ~max_iter ~prefix:"ctmc_" ~escalate:"escalating to SOR sweeps"
+    let gs, sor =
+      sweep_engines p ~tol ~max_iter ~prefix:"ctmc_"
         ~cold:(fun () -> uniform n)
         ~sw:(fun omega max_iter x -> ctmc_sweeps ~omega ~max_iter ~tol (Lazy.force qt) x)
     in
-    let direct =
-      direct_engine p (fun () -> steady_state_direct q)
-    in
+    let direct = direct_engine p (fun () -> steady_state_direct q) in
     (* banded GTH: [Auto] takes it when its O(n*bw^2) cost fits the direct
        budget (threshold^3); forced, it runs whatever the bandwidth *)
     let bw = lazy (bandwidth q) in
@@ -789,13 +744,14 @@ let ctmc_steady_state ?(max_iter = 200_000) ?(tol = 1e-13) ?(direct_threshold = 
       let bw = float_of_int (Lazy.force bw) in
       bw > 0.0 && float_of_int n *. bw *. bw <= float_of_int direct_threshold ** 3.0
     in
-    run p ~backing:"stationary sweeps" ~stationary:[ gs; sor ]
+    run p ~backing:"stationary sweeps"
+      ~stationary:[ gs; via (fun _ -> "escalating to SOR sweeps") sor ]
       ~fallback:
         (escalated p (fun c -> c.from ^ ": falling back to direct solve of pi Q = 0") direct)
       ~head:
         [ { direct with applicable = (fun () -> n <= direct_threshold) };
           { gth with applicable = fits_budget } ]
-      [ (Gauss_seidel, gs); (Sor, window); (Gth, gth); (Direct, direct) ]
+      [ (Gauss_seidel, gs); (Sor, sor); (Gth, gth); (Direct, direct) ]
   end
 
 let dtmc_steady_state ?(max_iter = 1_000_000) ?(tol = 1e-13) pm =
@@ -808,9 +764,7 @@ let dtmc_steady_state ?(max_iter = 1_000_000) ?(tol = 1e-13) pm =
         ~residual:(fun x -> dtmc_residual pm x /. Float.max 1.0 (inf_norm x))
         ~system:(lazy (ctmc_krylov_system (minus_identity pm)))
     in
-    let direct ?report () =
-      direct_engine p ?report (fun () -> replaced_row_direct ~solver (minus_identity pm))
-    in
+    let direct = direct_engine p (fun () -> replaced_row_direct ~solver (minus_identity pm)) in
     let power =
       engine solver (fun c ->
           let x, xprev, k, delta, oscillating = dtmc_power ~max_iter ~tol pm in
@@ -831,11 +785,8 @@ let dtmc_steady_state ?(max_iter = 1_000_000) ?(tol = 1e-13) pm =
               note = (Diag.Warning, "accepted Cesaro-averaged iterate for a periodic chain") })
     in
     (* Power iteration is the only stationary method for a DTMC: forced
-       Gauss-Seidel, SOR and GTH run the [Auto] list.  Escalated to, the
-       direct solve reports the raw residual. *)
+       Gauss-Seidel, SOR and GTH run the [Auto] list. *)
     run p ~backing:"power iteration" ~stationary:[ power ] ~repair:[ cesaro ]
-      ~fallback:
-        (escalated p (fun _ -> "escalating to direct solve of pi (P - I) = 0")
-           (direct ~report:(dtmc_residual pm) ()))
-      [ (Direct, direct ()) ]
+      ~fallback:(escalated p (fun _ -> "escalating to direct solve of pi (P - I) = 0") direct)
+      [ (Direct, direct) ]
   end

@@ -20,11 +20,15 @@
     DTMC steady     power, direct, BiCGStab, Cesaro       BiCGStab, GMRES, power, Cesaro
     v}
 
-    SOR's over-relaxation factor is adapted to the contraction rate
-    Gauss–Seidel observed; escalated to, direct elimination applies up to
-    4096 unknowns; the Cesaro rung averages the last two power iterates of
-    a periodic chain.  A ladder that runs out returns the best iterate with
-    a {!Diag.Error}.  Negative steady-state entries are clamped with a
+    SOR is one engine, in the ladder and forced alike: a short cold
+    Gauss–Seidel probe measures the contraction rate that picks the
+    over-relaxation factor, and the over-relaxed sweeps keep it only if a
+    bounded trial beats the probe.  Escalated to, direct elimination
+    applies up to 4096 unknowns; the Cesaro rung averages the last two
+    power iterates of a periodic chain.  A ladder that runs out returns
+    the sweep iterate of smallest residual (the earlier on ties) with a
+    {!Diag.Error}.  Every rung reports the problem's one relative
+    residual.  Negative steady-state entries are clamped with a
     {!Diag.Warning} carrying the clamped magnitude. *)
 
 exception Singular
@@ -55,8 +59,6 @@ val with_method : method_ -> (unit -> 'a) -> 'a
 (** [with_method m f] runs [f] with the solver override set to [m],
     restoring the previous override afterwards (also on exceptions). *)
 
-val method_to_string : method_ -> string
-
 val krylov_threshold : int
 (** Systems with at least this many unknowns try preconditioned Krylov
     before the stationary sweeps under [Auto]. *)
@@ -76,49 +78,35 @@ val note_dense : solver:string -> int -> unit
 
 val gauss : Matrix.t -> float array -> float array
 (** [gauss a b] solves [a x = b] by Gaussian elimination with partial
-    pivoting.  [a] is not modified.  @raise Singular on singular systems. *)
+    pivoting.  Both arguments are overwritten: [a] is eliminated, and the
+    solution is [b] itself, returned.  A caller that reads either
+    afterwards passes a copy.  @raise Singular on singular systems. *)
 
 val gauss_matrix : Matrix.t -> Matrix.t -> Matrix.t
 (** [gauss_matrix a b] solves [a X = B] with one elimination of [a],
     each row swap and multiplier applied to every column of [B]: column
-    [j] of the result is bit for bit [gauss a (Matrix.col b j)].  Neither
-    argument is modified; a [B] with no columns gives an empty result
-    without touching [a].  @raise Singular on singular systems. *)
+    [j] of the result is bit for bit [gauss a (Matrix.col b j)].  Both
+    arguments are overwritten, as by {!gauss}: the solution is [b]
+    itself.  A [B] with no columns is returned without touching [a].
+    @raise Singular on singular systems. *)
 
 val inverse : Matrix.t -> Matrix.t
-
-type iter_stats = {
-  iterations : int;  (** sweeps performed *)
-  residual : float;  (** final max-norm relative change between sweeps *)
-  converged : bool;  (** the change dropped below [tol] within budget *)
-}
+(** [inverse a] is [gauss_matrix a (Matrix.identity n)]: [a] is
+    overwritten. *)
 
 val residual_inf : Sparse.t -> float array -> float array -> float
 (** [residual_inf a x b] is the true residual [||a x - b||_inf] — the
     post-solve verification measure. *)
 
-val gauss_seidel :
-  ?max_iter:int -> ?tol:float -> ?x0:float array ->
-  Sparse.t -> float array -> float array * iter_stats
-(** [gauss_seidel a b] solves [a x = b] where [a] is accessed row-wise.
-    Diagonal entries must be nonzero.  Stops when the max-norm of successive
-    differences relative to the iterate falls below [tol] (default 1e-12),
-    or aborts early on numeric blow-up.  A non-converged return is recorded
-    as a {!Diag.Non_convergence} diagnostic. *)
-
-val sor :
-  ?max_iter:int -> ?tol:float -> ?omega:float -> ?x0:float array ->
-  Sparse.t -> float array -> float array * iter_stats
-(** Successive over-relaxation; [omega = 1] degenerates to Gauss–Seidel. *)
-
 val solve : ?max_iter:int -> ?tol:float -> Sparse.t -> float array -> float array
 (** [solve a b] solves [a x = b] with the solver ladder (see the table
-    above): below {!krylov_threshold} unknowns Gauss–Seidel, then SOR with
-    an over-relaxation factor adapted to the observed contraction rate,
+    above): below {!krylov_threshold} unknowns Gauss–Seidel from zero,
+    then SOR (the engine of a forced [Sor], with its own cold probe),
     then direct Gaussian elimination, then preconditioned BiCGStab — each
     hop recorded as a {!Diag.Fallback} diagnostic, and the accepted answer
-    verified against [||a x - b||_inf].  A zero diagonal sends the sweeps
-    straight to direct elimination.
+    verified against [||a x - b||_inf / max(1, ||b||_inf)].  Neither
+    argument is modified.  A zero diagonal sends the sweeps straight to
+    direct elimination.
     @raise Singular if even the direct solve finds no unique solution. *)
 
 val steady_state_direct : Sparse.t -> float array
@@ -140,7 +128,7 @@ val ctmc_krylov_system : Sparse.t -> Sparse.t * float array
 (** [ctmc_krylov_system q] is the CSR replaced-row system [(A, b)] with
     [A = Q^T] whose last row is replaced by ones and [b = e_{n-1}] — the
     exact system {!steady_state_direct} eliminates, exposed for the
-    Krylov solvers and benches. *)
+    Krylov solvers and the tests. *)
 
 val ctmc_steady_state :
   ?max_iter:int -> ?tol:float -> ?direct_threshold:int ->

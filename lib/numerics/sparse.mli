@@ -1,8 +1,8 @@
 (** Sparse matrices in triplet-builder / CSR form.
 
-    CTMC generators coming out of reachability graphs are very sparse; all
-    iterative solvers ({!Linsolve.gauss_seidel}, {!Linsolve.sor}) and the
-    uniformization engine work on this representation. *)
+    CTMC generators coming out of reachability graphs are very sparse; the
+    iterative solvers ({!Linsolve.solve}) and the uniformization engine
+    work on this representation. *)
 
 type builder
 (** Mutable triplet accumulator over growable unboxed arrays.  Duplicate

@@ -93,8 +93,8 @@ val serve :
   unit
 (** Run the daemon: bind, listen, accept until a [shutdown] request
     arrives, then drain connections and return.  [?ready] is invoked once
-    the socket is listening (tests and the in-process bench use it to
-    know when clients may connect).  A Unix-domain socket path is
+    the socket is listening (tests and the soak in [test/soak.ml] use it
+    to know when clients may connect).  A Unix-domain socket path is
     unlinked on both startup (stale socket) and shutdown.  Session
     maintenance (TTL eviction, memory budget, journal fsync tick) runs
     from the accept loop at most every 50 ms, so it happens on an idle

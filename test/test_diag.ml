@@ -97,22 +97,22 @@ let test_solve_quiet_when_convergent () =
   check_float "residual" 0.0 (Linsolve.residual_inf a x b);
   Alcotest.(check int) "silent" 0 (List.length recs)
 
+let forced m f = Diag.capture (fun () -> Linsolve.with_method m f)
+
 let test_gauss_seidel_stats () =
   let a =
     Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 0, 4.0); (0, 1, 1.0); (1, 0, 1.0); (1, 1, 3.0) ]
   in
-  let (_, st), recs = Diag.capture (fun () -> Linsolve.gauss_seidel a [| 9.0; 7.0 |]) in
-  Alcotest.(check bool) "converged" true st.Linsolve.converged;
-  Alcotest.(check bool) "few sweeps" true (st.Linsolve.iterations < 100);
-  Alcotest.(check bool) "tiny change" true (st.Linsolve.residual <= 1e-12);
+  let b = [| 9.0; 7.0 |] in
+  let x, recs = forced Linsolve.Gauss_seidel (fun () -> Linsolve.solve a b) in
+  Alcotest.(check bool) "tiny residual" true (Linsolve.residual_inf a x b <= 1e-12);
   Alcotest.(check int) "no diagnostics" 0 (List.length recs)
 
 let test_gauss_seidel_divergence_diagnosed () =
-  let (_, st), recs =
-    Diag.capture (fun () -> Linsolve.gauss_seidel (awkward ()) [| 5.0; 4.0 |])
-  in
-  Alcotest.(check bool) "not converged" false st.Linsolve.converged;
-  chain "one record" [ ("non-convergence", "gauss_seidel") ] (sev_solver recs)
+  let b = [| 5.0; 4.0 |] in
+  let x, recs = forced Linsolve.Gauss_seidel (fun () -> Linsolve.solve (awkward ()) b) in
+  Alcotest.(check bool) "not converged" false (Linsolve.residual_inf (awkward ()) x b <= 1e-8);
+  chain "one record" [ ("error", "gauss_seidel") ] (sev_solver recs)
 
 (* ------------------------------------------------------------------ *)
 (* CTMC steady state: nearly-completely-decomposable chain             *)
@@ -218,8 +218,6 @@ let birth_death n =
   Sparse.of_triplets ~rows:n ~cols:n
     (e @ Array.to_list (Array.mapi (fun i r -> (i, i, r)) d))
 
-let forced m f = Diag.capture (fun () -> Linsolve.with_method m f)
-
 let test_solve_forced_sor () =
   let a = poisson 40 in
   let b = Array.make 40 1.0 in
@@ -256,6 +254,20 @@ let test_solve_forced_sor () =
   pinned "divergent" [ "error sor it=- r=nan tol=0x1.5798ee2308c3ap-27 | forced method did not \
        produce a verified solution (no fallback under --solver)" ] (pin recs);
   fp "divergent: iterate" "ca19a7ff0e6293032a8207f6b9929140" (fingerprint x)
+
+(* The ladder's SOR rung is the forced-SOR engine: once Gauss-Seidel has
+   spent its sweeps, the automatic answer is bit for bit the forced one. *)
+let test_auto_sor_is_forced_sor () =
+  let a = poisson 40 in
+  let b = Array.make 40 1.0 in
+  let x, recs = forced Linsolve.Auto (fun () -> Linsolve.solve ~max_iter:2000 a b) in
+  chain "gauss-seidel gives up, sor accepts"
+    [ ("non-convergence", "gauss_seidel"); ("fallback", "linsolve") ]
+    (sev_solver recs);
+  Alcotest.(check string) "fallback message" "escalating to SOR"
+    (List.nth recs 1).Diag.message;
+  let x_sor, _ = forced Linsolve.Sor (fun () -> Linsolve.solve ~max_iter:2000 a b) in
+  fp "auto = forced sor" (fingerprint x_sor) (fingerprint x)
 
 let test_ctmc_forced_sor () =
   let q = birth_death 60 in
@@ -333,12 +345,9 @@ let test_forced_stand_ins () =
   same_as_auto "solve gth, convergent" Linsolve.Gth (fun () ->
       Linsolve.solve (poisson 40) (Array.make 40 1.0));
   List.iter
-    (fun m ->
-      same_as_auto
-        ("dtmc " ^ Linsolve.method_to_string m)
-        m
-        (fun () -> Linsolve.dtmc_steady_state periodic))
-    Linsolve.[ Gauss_seidel; Sor; Gth ]
+    (fun (m, name) ->
+      same_as_auto ("dtmc " ^ name) m (fun () -> Linsolve.dtmc_steady_state periodic))
+    Linsolve.[ (Gauss_seidel, "gs"); (Sor, "sor"); (Gth, "gth") ]
 
 (* ------------------------------------------------------------------ *)
 (* CTMC well-formedness and uniformization warnings                    *)
@@ -495,26 +504,6 @@ let test_interp_parse_error_is_diagnostic () =
        (fun r -> r.Diag.severity = Diag.Error && r.Diag.solver = "parser")
        out.Sharpe_lang.Interp.diagnostics)
 
-(* a library caller that installs no sink reads its records from the
-   bounded default sink *)
-let test_default_sink () =
-  let tag = "default-sink-test" in
-  let mine () =
-    List.filter_map
-      (fun r -> if r.Diag.solver = tag then Some r.Diag.message else None)
-      (Diag.default_records ())
-  in
-  Diag.emit Diag.Warning ~solver:tag "first";
-  ignore (Diag.capture (fun () -> Diag.emit Diag.Warning ~solver:tag "captured"));
-  Alcotest.(check (list string)) "uncaptured only" [ "first" ] (mine ());
-  for i = 1 to 2000 do
-    Diag.emitf Diag.Info ~solver:tag "n%d" i
-  done;
-  Alcotest.(check bool) "bounded" true (List.length (Diag.default_records ()) <= 1024);
-  let msgs = mine () in
-  Alcotest.(check bool) "newest kept" true (List.mem "n2000" msgs);
-  Alcotest.(check bool) "oldest dropped" false (List.mem "first" msgs)
-
 let suite =
   [ Alcotest.test_case "capture and context" `Quick test_capture_and_context;
     Alcotest.test_case "capture isolation" `Quick test_capture_isolation;
@@ -528,6 +517,7 @@ let suite =
     Alcotest.test_case "ctmc NCD fallback chain" `Quick test_ctmc_ncd_fallback_chain;
     Alcotest.test_case "dtmc periodic fallback" `Quick test_dtmc_periodic_fallback;
     Alcotest.test_case "solve forced sor window" `Quick test_solve_forced_sor;
+    Alcotest.test_case "auto sor is the forced sor engine" `Quick test_auto_sor_is_forced_sor;
     Alcotest.test_case "ctmc forced sor window" `Quick test_ctmc_forced_sor;
     Alcotest.test_case "solve forced bicgstab fails" `Quick
       test_solve_forced_bicgstab_fails;
@@ -545,5 +535,4 @@ let suite =
     Alcotest.test_case "interp per-statement recovery" `Quick
       test_interp_recovers_per_statement;
     Alcotest.test_case "interp parse error diagnostic" `Quick
-      test_interp_parse_error_is_diagnostic;
-    Alcotest.test_case "default sink keeps the newest records" `Quick test_default_sink ]
+      test_interp_parse_error_is_diagnostic ]

@@ -877,12 +877,13 @@ let test_ctmc_parallel_transient_bits () =
   let init = Array.make n 0.0 in
   init.(0) <- 1.0;
   let ts = [ 0.5; 1.0; 2.0; 5.0 ] in
-  let serial = Ctmc.transient_many (Ctmc.make ~n rates) ~init ts in
+  let transients c = List.map (fun t -> (t, Ctmc.transient c ~init t)) ts in
+  let serial = transients (Ctmc.make ~n rates) in
   let serial_cum = Ctmc.cumulative (Ctmc.make ~n rates) ~init 3.0 in
   let par, par_cum =
     with_par_floor 0 (fun () ->
         with_jobs 4 (fun () ->
-            ( Ctmc.transient_many (Ctmc.make ~n rates) ~init ts,
+            ( transients (Ctmc.make ~n rates),
               Ctmc.cumulative (Ctmc.make ~n rates) ~init 3.0 )))
   in
   List.iter2
