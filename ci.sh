@@ -222,6 +222,31 @@ for ex in $examples; do
     exit 1
   fi
 done
+# each example evaluated twice into a named session of its own: the
+# second eval meets a warm instance cache across every redefinition and
+# rebind of the first, and must print the golden output again
+clients=""
+for ex in $examples; do
+  (
+    for pass in 1 2; do
+      ./_build/default/bin/sharpec.exe --socket "$sock" --session "warm-$ex" \
+        eval "examples/sharpe/$ex.sharpe" > "$smokedir/$ex.warm$pass.out" || exit 1
+    done
+  ) &
+  clients="$clients $!"
+done
+for pid in $clients; do
+  wait "$pid" || { echo "ci: a warm-session client failed" >&2; exit 1; }
+done
+for ex in $examples; do
+  for pass in 1 2; do
+    if ! cmp -s "$smokedir/$ex.warm$pass.out" "test/golden/$ex.out"; then
+      echo "ci: warm-session eval $pass of $ex differs from golden" >&2
+      diff "test/golden/$ex.out" "$smokedir/$ex.warm$pass.out" | head >&2
+      exit 1
+    fi
+  done
+done
 # the selfcheck request goes through the same worker pool; a clean run
 # reports clean:true (sharpec exits 1 otherwise) and leaves the daemon's
 # error-diagnostic counter at zero

@@ -3,13 +3,24 @@
    Models are instantiated lazily: when an analysis function names a model,
    its definition is evaluated under the current global bindings plus the
    parameter values from the call's trailing argument group(s).  Instances
-   are cached per (model, arguments) and invalidated whenever any global
-   binding changes — which is exactly what makes fixed-point iteration
-   (bind inside while) re-solve the net each round. *)
+   are cached per (model, arguments), one entry per key, filed with every
+   global binding the build read: its own definition, the names its
+   expressions and functions looked up (absent ones included), the
+   definitions the SRN keys pinned, the time side, and the reads of every
+   instance it used.  An entry serves while each of those bindings is
+   unchanged, so a loop variable or a bind the model never reads leaves it
+   standing, and a bind it does read (fixed-point iteration: bind inside
+   while) rebuilds it.  A build that itself changed the environment is
+   not filed.
+
+   A rebuild in a new version would emit its Diag records again, so an
+   entry keeps them and replays them at its first use in each version
+   (Eval.replay), the steady states and instances it used included. *)
 
 open Ast
 open Eval
 module F = Sharpe_bdd.Formula
+module Diag = Sharpe_numerics.Diag
 
 (* --- small helpers --------------------------------------------------- *)
 
@@ -129,31 +140,61 @@ let dist_of_expr ctx e : E.t =
 
 (* --- model instantiation --------------------------------------------- *)
 
+(* The instance cache's traffic, counted beside the lower caches *)
+let instances = Sharpe_numerics.Structhash.counter "model_instance"
+
+(* The instance of [mname] under [arg_vals]: the filed one while what its
+   build read is unchanged (its Diag records replayed in a new version,
+   where a rebuild would emit them), else a fresh build, which replaces
+   it. *)
 let rec instantiate ctx mname (arg_vals : float list) : instance =
   let key = (mname, arg_vals) in
-  match Hashtbl.find_opt ctx.env.cache key with
-  | Some (v, inst) when v = ctx.env.version -> inst
-  | _ ->
-      let m =
-        match Hashtbl.find_opt ctx.env.table mname with
-        | Some (Model m) -> m
-        | _ -> err "unknown model %s" mname
-      in
-      let params = model_params m in
-      if List.length params <> List.length arg_vals then
-        err "model %s expects %d argument(s), got %d" mname (List.length params)
-          (List.length arg_vals);
-      let tbl = Hashtbl.create 8 in
-      List.iter2 (fun p v -> Hashtbl.replace tbl p v) params arg_vals;
-      let mctx = { ctx with locals = [ Tbl tbl ] } in
-      let version = ctx.env.version in
-      let inst =
-        Sharpe_numerics.Diag.with_context ("model " ^ mname) (fun () ->
-            build_model mctx m)
-      in
-      (* only cache when instantiation did not itself change the world *)
-      if ctx.env.version = version then Hashtbl.replace ctx.env.cache key (version, inst);
-      inst
+  let env = ctx.env in
+  let e =
+    use ctx key (fun e -> Build e) (fun () ->
+        match Hashtbl.find_opt env.cache key with
+        | Some e when still_valid env e ->
+            Sharpe_numerics.Structhash.count instances ~hit:true;
+            replay env e;
+            add_reads ctx (Array.to_seq e.reads) e.side_read;
+            e
+        | _ ->
+            Sharpe_numerics.Structhash.count instances ~hit:false;
+            build_entry ctx key mname arg_vals)
+  in
+  e.inst
+
+and build_entry ctx key mname arg_vals =
+  let env = ctx.env in
+  let frame = open_frame () in
+  let fctx = { ctx with frame = Some frame } in
+  let version = env.version in
+  let build () =
+    let m =
+      match global fctx mname with
+      | Some (Model m) -> m
+      | _ -> err "unknown model %s" mname
+    in
+    let params = model_params m in
+    if List.length params <> List.length arg_vals then
+      err "model %s expects %d argument(s), got %d" mname (List.length params)
+        (List.length arg_vals);
+    let tbl = Hashtbl.create 8 in
+    List.iter2 (fun p v -> Hashtbl.replace tbl p v) params arg_vals;
+    Diag.with_context ("model " ^ mname) (fun () ->
+        build_model { fctx with locals = [ Tbl tbl ] } m)
+  in
+  match Diag.with_sink frame.sink build with
+  | inst ->
+      close_frame ctx frame;
+      let e = entry_of frame inst version in
+      (* only file a build that did not itself change the world *)
+      if env.version = version then Hashtbl.replace env.cache key e;
+      e
+  | exception ex ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_frame ctx frame;
+      Printexc.raise_with_backtrace ex bt
 
 and build_model mctx = function
   | MBlock { lines; _ } -> IRbd (build_block mctx lines)
@@ -480,7 +521,7 @@ and build_markov mctx edges rewards init fastmttf =
     mk_init = init;
     mk_reward = build_rewards mctx idx n rewards;
     mk_fast = fast;
-    mk_steady = ref None }
+    mk_steady = { pi = None; pi_records = []; pi_seen = 0 } }
 
 and fold_smedges mctx st acc edges =
   List.fold_left
@@ -608,29 +649,28 @@ and build_pepa mctx past =
     let c =
       try Pepa.compile ~resolve past with Pepa.Error m -> err "pepa: %s" m
     in
-    List.iter
-      (fun w ->
-        Sharpe_numerics.Diag.emit Sharpe_numerics.Diag.Warning ~solver:"pepa" w)
-      (Pepa.warnings c);
+    List.iter (fun w -> Diag.emit Diag.Warning ~solver:"pepa" w) (Pepa.warnings c);
     { pe_c = c; pe_steady = ref None }
   in
   match Solve_cache.pepa_key mctx past with
   | Some key when Sharpe_numerics.Structhash.enabled () ->
-      Solve_cache.solve_pepa ~key build
+      (* a rebuild finds the compiled model filed, emitting nothing *)
+      unfiled mctx (fun () -> Solve_cache.solve_pepa ~key build)
   | _ -> build ()
 
 (* --- resolving analysis-call arguments -------------------------------- *)
 
-(* trailing groups are model arguments *)
+(* trailing groups are model arguments; the model's key (name and
+   arguments) comes with its instance *)
 let model_of ctx sys_expr arg_groups =
   let nm = name_of ctx sys_expr in
   let args = List.map (ev ctx) (List.concat arg_groups) in
-  (nm, instantiate ctx nm args)
+  ((nm, args), instantiate ctx nm args)
 
 let srn_of ctx sys arg_groups =
   match model_of ctx sys arg_groups with
   | _, ISrn s -> s
-  | nm, _ -> err "%s is not an SRN/GSPN model" nm
+  | (nm, _), _ -> err "%s is not an SRN/GSPN model" nm
 
 let reward_of_func ctx (s : Sharpe_petri.Srn.t) fname =
   let c = { ctx with marking = Some (ref (Some (Srn.net s))) } in
@@ -649,13 +689,8 @@ let markov_init mi =
 let semimark_init si =
   match si.sm_init with Some init -> init | None -> first_state (Array.length si.sm_names)
 
-let markov_steady mi =
-  match !(mi.mk_steady) with
-  | Some pi -> pi
-  | None ->
-      let pi = Ctmc.steady_state mi.mk_ctmc in
-      mi.mk_steady := Some pi;
-      pi
+let markov_steady ctx key mi =
+  use ctx key (fun _ -> Steady) (fun () -> solve_steady ctx.env mi)
 
 let state_idx idx name what =
   match Hashtbl.find_opt idx name with
@@ -679,7 +714,7 @@ let tvalue_of ctx inst t =
   match inst with
   | IRbd b -> Rbd.unreliability b t
   | IFtree ft -> Ftree.prob_at ft t
-  | IPms p -> Pms.unreliability ~side:ctx.env.side p t
+  | IPms p -> Pms.unreliability ~side:(side ctx) p t
   | IRelgraph g -> Relgraph.unreliability g t
   | ISpg (g, _) -> E.eval (Spg.completion_cdf g) t
   | _ -> err "tvalue: unsupported model type"
@@ -717,7 +752,7 @@ let rec dispatch ctx f (groups : expr list list) : float =
       | _, IPepa p ->
           pepa_measure (fun () ->
               Pepa.prob p.pe_c (Pepa.transient p.pe_c t) state)
-      | nm, _ -> err "value: %s is not a chain model" nm)
+      | (nm, _), _ -> err "value: %s is not a chain model" nm)
   (* ---- means ---- *)
   | "mean", (sys :: more) :: rest -> (
       match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
@@ -728,11 +763,11 @@ let rec dispatch ctx f (groups : expr list list) : float =
       | _, IMarkov mi -> Ctmc.mtta mi.mk_ctmc ~init:(markov_init mi)
       | _, ISemimark si ->
           SM.mean_time_to_absorption si.sm ~init:(semimark_init si)
-      | nm, _ -> err "mean: unsupported model %s" nm)
+      | (nm, _), _ -> err "mean: unsupported model %s" nm)
   | "var", (sys :: more) :: rest -> (
       match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
       | _, ISpg (g, _) -> Spg.variance g
-      | nm, _ -> err "var: unsupported model %s" nm)
+      | (nm, _), _ -> err "var: unsupported model %s" nm)
   (* ---- probabilities of combinatorial systems ---- *)
   | "sysprob", (sys :: more) :: rest -> (
       let gate = match more with [ g ] -> Some (name_of ctx g) | _ -> None in
@@ -744,74 +779,72 @@ let rec dispatch ctx f (groups : expr list list) : float =
           | None -> err "sysprob: multi-state trees need a top:state gate")
       | _, IRbd b -> Rbd.unreliability b 0.0
       | _, IRelgraph g -> Relgraph.unreliability g 0.0
-      | nm, _ -> err "sysprob: unsupported model %s" nm)
+      | (nm, _), _ -> err "sysprob: unsupported model %s" nm)
   | "pzero", (sys :: more) :: rest -> (
       match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
       | _, IFtree ft -> Ftree.sysprob ft
       | _, IRbd b -> Rbd.unreliability b 0.0
       | _, IRelgraph g -> Relgraph.unreliability g 0.0
-      | nm, _ -> err "pzero: unsupported model %s" nm)
+      | (nm, _), _ -> err "pzero: unsupported model %s" nm)
   (* ---- steady-state probabilities ---- *)
   | "prob", (sys :: more) :: rest -> (
       let state =
         match more with [ s ] -> name_of ctx s | _ -> err "prob: expected a state"
       in
       match model_of ctx sys rest with
-      | _, IMarkov mi ->
+      | key, IMarkov mi ->
           let c = mi.mk_ctmc in
-          let has_absorbing = Ctmc.absorbing_states c <> [] in
-          let n = Ctmc.n_states c in
-          if has_absorbing && n > List.length (Ctmc.absorbing_states c) then
+          if Ctmc.partly_absorbing c then
             (Ctmc.absorption_probs c ~init:(markov_init mi)).(state_idx mi.mk_index state "markov")
-          else (markov_steady mi).(state_idx mi.mk_index state "markov")
+          else (markov_steady ctx key mi).(state_idx mi.mk_index state "markov")
       | _, ISemimark si ->
           (SM.steady_state si.sm).(state_idx si.sm_index state "semi-markov")
       | _, IMrgp gi -> Mrgp.prob gi.mg (state_idx gi.mg_index state "mrgp")
       | _, IPepa p ->
           pepa_measure (fun () -> Pepa.prob p.pe_c (pepa_steady p) state)
-      | nm, _ -> err "prob: %s is not a chain model" nm)
+      | (nm, _), _ -> err "prob: %s is not a chain model" nm)
   | "exrss", (sys :: more) :: rest -> (
       match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
-      | nm, IMarkov mi -> (
+      | ((nm, _) as key), IMarkov mi -> (
           match mi.mk_reward with
           | Some r ->
-              let pi = markov_steady mi in
+              let pi = markov_steady ctx key mi in
               let acc = ref 0.0 in
               Array.iteri (fun i p -> acc := !acc +. (p *. r i)) pi;
               !acc
           | None -> err "exrss: model %s has no reward section" nm)
-      | nm, ISemimark si -> (
+      | (nm, _), ISemimark si -> (
           match si.sm_reward with
           | Some r -> SM.expected_reward_ss si.sm ~reward:r
           | None -> err "exrss: model %s has no reward section" nm)
-      | nm, IMrgp gi -> (
+      | (nm, _), IMrgp gi -> (
           match gi.mg_reward with
           | Some r -> Mrgp.expected_reward_ss gi.mg ~reward:r
           | None -> err "exrss: model %s has no reward section" nm)
-      | nm, _ -> err "exrss: %s is not a chain model" nm)
+      | (nm, _), _ -> err "exrss: %s is not a chain model" nm)
   | ("exrt" | "cexrt"), (t :: sys :: more) :: rest -> (
       let tv = ev ctx t in
       match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
-      | nm, IMarkov mi -> (
+      | (nm, _), IMarkov mi -> (
           match mi.mk_reward with
           | Some r ->
               let init = markov_init mi in
               if f = "exrt" then Ctmc.expected_reward_at mi.mk_ctmc ~init ~reward:r tv
               else Ctmc.cumulative_reward mi.mk_ctmc ~init ~reward:r tv
           | None -> err "%s: model %s has no reward section" f nm)
-      | nm, _ -> err "%s: %s is not a Markov reward model" f nm)
+      | (nm, _), _ -> err "%s: %s is not a Markov reward model" f nm)
   (* ---- MTTF ---- *)
   | "fastmttf", (sys :: more) :: rest -> (
       match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
-      | nm, IMarkov mi -> (
+      | (nm, _), IMarkov mi -> (
           match mi.mk_fast with
           | Some spec -> Fast_mttf.mttf_fast mi.mk_ctmc ~init:(markov_init mi) spec
           | None -> err "fastmttf: model %s has no fastmttf section" nm)
-      | nm, ISemimark si -> (
+      | (nm, _), ISemimark si -> (
           match si.sm_fast with
           | Some (_, readf) -> SM.mttf si.sm ~init:(semimark_init si) ~readf
           | None -> err "fastmttf: model %s has no fastmttf section" nm)
-      | nm, _ -> err "fastmttf: %s is not a chain model" nm)
+      | (nm, _), _ -> err "fastmttf: %s is not a chain model" nm)
   (* ---- importance measures ---- *)
   | "bimpt", [ t ] :: (sys :: ev_names) :: rest ->
       importance ctx `Birnbaum (Some (ev ctx t)) sys ev_names rest
@@ -838,7 +871,7 @@ let rec dispatch ctx f (groups : expr list list) : float =
       match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
       | _, ISrn s -> Srn.mtta s
       | _, IMarkov mi -> Ctmc.mtta mi.mk_ctmc ~init:(markov_init mi)
-      | nm, _ -> err "mtta: unsupported model %s" nm)
+      | (nm, _), _ -> err "mtta: unsupported model %s" nm)
   (* ---- GSPN / queueing measures sharing names ---- *)
   | ("util" | "tput" | "qlength" | "rtime" | "mutil" | "mtput" | "mqlength" | "mrtime"
     | "etok" | "prempty"), (sys :: more) :: rest -> (
@@ -876,7 +909,7 @@ let rec dispatch ctx f (groups : expr list list) : float =
                   acc +. Mpfqn.chain_throughput net ~populations:pops ~chain:ch ~station:target)
                 0.0 pops
           | _ -> err "%s: not a queueing measure" f)
-      | nm, _ -> err "%s: unsupported model %s" f nm)
+      | (nm, _), _ -> err "%s: unsupported model %s" f nm)
   | _ -> err "unknown function %s" f
 
 and reward_name ctx rf =
@@ -900,7 +933,7 @@ and importance ctx kind time sys ev_names rest =
       | `Criticality, Some t -> Relgraph.criticality g u v t
       | `Structural, _ -> Relgraph.structural g u v
       | _ -> err "importance: missing time")
-  | (nm, _), _ -> err "importance measures: unsupported model %s" nm
+  | ((nm, _), _), _ -> err "importance measures: unsupported model %s" nm
 
 (* --- statement-level printers ----------------------------------------- *)
 

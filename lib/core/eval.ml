@@ -26,6 +26,7 @@ module Srn = Sharpe_petri.Srn
 module Pepa = Sharpe_pepa.Pepa
 module Pool = Sharpe_numerics.Pool
 module Deadline = Sharpe_numerics.Deadline
+module Diag = Sharpe_numerics.Diag
 
 exception Error of string
 
@@ -39,6 +40,16 @@ let default_fuel_limit = 1_000_000
 
 (* --- instances ------------------------------------------------------ *)
 
+(* A markov instance's steady state, solved on first use, with the Diag
+   records the solve emitted (contexts relative to the call) and the
+   environment version they were last emitted in: a rebuilt instance
+   would solve, and emit them, once per version. *)
+type steady = {
+  mutable pi : float array option;
+  mutable pi_records : Diag.record list;
+  mutable pi_seen : int;
+}
+
 type markov_inst = {
   mk_ctmc : Ctmc.t;
   mk_index : (string, int) Hashtbl.t;
@@ -46,7 +57,7 @@ type markov_inst = {
   mk_init : float array option;
   mk_reward : (int -> float) option;
   mk_fast : Fast_mttf.spec option;
-  mk_steady : float array option ref; (* per-instance steady-state cache *)
+  mk_steady : steady;
 }
 
 type sm_inst = {
@@ -94,14 +105,35 @@ type binding =
 
 type env = {
   table : (string, binding) Hashtbl.t;
-  mutable version : int;
+  mutable version : int; (* bumped by every write to [table] *)
   mutable digits : int;
   mutable side : [ `Left | `Right ];
-  mutable epsilons : (string * float) list;
   mutable fuel_limit : int; (* iteration budget for `while` loops *)
-  cache : (string * float list, int * instance) Hashtbl.t;
+  cache : (string * float list, entry) Hashtbl.t; (* one entry per key *)
   print : string -> unit;
 }
+
+(* An instance of a model under some arguments, filed with what its build
+   read and emitted.  It serves while every binding in [reads] (absent
+   names included) is unchanged and, if the build read it, the time side.
+   [segs] is the build's Diag stream in order: records it emitted itself
+   (contexts relative to the build) and the instances and steady states
+   it used, whose own records a rebuild would emit again in a new
+   version. *)
+and entry = {
+  inst : instance;
+  reads : (string * binding option) array;
+  side_read : [ `Left | `Right ] option;
+  segs : seg list;
+  mutable used_in : int; (* the version the entry was last used in *)
+}
+
+and seg =
+  | Emit of Diag.record list
+  | Use of string list * (string * float list) * use
+      (* the context relative to the build, and the key used *)
+
+and use = Build of entry | Steady
 
 (* One level of local bindings.  A loop variable ([expand_loop] in
    Builtins, the [sum] builtin) is a single cell its loop overwrites per
@@ -111,6 +143,20 @@ type scope =
   | Var of string * float ref
   | Tbl of (string, float) Hashtbl.t
 
+(* The build in progress: the global bindings it has read (first read
+   wins: a build that writes the environment is not filed), the records
+   it has emitted since its last use of another instance, and its Diag
+   stream so far.  [depth] is the Diag context depth the build started
+   at. *)
+type frame = {
+  read : (string, binding option) Hashtbl.t;
+  mutable side_seen : [ `Left | `Right ] option;
+  sink : Diag.sink;
+  depth : int;
+  mutable stream : seg list; (* newest first *)
+  mutable open_ : bool; (* net closures outlive their build *)
+}
+
 type ctx = {
   env : env;
   locals : scope list; (* innermost first *)
@@ -118,6 +164,7 @@ type ctx = {
       (* the net whose marking #(p), ?(t) and Rate(t) read: the one in
          [current_marking] (the ref is filled once the net is built) *)
   in_func : bool;
+  frame : frame option; (* the build this evaluation is part of *)
 }
 
 (* The marking a net closure is being evaluated at, one cell per domain.
@@ -134,13 +181,156 @@ let make_env ?(print = print_string) ?(fuel_limit = default_fuel_limit) () =
     version = 0;
     digits = 6;
     side = `Left;
-    epsilons = [];
     fuel_limit;
     cache = Hashtbl.create 32;
     print }
 
-let base_ctx env = { env; locals = []; marking = None; in_func = false }
+let base_ctx env = { env; locals = []; marking = None; in_func = false; frame = None }
 let touch env = env.version <- env.version + 1
+
+(* --- what a build reads and emits ------------------------------------- *)
+
+let recording ctx =
+  match ctx.frame with Some f as open_frame when f.open_ -> open_frame | _ -> None
+
+(* The global binding of [n], noted as read by the build in progress *)
+let global ctx n =
+  let b = Hashtbl.find_opt ctx.env.table n in
+  (match recording ctx with
+  | Some f when not (Hashtbl.mem f.read n) -> Hashtbl.add f.read n b
+  | _ -> ());
+  b
+
+let side ctx =
+  (match recording ctx with
+  | Some f when f.side_seen = None -> f.side_seen <- Some ctx.env.side
+  | _ -> ());
+  ctx.env.side
+
+let same_binding a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (Val x), Some (Val y) -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Some (VarExpr x), Some (VarExpr y) -> x == y
+  | Some (Func (p, x)), Some (Func (q, y)) -> p == q && x == y
+  | Some (Model x), Some (Model y) -> x == y
+  | _ -> false
+
+(* Within one version no binding changes; the side is switched without a
+   new version, so it is always compared. *)
+let still_valid env e =
+  (e.used_in = env.version
+  || Array.for_all (fun (n, b) -> same_binding b (Hashtbl.find_opt env.table n)) e.reads)
+  && match e.side_read with None -> true | Some s -> s = env.side
+
+let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: l -> drop (n - 1) l
+
+let context_depth () = List.length (Diag.current_context ())
+let relative depth (r : Diag.record) = { r with context = drop depth r.context }
+
+(* The records [f] emitted itself since its last use become a segment. *)
+let flush f =
+  match Diag.records f.sink with
+  | [] -> ()
+  | rs ->
+      f.stream <- Emit (List.map (relative f.depth) rs) :: f.stream;
+      Diag.clear f.sink
+
+let open_frame () =
+  { read = Hashtbl.create 16; side_seen = None; sink = Diag.create_sink ();
+    depth = context_depth (); stream = []; open_ = true }
+
+(* The build in progress read [reads] too, through an instance it used *)
+let add_reads ctx reads side_read =
+  match recording ctx with
+  | None -> ()
+  | Some p ->
+      Seq.iter (fun (n, b) -> if not (Hashtbl.mem p.read n) then Hashtbl.add p.read n b) reads;
+      if p.side_seen = None then p.side_seen <- side_read
+
+(* A build ends, filed or failed: what it read, the build that used it
+   read too *)
+let close_frame ctx f =
+  flush f;
+  f.open_ <- false;
+  add_reads ctx (Hashtbl.to_seq f.read) f.side_seen
+
+let entry_of f inst version =
+  { inst;
+    reads = Array.of_seq (Hashtbl.to_seq f.read);
+    side_read = f.side_seen;
+    segs = List.rev f.stream;
+    used_in = version }
+
+(* [use ctx key u run]: [run ()] uses instance [key] (builds or replays
+   it, or solves its steady state) on behalf of the build in progress,
+   which files the use [u v] of its result [v] instead of the records it
+   emitted. *)
+let use ctx key u run =
+  match recording ctx with
+  | None -> run ()
+  | Some f ->
+      flush f;
+      let v = run () in
+      Diag.clear f.sink;
+      f.stream <- Use (drop f.depth (Diag.current_context ()), key, u v) :: f.stream;
+      v
+
+(* [f ()] with the build in progress not filing what it emits: work a
+   lower cache serves, which a rebuild would not redo *)
+let unfiled ctx run =
+  match recording ctx with
+  | None -> run ()
+  | Some f ->
+      flush f;
+      let stream = f.stream in
+      let v = run () in
+      Diag.clear f.sink;
+      f.stream <- stream;
+      v
+
+let with_contexts labels run =
+  List.fold_right (fun l k () -> Diag.with_context l k) labels run ()
+
+(* The steady state of [mi], its records emitted once per version *)
+let solve_steady env mi =
+  let s = mi.mk_steady in
+  match s.pi with
+  | Some pi ->
+      if s.pi_seen <> env.version then begin
+        s.pi_seen <- env.version;
+        List.iter Diag.emit_record s.pi_records
+      end;
+      pi
+  | None ->
+      let depth = context_depth () in
+      let pi, records = Diag.capture (fun () -> Ctmc.steady_state mi.mk_ctmc) in
+      s.pi <- Some pi;
+      s.pi_records <- List.map (relative depth) records;
+      s.pi_seen <- env.version;
+      pi
+
+(* Emit what rebuilding [e] now would: its records, and those of each
+   instance it used that is not already in use in this version. *)
+let rec replay env e =
+  if e.used_in <> env.version then begin
+    e.used_in <- env.version;
+    List.iter
+      (function
+        | Emit rs -> List.iter Diag.emit_record rs
+        | Use (labels, key, u) -> with_contexts labels (fun () -> replay_use env key u))
+      e.segs
+  end
+
+and replay_use env key u =
+  match (u, Hashtbl.find_opt env.cache key) with
+  | Build _, Some cur when cur.used_in = env.version -> ()
+  | Build e, _ ->
+      (* [e] is valid: every binding it read, the user's build read too *)
+      Hashtbl.replace env.cache key e;
+      replay env e
+  | Steady, Some { inst = IMarkov mi; _ } -> ignore (solve_steady env mi)
+  | Steady, _ -> ()
 
 (* The innermost local binding of [n].  A loop rather than
    [List.find_map]: rate closures look names up once per edge, and the
@@ -220,7 +410,7 @@ and eval_ident ctx n =
   match lookup_local ctx n with
   | Some v -> v
   | None -> (
-      match Hashtbl.find_opt ctx.env.table n with
+      match global ctx n with
       | Some (Val v) -> v
       | Some (VarExpr e) -> eval_expr { ctx with locals = [] } e
       | Some (Func ([], _)) -> call_func ctx n [] []
@@ -255,7 +445,7 @@ and eval_call ctx f groups =
   | "floor", [ [ e ] ] -> Float.floor (eval_expr ctx e)
   | "ln", [ [ e ] ] -> log (eval_expr ctx e)
   | "log", [ [ e ] ] -> log10 (eval_expr ctx e)
-  | "exp", [ [ e ] ] when not (Hashtbl.mem ctx.env.table "exp") ->
+  | "exp", [ [ e ] ] when Option.is_none (global ctx "exp") ->
       exp (eval_expr ctx e)
   | "sin", [ [ e ] ] -> sin (eval_expr ctx e)
   | "sqrt", [ [ e ] ] -> sqrt (eval_expr ctx e)
@@ -282,7 +472,7 @@ and eval_call ctx f groups =
       let n = marked_net ctx "Rate" t in
       Net.rate_in n !(Domain.DLS.get current_marking) t
   | _ -> (
-      match Hashtbl.find_opt ctx.env.table f with
+      match global ctx f with
       | Some (Func (params, _)) -> call_func ctx f params (List.concat groups)
       | _ -> !dispatch_ref ctx f groups)
 
@@ -293,7 +483,7 @@ and call_func ctx fname params arg_exprs =
   let tbl = Hashtbl.create 8 in
   List.iter2 (fun p a -> Hashtbl.replace tbl p (eval_expr ctx a)) params arg_exprs;
   let fctx = { ctx with locals = [ Tbl tbl ]; in_func = true } in
-  match Hashtbl.find_opt ctx.env.table fname with
+  match global ctx fname with
   | Some (Func (_, FExpr e)) -> eval_expr fctx e
   | Some (Func (_, FStmts body)) -> (
       match exec_stmts fctx body with
@@ -331,8 +521,9 @@ and exec_stmt ctx stmt : float option =
   | SEcho text ->
       if not ctx.in_func then ctx.env.print (text ^ "\n");
       None
-  | SEpsilon (what, e) ->
-      ctx.env.epsilons <- (what, eval_expr ctx e) :: ctx.env.epsilons;
+  | SEpsilon (_, e) ->
+      (* accepted and ignored: the solvers keep their own tolerances *)
+      ignore (eval_expr ctx e);
       None
   | SSwitch ("ltimep", _) -> ctx.env.side <- `Left; None
   | SSwitch ("rtimep", _) -> ctx.env.side <- `Right; None
@@ -489,20 +680,20 @@ and is_printer_call = function
 (* A loop body is safe to parallelize when no statement in it (or in a
    nested loop/conditional) writes the shared environment: definitions,
    while-loops (which exist to do fixed-point iteration via bind),
-   format/epsilon/switch changes all force the serial path.  Expression
-   evaluation, printing and nested loops over the cloned environment are
-   fine.  (Statements inside user FUNCTIONS called from the body execute
-   against the iteration's clone; a function that defines globals would
-   see that definition confined to its iteration.) *)
+   format/switch changes all force the serial path.  Expression
+   evaluation (an ignored epsilon included), printing and nested loops
+   over the cloned environment are fine.  (Statements inside user
+   FUNCTIONS called from the body execute against the iteration's clone;
+   a function that defines globals would see that definition confined to
+   its iteration.) *)
 and parallel_safe body =
   let rec safe = function
-    | SExpr _ | SEcho _ -> true
+    | SExpr _ | SEcho _ | SEpsilon _ -> true
     | SIf (clauses, els) ->
         List.for_all (fun (_, ss) -> List.for_all safe ss) clauses
         && List.for_all safe els
     | SLoop (_, _, _, _, ss) -> List.for_all safe ss
-    | SBind _ | SVar _ | SFunc _ | SModel _ | SWhile _ | SEpsilon _
-    | SFormat _ | SSwitch _ ->
+    | SBind _ | SVar _ | SFunc _ | SModel _ | SWhile _ | SFormat _ | SSwitch _ ->
         false
   in
   List.for_all safe body

@@ -99,8 +99,8 @@ let run_program_file ?print path =
 (* --- sessions ---------------------------------------------------------- *)
 
 (* A session is a persistent interpreter environment: bindings, function
-   and model definitions, number-format state, epsilons and the instance
-   cache all survive across [eval] calls, while output and diagnostics
+   and model definitions, number-format state, the time side and the
+   instance cache all survive across [eval] calls, while output and diagnostics
    are collected per call.  Everything mutable lives inside the session's
    [Eval.env] (the PR-1 interpreter kept this state per-run already; the
    fuel limit was the last process-global and now lives in the env too),

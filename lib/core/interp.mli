@@ -40,7 +40,7 @@ val run_program_file : ?print:(string -> unit) -> string -> outcome
 (** {1 Sessions}
 
     A session is a persistent interpreter environment: bindings, function
-    and model definitions, number-format state, epsilons, the while-loop
+    and model definitions, number-format state, the time side, the while-loop
     fuel budget and the per-environment instance cache all survive across
     {!Session.eval} calls; printed output and diagnostics are collected
     per call.  No interpreter state is process-global, so concurrent

@@ -1,11 +1,10 @@
 (* Structural solve cache for SRN/GSPN models.
 
-   A parameter sweep (`loop c, ... { expr srn_exrt(t, net; r; c) }`)
-   bumps the environment version on every iteration, so the per-version
-   instance cache in [Builtins.instantiate] rebuilds and re-solves the
-   net from scratch each time — O(sweep x full-solve).  Almost all of
-   that work only depends on the net's STRUCTURE, which the sweep does
-   not change:
+   The instance cache in [Builtins.instantiate] rebuilds a net whenever a
+   binding its build read has changed: in a parameter sweep
+   (`loop c, ... { expr srn_exrt(t, net; r; c) }`) once per value of c.
+   Almost all of that rebuild only depends on the net's STRUCTURE, which
+   the sweep does not change:
 
    - the reachability skeleton (marking set, tangible/vanishing
      partition, successor graph) depends on places, initial tokens,
@@ -178,7 +177,11 @@ let add_fbody b = function
    every other name there is read from the environment even where a
    local of the same name exists.  A called function's name is always
    looked up in the environment, whatever is bound locally.  [visited] records each definition
-   pinned, by name and by whether it was a local's. *)
+   pinned, by name and by whether it was a local's.
+
+   Every environment lookup is a read of the build in progress
+   ([Eval.global]): a rate-key hit evaluates no rate, so the pins are
+   what files the instance under the bindings its rates read. *)
 let close_over (ctx : Eval.ctx) b visited e =
   let rec go outer bound e =
     match e with
@@ -195,7 +198,7 @@ let close_over (ctx : Eval.ctx) b visited e =
         go outer bound hi;
         go outer (v :: bound) body
     | Call (f, groups) ->
-        (match Hashtbl.find_opt ctx.env.table f with
+        (match Eval.global ctx f with
         | Some (Eval.Func _) -> free false [] f
         (* any binding named exp shadows the builtin (Eval.eval_call) *)
         | Some _ when f = "exp" -> raise Uncacheable
@@ -242,7 +245,7 @@ let close_over (ctx : Eval.ctx) b visited e =
         | None -> (
             Structhash.add_string b "def";
             Structhash.add_string b n;
-            match Hashtbl.find_opt ctx.env.table n with
+            match Eval.global ctx n with
             | Some (Eval.Val v) -> Structhash.add_float b v
             | Some (Eval.VarExpr e) ->
                 Structhash.add_string b "x";

@@ -1,8 +1,8 @@
 (** Structural solve cache for SRN/GSPN models.
 
-    Parameter sweeps rebuild and re-solve every model on every iteration
-    because any [bind] bumps the environment version.  This module keys
-    the expensive intermediates of an SRN solve by the net's STRUCTURE —
+    A parameter sweep rebuilds a net whenever it rebinds a name the
+    net's build read.  This module keys the expensive intermediates of an
+    SRN solve by the net's STRUCTURE —
     everything that can change which markings are reachable or which
     transitions are enabled (places, initial tokens, arcs, cardinality
     and guard ASTs plus the transitive definitions of their free

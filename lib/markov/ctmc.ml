@@ -113,6 +113,14 @@ let is_absorbing c i = c.exit.(i) = 0.0
 let absorbing_states c =
   List.filter (is_absorbing c) (List.init c.n Fun.id)
 
+let partly_absorbing c =
+  let absorbing = ref false and transient = ref false and i = ref 0 in
+  while !i < c.n && not (!absorbing && !transient) do
+    if is_absorbing c !i then absorbing := true else transient := true;
+    incr i
+  done;
+  !absorbing && !transient
+
 let steady_state ?tol c = Linsolve.ctmc_steady_state ?tol c.q
 
 let uniformized_full c =

@@ -46,6 +46,10 @@ val exit_rate : t -> int -> float
 val is_absorbing : t -> int -> bool
 val absorbing_states : t -> int list
 
+val partly_absorbing : t -> bool
+(** The chain has both absorbing and non-absorbing states.  Allocates
+    nothing. *)
+
 val steady_state : ?tol:float -> t -> float array
 (** Steady-state probability vector of an irreducible chain. *)
 

@@ -98,6 +98,16 @@ let report () =
           s.name s.hits s.misses)
     (stats ())
 
+type counter = { hits : int Atomic.t; misses : int Atomic.t }
+
+let counter name =
+  let c = { hits = Atomic.make 0; misses = Atomic.make 0 } in
+  Mutex.protect registry_mutex (fun () ->
+      registry := (name, c.hits, c.misses) :: !registry);
+  c
+
+let count c ~hit = Atomic.incr (if hit then c.hits else c.misses)
+
 module Table = struct
   (* One table per domain (via DLS): cached values may carry mutable
      state (solved SRN instances with their accumulated measure caches,
@@ -106,8 +116,7 @@ module Table = struct
      store remembers the [generation] it was built under; a bumped
      generation makes the domain start an empty one on next access. *)
   type 'a t = {
-    hits : int Atomic.t;
-    misses : int Atomic.t;
+    counts : counter;
     slot : (int * (string, 'a) Hashtbl.t) ref Domain.DLS.key;
   }
 
@@ -123,14 +132,11 @@ module Table = struct
     end
 
   let create name =
-    let hits = Atomic.make 0 and misses = Atomic.make 0 in
     let slot =
       Domain.DLS.new_key (fun () ->
           ref (Atomic.get generation, Hashtbl.create 64))
     in
-    Mutex.protect registry_mutex (fun () ->
-        registry := (name, hits, misses) :: !registry);
-    { hits; misses; slot }
+    { counts = counter name; slot }
 
   let find_or_add ?valid t key compute =
     let usable v = match valid with None -> true | Some ok -> ok v in
@@ -139,10 +145,10 @@ module Table = struct
       let tbl = table t in
       match Hashtbl.find_opt tbl key with
       | Some v when usable v ->
-          Atomic.incr t.hits;
+          count t.counts ~hit:true;
           v
       | _ ->
-          Atomic.incr t.misses;
+          count t.counts ~hit:false;
           let v = compute () in
           Hashtbl.replace tbl key v;
           v

@@ -67,6 +67,14 @@ val reset_stats : unit -> unit
 val report : unit -> unit
 (** Emit one {!Diag.Info} record per table that saw any traffic. *)
 
+type counter
+
+val counter : string -> counter
+(** [counter name] registers hit/miss counters under [name] for {!stats},
+    for a cache that is not a {!Table}.  Call at module initialization. *)
+
+val count : counter -> hit:bool -> unit
+
 (** {1 Memo tables} *)
 
 module Table : sig

@@ -34,9 +34,7 @@ let steady s =
       let pi =
         (* absorbing chains have no steady state in the irreducible sense;
            use the limiting distribution via absorption if needed *)
-        if List.exists (Ctmc.is_absorbing c) (List.init (Ctmc.n_states c) Fun.id)
-           && Ctmc.absorbing_states c <> List.init (Ctmc.n_states c) Fun.id
-        then begin
+        if Ctmc.partly_absorbing c then begin
           let init = Reach.initial_distribution s.g in
           (* a failed absorption solve falls back; a cancellation
              ([Deadline.Timed_out]) unwinds *)

@@ -603,6 +603,46 @@ let test_subscript_digits () =
   Alcotest.(check string) "-0" "0" (text (-0.0));
   Alcotest.(check string) "fraction" "0.25" (text 0.25)
 
+(* [prob] on a chain with both absorbing and transient states is the
+   absorption probability from the initial state, on any other chain the
+   steady state: each branch pinned bit for bit against its Ctmc call. *)
+let test_prob_branches () =
+  let ctx =
+    program_ctx
+      "markov ab\na b 1\na c 2\na d 0.5\nd a 3\nend\nend\n\
+       markov irr\na b 1\nb a 2\nend\nend\n"
+  in
+  let prob m s = Builtins.dispatch ctx "prob" [ [ Sharpe_lang.Ast.Ident m; Sharpe_lang.Ast.Ident s ] ] in
+  let chain m =
+    match Builtins.instantiate ctx m [] with
+    | Eval.IMarkov mi -> mi
+    | _ -> Alcotest.failf "%s is not a markov instance" m
+  in
+  let ab = chain "ab" and irr = chain "irr" in
+  Alcotest.(check bool) "ab is partly absorbing" true (Ctmc.partly_absorbing ab.mk_ctmc);
+  Alcotest.(check bool) "irr is not" false (Ctmc.partly_absorbing irr.mk_ctmc);
+  let absorbed = Ctmc.absorption_probs ab.mk_ctmc ~init:[| 1.0; 0.0; 0.0; 0.0 |] in
+  List.iter
+    (fun s ->
+      Alcotest.(check int64) ("absorption into " ^ s)
+        (bits_of absorbed.(Hashtbl.find ab.mk_index s))
+        (bits_of (prob "ab" s)))
+    [ "b"; "c" ];
+  Alcotest.(check (float 1e-12)) "b takes a third of the mass" (1.0 /. 3.0) (prob "ab" "b");
+  let pi = Ctmc.steady_state irr.mk_ctmc in
+  List.iter
+    (fun s ->
+      Alcotest.(check int64) ("steady state of " ^ s)
+        (bits_of pi.(Hashtbl.find irr.mk_index s))
+        (bits_of (prob "irr" s)))
+    [ "a"; "b" ];
+  let chain n rates = Ctmc.make ~n rates in
+  Alcotest.(check (list bool)) "one absorbing state, all absorbing, none, mixed"
+    [ false; false; false; true ]
+    (List.map Ctmc.partly_absorbing
+       [ chain 1 []; chain 2 []; chain 2 [ (0, 1, 1.0); (1, 0, 1.0) ];
+         chain 3 [ (0, 1, 1.0); (1, 0, 1.0); (1, 2, 1.0) ] ])
+
 let suite =
   [ ("lexer scientific numbers", `Quick, test_lexer_scientific);
     ("lexer 29-char truncation", `Quick, test_lexer_name_truncation);
@@ -621,6 +661,7 @@ let suite =
     ("ftree thesis TEST_KEY", `Quick, test_ftree_test_key);
     ("mstree boards", `Quick, test_mstree_boards);
     ("markov two-state", `Quick, test_markov_two_state);
+    ("prob: absorption and steady-state branches", `Quick, test_prob_branches);
     ("markov loops + $() + rewards", `Quick, test_markov_reward_and_loops);
     ("markov transient value()", `Quick, test_markov_value_transient);
     ("markov symbolic cdf", `Quick, test_markov_cdf_symbolic);

@@ -76,6 +76,25 @@ end
 end
 |}
 
+(* [program] a statement at a time on one environment, each error printed
+   where it happened; with [emptied], the instance cache is emptied before
+   every statement, so no instance outlives the statement that built it. *)
+let run_statements ~emptied program =
+  let buf = Buffer.create 1024 in
+  let env = Eval.make_env ~print:(Buffer.add_string buf) () in
+  let ctx = Eval.base_ctx env in
+  List.iter
+    (fun st ->
+      if emptied then Hashtbl.reset env.Eval.cache;
+      try ignore (Eval.exec_stmt ctx st)
+      with Eval.Error m | Failure m | Invalid_argument m ->
+        Buffer.add_string buf ("error: " ^ m ^ "\n"))
+    (Sharpe_lang.Parser.parse_string program);
+  Buffer.contents buf
+
+let run_warm = run_statements ~emptied:false
+let run_emptied = run_statements ~emptied:true
+
 let stat name =
   match List.find_opt (fun s -> s.Structhash.name = name) (Structhash.stats ()) with
   | Some s -> (s.Structhash.hits, s.Structhash.misses)
@@ -118,16 +137,16 @@ let test_structure_mutation_misses () =
   Alcotest.(check int) "guard change re-explores every iteration" 3 misses;
   Alcotest.(check int) "no skeleton reuse across guard changes" 0 hits
 
-let test_instance_cache_transients () =
-  fresh_cache ();
-  let program =
+(* A small repairable net under a time loop; [rp] is its repair rate. *)
+let time_sweep rp =
+  Printf.sprintf
     {|format 8
 srn m ()
 up 2
 dn 0
 end
 fl placedep up 0.5
-rp ind 1.0
+rp ind %s
 end
 end
 up fl 1
@@ -143,20 +162,38 @@ loop t, 1, 5, 1
 end
 end
 |}
-  in
-  let _, failed = run program in
+    rp
+
+(* The time loop never changes what the net's build reads, so the
+   instance cache files one build for every time point.  A rate that
+   reads the loop variable rebuilds the net at each point, and the SRN
+   caches below serve those rebuilds: min(t, 1) is 1 from t = 1 on, so
+   the rate key misses every time and the solved instance is reused. *)
+let test_instance_cache_transients () =
+  fresh_cache ();
+  let _, failed = run (time_sweep "1.0") in
   Alcotest.(check int) "no failed statements" 0 failed;
+  Alcotest.(check (pair int int)) "one build for the whole time sweep" (4, 1)
+    (stat "model_instance");
+  Alcotest.(check (pair int int)) "one solved instance, looked up once" (0, 1)
+    (stat "srn_instance");
+  fresh_cache ();
+  let _, failed = run (time_sweep "min(t, 1)") in
+  Alcotest.(check int) "no failed statements (rate reads t)" 0 failed;
+  Alcotest.(check (pair int int)) "a build per time point" (0, 5)
+    (stat "model_instance");
+  Alcotest.(check (pair int int)) "a rate key per time point" (0, 5) (stat "srn_rates");
   let ihits, imisses = stat "srn_instance" in
-  (* the time loop never changes a rate: one solve, reused per time point *)
   Alcotest.(check int) "one solved instance for the whole time sweep" 1
     imisses;
   Alcotest.(check int) "solved instance reused at every time point" 4 ihits
 
-(* The wfs example's coverage loop (3 values of c, 11 time points each,
-   30 of which reach the SRN cache): the net's structure never changes, and
-   every c gets one solved instance reused across its time points.  These
-   counts are the cache's contract with the sweep path; faster keys or
-   solves must not move them. *)
+(* The wfs example's coverage loop (3 values of c, 11 time points each):
+   the net's build reads c but not t, so each c builds once and the
+   instance cache answers the other 10 points.  The three builds share
+   one skeleton and solve one instance each.  These counts are the
+   caches' contract with the sweep path; faster keys or solves must not
+   move them. *)
 let test_wfs_loop_cache_counts () =
   fresh_cache ();
   let outcome =
@@ -164,11 +201,13 @@ let test_wfs_loop_cache_counts () =
       (Filename.concat Test_golden.examples_dir "wfs.sharpe")
   in
   Alcotest.(check int) "no failed statements" 0 outcome.Interp.failed_statements;
-  Alcotest.(check (pair int int)) "srn_skeleton hits, misses" (29, 1)
+  Alcotest.(check (pair int int)) "model_instance hits, misses" (30, 3)
+    (stat "model_instance");
+  Alcotest.(check (pair int int)) "srn_skeleton hits, misses" (2, 1)
     (stat "srn_skeleton");
-  Alcotest.(check (pair int int)) "srn_instance hits, misses" (27, 3)
+  Alcotest.(check (pair int int)) "srn_instance hits, misses" (0, 3)
     (stat "srn_instance");
-  Alcotest.(check (pair int int)) "srn_rates hits, misses" (27, 3)
+  Alcotest.(check (pair int int)) "srn_rates hits, misses" (0, 3)
     (stat "srn_rates")
 
 (* --- zero rates and the skeleton ----------------------------------------- *)
@@ -379,6 +418,11 @@ expr srn_exrss(w; nup; 0.5)
 end
 |} ) ]
 
+(* Programs whose repeated lookups the instance cache answers: each
+   parameter value is built once, so the rate key is reached only by
+   first builds and only misses. *)
+let absorbed = [ "model parameter"; "immediate weight 1 - c" ]
+
 let test_rate_key_matches_cold () =
   List.iter
     (fun (name, program) ->
@@ -387,11 +431,20 @@ let test_rate_key_matches_cold () =
       Alcotest.(check int) (name ^ ": no failed statements (cached)") 0 f1;
       Alcotest.(check string) (name ^ ": cached output equals cold output")
         cold cached;
+      Alcotest.(check string) (name ^ ": output equals an emptied instance cache's")
+        (run_emptied program) (run_warm program);
       fresh_cache ();
       ignore (run program);
       let hits, misses = stat "srn_rates" in
-      Alcotest.(check bool) (name ^ ": the rate key hits and misses") true
-        (hits > 0 && misses > 1))
+      if List.mem name absorbed then begin
+        Alcotest.(check bool) (name ^ ": the instance cache answers the repeats") true
+          (fst (stat "model_instance") > 0);
+        Alcotest.(check bool) (name ^ ": the rate key only misses") true
+          (hits = 0 && misses > 1)
+      end
+      else
+        Alcotest.(check bool) (name ^ ": the rate key hits and misses") true
+          (hits > 0 && misses > 1))
     rate_programs
 
 (* A rate that calls an analysis builtin (a hierarchical model) cannot be
@@ -512,13 +565,15 @@ let test_closures_on_two_domains () =
     (here @ there)
 
 (* A repeated lookup that the rate key answers costs the same on a net
-   four times the size: nothing in it is proportional to the edge count. *)
+   four times the size: nothing in it is proportional to the edge count.
+   Emptying the instance cache makes each lookup a build, as a changed
+   binding the net's rates do not read would. *)
 let test_rate_key_hit_allocation () =
   let env, inst = ring_session () in
   let hit n =
     ignore (inst n);
     least_words (fun () ->
-        Eval.touch env;
+        Hashtbl.reset env.Eval.cache;
         inst n)
   in
   let small = hit 20 and large = hit 43 in
@@ -953,6 +1008,128 @@ let test_while_fuel_exact_boundary () =
   in
   Alcotest.(check int) "one iteration beyond the fuel limit fails" 1 failed
 
+(* --- the instance cache --------------------------------------------------- *)
+
+(* A markov chain, an SRN and a fault tree, and a chain built on all three:
+   the statements below rebind, redefine and query them in random order. *)
+let instance_prelude =
+  {|format 8
+bind a 1
+bind b 0.5
+func f() a + 1
+var v a * 2
+markov mk(k)
+0 1 a*k
+1 0 f()
+1 2 v
+2 0 1
+end
+srn sr(k)
+up 2
+dn 0
+end
+fl placedep up b
+rp ind k + v
+end
+end
+up fl 1
+dn rp 1
+end
+fl dn 1
+rp up 1
+end
+end
+func nup() #(up)
+ftree ft
+basic e1 prob(a / (a + 1))
+basic e2 prob(b)
+or top e1 e2
+end
+markov h
+0 1 sysprob(ft) + prob(mk, 1; 2)
+1 0 srn_exrss(sr; nup; 1)
+end
+|}
+
+let instance_statements =
+  [| "bind a 1"; "bind a 2"; "bind a 0.5"; "bind b 0.5"; "bind b 0.25"; "bind z 1";
+     "bind w 3"; "var v a * 2"; "var v b + 1"; "func f() a + 1"; "func f() 2";
+     "markov mk(k)\n0 1 a*k\n1 0 f()\n1 2 v\n2 0 1\nend";
+     "markov mk(k)\n0 1 k\n1 0 w\nend";
+     "srn sr(k)\nup 2\ndn 0\nend\nfl placedep up b\nrp ind k * v\nend\nend\n\
+      up fl 1\ndn rp 1\nend\nfl dn 1\nrp up 1\nend\nend";
+     "ftree ft\nbasic e1 prob(b)\nbasic e2 prob(a / 4)\nand top e1 e2\nend";
+     "expr prob(mk, 1; 1)"; "expr prob(mk, 0; 2)"; "expr srn_exrss(sr; nup; 1)";
+     "expr srn_exrt(1, sr; nup; 2)"; "expr sysprob(ft)"; "expr prob(h, 0)";
+     "loop i, 1, 2\n  expr prob(mk, 1; i)\n  expr prob(h, 1)\nend";
+     "loop a, 1, 2\n  expr prob(h, 0)\n  expr srn_exrss(sr; nup; a)\nend";
+     "loop b, 0.25, 0.5, 0.25\n  expr srn_exrss(sr; nup; 2)\n  expr sysprob(ft)\nend";
+     "loop j, 1, 2\n  func f() 2\n  expr prob(mk, 1; 2)\n  expr prob(h, 1)\nend" |]
+
+let gen_instance_program =
+  QCheck.Gen.(
+    map
+      (fun picks ->
+        instance_prelude
+        ^ String.concat "\n" (List.map (fun i -> instance_statements.(i)) picks)
+        ^ "\nend\n")
+      (list_size (int_range 4 14) (int_bound (Array.length instance_statements - 1))))
+
+(* Whatever a program rebinds, redefines or loops over, the instance cache
+   answers what the statements would print with it emptied before each. *)
+let prop_instance_cache_matches_emptied =
+  QCheck.Test.make ~name:"instance cache prints what an emptied cache prints"
+    ~count:60
+    (QCheck.make ~print:Fun.id gen_instance_program)
+    (fun program -> String.equal (run_warm program) (run_emptied program))
+
+(* erlang_loss rebinds C per capacity, which its perf(C) chains do not
+   read: one build per distinct (model, arguments, bindings read). *)
+let test_instance_build_counts () =
+  fresh_cache ();
+  let outcome =
+    Interp.run_program_file ~print:ignore
+      (Filename.concat Test_golden.examples_dir "erlang_loss.sharpe")
+  in
+  Alcotest.(check int) "no failed statements" 0 outcome.Interp.failed_statements;
+  Alcotest.(check int) "builds" 67 (snd (stat "model_instance"))
+
+(* A rebuild in a new version emits its records again, so a hit replays
+   them: a bind the chain does not read still shows the banded GTH record
+   of its steady state at the next query, as a rebuild would. *)
+let test_instance_diag_replay () =
+  fresh_cache ();
+  let program =
+    "markov big\nloop i, 0, 600\n$(i) $(i+1) 1\n$(i+1) $(i) 2\nend\nend\n\
+     expr prob(big, 0)\nbind z 1\nexpr prob(big, 0)\nexpr prob(big, 1)\nend\n"
+  in
+  let outcome = Interp.run_program ~print:ignore program in
+  let gth =
+    List.filter
+      (fun (r : Diag.record) ->
+        String.length r.message >= 10 && String.sub r.message 0 10 = "banded GTH")
+      outcome.Interp.diagnostics
+  in
+  Alcotest.(check (list (list string))) "one banded GTH record per version"
+    [ [ "statement 2" ]; [ "statement 4" ] ]
+    (List.map (fun (r : Diag.record) -> r.context) gth);
+  Alcotest.(check (pair int int)) "one build" (2, 1) (stat "model_instance");
+  (* a rebuild finds a PEPA model compiled in the solve cache and emits
+     nothing, so a hit replays no compile warning either: one warning per
+     distinct rate binding *)
+  fresh_cache ();
+  let program =
+    "bind lam 1\npepa pm\nP = (a, lam).Q\nQ = (b, 2).P\nP / {zz}\nend\n\
+     expr prob(pm, P)\nbind z 1\nexpr prob(pm, P)\nbind lam 2\nexpr prob(pm, Q)\n\
+     bind lam 1\nexpr prob(pm, Q)\nend\n"
+  in
+  let outcome = Interp.run_program ~print:ignore program in
+  Alcotest.(check (list (list string))) "one compile warning per rate binding"
+    [ [ "statement 3"; "model pm" ]; [ "statement 7"; "model pm" ] ]
+    (List.filter_map
+       (fun (r : Diag.record) -> if r.solver = "pepa" then Some r.context else None)
+       outcome.Interp.diagnostics)
+
 let suite =
   [ Alcotest.test_case "cache on/off output invariant" `Quick
       test_cache_output_invariant;
@@ -964,6 +1141,11 @@ let suite =
       test_instance_cache_transients;
     Alcotest.test_case "wfs loop cache hits and misses" `Quick
       test_wfs_loop_cache_counts;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
+      prop_instance_cache_matches_emptied;
+    Alcotest.test_case "instance builds per run" `Quick test_instance_build_counts;
+    Alcotest.test_case "instance hit replays its Diag records" `Quick
+      test_instance_diag_replay;
     Alcotest.test_case "zero-rate skeleton matches cold" `Quick
       test_zero_rate_skeleton;
     Alcotest.test_case "zero-rate skeleton across sessions" `Quick
