@@ -221,9 +221,10 @@ let no_cache =
     value & flag
     & info [ "no-cache" ]
         ~doc:
-          "Disable the structural solve cache (reachability skeletons, \
-           fault-tree BDDs, MVA tables, solved SRN instances are \
-           recomputed from scratch on every use).")
+          "Disable the structural solve cache (SRN reachability skeletons \
+           and fault-tree BDDs are recomputed from scratch on every use; \
+           model instances are still reused while nothing their build \
+           read has changed).")
 
 let cache_stats =
   Arg.(

@@ -50,14 +50,17 @@ echo "== golden suite =="
 dune exec test/test_main.exe -- test golden >/dev/null
 
 # the harness above matches numbers at 1e-9; the CLI's stdout on every
-# example must also equal its golden file byte for byte, in three runs:
+# example must also equal its golden file byte for byte, in four runs:
 # - no flags;
-# - --no-cache: the same files cold, since every solve cache (skeleton,
-#   rate key, instance) is an optimisation only and must never change an
-#   answer;
-# - --jobs 2: loops fan out over the pool and every domain keeps its own
-#   transient iterate workspace, none of which may change an answer.
-for flags in "" "--no-cache" "--jobs 2"; do
+# - --no-cache: the same files cold, since every solve cache (the SRN
+#   skeleton, the fault-tree BDD) is an optimisation only and must never
+#   change an answer;
+# - --jobs 2: loops fan out over the pool, the iterations one domain runs
+#   share its model instances, and every domain keeps its own transient
+#   iterate workspace, none of which may change an answer;
+# - --jobs 2 --no-cache: those per-domain instances are then the only
+#   cache left on the parallel path.
+for flags in "" "--no-cache" "--jobs 2" "--jobs 2 --no-cache"; do
   echo "== golden byte-exact${flags:+ under $flags} =="
   for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
     golden="test/golden/$(basename "$f" .sharpe).out"

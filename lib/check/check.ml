@@ -586,14 +586,16 @@ let perturb_first = function
       { c with b = c.b +. (1e-3 *. Float.max 1.0 (Float.abs c.b)) } :: rest
 
 let run_model ~tol ~inject rep discs name oracle mseed =
-  let result, records =
-    Diag.capture (fun () ->
+  let sink = Diag.create_sink () in
+  let result =
+    Diag.with_isolated_sink sink (fun () ->
         match oracle (R.make mseed) with
         | comps -> `Ok comps
         | exception Skip msg -> `Skip msg
         | exception (Failure msg | Invalid_argument msg) -> `Fail msg
         | exception Linsolve.Singular -> `Fail "singular linear system")
   in
+  let records = Diag.records sink in
   (* engine-internal error diagnostics count against the pair and are
      replayed into the surrounding sink with the reproducing seed *)
   let errs = List.filter (fun d -> d.Diag.severity = Diag.Error) records in

@@ -6,8 +6,8 @@
    are cached per (model, arguments), one entry per key, filed with every
    global binding the build read: its own definition, the names its
    expressions and functions looked up (absent ones included), the
-   definitions the SRN keys pinned, the time side, and the reads of every
-   instance it used.  An entry serves while each of those bindings is
+   definitions the SRN structural key pinned, the time side, and the
+   reads of every instance it used.  An entry serves while each of those bindings is
    unchanged, so a loop variable or a bind the model never reads leaves it
    standing, and a bind it does read (fixed-point iteration: bind inside
    while) rebuilds it.  A build that itself changed the environment is
@@ -637,26 +637,18 @@ and build_srn mctx places timed immediate inputs outputs inhibitors =
     Solve_cache.srn_key mctx ~places:places' ~timed ~immediate ~inputs
       ~outputs ~inhibitors
   with
-  | Some (key, rates) when Sharpe_numerics.Structhash.enabled () ->
-      Solve_cache.solve_srn ~key ?rates net
+  | Some key when Sharpe_numerics.Structhash.enabled () -> Solve_cache.solve_srn ~key net
   | _ -> Srn.solve net
 
 and build_pepa mctx past =
   let resolve v =
     try Some (ev mctx (Ident v)) with Eval.Error _ -> None
   in
-  let build () =
-    let c =
-      try Pepa.compile ~resolve past with Pepa.Error m -> err "pepa: %s" m
-    in
-    List.iter (fun w -> Diag.emit Diag.Warning ~solver:"pepa" w) (Pepa.warnings c);
-    { pe_c = c; pe_steady = ref None }
+  let c =
+    try Pepa.compile ~resolve past with Pepa.Error m -> err "pepa: %s" m
   in
-  match Solve_cache.pepa_key mctx past with
-  | Some key when Sharpe_numerics.Structhash.enabled () ->
-      (* a rebuild finds the compiled model filed, emitting nothing *)
-      unfiled mctx (fun () -> Solve_cache.solve_pepa ~key build)
-  | _ -> build ()
+  List.iter (fun w -> Diag.emit Diag.Warning ~solver:"pepa" w) (Pepa.warnings c);
+  { pe_c = c; pe_steady = ref None }
 
 (* --- resolving analysis-call arguments -------------------------------- *)
 

@@ -105,7 +105,7 @@ type binding =
 
 type env = {
   table : (string, binding) Hashtbl.t;
-  mutable version : int; (* bumped by every write to [table] *)
+  mutable version : int; (* a fresh stamp at every write to [table] *)
   mutable digits : int;
   mutable side : [ `Left | `Right ];
   mutable fuel_limit : int; (* iteration budget for `while` loops *)
@@ -176,9 +176,16 @@ type ctx = {
 let current_marking : Net.marking ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
+(* Versions are stamps drawn from one counter for the whole process: no
+   two environments, and no two iterations of a parallel loop sharing an
+   instance table, ever hold the same version, so "used in this version"
+   names one state of one environment. *)
+let stamps = Atomic.make 0
+let next_stamp () = Atomic.fetch_and_add stamps 1 + 1
+
 let make_env ?(print = print_string) ?(fuel_limit = default_fuel_limit) () =
   { table = Hashtbl.create 64;
-    version = 0;
+    version = next_stamp ();
     digits = 6;
     side = `Left;
     fuel_limit;
@@ -186,7 +193,7 @@ let make_env ?(print = print_string) ?(fuel_limit = default_fuel_limit) () =
     print }
 
 let base_ctx env = { env; locals = []; marking = None; in_func = false; frame = None }
-let touch env = env.version <- env.version + 1
+let touch env = env.version <- next_stamp ()
 
 (* --- what a build reads and emits ------------------------------------- *)
 
@@ -274,19 +281,6 @@ let use ctx key u run =
       let v = run () in
       Diag.clear f.sink;
       f.stream <- Use (drop f.depth (Diag.current_context ()), key, u v) :: f.stream;
-      v
-
-(* [f ()] with the build in progress not filing what it emits: work a
-   lower cache serves, which a rebuild would not redo *)
-let unfiled ctx run =
-  match recording ctx with
-  | None -> run ()
-  | Some f ->
-      flush f;
-      let stream = f.stream in
-      let v = run () in
-      Diag.clear f.sink;
-      f.stream <- stream;
       v
 
 let with_contexts labels run =
@@ -622,26 +616,42 @@ and exec_stmt ctx stmt : float option =
       end
 
 (* Evaluate independent loop iterations concurrently.  Each iteration runs
-   against a CLONE of the environment (own binding table, own instance
-   cache, print buffered), so iterations cannot observe each other; the
-   body was vetted by [parallel_safe] to contain no statement that writes
-   the shared environment.  Printed output is flushed in iteration order
-   after the pool returns, diagnostics are replayed in iteration order by
-   the pool itself, and on failure the lowest-index exception is re-raised
-   after the output of the iterations before it — observationally
-   identical to the serial loop. *)
+   against a CLONE of the environment (own binding table and version,
+   print buffered), so iterations cannot observe each other; the body was
+   vetted by [parallel_safe] to contain no statement that writes the
+   shared environment.  The iterations one domain runs share that
+   domain's instance table for the length of the loop, as the serial
+   loop's iterations share the environment's: an instance whose build
+   did not read the loop variable is built once per domain, and no table
+   is touched by two domains (a solved SRN carries mutable measure
+   caches).  The parent's table is neither read nor written.  Printed
+   output is flushed in iteration order after the pool returns,
+   diagnostics are replayed in iteration order by the pool itself, and
+   on failure the lowest-index exception is re-raised after the output of
+   the iterations before it — observationally identical to the serial
+   loop. *)
 and exec_loop_parallel ctx v values body =
   let n = Array.length values in
   let bufs = Array.init n (fun _ -> Buffer.create 256) in
+  let caches = Hashtbl.create 4 and lock = Mutex.create () in
+  let domain_cache () =
+    let d = (Domain.self () :> int) in
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt caches d with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.create 32 in
+            Hashtbl.add caches d c;
+            c)
+  in
   let exception Iter_fail of int * exn * Printexc.raw_backtrace in
   let run_iter i =
     let table = Hashtbl.copy ctx.env.table in
+    Hashtbl.replace table v (Val values.(i));
     let env' =
-      { ctx.env with table; cache = Hashtbl.create 32;
+      { ctx.env with table; version = next_stamp (); cache = domain_cache ();
         print = Buffer.add_string bufs.(i) }
     in
-    Hashtbl.replace table v (Val values.(i));
-    env'.version <- env'.version + 1;
     let ctx' = { ctx with env = env' } in
     match exec_stmts ctx' body with
     | r -> (r, table)

@@ -818,7 +818,10 @@ and parse_mpfqn st mname params =
   MMpfqn { name = mname; params; routing; stations = s; chains = chains [] }
 
 (* does an init-probability section follow?  scan forward for a bare [end]
-   before any top-level-looking line, tracking loop/end nesting *)
+   before any top-level-looking line, tracking loop/end nesting: a
+   statement keyword ends the scan inside a loop too (a top-level loop
+   after the model is not an init section), a call-looking line only
+   outside one *)
 and init_section_follows st =
   let saved = st.pos in
   let rec scan depth =
@@ -828,7 +831,7 @@ and init_section_follows st =
     | Lexer.Name "end" -> if depth = 0 then true else (skip_to_eol st; scan (depth - 1))
     | Lexer.Name "loop" -> skip_to_eol st; scan (depth + 1)
     | Lexer.Name ("reward" | "fastmttf") -> false
-    | Lexer.Name k when depth = 0 && List.mem k top_keywords -> false
+    | Lexer.Name k when List.mem k top_keywords -> false
     | Lexer.Name _ when depth = 0 && peek_at st 1 = Lexer.LParen -> false
     | _ -> skip_to_eol st; scan depth
   in

@@ -3,34 +3,27 @@
    The instance cache in [Builtins.instantiate] rebuilds a net whenever a
    binding its build read has changed: in a parameter sweep
    (`loop c, ... { expr srn_exrt(t, net; r; c) }`) once per value of c.
-   Almost all of that rebuild only depends on the net's STRUCTURE, which
-   the sweep does not change:
+   The most expensive part of that rebuild, the reachability skeleton
+   (marking set, tangible/vanishing partition, successor graph), depends
+   only on the net's STRUCTURE, which the sweep does not change: places,
+   initial tokens, arcs and their cardinalities, guards, priorities and
+   transition kinds — and on rates only through which of them are 0.  A
+   solved instance, with its accumulated measure caches, is the instance
+   cache's to keep; this module keeps the skeletons.
 
-   - the reachability skeleton (marking set, tangible/vanishing
-     partition, successor graph) depends on places, initial tokens,
-     arcs and their cardinalities, guards, priorities and transition
-     kinds — and on rates only through which of them are 0;
-   - the solved instance (skeleton + CTMC + accumulated measure caches)
-     additionally depends on the rate/weight value of every edge.
-
-   Keys.  The STRUCTURAL KEY of a net being built holds the evaluated
+   Key.  The STRUCTURAL KEY of a net being built holds the evaluated
    places and priorities, the arc lists, and the guard/cardinality
    expression ASTs together with the transitive closure of their free
    identifiers' current definitions ([close_over]: values for bound
    constants, loop variables and model parameters, ASTs for `var`
-   expressions and functions).  The RATE KEY is the structural key plus
-   every timed rate and immediate weight AST, pinned the same way.  The
-   INSTANCE KEY is the structural key plus the skeleton's zero-rated
-   pairs and every edge weight, bit for bit.
+   expressions and functions).
 
    Keying discipline: anything that can change which markings are
    reachable or which transitions are enabled must be in the structural
    key; anything that only scales rates must not be.  When a guard or
    cardinality calls something whose behaviour cannot be pinned down
    symbolically (an analysis builtin, an undefined name), the net is
-   UNCACHEABLE and solved cold — correctness first.  A rate that cannot
-   be pinned (a hierarchical model's rate calling an analysis builtin)
-   only loses the rate key: such nets take the weights path below.
+   UNCACHEABLE and solved cold — correctness first.
 
    Zero rates.  Exploration leaves a timed transition out where its rate
    is not positive, so the one way a rate reaches the skeleton is by
@@ -38,38 +31,23 @@
    L-transition reaches.  A skeleton therefore records the (marking,
    transition) pairs it left out for that reason, and a cached skeleton
    stands only while it [Reach.fits] the current rates — every timed
-   edge still positive, every recorded pair still not.  Two skeletons of
-   one structural key can carry identical weights (rates trading places
-   between two transitions), and their recorded pairs are what keeps
-   their instances apart in the instance key.
+   edge still positive, every recorded pair still not.
 
-   Three tables, each domain-local (see Structhash):
+   One table, "srn_skeleton", domain-local (see Structhash): structural
+   key -> reachability skeleton.  A hit that still fits skips state-space
+   exploration; the edges are weighed on every lookup, so the solve sees
+   the current rates.
 
-   - "srn_skeleton": structural key -> reachability skeleton.  A hit
-     that still fits skips state-space exploration.
-   - "srn_instance": instance key -> the fully solved Srn.t.  A hit
-     returns the same instance, preserving its accumulated
-     steady-state/transient caches across iterations of an enclosing
-     time loop.
-   - "srn_rates": rate key -> instance key.  A hit skips weighing the
-     edges and building the instance key: the lookup costs the keys'
-     serialization and three table probes, not a pass through the
-     interpreter per edge.
-
-   Soundness: a lookup recomputes its keys from the CURRENT environment.
-   A rate-key hit certifies that every binding the net's guards,
-   cardinalities and rates can observe is what it was when the entry was
-   filed, so exploring and weighing now would give the same skeleton,
-   zero-rated pairs and weights, and hence the same instance key.  An
-   instance hit certifies the same skeleton and the same rate at every
-   edge — the cached net closures evaluate exactly like the fresh ones
-   would. *)
+   Soundness: a lookup recomputes the key from the CURRENT environment.
+   A hit certifies that every binding the net's guards and cardinalities
+   can observe is what it was when the skeleton was filed, and [fits]
+   that no rate moved across 0, so exploring now would give the same
+   skeleton. *)
 
 open Ast
 module Structhash = Sharpe_numerics.Structhash
 module Reach = Sharpe_petri.Reach
 module Srn = Sharpe_petri.Srn
-module Net = Sharpe_petri.Net
 
 exception Uncacheable
 
@@ -180,8 +158,8 @@ let add_fbody b = function
    pinned, by name and by whether it was a local's.
 
    Every environment lookup is a read of the build in progress
-   ([Eval.global]): a rate-key hit evaluates no rate, so the pins are
-   what files the instance under the bindings its rates read. *)
+   ([Eval.global]), so the instance is filed under the bindings its
+   guards and cardinalities read even where no marking evaluates them. *)
 let close_over (ctx : Eval.ctx) b visited e =
   let rec go outer bound e =
     match e with
@@ -264,10 +242,10 @@ let close_over (ctx : Eval.ctx) b visited e =
   in
   go true [] e
 
-(* Keys of an SRN being built.  [places] carries the evaluated initial
-   token counts; guard, cardinality, priority and rate expressions come
-   from the AST.  [None] when the structure cannot be pinned; a rate key
-   of [None] when the structure can but some rate cannot. *)
+(* The structural key of an SRN being built.  [places] carries the
+   evaluated initial token counts; guard, cardinality and priority
+   expressions come from the AST.  [None] when the structure cannot be
+   pinned. *)
 let srn_key (ctx : Eval.ctx) ~places ~timed ~immediate ~inputs ~outputs
     ~inhibitors =
   try
@@ -311,82 +289,21 @@ let srn_key (ctx : Eval.ctx) ~places ~timed ~immediate ~inputs ~outputs
     List.iter add_arc outputs;
     Structhash.add_string b "inh";
     List.iter add_arc inhibitors;
-    let key = Structhash.finish b in
-    (* the rate key goes on from the structural key: definitions it
-       already pinned stay [visited] *)
-    let add_rate (tr : srn_trans) =
-      match tr.st_rate with
-      | `Ind e ->
-          Structhash.add_string b "ri";
-          add_pinned e
-      | `Placedep (p, e) ->
-          Structhash.add_string b "rp";
-          Structhash.add_string b p;
-          add_pinned e
-      | `Gendep e ->
-          Structhash.add_string b "rg";
-          add_pinned e
-    in
-    let rates =
-      try
-        Structhash.add_string b "rates";
-        List.iter add_rate timed;
-        List.iter add_rate immediate;
-        Some (Structhash.finish b)
-      with Uncacheable -> None
-    in
-    Some (key, rates)
+    Some (Structhash.finish b)
   with Uncacheable -> None
 
-(* --- the three cache tables ------------------------------------------- *)
-
-(* All three tables are domain-local, like every Structhash table: a
-   solved Srn.t carries mutable measure caches that must never be touched
-   by two domains, and a rate key names an instance key of its own
-   domain's table.  Skeletons are immutable and could be shared, but no
-   workload gains from it: a sweep's domains miss together when the loop
-   fans out, and an evaluation-server worker explores a structure at most
-   once more than a shared table would. *)
+(* Domain-local, like every Structhash table.  Skeletons are immutable
+   and could be shared, but no workload gains from it: a sweep's domains
+   miss together when the loop fans out, and an evaluation-server worker
+   explores a structure at most once more than a shared table would. *)
 let skeleton_cache : Reach.skeleton Structhash.Table.t =
   Structhash.Table.create "srn_skeleton"
 
-let instance_cache : Srn.t Structhash.Table.t =
-  Structhash.Table.create "srn_instance"
-
-let rate_cache : string Structhash.Table.t =
-  Structhash.Table.create "srn_rates"
-
-(* The structural key, the skeleton's zero-rated pairs and every edge
-   weight bit for bit: together they name one skeleton and one CTMC. *)
-let instance_key key sk w =
-  let b = Structhash.builder "srn-inst" in
-  Structhash.add_string b key;
-  Structhash.add_array b
-    (fun b (i, t) ->
-      Structhash.add_int b i;
-      Structhash.add_int b t)
-    (Reach.zero_rated sk);
-  Structhash.add_array b
-    (fun b row -> Structhash.add_array b Structhash.add_float row)
-    w;
-  Structhash.finish b
-
-(* Solve [net] reusing the cached intermediates filed under [key] and,
-   when the rates could be pinned, [rates].
-
-   The weights path evaluates every edge weight of the cached skeleton
-   (a skeleton that no longer [fits] the rates is explored again and
-   counts as a miss), builds the instance key from them and looks the
-   instance up; on an instance miss those weights are the ones the solve
-   uses, so every rate closure runs once per edge per lookup.
-
-   A rate-key hit skips all of that: the rates are the ones the entry was
-   filed under, so the weights, and the instance key they gave, are too.
-   It still looks the skeleton up, so the skeleton counts read the same
-   with or without the rate key; the skeleton only serves when the
-   instance has been dropped since (a trim, or a solve that did not
-   finish). *)
-let solve_srn ~key ?rates net =
+(* Solve [net] on the skeleton filed under [key] while it still fits the
+   current rates (one that no longer does is explored again and counts as
+   a miss).  Either way the edges are weighed once, and those weights are
+   the ones the solve uses. *)
+let solve_srn ~key net =
   let w = ref [||] in
   let explore () =
     let sk = Reach.explore_skeleton net in
@@ -397,92 +314,5 @@ let solve_srn ~key ?rates net =
     w := Reach.edge_weights net sk;
     Reach.fits net sk !w
   in
-  let by_weights () =
-    let sk = Structhash.Table.find_or_add skeleton_cache key ~valid:fits explore in
-    (sk, instance_key key sk !w)
-  in
-  let solve sk () = Srn.solve ~skeleton:sk ~weights:!w net in
-  match rates with
-  | None ->
-      let sk, ikey = by_weights () in
-      Structhash.Table.find_or_add instance_cache ikey (solve sk)
-  | Some rkey -> (
-      let weighed = ref None in
-      let ikey =
-        Structhash.Table.find_or_add rate_cache rkey (fun () ->
-            let sk, ikey = by_weights () in
-            weighed := Some sk;
-            ikey)
-      in
-      match !weighed with
-      | Some sk -> Structhash.Table.find_or_add instance_cache ikey (solve sk)
-      | None ->
-          let sk = Structhash.Table.find_or_add skeleton_cache key explore in
-          Structhash.Table.find_or_add instance_cache ikey (fun () ->
-              let sk = if fits sk then sk else fst (by_weights ()) in
-              solve sk ()))
-
-(* --- PEPA models ------------------------------------------------------- *)
-
-(* A PEPA model's reachable state space never depends on rate VALUES
-   (well-formedness requires every rate positive), so the only inputs
-   to a compile are the canonical AST and the current value of each
-   free rate identifier.  The cached instance carries the compiled
-   derivation, the CTMC, and the accumulated steady-state cache — a
-   sweep that rebinds a rate re-derives only when the value actually
-   changed, and a time loop at fixed rates reuses the solved chain. *)
-
-module Pepa_ast = Sharpe_pepa.Ast
-
-let pepa_free_vars (past : Pepa_ast.model) =
-  let acc = ref [] in
-  let rec rexpr (e : Pepa_ast.rexpr) =
-    match e with
-    | Pepa_ast.Num _ -> ()
-    | Pepa_ast.Var (v, _) -> acc := v :: !acc
-    | Pepa_ast.Add (a, b) | Pepa_ast.Sub (a, b)
-    | Pepa_ast.Mul (a, b) | Pepa_ast.Div (a, b) ->
-        rexpr a;
-        rexpr b
-  in
-  let rate (r : Pepa_ast.rate) =
-    match r with
-    | Pepa_ast.Active e -> rexpr e
-    | Pepa_ast.Passive (Some w) -> rexpr w
-    | Pepa_ast.Passive None -> ()
-  in
-  let rec proc (p : Pepa_ast.proc) =
-    match p with
-    | Pepa_ast.Stop | Pepa_ast.Const _ -> ()
-    | Pepa_ast.Prefix (_, r, k) ->
-        rate r;
-        proc k
-    | Pepa_ast.Choice (a, b) | Pepa_ast.Coop (a, _, b) ->
-        proc a;
-        proc b
-    | Pepa_ast.Hide (p, _) -> proc p
-  in
-  List.iter (fun (d : Pepa_ast.def) -> proc d.d_rhs) past.defs;
-  proc past.system;
-  List.sort_uniq compare !acc
-
-let pepa_key (ctx : Eval.ctx) (past : Pepa_ast.model) =
-  try
-    let b = Structhash.builder "pepa" in
-    Structhash.add_string b (Pepa_ast.pp_model past);
-    List.iter
-      (fun v ->
-        Structhash.add_string b v;
-        let x =
-          try Eval.eval_expr ctx (Ident v)
-          with Eval.Error _ -> raise Uncacheable
-        in
-        Structhash.add_float b x)
-      (pepa_free_vars past);
-    Some (Structhash.finish b)
-  with Uncacheable -> None
-
-let pepa_cache : Eval.pepa_inst Structhash.Table.t =
-  Structhash.Table.create "pepa_instance"
-
-let solve_pepa ~key build = Structhash.Table.find_or_add pepa_cache key build
+  let sk = Structhash.Table.find_or_add skeleton_cache key ~valid:fits explore in
+  Srn.solve ~skeleton:sk ~weights:!w net

@@ -52,11 +52,6 @@ let add_list b f xs =
   List.iter (f b) xs;
   Buffer.add_char b ']'
 
-let add_array b f xs =
-  Buffer.add_char b '[';
-  Array.iter (f b) xs;
-  Buffer.add_char b ']'
-
 let finish b = Buffer.contents b
 
 (* --- memo tables with shared statistics -------------------------------- *)
@@ -110,8 +105,7 @@ let count c ~hit = Atomic.incr (if hit then c.hits else c.misses)
 
 module Table = struct
   (* One table per domain (via DLS): cached values may carry mutable
-     state (solved SRN instances with their accumulated measure caches,
-     BDD managers), and a value no two domains observe needs no
+     state (BDD managers), and a value no two domains observe needs no
      synchronization and admits no cross-domain mutation race.  The
      store remembers the [generation] it was built under; a bumped
      generation makes the domain start an empty one on next access. *)

@@ -8,8 +8,8 @@
     structure.
 
     {!Table}s are domain-local: each domain of the parallel pool sees its
-    own storage, so cached values containing mutable state (BDD managers,
-    solved SRN instances) are never shared across domains, and a value
+    own storage, so cached values containing mutable state (BDD managers)
+    are never shared across domains, and a value
     computed on one domain is a miss on every other.  Hit/miss counters
     and the table registry are synchronized (atomics behind a
     mutex-protected registry) and surfaced through {!Diag} by
@@ -31,7 +31,6 @@ val add_float : builder -> float -> unit
     distinguish [0.] from [-0.], and NaNs with different payloads. *)
 
 val add_list : builder -> (builder -> 'a -> unit) -> 'a list -> unit
-val add_array : builder -> (builder -> 'a -> unit) -> 'a array -> unit
 
 val finish : builder -> string
 (** The canonical key.  Injective: two different field sequences cannot

@@ -101,8 +101,6 @@ let explore_skeleton ?(max_markings = 200_000) n =
   { sk_markings = markings; sk_vanishing = van_arr; sk_succs = succ_arr;
     sk_zero_rated = Array.of_list (List.rev !zeros) }
 
-let zero_rated sk = sk.sk_zero_rated
-
 (* The current rate/weight of every skeleton edge: the cheap,
    parameter-dependent half of exploration, and the only place a rate
    closure is evaluated when solving from a skeleton. *)

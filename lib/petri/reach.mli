@@ -21,14 +21,6 @@ type skeleton
 val explore_skeleton : ?max_markings:int -> Net.t -> skeleton
 val n_markings : skeleton -> int
 
-val zero_rated : skeleton -> (int * int) array
-(** The (marking, transition) pairs exploration left out only because the
-    timed transition's rate was not positive there and the priority rule
-    would have kept it otherwise, in exploration order.  Two skeletons
-    explored from structurally identical nets are equal whenever their
-    [zero_rated] pairs are (the first marking where they would differ
-    has such a pair in one and not the other). *)
-
 val edge_weights : Net.t -> skeleton -> float array array
 (** The current rate/weight of every skeleton edge (same iteration order
     as the skeleton's successor lists) under the net's rate closures —
@@ -36,9 +28,10 @@ val edge_weights : Net.t -> skeleton -> float array array
 
 val fits : Net.t -> skeleton -> float array array -> bool
 (** [fits n sk (edge_weights n sk)]: whether exploring [n] now would
-    build [sk] again — every timed edge has a positive rate and every
-    {!zero_rated} pair still has none.  A skeleton reused for a
-    structurally identical net must fit it. *)
+    build [sk] again — every timed edge has a positive rate, and every
+    (marking, transition) pair exploration left out only because the
+    timed transition's rate was not positive there still has none.  A
+    skeleton reused for a structurally identical net must fit it. *)
 
 val build :
   ?max_markings:int -> ?skeleton:skeleton -> ?weights:float array array ->

@@ -135,51 +135,12 @@ let solve_mva t ~customers =
          ( t.names.(i),
            { throughput = tput; utilization = util; qlength = q.(i); rtime = r.(i) } )))
 
-(* MVA population-table cache across instances: the full content of the
-   net (station kinds incl. rates, visit ratios) plus the population is
-   the key, so a sweep that rebuilds an identical queueing network (or
-   queries several measures of one network) reuses the recursion. *)
-let mva_cache : (string * station_result) list Structhash.Table.t =
-  Structhash.Table.create "pfqn_mva"
-
-let content_key t ~customers =
-  let b = Structhash.builder "pfqn" in
-  Structhash.add_int b customers;
-  Structhash.add_array b Structhash.add_string t.names;
-  Structhash.add_array b
-    (fun b -> function
-      | Is r ->
-          Structhash.add_string b "is";
-          Structhash.add_float b r
-      | Fcfs r ->
-          Structhash.add_string b "fcfs";
-          Structhash.add_float b r
-      | Ps r ->
-          Structhash.add_string b "ps";
-          Structhash.add_float b r
-      | Lcfspr r ->
-          Structhash.add_string b "lcfspr";
-          Structhash.add_float b r
-      | Ms (m, r) ->
-          Structhash.add_string b "ms";
-          Structhash.add_int b m;
-          Structhash.add_float b r
-      | Lds rs ->
-          Structhash.add_string b "lds";
-          Structhash.add_list b Structhash.add_float rs)
-    t.kinds;
-  Structhash.add_array b Structhash.add_float t.visits;
-  Structhash.finish b
-
 let solve t ~customers =
   if customers < 0 then invalid_arg "Pfqn.solve: negative population";
   match Hashtbl.find_opt t.solved customers with
   | Some res -> res
   | None ->
-      let res =
-        Structhash.Table.find_or_add mva_cache (content_key t ~customers)
-          (fun () -> solve_mva t ~customers)
-      in
+      let res = solve_mva t ~customers in
       Hashtbl.replace t.solved customers res;
       res
 

@@ -156,6 +156,31 @@ let prop_injection_always_caught =
       in
       rep.Check.r_discrepancies <> [])
 
+(* An engine error inside a pair reaches the surrounding sink once, with
+   the context that reproduces it.  Forced GTH refuses the SRN pair's
+   chains that have no transition to a lower-indexed state (2 of the first
+   10 at seed 1). *)
+let test_engine_error_reported_once () =
+  let rep, records =
+    Sharpe_numerics.Linsolve.with_method Sharpe_numerics.Linsolve.Gth (fun () ->
+        run_quiet ~seed:1 ~count:10 ~pairs:[ "srn-gs-vs-direct" ] ())
+  in
+  let engine =
+    List.filter
+      (fun r -> r.Diag.severity = Diag.Error && r.Diag.solver <> "selfcheck")
+      records
+  in
+  Alcotest.(check bool) "the forced engine refused some model" true (engine <> []);
+  Alcotest.(check int) "each counted once" (List.hd rep.Check.r_pairs).Check.p_errors
+    (List.length engine);
+  List.iter
+    (fun r ->
+      match r.Diag.context with
+      | [ c ] when contains ~needle:"selfcheck srn-gs-vs-direct seed=" c -> ()
+      | ctx ->
+          Alcotest.failf "engine error with context [%s]" (String.concat "; " ctx))
+    engine
+
 let suite =
   [ ("all pairs agree", `Quick, test_all_pairs_agree);
     ("runs are deterministic", `Quick, test_run_is_deterministic);
@@ -163,5 +188,6 @@ let suite =
     ("replay reproduces the model", `Quick, test_replay_reproduces_clean_model);
     ("unknown pair rejected", `Quick, test_replay_unknown_pair_rejected);
     ("seed derivation is stable", `Quick, test_srng_derive_is_stable);
+    ("engine error reported once", `Quick, test_engine_error_reported_once);
     QCheck_alcotest.to_alcotest prop_agree_any_seed;
     QCheck_alcotest.to_alcotest prop_injection_always_caught ]

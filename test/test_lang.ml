@@ -643,6 +643,24 @@ let test_prob_branches () =
        [ chain 1 []; chain 2 []; chain 2 [ (0, 1, 1.0); (1, 0, 1.0) ];
          chain 3 [ (0, 1, 1.0); (1, 0, 1.0); (1, 2, 1.0) ] ])
 
+(* A top-level loop after a markov model's closing [end] is a statement,
+   not the chain's initial-probability section, even though the loop's
+   own [end] and the program's would close one: the statement keyword
+   inside the loop decides. *)
+let test_loop_after_markov () =
+  let buf = Buffer.create 256 in
+  let outcome =
+    Sharpe_lang.Interp.run_program ~print:(Buffer.add_string buf)
+      "bind lam 1\nmarkov m\n0 1 lam\n1 0 2\nend\n\
+       loop i, 1, 6\nexpr prob(m, 0)\nend\nend\nexpr 1+1\n"
+  in
+  Alcotest.(check int) "no failed statements" 0
+    outcome.Sharpe_lang.Interp.failed_statements;
+  Alcotest.(check string) "six loop lines, then 1+1"
+    (String.concat "" (List.init 6 (fun _ -> "prob(m, 0): 6.666667e-001\n"))
+    ^ "1+1: 2.000000\n")
+    (Buffer.contents buf)
+
 let suite =
   [ ("lexer scientific numbers", `Quick, test_lexer_scientific);
     ("lexer 29-char truncation", `Quick, test_lexer_name_truncation);
@@ -677,6 +695,7 @@ let suite =
     ("hierarchy: ftree over markov", `Quick, test_hierarchy_ftree_over_markov);
     ("instance cache invalidation", `Quick, test_instance_cache_invalidation);
     ("parse errors", `Quick, test_parse_errors_reported);
+    ("loop after a markov model is a statement", `Quick, test_loop_after_markov);
     ("runtime errors", `Quick, test_undefined_name);
     ("markov expansion bit-identical to the former one", `Quick, test_expansion_bit_identical);
     ("markov expansion in a loop at jobs=2", `Quick, test_expansion_parallel_loop);

@@ -124,10 +124,10 @@ let test_rate_mutation_hits () =
   (* 5 sweep iterations: one exploration, then skeleton reuse *)
   Alcotest.(check int) "skeleton explored once" 1 misses;
   Alcotest.(check int) "skeleton reused for every other iteration" 4 hits;
-  let ihits, imisses = stat "srn_instance" in
-  (* every iteration changes the rate, so no solved instance is reusable *)
-  Alcotest.(check int) "solved instances never wrongly shared" 0 ihits;
-  Alcotest.(check int) "one solved instance per rate value" 5 imisses
+  (* every iteration changes the rate the net's build read, so no solved
+     instance is reusable *)
+  Alcotest.(check (pair int int)) "one build per rate value" (0, 5)
+    (stat "model_instance")
 
 let test_structure_mutation_misses () =
   fresh_cache ();
@@ -165,35 +165,31 @@ end
     rp
 
 (* The time loop never changes what the net's build reads, so the
-   instance cache files one build for every time point.  A rate that
-   reads the loop variable rebuilds the net at each point, and the SRN
-   caches below serve those rebuilds: min(t, 1) is 1 from t = 1 on, so
-   the rate key misses every time and the solved instance is reused. *)
+   instance cache files one solved net for every time point.  A rate that
+   reads the loop variable rebuilds the net at each point (min(t, 1) is 1
+   from t = 1 on, but the build read t), and the skeleton cache serves
+   those rebuilds: one exploration, re-weighed at every other point. *)
 let test_instance_cache_transients () =
   fresh_cache ();
   let _, failed = run (time_sweep "1.0") in
   Alcotest.(check int) "no failed statements" 0 failed;
   Alcotest.(check (pair int int)) "one build for the whole time sweep" (4, 1)
     (stat "model_instance");
-  Alcotest.(check (pair int int)) "one solved instance, looked up once" (0, 1)
-    (stat "srn_instance");
+  Alcotest.(check (pair int int)) "one skeleton, looked up once" (0, 1)
+    (stat "srn_skeleton");
   fresh_cache ();
   let _, failed = run (time_sweep "min(t, 1)") in
   Alcotest.(check int) "no failed statements (rate reads t)" 0 failed;
   Alcotest.(check (pair int int)) "a build per time point" (0, 5)
     (stat "model_instance");
-  Alcotest.(check (pair int int)) "a rate key per time point" (0, 5) (stat "srn_rates");
-  let ihits, imisses = stat "srn_instance" in
-  Alcotest.(check int) "one solved instance for the whole time sweep" 1
-    imisses;
-  Alcotest.(check int) "solved instance reused at every time point" 4 ihits
+  Alcotest.(check (pair int int)) "one skeleton for the whole time sweep" (4, 1)
+    (stat "srn_skeleton")
 
 (* The wfs example's coverage loop (3 values of c, 11 time points each):
    the net's build reads c but not t, so each c builds once and the
    instance cache answers the other 10 points.  The three builds share
-   one skeleton and solve one instance each.  These counts are the
-   caches' contract with the sweep path; faster keys or solves must not
-   move them. *)
+   one skeleton.  These counts are the caches' contract with the sweep
+   path; faster keys or solves must not move them. *)
 let test_wfs_loop_cache_counts () =
   fresh_cache ();
   let outcome =
@@ -204,11 +200,7 @@ let test_wfs_loop_cache_counts () =
   Alcotest.(check (pair int int)) "model_instance hits, misses" (30, 3)
     (stat "model_instance");
   Alcotest.(check (pair int int)) "srn_skeleton hits, misses" (2, 1)
-    (stat "srn_skeleton");
-  Alcotest.(check (pair int int)) "srn_instance hits, misses" (0, 3)
-    (stat "srn_instance");
-  Alcotest.(check (pair int int)) "srn_rates hits, misses" (0, 3)
-    (stat "srn_rates")
+    (stat "srn_skeleton")
 
 (* --- zero rates and the skeleton ----------------------------------------- *)
 
@@ -309,11 +301,12 @@ let test_zero_rate_across_sessions () =
   Alcotest.(check string) "session b at L = 1"
     "etok(q, buf; L): 1.000000\netok(q, buf; 1): 1.000000\n" out_b
 
-(* --- the rate key ------------------------------------------------------- *)
+(* --- rates that change and come back ------------------------------------ *)
 
 (* A two-place repairable system whose failure rate is [fl]; [body] asks
    for measures while some input of that rate changes and comes back, so
-   the rate key both misses and hits.  The structural key never changes. *)
+   the net is rebuilt under new rates and under rates it saw before.  The
+   structural key never changes. *)
 let repairable ?(params = "") ?(prelude = "") fl body =
   Printf.sprintf
     {|format 8
@@ -419,11 +412,10 @@ end
 |} ) ]
 
 (* Programs whose repeated lookups the instance cache answers: each
-   parameter value is built once, so the rate key is reached only by
-   first builds and only misses. *)
+   parameter value is built once. *)
 let absorbed = [ "model parameter"; "immediate weight 1 - c" ]
 
-let test_rate_key_matches_cold () =
+let test_rate_rebinds_match_cold () =
   List.iter
     (fun (name, program) ->
       let cached, f1, cold, f2 = cached_and_cold program in
@@ -435,20 +427,20 @@ let test_rate_key_matches_cold () =
         (run_emptied program) (run_warm program);
       fresh_cache ();
       ignore (run program);
-      let hits, misses = stat "srn_rates" in
-      if List.mem name absorbed then begin
+      let hits, builds = stat "model_instance" in
+      Alcotest.(check bool) (name ^ ": a changed rate rebuilds the net") true
+        (builds > 1);
+      Alcotest.(check (pair int int)) (name ^ ": every rebuild re-weighs one skeleton")
+        (builds - 1, 1) (stat "srn_skeleton");
+      if List.mem name absorbed then
         Alcotest.(check bool) (name ^ ": the instance cache answers the repeats") true
-          (fst (stat "model_instance") > 0);
-        Alcotest.(check bool) (name ^ ": the rate key only misses") true
-          (hits = 0 && misses > 1)
-      end
-      else
-        Alcotest.(check bool) (name ^ ": the rate key hits and misses") true
-          (hits > 0 && misses > 1))
+          (hits > 0))
     rate_programs
 
-(* A rate that calls an analysis builtin (a hierarchical model) cannot be
-   pinned: every lookup re-weights, and the instance table still serves. *)
+(* A rate that calls an analysis builtin (a hierarchical model) is
+   weighed like any other: a bind the block reads rebuilds the block and
+   the net (3 builds each, the block's looked up again at every edge
+   weighed), and the net re-weighs its one skeleton. *)
 let test_hierarchical_rate_weights_path () =
   let program =
     {|format 8
@@ -467,12 +459,12 @@ end
   Alcotest.(check string) "cached output equals cold output" cold cached;
   fresh_cache ();
   ignore (run program);
-  Alcotest.(check (pair int int)) "no rate key" (0, 0) (stat "srn_rates");
-  Alcotest.(check (pair int int)) "instances by weight" (1, 2)
-    (stat "srn_instance")
+  Alcotest.(check (pair int int)) "builds of the net and the block" (10, 6)
+    (stat "model_instance");
+  Alcotest.(check (pair int int)) "one skeleton" (2, 1) (stat "srn_skeleton")
 
 (* A binding named exp shadows the builtin, so exp(x) in a rate stops
-   evaluating: the rate key must not answer for it. *)
+   evaluating: the instance cache must not answer for it. *)
 let test_shadowed_exp_rate () =
   let program =
     repairable "placedep up exp(0 - 1)"
@@ -564,16 +556,17 @@ let test_closures_on_two_domains () =
       if w <> serial then Alcotest.fail "weights differ from the serial ones")
     (here @ there)
 
-(* A repeated lookup that the rate key answers costs the same on a net
-   four times the size: nothing in it is proportional to the edge count.
-   Emptying the instance cache makes each lookup a build, as a changed
-   binding the net's rates do not read would. *)
-let test_rate_key_hit_allocation () =
+(* A repeated lookup that the instance cache answers costs the same on a
+   net four times the size: nothing in it is proportional to the edge
+   count.  Each lookup comes in a new environment version, as after a
+   bind the net does not read, so the hit compares what the build read
+   and replays its records. *)
+let test_instance_hit_allocation () =
   let env, inst = ring_session () in
   let hit n =
     ignore (inst n);
     least_words (fun () ->
-        Hashtbl.reset env.Eval.cache;
+        Eval.touch env;
         inst n)
   in
   let small = hit 20 and large = hit 43 in
@@ -584,9 +577,10 @@ let test_rate_key_hit_allocation () =
   in
   let extra_edges = float_of_int (edges s - edges s') in
   if large -. small > extra_edges /. 10.0 then
-    Alcotest.failf "a rate-key hit on %.0f more edges allocates %.0f more minor words"
+    Alcotest.failf "an instance hit on %.0f more edges allocates %.0f more minor words"
       extra_edges (large -. small);
-  Alcotest.(check (pair int int)) "the lookups hit the rate key" (7, 2) (stat "srn_rates")
+  Alcotest.(check (pair int int)) "the lookups hit the instance cache" (8, 2)
+    (stat "model_instance")
 
 (* --- structural keys --------------------------------------------------- *)
 
@@ -737,6 +731,67 @@ let test_parallel_diag_order () =
     "replayed in index order"
     (List.init 8 (Printf.sprintf "task %d"))
     msgs
+
+(* --- parallel loops share model instances per domain ------------------ *)
+
+(* A chain whose rate is the loop variable: every iteration builds its
+   own.  The iterations one domain runs share an instance table, and only
+   versions no two iterations hold keep the entry built under one value
+   of [i] from answering for the next. *)
+let test_parallel_build_reads_loop_var () =
+  let program =
+    "format 8\nmarkov mk\n0 1 i\n1 0 2\nend\n\
+     loop i, 1, 6\n  expr prob(mk, 0)\nend\nend\n"
+  in
+  fresh_cache ();
+  let serial, f1 = run program in
+  let parallel, f2 = with_jobs 2 (fun () -> run program) in
+  Alcotest.(check int) "no failed statements (serial)" 0 f1;
+  Alcotest.(check int) "no failed statements (parallel)" 0 f2;
+  Alcotest.(check int) "six distinct answers" 6
+    (List.length (List.sort_uniq compare (String.split_on_char '\n' serial)) - 1);
+  Alcotest.(check string) "parallel output identical to serial" serial parallel
+
+(* A loop over a chain its body queries but whose build does not read the
+   loop variable: serially one build serves all six iterations, in
+   parallel one build per domain that ran an iteration. *)
+let unread_loop chain =
+  "bind lam 1\n" ^ chain ^ "loop i, 1, 6\n  expr prob(m, 0)\nend\nend\n"
+
+let test_parallel_instances_per_domain () =
+  fresh_cache ();
+  Pool.reset_participation ();
+  let out, failed =
+    with_jobs 2 (fun () -> run (unread_loop "markov m\n0 1 lam\n1 0 2\nend\n"))
+  in
+  Alcotest.(check int) "no failed statements" 0 failed;
+  Alcotest.(check string) "six answers"
+    (String.concat "" (List.init 6 (fun _ -> "prob(m, 0): 6.666667e-001\n")))
+    out;
+  let domains = (Pool.participation ()).distinct_domains in
+  let hits, misses = stat "model_instance" in
+  Alcotest.(check int) "every iteration looks the chain up" 6 (hits + misses);
+  if misses > domains then
+    Alcotest.failf "%d builds on %d domains: more than one per domain" misses domains
+
+(* The same loop over a chain whose steady state emits records: a hit in
+   an iteration's own version replays them as a rebuild would, so the
+   stream at jobs=2 is the one at jobs=1. *)
+let test_parallel_instance_diag_stream () =
+  let program =
+    unread_loop "markov m\nloop k, 0, 600\n$(k) $(k+1) lam\n$(k+1) $(k) 2\nend\nend\n"
+  in
+  let stream jobs =
+    fresh_cache ();
+    let outcome =
+      with_jobs jobs (fun () -> Interp.run_program ~print:ignore program)
+    in
+    Alcotest.(check int) "no failed statements" 0 outcome.Interp.failed_statements;
+    List.map Diag.record_to_json outcome.Interp.diagnostics
+  in
+  let serial = stream 1 in
+  Alcotest.(check bool) "the steady states emit records" true (List.length serial >= 6);
+  Alcotest.(check (list string)) "jobs=2 stream equals jobs=1" serial (stream 2)
 
 let test_pool_results_in_order () =
   let results =
@@ -1114,21 +1169,31 @@ let test_instance_diag_replay () =
     [ [ "statement 2" ]; [ "statement 4" ] ]
     (List.map (fun (r : Diag.record) -> r.context) gth);
   Alcotest.(check (pair int int)) "one build" (2, 1) (stat "model_instance");
-  (* a rebuild finds a PEPA model compiled in the solve cache and emits
-     nothing, so a hit replays no compile warning either: one warning per
-     distinct rate binding *)
-  fresh_cache ();
+  (* a PEPA model's compile warning is a build record like any other: a
+     hit in a new version replays it where a rebuild would emit it, with
+     the solve cache on or off *)
   let program =
     "bind lam 1\npepa pm\nP = (a, lam).Q\nQ = (b, 2).P\nP / {zz}\nend\n\
      expr prob(pm, P)\nbind z 1\nexpr prob(pm, P)\nbind lam 2\nexpr prob(pm, Q)\n\
      bind lam 1\nexpr prob(pm, Q)\nend\n"
   in
-  let outcome = Interp.run_program ~print:ignore program in
-  Alcotest.(check (list (list string))) "one compile warning per rate binding"
-    [ [ "statement 3"; "model pm" ]; [ "statement 7"; "model pm" ] ]
-    (List.filter_map
-       (fun (r : Diag.record) -> if r.solver = "pepa" then Some r.context else None)
-       outcome.Interp.diagnostics)
+  let warnings () =
+    let outcome = Interp.run_program ~print:ignore program in
+    List.filter_map
+      (fun (r : Diag.record) -> if r.solver = "pepa" then Some r.context else None)
+      outcome.Interp.diagnostics
+  in
+  fresh_cache ();
+  let cached = warnings () in
+  Alcotest.(check (list (list string))) "one compile warning per version"
+    (List.map (fun s -> [ "statement " ^ s; "model pm" ]) [ "3"; "5"; "7"; "9" ])
+    cached;
+  Alcotest.(check (pair int int)) "one build per lam binding" (1, 3)
+    (stat "model_instance");
+  Structhash.set_enabled false;
+  let cold = Fun.protect ~finally:(fun () -> Structhash.set_enabled true) warnings in
+  Alcotest.(check (list (list string))) "the same warnings without the solve cache"
+    cached cold
 
 let suite =
   [ Alcotest.test_case "cache on/off output invariant" `Quick
@@ -1150,16 +1215,16 @@ let suite =
       test_zero_rate_skeleton;
     Alcotest.test_case "zero-rate skeleton across sessions" `Quick
       test_zero_rate_across_sessions;
-    Alcotest.test_case "rate key matches cold runs" `Quick
-      test_rate_key_matches_cold;
+    Alcotest.test_case "rate rebinds match cold runs" `Quick
+      test_rate_rebinds_match_cold;
     Alcotest.test_case "hierarchical rate takes the weights path" `Quick
       test_hierarchical_rate_weights_path;
     Alcotest.test_case "shadowed exp in a rate matches cold" `Quick
       test_shadowed_exp_rate;
     Alcotest.test_case "edge weights allocate per edge, not per context" `Quick
       test_edge_weights_allocation;
-    Alcotest.test_case "rate-key hit allocates nothing per edge" `Quick
-      test_rate_key_hit_allocation;
+    Alcotest.test_case "instance hit allocates nothing per edge" `Quick
+      test_instance_hit_allocation;
     Alcotest.test_case "net closures on two domains at once" `Quick
       test_closures_on_two_domains;
     Alcotest.test_case "float keys are bit-exact and injective" `Quick
@@ -1173,6 +1238,12 @@ let suite =
       test_parallel_failure_matches_serial;
     Alcotest.test_case "parallel diagnostics replay in order" `Quick
       test_parallel_diag_order;
+    Alcotest.test_case "parallel build reading the loop variable" `Quick
+      test_parallel_build_reads_loop_var;
+    Alcotest.test_case "parallel iterations share instances per domain" `Quick
+      test_parallel_instances_per_domain;
+    Alcotest.test_case "parallel instance hits replay like serial" `Quick
+      test_parallel_instance_diag_stream;
     Alcotest.test_case "pool preserves result order" `Quick
       test_pool_results_in_order;
     Alcotest.test_case "batch tasks execute on multiple domains" `Quick
