@@ -124,6 +124,24 @@ else
   [ "$status" -eq 2 ] || { echo "ci: expected exit 2, got $status" >&2; exit 1; }
 fi
 
+echo "== input errors stay structured =="
+# a character the lexer rejects is a parse error like any other: exit 1
+# and an error record from the parser, not an uncaught exception (125)
+bad="${TMPDIR:-/tmp}/sharpe_ci_illegal_$$.sharpe"
+printf 'expr {2}\n' >"$bad"
+if out=$(./_build/default/bin/sharpe.exe --diagnostics json "$bad" 2>/dev/null); then
+  echo "ci: expected an illegal character to fail" >&2
+  exit 1
+else
+  status=$?
+  [ "$status" -eq 1 ] || { echo "ci: illegal character: expected exit 1, got $status" >&2; exit 1; }
+fi
+rm -f "$bad"
+echo "$out" | grep -q '"severity":"error","solver":"parser"' || {
+  echo "ci: illegal character did not yield a parser error record" >&2
+  exit 1
+}
+
 echo "== differential selfcheck =="
 # fixed-seed sweep: 200 random models per oracle pair, every model
 # evaluated by two independent engines; any disagreement or engine error

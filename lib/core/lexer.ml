@@ -29,6 +29,8 @@ type token =
 
 type t = { tok : token; line : int; col : int; endcol : int }
 
+exception Error of string
+
 let name_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_' || c = ':' || c = '.'
@@ -74,6 +76,9 @@ let tokenize ?(warn = fun _ -> ()) src =
   let emit tok col endcol = toks := { tok; line = !line; col; endcol } :: !toks in
   let i = ref 0 in
   let col () = !i - !line_start in
+  let error line col msg =
+    raise (Error (Printf.sprintf "line %d, col %d: %s" line (col + 1) msg))
+  in
   let at_line_start = ref true in
   (* warn once per distinct over-long name, not once per occurrence *)
   let warned = Hashtbl.create 4 in
@@ -92,10 +97,7 @@ let tokenize ?(warn = fun _ -> ()) src =
     let buf = Buffer.create 256 in
     let finished = ref false in
     while not !finished do
-      if !i >= n then
-        failwith
-          (Printf.sprintf "line %d: pepa block not terminated by end"
-             body_line);
+      if !i >= n then error body_line 0 "pepa block not terminated by end";
       let eol = try String.index_from src !i '\n' with Not_found -> n in
       let text = String.sub src !i (eol - !i) in
       if String.trim text = "end" then begin
@@ -214,7 +216,7 @@ let tokenize ?(warn = fun _ -> ()) src =
         | '=' -> if peek 1 = Some '=' then simple Eq 2 else simple Eq 1
         | '!' ->
             if peek 1 = Some '=' then simple Neq 2
-            else failwith (Printf.sprintf "line %d: unexpected '!'" !line)
+            else error !line c0 "unexpected '!'"
         | '<' ->
             if peek 1 = Some '=' then simple Le 2
             else if peek 1 = Some '>' then simple Neq 2
@@ -232,8 +234,7 @@ let tokenize ?(warn = fun _ -> ()) src =
               line_start := !i
             end;
             emit Cont c0 (c0 + 1)
-        | c ->
-            failwith (Printf.sprintf "line %d: illegal character %C" !line c)
+        | c -> error !line c0 (Printf.sprintf "illegal character %C" c)
       end
     end
   done;

@@ -51,5 +51,9 @@ type t = {
   endcol : int;     (** column just past the token *)
 }
 
+exception Error of string
+(** Carries ["line N, col M: message"]. *)
+
 val tokenize : ?warn:(string -> unit) -> string -> t list
-(** @raise Failure on an illegal character. *)
+(** @raise Error on an illegal character, a [!] not followed by [=], and a
+    [pepa] block with no closing [end]. *)

@@ -1,10 +1,21 @@
 (* Recursive-descent parser for the SHARPE language.
 
    The language is line-oriented: statements and model lines end at the end
-   of the source line.  Model bodies are section-based, with [end]
-   terminating sections and definitions; [loop] constructs may appear inside
-   Markov-chain bodies and are nesting-aware.  See the thesis ch. 2-3 for
-   the concrete grammar reproduced here. *)
+   of the source line.  Model bodies are sections of items, each closed by
+   [end]; [loop] items nest inside Markov-chain edge, reward and init
+   sections.  See the thesis ch. 2-3 for the concrete grammar reproduced
+   here.
+
+   Two decisions are made from one line, never by scanning ahead for an
+   [end]:
+   - A bare expression statement must fill its line.
+   - After a markov or semimark chain's edges (and reward section), the
+     first line that is not a [loop] header decides whether an
+     initial-probability section follows.  [end] opens an empty one.  A
+     statement keyword, [reward], [fastmttf], or one expression that fills
+     the line is a statement, so no section follows; a line that reads both
+     ways, such as [f (x)], counts as a statement.  Any other line opens
+     the section. *)
 
 open Ast
 
@@ -25,8 +36,6 @@ let fail st msg =
           msg))
 
 let peek st = st.toks.(st.pos).Lexer.tok
-let peek_at st k =
-  if st.pos + k < Array.length st.toks then st.toks.(st.pos + k).Lexer.tok else Lexer.Eof
 
 let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
 
@@ -68,6 +77,8 @@ let name st what =
 let is_name st s = peek st = Lexer.Name s
 
 let eat_name st s = if is_name st s then (advance st; true) else false
+
+let eat_comma st = if peek st = Lexer.Comma then (advance st; true) else false
 
 (* absolute source offset of a token *)
 let offset st (t : Lexer.t) = st.line_starts.(t.Lexer.line - 1) + t.Lexer.col
@@ -259,811 +270,332 @@ let parse_dist st =
       Call ("gen", triples [])
   | _ -> parse_expr st
 
-(* --- statements ----------------------------------------------------- *)
+(* --- readers shared by every section -------------------------------- *)
 
-let top_keywords =
-  [ "bind"; "func"; "var"; "expr"; "echo"; "format"; "epsilon"; "loop"; "while";
-    "if"; "block"; "ftree"; "mstree"; "pms"; "relgraph"; "graph"; "pfqn";
-    "mpfqn"; "markov"; "semimark"; "mrgp"; "gspn"; "srn"; "pepa"; "bdd"; "verbose";
-    "debug"; "factor"; "ltimep"; "rtimep" ]
-
-let rec parse_stmts st ~until =
-  eat_newlines st;
+(* Items up to the section's closing [end], one [item] call each.  A line
+   on which [stop] holds also closes the section, and is left unread. *)
+let section ?(stop = fun _ -> false) st item =
   let rec go acc =
     eat_newlines st;
-    match peek st with
-    | Lexer.Eof -> List.rev acc
-    | Lexer.Name "end" when until = `End ->
-        advance st;
-        List.rev acc
-    | _ -> (
-        match parse_stmt st with
-        | Some s -> go (s :: acc)
-        | None -> go acc)
+    if stop st || eat_name st "end" then List.rev acc else go (item st :: acc)
   in
   go []
 
-and parse_stmt st : stmt option =
-  eat_newlines st;
-  match peek st with
-  | Lexer.Eof -> None
-  | Lexer.Name "end" ->
-      (* stray top-level end (files conventionally finish with one) *)
-      advance st;
-      None
-  | Lexer.Name "format" ->
-      advance st;
-      let e = parse_expr st in
-      Some (SFormat e)
-  | Lexer.Name "echo" ->
-      advance st;
-      let text = match next st with Lexer.Name s -> s | _ -> "" in
-      Some (SEcho text)
-  | Lexer.Name "epsilon" ->
-      advance st;
-      let what = name st "epsilon kind" in
-      let e = parse_expr st in
-      Some (SEpsilon (what, e))
-  | Lexer.Name ("bdd" | "verbose" | "debug" | "factor" | "multiple") ->
-      let key = name st "switch" in
-      let rest = if at_eol st then "" else name st "switch value" in
-      skip_to_eol st;
-      Some (SSwitch (key, rest))
-  | Lexer.Name ("ltimep" | "rtimep") ->
-      let key = name st "switch" in
-      Some (SSwitch (key, ""))
-  | Lexer.Name "bind" ->
-      advance st;
-      if at_eol st then begin
-        (* block form: name expr lines until end *)
-        eat_newlines st;
-        let rec lines acc =
-          eat_newlines st;
-          if eat_name st "end" then List.rev acc
-          else begin
-            let n = name st "bound variable" in
-            let e = parse_expr st in
-            lines ((n, e) :: acc)
-          end
-        in
-        let bs = lines [] in
-        (* a block of binds, represented as an always-true conditional *)
-        Some (SIf ([ (Num 1.0, List.map (fun (n, e) -> SBind (n, e, `Block)) bs) ], []))
-      end
-      else begin
-        let n = name st "bound variable" in
-        let e = parse_expr st in
-        Some (SBind (n, e, `Single))
-      end
-  | Lexer.Name "var" ->
-      advance st;
-      let n = name st "variable" in
-      let e = parse_expr st in
-      Some (SVar (n, e))
-  | Lexer.Name "func" ->
-      advance st;
-      let n = name st "function name" in
-      expect st Lexer.LParen "( after function name";
-      let rec params acc =
-        match peek st with
-        | Lexer.RParen -> advance st; List.rev acc
-        | Lexer.Comma -> advance st; params acc
-        | _ -> params (name st "parameter" :: acc)
-      in
-      let ps = params [] in
-      if at_eol st then begin
-        let body = parse_stmts st ~until:`End in
-        Some (SFunc (n, ps, FStmts body))
-      end
-      else begin
-        let e = parse_expr st in
-        Some (SFunc (n, ps, FExpr e))
-      end
-  | Lexer.Name "if" -> Some (parse_if st)
-  | Lexer.Name "while" ->
-      advance st;
-      let cond = parse_expr st in
-      let body = parse_stmts_block st in
-      Some (SWhile (cond, body))
-  | Lexer.Name "loop" ->
-      advance st;
-      let v = name st "loop variable" in
-      let _ = eat_comma st in
-      let lo = parse_expr st in
-      expect st Lexer.Comma ", in loop bounds";
-      let hi = parse_expr st in
-      let step =
-        if peek st = Lexer.Comma then begin
-          advance st;
-          Some (parse_expr st)
-        end
-        else None
-      in
-      let body = parse_stmts_block st in
-      Some (SLoop (v, lo, hi, step, body))
-  | Lexer.Name "expr" ->
-      advance st;
-      let rec items acc =
-        let start = st.pos in
-        let e = parse_expr st in
-        let text = slice st start st.pos in
-        if peek st = Lexer.Comma then begin
-          advance st;
-          items ((text, e) :: acc)
-        end
-        else List.rev ((text, e) :: acc)
-      in
-      Some (SExpr (items []))
-  | Lexer.Name m
-    when List.mem m
-           [ "block"; "ftree"; "mstree"; "pms"; "relgraph"; "graph"; "pfqn";
-             "mpfqn"; "markov"; "semimark"; "mrgp"; "gspn"; "srn"; "pepa" ] ->
-      Some (SModel (parse_model st m))
-  | Lexer.Newline | Lexer.Cont ->
-      advance st;
-      None
-  | _ ->
-      (* bare expression statement, printed like expr *)
-      let start = st.pos in
-      let e = parse_expr st in
-      let text = slice st start st.pos in
-      Some (SExpr [ (text, e) ])
+let at_reward st = is_name st "reward"
 
-and eat_comma st =
-  if peek st = Lexer.Comma then begin
-    advance st;
-    true
-  end
-  else false
+let rec comma_exprs st =
+  let e = parse_expr st in
+  if eat_comma st then e :: comma_exprs st else [ e ]
 
-(* statements until the matching end (if/while/loop bodies nest) *)
-and parse_stmts_block st =
-  let rec go acc =
-    eat_newlines st;
-    match peek st with
-    | Lexer.Eof -> List.rev acc
-    | Lexer.Name "end" ->
-        advance st;
-        List.rev acc
-    | _ -> (
-        match parse_stmt st with Some s -> go (s :: acc) | None -> go acc)
-  in
-  go []
+let named_expr what st =
+  let n = name st what in
+  (n, parse_expr st)
 
-and parse_if st =
-  expect st (Lexer.Name "if") "if";
-  let cond = parse_expr st in
-  let rec branch_body acc =
-    eat_newlines st;
-    match peek st with
-    | Lexer.Name ("elseif" | "else" | "end") | Lexer.Eof -> List.rev acc
-    | _ -> (
-        match parse_stmt st with
-        | Some s -> branch_body (s :: acc)
-        | None -> branch_body acc)
-  in
-  let first_body = branch_body [] in
-  let rec clauses acc =
-    eat_newlines st;
-    match peek st with
-    | Lexer.Name "elseif" ->
-        advance st;
-        let c = parse_expr st in
-        let b = branch_body [] in
-        clauses ((c, b) :: acc)
-    | Lexer.Name "else" ->
-        advance st;
-        let b = branch_body [] in
-        expect st (Lexer.Name "end") "end closing if";
-        (List.rev acc, b)
-    | Lexer.Name "end" ->
-        advance st;
-        (List.rev acc, [])
-    | _ -> fail st "expected elseif/else/end in if statement"
-  in
-  let rest, els = clauses [] in
-  SIf ((cond, first_body) :: rest, els)
-
-(* --- model definitions ---------------------------------------------- *)
-
-and parse_params st =
-  if peek st = Lexer.LParen then begin
-    advance st;
-    let rec go acc =
-      match peek st with
-      | Lexer.RParen -> advance st; List.rev acc
-      | Lexer.Comma -> advance st; go acc
-      | _ -> go (name st "parameter" :: acc)
-    in
-    go []
-  end
-  else []
-
-and parse_model st kw =
-  advance st;
-  (* consume the keyword *)
-  let mname = name st "model name" in
-  let params = parse_params st in
-  match kw with
-  | "block" -> parse_block st mname params
-  | "ftree" -> parse_ftree st mname params
-  | "mstree" -> parse_mstree st mname params
-  | "pms" -> parse_pms st mname params
-  | "relgraph" -> parse_relgraph st mname params
-  | "graph" -> parse_graph st mname params
-  | "pfqn" -> parse_pfqn st mname params
-  | "mpfqn" -> parse_mpfqn st mname params
-  | "markov" -> parse_markov st mname params
-  | "semimark" -> parse_semimark st mname params
-  | "mrgp" -> parse_mrgp st mname params
-  | "gspn" -> parse_srn st mname params ~gspn:true
-  | "srn" -> parse_srn st mname params ~gspn:false
-  | "pepa" -> parse_pepa st mname params
-  | _ -> fail st "unknown model keyword"
-
-and names_to_eol st =
+let names_to_eol st =
   let rec go acc = if at_eol st then List.rev acc else go (name st "name" :: acc) in
   go []
 
-and parse_block st mname params =
-  let rec lines acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let kw = name st "block line" in
-      let l =
-        match kw with
-        | "comp" ->
-            let n = name st "component name" in
-            BComp (n, parse_dist st)
-        | "series" | "or" ->
-            let n = name st "block name" in
-            BCombine (`Series, n, names_to_eol st)
-        | "parallel" ->
-            let n = name st "block name" in
-            BCombine (`Parallel, n, names_to_eol st)
-        | "kofn" ->
-            let n = name st "block name" in
-            let k = parse_expr st in
-            expect st Lexer.Comma ", after k";
-            let nn = parse_expr st in
-            let _ = eat_comma st in
-            BKofn (n, k, nn, names_to_eol st)
-        | _ -> fail st (Printf.sprintf "unknown block line %s" kw)
-      in
-      lines (l :: acc)
-    end
+(* parameter names after the opening parenthesis, through the closing one *)
+let param_list st =
+  let rec go acc =
+    match peek st with
+    | Lexer.RParen -> advance st; List.rev acc
+    | Lexer.Comma -> advance st; go acc
+    | _ -> go (name st "parameter" :: acc)
   in
-  MBlock { name = mname; params; lines = lines [] }
+  go []
 
-and parse_ftree st mname params =
-  let rec lines acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let kw = name st "ftree line" in
-      let l =
-        match kw with
-        | "basic" ->
-            let n = name st "event" in
-            FBasic (n, parse_dist st)
-        | "repeat" ->
-            let n = name st "event" in
-            (* repeat (k1,k2) style parenthesized lists are parameters of the
-               enclosing model in some files; here repeat always binds one
-               name *)
-            FRepeat (n, parse_dist st)
-        | "transfer" ->
-            let a = name st "alias" in
-            let b = name st "event" in
-            FTransfer (a, b)
-        | "not" ->
-            let n = name st "gate" in
-            FGate (n, GNot, [ name st "input" ])
-        | "and" -> let n = name st "gate" in FGate (n, GAnd, names_to_eol st)
-        | "or" -> let n = name st "gate" in FGate (n, GOr, names_to_eol st)
-        | "nand" -> let n = name st "gate" in FGate (n, GNand, names_to_eol st)
-        | "nor" -> let n = name st "gate" in FGate (n, GNor, names_to_eol st)
-        | "kofn" | "nkofn" ->
-            let n = name st "gate" in
-            let k = parse_expr st in
-            expect st Lexer.Comma ", after k";
-            let nn = parse_expr st in
-            let _ = eat_comma st in
-            let inputs = names_to_eol st in
-            FGate (n, (if kw = "kofn" then GKofn (k, nn) else GNkofn (k, nn)), inputs)
-        | _ -> fail st (Printf.sprintf "unknown ftree line %s" kw)
-      in
-      lines (l :: acc)
-    end
+let parse_params st = if peek st = Lexer.LParen then (advance st; param_list st) else []
+
+(* [v, lo, hi {, step}] after a [loop] keyword; the first comma is optional *)
+let loop_header st =
+  let v = name st "loop variable" in
+  ignore (eat_comma st);
+  let lo = parse_expr st in
+  expect st Lexer.Comma ", in loop bounds";
+  let hi = parse_expr st in
+  let step = if eat_comma st then Some (parse_expr st) else None in
+  (v, lo, hi, step)
+
+(* an [item], or a [loop] whose body, up to the loop's own [end], holds
+   more of them; [mk] builds the loop from its header and body *)
+let rec looped item mk st =
+  if eat_name st "loop" then begin
+    let header = loop_header st in
+    mk header (section st (looped item mk))
+  end
+  else item st
+
+(* [k, n] of a kofn line, with an optional comma before its inputs *)
+let kofn_bounds st =
+  let k = parse_expr st in
+  expect st Lexer.Comma ", after k";
+  let nn = parse_expr st in
+  ignore (eat_comma st);
+  (k, nn)
+
+(* --- the init-section decision -------------------------------------- *)
+
+let model_keywords =
+  [ "block"; "ftree"; "mstree"; "pms"; "relgraph"; "graph"; "pfqn"; "mpfqn";
+    "markov"; "semimark"; "mrgp"; "gspn"; "srn"; "pepa" ]
+
+let stmt_keywords =
+  [ "bind"; "func"; "var"; "expr"; "echo"; "format"; "epsilon"; "loop";
+    "while"; "if"; "bdd"; "verbose"; "debug"; "factor"; "multiple"; "ltimep";
+    "rtimep" ]
+  @ model_keywords
+
+(* the rule in this file's header; reads ahead at most one line past the
+   loop headers, and leaves the position where it was *)
+let init_section_opens st =
+  let saved = st.pos in
+  eat_newlines st;
+  while eat_name st "loop" do skip_to_eol st; eat_newlines st done;
+  let opens =
+    match peek st with
+    | Lexer.Eof -> false
+    | Lexer.Name "end" -> true
+    | Lexer.Name k when k = "reward" || k = "fastmttf" || List.mem k stmt_keywords -> false
+    | _ -> ( match parse_expr st with _ -> not (at_eol st) | exception Parse_error _ -> true)
   in
-  MFtree { name = mname; params; lines = lines [] }
+  st.pos <- saved;
+  opens
 
-and split_state st n =
+(* --- model definitions ---------------------------------------------- *)
+
+let block_line st =
+  match name st "block line" with
+  | "comp" ->
+      let n = name st "component name" in
+      BComp (n, parse_dist st)
+  | ("series" | "or" | "parallel") as kw ->
+      let n = name st "block name" in
+      BCombine ((if kw = "parallel" then `Parallel else `Series), n, names_to_eol st)
+  | "kofn" ->
+      let n = name st "block name" in
+      let k, nn = kofn_bounds st in
+      BKofn (n, k, nn, names_to_eol st)
+  | kw -> fail st (Printf.sprintf "unknown block line %s" kw)
+
+let ftree_line st =
+  let gate g =
+    let n = name st "gate" in
+    FGate (n, g, names_to_eol st)
+  in
+  match name st "ftree line" with
+  | "basic" ->
+      let n = name st "event" in
+      FBasic (n, parse_dist st)
+  | "repeat" ->
+      let n = name st "event" in
+      (* repeat (k1,k2) style parenthesized lists are parameters of the
+         enclosing model in some files; here repeat always binds one
+         name *)
+      FRepeat (n, parse_dist st)
+  | "transfer" ->
+      let a = name st "alias" in
+      FTransfer (a, name st "event")
+  | "not" ->
+      let n = name st "gate" in
+      FGate (n, GNot, [ name st "input" ])
+  | "and" -> gate GAnd
+  | "or" -> gate GOr
+  | "nand" -> gate GNand
+  | "nor" -> gate GNor
+  | ("kofn" | "nkofn") as kw ->
+      let n = name st "gate" in
+      let k, nn = kofn_bounds st in
+      FGate (n, (if kw = "kofn" then GKofn (k, nn) else GNkofn (k, nn)), names_to_eol st)
+  | kw -> fail st (Printf.sprintf "unknown ftree line %s" kw)
+
+let split_state st n =
   match String.index_opt n ':' with
   | Some i -> (String.sub n 0 i, String.sub n (i + 1) (String.length n - i - 1))
   | None -> fail st (Printf.sprintf "expected component:state, got %s" n)
 
-and parse_mstree st mname params =
-  let rec lines acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let kw = name st "mstree line" in
-      let l =
-        match kw with
-        | "basic" ->
-            let n = name st "component:state" in
-            let c, s = split_state st n in
-            MsBasic (c, s, parse_dist st)
-        | "transfer" ->
-            let a = name st "alias" in
-            let b = name st "component:state" in
-            MsTransfer (a, b)
-        | "and" -> let n = name st "gate" in MsGate (n, MsAnd, names_to_eol st)
-        | "or" -> let n = name st "gate" in MsGate (n, MsOr, names_to_eol st)
-        | "kofn" ->
-            let n = name st "gate" in
-            let k = parse_expr st in
-            expect st Lexer.Comma ", after k";
-            let nn = parse_expr st in
-            let _ = eat_comma st in
-            MsGate (n, MsKofn (k, nn), names_to_eol st)
-        | _ -> fail st (Printf.sprintf "unknown mstree line %s" kw)
-      in
-      lines (l :: acc)
-    end
+let mstree_line st =
+  let gate g =
+    let n = name st "gate" in
+    MsGate (n, g, names_to_eol st)
   in
-  MMstree { name = mname; params; lines = lines [] }
+  match name st "mstree line" with
+  | "basic" ->
+      let c, s = split_state st (name st "component:state") in
+      MsBasic (c, s, parse_dist st)
+  | "transfer" ->
+      let a = name st "alias" in
+      MsTransfer (a, name st "component:state")
+  | "and" -> gate MsAnd
+  | "or" -> gate MsOr
+  | "kofn" ->
+      let n = name st "gate" in
+      let k, nn = kofn_bounds st in
+      MsGate (n, MsKofn (k, nn), names_to_eol st)
+  | kw -> fail st (Printf.sprintf "unknown mstree line %s" kw)
 
-and parse_pms st mname params =
-  let rec lines acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let num = parse_expr st in
-      let ph = name st "phase (fault tree) name" in
-      let dur = parse_expr st in
-      lines ((num, ph, dur) :: acc)
-    end
-  in
-  MPms { name = mname; params; phases = lines [] }
+let pms_phase st =
+  let num = parse_expr st in
+  let ph = name st "phase (fault tree) name" in
+  (num, ph, parse_expr st)
 
-and parse_relgraph st mname params =
+(* [bidirect] is a line of its own, and holds for every edge after it *)
+let relgraph_edges st =
   let bidirect = ref false in
-  let rec lines acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else if eat_name st "bidirect" then begin
-      bidirect := true;
-      lines acc
-    end
+  let edge st =
+    if eat_name st "bidirect" then (bidirect := true; None)
     else begin
       let u = name st "node" in
       let v = name st "node" in
       let d = parse_dist st in
-      let rec transfers acc =
-        if eat_name st "transfer" then begin
-          let rec pairs acc =
-            if at_eol st then List.rev acc
-            else begin
-              let a = name st "node" in
-              let b = name st "node" in
-              pairs ((a, b) :: acc)
-            end
-          in
-          transfers (acc @ pairs [])
+      let rec pairs () =
+        if at_eol st then []
+        else begin
+          let a = name st "node" in
+          let b = name st "node" in
+          (a, b) :: pairs ()
         end
-        else acc
       in
-      let tr = transfers [] in
-      lines
-        ({ re_from = u; re_to = v; re_dist = d; re_bidirect = !bidirect;
-           re_transfers = tr }
-        :: acc)
+      let tr = if eat_name st "transfer" then pairs () else [] in
+      Some { re_from = u; re_to = v; re_dist = d; re_bidirect = !bidirect; re_transfers = tr }
     end
   in
-  MRelgraph { name = mname; params; edges = lines [] }
+  List.filter_map Fun.id (section st edge)
 
-and parse_graph st mname params =
-  let rec edges acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
+let graph_line st =
+  match name st "graph line" with
+  | "exit" ->
+      let n = name st "node" in
+      let ex =
+        match name st "exit type" with
+        | "prob" -> ExProb
+        | "max" -> ExMax
+        | "min" -> ExMin
+        | "kofn" ->
+            let k = parse_expr st in
+            expect st Lexer.Comma ", in kofn exit";
+            ExKofn (k, parse_expr st)
+        | ty -> fail st (Printf.sprintf "unknown exit type %s" ty)
+      in
+      GExit (n, ex)
+  | "prob" ->
       let u = name st "node" in
-      let vs = names_to_eol st in
-      edges ((u, vs) :: acc)
-    end
-  in
-  let es = edges [] in
-  let rec glines acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let kw = name st "graph line" in
-      let l =
-        match kw with
-        | "exit" ->
-            let n = name st "node" in
-            let ty = name st "exit type" in
-            let ex =
-              match ty with
-              | "prob" -> ExProb
-              | "max" -> ExMax
-              | "min" -> ExMin
-              | "kofn" ->
-                  let k = parse_expr st in
-                  expect st Lexer.Comma ", in kofn exit";
-                  let nn = parse_expr st in
-                  ExKofn (k, nn)
-              | _ -> fail st (Printf.sprintf "unknown exit type %s" ty)
-            in
-            GExit (n, ex)
-        | "prob" ->
-            let u = name st "node" in
-            let v = name st "node" in
-            GProb (u, v, parse_expr st)
-        | "dist" ->
-            let n = name st "node" in
-            GDist (n, parse_dist st)
-        | "multpath" -> GMultpath
-        | _ -> fail st (Printf.sprintf "unknown graph line %s" kw)
-      in
-      glines (l :: acc)
-    end
-  in
-  MGraph { name = mname; params; edges = es; glines = glines [] }
+      let v = name st "node" in
+      GProb (u, v, parse_expr st)
+  | "dist" ->
+      let n = name st "node" in
+      GDist (n, parse_dist st)
+  | "multpath" -> GMultpath
+  | kw -> fail st (Printf.sprintf "unknown graph line %s" kw)
 
-and parse_station_kind st =
-  let kw = name st "station type" in
-  match kw with
+let route st =
+  let u = name st "station" in
+  let v = name st "station" in
+  (u, v, parse_expr st)
+
+let station_kind st =
+  match name st "station type" with
   | "is" -> SkIs (parse_expr st)
   | "fcfs" -> SkFcfs (parse_expr st)
   | "ps" -> SkPs (parse_expr st)
   | "lcfspr" -> SkLcfspr (parse_expr st)
   | "ms" ->
       let n = parse_expr st in
-      expect st Lexer.Comma ", in ms station" ;
+      expect st Lexer.Comma ", in ms station";
       SkMs (n, parse_expr st)
-  | "lds" ->
-      let rec rates acc =
-        let e = parse_expr st in
-        if eat_comma st then rates (e :: acc) else List.rev (e :: acc)
-      in
-      SkLds (rates [])
-  | _ -> fail st (Printf.sprintf "unknown station type %s" kw)
+  | "lds" -> SkLds (comma_exprs st)
+  | kw -> fail st (Printf.sprintf "unknown station type %s" kw)
 
-and parse_pfqn st mname params =
-  let rec routing acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let u = name st "station" in
-      let v = name st "station" in
-      routing ((u, v, parse_expr st) :: acc)
-    end
+(* [chain <name>] sections of routes; later chains' routes come first *)
+let mpfqn_routing st =
+  let chain st =
+    expect st (Lexer.Name "chain") "chain";
+    let ch = name st "chain name" in
+    List.map (fun (u, v, e) -> (ch, u, v, e)) (section st route)
   in
-  let r = routing [] in
-  let rec stations acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let n = name st "station" in
-      stations ((n, parse_station_kind st) :: acc)
-    end
-  in
-  let s = stations [] in
-  let rec chains acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let n = name st "chain" in
-      chains ((n, parse_expr st) :: acc)
-    end
-  in
-  MPfqn { name = mname; params; routing = r; stations = s; chains = chains [] }
+  List.concat (List.rev (section st chain))
 
-and parse_mpfqn st mname params =
-  let rec chain_sections acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      expect st (Lexer.Name "chain") "chain";
-      let ch = name st "chain name" in
-      let rec routes acc =
-        eat_newlines st;
-        if eat_name st "end" then List.rev acc
-        else begin
-          let u = name st "station" in
-          let v = name st "station" in
-          routes ((ch, u, v, parse_expr st) :: acc)
-        end
-      in
-      chain_sections (routes [] @ acc)
-    end
+(* a station line, then its optional per-chain rate lines and its own end *)
+let mpfqn_station st =
+  let n = name st "station" in
+  let kind = station_kind st in
+  let overrides =
+    section st (fun st ->
+        let ch = name st "chain" in
+        (ch, comma_exprs st))
   in
-  let routing = List.rev (chain_sections []) in
-  let rec stations acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let n = name st "station" in
-      let kind = parse_station_kind st in
-      (* optional per-chain rate lines, then end (possibly on same line) *)
-      let rec overrides acc =
-        eat_newlines st;
-        if eat_name st "end" then List.rev acc
-        else begin
-          let ch = name st "chain" in
-          let rec exprs acc =
-            let e = parse_expr st in
-            if eat_comma st then exprs (e :: acc) else List.rev (e :: acc)
-          in
-          overrides ((ch, exprs []) :: acc)
-        end
-      in
-      let ov = overrides [] in
-      stations ((n, kind, ov) :: acc)
-    end
-  in
-  let s = stations [] in
-  let rec chains acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let n = name st "chain" in
-      chains ((n, parse_expr st) :: acc)
-    end
-  in
-  MMpfqn { name = mname; params; routing; stations = s; chains = chains [] }
+  (n, kind, overrides)
 
-(* does an init-probability section follow?  scan forward for a bare [end]
-   before any top-level-looking line, tracking loop/end nesting: a
-   statement keyword ends the scan inside a loop too (a top-level loop
-   after the model is not an init section), a call-looking line only
-   outside one *)
-and init_section_follows st =
-  let saved = st.pos in
-  let rec scan depth =
-    eat_newlines st;
+let fastmttf_line st =
+  let n = parse_tname st in
+  match String.lowercase_ascii (name st "reada/readf") with
+  | "reada" -> (n, `Reada)
+  | "readf" -> (n, `Readf)
+  | _ -> fail st "expected READA or READF"
+
+(* reward and init lines: [tname expr], possibly inside loops *)
+let msets st =
+  section st
+    (looped
+       (fun st ->
+         let n = parse_tname st in
+         MSet (n, parse_expr st))
+       (fun (v, lo, hi, step) body -> MSetLoop (v, lo, hi, step, body)))
+
+(* The body of a markov or semimark chain, which differ only in the edge
+   item and the edge-loop constructor.  The edge section ends either at a
+   bare [end] or directly at the [reward] keyword (one [end] then closes
+   sections 1+2, as in the thesis' Erlang-loss model). *)
+let chain_body st edge edge_loop =
+  let edges = section ~stop:at_reward st (looped edge edge_loop) in
+  eat_newlines st;
+  let rewards =
+    if eat_name st "reward" then begin
+      let default = if eat_name st "default" then Some (parse_expr st) else None in
+      Some (msets st, default)
+    end
+    else None
+  in
+  let init = if init_section_opens st then msets st else [] in
+  eat_newlines st;
+  let fastmttf = if eat_name st "fastmttf" then Some (section st fastmttf_line) else None in
+  (edges, rewards, init, fastmttf)
+
+let transition st =
+  let n = name st "transition" in
+  let rate =
+    match name st "rate kind" with
+    | "ind" -> `Ind (parse_expr st)
+    | "placedep" | "dep" ->
+        let p = name st "place" in
+        `Placedep (p, parse_expr st)
+    | "gendep" -> `Gendep (parse_expr st)
+    | kw -> fail st (Printf.sprintf "unknown rate kind %s" kw)
+  in
+  let clause kw = if eat_name st kw then Some (parse_expr st) else None in
+  let guard = clause "guard" in
+  let priority = clause "priority" in
+  (* guard may also follow priority *)
+  let guard = match guard with None -> clause "guard" | Some _ -> guard in
+  { st_name = n; st_rate = rate; st_guard = guard; st_priority = priority }
+
+let arc st =
+  let a = name st "arc endpoint" in
+  let b = name st "arc endpoint" in
+  (a, b, if at_eol st then Num 1.0 else parse_expr st)
+
+let mrgp_edge st =
+  let a = name st "state" in
+  let kind =
     match peek st with
-    | Lexer.Eof -> false
-    | Lexer.Name "end" -> if depth = 0 then true else (skip_to_eol st; scan (depth - 1))
-    | Lexer.Name "loop" -> skip_to_eol st; scan (depth + 1)
-    | Lexer.Name ("reward" | "fastmttf") -> false
-    | Lexer.Name k when List.mem k top_keywords -> false
-    | Lexer.Name _ when depth = 0 && peek_at st 1 = Lexer.LParen -> false
-    | _ -> skip_to_eol st; scan depth
+    | Lexer.Minus -> advance st; `NonReg
+    | Lexer.At -> advance st; `Reg
+    | _ -> `NonReg
   in
-  let r = scan 0 in
-  st.pos <- saved;
-  r
+  let b = name st "state" in
+  (a, kind, b, parse_dist st)
 
-and parse_msets st =
-  (* reward / init lines: tname expr, possibly inside loops *)
-  let rec go acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else if eat_name st "loop" then begin
-      let v = name st "loop variable" in
-      let _ = eat_comma st in
-      let lo = parse_expr st in
-      expect st Lexer.Comma ", in loop" ;
-      let hi = parse_expr st in
-      let step = if eat_comma st then Some (parse_expr st) else None in
-      let body = go [] in
-      go (MSetLoop (v, lo, hi, step, body) :: acc)
-    end
-    else begin
-      let n = parse_tname st in
-      let e = parse_expr st in
-      go (MSet (n, e) :: acc)
-    end
-  in
-  go []
-
-and parse_reward_section st =
-  if is_name st "reward" then begin
-    advance st;
-    let default = if eat_name st "default" then Some (parse_expr st) else None in
-    let sets = parse_msets st in
-    Some (sets, default)
-  end
-  else None
-
-and parse_fastmttf st =
-  if is_name st "fastmttf" then begin
-    advance st;
-    let rec go acc =
-      eat_newlines st;
-      if eat_name st "end" then List.rev acc
-      else begin
-        let n = parse_tname st in
-        let kw = String.lowercase_ascii (name st "reada/readf") in
-        let k =
-          match kw with
-          | "reada" -> `Reada
-          | "readf" -> `Readf
-          | _ -> fail st "expected READA or READF"
-        in
-        go ((n, k) :: acc)
-      end
-    in
-    Some (go [])
-  end
-  else None
-
-and parse_markov st mname params =
-  let readprobs = eat_name st "readprobs" in
-  (* the edge section ends either at a bare [end] or directly at the
-     [reward] keyword (one [end] then closes sections 1+2, as in the
-     thesis' Erlang-loss model) *)
-  let rec edges ~toplevel acc =
-    eat_newlines st;
-    if toplevel && is_name st "reward" then List.rev acc
-    else if eat_name st "end" then List.rev acc
-    else if eat_name st "loop" then begin
-      let v = name st "loop variable" in
-      let _ = eat_comma st in
-      let lo = parse_expr st in
-      expect st Lexer.Comma ", in loop";
-      let hi = parse_expr st in
-      let step = if eat_comma st then Some (parse_expr st) else None in
-      let body = edges ~toplevel:false [] in
-      edges ~toplevel (MEdgeLoop (v, lo, hi, step, body) :: acc)
-    end
-    else begin
-      let a = parse_tname st in
-      let b = parse_tname st in
-      let e = parse_expr st in
-      edges ~toplevel (MEdge (a, b, e) :: acc)
-    end
-  in
-  let es = edges ~toplevel:true [] in
-  eat_newlines st;
-  let rewards = parse_reward_section st in
-  eat_newlines st;
-  let init = if init_section_follows st then parse_msets st else [] in
-  eat_newlines st;
-  let fast = parse_fastmttf st in
-  MMarkov { name = mname; params; readprobs; edges = es; rewards; init; fastmttf = fast }
-
-and parse_semimark st mname params =
-  (* default: edge distributions race (independent competing timers), which
-     degenerates to the CTMC semantics when all edges are exponential;
-     [uncond] switches to unconditional-kernel semantics *)
-  let mode =
-    if eat_name st "uncond" then `Uncond
-    else begin
-      ignore (eat_name st "cond");
-      `Cond
-    end
-  in
-  let rec edges ~toplevel acc =
-    eat_newlines st;
-    if toplevel && is_name st "reward" then List.rev acc
-    else if eat_name st "end" then List.rev acc
-    else if eat_name st "loop" then begin
-      let v = name st "loop variable" in
-      let _ = eat_comma st in
-      let lo = parse_expr st in
-      expect st Lexer.Comma ", in loop";
-      let hi = parse_expr st in
-      let step = if eat_comma st then Some (parse_expr st) else None in
-      let body = edges ~toplevel:false [] in
-      edges ~toplevel (SmEdgeLoop (v, lo, hi, step, body) :: acc)
-    end
-    else begin
-      let a = parse_tname st in
-      let b = parse_tname st in
-      let e = parse_dist st in
-      edges ~toplevel (SmEdge (a, b, e) :: acc)
-    end
-  in
-  let es = edges ~toplevel:true [] in
-  eat_newlines st;
-  let rewards = parse_reward_section st in
-  eat_newlines st;
-  let init = if init_section_follows st then parse_msets st else [] in
-  eat_newlines st;
-  let fast = parse_fastmttf st in
-  MSemimark
-    { name = mname; params; mode; edges = es; rewards; init; fastmttf = fast }
-
-and parse_mrgp st mname params =
-  let rec edges acc =
-    eat_newlines st;
-    if eat_name st "end" then (List.rev acc, [])
-    else if is_name st "reward" then begin
-      advance st;
-      let rec rws acc2 =
-        eat_newlines st;
-        if eat_name st "end" then List.rev acc2
-        else begin
-          let n = name st "state" in
-          rws ((n, parse_expr st) :: acc2)
-        end
-      in
-      (List.rev acc, rws [])
-    end
-    else begin
-      let a = name st "state" in
-      let kind =
-        match peek st with
-        | Lexer.Minus -> advance st; `NonReg
-        | Lexer.At -> advance st; `Reg
-        | _ -> `NonReg
-      in
-      let b = name st "state" in
-      let e = parse_dist st in
-      edges ((a, kind, b, e) :: acc)
-    end
-  in
-  let es, rws = edges [] in
-  MMrgp { name = mname; params; edges = es; rewards = rws }
-
-and parse_srn st mname params ~gspn =
-  let rec places acc =
-    eat_newlines st;
-    if eat_name st "end" then List.rev acc
-    else begin
-      let n = name st "place" in
-      places ((n, parse_expr st) :: acc)
-    end
-  in
-  let ps = places [] in
-  let parse_trans_section () =
-    let rec go acc =
-      eat_newlines st;
-      if eat_name st "end" then List.rev acc
-      else begin
-        let n = name st "transition" in
-        let kw = name st "rate kind" in
-        let rate =
-          match kw with
-          | "ind" -> `Ind (parse_expr st)
-          | "placedep" | "dep" ->
-              let p = name st "place" in
-              `Placedep (p, parse_expr st)
-          | "gendep" -> `Gendep (parse_expr st)
-          | _ -> fail st (Printf.sprintf "unknown rate kind %s" kw)
-        in
-        let guard = if eat_name st "guard" then Some (parse_expr st) else None in
-        let priority = if eat_name st "priority" then Some (parse_expr st) else None in
-        (* guard may also follow priority *)
-        let guard =
-          match guard with
-          | Some _ -> guard
-          | None -> if eat_name st "guard" then Some (parse_expr st) else None
-        in
-        go ({ st_name = n; st_rate = rate; st_guard = guard; st_priority = priority } :: acc)
-      end
-    in
-    go []
-  in
-  let timed = parse_trans_section () in
-  let immediate = parse_trans_section () in
-  let parse_arcs () =
-    let rec go acc =
-      eat_newlines st;
-      if eat_name st "end" then List.rev acc
-      else begin
-        let a = name st "arc endpoint" in
-        let b = name st "arc endpoint" in
-        let card = if at_eol st then Num 1.0 else parse_expr st in
-        go ((a, b, card) :: acc)
-      end
-    in
-    go []
-  in
-  let inputs = parse_arcs () in
-  let outputs = parse_arcs () in
-  let inhibitors = parse_arcs () in
-  MSrn
-    { name = mname; params; gspn; places = ps; timed; immediate; inputs;
-      outputs; inhibitors }
-
-and parse_pepa st mname params =
+let pepa_body st mname params =
   (* the lexer captured the block body verbatim into a Raw token *)
   eat_newlines st;
   match peek st with
@@ -1079,25 +611,211 @@ and parse_pepa st mname params =
       MPepa { name = mname; params; body; body_line; past }
   | _ -> fail st "expected a pepa block body terminated by end"
 
+let parse_model st kw =
+  advance st;
+  let mname = name st "model name" in
+  let params = parse_params st in
+  match kw with
+  | "block" -> MBlock { name = mname; params; lines = section st block_line }
+  | "ftree" -> MFtree { name = mname; params; lines = section st ftree_line }
+  | "mstree" -> MMstree { name = mname; params; lines = section st mstree_line }
+  | "pms" -> MPms { name = mname; params; phases = section st pms_phase }
+  | "relgraph" -> MRelgraph { name = mname; params; edges = relgraph_edges st }
+  | "graph" ->
+      let edges =
+        section st (fun st ->
+            let u = name st "node" in
+            (u, names_to_eol st))
+      in
+      MGraph { name = mname; params; edges; glines = section st graph_line }
+  | "pfqn" ->
+      let routing = section st route in
+      let stations =
+        section st (fun st ->
+            let n = name st "station" in
+            (n, station_kind st))
+      in
+      let chains = section st (named_expr "chain") in
+      MPfqn { name = mname; params; routing; stations; chains }
+  | "mpfqn" ->
+      let routing = mpfqn_routing st in
+      let stations = section st mpfqn_station in
+      let chains = section st (named_expr "chain") in
+      MMpfqn { name = mname; params; routing; stations; chains }
+  | "markov" ->
+      let readprobs = eat_name st "readprobs" in
+      let edges, rewards, init, fastmttf =
+        chain_body st
+          (fun st ->
+            let a = parse_tname st in
+            let b = parse_tname st in
+            MEdge (a, b, parse_expr st))
+          (fun (v, lo, hi, step) body -> MEdgeLoop (v, lo, hi, step, body))
+      in
+      MMarkov { name = mname; params; readprobs; edges; rewards; init; fastmttf }
+  | "semimark" ->
+      (* default: edge distributions race (independent competing timers),
+         which degenerates to the CTMC semantics when all edges are
+         exponential; [uncond] switches to unconditional-kernel semantics *)
+      let mode =
+        if eat_name st "uncond" then `Uncond else (ignore (eat_name st "cond"); `Cond)
+      in
+      let edges, rewards, init, fastmttf =
+        chain_body st
+          (fun st ->
+            let a = parse_tname st in
+            let b = parse_tname st in
+            SmEdge (a, b, parse_dist st))
+          (fun (v, lo, hi, step) body -> SmEdgeLoop (v, lo, hi, step, body))
+      in
+      MSemimark { name = mname; params; mode; edges; rewards; init; fastmttf }
+  | "mrgp" ->
+      (* a [reward] line closes the edges, and its section's [end] the model *)
+      let edges = section ~stop:at_reward st mrgp_edge in
+      let rewards = if eat_name st "reward" then section st (named_expr "state") else [] in
+      MMrgp { name = mname; params; edges; rewards }
+  | "gspn" | "srn" ->
+      let places = section st (named_expr "place") in
+      let timed = section st transition in
+      let immediate = section st transition in
+      let inputs = section st arc in
+      let outputs = section st arc in
+      let inhibitors = section st arc in
+      MSrn
+        { name = mname; params; gspn = kw = "gspn"; places; timed; immediate; inputs;
+          outputs; inhibitors }
+  | "pepa" -> pepa_body st mname params
+  | _ -> fail st "unknown model keyword"
+
+(* --- statements ----------------------------------------------------- *)
+
+(* an expression with its source text, as [expr] prints it *)
+let text_expr st =
+  let start = st.pos in
+  let e = parse_expr st in
+  (slice st start st.pos, e)
+
+let rec parse_stmt st : stmt =
+  match peek st with
+  | Lexer.Name "format" ->
+      advance st;
+      SFormat (parse_expr st)
+  | Lexer.Name "echo" ->
+      advance st;
+      SEcho (match next st with Lexer.Name s -> s | _ -> "")
+  | Lexer.Name "epsilon" ->
+      advance st;
+      let what = name st "epsilon kind" in
+      SEpsilon (what, parse_expr st)
+  | Lexer.Name ("bdd" | "verbose" | "debug" | "factor" | "multiple") ->
+      let key = name st "switch" in
+      let rest = if at_eol st then "" else name st "switch value" in
+      skip_to_eol st;
+      SSwitch (key, rest)
+  | Lexer.Name ("ltimep" | "rtimep") -> SSwitch (name st "switch", "")
+  | Lexer.Name "bind" ->
+      advance st;
+      if at_eol st then
+        (* block form: name expr lines until end, represented as an
+           always-true conditional *)
+        let bs = section st (named_expr "bound variable") in
+        SIf ([ (Num 1.0, List.map (fun (n, e) -> SBind (n, e, `Block)) bs) ], [])
+      else begin
+        let n = name st "bound variable" in
+        SBind (n, parse_expr st, `Single)
+      end
+  | Lexer.Name "var" ->
+      advance st;
+      let n = name st "variable" in
+      SVar (n, parse_expr st)
+  | Lexer.Name "func" ->
+      advance st;
+      let n = name st "function name" in
+      expect st Lexer.LParen "( after function name";
+      let ps = param_list st in
+      SFunc (n, ps, if at_eol st then FStmts (block st) else FExpr (parse_expr st))
+  | Lexer.Name "if" -> parse_if st
+  | Lexer.Name "while" ->
+      advance st;
+      let cond = parse_expr st in
+      SWhile (cond, block st)
+  | Lexer.Name "loop" ->
+      advance st;
+      let v, lo, hi, step = loop_header st in
+      SLoop (v, lo, hi, step, block st)
+  | Lexer.Name "expr" ->
+      advance st;
+      let rec items () =
+        let item = text_expr st in
+        if eat_comma st then item :: items () else [ item ]
+      in
+      SExpr (items ())
+  | Lexer.Name m when List.mem m model_keywords -> SModel (parse_model st m)
+  | _ ->
+      (* bare expression statement, printed like expr *)
+      let item = text_expr st in
+      if not (at_eol st) then fail st "expected end of line after expression";
+      SExpr [ item ]
+
+(* statements up to a line that starts with one of [stops], left unread,
+   or up to the end of input *)
+and stmts st ~stops =
+  let rec go acc =
+    eat_newlines st;
+    match peek st with
+    | Lexer.Eof -> List.rev acc
+    | Lexer.Name w when List.mem w stops -> List.rev acc
+    | _ -> go (parse_stmt st :: acc)
+  in
+  go []
+
+(* statements through the matching [end] (or the end of input) *)
+and block st =
+  let body = stmts st ~stops:[ "end" ] in
+  ignore (eat_name st "end");
+  body
+
+and parse_if st =
+  advance st;
+  let branch_end = [ "elseif"; "else"; "end" ] in
+  let branch () =
+    let cond = parse_expr st in
+    (cond, stmts st ~stops:branch_end)
+  in
+  let rec clauses acc =
+    if eat_name st "elseif" then clauses (branch () :: acc)
+    else if eat_name st "else" then begin
+      let els = stmts st ~stops:branch_end in
+      expect st (Lexer.Name "end") "end closing if";
+      SIf (List.rev acc, els)
+    end
+    else begin
+      expect st (Lexer.Name "end") "elseif/else/end in if statement";
+      SIf (List.rev acc, [])
+    end
+  in
+  clauses [ branch () ]
+
 (* --- entry points ---------------------------------------------------- *)
 
-let line_starts_of src =
+(* a lexer error is raised as a parse error: one exception for every
+   malformed input *)
+let make_state ~warn src =
+  let toks =
+    try Lexer.tokenize ~warn src with Lexer.Error msg -> raise (Parse_error msg)
+  in
   let starts = ref [ 0 ] in
   String.iteri (fun i c -> if c = '\n' then starts := (i + 1) :: !starts) src;
-  Array.of_list (List.rev !starts)
+  let line_starts = Array.of_list (List.rev !starts) in
+  { toks = Array.of_list toks; src; line_starts; pos = 0 }
 
 let parse_string ?(warn = fun _ -> ()) src =
-  let toks = Array.of_list (Lexer.tokenize ~warn src) in
-  let st = { toks; src; line_starts = line_starts_of src; pos = 0 } in
-  let rec all acc =
-    eat_newlines st;
-    if peek st = Lexer.Eof then List.rev acc
-    else
-      match parse_stmt st with Some s -> all (s :: acc) | None -> all acc
+  let st = make_state ~warn src in
+  (* a stray top-level [end] is skipped: files conventionally finish with one *)
+  let rec program () =
+    let body = block st in
+    if peek st = Lexer.Eof then body else body @ program ()
   in
-  all []
+  program ()
 
-let parse_expression ?(warn = fun _ -> ()) src =
-  let toks = Array.of_list (Lexer.tokenize ~warn src) in
-  let st = { toks; src; line_starts = line_starts_of src; pos = 0 } in
-  parse_expr st
+let parse_expression ?(warn = fun _ -> ()) src = parse_expr (make_state ~warn src)

@@ -5,10 +5,21 @@
     constructs ([if], [while], [loop], block-form [func] and [bind]).
     Markov-chain bodies may contain nested [loop]s with [$(expr)]-templated
     state names.  See LANGUAGE.md for the full grammar as implemented and
-    thesis chapters 2–3 for the original specification. *)
+    thesis chapters 2–3 for the original specification.
+
+    Two decisions are made from one line, never by scanning ahead:
+    - a bare expression statement must fill its line;
+    - after a markov or semimark chain's edges (and reward section), the
+      first line that is not a [loop] header decides whether an
+      initial-probability section follows.  [end] opens an empty one; a
+      statement keyword, [reward], [fastmttf], or one expression filling
+      the line is a statement (so is a line that reads both ways, such as
+      [f (x)]); any other line opens the section. *)
 
 exception Parse_error of string
-(** Carries ["line N: message"]. *)
+(** Carries ["line N, col M: message"]; lexer errors (an illegal
+    character, a lone [!], a [pepa] block with no closing [end]) are
+    raised as [Parse_error] too. *)
 
 val parse_string : ?warn:(string -> unit) -> string -> Ast.stmt list
 (** Parse a complete SHARPE program.  [warn] receives lexer warnings

@@ -313,7 +313,7 @@ let test_restart_recovers_sessions () =
                 ( "src",
                   Json.Str
                     "bind lam 0.001\nmarkov up2\n  2 1 2*lam\n  1 0 lam\n  1 \
-                     2 0.1\nend\n0 1.0\nexpr prob(up2, 0)" ) ]
+                     2 0.1\nend\n0 1.0\nend\nexpr prob(up2, 0)" ) ]
           in
           Alcotest.(check bool) "eval ok" true (is_ok r1);
           let b =

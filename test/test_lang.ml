@@ -327,10 +327,25 @@ let test_instance_cache_invalidation () =
   checkf6 "first" (1.0 /. 3.0) (result_nth out "prob" 0);
   checkf6 "second" 0.5 (result_nth out "prob" 1)
 
+(* every input error is a positioned Parse_error, lexer errors included;
+   a bare expression must fill its line, and a line after a chain that is
+   neither a statement nor [end] opens its init section *)
 let test_parse_errors_reported () =
-  Alcotest.check_raises "bad gate"
-    (Sharpe_lang.Parser.Parse_error "line 2, col 7: unknown ftree line bogus")
-    (fun () -> ignore (run "ftree f\nbogus x y\nend"))
+  List.iter
+    (fun (what, src, msg) ->
+      Alcotest.check_raises what (Sharpe_lang.Parser.Parse_error msg) (fun () ->
+          ignore (run src)))
+    [ ("bad gate", "ftree f\nbogus x y\nend", "line 2, col 7: unknown ftree line bogus");
+      ("illegal character", "expr {2}", "line 1, col 6: illegal character '{'");
+      ("lone !", "1 ! 2", "line 1, col 3: unexpected '!'");
+      ( "unclosed pepa block", "pepa m\nA = (a, 1).A\nA\n",
+        "line 2, col 1: pepa block not terminated by end" );
+      ( "expression short of its line", "expr 1\n1 2\n",
+        "line 2, col 3: expected end of line after expression" );
+      ( "init section without its end",
+        "bind lam 0.001\nmarkov up2\n2 1 2*lam\n1 0 lam\n1 2 0.1\nend\n0 1.0\n\
+         expr prob(up2, 0)",
+        "line 8, col 18: expected a (state) name" ) ]
 
 let test_undefined_name () =
   Alcotest.(check bool) "raises Error" true
@@ -643,23 +658,33 @@ let test_prob_branches () =
        [ chain 1 []; chain 2 []; chain 2 [ (0, 1, 1.0); (1, 0, 1.0) ];
          chain 3 [ (0, 1, 1.0); (1, 0, 1.0); (1, 2, 1.0) ] ])
 
-(* A top-level loop after a markov model's closing [end] is a statement,
-   not the chain's initial-probability section, even though the loop's
-   own [end] and the program's would close one: the statement keyword
-   inside the loop decides. *)
+(* A top-level loop, or any statement, after a markov or semimark chain's
+   closing [end] is a statement, not the chain's initial-probability
+   section, even though the loop's own [end] and the program's would close
+   one: the first line after the loop headers decides. *)
 let test_loop_after_markov () =
-  let buf = Buffer.create 256 in
-  let outcome =
-    Sharpe_lang.Interp.run_program ~print:(Buffer.add_string buf)
-      "bind lam 1\nmarkov m\n0 1 lam\n1 0 2\nend\n\
-       loop i, 1, 6\nexpr prob(m, 0)\nend\nend\nexpr 1+1\n"
-  in
-  Alcotest.(check int) "no failed statements" 0
-    outcome.Sharpe_lang.Interp.failed_statements;
-  Alcotest.(check string) "six loop lines, then 1+1"
-    (String.concat "" (List.init 6 (fun _ -> "prob(m, 0): 6.666667e-001\n"))
-    ^ "1+1: 2.000000\n")
-    (Buffer.contents buf)
+  let chain = "markov m\n0 1 2\n1 0 3\nend\n" in
+  List.iter
+    (fun (src, expected) ->
+      let buf = Buffer.create 256 in
+      let outcome =
+        Sharpe_lang.Interp.run_program ~print:(Buffer.add_string buf) src
+      in
+      Alcotest.(check int) ("no failed statements: " ^ src) 0
+        outcome.Sharpe_lang.Interp.failed_statements;
+      Alcotest.(check string) src expected (Buffer.contents buf))
+    [ ( "bind lam 1\nmarkov m\n0 1 lam\n1 0 2\nend\n\
+         loop i, 1, 6\nexpr prob(m, 0)\nend\nend\nexpr 1+1\n",
+        String.concat "" (List.init 6 (fun _ -> "prob(m, 0): 6.666667e-001\n"))
+        ^ "1+1: 2.000000\n" );
+      ( "func f(y) y+1\n" ^ chain ^ "loop i, 1, 2\nf(i)\nend\nend\n",
+        "f(i): 2.000000\nf(i): 3.000000\n" );
+      ( chain ^ "loop i, 1, 2\nprob(m, 0)\nend\nend\nexpr 1+1\n",
+        "prob(m, 0): 6.000000e-001\nprob(m, 0): 6.000000e-001\n1+1: 2.000000\n" );
+      ("bind x 4\n" ^ chain ^ "x*2\nend\n", "x*2: 8.000000\n");
+      ( "func f(y) y+1\nsemimark m\n0 1 exp(2)\n1 0 exp(3)\nend\n\
+         loop i, 1, 2\nf(i)\nend\nend\n",
+        "f(i): 2.000000\nf(i): 3.000000\n" ) ]
 
 let suite =
   [ ("lexer scientific numbers", `Quick, test_lexer_scientific);

@@ -235,6 +235,33 @@ let test_socket_protocol_errors () =
       Alcotest.(check bool) "daemon alive after garbage" true (is_ok pong);
       Unix.close fd)
 
+(* a program the lexer rejects is an input error like any other parse
+   error: an eval carries a parser diagnostic, a query is an eval_error *)
+let test_lexer_errors_are_parse_errors () =
+  with_server (fun path ->
+      let fd = connect path in
+      let resp =
+        roundtrip fd [ ("op", Json.Str "eval"); ("src", Json.Str "expr {2}") ]
+      in
+      Alcotest.(check bool) "one failed statement" true
+        (Json.member "failed_statements" resp = Some (Json.Num 1.0));
+      let parser_error d =
+        Json.member "solver" d = Some (Json.Str "parser")
+        && Json.member "severity" d = Some (Json.Str "error")
+      in
+      Alcotest.(check bool) "parser error diagnostic" true
+        (match Json.member "diagnostics" resp with
+        | Some (Json.List ds) -> List.exists parser_error ds
+        | _ -> false);
+      let q =
+        roundtrip fd
+          [ ("op", Json.Str "query"); ("session", Json.Str "lx");
+            ("expr", Json.Str "1 ! 2") ]
+      in
+      Alcotest.(check (option string))
+        "query is eval_error" (Some "eval_error") (error_kind q);
+      Unix.close fd)
+
 let test_socket_oversized_payload () =
   let config = { Server.default_config with max_request_bytes = 2048 } in
   with_server ~config (fun path ->
@@ -691,6 +718,8 @@ let suite =
       test_socket_concurrent_session_isolation;
     Alcotest.test_case "protocol errors answered, daemon survives" `Quick
       test_socket_protocol_errors;
+    Alcotest.test_case "lexer errors answered as parse errors" `Quick
+      test_lexer_errors_are_parse_errors;
     Alcotest.test_case "oversized payload rejected" `Quick
       test_socket_oversized_payload;
     Alcotest.test_case "deadline cancels request, daemon continues" `Quick
