@@ -141,6 +141,22 @@ echo "$out" | grep -q '"severity":"error","solver":"parser"' || {
   echo "ci: illegal character did not yield a parser error record" >&2
   exit 1
 }
+# a statement ends its line: `expr 1 2` is a parse error, not two
+# statements
+short="${TMPDIR:-/tmp}/sharpe_ci_short_$$.sharpe"
+printf 'expr 1 2\n' >"$short"
+if out=$(./_build/default/bin/sharpe.exe --diagnostics json "$short" 2>/dev/null); then
+  echo "ci: expected a statement short of its line to fail" >&2
+  exit 1
+else
+  status=$?
+  [ "$status" -eq 1 ] || { echo "ci: statement short of its line: expected exit 1, got $status" >&2; exit 1; }
+fi
+rm -f "$short"
+echo "$out" | grep -q '"severity":"error","solver":"parser"' || {
+  echo "ci: a statement short of its line did not yield a parser error record" >&2
+  exit 1
+}
 
 echo "== differential selfcheck =="
 # fixed-seed sweep: 200 random models per oracle pair, every model
@@ -278,6 +294,20 @@ done
 stats=$(./_build/default/bin/sharpec.exe --socket "$sock" stats)
 echo "$stats" | grep -q '"error_diagnostics":0' || {
   echo "ci: daemon recorded error diagnostics: $stats" >&2
+  exit 1
+}
+# a query is one expression: trailing tokens make it an eval_error, not
+# the value of its first expression
+./_build/default/bin/sharpec.exe --socket "$sock" bind qx x 5 >/dev/null || {
+  echo "ci: bind for the query check failed" >&2
+  exit 1
+}
+if q=$(./_build/default/bin/sharpec.exe --socket "$sock" query qx "x 2" 2>&1); then
+  echo "ci: query 'x 2' was answered: $q" >&2
+  exit 1
+fi
+echo "$q" | grep -q '"kind":"eval_error"' || {
+  echo "ci: query 'x 2' is not an eval_error: $q" >&2
   exit 1
 }
 ./_build/default/bin/sharpec.exe --socket "$sock" shutdown

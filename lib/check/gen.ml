@@ -54,7 +54,7 @@ let _ = E.zero (* silence unused-module warnings when E is only used here *)
 (* --- acyclic CTMC --------------------------------------------------- *)
 
 (* states 0..n-1 in topological order; state n-1 absorbing *)
-let acyclic_ctmc r =
+let acyclic_rates r =
   let n = 3 + R.int r 6 in
   let rates = ref [] in
   for i = 0 to n - 2 do
@@ -73,7 +73,11 @@ let acyclic_ctmc r =
       done
     end
   done;
-  let c = Ctmc.make ~n !rates in
+  (n, !rates)
+
+let acyclic_ctmc r =
+  let n, rates = acyclic_rates r in
+  let c = Ctmc.make ~n rates in
   let init = Array.make n 0.0 in
   if R.float r < 0.3 then begin
     let p = 0.25 +. (0.5 *. R.float r) in
@@ -85,7 +89,7 @@ let acyclic_ctmc r =
 
 (* --- irreducible CTMC ----------------------------------------------- *)
 
-let irreducible_ctmc r =
+let irreducible_rates r =
   let n = 2 + R.int r 19 in
   let rates = ref [] in
   for i = 0 to n - 1 do
@@ -96,7 +100,11 @@ let irreducible_ctmc r =
     let i = R.int r n and j = R.int r n in
     if i <> j then rates := (i, j, R.log_range r 0.01 100.0) :: !rates
   done;
-  Ctmc.make ~n !rates
+  (n, !rates)
+
+let irreducible_ctmc r =
+  let n, rates = irreducible_rates r in
+  Ctmc.make ~n rates
 
 (* --- fault tree ------------------------------------------------------ *)
 
@@ -231,10 +239,11 @@ let srn r =
    identical system and the comparisons are taken on masses and sampled
    components, not on ratios of subnormals. *)
 
-let off_diag_row n i entries =
+let off_diag_row n i emit entries =
   let exit = List.fold_left (fun a (_, v) -> a +. v) 0.0 entries in
   if i >= n then invalid_arg "off_diag_row";
-  (i, -.exit) :: entries
+  emit i (-.exit);
+  List.iter (fun (j, v) -> emit j v) entries
 
 (* Pure birth-death chain, 10^4..10^5 states, nnz ~ 3n, bandwidth 1 (so
    banded GTH is an O(n) oracle).  The down rate at each level is the up
@@ -251,10 +260,10 @@ let birth_death_q r =
   let down =
     Array.map (fun u -> u *. Float.exp (R.range r (-0.02) 0.02)) up
   in
-  Sparse.of_rows ~rows:n ~cols:n (fun i ->
+  Sparse.of_rows ~nnz:(3 * n) ~rows:n ~cols:n (fun i emit ->
       let es = if i < n - 1 then [ (i + 1, up.(i)) ] else [] in
       let es = if i > 0 then (i - 1, down.(i - 1)) :: es else es in
-      off_diag_row n i es)
+      off_diag_row n i emit es)
 
 (* Birth-death plus a restart edge to state 0 from every state: the
    restart rate bounds the mixing time independently of n, so a forced
@@ -265,11 +274,11 @@ let restart_ctmc_q r =
   let up = Array.init (n - 1) (fun _ -> R.range r 0.5 2.0) in
   let down = Array.init (n - 1) (fun _ -> R.range r 0.5 2.0) in
   let restart = R.range r 0.1 0.3 in
-  Sparse.of_rows ~rows:n ~cols:n (fun i ->
+  Sparse.of_rows ~nnz:(4 * n) ~rows:n ~cols:n (fun i emit ->
       let es = if i < n - 1 then [ (i + 1, up.(i)) ] else [] in
       let es = if i > 0 then (i - 1, down.(i - 1)) :: es else es in
       let es = if i > 0 then (0, restart) :: es else es in
-      off_diag_row n i es)
+      off_diag_row n i emit es)
 
 (* 2-D lattice with independent random rates on every directed edge:
    row-major numbering gives bandwidth [side], so banded GTH (forced,
@@ -286,13 +295,13 @@ let mesh_q r =
   and left = Array.init n rate
   and downr = Array.init n rate
   and upr = Array.init n rate in
-  Sparse.of_rows ~rows:n ~cols:n (fun i ->
+  Sparse.of_rows ~nnz:(5 * n) ~rows:n ~cols:n (fun i emit ->
       let x = i mod side and y = i / side in
       let es = if x < side - 1 then [ (i + 1, right.(i)) ] else [] in
       let es = if x > 0 then (i - 1, left.(i)) :: es else es in
       let es = if y < side - 1 then (i + side, downr.(i)) :: es else es in
       let es = if y > 0 then (i - side, upr.(i)) :: es else es in
-      off_diag_row n i es)
+      off_diag_row n i emit es)
 
 (* Token-bounded SRN whose tangible chain has ~10^4..2*10^4 states:
    4 places sharing N tokens (reachability = compositions of N into 4

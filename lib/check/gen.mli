@@ -17,10 +17,18 @@ val acyclic_ctmc : Srng.t -> Sharpe_markov.Ctmc.t * float array
 (** An acyclic CTMC (3–8 states in topological order, some absorbing,
     grid rates) together with its initial probability vector. *)
 
+val acyclic_rates : Srng.t -> int * (int * int * float) list
+(** The state count and {!Sharpe_markov.Ctmc.make} rate list of
+    {!acyclic_ctmc} on the same generator state. *)
+
 val irreducible_ctmc : Srng.t -> Sharpe_markov.Ctmc.t
 (** An irreducible CTMC: a Hamiltonian ring (irreducibility by
     construction) plus random chords, 2–20 states, rates log-uniform
     over [0.01, 100]. *)
+
+val irreducible_rates : Srng.t -> int * (int * int * float) list
+(** The state count and rate list of {!irreducible_ctmc}; chords may
+    repeat an edge. *)
 
 val fault_tree : Srng.t -> Sharpe_ftree.Ftree.t
 (** A fault tree of and/or/2-of-n gates over shared ([repeat]) basic

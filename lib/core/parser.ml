@@ -6,16 +6,15 @@
    sections.  See the thesis ch. 2-3 for the concrete grammar reproduced
    here.
 
-   Two decisions are made from one line, never by scanning ahead for an
-   [end]:
-   - A bare expression statement must fill its line.
-   - After a markov or semimark chain's edges (and reward section), the
-     first line that is not a [loop] header decides whether an
-     initial-probability section follows.  [end] opens an empty one.  A
-     statement keyword, [reward], [fastmttf], or one expression that fills
-     the line is a statement, so no section follows; a line that reads both
-     ways, such as [f (x)], counts as a statement.  Any other line opens
-     the section. *)
+   Every statement, a bare expression or one led by a keyword, must fill
+   its line: one check after each, in [stmts].  One decision is made from
+   one line, never by scanning ahead for an [end]: after a markov or
+   semimark chain's edges (and reward section), the first line that is
+   not a [loop] header decides whether an initial-probability section
+   follows.  [end] opens an empty one.  A statement keyword, [reward],
+   [fastmttf], or one expression that fills the line is a statement, so
+   no section follows; a line that reads both ways, such as [f (x)],
+   counts as a statement.  Any other line opens the section. *)
 
 open Ast
 
@@ -77,6 +76,13 @@ let name st what =
 let is_name st s = peek st = Lexer.Name s
 
 let eat_name st s = if is_name st s then (advance st; true) else false
+
+(* [s] opening the next nonblank line, eaten with the newlines before it;
+   when it does not, nothing is eaten *)
+let eat_line_name st s =
+  let saved = st.pos in
+  eat_newlines st;
+  eat_name st s || (st.pos <- saved; false)
 
 let eat_comma st = if peek st = Lexer.Comma then (advance st; true) else false
 
@@ -548,17 +554,17 @@ let msets st =
    sections 1+2, as in the thesis' Erlang-loss model). *)
 let chain_body st edge edge_loop =
   let edges = section ~stop:at_reward st (looped edge edge_loop) in
-  eat_newlines st;
   let rewards =
-    if eat_name st "reward" then begin
+    if eat_line_name st "reward" then begin
       let default = if eat_name st "default" then Some (parse_expr st) else None in
       Some (msets st, default)
     end
     else None
   in
   let init = if init_section_opens st then msets st else [] in
-  eat_newlines st;
-  let fastmttf = if eat_name st "fastmttf" then Some (section st fastmttf_line) else None in
+  let fastmttf =
+    if eat_line_name st "fastmttf" then Some (section st fastmttf_line) else None
+  in
   (edges, rewards, init, fastmttf)
 
 let transition st =
@@ -753,19 +759,24 @@ let rec parse_stmt st : stmt =
   | Lexer.Name m when List.mem m model_keywords -> SModel (parse_model st m)
   | _ ->
       (* bare expression statement, printed like expr *)
-      let item = text_expr st in
-      if not (at_eol st) then fail st "expected end of line after expression";
-      SExpr [ item ]
+      SExpr [ text_expr st ]
 
 (* statements up to a line that starts with one of [stops], left unread,
-   or up to the end of input *)
+   or up to the end of input; every statement ends its line *)
 and stmts st ~stops =
   let rec go acc =
     eat_newlines st;
     match peek st with
     | Lexer.Eof -> List.rev acc
     | Lexer.Name w when List.mem w stops -> List.rev acc
-    | _ -> go (parse_stmt st :: acc)
+    | _ ->
+        let s = parse_stmt st in
+        if not (at_eol st) then
+          fail st
+            (match s with
+            | SExpr _ -> "expected end of line after expression"
+            | _ -> "expected end of line after statement");
+        go (s :: acc)
   in
   go []
 
@@ -818,4 +829,10 @@ let parse_string ?(warn = fun _ -> ()) src =
   in
   program ()
 
-let parse_expression ?(warn = fun _ -> ()) src = parse_expr (make_state ~warn src)
+(* the expression must fill its input *)
+let parse_expression ?(warn = fun _ -> ()) src =
+  let st = make_state ~warn src in
+  let e = parse_expr st in
+  eat_newlines st;
+  if peek st <> Lexer.Eof then fail st "expected end of input after expression";
+  e

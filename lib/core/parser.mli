@@ -7,14 +7,14 @@
     state names.  See LANGUAGE.md for the full grammar as implemented and
     thesis chapters 2–3 for the original specification.
 
-    Two decisions are made from one line, never by scanning ahead:
-    - a bare expression statement must fill its line;
-    - after a markov or semimark chain's edges (and reward section), the
-      first line that is not a [loop] header decides whether an
-      initial-probability section follows.  [end] opens an empty one; a
-      statement keyword, [reward], [fastmttf], or one expression filling
-      the line is a statement (so is a line that reads both ways, such as
-      [f (x)]); any other line opens the section. *)
+    Every statement, a bare expression or one led by a keyword, must
+    fill its line.  One decision is made from one line, never by
+    scanning ahead: after a markov or semimark chain's edges (and reward
+    section), the first line that is not a [loop] header decides whether
+    an initial-probability section follows.  [end] opens an empty one; a
+    statement keyword, [reward], [fastmttf], or one expression filling
+    the line is a statement (so is a line that reads both ways, such as
+    [f (x)]); any other line opens the section. *)
 
 exception Parse_error of string
 (** Carries ["line N, col M: message"]; lexer errors (an illegal
@@ -26,4 +26,6 @@ val parse_string : ?warn:(string -> unit) -> string -> Ast.stmt list
     (currently: names truncated to SHARPE's 29-character limit). *)
 
 val parse_expression : ?warn:(string -> unit) -> string -> Ast.expr
-(** Parse a single expression (used by tests and tooling). *)
+(** Parse a single expression that fills its input, trailing newlines
+    aside (a daemon [query], tests and tooling); anything after it is a
+    [Parse_error]. *)

@@ -4,10 +4,10 @@ type t = {
   n : int;
   q : Sparse.t; (* full generator, diagonal included *)
   exit : float array; (* exit.(i) = sum of off-diagonal rates out of i *)
-  mutable unif : (float * Sparse.t * Sparse.t) option;
-      (* memoized uniformization (lambda, P, P^T): the generator is
+  mutable unif : (float * Sparse.t) option;
+      (* memoized uniformization (lambda, P^T): the generator is
          immutable, so the factorization never changes for a given chain.
-         The transpose is kept because the transient/cumulative inner
+         Only the transpose is built: the transient/cumulative inner
          loops iterate v <- v P as the bit-identical mat-vec P^T v, whose
          row partition parallelizes (the vec-mat scatter form cannot be
          split without changing the reduction order). *)
@@ -17,32 +17,40 @@ let make_error msg =
   Diag.emit Diag.Error ~solver:"ctmc" msg;
   invalid_arg ("Ctmc.make: " ^ msg)
 
-(* One off-diagonal rate into the builder; [exit.(i)] accumulates in call
-   order, so each constructor's summation order is its input order. *)
-let add_rate b exit i j r =
+(* Checks one off-diagonal rate and tells whether it is an entry: the
+   constructors add [r] and accumulate [exit.(i)] in call order, so each
+   one's summation order is its input order. *)
+let is_rate i j r =
   if i = j then make_error "self loop";
   if not (Float.is_finite r) then make_error "non-finite rate";
   if r < 0.0 then make_error "negative rate";
-  if r > 0.0 then begin
-    Sparse.add b i j r;
-    exit.(i) <- exit.(i) +. r
-  end
+  r > 0.0
 
 let make ~n rates =
   let b = Sparse.builder ~rows:n ~cols:n in
   let exit = Array.make n 0.0 in
-  List.iter (fun (i, j, r) -> add_rate b exit i j r) rates;
+  List.iter
+    (fun (i, j, r) ->
+      if is_rate i j r then begin
+        Sparse.add b i j r;
+        exit.(i) <- exit.(i) +. r
+      end)
+    rates;
   Array.iteri (fun i e -> if e > 0.0 then Sparse.add b i i (-.e)) exit;
   { n; q = Sparse.finalize b; exit; unif = None }
 
-let of_rows ~n row =
-  let b = Sparse.builder ~rows:n ~cols:n in
+let of_rows ?nnz ~n row =
   let exit = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    row i (add_rate b exit i);
-    if exit.(i) > 0.0 then Sparse.add b i i (-.exit.(i))
-  done;
-  { n; q = Sparse.finalize b; exit; unif = None }
+  let q =
+    Sparse.of_rows ?nnz ~rows:n ~cols:n (fun i emit ->
+        row i (fun j r ->
+            if is_rate i j r then begin
+              emit j r;
+              exit.(i) <- exit.(i) +. r
+            end);
+        if exit.(i) > 0.0 then emit i (-.exit.(i)))
+  in
+  { n; q; exit; unif = None }
 
 (* Adopt a CSR generator built elsewhere (e.g. by the PEPA front end's
    compositional derivation): exit rates are recovered from the
@@ -123,25 +131,66 @@ let partly_absorbing c =
 
 let steady_state ?tol c = Linsolve.ctmc_steady_state ?tol c.q
 
-let uniformized_full c =
+(* P^T for P = I + Q/lambda, in one counting transpose of Q's CSR: entry
+   (i, j, q) lands at (j, i) as q/lambda, with 1 added on the diagonal (1
+   alone where Q stores none), and an entry that comes to zero is left
+   out.  Walking Q's rows in order fills each row of P^T in column
+   order, so no sort is needed. *)
+let uniformized c =
   match c.unif with
   | Some u -> u
   | None ->
       let qmax = Array.fold_left Float.max 1e-300 c.exit in
       let lambda = 1.02 *. qmax in
-      let b = Sparse.builder ~rows:c.n ~cols:c.n in
-      Sparse.iter c.q (fun i j v -> Sparse.add b i j (v /. lambda));
-      for i = 0 to c.n - 1 do
-        Sparse.add b i i 1.0
+      let n = c.n and rp, ci, qv = Sparse.raw c.q in
+      (* P_ij for Q's k-th entry, and whether row i stores a diagonal *)
+      let xs = Array.make (Array.length qv) 0.0 and diag = Array.make n false in
+      let row_ptr = Array.make (n + 1) 0 in
+      for i = 0 to n - 1 do
+        for k = rp.(i) to rp.(i + 1) - 1 do
+          let j = ci.(k) in
+          let x =
+            if j = i then begin
+              diag.(i) <- true;
+              (qv.(k) /. lambda) +. 1.0
+            end
+            else qv.(k) /. lambda
+          in
+          xs.(k) <- x;
+          if x <> 0.0 then row_ptr.(j + 1) <- row_ptr.(j + 1) + 1
+        done;
+        if not diag.(i) then row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
       done;
-      let p = Sparse.finalize b in
-      let u = (lambda, p, Sparse.transpose p) in
+      for j = 1 to n do
+        row_ptr.(j) <- row_ptr.(j) + row_ptr.(j - 1)
+      done;
+      let col_idx = Array.make row_ptr.(n) 0 and values = Array.make row_ptr.(n) 0.0 in
+      let next = Array.sub row_ptr 0 n in
+      for i = 0 to n - 1 do
+        for k = rp.(i) to rp.(i + 1) - 1 do
+          let x = xs.(k) in
+          if x <> 0.0 then begin
+            let j = ci.(k) in
+            let p = next.(j) in
+            col_idx.(p) <- i;
+            values.(p) <- x;
+            next.(j) <- p + 1
+          end
+        done;
+        if not diag.(i) then begin
+          let p = next.(i) in
+          col_idx.(p) <- i;
+          values.(p) <- 1.0;
+          next.(i) <- p + 1
+        end
+      done;
+      let u = (lambda, Sparse.of_raw ~rows:n ~cols:n ~row_ptr ~col_idx ~values) in
       c.unif <- Some u;
       u
 
 let uniformized_dtmc c =
-  let lambda, p, _ = uniformized_full c in
-  (lambda, p)
+  let lambda, pt = uniformized c in
+  (lambda, Sparse.transpose pt)
 
 let check_init c init =
   if Array.length init <> c.n then invalid_arg "Ctmc: init length"
@@ -241,7 +290,7 @@ let transient ?(eps = 1e-12) c ~init t =
   check_init c init;
   if t <= 0.0 then Array.copy init
   else begin
-    let lambda, _, pt = uniformized_full c in
+    let lambda, pt = uniformized c in
     (* record the truncated-uniformization provenance once per solve *)
     let w = Poisson.window ~eps (lambda *. t) in
     Diag.emitf Diag.Info ~solver:"ctmc_transient" ~tolerance:eps
@@ -326,7 +375,7 @@ let cumulative ?(eps = 1e-12) c ~init t =
   check_init c init;
   if t <= 0.0 then Array.make c.n 0.0
   else begin
-    let lambda, _, pt = uniformized_full c in
+    let lambda, pt = uniformized c in
     let mean = lambda *. t in
     let acc = Array.make c.n 0.0 in
     (* two iterates swapped after every multiply: a term allocates
@@ -428,10 +477,8 @@ let time_in_transient c ~init =
       let inv = Array.make nt 0 in
       Array.iteri (fun i r -> if r >= 0 then inv.(r) <- i) idx;
       let qtt =
-        Sparse.of_rows ~rows:nt ~cols:nt (fun r ->
-            Sparse.fold_row c.q inv.(r)
-              (fun acc j v -> if idx.(j) >= 0 then (idx.(j), v) :: acc else acc)
-              [])
+        Sparse.of_rows ~nnz:(Sparse.nnz c.q) ~rows:nt ~cols:nt (fun r emit ->
+            Sparse.iter_row c.q inv.(r) (fun j v -> if idx.(j) >= 0 then emit idx.(j) v))
       in
       Linsolve.solve (Sparse.transpose qtt) b
     end

@@ -15,14 +15,14 @@ val make : n:int -> (int * int * float) list -> t
     {!Sharpe_numerics.Diag.Error} diagnostic before raising
     [Invalid_argument]. *)
 
-val of_rows : n:int -> (int -> (int -> float -> unit) -> unit) -> t
+val of_rows : ?nnz:int -> n:int -> (int -> (int -> float -> unit) -> unit) -> t
 (** [of_rows ~n row] builds the chain row by row: [row i emit] calls
     [emit j r] for each rate [r] from [i] to [j], under the same checks
     as {!make}.  Duplicate edges are summed, and [i]'s exit rate
     accumulated, in emission order — so emitting each row's entries in
     the order they appear in [make]'s list gives a bit-identical chain.
     No entry list is built: rates go straight into the generator's CSR
-    assembly. *)
+    ({!Sharpe_numerics.Sparse.of_rows}, which [nnz] sizes). *)
 
 val of_generator : Sharpe_numerics.Sparse.t -> t
 (** Adopt a CSR generator built elsewhere (diagonal included): exit
@@ -106,5 +106,12 @@ val reward_until_absorption :
   t -> init:float array -> reward:(int -> float) -> float
 (** Expected reward accumulated until absorption. *)
 
+val uniformized : t -> float * Sharpe_numerics.Sparse.t
+(** [(q, pt)] with [pt] the transpose of [P = I + Q/q], the uniformized
+    chain, built straight from the generator's CSR and kept with the
+    chain.  [q] is 1.02 times the largest exit rate. *)
+
 val uniformized_dtmc : t -> float * Sharpe_numerics.Sparse.t
-(** [(q, p)] with [p = I + Q/q], the uniformized chain. *)
+(** [(q, p)] with [p = I + Q/q]: the transpose of {!uniformized}'s
+    matrix, computed on each call.  The library itself multiplies by
+    [P^T] only. *)

@@ -318,8 +318,9 @@ let dtmc_power ~max_iter ~tol p =
 (* P - I, the generator-shaped form of a stochastic matrix *)
 let minus_identity p =
   let n = Sparse.rows p in
-  Sparse.of_rows ~rows:n ~cols:n (fun i ->
-      (i, -1.0) :: List.rev (Sparse.fold_row p i (fun acc j v -> (j, v) :: acc) []))
+  Sparse.of_rows ~nnz:(Sparse.nnz p + n) ~rows:n ~cols:n (fun i emit ->
+      emit i (-1.0);
+      Sparse.iter_row p i emit)
 
 (* Q^T pi = 0 with the last equation replaced by sum pi = 1, by dense
    elimination; a DTMC passes P - I. *)

@@ -9,7 +9,6 @@ type builder = {
   mutable bj : int array;
   mutable bv : float array;
   mutable count : int;
-  mutable row_ordered : bool; (* rows were added in nondecreasing order *)
 }
 
 type t = {
@@ -24,41 +23,42 @@ let builder ~rows ~cols =
   if rows < 0 || cols < 0 then invalid_arg "Sparse.builder";
   let cap = 16 in
   { b_rows = rows; b_cols = cols; bi = Array.make cap 0; bj = Array.make cap 0;
-    bv = Array.make cap 0.0; count = 0; row_ordered = true }
+    bv = Array.make cap 0.0; count = 0 }
 
-let grow b =
-  let cap = 2 * Array.length b.bv in
-  let extend a z =
-    let a' = Array.make cap z in
-    Array.blit a 0 a' 0 b.count;
+(* [a] with room for [need] entries, doubling; its first [used] kept *)
+let grown a need used z =
+  if need <= Array.length a then a
+  else begin
+    let a' = Array.make (max need (2 * Array.length a)) z in
+    Array.blit a 0 a' 0 used;
     a'
-  in
-  b.bi <- extend b.bi 0;
-  b.bj <- extend b.bj 0;
-  b.bv <- extend b.bv 0.0
+  end
 
 let add b i j x =
   if i < 0 || i >= b.b_rows || j < 0 || j >= b.b_cols then
     invalid_arg "Sparse.add: index out of range";
   if x <> 0.0 then begin
     let k = b.count in
-    if k = Array.length b.bv then grow b;
-    if k > 0 && i < b.bi.(k - 1) then b.row_ordered <- false;
+    if k = Array.length b.bv then begin
+      b.bi <- grown b.bi (k + 1) k 0;
+      b.bj <- grown b.bj (k + 1) k 0;
+      b.bv <- grown b.bv (k + 1) k 0.0
+    end;
     b.bi.(k) <- i;
     b.bj.(k) <- j;
     b.bv.(k) <- x;
     b.count <- k + 1
   end
 
-(* Stable sort of cj/cv.(lo..hi-1) by column.  Rows are short and usually
+(* Stable sort of cj/cv.(0..n-1) by column.  Rows are short and usually
    nearly sorted, so insertion sort; a long row goes through a stable sort
    of its index permutation instead of risking quadratic time. *)
-let sort_row cj cv lo hi =
-  if hi - lo <= 32 then
-    for k = lo + 1 to hi - 1 do
+let sort_row (cj : int array) (cv : float array) n =
+  if n <= 32 then
+    for k = 1 to n - 1 do
       let j = cj.(k) and v = cv.(k) in
       let p = ref (k - 1) in
-      while !p >= lo && cj.(!p) > j do
+      while !p >= 0 && cj.(!p) > j do
         cj.(!p + 1) <- cj.(!p);
         cv.(!p + 1) <- cv.(!p);
         decr p
@@ -67,86 +67,117 @@ let sort_row cj cv lo hi =
       cv.(!p + 1) <- v
     done
   else begin
-    let perm = Array.init (hi - lo) (fun k -> lo + k) in
+    let perm = Array.init n Fun.id in
     Array.stable_sort (fun a b -> compare cj.(a) cj.(b)) perm;
     let sj = Array.map (Array.get cj) perm and sv = Array.map (Array.get cv) perm in
-    Array.blit sj 0 cj lo (hi - lo);
-    Array.blit sv 0 cv lo (hi - lo)
+    Array.blit sj 0 cj 0 n;
+    Array.blit sv 0 cv 0 n
   end
 
-(* O(nnz) assembly: a counting sort groups entries by row (skipped when
-   rows arrived in order), a stable per-row sort orders the columns, and
-   duplicates are summed left to right — i.e. in insertion order — with
-   zero sums dropped. *)
+(* The one CSR assembler: every matrix built from entries goes through
+   it, a row at a time and rows in order (a transpose or a rescaling
+   keeps its source's order and needs none).  A row's entries are staged
+   in emission order in a scratch buffer, stably sorted by column, and
+   each cell's duplicates summed in emission order; a zero sum is not
+   written.  Zero entries never enter the buffer, which only saves work:
+   a zero adds nothing to a sum.  The CSR arrays grow geometrically from
+   the caller's estimate and are trimmed once at the end. *)
+type assembler = {
+  a_cols : int;
+  mutable sj : int array; (* the open row, in emission order *)
+  mutable sv : float array;
+  mutable sn : int;
+  mutable ci : int array; (* the rows written so far *)
+  mutable vs : float array;
+  mutable w : int;
+}
+
+let emit_into a j x =
+  if j < 0 || j >= a.a_cols then invalid_arg "Sparse.of_rows: column out of range";
+  if x <> 0.0 then begin
+    let k = a.sn in
+    if k = Array.length a.sv then begin
+      a.sj <- grown a.sj (k + 1) k 0;
+      a.sv <- grown a.sv (k + 1) k 0.0
+    end;
+    a.sj.(k) <- j;
+    a.sv.(k) <- x;
+    a.sn <- k + 1
+  end
+
+(* sort, sum and write the open row; returns the row's end in the CSR *)
+let close_row a =
+  let n = a.sn and sj = a.sj and sv = a.sv in
+  sort_row sj sv n;
+  if a.w + n > Array.length a.vs then begin
+    a.ci <- grown a.ci (a.w + n) a.w 0;
+    a.vs <- grown a.vs (a.w + n) a.w 0.0
+  end;
+  let ci = a.ci and vs = a.vs in
+  let w = ref a.w and k = ref 0 in
+  while !k < n do
+    (* the cell's sum accumulates in its output slot, left to right *)
+    let j = sj.(!k) in
+    vs.(!w) <- sv.(!k);
+    incr k;
+    while !k < n && sj.(!k) = j do
+      vs.(!w) <- vs.(!w) +. sv.(!k);
+      incr k
+    done;
+    if vs.(!w) <> 0.0 then begin
+      ci.(!w) <- j;
+      incr w
+    end
+  done;
+  a.w <- !w;
+  a.sn <- 0;
+  !w
+
+let of_rows ?nnz ~rows ~cols f =
+  if rows < 0 || cols < 0 then invalid_arg "Sparse.of_rows";
+  let cap = max 1 (Option.value nnz ~default:rows) in
+  let a =
+    { a_cols = cols; sj = Array.make 16 0; sv = Array.make 16 0.0; sn = 0;
+      ci = Array.make cap 0; vs = Array.make cap 0.0; w = 0 }
+  in
+  let row_ptr = Array.make (rows + 1) 0 in
+  let emit j x = emit_into a j x in
+  for i = 0 to rows - 1 do
+    f i emit;
+    row_ptr.(i + 1) <- close_row a
+  done;
+  let trim x = if Array.length x = a.w then x else Array.sub x 0 a.w in
+  { rows; cols; row_ptr; col_idx = trim a.ci; values = trim a.vs }
+
+(* The triplets grouped by row with a stable counting sort, then each
+   row handed to [of_rows] in insertion order. *)
 let finalize b =
   let n = b.count and rows = b.b_rows in
-  let row_ptr = Array.make (rows + 1) 0 in
+  let start = Array.make (rows + 1) 0 in
   for k = 0 to n - 1 do
     let i = b.bi.(k) in
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
+    start.(i + 1) <- start.(i + 1) + 1
   done;
   for i = 1 to rows do
-    row_ptr.(i) <- row_ptr.(i) + row_ptr.(i - 1)
+    start.(i) <- start.(i) + start.(i - 1)
   done;
-  let cj, cv =
-    if b.row_ordered then (Array.sub b.bj 0 n, Array.sub b.bv 0 n)
-    else begin
-      let cj = Array.make n 0 and cv = Array.make n 0.0 in
-      let next = Array.sub row_ptr 0 rows in
-      for k = 0 to n - 1 do
-        let i = b.bi.(k) in
-        let p = next.(i) in
-        cj.(p) <- b.bj.(k);
-        cv.(p) <- b.bv.(k);
-        next.(i) <- p + 1
-      done;
-      (cj, cv)
-    end
-  in
-  (* sum duplicates and compact in place: the write cursor never passes
-     the read cursor *)
-  let w = ref 0 in
-  let start = ref 0 in
-  for i = 0 to rows - 1 do
-    let hi = row_ptr.(i + 1) in
-    sort_row cj cv !start hi;
-    let k = ref !start in
-    while !k < hi do
-      let j = cj.(!k) in
-      let s = ref cv.(!k) in
-      incr k;
-      while !k < hi && cj.(!k) = j do
-        s := !s +. cv.(!k);
-        incr k
-      done;
-      if !s <> 0.0 then begin
-        cj.(!w) <- j;
-        cv.(!w) <- !s;
-        incr w
-      end
-    done;
-    start := hi;
-    row_ptr.(i + 1) <- !w
+  let cj = Array.make n 0 and cv = Array.make n 0.0 in
+  let next = Array.sub start 0 rows in
+  for k = 0 to n - 1 do
+    let i = b.bi.(k) in
+    let p = next.(i) in
+    cj.(p) <- b.bj.(k);
+    cv.(p) <- b.bv.(k);
+    next.(i) <- p + 1
   done;
-  let nnz = !w in
-  { rows;
-    cols = b.b_cols;
-    row_ptr;
-    col_idx = (if nnz = n then cj else Array.sub cj 0 nnz);
-    values = (if nnz = n then cv else Array.sub cv 0 nnz) }
+  of_rows ~nnz:n ~rows ~cols:b.b_cols (fun i emit ->
+      for k = start.(i) to start.(i + 1) - 1 do
+        emit cj.(k) cv.(k)
+      done)
 
 let of_triplets ~rows ~cols ts =
   let b = builder ~rows ~cols in
   List.iter (fun (i, j, x) -> add b i j x) ts;
-  finalize b
-
-(* Per-row entry lists through the same builder: rows arrive in order, so
-   [finalize] skips its counting sort. *)
-let of_rows ~rows ~cols f =
-  let b = builder ~rows ~cols in
-  for i = 0 to rows - 1 do
-    List.iter (fun (j, v) -> add b i j v) (f i)
-  done;
   finalize b
 
 let of_raw ~rows ~cols ~row_ptr ~col_idx ~values =
@@ -162,13 +193,10 @@ let of_raw ~rows ~cols ~row_ptr ~col_idx ~values =
 let raw t = (t.row_ptr, t.col_idx, t.values)
 
 let of_dense m =
-  let b = builder ~rows:(Matrix.rows m) ~cols:(Matrix.cols m) in
-  for i = 0 to Matrix.rows m - 1 do
-    for j = 0 to Matrix.cols m - 1 do
-      add b i j (Matrix.get m i j)
-    done
-  done;
-  finalize b
+  of_rows ~rows:(Matrix.rows m) ~cols:(Matrix.cols m) (fun i emit ->
+      for j = 0 to Matrix.cols m - 1 do
+        emit j (Matrix.get m i j)
+      done)
 
 let rows t = t.rows
 let cols t = t.cols

@@ -1,35 +1,37 @@
-(** Sparse matrices in triplet-builder / CSR form.
+(** Sparse matrices in CSR form, assembled a row at a time.
 
     CTMC generators coming out of reachability graphs are very sparse; the
     iterative solvers ({!Linsolve.solve}) and the uniformization engine
     work on this representation. *)
 
-type builder
-(** Mutable triplet accumulator over growable unboxed arrays.  Duplicate
-    [(i, j)] entries are summed. *)
-
 type t
 (** Immutable CSR matrix. *)
+
+val of_rows :
+  ?nnz:int -> rows:int -> cols:int -> (int -> (int -> float -> unit) -> unit) -> t
+(** The one assembler; {!finalize}, {!of_triplets} and {!of_dense} go
+    through it too.  [of_rows ~rows ~cols f] calls [f i emit] once per
+    row, in row order; [emit j x] adds [x] at [(i, j)].  Each row's
+    entries are stably sorted by column and each cell's duplicates
+    summed in emission order.  Zero entries are left out, and so are
+    zero sums.  [nnz] (default [rows]) estimates the entry count: the
+    CSR arrays start there, grow geometrically and are trimmed once at
+    the end.  Raises [Invalid_argument] on a column out of range. *)
+
+type builder
+(** Mutable triplet accumulator over growable unboxed arrays. *)
 
 val builder : rows:int -> cols:int -> builder
 val add : builder -> int -> int -> float -> unit
 val finalize : builder -> t
-(** Compresses to CSR in O(nnz) plus per-row sorts: entries are grouped by
-    row (a counting sort, skipped when rows were added in nondecreasing
-    order), stably sorted by column within each row, and each cell's
-    duplicates are summed in insertion order.  Zero inputs and zero sums
-    are dropped.  The builder is left unchanged. *)
+(** Groups the triplets by row with a stable counting sort and hands each
+    row to {!of_rows} in insertion order, so duplicates are summed in
+    insertion order under the same zero rules.  The builder is left
+    unchanged. *)
 
 val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
 val of_dense : Matrix.t -> t
 val to_dense : t -> Matrix.t
-
-val of_rows : rows:int -> cols:int -> (int -> (int * float) list) -> t
-(** [of_rows ~rows ~cols f] builds the matrix whose row [i] holds the
-    [(column, value)] entries of [f i] (any order; duplicates summed in
-    list order, zeros dropped), calling [f] once per row in row order.
-    A wrapper over the builder whose rows arrive in order, so
-    [finalize] skips its counting sort. *)
 
 val of_raw :
   rows:int -> cols:int ->

@@ -338,10 +338,12 @@ let derive ?(max_states = default_max_states) ~resolve (m : model) : t =
      which can leave a positive diagonal); they still count in the
      per-action throughput data below. *)
   let q =
-    Sparse.of_rows ~rows:n ~cols:n (fun i ->
+    let nnz = Array.fold_left (fun acc out -> acc + 1 + List.length out) 0 trans in
+    Sparse.of_rows ~nnz ~rows:n ~cols:n (fun i emit ->
         let out = List.filter (fun (_, j, _) -> j <> i) trans.(i) in
         let total = List.fold_left (fun acc (_, _, r) -> acc +. r) 0.0 out in
-        (i, -.total) :: List.map (fun (_, j, r) -> (j, r)) out)
+        emit i (-.total);
+        List.iter (fun (_, j, r) -> emit j r) out)
   in
   let state_arr = Array.make (max n 1) [||] in
   List.iteri (fun k gs -> state_arr.(n - 1 - k) <- gs) !state_list;

@@ -277,8 +277,11 @@ let build ?max_markings ?skeleton ?weights n =
      lists last entry first: the order that keeps exit rates bit-identical
      to earlier releases, so Krylov iteration counts and residuals on
      large nets do not move. *)
+  let nnz =
+    Array.fold_left (fun acc i -> acc + 1 + Array.length sk.sk_succs.(i)) 0 tangible_of
+  in
   let ctmc =
-    Sharpe_markov.Ctmc.of_rows ~n:!nt (fun src emit ->
+    Sharpe_markov.Ctmc.of_rows ~nnz ~n:!nt (fun src emit ->
         let i = tangible_of.(src) in
         let out = sk.sk_succs.(i) and wi = w.(i) in
         for k = Array.length out - 1 downto 0 do

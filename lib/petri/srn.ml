@@ -97,7 +97,7 @@ let transient_at s t =
   | None ->
       let c = Reach.ctmc s.g in
       let init0 = Reach.initial_distribution s.g in
-      let lambda, _ = Ctmc.uniformized_dtmc c in
+      let lambda, _ = Ctmc.uniformized c in
       let delta = ladder_chunk /. lambda in
       let pi =
         if (not (Float.is_finite delta)) || delta <= 0.0 || t <= delta then

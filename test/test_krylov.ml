@@ -115,8 +115,8 @@ let prop_of_rows =
     (fun m ->
       let a = Sparse.of_dense m in
       let b =
-        Sparse.of_rows ~rows:(Matrix.rows m) ~cols:(Matrix.cols m) (fun i ->
-            List.rev (Sparse.fold_row a i (fun acc j v -> (j, v) :: acc) []))
+        Sparse.of_rows ~rows:(Matrix.rows m) ~cols:(Matrix.cols m) (fun i emit ->
+            Sparse.iter_row a i emit)
       in
       let rp, ci, v = Sparse.raw a and rp', ci', v' = Sparse.raw b in
       rp = rp' && ci = ci' && v = v')
@@ -266,11 +266,12 @@ let test_large_birth_death () =
       up
   in
   let q =
-    Sparse.of_rows ~rows:n ~cols:n (fun i ->
+    Sparse.of_rows ~rows:n ~cols:n (fun i emit ->
         let es = if i < n - 1 then [ (i + 1, up.(i)) ] else [] in
         let es = if i > 0 then (i - 1, down.(i - 1)) :: es else es in
         let exit = List.fold_left (fun a (_, v) -> a +. v) 0.0 es in
-        (i, -.exit) :: es)
+        emit i (-.exit);
+        List.iter (fun (j, v) -> emit j v) es)
   in
   let dense0 = Linsolve.dense_count () in
   let solve m = Linsolve.with_method m (fun () -> Linsolve.ctmc_steady_state q) in

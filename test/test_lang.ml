@@ -328,8 +328,9 @@ let test_instance_cache_invalidation () =
   checkf6 "second" 0.5 (result_nth out "prob" 1)
 
 (* every input error is a positioned Parse_error, lexer errors included;
-   a bare expression must fill its line, and a line after a chain that is
-   neither a statement nor [end] opens its init section *)
+   every statement, a bare expression or one led by a keyword, must fill
+   its line, and a line after a chain that is neither a statement nor
+   [end] opens its init section *)
 let test_parse_errors_reported () =
   List.iter
     (fun (what, src, msg) ->
@@ -342,6 +343,14 @@ let test_parse_errors_reported () =
         "line 2, col 1: pepa block not terminated by end" );
       ( "expression short of its line", "expr 1\n1 2\n",
         "line 2, col 3: expected end of line after expression" );
+      ("expr short of its line", "expr 1 2", "line 1, col 8: expected end of line after expression");
+      ("bind short of its line", "bind y 3 4", "line 1, col 10: expected end of line after statement");
+      ("var short of its line", "var v 1 )", "line 1, col 9: expected end of line after statement");
+      ("format short of its line", "format 8 expr 1", "line 1, col 10: expected end of line after statement");
+      ( "loop end short of its line", "loop i, 1, 2\nexpr i\nend expr 3",
+        "line 3, col 5: expected end of line after statement" );
+      ( "markov end short of its line", "markov m\n0 1 1\n1 0 2\nend 4\nexpr 1",
+        "line 4, col 5: expected end of line after statement" );
       ( "init section without its end",
         "bind lam 0.001\nmarkov up2\n2 1 2*lam\n1 0 lam\n1 2 0.1\nend\n0 1.0\n\
          expr prob(up2, 0)",

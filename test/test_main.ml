@@ -1,6 +1,7 @@
 let () =
   Alcotest.run "osharpe"
     [ ("numerics", Test_numerics.suite);
+      ("assembly", Test_assembly.suite);
       ("diagnostics", Test_diag.suite);
       ("expo", Test_expo.suite);
       ("bdd", Test_bdd.suite);

@@ -310,8 +310,8 @@ let prop_of_rows_reference =
   QCheck.Test.make ~name:"of_rows equals sort-and-merge reference" ~count:300
     triplets_arb (fun (rows, cols, ts) ->
       let m =
-        Sparse.of_rows ~rows ~cols (fun i ->
-            List.filter_map (fun (i', j, v) -> if i' = i then Some (j, v) else None) ts)
+        Sparse.of_rows ~rows ~cols (fun i emit ->
+            List.iter (fun (i', j, v) -> if i' = i then emit j v) ts)
       in
       matches_reference ~rows ts m)
 

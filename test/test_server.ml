@@ -262,6 +262,37 @@ let test_lexer_errors_are_parse_errors () =
         "query is eval_error" (Some "eval_error") (error_kind q);
       Unix.close fd)
 
+(* a query is one expression filling its input: trailing tokens are a
+   positioned parse error, answered as an eval_error *)
+let test_query_fills_its_input () =
+  let s = Interp.Session.create () in
+  let _ = Interp.Session.eval s "bind x 5" in
+  List.iter
+    (fun (src, want) ->
+      Alcotest.(check (result (float 0.0) string)) src want (Interp.Session.query s src))
+    [ ("x", Ok 5.0);
+      ("x\n", Ok 5.0);
+      ("x 2", Error "line 1, col 3: expected end of input after expression");
+      ("x )", Error "line 1, col 3: expected end of input after expression") ];
+  with_server (fun path ->
+      let fd = connect path in
+      let bound =
+        roundtrip fd
+          [ ("op", Json.Str "bind"); ("session", Json.Str "q1");
+            ("name", Json.Str "x"); ("value", Json.Num 5.0) ]
+      in
+      Alcotest.(check bool) "bind ok" true (is_ok bound);
+      List.iter
+        (fun src ->
+          let q =
+            roundtrip fd
+              [ ("op", Json.Str "query"); ("session", Json.Str "q1");
+                ("expr", Json.Str src) ]
+          in
+          Alcotest.(check (option string)) src (Some "eval_error") (error_kind q))
+        [ "x 2"; "x )" ];
+      Unix.close fd)
+
 let test_socket_oversized_payload () =
   let config = { Server.default_config with max_request_bytes = 2048 } in
   with_server ~config (fun path ->
@@ -720,6 +751,8 @@ let suite =
       test_socket_protocol_errors;
     Alcotest.test_case "lexer errors answered as parse errors" `Quick
       test_lexer_errors_are_parse_errors;
+    Alcotest.test_case "a query is one expression" `Quick
+      test_query_fills_its_input;
     Alcotest.test_case "oversized payload rejected" `Quick
       test_socket_oversized_payload;
     Alcotest.test_case "deadline cancels request, daemon continues" `Quick

@@ -901,11 +901,10 @@ let make_rand seed =
     float_of_int !state /. float_of_int 0x3FFFFFFF
 
 let random_csr rand n =
-  Sparse.of_rows ~rows:n ~cols:n (fun _ ->
-      List.filter_map
-        (fun j ->
-          if rand () < 0.2 then Some (j, (rand () -. 0.5) *. 4.0) else None)
-        (List.init n Fun.id))
+  Sparse.of_rows ~rows:n ~cols:n (fun _ emit ->
+      for j = 0 to n - 1 do
+        if rand () < 0.2 then emit j ((rand () -. 0.5) *. 4.0)
+      done)
 
 let test_par_spmv_bit_identical () =
   let rand = make_rand 123456789 in
@@ -925,10 +924,10 @@ let test_vec_mat_as_transposed_mat_vec () =
   let rand = make_rand 987654321 in
   let n = 83 in
   let p =
-    Sparse.of_rows ~rows:n ~cols:n (fun _ ->
-        List.filter_map
-          (fun j -> if rand () < 0.15 then Some (j, rand ()) else None)
-          (List.init n Fun.id))
+    Sparse.of_rows ~rows:n ~cols:n (fun _ emit ->
+        for j = 0 to n - 1 do
+          if rand () < 0.15 then emit j (rand ())
+        done)
   in
   let x = Array.init n (fun _ -> rand ()) in
   let via_vec_mat = Sparse.vec_mat x p in
