@@ -4,13 +4,21 @@ type t = {
   n : int;
   q : Sparse.t; (* full generator, diagonal included *)
   exit : float array; (* exit.(i) = sum of off-diagonal rates out of i *)
-  mutable unif : (float * Sparse.t) option;
-      (* memoized uniformization (lambda, P^T): the generator is
-         immutable, so the factorization never changes for a given chain.
-         Only the transpose is built: the transient/cumulative inner
-         loops iterate v <- v P as the bit-identical mat-vec P^T v, whose
-         row partition parallelizes (the vec-mat scatter form cannot be
-         split without changing the reduction order). *)
+  mutable unif : unif option;
+      (* memoized uniformization: the generator is immutable, so the
+         factorization never changes for a given chain *)
+}
+
+(* Only the transpose of P is built: the transient/cumulative inner
+   loops iterate v <- v P as the bit-identical mat-vec P^T v, whose row
+   partition parallelizes (the vec-mat scatter form cannot be split
+   without changing the reduction order). *)
+and unif = {
+  lambda : float;
+  pt : Sparse.t; (* P^T for P = I + Q/lambda *)
+  reach : int array;
+      (* [Sparse.prefix_reach pt]: P^T v is zero from row reach.(h) on
+         when v is zero from row h on *)
 }
 
 let make_error msg =
@@ -136,7 +144,7 @@ let steady_state ?tol c = Linsolve.ctmc_steady_state ?tol c.q
    alone where Q stores none), and an entry that comes to zero is left
    out.  Walking Q's rows in order fills each row of P^T in column
    order, so no sort is needed. *)
-let uniformized c =
+let uniform c =
   match c.unif with
   | Some u -> u
   | None ->
@@ -184,9 +192,14 @@ let uniformized c =
           next.(i) <- p + 1
         end
       done;
-      let u = (lambda, Sparse.of_raw ~rows:n ~cols:n ~row_ptr ~col_idx ~values) in
+      let pt = Sparse.of_raw ~rows:n ~cols:n ~row_ptr ~col_idx ~values in
+      let u = { lambda; pt; reach = Sparse.prefix_reach pt } in
       c.unif <- Some u;
       u
+
+let uniformized c =
+  let u = uniform c in
+  (u.lambda, u.pt)
 
 let uniformized_dtmc c =
   let lambda, pt = uniformized c in
@@ -207,11 +220,22 @@ let check_init c init =
    series once instead of every series in full.
 
    Answers do not depend on what is resident: every v_(k+1) is the same
-   [par_mat_vec_into] product of v_k whichever domain or query computed
-   it (the row-parallel split is bit-identical to serial), and each
-   point still adds w_k v_k in k order and collapses the tail at the
-   same k.  So the order of queries and the number of domains change
-   only the number of multiplies, never an output bit or a Diag record.
+   [advance] product of v_k whichever domain or query computed it (the
+   row-parallel split is bit-identical to serial), and each point still
+   adds w_k v_k in k order and collapses the tail at the same k.  So the
+   order of queries and the number of domains change only the number of
+   multiplies, never an output bit or a Diag record.
+
+   Every iterate carries a support bound h_k: v_k is zero from row h_k
+   on.  h_0 is one past the start vector's last nonzero and h_(k+1) =
+   [bound] reach h_k, so a series multiplies, accumulates and measures its
+   steps over the rows it can have reached, not over all n (reachability
+   numbers markings breadth-first, so a series from the initial marking
+   spreads over a prefix of the states).  No bit moves.  A row past the
+   bound is a sum of products with zeros, which is +0.0, as the full
+   product computes it.  Adding w_k * 0 to an accumulator leaves it as
+   it was, since an accumulator that starts at +0.0 never holds -0.0.
+   Rows below the bound are summed as before.
 
    At most [iterate_budget] bytes of iterates are held per domain; a
    series that runs past them streams the rest from the last stored
@@ -222,6 +246,9 @@ type workspace = {
   mutable pt : Sparse.t option; (* key: the uniformized P^T *)
   mutable dim : int; (* length of every allocated slot *)
   mutable vs : float array array; (* vs.(k) = v_k for k < count *)
+  mutable bounds : int array;
+      (* every allocated slot vs.(k) is zero from row bounds.(k) on,
+         whichever series wrote it *)
   mutable steps : float array; (* steps.(k) = sup |v_(k+1) - v_k| *)
   mutable count : int;
       (* advanced only once an iterate and its step are both written, so
@@ -230,7 +257,7 @@ type workspace = {
 
 let workspace_key : workspace Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { pt = None; dim = 0; vs = [||]; steps = [||]; count = 0 })
+      { pt = None; dim = 0; vs = [||]; bounds = [||]; steps = [||]; count = 0 })
 
 let workspace_bytes () =
   let ws = Domain.DLS.get workspace_key in
@@ -242,13 +269,19 @@ let slots n = iterate_budget / (8 * max 1 n)
 let slot ws k =
   if k >= Array.length ws.vs then begin
     let len = min (slots ws.dim) (max 8 (2 * Array.length ws.vs)) in
-    let vs = Array.make len [||] and steps = Array.make len 0.0 in
-    Array.blit ws.vs 0 vs 0 (Array.length ws.vs);
-    Array.blit ws.steps 0 steps 0 (Array.length ws.steps);
-    ws.vs <- vs;
-    ws.steps <- steps
+    let grow a z =
+      let a' = Array.make len z in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    ws.vs <- grow ws.vs [||];
+    ws.bounds <- grow ws.bounds 0;
+    ws.steps <- grow ws.steps 0.0
   end;
-  if Array.length ws.vs.(k) <> ws.dim then ws.vs.(k) <- Array.make ws.dim 0.0;
+  if Array.length ws.vs.(k) <> ws.dim then begin
+    ws.vs.(k) <- Array.make ws.dim 0.0;
+    ws.bounds.(k) <- 0
+  end;
   ws.vs.(k)
 
 let same_bits a b =
@@ -260,9 +293,17 @@ let same_bits a b =
   in
   Array.length b = n && go 0
 
+(* one past the last nonzero of [v]: [v] is zero from there on *)
+let support v =
+  let h = ref (Array.length v) in
+  while !h > 0 && v.(!h - 1) = 0.0 do
+    decr h
+  done;
+  !h
+
 (* The calling domain's workspace, re-keyed to ([pt], [init]) unless it
-   already holds that series. *)
-let workspace pt init =
+   already holds that series; [h0] is [support init]. *)
+let workspace pt init h0 =
   let ws = Domain.DLS.get workspace_key in
   let held =
     ws.count > 0
@@ -275,22 +316,38 @@ let workspace pt init =
     if n <> ws.dim then begin
       ws.dim <- n;
       ws.vs <- [||];
+      ws.bounds <- [||];
       ws.steps <- [||]
     end;
     if slots n > 0 then begin
       ws.pt <- Some pt;
       Array.blit init 0 (slot ws 0) 0 n;
+      ws.bounds.(0) <- h0;
       ws.count <- 1
     end
     else ws.pt <- None
   end;
   ws
 
+(* the bound of v_(k+1) from that of v_k: never below it, so rows past it
+   are zero in both iterates (P^T stores its positive diagonal, so this
+   max only guards a generator adopted with a diagonal of -lambda) *)
+let bound reach h = max h reach.(h)
+
+(* [next] <- P^T [cur], with [h] the bound of the product and [next]
+   zero from row [was] on: rows [0, h) by the prefix product, rows
+   [h, was) cleared first.  [next] is then zero from [h] on, also when a
+   deadline cuts the product short, since no row from [h] on is
+   written. *)
+let advance pt cur next ~was ~h =
+  if was > h then Array.fill next h (was - h) 0.0;
+  Sparse.par_mat_vec_prefix_into pt h cur next
+
 let transient ?(eps = 1e-12) c ~init t =
   check_init c init;
   if t <= 0.0 then Array.copy init
   else begin
-    let lambda, pt = uniformized c in
+    let { lambda; pt; reach } = uniform c in
     (* record the truncated-uniformization provenance once per solve *)
     let w = Poisson.window ~eps (lambda *. t) in
     Diag.emitf Diag.Info ~solver:"ctmc_transient" ~tolerance:eps
@@ -298,50 +355,58 @@ let transient ?(eps = 1e-12) c ~init t =
       lambda w.Poisson.left w.Poisson.right (lambda *. t);
     let n = c.n in
     let acc = Array.make n 0.0 in
-    let ws = workspace pt init in
+    let h0 = support init in
+    let ws = workspace pt init h0 in
     let cap = slots n in
-    (* past the budget: two scratch vectors swapped after every multiply,
-       so a long series puts no vectors on the major heap *)
-    let scratch = lazy (Array.make n 0.0, Array.make n 0.0) in
+    (* past the budget: two scratch vectors and their bounds, swapped
+       after every multiply, so a long series puts no vectors on the
+       major heap *)
+    let scratch = lazy (Array.make n 0.0, Array.make n 0.0, [| 0; 0 |]) in
     (* steady-state detection: once the DTMC iterate stops moving
        (sup-norm step below delta), every remaining term contributes the
        same vector, so the Poisson tail collapses to one update.  The
        committed error is at most the tail mass times delta. *)
     let delta = eps /. 8.0 in
-    let v = ref init in
+    let v = ref init and h = ref h0 in
     let k = ref 0 in
     let finished = ref false in
     while not !finished do
       Deadline.check ();
-      let kk = !k and cur = !v in
+      let kk = !k and cur = !v and hc = !h in
       if kk >= w.Poisson.left then begin
         let wk = w.Poisson.weights.(kk - w.Poisson.left) in
-        for i = 0 to n - 1 do
+        for i = 0 to hc - 1 do
           acc.(i) <- acc.(i) +. (wk *. cur.(i))
         done
       end;
       if kk >= w.Poisson.right then finished := true
       else begin
         let step = ref 0.0 in
-        let next =
+        let next, hn =
           if kk + 1 < ws.count then begin
             step := ws.steps.(kk);
-            ws.vs.(kk + 1)
+            (ws.vs.(kk + 1), ws.bounds.(kk + 1))
           end
           else begin
             let keep = kk + 1 = ws.count && ws.count < cap in
-            let next =
-              if keep then slot ws (kk + 1)
+            let next, bounds, j =
+              if keep then
+                (* [slot] may grow [ws.bounds]: read it after *)
+                let next = slot ws (kk + 1) in
+                (next, ws.bounds, kk + 1)
               else
-                let a, b = Lazy.force scratch in
-                if cur == a then b else a
+                let a, b, sb = Lazy.force scratch in
+                if cur == a then (b, sb, 1) else (a, sb, 0)
             in
+            let hn = bound reach hc and was = bounds.(j) in
+            bounds.(j) <- hn;
             (* v P as P^T v: identical accumulation order per output
                entry for this nonnegative system, hence bit-identical —
-               and row-parallel when the chain is large and this call is
-               not already inside a pool task *)
-            Sparse.par_mat_vec_into pt cur next;
-            for i = 0 to n - 1 do
+               and row-parallel when the reached rows are many and this
+               call is not already inside a pool task *)
+            advance pt cur next ~was ~h:hn;
+            (* both iterates are zero from row hn on *)
+            for i = 0 to hn - 1 do
               let d = Float.abs (next.(i) -. cur.(i)) in
               if d > !step then step := d
             done;
@@ -349,10 +414,11 @@ let transient ?(eps = 1e-12) c ~init t =
               ws.steps.(kk) <- !step;
               ws.count <- kk + 2
             end;
-            next
+            (next, hn)
           end
         in
         v := next;
+        h := hn;
         if !step <= delta then begin
           (* remaining Poisson mass, all weighting the settled vector *)
           let tail = ref 0.0 in
@@ -360,7 +426,7 @@ let transient ?(eps = 1e-12) c ~init t =
             tail := !tail +. w.Poisson.weights.(j - w.Poisson.left)
           done;
           let tail = !tail in
-          for i = 0 to n - 1 do
+          for i = 0 to hn - 1 do
             acc.(i) <- acc.(i) +. (tail *. next.(i))
           done;
           finished := true
@@ -375,12 +441,13 @@ let cumulative ?(eps = 1e-12) c ~init t =
   check_init c init;
   if t <= 0.0 then Array.make c.n 0.0
   else begin
-    let lambda, pt = uniformized c in
+    let { lambda; pt; reach } = uniform c in
     let mean = lambda *. t in
     let acc = Array.make c.n 0.0 in
-    (* two iterates swapped after every multiply: a term allocates
-       nothing *)
+    (* two iterates swapped after every multiply, each with the row it is
+       zero from: a term allocates nothing *)
     let v = ref (Array.copy init) and spare = ref (Array.make c.n 0.0) in
+    let h = ref (support init) and hspare = ref 0 in
     (* weight for power k is (1 - sum_(j<=k) poisson_j(mean)) / lambda; track
        the survivor function directly (seeded with expm1) so the first
        weights stay accurate even for nearly-absorbing chains whose
@@ -395,7 +462,10 @@ let cumulative ?(eps = 1e-12) c ~init t =
       let wk = Float.max 0.0 (!survivor /. lambda) in
       if wk > 0.0 then begin
         wsum := !wsum +. wk;
-        Array.iteri (fun i vi -> acc.(i) <- acc.(i) +. (wk *. vi)) !v
+        let cur = !v in
+        for i = 0 to !h - 1 do
+          acc.(i) <- acc.(i) +. (wk *. cur.(i))
+        done
       end;
       if float_of_int !k > mean && !survivor < eps then continue_ := false
       else if !k > 5_000_000 then begin
@@ -403,10 +473,12 @@ let cumulative ?(eps = 1e-12) c ~init t =
         continue_ := false
       end
       else begin
-        let cur = !v and next = !spare in
-        Sparse.par_mat_vec_into pt cur next;
+        let cur = !v and next = !spare and hn = bound reach !h in
+        advance pt cur next ~was:!hspare ~h:hn;
         v := next;
         spare := cur;
+        hspare := !h;
+        h := hn;
         incr k;
         survivor := Float.max 0.0 (!survivor -. Poisson.pmf mean !k)
       end

@@ -62,7 +62,11 @@ val transient : ?eps:float -> t -> init:float array -> float -> float array
     bits of [init], so consecutive queries on one chain and start vector
     (mapping [transient] over a list of points, say) pay the longest
     series once; the result is bit-identical whatever the workspace
-    holds. *)
+    holds.  Each iterate carries a bound past which it is zero (from the
+    last nonzero of [init] and {!Sharpe_numerics.Sparse.prefix_reach}),
+    and every multiply and accumulation stops there: a term costs the
+    rows the series can have reached, not [n] — a few percent of the
+    states for a short horizon from one marking. *)
 
 val iterate_budget : int
 (** Bytes of iterates the transient workspace holds per domain (32 MiB);
@@ -77,7 +81,8 @@ val cumulative : ?eps:float -> t -> init:float array -> float -> float array
     probability vector — expected total time spent in each state by [t].
     It streams the iterates [init P^k] through two buffers: it neither
     reads nor re-keys the transient workspace, so a long series holds
-    two vectors, not the budget. *)
+    two vectors, not the budget.  Like {!transient}, each term multiplies
+    and accumulates only the rows the series can have reached. *)
 
 val expected_reward_ss : t -> reward:(int -> float) -> float
 (** Steady-state expected reward rate (irreducible chains). *)

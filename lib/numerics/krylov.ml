@@ -145,6 +145,9 @@ let ilu0 a =
 
 (* --- BiCGStab --------------------------------------------------------- *)
 
+(* pseudo-random shadow residuals tried after restarts without progress *)
+let shadow_draws = 3
+
 let bicgstab ?(max_iter = 2000) ?(tol = 1e-12) ?(precond = identity) a b =
   let n = Array.length b in
   if Sparse.rows a <> n || Sparse.cols a <> n then
@@ -162,14 +165,33 @@ let bicgstab ?(max_iter = 2000) ?(tol = 1e-12) ?(precond = identity) a b =
   let broke = ref false in
   (* Breakdown of the recursion (rho or t·t collapsing — routine once the
      shadow residual decorrelates) does not mean failure: restart the
-     recursion with a fresh shadow rhat = r and keep iterating, giving up
-     only when a restart brings no progress over the previous one. *)
-  let last_break = ref infinity in
-  let breakdown () =
-    if !rnorm >= 0.99 *. !last_break then broke := true
+     recursion and keep iterating.  A restart that follows progress takes
+     the residual as its shadow, rhat = r.  One that brings no progress
+     over the previous restart would replay it: from the same best
+     iterate, rhat = r is the same vector, and on a strongly non-normal
+     preconditioned operator (rows scaled across twelve orders, where
+     r . A M^-1 r can vanish) its first step fails the same way.  It draws
+     a pseudo-random shadow instead, a fixed sequence, and the solver
+     gives up only once [shadow_draws] of them brought no progress
+     either -- or at once when the operator mapped the search direction
+     to zero (A M^-1 p = 0 or A M^-1 s = 0, as on a singular system),
+     which no shadow changes. *)
+  let last_break = ref infinity and draws = ref 0 in
+  let breakdown ?(annihilated = false) () =
+    let stuck = !rnorm >= 0.99 *. !last_break in
+    if stuck && (annihilated || !draws >= shadow_draws) then broke := true
     else begin
-      last_break := !rnorm;
-      Array.blit r 0 rhat 0 n;
+      if stuck then begin
+        incr draws;
+        let st = Random.State.make [| !draws |] in
+        for i = 0 to n - 1 do
+          rhat.(i) <- Random.State.float st 2.0 -. 1.0
+        done
+      end
+      else begin
+        last_break := !rnorm;
+        Array.blit r 0 rhat 0 n
+      end;
       Array.fill p 0 n 0.0;
       Array.fill v 0 n 0.0;
       rho := 1.0;
@@ -180,16 +202,24 @@ let bicgstab ?(max_iter = 2000) ?(tol = 1e-12) ?(precond = identity) a b =
   (* best-iterate safeguard: BiCGStab residuals are erratic and can blow
      up outright; remember the best iterate, and on divergence rewind to
      it and restart the recursion (the stagnation guard in [breakdown]
-     bounds how often) *)
+     bounds how often).  A recursion whose best residual has not improved
+     in n iterations is rewound too: in exact arithmetic BiCG ends within
+     n steps, so by then rounding has spent its biorthogonality (omega
+     and alpha shrink together and the residual creeps), and without the
+     rewind it would creep to [max_iter]. *)
   let xbest = Array.copy x in
-  let best = ref !rnorm in
+  let best = ref !rnorm and best_iter = ref 0 in
   while (not !broke) && !rnorm /. bnorm > tol && !iter < max_iter do
     Deadline.check ();
     if !rnorm < !best then begin
       best := !rnorm;
+      best_iter := !iter;
       Array.blit x 0 xbest 0 n
     end
-    else if Float.is_nan !rnorm || !rnorm > 100.0 *. !best then begin
+    else if
+      Float.is_nan !rnorm || !rnorm > 100.0 *. !best || !iter - !best_iter >= n
+    then begin
+      best_iter := !iter;
       Array.blit xbest 0 x 0 n;
       Sparse.par_mat_vec_into a x t;
       for i = 0 to n - 1 do
@@ -209,7 +239,7 @@ let bicgstab ?(max_iter = 2000) ?(tol = 1e-12) ?(precond = identity) a b =
       precond.p_apply p phat;
       Sparse.par_mat_vec_into a phat v;
       let denom = dot rhat v in
-      if Float.abs denom < 1e-300 then breakdown ()
+      if Float.abs denom < 1e-300 then breakdown ~annihilated:(norm2 v = 0.0) ()
       else begin
         alpha := rho1 /. denom;
         for i = 0 to n - 1 do
@@ -226,7 +256,7 @@ let bicgstab ?(max_iter = 2000) ?(tol = 1e-12) ?(precond = identity) a b =
           precond.p_apply s shat;
           Sparse.par_mat_vec_into a shat t;
           let tt = dot t t in
-          if tt = 0.0 then breakdown ()
+          if tt = 0.0 then breakdown ~annihilated:true ()
           else begin
             omega := dot t s /. tt;
             for i = 0 to n - 1 do

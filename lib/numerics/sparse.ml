@@ -257,24 +257,42 @@ let mat_vec_into t v out =
     invalid_arg "Sparse.mat_vec_into: shape";
   mat_vec_range t v out 0 t.rows
 
-(* Row-parallel mat-vec: rows are partitioned into disjoint ranges, each
-   computed by exactly one domain with the same per-row accumulation
-   order as the serial kernel — the result is bit-identical to
-   [mat_vec_into] by construction, whatever the partitioning.  Engages
-   only above a size floor (a pool round-trip on a 1k-nnz matrix costs
-   more than the multiply) and only outside pool tasks ({!Pool.run_ranges}
-   degrades to the serial loop when nested). *)
+(* Row-parallel mat-vec over a prefix of the rows: rows [0, h) are
+   partitioned into disjoint ranges, each computed by exactly one domain
+   with the same per-row accumulation order as the serial kernel — the
+   rows written are bit-identical to [mat_vec_into]'s by construction,
+   whatever the partitioning, and rows from [h] on are not touched.
+   Engages only above a size floor on the prefix's nonzeros (a pool
+   round-trip on a 1k-nnz product costs more than the multiply) and only
+   outside pool tasks ({!Pool.run_ranges} degrades to the serial loop
+   when nested). *)
 let par_floor = Atomic.make 20_000
 
 let set_par_min_nnz n = Atomic.set par_floor (max 0 n)
 let par_min_nnz () = Atomic.get par_floor
 
-let par_mat_vec_into t v out =
-  if Array.length v <> t.cols || Array.length out <> t.rows then
-    invalid_arg "Sparse.par_mat_vec_into: shape";
-  if Array.length t.values < Atomic.get par_floor then
-    mat_vec_range t v out 0 t.rows
-  else Pool.run_ranges t.rows (mat_vec_range t v out)
+let par_mat_vec_prefix_into t h v out =
+  if Array.length v <> t.cols || Array.length out <> t.rows || h < 0 || h > t.rows
+  then invalid_arg "Sparse.par_mat_vec_prefix_into: shape";
+  if t.row_ptr.(h) < Atomic.get par_floor then mat_vec_range t v out 0 h
+  else Pool.run_ranges h (mat_vec_range t v out)
+
+let par_mat_vec_into t v out = par_mat_vec_prefix_into t t.rows v out
+
+(* Rows walked in order, so the last write to [last.(j)] is column j's
+   largest row. *)
+let prefix_reach t =
+  let last = Array.make t.cols (-1) in
+  for i = 0 to t.rows - 1 do
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      last.(t.col_idx.(k)) <- i
+    done
+  done;
+  let reach = Array.make (t.cols + 1) 0 in
+  for j = 0 to t.cols - 1 do
+    reach.(j + 1) <- max reach.(j) (last.(j) + 1)
+  done;
+  reach
 
 let par_mat_vec t v =
   if Array.length v <> t.cols then invalid_arg "Sparse.par_mat_vec: shape";

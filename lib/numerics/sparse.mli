@@ -66,16 +66,36 @@ val mat_vec_into : t -> float array -> float array -> unit
 
 val par_mat_vec : t -> float array -> float array
 val par_mat_vec_into : t -> float array -> float array -> unit
-(** Like {!mat_vec_into} but row-parallel on the {!Pool} when
-    [Pool.jobs () > 1], the matrix has at least {!par_min_nnz} nonzeros
-    and the caller is not itself a pool task.  Rows are partitioned into
-    disjoint contiguous ranges and each row is accumulated in the same
-    order as the serial kernel, so the result is {e bit-identical} to
-    {!mat_vec_into} regardless of partitioning. *)
+(** [par_mat_vec_prefix_into t (rows t)]: like {!mat_vec_into} but
+    row-parallel on the {!Pool} when [Pool.jobs () > 1], the matrix has
+    at least {!par_min_nnz} nonzeros and the caller is not itself a pool
+    task.  Rows are partitioned into disjoint contiguous ranges and each
+    row is accumulated in the same order as the serial kernel, so the
+    result is {e bit-identical} to {!mat_vec_into} regardless of
+    partitioning. *)
+
+val par_mat_vec_prefix_into : t -> int -> float array -> float array -> unit
+(** [par_mat_vec_prefix_into t h v out] writes rows [\[0, h)] of [t v]
+    into [out] and leaves its rows from [h] on as they were.  It is
+    {!par_mat_vec_into} restricted to a row prefix: row-parallel when the
+    prefix holds at least {!par_min_nnz} nonzeros, each row bit-identical
+    to {!mat_vec_into}'s.  Uniformization multiplies only the rows an
+    iterate can have reached this way.  Raises
+    [Invalid_argument] unless [v] has [cols t] entries, [out] has
+    [rows t] and [0 <= h <= rows t]. *)
+
+val prefix_reach : t -> int array
+(** [prefix_reach t], of length [cols t + 1]: [reach.(h)] is 1 plus the
+    largest row holding an entry in a column below [h] (0 when there is
+    none), nondecreasing in [h].  So for [v] zero from row [h] on and
+    finite entries, [t v] is [+0.0] from row [reach.(h)] on: each such
+    row sums products with zeros only.  Uniformization bounds each
+    iterate's support with it. *)
 
 val set_par_min_nnz : int -> unit
-(** Nonzero-count floor below which {!par_mat_vec_into} stays serial
-    (default 20000: a pool round-trip costs more than a small multiply).
+(** Nonzero-count floor below which {!par_mat_vec_prefix_into} stays
+    serial (default 20000: a pool round-trip costs more than a small
+    multiply).
     Tests set 0 to force the parallel path on tiny matrices. *)
 
 val par_min_nnz : unit -> int

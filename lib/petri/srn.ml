@@ -83,11 +83,17 @@ let exrss s reward = weighted s (steady s) reward
    the series from the initial distribution.  A resident iterate is the
    same product whichever query or domain computed it, so the workspace
    changes the number of multiplies, never a value: the ladder stays
-   canonical.  The budget was sized on atm.sharpe (26 244 tangible
-   markings, so 159 resident iterates at 32 MiB).  Medians of 7 runs of
-   the whole file on a 2-vCPU Xeon host: 6.70 s with no workspace,
-   6.70 s at 8 MiB, 6.06 s at 16 MiB, 5.23 s at 32 MiB, and 4.50 s with
-   no budget, which holds 379 iterates (79.6 MB). *)
+   canonical.  Each multiply pays only for the rows its series can have
+   reached (Ctmc's support bound): the queries below the first rung
+   start from the initial marking and spread over a prefix of the
+   breadth-first state order, and a later rung's series starts from the
+   prefix the earlier ones reached.  The bound moves no bit, so it
+   leaves the grid and the rungs as they are.  The budget was sized on
+   atm.sharpe (26 244 tangible markings, so 159 resident iterates at
+   32 MiB).  Medians of 7 runs of the whole file on a 2-vCPU Xeon host:
+   6.70 s with no workspace, 6.70 s at 8 MiB, 6.06 s at 16 MiB, 5.23 s
+   at 32 MiB, and 4.50 s with no budget, which holds 379 iterates
+   (79.6 MB). *)
 let ladder_chunk = 256.0
 let ladder_budget = 64
 

@@ -182,13 +182,21 @@ let relative_residual a x b =
   Array.iteri (fun i v -> s := !s +. ((v -. b.(i)) ** 2.0)) r;
   sqrt !s /. bn
 
+(* exact (hexadecimal) entries and row scales, so a failing case can be
+   rebuilt and replayed *)
+let print_scaled (m, scales) =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "n = %d\n" (Matrix.rows m);
+  Sparse.iter (Sparse.of_dense m) (fun i j v -> Printf.bprintf b "(%d,%d) = %h\n" i j v);
+  Array.iteri (fun i s -> Printf.bprintf b "scale %d = %h\n" i s) scales;
+  Buffer.contents b
+
 (* Extreme rate separation: scale each row of a dominant system by a
    factor drawn across twelve orders of magnitude — the row scaling a
    stiff generator exhibits — and demand both Krylov solvers still
    converge to a small TRUE relative residual. *)
 let scaled_arb =
-  Q.make
-    ~print:(fun (m, _) -> Format.asprintf "%a" Sparse.pp (Sparse.of_dense m))
+  Q.make ~print:print_scaled
     Q.Gen.(
       int_range 2 30 >>= fun n ->
       float_range 0.05 0.4 >>= fun density ->

@@ -400,6 +400,12 @@ let test_budget () =
     (snd (cumulative_oracle c ~init t) > slots);
   List.iter (check_cumulative "birth-death" c ~init) [ t; 0.5 *. t ];
   with_jobs 2 (fun () -> check_cumulative "birth-death, jobs=2" c ~init t);
+  (* a series from a dense start, then one from state 0 again: the
+     second rewrites slots the first left nonzero past its own bounds,
+     where the rows inside them read *)
+  let dense = random_distribution (Srng.make 5) n in
+  List.iter (check_point "birth-death, dense start" c ~init:dense) [ t; 0.5 *. t ];
+  List.iter (check_point "birth-death, from state 0 again" c ~init) [ 0.5 *. t; t ];
   let bytes = Ctmc.workspace_bytes () in
   Alcotest.(check bool)
     (Printf.sprintf "workspace %d bytes within the %d-byte budget" bytes
@@ -439,6 +445,186 @@ let test_after_timeout () =
             [ 0.001; 0.002; 0.003; 0.005; 0.01; 0.05 ]))
     [ 1; 2 ]
 
+(* --- support bounds ---------------------------------------------------- *)
+
+(* one past the last nonzero of [v] *)
+let support v =
+  let h = ref (Array.length v) in
+  while !h > 0 && v.(!h - 1) = 0.0 do
+    decr h
+  done;
+  !h
+
+(* [f] at jobs=2 with every product split across the pool, however few
+   its nonzeros; the floor is restored afterwards *)
+let with_par_products f =
+  let floor = Sparse.par_min_nnz () in
+  Sparse.set_par_min_nnz 0;
+  Fun.protect
+    ~finally:(fun () -> Sparse.set_par_min_nnz floor)
+    (fun () -> with_jobs 2 f)
+
+(* The start vectors a support bound meets, in an order that makes the
+   workspace reuse slots across them: a dense start (bounds n from the
+   first term), then a point mass on the first state (bounds growing
+   from 1, over slots holding the dense series), a point mass on the
+   last state (bound n at once), a start holding -0.0 entries both below
+   and past its last nonzero, and the first point mass again. *)
+let starts r n =
+  let neg0 =
+    Array.init n (fun i -> if i = 0 || i = n / 2 then 0.5 else -0.0)
+  in
+  [ ("dense start", random_distribution r n);
+    ("point mass on state 0", unit_vector n 0);
+    ("point mass on the last state", unit_vector n (n - 1));
+    ("-0.0 entries", neg0);
+    ("point mass on state 0, again", unit_vector n 0) ]
+
+let check_gen_chains what =
+  for seed = 1 to 24 do
+    let r = Srng.make (1000 + seed) in
+    let c =
+      if seed mod 2 = 0 then fst (Gen.acyclic_ctmc r) else Gen.irreducible_ctmc r
+    in
+    let ts = shuffle r (List.init 6 (fun _ -> Srng.log_range r 1e-3 4.0)) in
+    List.iter
+      (fun (start, init) ->
+        let msg = Printf.sprintf "%sseed %d, %s" what seed start in
+        List.iter
+          (fun t ->
+            check_point msg c ~init t;
+            check_cumulative msg c ~init t)
+          ts)
+      (starts r (Ctmc.n_states c))
+  done
+
+let test_gen_starts () = check_gen_chains ""
+
+(* wfs(500): 1002 tangible markings numbered breadth-first from the
+   initial one, so a series from it spreads over a prefix of the rows *)
+let wfs_chain c =
+  let g = Reach.build (Test_assembly.wfs c) in
+  (Reach.ctmc g, Reach.initial_distribution g)
+
+let wfs_times r = shuffle r (20.0 :: List.init 10 (fun i -> float_of_int (i + 1)))
+
+let check_wfs what =
+  let r = Srng.make 30 in
+  List.iter
+    (fun cov ->
+      let c, init = wfs_chain cov in
+      let n = Ctmc.n_states c in
+      let msg = Printf.sprintf "%swfs(500) at c = %g" what cov in
+      Alcotest.(check bool)
+        (msg ^ ": pi(1) is zero on a tail of the rows") true
+        (support (fst (oracle c ~init 1.0)) < n);
+      List.iter (check_point msg c ~init) (wfs_times r);
+      List.iter (check_point (msg ^ ", again") c ~init) (wfs_times r);
+      List.iter (check_cumulative msg c ~init) [ 3.0; 1.0; 20.0 ])
+    [ 0.7; 0.93 ]
+
+let test_wfs () = check_wfs ""
+
+let test_wfs_ladder () =
+  let s = Srn.solve (Test_assembly.wfs 0.93) in
+  List.iter
+    (fun t ->
+      check_reward (Printf.sprintf "wfs exrt t=%g" t) (oracle_exrt s t)
+        (Srn.exrt s reward t))
+    (ladder_times s)
+
+let test_bounds_par () =
+  with_par_products (fun () ->
+      check_gen_chains "jobs=2, every product split: ";
+      check_wfs "jobs=2, every product split: ")
+
+(* The bound itself, and the prefix product, on random nonnegative
+   sparse matrices: for every h and a v zero from row h on, t v is +0.0
+   from row reach.(h) on, the row just below it holds an entry in a
+   column below h, and the prefix product over rows [0, h') writes the
+   full product's bits there and nothing past h', at jobs 1 and 2. *)
+let nonneg_arb =
+  QCheck.make
+    ~print:(fun (t, _) -> Format.asprintf "%a" Sparse.pp t)
+    (fun st ->
+      let rows = QCheck.Gen.int_range 1 30 st and cols = QCheck.Gen.int_range 1 30 st in
+      let density = QCheck.Gen.float_range 0.0 0.4 st in
+      let t =
+        Sparse.of_rows ~rows ~cols (fun _ emit ->
+            for j = 0 to cols - 1 do
+              if QCheck.Gen.float_bound_inclusive 1.0 st < density then
+                emit j (QCheck.Gen.float_range 0.01 2.0 st)
+            done)
+      in
+      (t, QCheck.Gen.int st))
+
+let prefix_product_ok (t, seed) =
+  let rows = Sparse.rows t and cols = Sparse.cols t in
+  let r = Srng.make seed in
+  let reach = Sparse.prefix_reach t in
+  let rp, ci, _ = Sparse.raw t in
+  let ok = ref (Array.length reach = cols + 1 && reach.(0) = 0) in
+  for h = 0 to cols do
+    if h > 0 && reach.(h) < reach.(h - 1) then ok := false;
+    if reach.(h) > rows then ok := false;
+    (* tight: row reach.(h) - 1 holds an entry in a column below h *)
+    if reach.(h) > 0 then begin
+      let i = reach.(h) - 1 in
+      let hit = ref false in
+      for k = rp.(i) to rp.(i + 1) - 1 do
+        if ci.(k) < h then hit := true
+      done;
+      if not !hit then ok := false
+    end;
+    let v =
+      Array.init cols (fun j ->
+          if j >= h then if Srng.int r 2 = 0 then -0.0 else 0.0
+          else if Srng.int r 5 = 0 then 0.0
+          else Srng.range r (-1.0) 1.0)
+    in
+    let full = Sparse.mat_vec t v in
+    for i = reach.(h) to rows - 1 do
+      if not (Int64.equal (bits full.(i)) (bits 0.0)) then ok := false
+    done;
+    let prefixes () =
+      List.init (rows + 1) (fun h' ->
+          let out = Array.make rows nan in
+          Sparse.par_mat_vec_prefix_into t h' v out;
+          (h', out))
+    in
+    List.iter
+      (fun (h', out) ->
+        Array.iteri
+          (fun i x ->
+            let want = if i < h' then full.(i) else nan in
+            if not (Int64.equal (bits x) (bits want)) then ok := false)
+          out)
+      (prefixes () @ with_par_products prefixes)
+  done;
+  !ok
+
+let prop_prefix_product =
+  QCheck.Test.make ~name:"prefix reach bounds the product, prefix product = mat_vec"
+    ~count:200 nonneg_arb prefix_product_ok
+
+let test_prefix_shape () =
+  let t = Sparse.of_rows ~rows:3 ~cols:2 (fun i emit -> emit (i mod 2) 1.0) in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let v = [| 1.0; 2.0 |] and out = Array.make 3 0.0 in
+  raises "h = -1" (fun () -> Sparse.par_mat_vec_prefix_into t (-1) v out);
+  raises "h = rows + 1" (fun () -> Sparse.par_mat_vec_prefix_into t 4 v out);
+  raises "v too short" (fun () -> Sparse.par_mat_vec_prefix_into t 2 [| 1.0 |] out);
+  raises "out too short" (fun () ->
+      Sparse.par_mat_vec_prefix_into t 2 v (Array.make 2 0.0));
+  raises "v of rows entries" (fun () ->
+      Sparse.par_mat_vec_prefix_into t 2 (Array.make 3 0.0) out);
+  Sparse.par_mat_vec_prefix_into t 3 v out;
+  check_bits "h = rows" (Sparse.mat_vec t v) out
+
 let suite =
   [ Alcotest.test_case "random chains, shuffled times" `Quick
       test_random_chains;
@@ -457,4 +643,14 @@ let suite =
       test_srn_exrt_query_order;
     Alcotest.test_case "window past the byte budget" `Quick test_budget;
     Alcotest.test_case "query after a Timed_out query" `Quick
-      test_after_timeout ]
+      test_after_timeout;
+    Alcotest.test_case "support bounds: Gen chains, five starts" `Quick
+      test_gen_starts;
+    Alcotest.test_case "support bounds: wfs(500), shuffled times" `Quick
+      test_wfs;
+    Alcotest.test_case "support bounds: wfs(500) past the ladder spacing"
+      `Quick test_wfs_ladder;
+    Alcotest.test_case "support bounds at jobs=2, every product split"
+      `Quick test_bounds_par;
+    QCheck_alcotest.to_alcotest ~verbose:false prop_prefix_product;
+    Alcotest.test_case "prefix product shape errors" `Quick test_prefix_shape ]
