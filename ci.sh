@@ -77,10 +77,16 @@ dune exec test/test_main.exe -- test golden >/dev/null
 #   iterate workspace, none of which may change an answer;
 # - --jobs 2 --no-cache: those per-domain instances are then the only
 #   cache left on the parallel path.
+# test/programs holds programs the caches once answered wrongly or that
+# once failed to finish, each beside its expected stdout (NAME.out); they
+# are not examples, so the benchmark's suite workload does not run them.
 for flags in "" "--no-cache" "--jobs 2" "--jobs 2 --no-cache"; do
   echo "== golden byte-exact${flags:+ under $flags} =="
-  for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
-    golden="test/golden/$(basename "$f" .sharpe).out"
+  for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe test/programs/*.sharpe; do
+    case "$f" in
+      test/programs/*) golden="${f%.sharpe}.out" ;;
+      *) golden="test/golden/$(basename "$f" .sharpe).out" ;;
+    esac
     # $flags unquoted on purpose: "--jobs 2" is two arguments, "" none
     ./_build/default/bin/sharpe.exe $flags "$f" 2>/dev/null | cmp -s - "$golden" || {
       echo "ci: $f output${flags:+ under $flags} differs from $golden" >&2

@@ -210,8 +210,8 @@ and build_model mctx = function
   | MSemimark { mode; edges; rewards; init; fastmttf; _ } ->
       ISemimark (build_semimark mctx mode edges rewards init fastmttf)
   | MMrgp { edges; rewards; _ } -> IMrgp (build_mrgp mctx edges rewards)
-  | MSrn { places; timed; immediate; inputs; outputs; inhibitors; _ } ->
-      ISrn (build_srn mctx places timed immediate inputs outputs inhibitors)
+  | MSrn { name; places; timed; immediate; inputs; outputs; inhibitors; _ } ->
+      ISrn (build_srn mctx name places timed immediate inputs outputs inhibitors)
   | MPepa { past; _ } -> IPepa (build_pepa mctx past)
 
 and build_block mctx lines =
@@ -578,7 +578,7 @@ and build_mrgp mctx edges rewards =
   in
   { mg; mg_index = idx; mg_reward = reward }
 
-and build_srn mctx places timed immediate inputs outputs inhibitors =
+and build_srn mctx name places timed immediate inputs outputs inhibitors =
   let places' = List.map (fun (n, e) -> (n, ev_int mctx e)) places in
   let pindex = Hashtbl.create 16 in
   List.iteri (fun i (n, _) -> Hashtbl.add pindex n i) places';
@@ -631,7 +631,7 @@ and build_srn mctx places timed immediate inputs outputs inhibitors =
   let transitions =
     List.map (mk_trans Net.Timed) timed @ List.map (mk_trans Net.Immediate) immediate
   in
-  let net = Net.build ~places:places' ~transitions in
+  let net = Net.named name (Net.build ~places:places' ~transitions) in
   net_ref := Some net;
   match
     Solve_cache.srn_key mctx ~places:places' ~timed ~immediate ~inputs
@@ -650,36 +650,16 @@ and build_pepa mctx past =
   List.iter (fun w -> Diag.emit Diag.Warning ~solver:"pepa" w) (Pepa.warnings c);
   { pe_c = c; pe_steady = ref None }
 
-(* --- resolving analysis-call arguments -------------------------------- *)
-
-(* trailing groups are model arguments; the model's key (name and
-   arguments) comes with its instance *)
-let model_of ctx sys_expr arg_groups =
-  let nm = name_of ctx sys_expr in
-  let args = List.map (ev ctx) (List.concat arg_groups) in
-  ((nm, args), instantiate ctx nm args)
-
-let srn_of ctx sys arg_groups =
-  match model_of ctx sys arg_groups with
-  | _, ISrn s -> s
-  | (nm, _), _ -> err "%s is not an SRN/GSPN model" nm
-
-let reward_of_func ctx (s : Sharpe_petri.Srn.t) fname =
-  let c = { ctx with marking = Some (ref (Some (Srn.net s))) } in
-  let call = Call (fname, []) in
-  fun m -> eval_at c m call
+(* --- what the measures share ------------------------------------------ *)
 
 (* the default initial vector: all mass on the first-declared state *)
-let first_state n =
-  let init = Array.make n 0.0 in
-  init.(0) <- 1.0;
-  init
+let initial init names =
+  match init with
+  | Some init -> init
+  | None -> Array.mapi (fun i _ -> if i = 0 then 1.0 else 0.0) names
 
-let markov_init mi =
-  match mi.mk_init with Some init -> init | None -> first_state (Array.length mi.mk_names)
-
-let semimark_init si =
-  match si.sm_init with Some init -> init | None -> first_state (Array.length si.sm_names)
+let markov_init mi = initial mi.mk_init mi.mk_names
+let semimark_init si = initial si.sm_init si.sm_names
 
 let markov_steady ctx key mi =
   use ctx key (fun _ -> Steady) (fun () -> solve_steady ctx.env mi)
@@ -701,320 +681,353 @@ let pepa_steady (p : pepa_inst) =
    evaluation errors *)
 let pepa_measure f = try f () with Pepa.Error m -> err "pepa: %s" m
 
-(* unreliability at [t] of a combinatorial model or an SPG *)
-let tvalue_of ctx inst t =
-  match inst with
-  | IRbd b -> Rbd.unreliability b t
-  | IFtree ft -> Ftree.prob_at ft t
-  | IPms p -> Pms.unreliability ~side:(side ctx) p t
-  | IRelgraph g -> Relgraph.unreliability g t
-  | ISpg (g, _) -> E.eval (Spg.completion_cdf g) t
-  | _ -> err "tvalue: unsupported model type"
+(* --- the builtin table ------------------------------------------------- *)
 
-(* --- the dispatcher --------------------------------------------------- *)
+(* How a builtin reads its argument groups.  [t] is a time and [sys] a
+   model, whose own arguments follow it in its group and in the groups
+   after: only in the groups after for [Sys_names] and [T_sys_names],
+   where the names in its group are its targets (a state, station,
+   transition, place, gate, event or edge). *)
+type shape =
+  | Args of int (* f(x1, ..., xn) *)
+  | Unbound of int (* Args, while no global binding has its name *)
+  | Binder (* f(i, lo, hi, e) *)
+  | Transition (* f(t) of the net being evaluated *)
+  | Sys (* f(sys {, args} {; args}) *)
+  | T_sys (* f(t, sys {, args} {; args}) *)
+  | Tvalue (* T_sys, or f(t; sys {, args} {; args}) *)
+  | Sys_names (* f(sys {, targets} {; args}) *)
+  | T_sys_names (* f(t; sys {, targets} {; args}) *)
+  | Srn (* f(sys {, args}; reward {; args}) *)
+  | T_srn (* f(t, sys {, args}; reward {; args}) *)
 
-let rec dispatch ctx f (groups : expr list list) : float =
-  match (f, groups) with
-  (* ---- time-dependent unreliability/unavailability ---- *)
-  | "tvalue", (t :: sys :: rest_in_g1) :: rest ->
-      let t = ev ctx t in
-      let _, inst = model_of ctx sys (if rest_in_g1 = [] then rest else [ rest_in_g1 ] @ rest) in
-      tvalue_of ctx inst t
-  | "tvalue", [ t ] :: sys_grp :: rest -> (
-      let t = ev ctx t in
-      match sys_grp with
-      | sys :: more ->
-          let _, inst = model_of ctx sys (if more = [] then rest else [ more ] @ rest) in
-          tvalue_of ctx inst t
-      | [] -> err "tvalue: missing model")
-  (* ---- transient state probability of a chain ---- *)
-  | "value", [ t ] :: (sys :: more) :: rest -> (
-      let t = ev ctx t in
-      let state =
-        match more with [ s ] -> name_of ctx s | _ -> err "value: expected a state"
-      in
-      match model_of ctx sys rest with
-      | _, IMarkov mi ->
-          let init = markov_init mi in
-          let pi = Ctmc.transient mi.mk_ctmc ~init t in
-          pi.(state_idx mi.mk_index state "markov")
-      | _, ISemimark si ->
-          let occ = SM.occupancy si.sm ~init:(semimark_init si) in
-          E.eval occ.(state_idx si.sm_index state "semi-markov") t
-      | _, IPepa p ->
-          pepa_measure (fun () ->
-              Pepa.prob p.pe_c (Pepa.transient p.pe_c t) state)
-      | (nm, _), _ -> err "value: %s is not a chain model" nm)
-  (* ---- means ---- *)
-  | "mean", (sys :: more) :: rest -> (
-      match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
-      | _, IRbd b -> Rbd.mean_time_to_failure b
-      | _, IFtree ft -> Ftree.mean ft
-      | _, IRelgraph g -> Relgraph.mean g
-      | _, ISpg (g, _) -> Spg.mean g
-      | _, IMarkov mi -> Ctmc.mtta mi.mk_ctmc ~init:(markov_init mi)
-      | _, ISemimark si ->
-          SM.mean_time_to_absorption si.sm ~init:(semimark_init si)
-      | (nm, _), _ -> err "mean: unsupported model %s" nm)
-  | "var", (sys :: more) :: rest -> (
-      match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
-      | _, ISpg (g, _) -> Spg.variance g
-      | (nm, _), _ -> err "var: unsupported model %s" nm)
-  (* ---- probabilities of combinatorial systems ---- *)
-  | "sysprob", (sys :: more) :: rest -> (
-      let gate = match more with [ g ] -> Some (name_of ctx g) | _ -> None in
-      match model_of ctx sys rest with
-      | _, IFtree ft -> Ftree.sysprob ?gate ft
-      | _, IMstree ms -> (
-          match gate with
-          | Some g -> Mstree.sysprob ms g
-          | None -> err "sysprob: multi-state trees need a top:state gate")
-      | _, IRbd b -> Rbd.unreliability b 0.0
-      | _, IRelgraph g -> Relgraph.unreliability g 0.0
-      | (nm, _), _ -> err "sysprob: unsupported model %s" nm)
-  | "pzero", (sys :: more) :: rest -> (
-      match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
-      | _, IFtree ft -> Ftree.sysprob ft
-      | _, IRbd b -> Rbd.unreliability b 0.0
-      | _, IRelgraph g -> Relgraph.unreliability g 0.0
-      | (nm, _), _ -> err "pzero: unsupported model %s" nm)
-  (* ---- steady-state probabilities ---- *)
-  | "prob", (sys :: more) :: rest -> (
-      let state =
-        match more with [ s ] -> name_of ctx s | _ -> err "prob: expected a state"
-      in
-      match model_of ctx sys rest with
-      | key, IMarkov mi ->
-          let c = mi.mk_ctmc in
-          if Ctmc.partly_absorbing c then
-            (Ctmc.absorption_probs c ~init:(markov_init mi)).(state_idx mi.mk_index state "markov")
-          else (markov_steady ctx key mi).(state_idx mi.mk_index state "markov")
-      | _, ISemimark si ->
-          (SM.steady_state si.sm).(state_idx si.sm_index state "semi-markov")
-      | _, IMrgp gi -> Mrgp.prob gi.mg (state_idx gi.mg_index state "mrgp")
-      | _, IPepa p ->
-          pepa_measure (fun () -> Pepa.prob p.pe_c (pepa_steady p) state)
-      | (nm, _), _ -> err "prob: %s is not a chain model" nm)
-  | "exrss", (sys :: more) :: rest -> (
-      match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
-      | ((nm, _) as key), IMarkov mi -> (
-          match mi.mk_reward with
-          | Some r ->
-              let pi = markov_steady ctx key mi in
-              let acc = ref 0.0 in
-              Array.iteri (fun i p -> acc := !acc +. (p *. r i)) pi;
-              !acc
-          | None -> err "exrss: model %s has no reward section" nm)
-      | (nm, _), ISemimark si -> (
-          match si.sm_reward with
-          | Some r -> SM.expected_reward_ss si.sm ~reward:r
-          | None -> err "exrss: model %s has no reward section" nm)
-      | (nm, _), IMrgp gi -> (
-          match gi.mg_reward with
-          | Some r -> Mrgp.expected_reward_ss gi.mg ~reward:r
-          | None -> err "exrss: model %s has no reward section" nm)
-      | (nm, _), _ -> err "exrss: %s is not a chain model" nm)
-  | ("exrt" | "cexrt"), (t :: sys :: more) :: rest -> (
-      let tv = ev ctx t in
-      match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
-      | (nm, _), IMarkov mi -> (
-          match mi.mk_reward with
-          | Some r ->
-              let init = markov_init mi in
-              if f = "exrt" then Ctmc.expected_reward_at mi.mk_ctmc ~init ~reward:r tv
-              else Ctmc.cumulative_reward mi.mk_ctmc ~init ~reward:r tv
-          | None -> err "%s: model %s has no reward section" f nm)
-      | (nm, _), _ -> err "%s: %s is not a Markov reward model" f nm)
-  (* ---- MTTF ---- *)
-  | "fastmttf", (sys :: more) :: rest -> (
-      match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
-      | (nm, _), IMarkov mi -> (
-          match mi.mk_fast with
-          | Some spec -> Fast_mttf.mttf_fast mi.mk_ctmc ~init:(markov_init mi) spec
-          | None -> err "fastmttf: model %s has no fastmttf section" nm)
-      | (nm, _), ISemimark si -> (
-          match si.sm_fast with
-          | Some (_, readf) -> SM.mttf si.sm ~init:(semimark_init si) ~readf
-          | None -> err "fastmttf: model %s has no fastmttf section" nm)
-      | (nm, _), _ -> err "fastmttf: %s is not a chain model" nm)
-  (* ---- importance measures ---- *)
-  | "bimpt", [ t ] :: (sys :: ev_names) :: rest ->
-      importance ctx `Birnbaum (Some (ev ctx t)) sys ev_names rest
-  | "cimpt", [ t ] :: (sys :: ev_names) :: rest ->
-      importance ctx `Criticality (Some (ev ctx t)) sys ev_names rest
-  | "simpt", (sys :: ev_names) :: rest ->
-      importance ctx `Structural None sys ev_names rest
-  (* ---- SRN measures ---- *)
-  | "srn_exrss", (sys :: extra) :: rf :: rest ->
-      let s = srn_of ctx sys (if extra = [] then rest else [ extra ] @ rest) in
-      Srn.exrss s (reward_of_func ctx s (reward_name ctx rf))
-  | ("srn_exrt" | "srn_cexrt" | "srn_ave_cexrt"), (t :: sys :: extra) :: rf :: rest ->
-      let tv = ev ctx t in
-      let s = srn_of ctx sys (if extra = [] then rest else [ extra ] @ rest) in
-      let r = reward_of_func ctx s (reward_name ctx rf) in
-      (match f with
-      | "srn_exrt" -> Srn.exrt s r tv
-      | "srn_cexrt" -> Srn.cexrt s r tv
-      | _ -> Srn.ave_cexrt s r tv)
-  | "srn_cexrinf", (sys :: extra) :: rf :: rest ->
-      let s = srn_of ctx sys (if extra = [] then rest else [ extra ] @ rest) in
-      Srn.cexrinf s (reward_of_func ctx s (reward_name ctx rf))
-  | "mtta", (sys :: more) :: rest -> (
-      match model_of ctx sys (if more = [] then rest else [ more ] @ rest) with
-      | _, ISrn s -> Srn.mtta s
-      | _, IMarkov mi -> Ctmc.mtta mi.mk_ctmc ~init:(markov_init mi)
-      | (nm, _), _ -> err "mtta: unsupported model %s" nm)
-  (* ---- GSPN / queueing measures sharing names ---- *)
-  | ("util" | "tput" | "qlength" | "rtime" | "mutil" | "mtput" | "mqlength" | "mrtime"
-    | "etok" | "prempty"), (sys :: more) :: rest -> (
-      let target =
-        match more with [ x ] -> name_of ctx x | _ -> err "%s: expected a station/transition/place" f
-      in
-      match model_of ctx sys rest with
-      | _, ISrn s -> (
-          match f with
-          | "util" -> Srn.util s target
-          | "tput" -> Srn.tput s target
-          | "etok" -> Srn.etok s target
-          | "prempty" -> Srn.prempty s target
-          | _ -> err "%s: not a GSPN measure" f)
-      | _, IPepa p -> (
-          match f with
-          | "tput" ->
-              pepa_measure (fun () ->
-                  Pepa.throughput p.pe_c (pepa_steady p) target)
-          | _ -> err "%s: pepa models support tput (and prob/value)" f)
-      | _, IPfqn (net, customers) -> (
-          match f with
-          | "util" | "mutil" -> Pfqn.utilization net ~customers target
-          | "tput" | "mtput" -> Pfqn.throughput net ~customers target
-          | "qlength" | "mqlength" -> Pfqn.qlength net ~customers target
-          | "rtime" | "mrtime" -> Pfqn.rtime net ~customers target
-          | _ -> err "%s: not a queueing measure" f)
-      | _, IMpfqn (net, pops) -> (
-          match f with
-          | "util" | "mutil" -> Mpfqn.station_utilization net ~populations:pops target
-          | "qlength" | "mqlength" -> Mpfqn.station_qlength net ~populations:pops target
-          | "tput" | "mtput" ->
-              List.fold_left
-                (fun acc (ch, _) ->
-                  acc +. Mpfqn.chain_throughput net ~populations:pops ~chain:ch ~station:target)
-                0.0 pops
-          | _ -> err "%s: not a queueing measure" f)
-      | (nm, _), _ -> err "%s: unsupported model %s" f nm)
-  | _ -> err "unknown function %s" f
+(* A measure's or a printer's call, read against its shape *)
+type call = {
+  ctx : ctx;
+  f : string; (* the name it was called by *)
+  text : string; (* a printer's statement *)
+  t : float; (* 0 where the shape has no time *)
+  key : string * float list; (* the model's name and arguments *)
+  inst : instance;
+  targets : string list;
+  reward : expr list;
+}
 
-and reward_name ctx rf =
-  match rf with
-  | [ r ] -> name_of ctx r
+(* A model kind a measure or printer accepts, and what it does there *)
+type 'r case = { kind : string; run : call -> 'r option }
+
+let case kind payload f = { kind; run = (fun c -> Option.map (f c) (payload c.inst)) }
+let block f = case "block" (function IRbd x -> Some x | _ -> None) f
+let ftree f = case "ftree" (function IFtree x -> Some x | _ -> None) f
+let mstree f = case "mstree" (function IMstree x -> Some x | _ -> None) f
+let pms f = case "pms" (function IPms x -> Some x | _ -> None) f
+let relgraph f = case "relgraph" (function IRelgraph x -> Some x | _ -> None) f
+let graph f = case "graph" (function ISpg (x, _) -> Some x | _ -> None) f
+let pfqn f = case "pfqn" (function IPfqn (x, n) -> Some (x, n) | _ -> None) f
+let mpfqn f = case "mpfqn" (function IMpfqn (x, p) -> Some (x, p) | _ -> None) f
+let markov f = case "markov" (function IMarkov x -> Some x | _ -> None) f
+let semimark f = case "semimark" (function ISemimark x -> Some x | _ -> None) f
+let mrgp f = case "mrgp" (function IMrgp x -> Some x | _ -> None) f
+let srn f = case "srn" (function ISrn x -> Some x | _ -> None) f
+let pepa f = case "pepa" (function IPepa x -> Some x | _ -> None) f
+
+type entry = {
+  names : string list;
+  shape : shape;
+  pure : bool; (* a function of its arguments alone *)
+  does : does;
+}
+
+and does =
+  | Compute of (ctx -> expr list -> float) (* given the call's one group *)
+  | Value of float case list
+  | Print of unit case list
+
+let nth ctx args i = ev ctx (List.nth args i)
+let math name arity f = { names = [ name ]; shape = Args arity; pure = true; does = Compute f }
+let unary name f = math name 1 (fun ctx a -> f (nth ctx a 0))
+let measure names shape cases = { names; shape; pure = false; does = Value cases }
+let printer names cases = { names; shape = Sys_names; pure = false; does = Print cases }
+
+let sum ctx a =
+  let v = name_of ctx (List.hd a) in
+  let lo = nth ctx a 1 and hi = nth ctx a 2 and body = List.nth a 3 in
+  let cell = ref lo and acc = ref 0.0 in
+  let ctx' = { ctx with locals = Var (v, cell) :: ctx.locals } in
+  while !cell <= hi +. 1e-9 do
+    Deadline.check ();
+    acc := !acc +. ev ctx' body;
+    cell := !cell +. 1.0
+  done;
+  !acc
+
+(* the call's one target, or its gate if it has one *)
+let target c =
+  match c.targets with [ x ] -> x | _ -> err "%s: expected one name after the model" c.f
+
+let gate c = match c.targets with [ x ] -> Some x | _ -> None
+
+let section c what = function
+  | Some x -> x
+  | None -> err "%s: model %s has no %s section" c.f (fst c.key) what
+
+(* the reward function named in the call's reward group, at a marking *)
+let srn_reward c s =
+  match c.reward with
+  | [ r ] ->
+      let call = Call (name_of c.ctx r, []) in
+      let rctx = { c.ctx with marking = Some (ref (Some (Srn.net s))) } in
+      fun m -> eval_at rctx m call
   | _ -> err "expected a reward function name"
 
-and importance ctx kind time sys ev_names rest =
-  match (model_of ctx sys rest, ev_names) with
-  | (_, IFtree ft), [ e ] -> (
-      let en = name_of ctx e in
-      match (kind, time) with
-      | `Birnbaum, Some t -> Ftree.birnbaum ft en t
-      | `Criticality, Some t -> Ftree.criticality ft en t
-      | `Structural, _ -> Ftree.structural ft en
-      | _ -> err "importance: missing time")
-  | (_, IRelgraph g), [ a; b ] -> (
-      let u = name_of ctx a and v = name_of ctx b in
-      match (kind, time) with
-      | `Birnbaum, Some t -> Relgraph.birnbaum g u v t
-      | `Criticality, Some t -> Relgraph.criticality g u v t
-      | `Structural, _ -> Relgraph.structural g u v
-      | _ -> err "importance: missing time")
-  | ((nm, _), _), _ -> err "importance measures: unsupported model %s" nm
+let print_expo c f =
+  let env = c.ctx.env in
+  env.print (Printf.sprintf "%s:\n  %s\n" c.text (E.to_string f));
+  try env.print (Printf.sprintf "  mean: %s\n" (fmt_num env (E.mean f)))
+  with Invalid_argument _ -> ()
 
-(* --- statement-level printers ----------------------------------------- *)
-
-let pp_cuts ctx label cuts pp_item =
-  ctx.env.print (Printf.sprintf "%s:\n" label);
+let pp_cuts c cuts pp_item =
+  c.ctx.env.print (Printf.sprintf "%s:\n" c.text);
   List.iteri
     (fun i cut ->
-      ctx.env.print
+      c.ctx.env.print
         (Printf.sprintf "  %d: { %s }\n" (i + 1) (String.concat ", " (List.map pp_item cut))))
     cuts
 
-let print_analysis ctx text e =
-  match e with
-  | Call (("cdf" | "lcdf") as which, (sys :: more) :: rest) -> (
-      let _, inst = model_of ctx sys rest in
-      let print_expo f =
-        ctx.env.print (Printf.sprintf "%s:\n  %s\n" text (E.to_string f));
-        (try
-           ctx.env.print
-             (Printf.sprintf "  mean: %s\n" (fmt_num ctx.env (E.mean f)))
-         with Invalid_argument _ -> ())
-      in
-      match inst with
-      | IRbd b -> print_expo (Rbd.failure_cdf b)
-      | IFtree ft ->
-          let gate = match more with [ g ] -> Some (name_of ctx g) | _ -> None in
-          print_expo (Ftree.cdf ?gate ft)
-      | IRelgraph g -> print_expo (Relgraph.cdf g)
-      | ISpg (g, _) -> print_expo (Spg.completion_cdf g)
-      | IMstree ms -> (
-          match more with
-          | [ g ] ->
-              ctx.env.print
-                (Printf.sprintf "%s: %s\n" text
-                   (fmt_num ctx.env (Mstree.sysprob ms (name_of ctx g))))
-          | _ -> err "%s: multi-state trees need a top:state" which)
-      | IMarkov mi -> (
-          let init = markov_init mi in
-          let probs = Acyclic.state_probabilities mi.mk_ctmc ~init in
-          match more with
-          | [ s ] -> print_expo probs.(state_idx mi.mk_index (name_of ctx s) "markov")
-          | _ ->
-              (* overall absorption CDF *)
-              let total =
-                List.fold_left
-                  (fun acc s -> E.add acc probs.(s))
-                  E.zero
-                  (Ctmc.absorbing_states mi.mk_ctmc)
-              in
-              print_expo total)
-      | ISemimark si -> (
-          let fp = SM.first_passage si.sm ~init:(semimark_init si) in
-          match more with
-          | [ s ] -> print_expo fp.(state_idx si.sm_index (name_of ctx s) "semi-markov")
-          | _ -> err "%s: semi-markov needs a state" which)
-      | _ -> err "%s: unsupported model type" which)
-  | Call ("pqcdf", (sys :: _) :: rest) ->
-      let _, inst = model_of ctx sys rest in
-      (match inst with
-      | IRelgraph g -> ctx.env.print (Printf.sprintf "%s:\n  %s\n" text (Relgraph.pqcdf g))
-      | _ -> err "pqcdf: only reliability graphs")
-  | Call ("mincuts", (sys :: _) :: rest) -> (
-      let _, inst = model_of ctx sys rest in
-      match inst with
-      | IFtree ft -> pp_cuts ctx text (Ftree.mincuts ft) Fun.id
-      | IRelgraph g ->
-          pp_cuts ctx text (Relgraph.mincuts g) (fun (u, v) -> u ^ "->" ^ v)
-      | _ -> err "mincuts: unsupported model type")
-  | Call ("minpaths", (sys :: _) :: rest) -> (
-      let _, inst = model_of ctx sys rest in
-      match inst with
-      | IRelgraph g ->
-          pp_cuts ctx text (Relgraph.minpaths g) (fun (u, v) -> u ^ "->" ^ v)
-      | _ -> err "minpaths: only reliability graphs")
-  | Call ("multpath", (sys :: _) :: rest) -> (
-      let _, inst = model_of ctx sys rest in
-      match inst with
-      | ISpg (g, _) ->
-          ctx.env.print (Printf.sprintf "%s:\n" text);
-          List.iteri
-            (fun i (p, cdf) ->
-              ctx.env.print
-                (Printf.sprintf "  path %d: prob %s, cdf %s\n" (i + 1)
-                   (fmt_num ctx.env p) (E.to_string cdf)))
-            (Spg.multipath g)
-      | _ -> err "multpath: only series-parallel graphs")
-  | _ -> err "unsupported analysis statement"
+let arrow (u, v) = u ^ "->" ^ v
+
+(* cases more than one builtin shares *)
+let importance of_event of_edge =
+  [ ftree (fun c ft -> of_event ft (target c) c.t);
+    relgraph (fun c g ->
+        match c.targets with
+        | [ u; v ] -> of_edge g u v c.t
+        | _ -> err "%s: expected an edge's two nodes after the model" c.f) ]
+
+let unreliability_at_0 =
+  [ block (fun _ b -> Rbd.unreliability b 0.0); relgraph (fun _ g -> Relgraph.unreliability g 0.0) ]
+
+let markov_mtta = markov (fun _ mi -> Ctmc.mtta mi.mk_ctmc ~init:(markov_init mi))
+
+let markov_reward at =
+  markov (fun c mi ->
+      at mi.mk_ctmc ~init:(markov_init mi) ~reward:(section c "reward" mi.mk_reward) c.t)
+
+let pfqn_util = pfqn (fun c (n, customers) -> Pfqn.utilization n ~customers (target c))
+let mpfqn_util = mpfqn (fun c (n, pops) -> Mpfqn.station_utilization n ~populations:pops (target c))
+let pfqn_tput = pfqn (fun c (n, customers) -> Pfqn.throughput n ~customers (target c))
+
+let mpfqn_tput =
+  mpfqn (fun c (n, pops) ->
+      let station = target c in
+      List.fold_left
+        (fun acc (ch, _) -> acc +. Mpfqn.chain_throughput n ~populations:pops ~chain:ch ~station)
+        0.0 pops)
+
+let table =
+  [ unary "acos" acos; unary "asin" asin; unary "atan" atan; unary "ceil" Float.ceil;
+    unary "cos" cos; unary "fabs" Float.abs; unary "floor" Float.floor; unary "ln" log;
+    unary "log" log10; unary "sin" sin; unary "sqrt" sqrt; unary "tan" tan;
+    { (unary "exp" exp) with shape = Unbound 1 };
+    math "min" 2 (fun ctx a -> Float.min (nth ctx a 0) (nth ctx a 1));
+    math "max" 2 (fun ctx a -> Float.max (nth ctx a 0) (nth ctx a 1));
+    math "weibull" 3 (fun ctx a ->
+        let a = nth ctx a 0 and b = nth ctx a 1 and t = nth ctx a 2 in
+        1.0 -. exp (-.a *. Float.pow t b));
+    { names = [ "sum" ]; shape = Binder; pure = false; does = Compute sum };
+    { names = [ "Rate" ]; shape = Transition; pure = false;
+      does =
+        Compute
+          (fun ctx a ->
+            let t = name_of ctx (List.hd a) in
+            Net.rate_in (marked_net ctx "Rate" t) !(Domain.DLS.get current_marking) t) };
+    (* time-dependent unreliability/unavailability *)
+    measure [ "tvalue" ] Tvalue
+      [ block (fun c b -> Rbd.unreliability b c.t);
+        ftree (fun c ft -> Ftree.prob_at ft c.t);
+        pms (fun c p -> Pms.unreliability ~side:(side c.ctx) p c.t);
+        relgraph (fun c g -> Relgraph.unreliability g c.t);
+        graph (fun c g -> E.eval (Spg.completion_cdf g) c.t) ];
+    (* transient state probability of a chain *)
+    measure [ "value" ] T_sys_names
+      [ markov (fun c mi ->
+            let pi = Ctmc.transient mi.mk_ctmc ~init:(markov_init mi) c.t in
+            pi.(state_idx mi.mk_index (target c) "markov"));
+        semimark (fun c si ->
+            let occ = SM.occupancy si.sm ~init:(semimark_init si) in
+            E.eval occ.(state_idx si.sm_index (target c) "semi-markov") c.t);
+        pepa (fun c p ->
+            pepa_measure (fun () -> Pepa.prob p.pe_c (Pepa.transient p.pe_c c.t) (target c))) ];
+    measure [ "mean" ] Sys
+      [ block (fun _ b -> Rbd.mean_time_to_failure b);
+        ftree (fun _ ft -> Ftree.mean ft);
+        relgraph (fun _ g -> Relgraph.mean g);
+        graph (fun _ g -> Spg.mean g);
+        markov_mtta;
+        semimark (fun _ si -> SM.mean_time_to_absorption si.sm ~init:(semimark_init si)) ];
+    measure [ "var" ] Sys [ graph (fun _ g -> Spg.variance g) ];
+    (* probabilities of combinatorial systems *)
+    measure [ "sysprob" ] Sys_names
+      (ftree (fun c ft -> Ftree.sysprob ?gate:(gate c) ft)
+      :: mstree (fun c ms ->
+             match gate c with
+             | Some g -> Mstree.sysprob ms g
+             | None -> err "%s: multi-state trees need a top:state gate" c.f)
+      :: unreliability_at_0);
+    measure [ "pzero" ] Sys (ftree (fun _ ft -> Ftree.sysprob ft) :: unreliability_at_0);
+    (* steady-state probabilities and rewards *)
+    measure [ "prob" ] Sys_names
+      [ markov (fun c mi ->
+            let i = state_idx mi.mk_index (target c) "markov" and cm = mi.mk_ctmc in
+            if Ctmc.partly_absorbing cm then (Ctmc.absorption_probs cm ~init:(markov_init mi)).(i)
+            else (markov_steady c.ctx c.key mi).(i));
+        semimark (fun c si ->
+            (SM.steady_state si.sm).(state_idx si.sm_index (target c) "semi-markov"));
+        mrgp (fun c gi -> Mrgp.prob gi.mg (state_idx gi.mg_index (target c) "mrgp"));
+        pepa (fun c p -> pepa_measure (fun () -> Pepa.prob p.pe_c (pepa_steady p) (target c))) ];
+    measure [ "exrss" ] Sys
+      [ markov (fun c mi ->
+            let r = section c "reward" mi.mk_reward in
+            let pi = markov_steady c.ctx c.key mi in
+            let acc = ref 0.0 in
+            Array.iteri (fun i p -> acc := !acc +. (p *. r i)) pi;
+            !acc);
+        semimark (fun c si ->
+            SM.expected_reward_ss si.sm ~reward:(section c "reward" si.sm_reward));
+        mrgp (fun c gi -> Mrgp.expected_reward_ss gi.mg ~reward:(section c "reward" gi.mg_reward))
+      ];
+    measure [ "exrt" ] T_sys [ markov_reward (fun m -> Ctmc.expected_reward_at m) ];
+    measure [ "cexrt" ] T_sys [ markov_reward (fun m -> Ctmc.cumulative_reward m) ];
+    (* MTTF *)
+    measure [ "fastmttf" ] Sys
+      [ markov (fun c mi ->
+            let spec = section c "fastmttf" mi.mk_fast in
+            Fast_mttf.mttf_fast mi.mk_ctmc ~init:(markov_init mi) spec);
+        semimark (fun c si ->
+            let _, readf = section c "fastmttf" si.sm_fast in
+            SM.mttf si.sm ~init:(semimark_init si) ~readf) ];
+    measure [ "mtta" ] Sys [ srn (fun _ s -> Srn.mtta s); markov_mtta ];
+    (* importance measures *)
+    measure [ "bimpt" ] T_sys_names (importance Ftree.birnbaum Relgraph.birnbaum);
+    measure [ "cimpt" ] T_sys_names (importance Ftree.criticality Relgraph.criticality);
+    measure [ "simpt" ] Sys_names
+      (importance (fun ft e _ -> Ftree.structural ft e) (fun g u v _ -> Relgraph.structural g u v));
+    (* SRN measures *)
+    measure [ "srn_exrss" ] Srn [ srn (fun c s -> Srn.exrss s (srn_reward c s)) ];
+    measure [ "srn_exrt" ] T_srn [ srn (fun c s -> Srn.exrt s (srn_reward c s) c.t) ];
+    measure [ "srn_cexrt" ] T_srn [ srn (fun c s -> Srn.cexrt s (srn_reward c s) c.t) ];
+    measure [ "srn_ave_cexrt" ] T_srn [ srn (fun c s -> Srn.ave_cexrt s (srn_reward c s) c.t) ];
+    measure [ "srn_cexrinf" ] Srn [ srn (fun c s -> Srn.cexrinf s (srn_reward c s)) ];
+    (* GSPN and queueing measures sharing names *)
+    measure [ "util" ] Sys_names [ srn (fun c s -> Srn.util s (target c)); pfqn_util; mpfqn_util ];
+    measure [ "mutil" ] Sys_names [ pfqn_util; mpfqn_util ];
+    measure [ "tput" ] Sys_names
+      [ srn (fun c s -> Srn.tput s (target c));
+        pepa (fun c p ->
+            pepa_measure (fun () -> Pepa.throughput p.pe_c (pepa_steady p) (target c)));
+        pfqn_tput;
+        mpfqn_tput ];
+    measure [ "mtput" ] Sys_names [ pfqn_tput; mpfqn_tput ];
+    measure [ "qlength"; "mqlength" ] Sys_names
+      [ pfqn (fun c (n, customers) -> Pfqn.qlength n ~customers (target c));
+        mpfqn (fun c (n, pops) -> Mpfqn.station_qlength n ~populations:pops (target c)) ];
+    measure [ "rtime"; "mrtime" ] Sys_names
+      [ pfqn (fun c (n, customers) -> Pfqn.rtime n ~customers (target c)) ];
+    measure [ "etok" ] Sys_names [ srn (fun c s -> Srn.etok s (target c)) ];
+    measure [ "prempty" ] Sys_names [ srn (fun c s -> Srn.prempty s (target c)) ];
+    (* statement-level printers *)
+    printer [ "cdf"; "lcdf" ]
+      [ block (fun c b -> print_expo c (Rbd.failure_cdf b));
+        ftree (fun c ft -> print_expo c (Ftree.cdf ?gate:(gate c) ft));
+        relgraph (fun c g -> print_expo c (Relgraph.cdf g));
+        graph (fun c g -> print_expo c (Spg.completion_cdf g));
+        mstree (fun c ms ->
+            match gate c with
+            | Some g ->
+                c.ctx.env.print
+                  (Printf.sprintf "%s: %s\n" c.text (fmt_num c.ctx.env (Mstree.sysprob ms g)))
+            | None -> err "%s: multi-state trees need a top:state" c.f);
+        markov (fun c mi ->
+            let probs = Acyclic.state_probabilities mi.mk_ctmc ~init:(markov_init mi) in
+            match gate c with
+            | Some s -> print_expo c probs.(state_idx mi.mk_index s "markov")
+            | None ->
+                (* overall absorption CDF *)
+                let absorbed = List.map (fun s -> probs.(s)) (Ctmc.absorbing_states mi.mk_ctmc) in
+                print_expo c (List.fold_left E.add E.zero absorbed));
+        semimark (fun c si ->
+            let fp = SM.first_passage si.sm ~init:(semimark_init si) in
+            match gate c with
+            | Some s -> print_expo c fp.(state_idx si.sm_index s "semi-markov")
+            | None -> err "%s: semi-markov needs a state" c.f) ];
+    printer [ "pqcdf" ]
+      [ relgraph (fun c g ->
+            c.ctx.env.print (Printf.sprintf "%s:\n  %s\n" c.text (Relgraph.pqcdf g))) ];
+    printer [ "mincuts" ]
+      [ ftree (fun c ft -> pp_cuts c (Ftree.mincuts ft) Fun.id);
+        relgraph (fun c g -> pp_cuts c (Relgraph.mincuts g) arrow) ];
+    printer [ "minpaths" ] [ relgraph (fun c g -> pp_cuts c (Relgraph.minpaths g) arrow) ];
+    printer [ "multpath" ]
+      [ graph (fun c g ->
+            let env = c.ctx.env in
+            env.print (Printf.sprintf "%s:\n" c.text);
+            List.iteri
+              (fun i (p, cdf) ->
+                env.print
+                  (Printf.sprintf "  path %d: prob %s, cdf %s\n" (i + 1) (fmt_num env p)
+                     (E.to_string cdf)))
+              (Spg.multipath g)) ] ]
+
+(* --- calling the table's builtins ------------------------------------- *)
+
+(* The call's time, its targets, then its model and the model's
+   arguments, resolved *)
+let read ctx f text shape groups =
+  let resolve t sys args targets reward =
+    let t = match t with Some t -> ev ctx t | None -> 0.0 in
+    let targets = List.map (name_of ctx) targets in
+    let m = name_of ctx sys in
+    let args = List.map (ev ctx) (List.concat args) in
+    { ctx; f; text; t; key = (m, args); inst = instantiate ctx m args; targets; reward }
+  in
+  match (shape, groups) with
+  | Sys, (sys :: more) :: rest -> resolve None sys (more :: rest) [] []
+  | (T_sys | Tvalue), (t :: sys :: more) :: rest | Tvalue, [ t ] :: (sys :: more) :: rest ->
+      resolve (Some t) sys (more :: rest) [] []
+  | Sys_names, (sys :: targets) :: rest -> resolve None sys rest targets []
+  | T_sys_names, [ t ] :: (sys :: targets) :: rest -> resolve (Some t) sys rest targets []
+  | Srn, (sys :: more) :: reward :: rest -> resolve None sys (more :: rest) [] reward
+  | T_srn, (t :: sys :: more) :: reward :: rest -> resolve (Some t) sys (more :: rest) [] reward
+  | _ -> err "unknown function %s" f
+
+let fits ctx f shape args =
+  match (shape, args) with
+  | Args n, _ -> List.length args = n
+  | Unbound n, _ -> List.length args = n && Option.is_none (global ctx f)
+  | Binder, [ Ident _; _; _; _ ] | Transition, [ Ident _ ] -> true
+  | _ -> false
+
+(* [e] as the evaluator calls it by its name [f] *)
+let for_eval f e =
+  let called ctx text groups cases =
+    let c = read ctx f text e.shape groups in
+    match List.find_map (fun k -> k.run c) cases with
+    | Some r -> r
+    | None -> err "%s: unsupported model %s" f (fst c.key)
+  in
+  let run =
+    match e.does with
+    | Compute g ->
+        Math
+          (fun ctx -> function
+            | [ args ] when fits ctx f e.shape args -> Some (g ctx args) | _ -> None)
+    | Value cases -> Measure (fun ctx groups -> called ctx "" groups cases)
+    | Print cases -> Printer (fun ctx text groups -> called ctx text groups cases)
+  in
+  { pure = e.pure; run }
 
 let init_done =
-  dispatch_ref := dispatch;
-  print_analysis_ref := print_analysis;
+  let by_name = Hashtbl.create 64 in
+  List.iter (fun e -> List.iter (fun f -> Hashtbl.replace by_name f (for_eval f e)) e.names) table;
+  Eval.builtin := Hashtbl.find_opt by_name;
   true

@@ -3,7 +3,7 @@
 
    The analysis builtins and the expression evaluator are mutually
    recursive (hierarchical models evaluate analysis calls inside model
-   definitions), tied with forward references near the top. *)
+   definitions), tied with one forward reference, [builtin]. *)
 
 open Ast
 module E = Sharpe_expo.Exponomial
@@ -364,12 +364,18 @@ let fmt_num env x =
         mant ^ "e" ^ sign ^ ds
   end
 
-(* forward references tying the analysis builtins into the evaluator *)
-let dispatch_ref : (ctx -> string -> expr list list -> float) ref =
-  ref (fun _ f _ -> err "no dispatcher for %s" f)
+(* A builtin as the evaluator calls it ([pure]: a function of its arguments) *)
+type builtin = { pure : bool; run : run }
 
-let print_analysis_ref : (ctx -> string -> expr -> unit) ref =
-  ref (fun _ _ _ -> ())
+and run =
+  | Math of (ctx -> expr list list -> float option)
+      (* wins over a user function where the call has its shape ([Some]) *)
+  | Measure of (ctx -> expr list list -> float)
+  | Printer of (ctx -> string -> expr list list -> unit)
+      (* a statement outside functions, given the statement's text *)
+
+(* The builtin of each name, from Builtins' table *)
+let builtin : (string -> builtin option) ref = ref (fun _ -> None)
 
 (* --- expression evaluation ------------------------------------------- *)
 
@@ -429,46 +435,15 @@ and eval_binop ctx op a b =
   | BGe -> bool_ (eval_expr ctx a >= eval_expr ctx b)
 
 and eval_call ctx f groups =
-  match (f, groups) with
-  | "acos", [ [ e ] ] -> acos (eval_expr ctx e)
-  | "asin", [ [ e ] ] -> asin (eval_expr ctx e)
-  | "atan", [ [ e ] ] -> atan (eval_expr ctx e)
-  | "ceil", [ [ e ] ] -> Float.ceil (eval_expr ctx e)
-  | "cos", [ [ e ] ] -> cos (eval_expr ctx e)
-  | "fabs", [ [ e ] ] -> Float.abs (eval_expr ctx e)
-  | "floor", [ [ e ] ] -> Float.floor (eval_expr ctx e)
-  | "ln", [ [ e ] ] -> log (eval_expr ctx e)
-  | "log", [ [ e ] ] -> log10 (eval_expr ctx e)
-  | "exp", [ [ e ] ] when Option.is_none (global ctx "exp") ->
-      exp (eval_expr ctx e)
-  | "sin", [ [ e ] ] -> sin (eval_expr ctx e)
-  | "sqrt", [ [ e ] ] -> sqrt (eval_expr ctx e)
-  | "tan", [ [ e ] ] -> tan (eval_expr ctx e)
-  | "min", [ [ a; b ] ] -> Float.min (eval_expr ctx a) (eval_expr ctx b)
-  | "max", [ [ a; b ] ] -> Float.max (eval_expr ctx a) (eval_expr ctx b)
-  | "weibull", [ [ a; b; t ] ] ->
-      let a = eval_expr ctx a and b = eval_expr ctx b and t = eval_expr ctx t in
-      1.0 -. exp (-.a *. Float.pow t b)
-  | "sum", [ [ Ident v; lo; hi; body ] ] ->
-      let lo = eval_expr ctx lo and hi = eval_expr ctx hi in
-      let cell = ref lo in
-      let ctx' = { ctx with locals = Var (v, cell) :: ctx.locals } in
-      let acc = ref 0.0 in
-      let i = ref lo in
-      while !i <= hi +. 1e-9 do
-        Deadline.check ();
-        cell := !i;
-        acc := !acc +. eval_expr ctx' body;
-        i := !i +. 1.0
-      done;
-      !acc
-  | "Rate", [ [ Ident t ] ] ->
-      let n = marked_net ctx "Rate" t in
-      Net.rate_in n !(Domain.DLS.get current_marking) t
-  | _ -> (
-      match global ctx f with
-      | Some (Func (params, _)) -> call_func ctx f params (List.concat groups)
-      | _ -> !dispatch_ref ctx f groups)
+  let b = !builtin f in
+  let math = match b with Some { run = Math m; _ } -> m ctx groups | _ -> None in
+  match math with
+  | Some v -> v
+  | None -> (
+      match (global ctx f, b) with
+      | Some (Func (params, _)), _ -> call_func ctx f params (List.concat groups)
+      | _, Some { run = Measure m; _ } -> m ctx groups
+      | _ -> err "unknown function %s" f)
 
 and call_func ctx fname params arg_exprs =
   let expected = List.length params and got = List.length arg_exprs in
@@ -542,13 +517,19 @@ and exec_stmt ctx stmt : float option =
       let last = ref None in
       List.iter
         (fun (text, e) ->
-          if is_printer_call e && not ctx.in_func then !print_analysis_ref ctx text e
-          else begin
-            let v = eval_expr ctx e in
-            last := Some v;
-            if not ctx.in_func then
-              ctx.env.print (Printf.sprintf "%s: %s\n" text (fmt_num ctx.env v))
-          end)
+          let printer =
+            match e with
+            | Call (f, groups) when not ctx.in_func -> (
+                match !builtin f with Some { run = Printer p; _ } -> Some (p, groups) | _ -> None)
+            | _ -> None
+          in
+          match printer with
+          | Some (p, groups) -> p ctx text groups
+          | None ->
+              let v = eval_expr ctx e in
+              last := Some v;
+              if not ctx.in_func then
+                ctx.env.print (Printf.sprintf "%s: %s\n" text (fmt_num ctx.env v)))
         items;
       !last
   | SIf (clauses, els) ->
@@ -682,10 +663,6 @@ and exec_loop_parallel ctx v values body =
         else match results.(i) with Some r, _ -> Some r | None, _ -> last (i - 1)
       in
       last (n - 1)
-
-and is_printer_call = function
-  | Call (("cdf" | "lcdf" | "pqcdf" | "mincuts" | "minpaths" | "multpath"), _) -> true
-  | _ -> false
 
 (* A loop body is safe to parallelize when no statement in it (or in a
    nested loop/conditional) writes the shared environment: definitions,

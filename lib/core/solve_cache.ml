@@ -51,12 +51,6 @@ module Srn = Sharpe_petri.Srn
 
 exception Uncacheable
 
-(* Builtins that may appear inside guard/cardinality expressions and are
-   pure functions of their (serialized) arguments and the marking. *)
-let pure_builtins =
-  [ "acos"; "asin"; "atan"; "ceil"; "cos"; "fabs"; "floor"; "ln"; "log";
-    "exp"; "sin"; "sqrt"; "tan"; "min"; "max"; "weibull"; "Rate" ]
-
 let binop_tag = function
   | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Pow -> 4 | BAnd -> 5
   | BOr -> 6 | BEq -> 7 | BNeq -> 8 | BLt -> 9 | BGt -> 10 | BLe -> 11
@@ -180,7 +174,9 @@ let close_over (ctx : Eval.ctx) b visited e =
         | Some (Eval.Func _) -> free false [] f
         (* any binding named exp shadows the builtin (Eval.eval_call) *)
         | Some _ when f = "exp" -> raise Uncacheable
-        | _ -> if not (List.mem f pure_builtins) then raise Uncacheable);
+        (* a pure builtin is a function of its (serialized) arguments *)
+        | _ -> (
+            match !Eval.builtin f with Some { pure = true; _ } -> () | _ -> raise Uncacheable));
         List.iter (List.iter (go outer bound)) groups
   (* Definitely-assigned walk over a function body: a name [bind]-ed on
      every path to a read is function-local (never reaches the

@@ -13,6 +13,7 @@ type transition = {
 }
 
 type t = {
+  name : string;
   place_names : string array;
   place_idx : (string, int) Hashtbl.t;
   trans : transition array;
@@ -38,7 +39,9 @@ let build ~places ~transitions =
     trans;
   let initial = Array.of_list (List.map snd places) in
   Array.iter (fun n -> if n < 0 then invalid_arg "Net: negative initial tokens") initial;
-  { place_names; place_idx; trans; trans_idx; initial }
+  { name = "net"; place_names; place_idx; trans; trans_idx; initial }
+
+let named name t = { t with name }
 
 let place_index t name =
   match Hashtbl.find_opt t.place_idx name with
@@ -64,7 +67,7 @@ let arcs_allow tr m =
          c = 0 || m.(p) < c)
        tr.inhibitors
 
-let enabled_and_zero_rated t m =
+let decide t m =
   let raw = ref [] and zero = ref [] in
   Array.iteri
     (fun i tr ->
@@ -83,6 +86,22 @@ let enabled_and_zero_rated t m =
     match !zero with
     | [] -> []
     | zero -> List.rev (List.filter (fun i -> eff i >= best) zero) )
+
+(* The nets whose enabling this domain is deciding: a guard, cardinality
+   or rate that reads ?() or Rate() of its own net asks for it again while
+   it is being decided, which would never end. *)
+let deciding : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+let enabled_and_zero_rated t m =
+  let d = Domain.DLS.get deciding in
+  let outer = !d in
+  if List.memq t outer then
+    invalid_arg
+      (Printf.sprintf
+         "Net %s: deciding which transitions are enabled reads ?() or Rate() of the net itself"
+         t.name);
+  d := t :: outer;
+  Fun.protect ~finally:(fun () -> d := outer) (fun () -> decide t m)
 
 let enabled t m = fst (enabled_and_zero_rated t m)
 

@@ -32,6 +32,9 @@ val build :
   places:(string * int) list -> transitions:transition list -> t
 (** [places] associates names with initial token counts. *)
 
+val named : string -> t -> t
+(** The net under the name its errors give (["net"] unless named). *)
+
 val place_index : t -> string -> int
 val initial_marking : t -> marking
 val transitions : t -> transition array
@@ -47,7 +50,9 @@ val enabled_and_zero_rated : t -> marking -> int list * int list
     because their rate is not positive (0, negative or NaN) and that the
     priority rule would keep if it were: the transitions whose rate
     decides, beside the net's structure, what [enabled] returns in this
-    marking.  Both lists in increasing index order. *)
+    marking.  Both lists in increasing index order.
+    @raise Invalid_argument when deciding them asks for them again: a
+    guard, cardinality or rate of the net reads ?() or Rate() of it. *)
 
 val hash_marking : marking -> int
 (** A nonnegative hash of every place's token count, computed without

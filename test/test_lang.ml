@@ -636,7 +636,7 @@ let test_prob_branches () =
       "markov ab\na b 1\na c 2\na d 0.5\nd a 3\nend\nend\n\
        markov irr\na b 1\nb a 2\nend\nend\n"
   in
-  let prob m s = Builtins.dispatch ctx "prob" [ [ Sharpe_lang.Ast.Ident m; Sharpe_lang.Ast.Ident s ] ] in
+  let prob m s = Eval.eval_call ctx "prob" [ [ Sharpe_lang.Ast.Ident m; Sharpe_lang.Ast.Ident s ] ] in
   let chain m =
     match Builtins.instantiate ctx m [] with
     | Eval.IMarkov mi -> mi
@@ -695,6 +695,411 @@ let test_loop_after_markov () =
          loop i, 1, 2\nf(i)\nend\nend\n",
         "f(i): 2.000000\nf(i): 3.000000\n" ) ]
 
+(* A guard reading ?(T1) of its own net asks, while the net's enabling is
+   being decided, for that decision again: the statement fails at once
+   and the run goes on. *)
+let test_enabling_reentry () =
+  let path = Filename.concat Test_golden.src_root "test/programs/enabling_reentry.sharpe" in
+  let buf = Buffer.create 64 in
+  let t0 = Unix.gettimeofday () in
+  let o = Sharpe_lang.Interp.run_program ~print:(Buffer.add_string buf) (Test_golden.read_file path) in
+  Alcotest.(check bool) "under a second" true (Unix.gettimeofday () -. t0 < 1.0);
+  Alcotest.(check string) "the statement after it runs" "1+1: 2.000000\n" (Buffer.contents buf);
+  Alcotest.(check int) "one failed statement" 1 o.failed_statements;
+  Alcotest.(check (list string)) "its error"
+    [ "Net n: deciding which transitions are enabled reads ?() or Rate() of the net itself" ]
+    (List.map (fun (r : Sharpe_numerics.Diag.record) -> r.message) o.diagnostics)
+
+(* --- the builtin contract ----------------------------------------------- *)
+
+(* A small model of each kind: [mk], [sm] and [n] are irreducible, [ma],
+   [sx] and [sa] absorb; [rsrv] reads Rate(srv) at each marking of [n]. *)
+let contract_models =
+  {|bind lam 0.5
+block b
+comp c1 exp(lam)
+comp c2 prob(0.1)
+series top c1 c2
+end
+ftree ft
+basic e1 exp(lam)
+basic e2 prob(0.1)
+or top e1 e2
+end
+mstree ms
+basic c:1 prob(0.9)
+basic c:0 prob(0.1)
+basic d:1 prob(0.8)
+basic d:0 prob(0.2)
+and top:1 c:1 d:1
+end
+ftree px
+repeat a exp(0.1)
+repeat b exp(0.1)
+and top a b
+end
+ftree py
+repeat a exp(0.1)
+repeat b exp(0.1)
+or top a b
+end
+pms pm
+1 px 10
+2 py 10
+end
+relgraph g
+s m exp(1)
+m t prob(0.1)
+s t exp(3)
+end
+graph G
+a b
+a c
+end
+exit a prob
+prob a b 0.25
+dist a zero
+dist b exp(1.0)
+dist c exp(0.5)
+end
+pfqn q(n)
+cpu term 1
+term cpu 1
+end
+cpu fcfs 2.0
+term is 1.0
+end
+cust n
+end
+mpfqn mq(ni, nb)
+chain inter
+cpu term 1
+term cpu 1
+end
+chain batch
+cpu cpu 1
+end
+end
+cpu fcfs 3
+batch 2
+end
+term is 1 end
+end
+inter ni
+batch nb
+end
+markov mk
+up down 0.5
+down up 2
+reward
+up 1
+down 0
+end
+end
+markov ma readprobs
+a b 2
+a c 1
+b c 3
+end
+a 1
+end
+fastmttf
+a READA
+b READF
+end
+semimark sm
+a b exp(2)
+b a exp(1)
+reward
+a 1
+b 0
+end
+a 1
+end
+fastmttf
+a READA
+b READF
+end
+mrgp mg
+1 - 0 exp(2.0)
+0 @ 1 Erlang(1, 1.0)
+1 @ 1 Erlang(1, 1.0)
+reward
+1 1
+end
+srn n (K)
+src K
+qq 0
+end
+arr ind 1.0
+srv ind 2.0
+end
+end
+src arr 1
+qq srv 1
+end
+arr qq 1
+srv src 1
+end
+end
+srn sa ()
+p 1
+d 0
+end
+t ind 2
+end
+end
+p t 1
+end
+t d 1
+end
+end
+func nq() #(qq)
+func rsrv() Rate(srv)
+pepa pp
+Fetch = (work, 2).Ready
+Ready = (hand, 3).Fetch
+Wait = (hand, infty).Crunch
+Crunch = (crunch, 1.5).Wait
+(Fetch <hand> Wait)
+end
+semimark sx
+a b exp(2)
+end
+a 1
+end
+func np() #(p)
+|}
+
+(* Every builtin called on each model kind it accepts, its output pinned *)
+let accepted =
+  [ ( "expr acos(0.5), asin(0.5), atan(1), ceil(1.5), cos(1), fabs(0-2), floor(1.5)",
+      "acos(0.5): 1.047198e+000\nasin(0.5): 5.235988e-001\natan(1): 7.853982e-001\nceil(1.5): 2.000000\ncos(1): 5.403023e-001\nfabs(0-2): 2.000000\nfloor(1.5): 1.000000\n" );
+    ( "expr ln(2), log(100), exp(1), sin(1), sqrt(2), tan(1)",
+      "ln(2): 6.931472e-001\nlog(100): 2.000000\nexp(1): 2.718282e+000\nsin(1): 8.414710e-001\nsqrt(2): 1.414214e+000\ntan(1): 1.557408e+000\n" );
+    ( "expr min(1, 2), max(1, 2), weibull(0.5, 2, 1), sum(i, 1, 4, i*i)",
+      "min(1, 2): 1.000000\nmax(1, 2): 2.000000\nweibull(0.5, 2, 1): 3.934693e-001\nsum(i, 1, 4, i*i): 30.000000\n" );
+    ( "expr srn_exrss(n; rsrv; 3)",
+      "srn_exrss(n; rsrv; 3): 9.333333e-001\n" );
+    ( "expr tvalue(1; b), tvalue(1, b), tvalue(1; ft), tvalue(15; pm), tvalue(1; g), tvalue(1; G)",
+      "tvalue(1; b): 4.541224e-001\ntvalue(1, b): 4.541224e-001\ntvalue(1; ft): 4.541224e-001\ntvalue(15; pm): 9.502129e-001\ntvalue(1; g): 6.356055e-001\ntvalue(1; G): 4.531321e-001\n" );
+    ( "expr value(1; mk, down), value(1; sx, b), value(1; pp, Wait)",
+      "value(1; mk, down): 1.835830e-001\nvalue(1; sx, b): 8.646647e-001\nvalue(1; pp, Wait): 5.556791e-001\n" );
+    ( "expr mean(b), mean(ft), mean(g), mean(G), mean(ma), mean(sx)",
+      "mean(b): 1.800000e+000\nmean(ft): 1.800000e+000\nmean(g): 1.008333e+000\nmean(G): 1.750000e+000\nmean(ma): 5.555556e-001\nmean(sx): 5.000000e-001\n" );
+    ( "expr var(G)",
+      "var(G): 3.437500e+000\n" );
+    ( "expr sysprob(ft), sysprob(ft, top), sysprob(ms, top:1), sysprob(b), sysprob(g)",
+      "sysprob(ft): 1.000000e-001\nsysprob(ft, top): 1.000000e-001\nsysprob(ms, top:1): 7.200000e-001\nsysprob(b): 1.000000e-001\nsysprob(g): 0.000000\n" );
+    ( "expr pzero(ft), pzero(b), pzero(g)",
+      "pzero(ft): 1.000000e-001\npzero(b): 1.000000e-001\npzero(g): 0.000000\n" );
+    ( "expr prob(mk, down), prob(ma, c), prob(sm, b), prob(mg, 1), prob(pp, Wait)",
+      "prob(mk, down): 2.000000e-001\nprob(ma, c): 1.000000\nprob(sm, b): 6.666667e-001\nprob(mg, 1): 3.333333e-001\nprob(pp, Wait): 4.509804e-001\n" );
+    ( "expr exrss(mk), exrss(sm), exrss(mg)",
+      "exrss(mk): 8.000000e-001\nexrss(sm): 3.333333e-001\nexrss(mg): 3.333333e-001\n" );
+    ( "expr exrt(1, mk), cexrt(1, mk)",
+      "exrt(1, mk): 8.164170e-001\ncexrt(1, mk): 8.734332e-001\n" );
+    ( "expr fastmttf(ma), fastmttf(sm)",
+      "fastmttf(ma): 3.333333e-001\nfastmttf(sm): 5.000000e-001\n" );
+    ( "expr bimpt(1; ft, e1), cimpt(1; ft, e1), simpt(ft, e1)",
+      "bimpt(1; ft, e1): 9.000000e-001\ncimpt(1; ft, e1): 7.797951e-001\nsimpt(ft, e1): 5.000000e-001\n" );
+    ( "expr bimpt(1; g, s, m), cimpt(1; g, s, m), simpt(g, s, m)",
+      "bimpt(1; g, s, m): 8.551916e-001\ncimpt(1; g, s, m): 8.505027e-001\nsimpt(g, s, m): 2.500000e-001\n" );
+    ( "expr srn_exrss(n; nq; 3), srn_exrt(1, n; nq; 3), srn_cexrt(1, n; nq; 3), srn_ave_cexrt(1, n; nq; 3)",
+      "srn_exrss(n; nq; 3): 7.333333e-001\nsrn_exrt(1, n; nq; 3): 4.990913e-001\nsrn_cexrt(1, n; nq; 3): 3.068969e-001\nsrn_ave_cexrt(1, n; nq; 3): 3.068969e-001\n" );
+    ( "expr srn_cexrinf(sa; np)",
+      "srn_cexrinf(sa; np): 5.000000e-001\n" );
+    ( "expr mtta(sa), mtta(ma)",
+      "mtta(sa): 5.000000e-001\nmtta(ma): 5.555556e-001\n" );
+    ( "expr util(n, srv; 3), tput(n, srv; 3), etok(n, qq; 3), prempty(n, qq; 3)",
+      "util(n, srv; 3): 4.666667e-001\ntput(n, srv; 3): 9.333333e-001\netok(n, qq; 3): 7.333333e-001\nprempty(n, qq; 3): 5.333333e-001\n" );
+    ( "expr util(q, cpu; 3), tput(q, cpu; 3), qlength(q, cpu; 3), rtime(q, cpu; 3)",
+      "util(q, cpu; 3): 7.894737e-001\ntput(q, cpu; 3): 1.578947e+000\nqlength(q, cpu; 3): 1.421053e+000\nrtime(q, cpu; 3): 9.000000e-001\n" );
+    ( "expr mutil(q, cpu; 3), mtput(q, cpu; 3), mqlength(q, cpu; 3), mrtime(q, cpu; 3)",
+      "mutil(q, cpu; 3): 7.894737e-001\nmtput(q, cpu; 3): 1.578947e+000\nmqlength(q, cpu; 3): 1.421053e+000\nmrtime(q, cpu; 3): 9.000000e-001\n" );
+    ( "expr util(mq, cpu; 2, 1), tput(mq, cpu; 2, 1), qlength(mq, cpu; 2, 1)",
+      "util(mq, cpu; 2, 1): 1.000000\ntput(mq, cpu; 2, 1): 2.370370e+000\nqlength(mq, cpu; 2, 1): 1.888889e+000\n" );
+    ( "expr mutil(mq, cpu; 2, 1), mtput(mq, cpu; 2, 1), mqlength(mq, cpu; 2, 1)",
+      "mutil(mq, cpu; 2, 1): 1.000000\nmtput(mq, cpu; 2, 1): 2.370370e+000\nmqlength(mq, cpu; 2, 1): 1.888889e+000\n" );
+    ( "expr tput(pp, hand)",
+      "tput(pp, hand): 8.235294e-001\n" );
+    ( "cdf(b)",
+      "cdf(b):\n  - 0.9 exp(-0.5 t) + 1\n  mean: 1.800000e+000\n" );
+    ( "lcdf(b)",
+      "lcdf(b):\n  - 0.9 exp(-0.5 t) + 1\n  mean: 1.800000e+000\n" );
+    ( "cdf(ft)",
+      "cdf(ft):\n  - 0.9 exp(-0.5 t) + 1\n  mean: 1.800000e+000\n" );
+    ( "cdf(ft, top)",
+      "cdf(ft, top):\n  - 0.9 exp(-0.5 t) + 1\n  mean: 1.800000e+000\n" );
+    ( "cdf(g)",
+      "cdf(g):\n  0.9 exp(-4 t) - 1 exp(-3 t) - 0.9 exp(-1 t) + 1\n  mean: 1.008333e+000\n" );
+    ( "cdf(G)",
+      "cdf(G):\n  - 0.25 exp(-1 t) - 0.75 exp(-0.5 t) + 1\n  mean: 1.750000e+000\n" );
+    ( "cdf(ms, top:1)",
+      "cdf(ms, top:1): 7.200000e-001\n" );
+    ( "cdf(ma)",
+      "cdf(ma):\n  - 1 exp(-3 t) - 2 t^1 exp(-3 t) + 1\n  mean: 5.555556e-001\n" );
+    ( "cdf(ma, c)",
+      "cdf(ma, c):\n  - 1 exp(-3 t) - 2 t^1 exp(-3 t) + 1\n  mean: 5.555556e-001\n" );
+    ( "cdf(sx, b)",
+      "cdf(sx, b):\n  - 1 exp(-2 t) + 1\n  mean: 5.000000e-001\n" );
+    ( "pqcdf(g)",
+      "pqcdf(g):\n  qsm*pmt*pst + psm*pst\n" );
+    ( "mincuts(ft)",
+      "mincuts(ft):\n  1: { e1 }\n  2: { e2 }\n" );
+    ( "mincuts(g)",
+      "mincuts(g):\n  1: { s->m, s->t }\n  2: { m->t, s->t }\n" );
+    ( "minpaths(g)",
+      "minpaths(g):\n  1: { s->t }\n  2: { s->m, m->t }\n" );
+    ( "multpath(G)",
+      "multpath(G):\n  path 1: prob 2.500000e-001, cdf - 1 exp(-1 t) + 1\n  path 2: prob 7.500000e-001, cdf - 1 exp(-0.5 t) + 1\n" ) ]
+
+(* ... and on one kind it rejects (a math builtin on any model): the
+   statement fails with this error *)
+let rejected =
+  [ ("expr acos(b)", "model b used as a value");
+    ("expr asin(b)", "model b used as a value");
+    ("expr atan(b)", "model b used as a value");
+    ("expr ceil(b)", "model b used as a value");
+    ("expr cos(b)", "model b used as a value");
+    ("expr fabs(b)", "model b used as a value");
+    ("expr floor(b)", "model b used as a value");
+    ("expr ln(b)", "model b used as a value");
+    ("expr log(b)", "model b used as a value");
+    ("expr exp(b)", "model b used as a value");
+    ("expr sin(b)", "model b used as a value");
+    ("expr sqrt(b)", "model b used as a value");
+    ("expr tan(b)", "model b used as a value");
+    ("expr min(b, 1)", "model b used as a value");
+    ("expr max(b, 1)", "model b used as a value");
+    ("expr weibull(b, 1, 1)", "model b used as a value");
+    ("expr sum(i, 1, 2, b)", "model b used as a value");
+    ("expr Rate(srv)", "Rate(srv) outside a marking context");
+    ("expr tvalue(1; mk)", "tvalue: unsupported model mk");
+    ("expr value(1; b, c1)", "value: unsupported model b");
+    ("expr mean(q; 3)", "mean: unsupported model q");
+    ("expr var(b)", "var: unsupported model b");
+    ("expr sysprob(mk)", "sysprob: unsupported model mk");
+    ("expr pzero(G)", "pzero: unsupported model G");
+    ("expr prob(b, c1)", "prob: unsupported model b");
+    ("expr exrss(b)", "exrss: unsupported model b");
+    ("expr exrt(1, sm)", "exrt: unsupported model sm");
+    ("expr cexrt(1, sm)", "cexrt: unsupported model sm");
+    ("expr fastmttf(b)", "fastmttf: unsupported model b");
+    ("expr bimpt(1; b, c1)", "bimpt: unsupported model b");
+    ("expr cimpt(1; b, c1)", "cimpt: unsupported model b");
+    ("expr simpt(b, c1)", "simpt: unsupported model b");
+    ("expr srn_exrss(mk; nq)", "srn_exrss: unsupported model mk");
+    ("expr srn_exrt(1, mk; nq)", "srn_exrt: unsupported model mk");
+    ("expr srn_cexrt(1, mk; nq)", "srn_cexrt: unsupported model mk");
+    ("expr srn_ave_cexrt(1, mk; nq)", "srn_ave_cexrt: unsupported model mk");
+    ("expr srn_cexrinf(mk; nq)", "srn_cexrinf: unsupported model mk");
+    ("expr mtta(b)", "mtta: unsupported model b");
+    ("expr util(pp, hand)", "util: unsupported model pp");
+    ("expr tput(b, c1)", "tput: unsupported model b");
+    ("expr qlength(n, qq; 3)", "qlength: unsupported model n");
+    ("expr rtime(mq, cpu; 2, 1)", "rtime: unsupported model mq");
+    ("expr mutil(n, srv; 3)", "mutil: unsupported model n");
+    ("expr mtput(n, srv; 3)", "mtput: unsupported model n");
+    ("expr mqlength(n, qq; 3)", "mqlength: unsupported model n");
+    ("expr mrtime(mq, cpu; 2, 1)", "mrtime: unsupported model mq");
+    ("expr etok(q, cpu; 3)", "etok: unsupported model q");
+    ("expr prempty(q, cpu; 3)", "prempty: unsupported model q");
+    ("cdf(q; 3)", "cdf: unsupported model q");
+    ("lcdf(q; 3)", "lcdf: unsupported model q");
+    ("pqcdf(ft)", "pqcdf: unsupported model ft");
+    ("mincuts(b)", "mincuts: unsupported model b");
+    ("minpaths(ft)", "minpaths: unsupported model ft");
+    ("multpath(b)", "multpath: unsupported model b") ]
+
+let run_row stmt =
+  let buf = Buffer.create 256 in
+  let outcome =
+    Sharpe_lang.Interp.run_program ~print:(Buffer.add_string buf)
+      (contract_models ^ stmt ^ "\n")
+  in
+  (Buffer.contents buf, outcome)
+
+let test_builtin_contract () =
+  List.iter
+    (fun (stmt, expected) ->
+      let out, o = run_row stmt in
+      Alcotest.(check int) (stmt ^ ": no failed statement") 0 o.failed_statements;
+      Alcotest.(check string) stmt expected out)
+    accepted;
+  List.iter
+    (fun (stmt, message) ->
+      let out, o = run_row stmt in
+      Alcotest.(check int) (stmt ^ ": one failed statement") 1 o.failed_statements;
+      Alcotest.(check string) (stmt ^ ": nothing printed") "" out;
+      Alcotest.(check (list string)) (stmt ^ ": its error") [ message ]
+        (List.filter_map
+           (fun (r : Sharpe_numerics.Diag.record) ->
+             if r.severity = Sharpe_numerics.Diag.Error then Some r.message else None)
+           o.diagnostics))
+    rejected
+
+(* LANGUAGE.md's section on each model kind names, in backticks, exactly
+   the measures and printers the builtin table accepts for that kind *)
+let test_language_kinds () =
+  let kinds (e : Builtins.entry) =
+    match e.does with
+    | Compute _ -> []
+    | Value cases -> List.map (fun (c : float Builtins.case) -> c.kind) cases
+    | Print cases -> List.map (fun (c : unit Builtins.case) -> c.kind) cases
+  in
+  let accepted kind =
+    List.concat_map (fun (e : Builtins.entry) -> if List.mem kind (kinds e) then e.names else [])
+      Builtins.table
+  in
+  let analysis n = List.exists (fun (e : Builtins.entry) -> kinds e <> [] && List.mem n e.names) Builtins.table in
+  (* the builtins the backticked spans name or call: `f` or `f(...)` *)
+  let named text =
+    List.filteri (fun i _ -> i mod 2 = 1) (String.split_on_char '`' text)
+    |> List.filter_map (fun span ->
+           let name = List.hd (String.split_on_char '(' span) in
+           if analysis name then Some name else None)
+  in
+  let doc = Test_golden.read_file (Filename.concat Test_golden.src_root "LANGUAGE.md") in
+  let lines = String.split_on_char '\n' doc in
+  (* the "## Model types" chapter, without its code blocks, cut at its
+     "### " headings *)
+  let rec chapter in_it fenced acc = function
+    | [] -> List.rev acc
+    | l :: rest when String.starts_with ~prefix:"## " l ->
+        chapter (l = "## Model types") false acc rest
+    | l :: rest when String.starts_with ~prefix:"```" l -> chapter in_it (not fenced) acc rest
+    | l :: rest when in_it && not fenced -> chapter in_it fenced (l :: acc) rest
+    | _ :: rest -> chapter in_it fenced acc rest
+  in
+  let sections =
+    List.fold_left
+      (fun acc l ->
+        match (String.starts_with ~prefix:"### " l, acc) with
+        | true, _ -> (String.sub l 4 (String.length l - 4), []) :: acc
+        | false, (h, body) :: acc -> (h, l :: body) :: acc
+        | false, [] -> acc)
+      [] (chapter false false [] lines)
+  in
+  let documented =
+    List.concat_map
+      (fun (heading, body) ->
+        let kinds = List.hd (String.split_on_char '(' heading) in
+        List.map
+          (fun k -> ((match String.trim k with "gspn" -> "srn" | k -> k), String.concat " " body))
+          (String.split_on_char '/' kinds))
+      sections
+  in
+  let all_kinds = List.sort_uniq compare (List.concat_map kinds Builtins.table) in
+  Alcotest.(check (list string)) "a section for every kind" all_kinds
+    (List.sort_uniq compare (List.map fst documented));
+  List.iter
+    (fun (kind, body) ->
+      Alcotest.(check (list string)) ("### " ^ kind)
+        (List.sort_uniq compare (accepted kind))
+        (List.sort_uniq compare (named body)))
+    documented
+
 let suite =
   [ ("lexer scientific numbers", `Quick, test_lexer_scientific);
     ("lexer 29-char truncation", `Quick, test_lexer_name_truncation);
@@ -733,4 +1138,7 @@ let suite =
     ("runtime errors", `Quick, test_undefined_name);
     ("markov expansion bit-identical to the former one", `Quick, test_expansion_bit_identical);
     ("markov expansion in a loop at jobs=2", `Quick, test_expansion_parallel_loop);
-    ("subscript digits equal string_of_int", `Quick, test_subscript_digits) ]
+    ("subscript digits equal string_of_int", `Quick, test_subscript_digits);
+    ("every builtin on the kinds it accepts and one it rejects", `Quick, test_builtin_contract);
+    ("a guard reading ?() of its own net fails its statement", `Quick, test_enabling_reentry);
+    ("LANGUAGE.md lists each kind's builtins as the table does", `Quick, test_language_kinds) ]

@@ -475,6 +475,19 @@ let test_shadowed_exp_rate () =
   Alcotest.(check int) "the shadowed call fails (cached)" 1 f1;
   Alcotest.(check string) "cached output equals cold output" cold cached
 
+(* An output arc whose cardinality reads Rate(T1), a global also named T1:
+   the rate decides the net's structure, so no skeleton may be filed
+   under a key that leaves the rate out, and x = 2 sends two tokens. *)
+let test_rate_in_cardinality () =
+  let program name =
+    Test_golden.read_file (Filename.concat Test_golden.src_root ("test/programs/" ^ name))
+  in
+  let cached, f1, cold, f2 = cached_and_cold (program "rate_cardinality.sharpe") in
+  Alcotest.(check (pair int int)) "no failed statements (cached, cold)" (0, 0) (f1, f2);
+  Alcotest.(check string) "cold answers" (program "rate_cardinality.out") cold;
+  Alcotest.(check string) "cached output equals cold output" cold cached;
+  Alcotest.(check (pair int int)) "the net is solved cold" (0, 0) (stat "srn_skeleton")
+
 (* --- allocation on the sweep path --------------------------------------- *)
 
 module Parser = Sharpe_lang.Parser
@@ -1220,6 +1233,8 @@ let suite =
       test_hierarchical_rate_weights_path;
     Alcotest.test_case "shadowed exp in a rate matches cold" `Quick
       test_shadowed_exp_rate;
+    Alcotest.test_case "Rate in a cardinality matches cold" `Quick
+      test_rate_in_cardinality;
     Alcotest.test_case "edge weights allocate per edge, not per context" `Quick
       test_edge_weights_allocation;
     Alcotest.test_case "instance hit allocates nothing per edge" `Quick
