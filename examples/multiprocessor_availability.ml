@@ -50,9 +50,9 @@ let () =
   List.iter
     (fun c ->
       let srn = Srn.solve (build ~n_procs ~coverage:c ~lambda ~mu ~beta) in
-      let avail = Srn.exrss srn (fun m -> if m.(0) > 0 then 1.0 else 0.0) in
-      let eup = Srn.exrss srn (fun m -> float_of_int m.(0)) in
-      let pcrash = Srn.exrss srn (fun m -> if m.(3) > 0 then 1.0 else 0.0) in
+      let avail = Srn.exrss srn (Srn.reward srn (fun m -> if m.(0) > 0 then 1.0 else 0.0)) in
+      let eup = Srn.exrss srn (Srn.reward srn (fun m -> float_of_int m.(0))) in
+      let pcrash = Srn.exrss srn (Srn.reward srn (fun m -> if m.(3) > 0 then 1.0 else 0.0)) in
       Printf.printf "%-10.3f %-10d %-14.9f %-14.6f %-14.9f\n" c
         (Reach.n_tangible (Srn.graph srn))
         avail eup pcrash)
@@ -64,5 +64,5 @@ let () =
   List.iter
     (fun t ->
       Printf.printf "  t=%-8.0f E[#up] = %.6f\n" t
-        (Srn.exrt srn (fun m -> float_of_int m.(0)) t))
+        (Srn.exrt srn (Srn.reward srn (fun m -> float_of_int m.(0))) t))
     [ 10.0; 100.0; 1000.0; 10000.0 ]

@@ -211,7 +211,9 @@ and build_model mctx = function
       ISemimark (build_semimark mctx mode edges rewards init fastmttf)
   | MMrgp { edges; rewards; _ } -> IMrgp (build_mrgp mctx edges rewards)
   | MSrn { name; places; timed; immediate; inputs; outputs; inhibitors; _ } ->
-      ISrn (build_srn mctx name places timed immediate inputs outputs inhibitors)
+      ISrn
+        { srn = build_srn mctx name places timed immediate inputs outputs inhibitors;
+          rewards = Hashtbl.create 4 }
   | MPepa { past; _ } -> IPepa (build_pepa mctx past)
 
 and build_block mctx lines =
@@ -339,7 +341,6 @@ and build_relgraph mctx edges =
 
 and build_graph mctx edges glines =
   let g = Spg.create () in
-  let multpath = ref false in
   List.iter (fun (u, vs) -> List.iter (fun v -> Spg.add_edge g u v) vs) edges;
   let fix_entry n = if String.length n > 1 && String.sub n 0 2 = "E." then "E." else n in
   List.iter
@@ -356,9 +357,9 @@ and build_graph mctx edges glines =
           Spg.set_exit g (fix_entry n) ex'
       | GProb (u, v, e) -> Spg.set_prob g (fix_entry u) v (ev mctx e)
       | GDist (n, e) -> Spg.set_dist g n (dist_of_expr mctx e)
-      | GMultpath -> multpath := true)
+      | GMultpath -> ())
     glines;
-  ISpg (g, !multpath)
+  ISpg g
 
 and build_pfqn mctx routing stations chains =
   let stations' =
@@ -722,7 +723,7 @@ let ftree f = case "ftree" (function IFtree x -> Some x | _ -> None) f
 let mstree f = case "mstree" (function IMstree x -> Some x | _ -> None) f
 let pms f = case "pms" (function IPms x -> Some x | _ -> None) f
 let relgraph f = case "relgraph" (function IRelgraph x -> Some x | _ -> None) f
-let graph f = case "graph" (function ISpg (x, _) -> Some x | _ -> None) f
+let graph f = case "graph" (function ISpg x -> Some x | _ -> None) f
 let pfqn f = case "pfqn" (function IPfqn (x, n) -> Some (x, n) | _ -> None) f
 let mpfqn f = case "mpfqn" (function IMpfqn (x, p) -> Some (x, p) | _ -> None) f
 let markov f = case "markov" (function IMarkov x -> Some x | _ -> None) f
@@ -771,13 +772,37 @@ let section c what = function
   | Some x -> x
   | None -> err "%s: model %s has no %s section" c.f (fst c.key) what
 
-(* the reward function named in the call's reward group, at a marking *)
-let srn_reward c s =
+(* The reward vectors' traffic: one hit or miss per query, not per
+   marking *)
+let reward_vectors = Sharpe_numerics.Structhash.counter "srn_reward"
+
+(* The values of the reward function named in the call's reward group:
+   the vector filed on the instance under its name while what the
+   reward can read is unchanged, else a new one, filed where its
+   definition pins that down and dropped after the query where it does
+   not.  A filed vector's reads are the build in progress's reads too,
+   whether it hit or was just filed, as an instance's are. *)
+let srn_reward c si =
   match c.reward with
-  | [ r ] ->
-      let call = Call (name_of c.ctx r, []) in
-      let rctx = { c.ctx with marking = Some (ref (Some (Srn.net s))) } in
-      fun m -> eval_at rctx m call
+  | [ r ] -> (
+      let name = name_of c.ctx r in
+      let call = Call (name, []) in
+      let rctx = { c.ctx with marking = Some (ref (Some (Srn.net si.srn))) } in
+      let f m = eval_at rctx m call in
+      match Hashtbl.find_opt si.rewards name with
+      | Some v when reads_hold c.ctx.env v.reads ->
+          Sharpe_numerics.Structhash.count reward_vectors ~hit:true;
+          add_reads c.ctx (Array.to_seq v.reads) None;
+          Srn.with_function v.vector f
+      | _ ->
+          Sharpe_numerics.Structhash.count reward_vectors ~hit:false;
+          let vector = Srn.reward si.srn f in
+          (match Solve_cache.reward_reads c.ctx name with
+          | Some reads ->
+              Hashtbl.replace si.rewards name { vector; reads };
+              add_reads c.ctx (Array.to_seq reads) None
+          | None -> Hashtbl.remove si.rewards name);
+          vector)
   | _ -> err "expected a reward function name"
 
 let print_expo c f =
@@ -906,23 +931,25 @@ let table =
         semimark (fun c si ->
             let _, readf = section c "fastmttf" si.sm_fast in
             SM.mttf si.sm ~init:(semimark_init si) ~readf) ];
-    measure [ "mtta" ] Sys [ srn (fun _ s -> Srn.mtta s); markov_mtta ];
+    measure [ "mtta" ] Sys [ srn (fun _ s -> Srn.mtta s.srn); markov_mtta ];
     (* importance measures *)
     measure [ "bimpt" ] T_sys_names (importance Ftree.birnbaum Relgraph.birnbaum);
     measure [ "cimpt" ] T_sys_names (importance Ftree.criticality Relgraph.criticality);
     measure [ "simpt" ] Sys_names
       (importance (fun ft e _ -> Ftree.structural ft e) (fun g u v _ -> Relgraph.structural g u v));
     (* SRN measures *)
-    measure [ "srn_exrss" ] Srn [ srn (fun c s -> Srn.exrss s (srn_reward c s)) ];
-    measure [ "srn_exrt" ] T_srn [ srn (fun c s -> Srn.exrt s (srn_reward c s) c.t) ];
-    measure [ "srn_cexrt" ] T_srn [ srn (fun c s -> Srn.cexrt s (srn_reward c s) c.t) ];
-    measure [ "srn_ave_cexrt" ] T_srn [ srn (fun c s -> Srn.ave_cexrt s (srn_reward c s) c.t) ];
-    measure [ "srn_cexrinf" ] Srn [ srn (fun c s -> Srn.cexrinf s (srn_reward c s)) ];
+    measure [ "srn_exrss" ] Srn [ srn (fun c s -> Srn.exrss s.srn (srn_reward c s)) ];
+    measure [ "srn_exrt" ] T_srn [ srn (fun c s -> Srn.exrt s.srn (srn_reward c s) c.t) ];
+    measure [ "srn_cexrt" ] T_srn [ srn (fun c s -> Srn.cexrt s.srn (srn_reward c s) c.t) ];
+    measure [ "srn_ave_cexrt" ] T_srn
+      [ srn (fun c s -> Srn.ave_cexrt s.srn (srn_reward c s) c.t) ];
+    measure [ "srn_cexrinf" ] Srn [ srn (fun c s -> Srn.cexrinf s.srn (srn_reward c s)) ];
     (* GSPN and queueing measures sharing names *)
-    measure [ "util" ] Sys_names [ srn (fun c s -> Srn.util s (target c)); pfqn_util; mpfqn_util ];
+    measure [ "util" ] Sys_names
+      [ srn (fun c s -> Srn.util s.srn (target c)); pfqn_util; mpfqn_util ];
     measure [ "mutil" ] Sys_names [ pfqn_util; mpfqn_util ];
     measure [ "tput" ] Sys_names
-      [ srn (fun c s -> Srn.tput s (target c));
+      [ srn (fun c s -> Srn.tput s.srn (target c));
         pepa (fun c p ->
             pepa_measure (fun () -> Pepa.throughput p.pe_c (pepa_steady p) (target c)));
         pfqn_tput;
@@ -933,8 +960,8 @@ let table =
         mpfqn (fun c (n, pops) -> Mpfqn.station_qlength n ~populations:pops (target c)) ];
     measure [ "rtime"; "mrtime" ] Sys_names
       [ pfqn (fun c (n, customers) -> Pfqn.rtime n ~customers (target c)) ];
-    measure [ "etok" ] Sys_names [ srn (fun c s -> Srn.etok s (target c)) ];
-    measure [ "prempty" ] Sys_names [ srn (fun c s -> Srn.prempty s (target c)) ];
+    measure [ "etok" ] Sys_names [ srn (fun c s -> Srn.etok s.srn (target c)) ];
+    measure [ "prempty" ] Sys_names [ srn (fun c s -> Srn.prempty s.srn (target c)) ];
     (* statement-level printers *)
     printer [ "cdf"; "lcdf" ]
       [ block (fun c b -> print_expo c (Rbd.failure_cdf b));

@@ -80,28 +80,38 @@ type mrgp_inst = {
   mg_reward : (int -> float) option;
 }
 
+type binding =
+  | Val of float
+  | VarExpr of expr
+  | Func of string list * fbody
+  | Model of model
+
+(* A solved net and the reward vectors filed on it, by reward name.  A
+   vector serves while every global binding its reward's definition can
+   read (absent names included) is unchanged: [reads] holds them as they
+   were when it was filed.  Only a reward whose definition pins down what
+   it reads and calls no measure is filed (Solve_cache.reward_reads), so
+   evaluating it emits no Diag record and reading a filled value in its
+   place loses none. *)
+type srn_inst = { srn : Srn.t; rewards : (string, filed_reward) Hashtbl.t }
+and filed_reward = { vector : Srn.reward; reads : (string * binding option) array }
+
 type instance =
   | IRbd of Rbd.t
   | IFtree of Ftree.t
   | IMstree of Mstree.t
   | IPms of Pms.t
   | IRelgraph of Relgraph.t
-  | ISpg of Spg.t * bool
+  | ISpg of Spg.t
   | IPfqn of Pfqn.t * int
   | IMpfqn of Mpfqn.t * (string * int) list
   | IMarkov of markov_inst
   | ISemimark of sm_inst
   | IMrgp of mrgp_inst
-  | ISrn of Srn.t
+  | ISrn of srn_inst
   | IPepa of pepa_inst
 
 (* --- environment ----------------------------------------------------- *)
-
-type binding =
-  | Val of float
-  | VarExpr of expr
-  | Func of string list * fbody
-  | Model of model
 
 type env = {
   table : (string, binding) Hashtbl.t;
@@ -223,11 +233,14 @@ let same_binding a b =
   | Some (Model x), Some (Model y) -> x == y
   | _ -> false
 
+(* Every binding in [reads] is still [env]'s *)
+let reads_hold env reads =
+  Array.for_all (fun (n, b) -> same_binding b (Hashtbl.find_opt env.table n)) reads
+
 (* Within one version no binding changes; the side is switched without a
    new version, so it is always compared. *)
 let still_valid env e =
-  (e.used_in = env.version
-  || Array.for_all (fun (n, b) -> same_binding b (Hashtbl.find_opt env.table n)) e.reads)
+  (e.used_in = env.version || reads_hold env e.reads)
   && match e.side_read with None -> true | Some s -> s = env.side
 
 let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: l -> drop (n - 1) l

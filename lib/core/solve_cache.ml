@@ -238,6 +238,17 @@ let close_over (ctx : Eval.ctx) b visited e =
   in
   go true [] e
 
+(* The global bindings the reward function [name] can read, absent
+   names included, as they are now; [None] where [close_over] cannot pin
+   its definition down: it calls a measure or Rate(), or reads a model or
+   an undefined name. *)
+let reward_reads (ctx : Eval.ctx) name =
+  let frame = Eval.open_frame () in
+  let pin = { ctx with frame = Some frame } in
+  match close_over pin (Structhash.builder "reward") (Hashtbl.create 8) (Call (name, [])) with
+  | () -> Some (Array.of_seq (Hashtbl.to_seq frame.read))
+  | exception Uncacheable -> None
+
 (* The structural key of an SRN being built.  [places] carries the
    evaluated initial token counts; guard, cardinality and priority
    expressions come from the AST.  [None] when the structure cannot be
@@ -297,13 +308,13 @@ let skeleton_cache : Reach.skeleton Structhash.Table.t =
 
 (* Solve [net] on the skeleton filed under [key] while it still fits the
    current rates (one that no longer does is explored again and counts as
-   a miss).  Either way the edges are weighed once, and those weights are
-   the ones the solve uses. *)
+   a miss).  Either way the edges are weighed once, exploration included,
+   and those weights are the ones the solve uses. *)
 let solve_srn ~key net =
   let w = ref [||] in
   let explore () =
-    let sk = Reach.explore_skeleton net in
-    w := Reach.edge_weights net sk;
+    let sk, weights = Reach.explore net in
+    w := weights;
     sk
   in
   let fits sk =

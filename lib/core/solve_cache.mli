@@ -35,3 +35,11 @@ val srn_key :
 val solve_srn : key:string -> Sharpe_petri.Net.t -> Sharpe_petri.Srn.t
 (** Solve the net, reusing the cached reachability skeleton filed under
     [key] while it fits the current rates. *)
+
+val reward_reads :
+  Eval.ctx -> string -> (string * Eval.binding option) array option
+(** The global bindings the reward function of this name can read under
+    [ctx] (absent names included), as they are now: what a vector of its
+    values must be filed with.  [None] when its definition cannot be
+    pinned down (it calls a measure or [Rate()], or reads a model or an
+    undefined name): its values are then evaluated at every query. *)

@@ -67,7 +67,7 @@ val krylov_threshold : int
 
     Each expansion of a sparse system to a dense matrix (the direct
     fallbacks) ticks a global counter.  Large-model paths must keep it at
-    zero — the large-model bench asserts so — and an expansion beyond the
+    zero — [test/test_krylov.ml] asserts so — and an expansion beyond the
     direct-solve cap additionally records a {!Diag.Warning}. *)
 
 val dense_count : unit -> int

@@ -72,17 +72,19 @@ let decide t m =
   Array.iteri
     (fun i tr ->
       if arcs_allow tr m then
-        if tr.kind = Immediate || tr.rate m > 0.0 then raw := i :: !raw
-        else zero := i :: !zero)
+        if tr.kind = Immediate then raw := (i, Float.nan) :: !raw
+        else
+          let r = tr.rate m in
+          if r > 0.0 then raw := (i, r) :: !raw else zero := i :: !zero)
     t.trans;
   let eff i =
     let tr = t.trans.(i) in
     (if tr.kind = Immediate then 1_000_000 else 0) + tr.priority
   in
-  let best = List.fold_left (fun b i -> max b (eff i)) min_int !raw in
+  let best = List.fold_left (fun b (i, _) -> max b (eff i)) min_int !raw in
   (* a zero-rated transition below [best] would stay disabled by priority
      at any rate, so only those at or above it are reported *)
-  ( List.rev (List.filter (fun i -> eff i = best) !raw),
+  ( List.rev (List.filter (fun (i, _) -> eff i = best) !raw),
     match !zero with
     | [] -> []
     | zero -> List.rev (List.filter (fun i -> eff i >= best) zero) )
@@ -103,7 +105,7 @@ let enabled_and_zero_rated t m =
   d := t :: outer;
   Fun.protect ~finally:(fun () -> d := outer) (fun () -> decide t m)
 
-let enabled t m = fst (enabled_and_zero_rated t m)
+let enabled t m = List.map fst (fst (enabled_and_zero_rated t m))
 
 (* FNV-1a over every place (offset basis cut to OCaml's 63-bit ints),
    folded to a nonnegative int.  The final xor-shift carries the high

@@ -45,12 +45,14 @@ val enabled : t -> marking -> int list
     those whose guard, input and inhibitor conditions hold and, for a
     timed transition, whose rate is positive. *)
 
-val enabled_and_zero_rated : t -> marking -> int list * int list
-(** [enabled] together with the timed transitions it left out only
-    because their rate is not positive (0, negative or NaN) and that the
-    priority rule would keep if it were: the transitions whose rate
-    decides, beside the net's structure, what [enabled] returns in this
-    marking.  Both lists in increasing index order.
+val enabled_and_zero_rated : t -> marking -> (int * float) list * int list
+(** [enabled], each timed transition paired with the rate it was found
+    positive at (an immediate one's weight is not evaluated: NaN),
+    together with the timed transitions it left out only because their
+    rate is not positive (0, negative or NaN) and that the priority rule
+    would keep if it were: the transitions whose rate decides, beside the
+    net's structure, what [enabled] returns in this marking.  Both lists
+    in increasing index order.
     @raise Invalid_argument when deciding them asks for them again: a
     guard, cardinality or rate of the net reads ?() or Rate() of it. *)
 

@@ -56,50 +56,82 @@ module MarkingTbl = Hashtbl.Make (struct
   let hash = Net.hash_marking
 end)
 
-let explore_skeleton ?(max_markings = 200_000) n =
+(* One marking's edge weights in successor order *)
+let weigh_row trans out m =
+  let row = Array.create_float (Array.length out) in
+  for k = 0 to Array.length out - 1 do
+    row.(k) <- trans.(snd out.(k)).Net.rate m
+  done;
+  row
+
+(* An array that grows by doubling, filled in index order *)
+type 'a column = { mutable cells : 'a array; mutable len : int }
+
+let column () = { cells = [||]; len = 0 }
+
+let push c x =
+  if c.len = Array.length c.cells then begin
+    let cells = Array.make (max 16 (2 * c.len)) x in
+    Array.blit c.cells 0 cells 0 c.len;
+    c.cells <- cells
+  end;
+  c.cells.(c.len) <- x;
+  c.len <- c.len + 1
+
+let contents c = Array.sub c.cells 0 c.len
+
+(* The skeleton and its edge weights, each closure evaluated once: a
+   timed edge's weight is the rate [Net.enabled_and_zero_rated] found
+   positive while exploring, and the immediate weights are evaluated
+   after exploration, in marking order, as [edge_weights] evaluates
+   them.  A marking's edges are all timed or all immediate: one enabled
+   immediate transition excludes every timed one.  Markings are numbered
+   in order of discovery and expanded in that order (breadth first), so
+   each per-marking column is filled in index order and holds one word
+   per marking: the weight rows then add their own size to exploration's
+   peak memory and little more. *)
+let explore ?(max_markings = 200_000) n =
   let ids = MarkingTbl.create 1024 in
-  let rev = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
+  let markings = column () in
   let intern m =
     match MarkingTbl.find_opt ids m with
     | Some i -> i
     | None ->
-        if !count >= max_markings then
+        if markings.len >= max_markings then
           limit_error "reachability set exceeds the marking limit (%d)"
             max_markings;
-        let i = !count in
-        incr count;
+        let i = markings.len in
         MarkingTbl.add ids m i;
-        rev := m :: !rev;
-        Queue.add (i, m) queue;
+        push markings m;
         i
   in
-  let m0 = Net.initial_marking n in
-  ignore (intern m0);
+  ignore (intern (Net.initial_marking n));
   let trans = Net.transitions n in
-  let succs = ref [] and vans = ref [] and zeros = ref [] in
-  while not (Queue.is_empty queue) do
+  let succs = column () and w = column () and vans = column () and zeros = ref [] in
+  while succs.len < markings.len do
     Deadline.check ();
-    let i, m = Queue.pop queue in
+    let i = succs.len in
+    let m = markings.cells.(i) in
     let en, zero = Net.enabled_and_zero_rated n m in
     if zero <> [] then List.iter (fun ti -> zeros := (i, ti) :: !zeros) zero;
     (* after the priority rule an enabled immediate transition excludes
        every timed one, so one immediate in [en] makes [m] vanishing *)
-    let vanishing = List.exists (fun ti -> trans.(ti).Net.kind = Net.Immediate) en in
-    let out = List.map (fun ti -> (intern (Net.fire n ti m), ti)) en in
-    succs := (i, Array.of_list out) :: !succs;
-    vans := (i, vanishing) :: !vans
+    let vanishing = List.exists (fun (ti, _) -> trans.(ti).Net.kind = Net.Immediate) en in
+    let out = List.map (fun (ti, _) -> (intern (Net.fire n ti m), ti)) en in
+    let rates = Array.create_float (if vanishing then 0 else List.length en) in
+    if not vanishing then List.iteri (fun k (_, r) -> rates.(k) <- r) en;
+    push succs (Array.of_list out);
+    push w rates;
+    push vans vanishing
   done;
-  let nmk = !count in
-  let markings = Array.make nmk [||] in
-  List.iteri (fun k m -> markings.(nmk - 1 - k) <- m) !rev;
-  let succ_arr = Array.make nmk [||] in
-  List.iter (fun (i, s) -> succ_arr.(i) <- s) !succs;
-  let van_arr = Array.make nmk false in
-  List.iter (fun (i, v) -> van_arr.(i) <- v) !vans;
-  { sk_markings = markings; sk_vanishing = van_arr; sk_succs = succ_arr;
-    sk_zero_rated = Array.of_list (List.rev !zeros) }
+  let markings = contents markings and succs = contents succs in
+  let w = contents w and vans = contents vans in
+  Array.iteri (fun i v -> if v then w.(i) <- weigh_row trans succs.(i) markings.(i)) vans;
+  ( { sk_markings = markings; sk_vanishing = vans; sk_succs = succs;
+      sk_zero_rated = Array.of_list (List.rev !zeros) },
+    w )
+
+let explore_skeleton ?max_markings n = fst (explore ?max_markings n)
 
 (* The current rate/weight of every skeleton edge: the cheap,
    parameter-dependent half of exploration, and the only place a rate
@@ -111,12 +143,7 @@ let edge_weights n sk =
      collection, a stop-the-world pause on every domain, per call *)
   let w = Array.make (Array.length sk.sk_succs) [||] in
   for i = 0 to Array.length w - 1 do
-    let out = sk.sk_succs.(i) and m = sk.sk_markings.(i) in
-    let row = Array.create_float (Array.length out) in
-    for k = 0 to Array.length out - 1 do
-      row.(k) <- trans.(snd out.(k)).Net.rate m
-    done;
-    w.(i) <- row
+    w.(i) <- weigh_row trans sk.sk_succs.(i) sk.sk_markings.(i)
   done;
   w
 
@@ -244,20 +271,16 @@ let vanishing_absorption sk w tangible_id =
   end
 
 let build ?max_markings ?skeleton ?weights n =
-  let sk =
-    match skeleton with
-    | Some sk -> sk
-    | None -> explore_skeleton ?max_markings n
-  in
-  let w =
-    match weights with
-    | None -> edge_weights n sk
-    | Some w ->
+  let sk, w =
+    match (skeleton, weights) with
+    | None, _ -> explore ?max_markings n
+    | Some sk, None -> (sk, edge_weights n sk)
+    | Some sk, Some w ->
         if
           Array.length w <> Array.length sk.sk_succs
           || not (Array.for_all2 (fun wr out -> Array.length wr = Array.length out) w sk.sk_succs)
         then invalid_arg "Reach.build: weights do not match the skeleton";
-        w
+        (sk, w)
   in
   let vanishing = sk.sk_vanishing in
   let nmk = Array.length sk.sk_markings in

@@ -18,7 +18,18 @@ type skeleton
     turning positive (or an edge's rate turning 0) can change the
     skeleton.  {!fits} tells when it does. *)
 
+val explore : ?max_markings:int -> Net.t -> skeleton * float array array
+(** The reachability skeleton of the net and its {!edge_weights}, every
+    rate and weight closure evaluated once: a timed edge's weight is the
+    rate exploration found positive ({!Net.enabled_and_zero_rated}), and
+    the immediate weights are evaluated after exploration, in marking
+    order.
+    @raise Failure if the net is unbounded beyond [max_markings]
+    (default 200_000). *)
+
 val explore_skeleton : ?max_markings:int -> Net.t -> skeleton
+(** [fst (explore n)]. *)
+
 val n_markings : skeleton -> int
 
 val edge_weights : Net.t -> skeleton -> float array array
@@ -43,9 +54,10 @@ val build :
     guard behaviour, priorities and initial marking — rates may differ)
     and that it {!fits} this net's rates.
     [~weights] skips that re-evaluation too: it must be
-    [edge_weights n sk] for the skeleton in use (a caller that already
-    computed them, e.g. for a cache key, passes them on so every rate
-    closure runs once).  Raises [Invalid_argument] if its shape does not
+    [edge_weights n sk] for the skeleton given (a caller that already
+    computed them, e.g. to test {!fits}, passes them on so every rate
+    closure runs once).  Without [~skeleton] it is not read: {!explore}
+    weighs each edge once itself.  Raises [Invalid_argument] if its shape does not
     match the skeleton's successor lists.
     @raise Failure if the net is unbounded beyond [max_markings]
     (default 200_000) or a vanishing loop never reaches a tangible

@@ -47,12 +47,36 @@ let steady s =
       s.steady <- Some pi;
       pi
 
-let weighted s pi f =
+(* A reward function's values at the tangible markings, filled one
+   marking at a time as the measures ask: a marking is filled only once
+   its evaluation has returned. *)
+type reward = {
+  f : Net.marking -> float;
+  values : float array;
+  filled : Bytes.t; (* '\001' at each filled marking *)
+}
+
+let reward s f =
+  let n = Array.length s.markings in
+  { f; values = Array.create_float n; filled = Bytes.make n '\000' }
+
+let with_function r f = { r with f }
+
+let value s r i =
+  if Bytes.get r.filled i <> '\000' then r.values.(i)
+  else begin
+    let v = r.f s.markings.(i) in
+    r.values.(i) <- v;
+    Bytes.set r.filled i '\001';
+    v
+  end
+
+let weighted s pi r =
   let acc = ref 0.0 in
-  Array.iteri (fun i p -> if p <> 0.0 then acc := !acc +. (p *. f s.markings.(i))) pi;
+  Array.iteri (fun i p -> if p <> 0.0 then acc := !acc +. (p *. value s r i)) pi;
   !acc
 
-let exrss s reward = weighted s (steady s) reward
+let exrss s r = weighted s (steady s) r
 
 (* Transient solves use a canonical checkpoint ladder: pi at grid times
    j*delta (delta sized so one rung costs ~256 uniformization terms) is
@@ -142,31 +166,34 @@ let cumulative_at s t =
       Hashtbl.replace s.cumulatives t l;
       l
 
-let exrt s reward t = weighted s (transient_at s t) reward
+let exrt s r t = weighted s (transient_at s t) r
 
-let exrt_many s reward ts = List.map (fun t -> (t, exrt s reward t)) ts
+let exrt_many s f ts =
+  let r = reward s f in
+  List.map (fun t -> (t, exrt s r t)) ts
 
-let cexrt s reward t = weighted s (cumulative_at s t) reward
+let cexrt s r t = weighted s (cumulative_at s t) r
 
-let ave_cexrt s reward t = if t = 0.0 then 0.0 else cexrt s reward t /. t
+let ave_cexrt s r t = if t = 0.0 then 0.0 else cexrt s r t /. t
 
 let mtta s =
   Ctmc.mtta (Reach.ctmc s.g) ~init:(Reach.initial_distribution s.g)
 
-let cexrinf s reward =
+let cexrinf s r =
   let c = Reach.ctmc s.g in
   Ctmc.reward_until_absorption c ~init:(Reach.initial_distribution s.g)
-    ~reward:(fun i -> reward s.markings.(i))
+    ~reward:(value s r)
 
-let tput s trans = exrss s (fun m -> Net.rate_in (net s) m trans)
+let steady_of s f = exrss s (reward s f)
+let tput s trans = steady_of s (fun m -> Net.rate_in (net s) m trans)
 
 let util s trans =
-  exrss s (fun m -> if Net.enabled_named (net s) m trans then 1.0 else 0.0)
+  steady_of s (fun m -> if Net.enabled_named (net s) m trans then 1.0 else 0.0)
 
 let etok s place =
   let i = Net.place_index (net s) place in
-  exrss s (fun m -> float_of_int m.(i))
+  steady_of s (fun m -> float_of_int m.(i))
 
 let prempty s place =
   let i = Net.place_index (net s) place in
-  exrss s (fun m -> if m.(i) = 0 then 1.0 else 0.0)
+  steady_of s (fun m -> if m.(i) = 0 then 1.0 else 0.0)

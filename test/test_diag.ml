@@ -450,7 +450,7 @@ let test_srn_steady_timeout_unwinds () =
   let srn = Sharpe_petri.Srn.solve net in
   let recs =
     records_of_cancelled (fun () ->
-        Sharpe_petri.Srn.exrss srn (fun m -> float_of_int m.(q)))
+        Sharpe_petri.Srn.exrss srn (Sharpe_petri.Srn.reward srn (fun m -> float_of_int m.(q))))
   in
   Alcotest.(check (list string)) "no fallback steady-state solve" []
     (List.filter_map

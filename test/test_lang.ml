@@ -762,6 +762,17 @@ dist a zero
 dist b exp(1.0)
 dist c exp(0.5)
 end
+graph GM
+a b
+a c
+end
+exit a prob
+prob a b 0.25
+dist a zero
+dist b exp(1.0)
+dist c exp(0.5)
+multpath
+end
 pfqn q(n)
 cpu term 1
 term cpu 1
@@ -952,7 +963,10 @@ let accepted =
     ( "minpaths(g)",
       "minpaths(g):\n  1: { s->t }\n  2: { s->m, m->t }\n" );
     ( "multpath(G)",
-      "multpath(G):\n  path 1: prob 2.500000e-001, cdf - 1 exp(-1 t) + 1\n  path 2: prob 7.500000e-001, cdf - 1 exp(-0.5 t) + 1\n" ) ]
+      "multpath(G):\n  path 1: prob 2.500000e-001, cdf - 1 exp(-1 t) + 1\n  path 2: prob 7.500000e-001, cdf - 1 exp(-0.5 t) + 1\n" );
+    (* G with a multpath line, which has no effect *)
+    ( "multpath(GM)",
+      "multpath(GM):\n  path 1: prob 2.500000e-001, cdf - 1 exp(-1 t) + 1\n  path 2: prob 7.500000e-001, cdf - 1 exp(-0.5 t) + 1\n" ) ]
 
 (* ... and on one kind it rejects (a math builtin on any model): the
    statement fails with this error *)

@@ -98,14 +98,14 @@ let test_wfs_vanishing_eliminated () =
   Alcotest.(check int) "tangible markings" 6 (Reach.n_tangible (Srn.graph s));
   Alcotest.(check int) "vanishing markings" 2 (Reach.n_vanishing (Srn.graph s));
   (* availability at t=0 is 1 and decreases *)
-  checkf6 "avail(0)" 1.0 (Srn.exrt s wfs_avail 0.0);
-  let a1 = Srn.exrt s wfs_avail 1.0 and a10 = Srn.exrt s wfs_avail 10.0 in
+  checkf6 "avail(0)" 1.0 (Srn.exrt s (Srn.reward s wfs_avail) 0.0);
+  let a1 = Srn.exrt s (Srn.reward s wfs_avail) 1.0 and a10 = Srn.exrt s (Srn.reward s wfs_avail) 10.0 in
   Alcotest.(check bool) "decreasing" true (1.0 > a1 && a1 > a10 && a10 > 0.9)
 
 let test_wfs_transient_sane () =
   (* availability stays near 1 for these tiny failure rates *)
   let s = Srn.solve (wfs_net 0.7) in
-  let a20 = Srn.exrt s wfs_avail 20.0 in
+  let a20 = Srn.exrt s (Srn.reward s wfs_avail) 20.0 in
   Alcotest.(check bool) "high availability" true (a20 > 0.99 && a20 <= 1.0)
 
 (* Figure 2.9: the net's availability curve equals that of the thesis'
@@ -119,7 +119,7 @@ let test_wfs_matches_figure27 () =
           let pi = Ctmc.transient hand ~init:[| 1.0; 0.0; 0.0; 0.0; 0.0; 0.0 |] t in
           Alcotest.(check (float 1e-12))
             (Printf.sprintf "avail c=%g t=%g" c t)
-            (pi.(0) +. pi.(1)) (Srn.exrt s wfs_avail t))
+            (pi.(0) +. pi.(1)) (Srn.exrt s (Srn.reward s wfs_avail) t))
         [ 1.0; 2.0; 5.0; 10.0; 20.0 ])
     [ 0.7; 0.8; 0.9 ]
 
@@ -157,7 +157,7 @@ let test_priorities () =
   let n = Net.build ~places ~transitions in
   let s = Srn.solve n in
   (* all initial probability flows into b *)
-  checkf6 "b got the token" 1.0 (Srn.exrt s (fun m -> float_of_int m.(1)) 0.0)
+  checkf6 "b got the token" 1.0 (Srn.exrt s (Srn.reward s (fun m -> float_of_int m.(1))) 0.0)
 
 let test_guard_blocks () =
   let places = [ ("p", 1); ("q", 0) ] in
@@ -179,7 +179,7 @@ let test_inhibitor_cardinality () =
   let s = Srn.solve (Net.build ~places ~transitions) in
   Alcotest.(check int) "3 markings" 3 (Reach.n_tangible (Srn.graph s));
   (* absorbing at 2 tokens *)
-  checkf4 "eventually 2 tokens" 2.0 (Srn.exrt s (fun m -> float_of_int m.(0)) 60.0)
+  checkf4 "eventually 2 tokens" 2.0 (Srn.exrt s (Srn.reward s (fun m -> float_of_int m.(0))) 60.0)
 
 let test_marking_dependent_multiplicity_flush () =
   (* a flush transition empties the place via cardinality #(p) *)
@@ -190,8 +190,8 @@ let test_marking_dependent_multiplicity_flush () =
         ~outs:[ (2, one_) ] () ]
   in
   let s = Srn.solve (Net.build ~places ~transitions) in
-  checkf6 "p flushed" 0.0 (Srn.exrt s (fun m -> float_of_int m.(0)) 0.0);
-  checkf6 "done" 1.0 (Srn.exrt s (fun m -> float_of_int m.(2)) 0.0)
+  checkf6 "p flushed" 0.0 (Srn.exrt s (Srn.reward s (fun m -> float_of_int m.(0))) 0.0);
+  checkf6 "done" 1.0 (Srn.exrt s (Srn.reward s (fun m -> float_of_int m.(2))) 0.0)
 
 let test_mtta_and_cexrinf () =
   (* thesis C.4.1 style: absorbing net.  One token walks through 2 exp
@@ -203,7 +203,7 @@ let test_mtta_and_cexrinf () =
   in
   let s = Srn.solve (Net.build ~places ~transitions) in
   checkf6 "mtta" 6.0 (Srn.mtta s);
-  checkf6 "cexrinf" 2.0 (Srn.cexrinf s (fun m -> float_of_int m.(0)))
+  checkf6 "cexrinf" 2.0 (Srn.cexrinf s (Srn.reward s (fun m -> float_of_int m.(0))))
 
 let test_cumulative_reward () =
   (* single state, reward 2: cexrt(t) = 2t, average = 2 *)
@@ -214,8 +214,8 @@ let test_cumulative_reward () =
   (* self-loop: input and output to same place -> no state change; filtered
      out of the CTMC; the single marking is absorbing *)
   let s = Srn.solve (Net.build ~places ~transitions) in
-  checkf6 "cexrt" 6.0 (Srn.cexrt s (const 2.0) 3.0);
-  checkf6 "ave" 2.0 (Srn.ave_cexrt s (const 2.0) 3.0)
+  checkf6 "cexrt" 6.0 (Srn.cexrt s (Srn.reward s (const 2.0)) 3.0);
+  checkf6 "ave" 2.0 (Srn.ave_cexrt s (Srn.reward s (const 2.0)) 3.0)
 
 let test_vanishing_loop () =
   (* immediate loop a <-> b with escape: still solvable (cyclic vanishing) *)
@@ -229,8 +229,8 @@ let test_vanishing_loop () =
   let s = Srn.solve (Net.build ~places ~transitions) in
   (* from a: p(out1) = 1/2 + 1/2*1/2*p(out1|a)... solve: x = 1/2 + 1/4 x ->
      x = 2/3 *)
-  checkf6 "loop escape 1" (2.0 /. 3.0) (Srn.exrt s (fun m -> float_of_int m.(2)) 0.0);
-  checkf6 "loop escape 2" (1.0 /. 3.0) (Srn.exrt s (fun m -> float_of_int m.(3)) 0.0)
+  checkf6 "loop escape 1" (2.0 /. 3.0) (Srn.exrt s (Srn.reward s (fun m -> float_of_int m.(2))) 0.0);
+  checkf6 "loop escape 2" (1.0 /. 3.0) (Srn.exrt s (Srn.reward s (fun m -> float_of_int m.(3))) 0.0)
 
 let test_unbounded_detected () =
   let places = [ ("p", 0) ] in
@@ -376,9 +376,9 @@ let test_three_exit_vanishing_cycle () =
   Alcotest.(check int) "vanishing markings" 12 (Reach.n_vanishing (Srn.graph s));
   let tok p m = float_of_int m.(p) in
   let measures =
-    List.map (fun p -> Srn.exrss s (tok p)) [ 3; 4; 5; 6 ]
+    List.map (fun p -> Srn.exrss s (Srn.reward s (tok p))) [ 3; 4; 5; 6 ]
     @ List.map (Srn.tput s) [ "r1"; "r2"; "r3" ]
-    @ [ Srn.exrt s (tok 4) 0.7; Srn.exrt s (tok 6) 0.7 ]
+    @ [ Srn.exrt s (Srn.reward s (tok 4)) 0.7; Srn.exrt s (Srn.reward s (tok 6)) 0.7 ]
   in
   (* the values the per-column solve and the filtered fold over every
      absorption pair gave, bit for bit *)

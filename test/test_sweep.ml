@@ -439,8 +439,10 @@ let test_rate_rebinds_match_cold () =
 
 (* A rate that calls an analysis builtin (a hierarchical model) is
    weighed like any other: a bind the block reads rebuilds the block and
-   the net (3 builds each, the block's looked up again at every edge
-   weighed), and the net re-weighs its one skeleton. *)
+   the net (3 builds each), and the net re-weighs its one skeleton.  The
+   block is looked up once per evaluation of the rate: at each of the 3
+   edges fl labels, once per build, exploration included (1 miss and 2
+   hits per build), and one query hits the net. *)
 let test_hierarchical_rate_weights_path () =
   let program =
     {|format 8
@@ -459,7 +461,7 @@ end
   Alcotest.(check string) "cached output equals cold output" cold cached;
   fresh_cache ();
   ignore (run program);
-  Alcotest.(check (pair int int)) "builds of the net and the block" (10, 6)
+  Alcotest.(check (pair int int)) "builds of the net and the block" (7, 6)
     (stat "model_instance");
   Alcotest.(check (pair int int)) "one skeleton" (2, 1) (stat "srn_skeleton")
 
@@ -533,7 +535,7 @@ let ring_session () =
   List.iter (fun st -> ignore (Eval.exec_stmt ctx st)) (Parser.parse_string ring_program);
   let inst n =
     match Builtins.instantiate ctx "ring" [ float_of_int n; 2.0 ] with
-    | Eval.ISrn s -> s
+    | Eval.ISrn s -> s.srn
     | _ -> Alcotest.fail "ring is not an SRN"
   in
   (env, inst)
@@ -806,6 +808,65 @@ let test_parallel_instance_diag_stream () =
   Alcotest.(check bool) "the steady states emit records" true (List.length serial >= 6);
   Alcotest.(check (list string)) "jobs=2 stream equals jobs=1" serial (stream 2)
 
+(* --- reward vectors ------------------------------------------------------ *)
+
+(* test/programs/reward_rebind.sharpe re-binds and redefines what its
+   rewards read while the net stays one solved instance, and asks for a
+   reward inside a markov rate.  Its .out is the output of an
+   interpreter that evaluated every reward at every query. *)
+let test_reward_rebind () =
+  let path = Filename.concat Test_golden.src_root "test/programs/reward_rebind.sharpe" in
+  let program = Test_golden.read_file path in
+  let expected = Test_golden.read_file (Filename.chop_suffix path ".sharpe" ^ ".out") in
+  List.iter
+    (fun jobs ->
+      fresh_cache ();
+      let out, failed = with_jobs jobs (fun () -> run program) in
+      Alcotest.(check int) (Printf.sprintf "no failed statements (jobs=%d)" jobs) 0 failed;
+      Alcotest.(check string) (Printf.sprintf "every query's answer (jobs=%d)" jobs) expected out)
+    [ 1; 2 ];
+  Alcotest.(check string) "output equals an emptied instance cache's"
+    (run_emptied program) (run_warm program)
+
+(* One lookup per query: a reward reading only token counts and literals
+   is filed, one calling a measure is weighed afresh at every query. *)
+let test_reward_filing () =
+  let counts body =
+    fresh_cache ();
+    let _, failed =
+      run (repairable ~prelude:"block b\ncomp c exp(2)\nend\nfunc mb() mean(b) * #(up)" "ind 1" body)
+    in
+    Alcotest.(check int) "no failed statements" 0 failed;
+    stat "srn_reward"
+  in
+  Alcotest.(check (pair int int)) "a filed reward: one fill" (2, 1)
+    (counts "expr srn_exrss(m; nup), srn_exrt(1, m; nup), srn_cexrt(1, m; nup)");
+  Alcotest.(check (pair int int)) "a reward calling mean(b): never filed" (0, 3)
+    (counts "expr srn_exrss(m; mb), srn_exrt(1, m; mb), srn_cexrt(1, m; mb)")
+
+(* The benchmark's sweep in small: 21 coverages, 11 time points each.
+   Each coverage builds its own instance, whose avail vector is filled at
+   its first query and read by the other 10, on one domain or two. *)
+let test_reward_vectors_per_instance () =
+  let wfs = Test_golden.read_file (Filename.concat Test_golden.examples_dir "wfs.sharpe") in
+  let program =
+    String.concat "\n"
+      (List.map
+         (function "loop c, 0.7, 0.9, 0.1" -> "loop c, 0.70, 0.90, 0.01" | l -> l)
+         (String.split_on_char '\n' wfs))
+  in
+  List.iter
+    (fun jobs ->
+      fresh_cache ();
+      let out, failed = with_jobs jobs (fun () -> run program) in
+      Alcotest.(check int) "no failed statements" 0 failed;
+      Alcotest.(check int) "231 answers" 231
+        (List.length (String.split_on_char '\n' (String.trim out)));
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "srn_reward hits, misses (jobs=%d)" jobs)
+        (210, 21) (stat "srn_reward"))
+    [ 1; 2 ]
+
 let test_pool_results_in_order () =
   let results =
     with_jobs 3 (fun () -> Pool.run 20 (fun i -> (i * i) + 1))
@@ -1037,7 +1098,7 @@ let test_srn_transient_many_bits () =
   let ts = [ 50.0; 150.0; 250.0; 350.0 ] in
   let reward m = float_of_int m.(0) in
   let s_serial = Srn.solve (repairable_net ()) in
-  let serial = List.map (fun t -> Srn.exrt s_serial reward t) ts in
+  let serial = List.map (fun t -> Srn.exrt s_serial (Srn.reward s_serial reward) t) ts in
   let s_par = Srn.solve (repairable_net ()) in
   let par = with_jobs 4 (fun () -> Srn.exrt_many s_par reward ts) in
   List.iter2
@@ -1258,6 +1319,10 @@ let suite =
       test_parallel_instances_per_domain;
     Alcotest.test_case "parallel instance hits replay like serial" `Quick
       test_parallel_instance_diag_stream;
+    Alcotest.test_case "rewards re-bound under one instance" `Quick test_reward_rebind;
+    Alcotest.test_case "which rewards are filed" `Quick test_reward_filing;
+    Alcotest.test_case "one reward fill per instance" `Quick
+      test_reward_vectors_per_instance;
     Alcotest.test_case "pool preserves result order" `Quick
       test_pool_results_in_order;
     Alcotest.test_case "batch tasks execute on multiple domains" `Quick

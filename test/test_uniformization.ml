@@ -307,7 +307,7 @@ let test_srn_exrt_ladder () =
   List.iter
     (fun t ->
       check_reward (Printf.sprintf "exrt t=%g" t) (oracle_exrt s t)
-        (Srn.exrt s reward t))
+        (Srn.exrt s (Srn.reward s reward) t))
     (ladder_times s)
 
 let test_srn_exrt_many_jobs2 () =
@@ -322,7 +322,7 @@ let test_srn_exrt_many_jobs2 () =
     got;
   (* the same queries one by one, on a fresh instance *)
   let s' = Srn.solve (repairable_net ()) in
-  let _, one_by_one = Diag.capture (fun () -> List.map (Srn.exrt s' reward) ts) in
+  let _, one_by_one = Diag.capture (fun () -> List.map (Srn.exrt s' (Srn.reward s' reward)) ts) in
   Alcotest.(check string) "exrt_many's records are those of exrt one by one"
     (Diag.records_to_json one_by_one) (Diag.records_to_json records)
 
@@ -357,8 +357,8 @@ let test_srn_exrt_query_order () =
       let at j = float_of_int j *. delta in
       let exrt ?before t =
         let s = Srn.solve net in
-        Option.iter (fun t' -> ignore (Srn.exrt s reward t')) before;
-        Srn.exrt s reward t
+        Option.iter (fun t' -> ignore (Srn.exrt s (Srn.reward s reward) t')) before;
+        Srn.exrt s (Srn.reward s reward) t
       in
       for j = 2 to 9 do
         let case = Printf.sprintf "fl=%g j=%d" fl j in
@@ -530,7 +530,7 @@ let test_wfs_ladder () =
   List.iter
     (fun t ->
       check_reward (Printf.sprintf "wfs exrt t=%g" t) (oracle_exrt s t)
-        (Srn.exrt s reward t))
+        (Srn.exrt s (Srn.reward s reward) t))
     (ladder_times s)
 
 let test_bounds_par () =
