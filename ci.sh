@@ -333,6 +333,21 @@ echo "$q" | grep -q '"kind":"eval_error"' || {
   echo "ci: query 'x 2' is not an eval_error: $q" >&2
   exit 1
 }
+# a query answers the records its evaluation emitted in a diagnostics
+# array, [] when there are none; sharpec prints only a query's value, so
+# this request goes over the socket as a raw protocol line
+qresp=$(python3 - "$sock" <<'PY'
+import socket, sys
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+s.sendall(b'{"id":1,"op":"query","session":"qx","expr":"x"}\n')
+print(s.makefile().readline().strip())
+PY
+)
+echo "$qresp" | grep -q '"diagnostics":\[' || {
+  echo "ci: a query response carries no diagnostics array: $qresp" >&2
+  exit 1
+}
 ./_build/default/bin/sharpec.exe --socket "$sock" shutdown
 i=0
 while kill -0 $daemon 2>/dev/null; do

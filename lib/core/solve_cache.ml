@@ -11,12 +11,13 @@
    solved instance, with its accumulated measure caches, is the instance
    cache's to keep; this module keeps the skeletons.
 
-   Key.  The STRUCTURAL KEY of a net being built holds the evaluated
-   places and priorities, the arc lists, and the guard/cardinality
-   expression ASTs together with the transitive closure of their free
-   identifiers' current definitions ([close_over]: values for bound
-   constants, loop variables and model parameters, ASTs for `var`
-   expressions and functions).
+   Key.  The STRUCTURAL KEY of a net being built is a plain value, the
+   [key] record, compared structurally: the evaluated places and
+   priorities, the arc lists, and the guard/cardinality expression ASTs
+   together with the transitive closure of their free identifiers'
+   current definitions ([close_over]: values for bound constants, loop
+   variables and model parameters, ASTs for `var` expressions and
+   functions).
 
    Keying discipline: anything that can change which markings are
    reachable or which transitions are enabled must be in the structural
@@ -51,95 +52,28 @@ module Srn = Sharpe_petri.Srn
 
 exception Uncacheable
 
-let binop_tag = function
-  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Pow -> 4 | BAnd -> 5
-  | BOr -> 6 | BEq -> 7 | BNeq -> 8 | BLt -> 9 | BGt -> 10 | BLe -> 11
-  | BGe -> 12
+(* A free identifier's definition, as [close_over] pins it.  A value
+   goes in as its bit pattern, because [compare] counts [0.] and [-0.]
+   equal (a guard [1/z > 0] tells them apart); a var expression or a
+   function goes in as its AST, whose literals the lexer makes unsigned,
+   so comparing ASTs compares bits. *)
+type def = Value of int64 | Var of expr | Func of string list * fbody
 
-(* Serialize an expression AST (shape only; free identifiers are pinned
-   separately by [close_over]). *)
-let rec add_expr b e =
-  match e with
-  | Num x ->
-      Structhash.add_string b "n";
-      Structhash.add_float b x
-  | Ident n ->
-      Structhash.add_string b "v";
-      Structhash.add_string b n
-  | Call (f, groups) ->
-      Structhash.add_string b "c";
-      Structhash.add_string b f;
-      Structhash.add_list b (fun b g -> Structhash.add_list b add_expr g) groups
-  | Binop (op, x, y) ->
-      Structhash.add_string b "o";
-      Structhash.add_int b (binop_tag op);
-      add_expr b x;
-      add_expr b y
-  | Neg e ->
-      Structhash.add_string b "-";
-      add_expr b e
-  | Not e ->
-      Structhash.add_string b "!";
-      add_expr b e
-  | TokCount p ->
-      Structhash.add_string b "#";
-      Structhash.add_string b p
-  | Enabled t ->
-      Structhash.add_string b "?";
-      Structhash.add_string b t
-  | Tmpl parts ->
-      Structhash.add_string b "$";
-      Structhash.add_list b
-        (fun b -> function
-          | Lit s ->
-              Structhash.add_string b "l";
-              Structhash.add_string b s
-          | Sub e ->
-              Structhash.add_string b "e";
-              add_expr b e)
-        parts
+(* a local (model parameter, loop variable of sum) or a global binding *)
+type pin = Local of string * int64 | Global of string * def
 
-(* Statement-bodied functions are callable from guards and cardinalities
-   (the ATM net of thesis §2.4.7 does exactly this).  Inside a function
-   [SBind] writes the function-LOCAL table, so bind/if/expr bodies are
-   pure functions of the marking and their free identifiers and can be
-   serialized like expressions; statement forms that write shared state
-   (var/func/model definitions, loops, format/epsilon/switch) stay
-   uncacheable. *)
-let rec add_stmt b s =
-  match s with
-  | SBind (n, e, _) ->
-      Structhash.add_string b "sb";
-      Structhash.add_string b n;
-      add_expr b e
-  | SExpr items ->
-      Structhash.add_string b "se";
-      Structhash.add_list b
-        (fun b (_, e) -> add_expr b e)
-        items
-  | SEcho _ -> Structhash.add_string b "sh"
-  | SIf (clauses, els) ->
-      Structhash.add_string b "si";
-      Structhash.add_list b
-        (fun b (c, ss) ->
-          add_expr b c;
-          Structhash.add_list b add_stmt ss)
-        clauses;
-      Structhash.add_list b add_stmt els
-  | SVar _ | SFunc _ | SModel _ | SWhile _ | SLoop _ | SFormat _
-  | SEpsilon _ | SSwitch _ ->
-      raise Uncacheable
+type key = {
+  places : (string * int) list;
+  timed : (string * expr option * int) list;  (* name, guard, priority *)
+  immediate : (string * expr option * int) list;
+  inputs : (string * string * expr) list;
+  outputs : (string * string * expr) list;
+  inhibitors : (string * string * expr) list;
+  pins : pin list;  (* in reverse visit order *)
+}
 
-let add_fbody b = function
-  | FExpr e ->
-      Structhash.add_string b "fe";
-      add_expr b e
-  | FStmts ss ->
-      Structhash.add_string b "fs";
-      Structhash.add_list b add_stmt ss
-
-(* Append the definitions of every free identifier reachable from [e] to
-   the key: locals (model parameters, loop variables of sum) pin their
+(* Push the definitions of every free identifier reachable from [e] onto
+   [pins]: locals (model parameters, loop variables of sum) pin their
    VALUE; environment bindings pin value / var-AST / function-AST and
    recurse.  [bound] are names bound inside the expression itself.
 
@@ -154,7 +88,7 @@ let add_fbody b = function
    Every environment lookup is a read of the build in progress
    ([Eval.global]), so the instance is filed under the bindings its
    guards and cardinalities read even where no marking evaluates them. *)
-let close_over (ctx : Eval.ctx) b visited e =
+let close_over (ctx : Eval.ctx) pins visited e =
   let rec go outer bound e =
     match e with
     | Num _ | TokCount _ | Enabled _ -> ()
@@ -174,14 +108,19 @@ let close_over (ctx : Eval.ctx) b visited e =
         | Some (Eval.Func _) -> free false [] f
         (* any binding named exp shadows the builtin (Eval.eval_call) *)
         | Some _ when f = "exp" -> raise Uncacheable
-        (* a pure builtin is a function of its (serialized) arguments *)
+        (* a pure builtin is a function of its (pinned) arguments *)
         | _ -> (
             match !Eval.builtin f with Some { pure = true; _ } -> () | _ -> raise Uncacheable));
         List.iter (List.iter (go outer bound)) groups
   (* Definitely-assigned walk over a function body: a name [bind]-ed on
      every path to a read is function-local (never reaches the
      environment), anything else read is a free identifier to pin.
-     Returns the names definitely assigned after the statements. *)
+     Returns the names definitely assigned after the statements.
+     Statement-bodied functions are callable from guards and
+     cardinalities (the ATM net of thesis §2.4.7 does exactly this); a
+     bind/if/expr body is a pure function of the marking and its free
+     identifiers, and statement forms that write shared state stay
+     uncacheable. *)
   and go_stmts bound ss = List.fold_left go_stmt bound ss
   and go_stmt bound s =
     match s with
@@ -211,24 +150,17 @@ let close_over (ctx : Eval.ctx) b visited e =
       let id = (Option.is_some local, n) in
       if not (Hashtbl.mem visited id) then begin
         Hashtbl.add visited id ();
+        let pin def = pins := Global (n, def) :: !pins in
         match local with
-        | Some v ->
-            Structhash.add_string b "local";
-            Structhash.add_string b n;
-            Structhash.add_float b v
+        | Some v -> pins := Local (n, Int64.bits_of_float v) :: !pins
         | None -> (
-            Structhash.add_string b "def";
-            Structhash.add_string b n;
             match Eval.global ctx n with
-            | Some (Eval.Val v) -> Structhash.add_float b v
+            | Some (Eval.Val v) -> pin (Value (Int64.bits_of_float v))
             | Some (Eval.VarExpr e) ->
-                Structhash.add_string b "x";
-                add_expr b e;
+                pin (Var e);
                 go false [] e
             | Some (Eval.Func (params, body)) ->
-                Structhash.add_string b "f";
-                Structhash.add_list b Structhash.add_string params;
-                add_fbody b body;
+                pin (Func (params, body));
                 (match body with
                 | FExpr e -> go false params e
                 | FStmts ss -> ignore (go_stmts params ss))
@@ -245,7 +177,7 @@ let close_over (ctx : Eval.ctx) b visited e =
 let reward_reads (ctx : Eval.ctx) name =
   let frame = Eval.open_frame () in
   let pin = { ctx with frame = Some frame } in
-  match close_over pin (Structhash.builder "reward") (Hashtbl.create 8) (Call (name, [])) with
+  match close_over pin (ref []) (Hashtbl.create 8) (Call (name, [])) with
   | () -> Some (Array.of_seq (Hashtbl.to_seq frame.read))
   | exception Uncacheable -> None
 
@@ -255,55 +187,32 @@ let reward_reads (ctx : Eval.ctx) name =
    pinned. *)
 let srn_key (ctx : Eval.ctx) ~places ~timed ~immediate ~inputs ~outputs
     ~inhibitors =
+  let pins = ref [] and visited = Hashtbl.create 16 in
+  let pinned e = close_over ctx pins visited e in
+  let trans (tr : srn_trans) =
+    Option.iter pinned tr.st_guard;
+    (* evaluated: priorities order structurally-enabled transitions *)
+    ( tr.st_name,
+      tr.st_guard,
+      match tr.st_priority with
+      | Some e -> int_of_float (Float.round (Eval.eval_expr ctx e))
+      | None -> 0 )
+  in
+  let arcs = List.iter (fun (_, _, card) -> pinned card) in
   try
-    let b = Structhash.builder "srn" in
-    let visited = Hashtbl.create 16 in
-    let add_pinned e =
-      add_expr b e;
-      close_over ctx b visited e
-    in
-    let add_opt_expr tag = function
-      | None -> Structhash.add_string b "-"
-      | Some e ->
-          Structhash.add_string b tag;
-          add_pinned e
-    in
-    Structhash.add_list b
-      (fun b (n, k) ->
-        Structhash.add_string b n;
-        Structhash.add_int b k)
-      places;
-    let add_trans kind (tr : srn_trans) =
-      Structhash.add_string b kind;
-      Structhash.add_string b tr.st_name;
-      add_opt_expr "g" tr.st_guard;
-      (* evaluated: priorities order structurally-enabled transitions *)
-      Structhash.add_int b
-        (match tr.st_priority with
-        | Some e -> int_of_float (Float.round (Eval.eval_expr ctx e))
-        | None -> 0)
-    in
-    List.iter (add_trans "T") timed;
-    List.iter (add_trans "I") immediate;
-    let add_arc (a, c, card) =
-      Structhash.add_string b a;
-      Structhash.add_string b c;
-      add_pinned card
-    in
-    Structhash.add_string b "in";
-    List.iter add_arc inputs;
-    Structhash.add_string b "out";
-    List.iter add_arc outputs;
-    Structhash.add_string b "inh";
-    List.iter add_arc inhibitors;
-    Some (Structhash.finish b)
+    let timed = List.map trans timed in
+    let immediate = List.map trans immediate in
+    arcs inputs;
+    arcs outputs;
+    arcs inhibitors;
+    Some { places; timed; immediate; inputs; outputs; inhibitors; pins = !pins }
   with Uncacheable -> None
 
 (* Domain-local, like every Structhash table.  Skeletons are immutable
    and could be shared, but no workload gains from it: a sweep's domains
    miss together when the loop fans out, and an evaluation-server worker
    explores a structure at most once more than a shared table would. *)
-let skeleton_cache : Reach.skeleton Structhash.Table.t =
+let skeleton_cache : (key, Reach.skeleton) Structhash.Table.t =
   Structhash.Table.create "srn_skeleton"
 
 (* Solve [net] on the skeleton filed under [key] while it still fits the

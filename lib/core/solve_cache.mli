@@ -10,7 +10,8 @@
     per-iteration parameters.
 
     One table ({!Sharpe_numerics.Structhash.Table}), ["srn_skeleton"],
-    maps the structural key to the reachability skeleton: a hit that
+    maps the structural key, a plain value compared structurally, to the
+    reachability skeleton: a hit that
     still fits the current rates skips state-space exploration (rates
     matter to a skeleton only where they are 0).  The solved instance is
     the interpreter's instance cache's to keep.
@@ -18,6 +19,12 @@
     Nets whose guards or cardinalities call analysis builtins or other
     constructs that cannot be pinned symbolically are reported
     uncacheable ({!srn_key} = [None]) and solved cold. *)
+
+type key
+(** The structure itself: the evaluated places and priorities, each
+    transition's name and guard AST, the arc lists as they stand in the
+    AST, and the definitions of every free identifier they reach (values
+    as bit patterns, [var] expressions and functions as ASTs). *)
 
 val srn_key :
   Eval.ctx ->
@@ -27,12 +34,12 @@ val srn_key :
   inputs:(string * string * Ast.expr) list ->
   outputs:(string * string * Ast.expr) list ->
   inhibitors:(string * string * Ast.expr) list ->
-  string option
+  key option
 (** The structural key of a net being built under [ctx] ([places] carries
     the already-evaluated initial token counts).  [None] when the
     structure cannot be pinned down (then solve cold). *)
 
-val solve_srn : key:string -> Sharpe_petri.Net.t -> Sharpe_petri.Srn.t
+val solve_srn : key:key -> Sharpe_petri.Net.t -> Sharpe_petri.Srn.t
 (** Solve the net, reusing the cached reachability skeleton filed under
     [key] while it fits the current rates. *)
 

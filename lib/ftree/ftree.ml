@@ -142,49 +142,21 @@ let instantiate t root =
 
 let target t gate = match gate with Some g -> g | None -> top t
 
-(* BDD cache, keyed by formula SHAPE (variable indices and connectives),
-   never by the event distributions: the BDD of the structure function
-   only depends on the boolean formula, while probabilities are evaluated
-   against it afresh on every query.  Variable numbering in [instantiate]
+(* BDD cache, keyed by [(nvars, formula)]: the formula SHAPE (variable
+   indices and connectives), never the event distributions.  The BDD of
+   the structure function only depends on the boolean formula, while
+   probabilities are evaluated against it afresh on every query.  Variable numbering in [instantiate]
    is deterministic in tree shape and definition order, so structurally
    identical trees rebuilt across sweep iterations share one BDD. *)
 module Structhash = Sharpe_numerics.Structhash
 
-let bdd_cache : (Bdd.manager * Bdd.t) Structhash.Table.t =
+let bdd_cache : (int * int F.t, Bdd.manager * Bdd.t) Structhash.Table.t =
   Structhash.Table.create "ftree_bdd"
-
-let formula_key nvars f =
-  let b = Structhash.builder "ftree-bdd" in
-  Structhash.add_int b nvars;
-  let rec go = function
-    | F.True -> Structhash.add_string b "t"
-    | F.False -> Structhash.add_string b "f"
-    | F.Var v -> Structhash.add_int b v
-    | F.Not g ->
-        Structhash.add_string b "!";
-        go g
-    | F.And fs ->
-        Structhash.add_string b "&";
-        List.iter go fs;
-        Structhash.add_string b "."
-    | F.Or fs ->
-        Structhash.add_string b "|";
-        List.iter go fs;
-        Structhash.add_string b "."
-    | F.Kofn (k, fs) ->
-        Structhash.add_string b "k";
-        Structhash.add_int b k;
-        List.iter go fs;
-        Structhash.add_string b "."
-  in
-  go f;
-  Structhash.finish b
 
 let compiled t gate =
   let inst = instantiate t (target t gate) in
   let m, bdd =
-    Structhash.Table.find_or_add bdd_cache
-      (formula_key inst.nvars inst.formula)
+    Structhash.Table.find_or_add bdd_cache (inst.nvars, inst.formula)
       (fun () ->
         let m = Bdd.manager () in
         (m, F.build m (Bdd.var m) inst.formula))

@@ -137,7 +137,7 @@ let partly_absorbing c =
   done;
   !absorbing && !transient
 
-let steady_state ?tol c = Linsolve.ctmc_steady_state ?tol c.q
+let steady_state c = Linsolve.ctmc_steady_state c.q
 
 (* P^T for P = I + Q/lambda, in one counting transpose of Q's CSR: entry
    (i, j, q) lands at (j, i) as q/lambda, with 1 added on the diagonal (1
@@ -343,7 +343,10 @@ let advance pt cur next ~was ~h =
   if was > h then Array.fill next h (was - h) 0.0;
   Sparse.par_mat_vec_prefix_into pt h cur next
 
-let transient ?(eps = 1e-12) c ~init t =
+(* The truncation error the transient and cumulative series allow *)
+let eps = 1e-12
+
+let transient c ~init t =
   check_init c init;
   if t <= 0.0 then Array.copy init
   else begin
@@ -437,7 +440,7 @@ let transient ?(eps = 1e-12) c ~init t =
     acc
   end
 
-let cumulative ?(eps = 1e-12) c ~init t =
+let cumulative c ~init t =
   check_init c init;
   if t <= 0.0 then Array.make c.n 0.0
   else begin
@@ -501,14 +504,14 @@ let expected_reward_ss c ~reward =
   Array.iteri (fun i p -> s := !s +. (p *. reward i)) pi;
   !s
 
-let expected_reward_at ?eps c ~init ~reward t =
-  let pi = transient ?eps c ~init t in
+let expected_reward_at c ~init ~reward t =
+  let pi = transient c ~init t in
   let s = ref 0.0 in
   Array.iteri (fun i p -> s := !s +. (p *. reward i)) pi;
   !s
 
-let cumulative_reward ?eps c ~init ~reward t =
-  let l = cumulative ?eps c ~init t in
+let cumulative_reward c ~init ~reward t =
+  let l = cumulative c ~init t in
   let s = ref 0.0 in
   Array.iteri (fun i li -> s := !s +. (li *. reward i)) l;
   !s

@@ -50,10 +50,10 @@ val partly_absorbing : t -> bool
 (** The chain has both absorbing and non-absorbing states.  Allocates
     nothing. *)
 
-val steady_state : ?tol:float -> t -> float array
+val steady_state : t -> float array
 (** Steady-state probability vector of an irreducible chain. *)
 
-val transient : ?eps:float -> t -> init:float array -> float -> float array
+val transient : t -> init:float array -> float -> float array
 (** [transient c ~init t]: state probabilities at time [t] by uniformization
     with left/right truncation, recorded as one
     {!Sharpe_numerics.Diag.Info} provenance record (none for [t <= 0],
@@ -76,7 +76,7 @@ val workspace_bytes : unit -> int
 (** Bytes of iterate storage the calling domain's workspace has
     allocated: at most {!iterate_budget}. *)
 
-val cumulative : ?eps:float -> t -> init:float array -> float -> float array
+val cumulative : t -> init:float array -> float -> float array
 (** [cumulative c ~init t]: L(t) = integral over (0,t] of the state
     probability vector — expected total time spent in each state by [t].
     It streams the iterates [init P^k] through two buffers: it neither
@@ -88,11 +88,11 @@ val expected_reward_ss : t -> reward:(int -> float) -> float
 (** Steady-state expected reward rate (irreducible chains). *)
 
 val expected_reward_at :
-  ?eps:float -> t -> init:float array -> reward:(int -> float) -> float -> float
+  t -> init:float array -> reward:(int -> float) -> float -> float
 (** E[reward rate at t]. *)
 
 val cumulative_reward :
-  ?eps:float -> t -> init:float array -> reward:(int -> float) -> float -> float
+  t -> init:float array -> reward:(int -> float) -> float -> float
 (** E[accumulated reward over (0,t]]. *)
 
 val time_in_transient : t -> init:float array -> float array

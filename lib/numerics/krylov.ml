@@ -148,7 +148,8 @@ let ilu0 a =
 (* pseudo-random shadow residuals tried after restarts without progress *)
 let shadow_draws = 3
 
-let bicgstab ?(max_iter = 2000) ?(tol = 1e-12) ?(precond = identity) a b =
+let bicgstab ?(tol = 1e-12) ?(precond = identity) a b =
+  let max_iter = 2000 in
   let n = Array.length b in
   if Sparse.rows a <> n || Sparse.cols a <> n then
     invalid_arg "Krylov.bicgstab: shape";
@@ -287,11 +288,11 @@ let bicgstab ?(max_iter = 2000) ?(tol = 1e-12) ?(precond = identity) a b =
 
 (* --- restarted GMRES -------------------------------------------------- *)
 
-let gmres ?(restart = 30) ?(max_iter = 2000) ?(tol = 1e-12) ?(precond = identity)
-    a b =
+let gmres ?(tol = 1e-12) ?(precond = identity) a b =
+  let max_iter = 2000 in
   let n = Array.length b in
   if Sparse.rows a <> n || Sparse.cols a <> n then invalid_arg "Krylov.gmres: shape";
-  let m = max 1 (min restart n) in
+  let m = max 1 (min 30 n) in
   let x = Array.make n 0.0 in
   let bnorm = Float.max (norm2 b) 1e-300 in
   let basis = Array.init (m + 1) (fun _ -> Array.make n 0.0) in

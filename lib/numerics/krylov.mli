@@ -36,17 +36,17 @@ val ilu0 : Sparse.t -> precond option
     [None] on a structurally missing diagonal or (near-)zero pivot. *)
 
 val bicgstab :
-  ?max_iter:int -> ?tol:float -> ?precond:precond ->
+  ?tol:float -> ?precond:precond ->
   Sparse.t -> float array -> float array * stats
-(** Right-preconditioned BiCGStab (van der Vorst).  [max_iter] bounds
-    iterations (default 2000), [tol] the relative true residual (default
+(** Right-preconditioned BiCGStab (van der Vorst).  At most 2000
+    iterations; [tol] bounds the relative true residual (default
     1e-12).  Keeps 7 work vectors — the first choice at 10^6 states.
     Breakdown ([rho] or [t·t] collapsing) returns [converged = false]
     with the residual reached. *)
 
 val gmres :
-  ?restart:int -> ?max_iter:int -> ?tol:float -> ?precond:precond ->
+  ?tol:float -> ?precond:precond ->
   Sparse.t -> float array -> float array * stats
-(** Restarted GMRES(m) with modified Gram–Schmidt and Givens rotations
-    ([restart] = m, default 30; memory m+1 basis vectors).  [max_iter]
-    bounds total mat-vec applications across restarts. *)
+(** Restarted GMRES(30) with modified Gram–Schmidt and Givens rotations
+    (memory 31 basis vectors), at most 2000 mat-vec applications across
+    restarts. *)

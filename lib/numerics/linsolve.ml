@@ -235,7 +235,7 @@ let krylov_refined variant ~tol a b p =
   let res = if st0.Krylov.converged then st0.Krylov.residual else refine 0 st0.Krylov.residual in
   (x, { Krylov.iterations = !iters; residual = res; converged = res <= tol })
 
-let krylov_run variant ?(tol = 1e-12) a b =
+let krylov_run variant ~tol a b =
   let a, b = equilibrate a b in
   let variant_name = match variant with `Bicgstab -> "bicgstab" | `Gmres -> "gmres" in
   (* Preconditioners, best first: ILU(0) when it factors, Jacobi when the
@@ -678,7 +678,8 @@ let sweep_engines p ~sw ~cold ~tol ~max_iter ~prefix =
 (* --- the three problems ------------------------------------------------ *)
 
 (* Robust Ax = b, verified against ||Ax - b||_inf / max(1, ||b||_inf). *)
-let solve ?(max_iter = 100_000) ?(tol = 1e-12) a b =
+let solve ?(max_iter = 100_000) a b =
+  let tol = 1e-12 in
   let n = Array.length b in
   let scale = Float.max 1.0 (inf_norm b) in
   let p =
@@ -709,27 +710,31 @@ let solve ?(max_iter = 100_000) ?(tol = 1e-12) a b =
       (escalated p (fun c -> c.from ^ ": falling back to direct Gaussian elimination") direct)
     [ (Gauss_seidel, gs); (Sor, sor); (Direct, direct) ]
 
-let steady_problem ~solver ~balance ~tol ~residual ~system m =
-  { n = Sparse.rows m; nnz = Sparse.nnz m; solver; balance; residual;
-    verify_tol = Float.max (tol *. 1e4) 1e-9;
-    system; ktol = Float.max 1e-12 (tol *. 10.0); finish = clamp_normalize ~solver }
+(* The sweeps' and power iteration's stopping tolerance *)
+let steady_tol = 1e-13
 
-let ctmc_steady_state ?(max_iter = 200_000) ?(tol = 1e-13) ?(direct_threshold = 500) q =
+let steady_problem ~solver ~balance ~residual ~system m =
+  { n = Sparse.rows m; nnz = Sparse.nnz m; solver; balance; residual;
+    verify_tol = Float.max (steady_tol *. 1e4) 1e-9;
+    system; ktol = Float.max 1e-12 (steady_tol *. 10.0); finish = clamp_normalize ~solver }
+
+let ctmc_steady_state ?(max_iter = 200_000) ?(direct_threshold = 500) q =
   let n = Sparse.rows q in
   if n <= 1 then Array.make n 1.0
   else begin
     let solver = "ctmc_steady_state" in
     let qnorm = Float.max 1e-300 (2.0 *. inf_norm (Sparse.diag q)) in
     let p =
-      steady_problem ~solver ~balance:" of pi Q" ~tol q
+      steady_problem ~solver ~balance:" of pi Q" q
         ~residual:(fun x -> ctmc_residual q x /. qnorm)
         ~system:(lazy (ctmc_krylov_system q))
     in
     let qt = lazy (Sparse.transpose q) in
     let gs, sor =
-      sweep_engines p ~tol ~max_iter ~prefix:"ctmc_"
+      sweep_engines p ~tol:steady_tol ~max_iter ~prefix:"ctmc_"
         ~cold:(fun () -> uniform n)
-        ~sw:(fun omega max_iter x -> ctmc_sweeps ~omega ~max_iter ~tol (Lazy.force qt) x)
+        ~sw:(fun omega max_iter x ->
+          ctmc_sweeps ~omega ~max_iter ~tol:steady_tol (Lazy.force qt) x)
     in
     let direct = direct_engine p (fun () -> steady_state_direct q) in
     (* banded GTH: [Auto] takes it when its O(n*bw^2) cost fits the direct
@@ -755,27 +760,29 @@ let ctmc_steady_state ?(max_iter = 200_000) ?(tol = 1e-13) ?(direct_threshold = 
       [ (Gauss_seidel, gs); (Sor, sor); (Gth, gth); (Direct, direct) ]
   end
 
-let dtmc_steady_state ?(max_iter = 1_000_000) ?(tol = 1e-13) pm =
+let dtmc_steady_state pm =
   let n = Sparse.rows pm in
   if n <= 1 then Array.make n 1.0
   else begin
     let solver = "dtmc_steady_state" in
     let p =
-      steady_problem ~solver ~balance:" of pi P = pi" ~tol pm
+      steady_problem ~solver ~balance:" of pi P = pi" pm
         ~residual:(fun x -> dtmc_residual pm x /. Float.max 1.0 (inf_norm x))
         ~system:(lazy (ctmc_krylov_system (minus_identity pm)))
     in
     let direct = direct_engine p (fun () -> replaced_row_direct ~solver (minus_identity pm)) in
     let power =
       engine solver (fun c ->
-          let x, xprev, k, delta, oscillating = dtmc_power ~max_iter ~tol pm in
+          let x, xprev, k, delta, oscillating =
+            dtmc_power ~max_iter:1_000_000 ~tol:steady_tol pm
+          in
           c.prev <- Some xprev;
           let why =
             if oscillating then "power iteration entered a period-2 limit cycle (periodic chain)"
-            else if delta <= tol then "iterate stalled: post-solve residual verification failed"
+            else if delta <= steady_tol then "iterate stalled: post-solve residual verification failed"
             else no_budget
           in
-          Iterate { label = solver; x; iters = k; converged = delta <= tol; krylov = false; why })
+          Iterate { label = solver; x; iters = k; converged = delta <= steady_tol; krylov = false; why })
     in
     (* the mean of two successive power iterates repairs a period-2 cycle *)
     let cesaro =

@@ -98,7 +98,7 @@ val residual_inf : Sparse.t -> float array -> float array -> float
 (** [residual_inf a x b] is the true residual [||a x - b||_inf] — the
     post-solve verification measure. *)
 
-val solve : ?max_iter:int -> ?tol:float -> Sparse.t -> float array -> float array
+val solve : ?max_iter:int -> Sparse.t -> float array -> float array
 (** [solve a b] solves [a x = b] with the solver ladder (see the table
     above): below {!krylov_threshold} unknowns Gauss–Seidel from zero,
     then SOR (the engine of a forced [Sor], with its own cold probe),
@@ -131,7 +131,7 @@ val ctmc_krylov_system : Sparse.t -> Sparse.t * float array
     Krylov solvers and the tests. *)
 
 val ctmc_steady_state :
-  ?max_iter:int -> ?tol:float -> ?direct_threshold:int ->
+  ?max_iter:int -> ?direct_threshold:int ->
   Sparse.t -> float array
 (** [ctmc_steady_state q] solves [pi Q = 0], [sum pi = 1] for an irreducible
     generator [q] (square, rows sum to 0).  Systems of up to
@@ -143,8 +143,7 @@ val ctmc_steady_state :
     them.  The accepted vector is verified against
     [||pi Q||_inf]; result entries are nonnegative and sum to 1. *)
 
-val dtmc_steady_state :
-  ?max_iter:int -> ?tol:float -> Sparse.t -> float array
+val dtmc_steady_state : Sparse.t -> float array
 (** [dtmc_steady_state p] solves [pi P = pi], [sum pi = 1] for an irreducible
     stochastic matrix [p] by power iteration with normalization.  Periodic
     chains (detected as a period-2 limit cycle) and verification failures

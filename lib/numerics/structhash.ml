@@ -1,58 +1,16 @@
-(* Canonical structural keys and memo tables for the solve cache.
+(* Memo tables for the solve caches.
 
-   Keys are exact, injective serializations rather than bare hashes: a
-   collision in a 64-bit hash would silently return the wrong cached
-   solve, so we only ever compare full keys (the Hashtbl hashes them
-   internally for bucketing, but equality is on the complete string).
+   A key is a plain value, the structure itself, hashed by [Hashtbl.hash]
+   and compared by [compare]: never a digest, whose collision would
+   silently return the wrong cached solve.  [compare] counts [0.] and
+   [-0.] equal, and every NaN equal to every other, so a key carries a
+   float whose sign or payload matters as its bit pattern.
 
    Tables are domain-local (via [Domain.DLS]) so cached values that
    contain mutable state — BDD managers, reachability skeletons, solver
    workspaces — are never shared between domains of the parallel pool.
    Hit/miss counters are global atomics so [stats] and [report] see the
    whole program's behaviour regardless of which domain did the work. *)
-
-(* --- canonical key serialization -------------------------------------- *)
-
-type builder = Buffer.t
-
-let builder tag =
-  let b = Buffer.create 256 in
-  Buffer.add_string b tag;
-  Buffer.add_char b '|';
-  b
-
-(* Length-prefixing keeps the encoding injective: no concatenation of two
-   different field sequences can produce the same bytes. *)
-let add_string b s =
-  Buffer.add_char b 's';
-  Buffer.add_string b (string_of_int (String.length s));
-  Buffer.add_char b ':';
-  Buffer.add_string b s
-
-let add_int b i =
-  Buffer.add_char b 'i';
-  Buffer.add_string b (string_of_int i);
-  Buffer.add_char b ';'
-
-let add_bool b v = Buffer.add_string b (if v then "T" else "F")
-
-(* Bit-exact: the tag then the 8 raw bytes of the IEEE bit pattern,
-   little-endian.  Two floats get the same encoding iff they have the same
-   bit pattern: [0.] and [-0.] differ, and [bits_of_float] keeps a NaN's
-   sign and payload, so distinct NaNs get distinct keys (a spurious miss
-   at worst, never a wrong hit).  The field is fixed-width, so it needs no
-   terminator and the bytes may spell any tag or bracket without breaking
-   injectivity. *)
-let add_float b x =
-  Buffer.add_char b 'f';
-  Buffer.add_int64_le b (Int64.bits_of_float x)
-
-let add_list b f xs =
-  Buffer.add_char b '[';
-  List.iter (f b) xs;
-  Buffer.add_char b ']'
-
-let finish b = Buffer.contents b
 
 (* --- memo tables with shared statistics -------------------------------- *)
 
@@ -109,9 +67,9 @@ module Table = struct
      synchronization and admits no cross-domain mutation race.  The
      store remembers the [generation] it was built under; a bumped
      generation makes the domain start an empty one on next access. *)
-  type 'a t = {
+  type ('k, 'a) t = {
     counts : counter;
-    slot : (int * (string, 'a) Hashtbl.t) ref Domain.DLS.key;
+    slot : (int * ('k, 'a) Hashtbl.t) ref Domain.DLS.key;
   }
 
   let table t =

@@ -1,11 +1,11 @@
-(** Canonical structural keys and memo tables for the solve cache.
+(** Memo tables for the solve caches, keyed on plain structural values.
 
-    A model's parameter-independent skeleton (net structure, formula
-    shape, population vector, ...) is serialized into an exact canonical
-    string with the [builder] combinators; the string is the cache key.
-    Keys are compared by full equality — never by a truncated hash — so a
-    cache hit can only ever return a value computed from an identical
-    structure.
+    A key is the cached structure itself (an SRN's places, transitions,
+    arcs and pinned definitions; a fault tree's formula), compared with
+    OCaml's structural [compare]: a cache hit can only ever return a
+    value computed from an identical structure.  A float that must be
+    told apart from every other bit pattern ([0.] from [-0.], one NaN from
+    another) goes into a key as its [Int64.bits_of_float].
 
     {!Table}s are domain-local: each domain of the parallel pool sees its
     own storage, so cached values containing mutable state (BDD managers)
@@ -14,28 +14,6 @@
     and the table registry are synchronized (atomics behind a
     mutex-protected registry) and surfaced through {!Diag} by
     {!report}. *)
-
-(** {1 Key construction} *)
-
-type builder
-
-val builder : string -> builder
-(** [builder tag] starts a key for the cache family [tag]. *)
-
-val add_string : builder -> string -> unit
-val add_int : builder -> int -> unit
-val add_bool : builder -> bool -> unit
-
-val add_float : builder -> float -> unit
-(** Bit-exact: a tag byte and the 8 bytes of the IEEE bit pattern.  Keys
-    distinguish [0.] from [-0.], and NaNs with different payloads. *)
-
-val add_list : builder -> (builder -> 'a -> unit) -> 'a list -> unit
-
-val finish : builder -> string
-(** The canonical key.  Injective: two different field sequences cannot
-    serialize to the same string (every field is length-prefixed,
-    terminator-delimited or fixed-width). *)
 
 (** {1 Global cache switches and statistics} *)
 
@@ -77,13 +55,13 @@ val count : counter -> hit:bool -> unit
 (** {1 Memo tables} *)
 
 module Table : sig
-  type 'a t
+  type ('k, 'a) t
 
-  val create : string -> 'a t
+  val create : string -> ('k, 'a) t
   (** [create name] registers a table under [name] for {!stats}.  Call at
       module initialization, once per cache site. *)
 
-  val find_or_add : ?valid:('a -> bool) -> 'a t -> string -> (unit -> 'a) -> 'a
+  val find_or_add : ?valid:('a -> bool) -> ('k, 'a) t -> 'k -> (unit -> 'a) -> 'a
   (** [find_or_add t key compute] returns the cached value for [key] or
       computes, stores and returns it.  When caching is disabled it just
       runs [compute] (and counts nothing).  A cached value for which

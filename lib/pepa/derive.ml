@@ -80,10 +80,8 @@ type lts = {
   l_trans : (int * int * rk) list array;  (* (action id, target, rate) *)
 }
 
-let derive ?(max_states = default_max_states) ~resolve (m : model) : t =
-  let max_states =
-    match m.max_states with Some n -> n | None -> max_states
-  in
+let derive ~resolve (m : model) : t =
+  let max_states = Option.value m.max_states ~default:default_max_states in
   let defs = Hashtbl.create 16 in
   List.iter (fun d -> Hashtbl.replace defs d.d_name d.d_rhs) m.defs;
   let rhs c =

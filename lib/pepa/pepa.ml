@@ -27,10 +27,10 @@ type compiled = {
   warnings : string list;
 }
 
-let compile ?max_states ~resolve m =
+let compile ~resolve m =
   let warnings = wellformed m in
   let d =
-    try Derive.derive ?max_states ~resolve m
+    try Derive.derive ~resolve m
     with Derive.Error msg -> raise (Error msg)
   in
   { d; ctmc = Ctmc.of_generator d.Derive.q; warnings }

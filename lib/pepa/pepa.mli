@@ -27,15 +27,11 @@ val wellformed : Ast.model -> string list
 
 type compiled
 
-val compile :
-  ?max_states:int ->
-  resolve:(string -> float option) ->
-  Ast.model ->
-  compiled
+val compile : resolve:(string -> float option) -> Ast.model -> compiled
 (** Check and derive.  [resolve] maps free rate identifiers to values
-    (the SHARPE evaluation environment); [max_states] caps the
-    reachable state space (default 200000; a [maxstates N] line in the
-    model takes precedence). *)
+    (the SHARPE evaluation environment).  The reachable state space is
+    capped at 200000 states, or at N by a [maxstates N] line in the
+    model. *)
 
 val n_states : compiled -> int
 val generator : compiled -> Sharpe_numerics.Sparse.t

@@ -560,11 +560,16 @@ let handle_query st ~id ~session ~expr ~timeout =
       let job =
         Pool.submit ?deadline (fun () ->
             inject st "query";
-            Interp.Session.query e.sess expr)
+            Diag.capture (fun () -> Interp.Session.query e.sess expr))
       in
       match Pool.await job with
-      | Ok (Ok v) -> (true, Protocol.ok ~id [ ("value", Json.Num v) ], None)
-      | Ok (Error msg) -> (false, Protocol.error ~id ~kind:"eval_error" msg, None)
+      | Ok (result, records) -> (
+          Stats.add_error_diagnostics st.stats (count_error_diags records);
+          let diagnostics = ("diagnostics", Protocol.diagnostics_json records) in
+          match result with
+          | Ok v -> (true, Protocol.ok ~id [ ("value", Json.Num v); diagnostics ], None)
+          | Error msg ->
+              (false, Protocol.error ~id ~kind:"eval_error" ~extra:[ diagnostics ] msg, None))
       | Error (Deadline.Timed_out, _) ->
           ( false,
             Protocol.error ~id ~kind:"timeout"

@@ -166,9 +166,34 @@ let check_example ~jobs ((_, file) as ex) () =
     then Alcotest.failf "%s: diagnostic stream drifted from %s" name diag_path
   end
 
+(* The suite's cache traffic at jobs=1, each example cold: hits and
+   misses of every table, summed over the examples.  A key that tells
+   apart two structures it should not, or merges two it should keep
+   apart, moves these totals even where every output holds. *)
+let traffic =
+  [ ("srn_skeleton", (7, 12));
+    ("ftree_bdd", (23, 7));
+    ("model_instance", (2408, 190));
+    ("srn_reward", (234, 65)) ]
+
+let test_cache_traffic () =
+  Structhash.set_enabled true;
+  Structhash.reset_stats ();
+  List.iter (fun ex -> ignore (run_example ~jobs:1 ex)) examples;
+  let stats = Structhash.stats () in
+  let count name =
+    match List.find_opt (fun (s : Structhash.stat) -> s.name = name) stats with
+    | Some s -> (s.hits, s.misses)
+    | None -> Alcotest.failf "no table %s in Structhash.stats" name
+  in
+  Alcotest.(check (list (pair string (pair int int))))
+    "hits and misses over the suite" traffic
+    (List.map (fun (name, _) -> (name, count name)) traffic)
+
 let suite =
   List.concat_map
     (fun ((_, file) as ex) ->
       [ Alcotest.test_case file `Slow (check_example ~jobs:1 ex);
         Alcotest.test_case (file ^ " at jobs=2") `Slow (check_example ~jobs:2 ex) ])
     examples
+  @ [ Alcotest.test_case "cache traffic over the suite" `Slow test_cache_traffic ]

@@ -293,6 +293,44 @@ let test_query_fills_its_input () =
         [ "x 2"; "x )" ];
       Unix.close fd)
 
+(* A query reports the records its evaluation emits, as an eval does: a
+   markov chain first built by a query warns of its unreachable state.
+   Every answer carries the array, empty when nothing was emitted. *)
+let test_query_diagnostics () =
+  with_server (fun path ->
+      let fd = connect path in
+      let messages resp =
+        match Json.member "diagnostics" resp with
+        | Some (Json.List ds) ->
+            List.map
+              (fun d ->
+                Option.value ~default:""
+                  (Option.bind (Json.member "message" d) Json.to_str))
+              ds
+        | _ -> Alcotest.fail "no diagnostics array in the response"
+      in
+      let defined =
+        roundtrip fd
+          [ ("op", Json.Str "eval"); ("session", Json.Str "qd");
+            ("src", Json.Str "markov m\n0 1 1\n1 0 2\n2 0 1\nend\nend\n") ]
+      in
+      Alcotest.(check (list string)) "the eval builds nothing" [] (messages defined);
+      let query expr =
+        roundtrip fd
+          [ ("op", Json.Str "query"); ("session", Json.Str "qd");
+            ("expr", Json.Str expr) ]
+      in
+      let first = query "prob(m, 0)" in
+      Alcotest.(check bool) "the query answers" true (is_ok first);
+      Alcotest.(check (list string)) "Ctmc.validate's warning"
+        [ "1 state(s) unreachable from the initial distribution (e.g. 2)" ]
+        (messages first);
+      Alcotest.(check (list string)) "a query emitting nothing" [] (messages (query "1 + 1"));
+      let failed = query "nosuch" in
+      Alcotest.(check (option string)) "an eval_error" (Some "eval_error") (error_kind failed);
+      Alcotest.(check (list string)) "carries the array too" [] (messages failed);
+      Unix.close fd)
+
 let test_socket_oversized_payload () =
   let config = { Server.default_config with max_request_bytes = 2048 } in
   with_server ~config (fun path ->
@@ -753,6 +791,8 @@ let suite =
       test_lexer_errors_are_parse_errors;
     Alcotest.test_case "a query is one expression" `Quick
       test_query_fills_its_input;
+    Alcotest.test_case "a query reports its diagnostics" `Quick
+      test_query_diagnostics;
     Alcotest.test_case "oversized payload rejected" `Quick
       test_socket_oversized_payload;
     Alcotest.test_case "deadline cancels request, daemon continues" `Quick

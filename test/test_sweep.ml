@@ -480,15 +480,25 @@ let test_shadowed_exp_rate () =
 (* An output arc whose cardinality reads Rate(T1), a global also named T1:
    the rate decides the net's structure, so no skeleton may be filed
    under a key that leaves the rate out, and x = 2 sends two tokens. *)
+let program name =
+  Test_golden.read_file (Filename.concat Test_golden.src_root ("test/programs/" ^ name))
+
 let test_rate_in_cardinality () =
-  let program name =
-    Test_golden.read_file (Filename.concat Test_golden.src_root ("test/programs/" ^ name))
-  in
   let cached, f1, cold, f2 = cached_and_cold (program "rate_cardinality.sharpe") in
   Alcotest.(check (pair int int)) "no failed statements (cached, cold)" (0, 0) (f1, f2);
   Alcotest.(check string) "cold answers" (program "rate_cardinality.out") cold;
   Alcotest.(check string) "cached output equals cold output" cold cached;
   Alcotest.(check (pair int int)) "the net is solved cold" (0, 0) (stat "srn_skeleton")
+
+(* A guard 1/z > 0 under z = 0, then z = -0: the two binds differ in the
+   sign bit only, which [compare] ignores, so the key must hold z's bits
+   for the second query to explore its own skeleton. *)
+let test_negzero_guard () =
+  let cached, f1, cold, f2 = cached_and_cold (program "negzero_guard.sharpe") in
+  Alcotest.(check (pair int int)) "no failed statements (cached, cold)" (0, 0) (f1, f2);
+  Alcotest.(check string) "cold answers" (program "negzero_guard.out") cold;
+  Alcotest.(check string) "cached output equals cold output" cold cached;
+  Alcotest.(check (pair int int)) "one skeleton per sign of z" (0, 2) (stat "srn_skeleton")
 
 (* --- allocation on the sweep path --------------------------------------- *)
 
@@ -596,104 +606,6 @@ let test_instance_hit_allocation () =
       extra_edges (large -. small);
   Alcotest.(check (pair int int)) "the lookups hit the instance cache" (8, 2)
     (stat "model_instance")
-
-(* --- structural keys --------------------------------------------------- *)
-
-type field = S of string | I of int | B of bool | F of int64 | L of field list
-
-let rec add_field b = function
-  | S s -> Structhash.add_string b s
-  | I i -> Structhash.add_int b i
-  | B v -> Structhash.add_bool b v
-  | F bits -> Structhash.add_float b (Int64.float_of_bits bits)
-  | L fs -> Structhash.add_list b add_field fs
-
-let key fs =
-  let b = Structhash.builder "t" in
-  List.iter (add_field b) fs;
-  Structhash.finish b
-
-(* Parse a key back into its fields.  A key that decodes to the sequence
-   it was built from cannot equal the key of any other sequence, so a
-   round trip over adversarial fields is an injectivity check. *)
-let decode k =
-  let pos = ref 2 (* past "t|" *) in
-  let next () =
-    let c = k.[!pos] in
-    incr pos;
-    c
-  in
-  let upto stop =
-    let j = String.index_from k !pos stop in
-    let s = String.sub k !pos (j - !pos) in
-    pos := j + 1;
-    s
-  in
-  let rec fields stop =
-    if !pos = String.length k || k.[!pos] = stop then []
-    else
-      let f =
-        match next () with
-        | 's' ->
-            let n = int_of_string (upto ':') in
-            let s = String.sub k !pos n in
-            pos := !pos + n;
-            S s
-        | 'i' -> I (int_of_string (upto ';'))
-        | 'T' -> B true
-        | 'F' -> B false
-        | 'f' ->
-            let bits = String.get_int64_le k !pos in
-            pos := !pos + 8;
-            F bits
-        | '[' ->
-            let fs = fields ']' in
-            incr pos;
-            L fs
-        | c -> Alcotest.failf "unexpected key byte %C" c
-      in
-      f :: fields stop
-  in
-  fields '\000'
-
-(* Floats whose raw bytes spell the encoding's own tags, brackets and
-   terminators. *)
-let tag_bytes = "sifTF[];:-0123456789"
-
-let field_gen =
-  QCheck.Gen.(
-    let tagchar = map (String.get tag_bytes) (int_bound (String.length tag_bytes - 1)) in
-    let tag_float =
-      map (fun s -> F (String.get_int64_le s 0)) (string_size ~gen:tagchar (return 8))
-    in
-    let leaf =
-      frequency
-        [ (4, tag_float);
-          (1, map (fun x -> F (Int64.bits_of_float x)) float);
-          (1, map (fun s -> S s) (string_size ~gen:tagchar (int_bound 4)));
-          (1, map (fun i -> I i) (int_range (-20) 20));
-          (1, map (fun v -> B v) bool) ]
-    in
-    sized_size (int_bound 3)
-      (fix (fun self n ->
-           if n = 0 then leaf
-           else frequency [ (3, leaf); (1, map (fun fs -> L fs) (list_size (int_bound 4) (self (n - 1)))) ])))
-
-let prop_key_roundtrip =
-  QCheck.Test.make ~name:"structural keys decode to their fields" ~count:500
-    (QCheck.make QCheck.Gen.(list_size (int_bound 6) field_gen))
-    (fun fs -> decode (key fs) = fs)
-
-let test_float_keys () =
-  Alcotest.(check bool) "0.0 and -0.0 give distinct keys" true
-    (key [ F (Int64.bits_of_float 0.0) ] <> key [ F (Int64.bits_of_float (-0.0)) ]);
-  (* a float spelling "]f]f]f]f" inside a list, next to the sequence its
-     bytes would fake under a terminator-delimited encoding *)
-  let x = String.get_int64_le "]f]f]f]f" 0 in
-  let fs = [ L [ F x ]; B true ] in
-  Alcotest.(check bool) "tag-spelling float round-trips" true (decode (key fs) = fs);
-  Alcotest.(check bool) "and keeps its key apart" true
-    (key fs <> key [ L []; F x; B true ])
 
 (* --- parallel loop evaluation ---------------------------------------- *)
 
@@ -1296,15 +1208,14 @@ let suite =
       test_shadowed_exp_rate;
     Alcotest.test_case "Rate in a cardinality matches cold" `Quick
       test_rate_in_cardinality;
+    Alcotest.test_case "a guard on the sign of zero matches cold" `Quick
+      test_negzero_guard;
     Alcotest.test_case "edge weights allocate per edge, not per context" `Quick
       test_edge_weights_allocation;
     Alcotest.test_case "instance hit allocates nothing per edge" `Quick
       test_instance_hit_allocation;
     Alcotest.test_case "net closures on two domains at once" `Quick
       test_closures_on_two_domains;
-    Alcotest.test_case "float keys are bit-exact and injective" `Quick
-      test_float_keys;
-    QCheck_alcotest.to_alcotest prop_key_roundtrip;
     Alcotest.test_case "parallel sweep output identical to serial" `Quick
       test_parallel_output_identical;
     Alcotest.test_case "parallel loop variable final value" `Quick
