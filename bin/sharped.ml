@@ -9,8 +9,7 @@ module Server = Sharpe_server.Server
 module Journal = Sharpe_server.Journal
 
 let run socket port host workers timeout max_bytes max_concurrent
-    max_sessions session_ttl session_quota memory_budget_mb journal_dir fsync
-    snapshot_every =
+    max_sessions session_ttl session_quota memory_budget_mb journal_dir fsync =
   let config =
     { Server.default_config with
       Server.max_request_bytes = max_bytes;
@@ -23,8 +22,7 @@ let run socket port host workers timeout max_bytes max_concurrent
       memory_budget =
         Option.map (fun mb -> max 1 mb * 1024 * 1024) memory_budget_mb;
       journal_dir;
-      fsync;
-      snapshot_every = max 1 snapshot_every }
+      fsync }
   in
   (* graceful drain on SIGTERM/SIGINT: the handler only flips an atomic;
      the accept loop notices it within its 100 ms poll, stops accepting,
@@ -187,17 +185,6 @@ let fsync =
            milliseconds, default 100 — bounds the loss window), or \
            $(b,never) (leave syncing to the OS).")
 
-let snapshot_every =
-  Arg.(
-    value
-    & opt int Server.default_config.Server.snapshot_every
-    & info [ "snapshot-every" ] ~docv:"N"
-        ~doc:
-          "Compact a session's journal records into a snapshot (minimal \
-           replay script) after $(docv) appended records; keeps the \
-           journal and recovery time proportional to live state rather \
-           than request history.")
-
 let cmd =
   let doc = "SHARPE evaluation daemon" in
   let man =
@@ -215,6 +202,6 @@ let cmd =
     Term.(
       const run $ socket $ port $ host $ workers $ timeout $ max_bytes
       $ max_concurrent $ max_sessions $ session_ttl $ session_quota
-      $ memory_budget_mb $ journal_dir $ fsync $ snapshot_every)
+      $ memory_budget_mb $ journal_dir $ fsync)
 
 let () = exit (Cmd.eval' cmd)

@@ -44,12 +44,13 @@ else
 fi
 
 echo "== unused exports =="
-# every top-level val of a library interface must be named somewhere but
-# its own definition: more than once in its own .ml, or in another .ml
+# every val of a library interface, those of nested signatures included,
+# must be named somewhere but its own definition: more than once in its
+# own .ml, or in another .ml
 unused=""
 for mli in $(find lib -name '*.mli' | sort); do
   ml="${mli%i}"
-  for v in $(sed -n "s/^val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli"); do
+  for v in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli"); do
     [ "$(grep -cw -- "$v" "$ml")" -le 1 ] || continue
     grep -rlw --include='*.ml' -- "$v" lib bin perfbench test |
       grep -qvx "$ml" || unused="$unused $mli:$v"
@@ -248,23 +249,38 @@ grep -v '"elapsed_s"' "$scl" | cmp -s "$scl.committed" - || {
 rm -f "$scl" "$scl.committed"
 
 echo "== server smoke =="
-# start sharped on a temp socket, hit it with concurrent clients running
-# distinct examples, verify every output against the golden files, check
-# the daemon accumulated zero error diagnostics, and shut down cleanly
+# start a journaled sharped on a temp socket, hit it with concurrent
+# clients running distinct examples, verify every output against the
+# golden files, check the daemon accumulated zero error diagnostics, and
+# shut down cleanly; then restart it on the same journal directory
 sock="${TMPDIR:-/tmp}/sharpe_ci_$$.sock"
 smokedir="${TMPDIR:-/tmp}/sharpe_ci_$$"
 mkdir -p "$smokedir"
 # binaries were built by `dune build` above; run them directly so
 # concurrent clients do not contend for the dune build lock
-./_build/default/bin/sharped.exe --socket "$sock" --workers 4 &
-daemon=$!
+start_daemon() {
+  ./_build/default/bin/sharped.exe --socket "$sock" --workers 4 \
+    --journal-dir "$smokedir/journal" &
+  daemon=$!
+  i=0
+  while [ ! -S "$sock" ]; do
+    i=$((i + 1))
+    [ "$i" -le 300 ] || { echo "ci: sharped did not come up" >&2; exit 1; }
+    sleep 0.1
+  done
+}
+stop_daemon() {
+  ./_build/default/bin/sharpec.exe --socket "$sock" shutdown
+  i=0
+  while kill -0 $daemon 2>/dev/null; do
+    i=$((i + 1))
+    [ "$i" -le 100 ] || { echo "ci: sharped did not shut down" >&2; exit 1; }
+    sleep 0.1
+  done
+  wait $daemon 2>/dev/null || true
+}
 trap 'kill $daemon 2>/dev/null; rm -rf "$smokedir" "$sock"' EXIT
-i=0
-while [ ! -S "$sock" ]; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "ci: sharped did not come up" >&2; exit 1; }
-  sleep 0.1
-done
+start_daemon
 examples="molloy software mmmb cmmp database overlap pfqn916 wfs"
 clients=""
 for ex in $examples; do
@@ -348,14 +364,30 @@ echo "$qresp" | grep -q '"diagnostics":\[' || {
   echo "ci: a query response carries no diagnostics array: $qresp" >&2
   exit 1
 }
-./_build/default/bin/sharpec.exe --socket "$sock" shutdown
-i=0
-while kill -0 $daemon 2>/dev/null; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "ci: sharped did not shut down" >&2; exit 1; }
-  sleep 0.1
+stop_daemon
+# a second daemon on the same journal directory rebuilds every warm
+# session from its journaled evals alone; a third eval into each must
+# print the golden output again
+start_daemon
+# the eight warm sessions and qx
+health=$(./_build/default/bin/sharpec.exe --socket "$sock" health)
+echo "$health" | grep -q '"recovered_sessions":9[,}]' || {
+  echo "ci: the restarted daemon did not recover 9 sessions: $health" >&2
+  exit 1
+}
+for ex in $examples; do
+  ./_build/default/bin/sharpec.exe --socket "$sock" --session "warm-$ex" \
+    eval "examples/sharpe/$ex.sharpe" > "$smokedir/$ex.warm3.out" || {
+    echo "ci: eval into the recovered session warm-$ex failed" >&2
+    exit 1
+  }
+  if ! cmp -s "$smokedir/$ex.warm3.out" "test/golden/$ex.out"; then
+    echo "ci: eval 3 of $ex into its recovered session differs from golden" >&2
+    diff "test/golden/$ex.out" "$smokedir/$ex.warm3.out" | head >&2
+    exit 1
+  fi
 done
-wait $daemon 2>/dev/null || true
+stop_daemon
 trap - EXIT
 rm -rf "$smokedir" "$sock"
 

@@ -108,24 +108,17 @@ let run_program_file ?print path =
    observing each other — the evaluation server relies on exactly that. *)
 
 module Session = struct
-  type replay_entry = [ `Eval of string | `Bind of string * float ]
-
   type t = {
     senv : Eval.env;
     sbuf : Buffer.t ref; (* swapped fresh for every eval *)
-    mutable evals : int;
-    mutable log : replay_entry list;
-        (* newest first: every mutating request this session has seen,
-           compressed lazily by [replay_script] *)
   }
 
   let create ?fuel_limit () =
     let sbuf = ref (Buffer.create 256) in
     let print s = Buffer.add_string !sbuf s in
-    { senv = Eval.make_env ~print ?fuel_limit (); sbuf; evals = 0; log = [] }
+    { senv = Eval.make_env ~print ?fuel_limit (); sbuf }
 
   let pending_output t = Buffer.contents !(t.sbuf)
-  let eval_count t = t.evals
 
   (* Everything a session retains between requests — env bindings, model
      definitions, the per-env instance cache, buffered output — is
@@ -137,45 +130,10 @@ module Session = struct
 
   let eval t src =
     t.sbuf := Buffer.create 1024;
-    t.evals <- t.evals + 1;
-    (* logged BEFORE execution: if a deadline cancels the run midway, the
-       replay script re-executes the whole fragment, i.e. recovery settles
-       a timed-out request's partial mutations by completing them *)
-    t.log <- `Eval src :: t.log;
     let outcome = exec_with_recovery t.senv src in
     (Buffer.contents !(t.sbuf), outcome)
 
-  let bind t name value =
-    t.log <- `Bind (name, value) :: t.log;
-    Eval.set_binding t.senv name (Eval.Val value)
-
-  (* Minimal replay script: the session's mutation log with superseded
-     numeric bindings dropped.  A [`Bind] may only be elided when a later
-     bind of the same name follows with NO eval in between — an eval can
-     read the binding and mutate other state from it, so it pins every
-     bind that precedes it.  Scanning newest-to-oldest: crossing an
-     [`Eval] resets the set of names whose later binding shadows earlier
-     ones.  The log itself is normalized to the compressed form, so a
-     long-lived session's log stays proportional to its live state plus
-     its eval history, not its total bind traffic. *)
-  let replay_script t =
-    let shadowed = Hashtbl.create 16 in
-    let kept =
-      List.filter
-        (function
-          | `Eval _ ->
-              Hashtbl.reset shadowed;
-              true
-          | `Bind (n, _) ->
-              if Hashtbl.mem shadowed n then false
-              else begin
-                Hashtbl.add shadowed n ();
-                true
-              end)
-        t.log
-    in
-    t.log <- kept;
-    List.rev kept
+  let bind t name value = Eval.set_binding t.senv name (Eval.Val value)
 
   let query t src =
     match Parser.parse_expression src with

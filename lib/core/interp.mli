@@ -46,14 +46,16 @@ val run_program_file : ?print:(string -> unit) -> string -> outcome
     per call.  No interpreter state is process-global, so concurrent
     sessions on different domains never observe each other's bindings,
     outputs or diagnostics — the evaluation server keeps one session per
-    client-chosen name and serializes calls into each. *)
+    client-chosen name and serializes calls into each.
+
+    A session keeps no record of the requests that built it, so its
+    footprint follows its state, not its request count.  The server's
+    durability journal is the only copy of that history: recovery
+    rebuilds a session by replaying the journaled [eval]s and [bind]s
+    through {!Session.eval} and {!Session.bind}. *)
 
 module Session : sig
   type t
-
-  type replay_entry = [ `Eval of string | `Bind of string * float ]
-  (** One mutating request as the durability journal replays it: an
-      [eval] source fragment or a numeric [bind]. *)
 
   val create : ?fuel_limit:int -> unit -> t
 
@@ -76,18 +78,6 @@ module Session : sig
   val pending_output : t -> string
   (** Output printed by the current/last [eval] — used to salvage partial
       output after a timeout. *)
-
-  val replay_script : t -> replay_entry list
-  (** A minimal script that rebuilds this session's state in a fresh
-      session: the mutation log with superseded numeric bindings dropped
-      (a bind is elided only when a later bind of the same name follows
-      with no intervening eval, which could have read it).  Evaluation is
-      deterministic, so replaying the script in order reproduces the
-      session's bindings, definitions and format state — the durability
-      journal uses this as its snapshot-compaction format.  Also
-      normalizes the internal log to the compressed form. *)
-
-  val eval_count : t -> int
 
   val approx_bytes : t -> int
   (** Approximate heap footprint of everything the session retains

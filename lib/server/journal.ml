@@ -1,10 +1,15 @@
 (* Durable write-ahead journal for sharped sessions.  See journal.mli
    for the frame format and recovery semantics.
 
-   Locking: one mutex guards the file descriptor and the in-memory
-   mirror.  Callers (the server) serialize per-session appends with the
-   session lock, so per-session record order in the file matches
-   execution order; records of different sessions interleave freely. *)
+   The file is the only copy of a session's history.  In memory the
+   journal keeps a byte account per session (see [sess]); compaction
+   re-reads the file with the same scan recovery runs.
+
+   Locking: one mutex guards the file descriptor and the account.
+   Callers (the server) serialize per-session appends with the session
+   lock, so per-session record order in the file matches execution
+   order; records of different sessions interleave freely. *)
+
 
 module Diag = Sharpe_numerics.Diag
 
@@ -81,23 +86,32 @@ let frame payload =
 let get_le32 s pos =
   Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
-(* --- in-memory mirror --------------------------------------------------- *)
+(* --- the live-byte account ---------------------------------------------- *)
 
-type tail_rec = {
-  tr_entry : entry;
-  tr_rid : (string * bool * string) option;
-  tr_busy : float;
-  tr_ts : float;
-}
-
+(* The framed bytes of one session that a rewrite would keep, and for
+   each name bound since the session's last eval that bind's frame
+   length.  A later bind of the same name makes the earlier frame dead;
+   an eval pins every bind before it (it may have read them), so it
+   clears the table. *)
 type sess = {
-  mutable snap : (entry list * float * float) option;  (* entries, busy, ts *)
-  mutable tail : tail_rec list;  (* newest first *)
-  mutable tail_n : int;
-  mutable live_bytes : int;  (* framed bytes of snap + tail on disk *)
-  mutable busy : float;
-  mutable last_ts : float;
+  mutable live : int;
+  bound : (string, int) Hashtbl.t;
 }
+
+let fresh_sess live = { live; bound = Hashtbl.create 8 }
+
+(* Account one mutation record of [flen] framed bytes; returns the
+   change in live bytes. *)
+let account s flen : entry -> int = function
+  | `Eval _ ->
+      if Hashtbl.length s.bound > 0 then Hashtbl.reset s.bound;
+      s.live <- s.live + flen;
+      flen
+  | `Bind (n, _) ->
+      let dead = Option.value (Hashtbl.find_opt s.bound n) ~default:0 in
+      Hashtbl.replace s.bound n flen;
+      s.live <- s.live + flen - dead;
+      flen - dead
 
 type t = {
   path : string;
@@ -108,33 +122,11 @@ type t = {
   mutable unsynced : int;
   mutable last_sync : float option;
   mutable records : int;
-  sessions : (string, sess) Hashtbl.t;
-  mutable live : int;  (* summed live_bytes *)
-  rids : (string * bool * string) Queue.t;  (* oldest first, bounded *)
-  rid_cap : int;
+  mutable sessions : (string, sess) Hashtbl.t;
+  mutable live : int;  (* bytes a rewrite would keep, header included *)
 }
 
-let fresh_sess () =
-  { snap = None;
-    tail = [];
-    tail_n = 0;
-    live_bytes = 0;
-    busy = 0.0;
-    last_ts = 0.0 }
-
-let get_sess t name =
-  match Hashtbl.find_opt t.sessions name with
-  | Some s -> s
-  | None ->
-      let s = fresh_sess () in
-      Hashtbl.add t.sessions name s;
-      s
-
-let push_rid t r =
-  Queue.add r t.rids;
-  while Queue.length t.rids > t.rid_cap do
-    ignore (Queue.pop t.rids)
-  done
+let rid_cap = 512
 
 (* --- record payloads ---------------------------------------------------- *)
 
@@ -193,15 +185,7 @@ let rids_payload items =
   Json.to_string
     (Json.Obj
        [ ("t", Json.Str "rids");
-         ( "items",
-           Json.List
-             (List.map
-                (fun (rid, ok, resp) ->
-                  Json.Obj
-                    [ ("rid", Json.Str rid);
-                      ("ok", Json.Bool ok);
-                      ("resp", Json.Str resp) ])
-                items) ) ])
+         ("items", Json.List (List.map (fun r -> Json.Obj (rid_fields (Some r))) items)) ])
 
 let meta_payload () =
   Json.to_string
@@ -258,256 +242,284 @@ let fsync_dir dir =
       (try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
   | exception Unix.Unix_error (_, _, _) -> ()
 
+(* --- the scan: recovery and compaction ---------------------------------- *)
+
+let warn fmt = Diag.emitf Diag.Warning ~solver:"journal" fmt
+
+type scanned = {
+  acct : sess;
+  mutable entries : entry list;  (* newest first, dead binds dropped *)
+  mutable busy : float;
+  mutable last_ts : float;
+}
+
+type scan = {
+  found : (string, scanned) Hashtbl.t;
+  rids : (string * bool * string) Queue.t;  (* oldest first, bounded *)
+  kept : int;  (* bytes a rewrite would keep *)
+  frames : int;
+  len : int;  (* file length *)
+  valid_end : int;  (* end of the longest valid prefix *)
+  stop : string option;  (* why the scan ended before [len] *)
+}
+
+(* [entries] is newest first; drop its bind of [n] after the last eval.
+   There is at most one: an earlier one was dropped when this one came. *)
+let rec drop_bind n = function
+  | `Bind (m, _) :: rest when m = n -> rest
+  | (`Bind _ as e) :: rest -> e :: drop_bind n rest
+  | l -> l
+
+(* Read [path] frame by frame and rebuild every live session: its
+   entries with dead binds dropped, its busy seconds and last timestamp,
+   and its byte account; plus the request-id window.  Stops at the first
+   torn, corrupt or unparseable frame. *)
+let scan path =
+  let found = Hashtbl.create 16 in
+  let rids = Queue.create () in
+  let live = ref (String.length magic) in
+  let frames = ref 0 in
+  let get name =
+    match Hashtbl.find_opt found name with
+    | Some s -> s
+    | None ->
+        let s = { acct = fresh_sess 0; entries = []; busy = 0.0; last_ts = 0.0 } in
+        Hashtbl.add found name s;
+        s
+  in
+  let drop name =
+    Option.iter
+      (fun s ->
+        live := !live - s.acct.live;
+        Hashtbl.remove found name)
+      (Hashtbl.find_opt found name)
+  in
+  (* a mutation record or a rids item that carries a request id *)
+  let push_rid j =
+    let str name = Option.bind (Json.member name j) Json.to_str in
+    match (str "rid", Json.member "ok" j, str "resp") with
+    | Some rid, Some (Json.Bool ok), Some resp ->
+        Queue.add (rid, ok, resp) rids;
+        if Queue.length rids > rid_cap then ignore (Queue.pop rids)
+    | _ -> ()
+  in
+  let apply flen obj =
+    let str name = Option.bind (Json.member name obj) Json.to_str in
+    let num name = Option.bind (Json.member name obj) Json.to_float in
+    let session () = Option.value (str "s") ~default:"" in
+    let busy () = Option.value (num "busy") ~default:0.0 in
+    let ts () = Option.value (num "ts") ~default:0.0 in
+    let mutation entry =
+      let s = get (session ()) in
+      (match entry with
+      | `Bind (n, _) -> s.entries <- drop_bind n s.entries
+      | `Eval _ -> ());
+      s.entries <- entry :: s.entries;
+      live := !live + account s.acct flen entry;
+      s.busy <- busy ();
+      s.last_ts <- ts ();
+      push_rid obj
+    in
+    match str "t" with
+    | Some "eval" -> (
+        match str "src" with
+        | Some src -> mutation (`Eval src)
+        | None -> warn "eval record without src; skipped")
+    | Some "bind" -> (
+        match (str "name", num "value") with
+        | Some n, Some v -> mutation (`Bind (n, v))
+        | _ -> warn "bind record without name/value; skipped")
+    | Some "snap" ->
+        (* a snapshot supersedes every earlier record of its session; the
+           binds it holds stay live in the account until the next rewrite *)
+        let entries =
+          match Json.member "entries" obj with
+          | Some (Json.List l) -> List.filter_map entry_of_json l
+          | _ -> []
+        in
+        drop (session ());
+        live := !live + flen;
+        Hashtbl.add found (session ())
+          { acct = fresh_sess flen;
+            entries = List.rev entries;
+            busy = busy ();
+            last_ts = ts () }
+    | Some "evict" -> drop (session ())
+    | Some "rids" -> (
+        live := !live + flen;
+        match Json.member "items" obj with
+        | Some (Json.List items) -> List.iter push_rid items
+        | _ -> ())
+    | Some "meta" -> (
+        live := !live + flen;
+        match num "version" with
+        | Some v when v <> 1.0 ->
+            warn "journal written by format version %g; this daemon reads v1" v
+        | _ -> ())
+    | Some other ->
+        (* a frame that passed its CRC but carries an unknown record type
+           was written by a newer daemon: skip it, keep scanning *)
+        warn "unknown record type %S; skipped" other
+    | None -> warn "record without a type field; skipped"
+  in
+  let len, valid_end, stop =
+    match open_in_bin path with
+    | exception Sys_error _ -> (0, 0, None)
+    | ic ->
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () ->
+            let len = in_channel_length ic in
+            let m = String.length magic in
+            if len = 0 then (0, 0, None)
+            else if len < m || really_input_string ic m <> magic then
+              (len, 0, Some "bad or torn header")
+            else
+              let rec go pos =
+                if pos = len then (pos, None)
+                else if len - pos < 8 then (pos, Some "torn frame header")
+                else
+                  let header = really_input_string ic 8 in
+                  let plen = get_le32 header 0 in
+                  if plen <= 0 || plen > max_frame then
+                    (pos, Some (Printf.sprintf "implausible frame length %d" plen))
+                  else if len - pos - 8 < plen then (pos, Some "torn frame payload")
+                  else
+                    let payload = really_input_string ic plen in
+                    if crc32 payload <> get_le32 header 4 then (pos, Some "CRC mismatch")
+                    else
+                      match Json.parse payload with
+                      | Error m -> (pos, Some ("unparseable record: " ^ m))
+                      | Ok obj ->
+                          apply (8 + plen) obj;
+                          incr frames;
+                          go (pos + 8 + plen)
+              in
+              let valid_end, stop = go m in
+              (len, valid_end, stop))
+  in
+  { found; rids; kept = !live; frames = !frames; len; valid_end; stop }
+
 (* --- rewrite (compaction) ----------------------------------------------- *)
 
-(* Serialize the in-memory mirror — snapshots, post-snapshot tails, the
-   replay-cache window — into a fresh file and rename it over the old
-   one.  Caller holds t.mutex. *)
+(* Scan the live file and replace it (write-temp, fsync, rename, fsync
+   the directory) with one snap frame per session, holding its entries
+   with dead binds dropped, plus the request-id window.  Caller holds
+   t.mutex. *)
 let rewrite t =
-  let buf = Buffer.create (t.live + 4096) in
-  Buffer.add_string buf magic;
-  let add payload =
-    Buffer.add_bytes buf (frame payload);
-    8 + String.length payload
-  in
-  ignore (add (meta_payload ()));
-  let names =
-    List.sort compare
-      (Hashtbl.fold (fun name _ acc -> name :: acc) t.sessions [])
-  in
-  List.iter
-    (fun name ->
-      let s = Hashtbl.find t.sessions name in
-      let n = ref 0 in
-      (match s.snap with
-      | Some (entries, busy, ts) ->
-          n := !n + add (snap_payload ~session:name ~entries ~busy ~ts)
-      | None -> ());
-      List.iter
-        (fun tr ->
-          n :=
-            !n
-            + add
-                (mutation_payload ~session:name ~rid:tr.tr_rid ~busy:tr.tr_busy
-                   ~ts:tr.tr_ts tr.tr_entry))
-        (List.rev s.tail);
-      s.live_bytes <- !n)
-    names;
-  if not (Queue.is_empty t.rids) then
-    ignore (add (rids_payload (List.of_seq (Queue.to_seq t.rids))));
-  t.live <- Hashtbl.fold (fun _ s acc -> acc + s.live_bytes) t.sessions 0;
+  let sc = scan t.path in
+  Option.iter
+    (fun reason ->
+      warn "journal %s: %s at offset %d during compaction; dropped %d byte(s)"
+        t.path reason sc.valid_end (sc.len - sc.valid_end))
+    sc.stop;
   let tmp = t.path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  write_all fd (Buffer.to_bytes buf);
+  let bytes = ref 0 in
+  let put b =
+    write_all fd b;
+    bytes := !bytes + Bytes.length b;
+    Bytes.length b
+  in
+  ignore (put (Bytes.of_string magic));
+  ignore (put (frame (meta_payload ())));
+  let sessions = Hashtbl.create (Hashtbl.length sc.found) in
+  List.iter
+    (fun (name, s) ->
+      let entries = List.rev s.entries in
+      let flen =
+        put (frame (snap_payload ~session:name ~entries ~busy:s.busy ~ts:s.last_ts))
+      in
+      Hashtbl.replace sessions name (fresh_sess flen))
+    (List.sort
+       (fun (a, _) (b, _) -> compare a b)
+       (List.of_seq (Hashtbl.to_seq sc.found)));
+  if not (Queue.is_empty sc.rids) then
+    ignore (put (frame (rids_payload (List.of_seq (Queue.to_seq sc.rids)))));
   Unix.fsync fd;
   Unix.close fd;
   Unix.rename tmp t.path;
   fsync_dir (Filename.dirname t.path);
   (try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ());
   t.fd <- Unix.openfile t.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644;
-  t.bytes <- Buffer.length buf;
+  t.sessions <- sessions;
+  t.live <- !bytes;
+  t.bytes <- !bytes;
   t.unsynced <- 0;
   t.last_sync <- Some (Unix.gettimeofday ())
 
-(* Rewrite once superseded bytes dominate: more than half the file is
-   dead weight, with a floor so small journals are never churned. *)
+(* Rewrite once dead bytes dominate: more than half the file, with a
+   floor so small journals are never churned. *)
 let maybe_rewrite t =
   if t.bytes > max (64 * 1024) (2 * t.live) then rewrite t
 
 (* --- recovery ----------------------------------------------------------- *)
 
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some s
-  | exception Sys_error _ -> None
-
-let warn fmt = Diag.emitf Diag.Warning ~solver:"journal" fmt
-
-(* Apply one parsed record to the mirror.  [flen] is its framed length
-   on disk. *)
-let apply t flen obj =
-  let str name = Option.bind (Json.member name obj) Json.to_str in
-  let num name = Option.bind (Json.member name obj) Json.to_float in
-  let session () = Option.value (str "s") ~default:"" in
-  let busy () = Option.value (num "busy") ~default:0.0 in
-  let ts () = Option.value (num "ts") ~default:0.0 in
-  let rid_of_record () =
-    match (str "rid", Json.member "ok" obj, str "resp") with
-    | Some rid, Some (Json.Bool ok), Some resp -> Some (rid, ok, resp)
-    | _ -> None
-  in
-  let mutation entry =
-    let s = get_sess t (session ()) in
-    let rid = rid_of_record () in
-    s.tail <-
-      { tr_entry = entry; tr_rid = rid; tr_busy = busy (); tr_ts = ts () }
-      :: s.tail;
-    s.tail_n <- s.tail_n + 1;
-    s.live_bytes <- s.live_bytes + flen;
-    t.live <- t.live + flen;
-    s.busy <- busy ();
-    s.last_ts <- ts ();
-    Option.iter (push_rid t) rid
-  in
-  match str "t" with
-  | Some "eval" -> (
-      match str "src" with
-      | Some src -> mutation (`Eval src)
-      | None -> warn "eval record without src; skipped")
-  | Some "bind" -> (
-      match (str "name", num "value") with
-      | Some n, Some v -> mutation (`Bind (n, v))
-      | _ -> warn "bind record without name/value; skipped")
-  | Some "snap" ->
-      let s = get_sess t (session ()) in
-      let entries =
-        match Json.member "entries" obj with
-        | Some (Json.List l) -> List.filter_map entry_of_json l
-        | _ -> []
-      in
-      t.live <- t.live - s.live_bytes + flen;
-      s.snap <- Some (entries, busy (), ts ());
-      s.tail <- [];
-      s.tail_n <- 0;
-      s.live_bytes <- flen;
-      s.busy <- busy ();
-      s.last_ts <- ts ()
-  | Some "evict" -> (
-      let name = session () in
-      match Hashtbl.find_opt t.sessions name with
-      | Some s ->
-          t.live <- t.live - s.live_bytes;
-          Hashtbl.remove t.sessions name
-      | None -> ())
-  | Some "rids" -> (
-      match Json.member "items" obj with
-      | Some (Json.List items) ->
-          List.iter
-            (fun item ->
-              match
-                ( Option.bind (Json.member "rid" item) Json.to_str,
-                  Json.member "ok" item,
-                  Option.bind (Json.member "resp" item) Json.to_str )
-              with
-              | Some rid, Some (Json.Bool ok), Some resp ->
-                  push_rid t (rid, ok, resp)
-              | _ -> ())
-            items
-      | _ -> ())
-  | Some "meta" -> (
-      match num "version" with
-      | Some v when v <> 1.0 ->
-          warn "journal written by format version %g; this daemon reads v1" v
-      | _ -> ())
-  | Some other ->
-      (* a frame that passed its CRC but carries an unknown record type
-         was written by a newer daemon: skip it, keep scanning *)
-      warn "unknown record type %S; skipped" other
-  | None -> warn "record without a type field; skipped"
-
 let open_ ~dir ~fsync =
   mkdir_p dir;
   let path = Filename.concat dir "journal.wal" in
+  let existed = Sys.file_exists path in
+  let sc = scan path in
+  (match sc.stop with
+  | _ when sc.len = 0 ->
+      if existed then
+        warn "journal %s exists but is empty; starting with no sessions" path
+  | Some reason ->
+      warn
+        "journal %s: %s at offset %d; recovered the valid prefix and \
+         dropped %d byte(s) from the tail"
+        path reason sc.valid_end (sc.len - sc.valid_end)
+  | None -> ());
+  (* truncate away the corrupt tail so appends never follow garbage *)
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+  Unix.ftruncate fd sc.valid_end;
+  ignore (Unix.lseek fd 0 Unix.SEEK_END);
   let t =
     { path;
       fsync;
       mutex = Mutex.create ();
-      fd = Unix.stdin (* replaced below *);
-      bytes = 0;
+      fd;
+      bytes = sc.valid_end;
       unsynced = 0;
       last_sync = None;
-      records = 0;
-      sessions = Hashtbl.create 16;
-      live = 0;
-      rids = Queue.create ();
-      rid_cap = 512 }
+      records = sc.frames;
+      sessions =
+        Hashtbl.of_seq
+          (Seq.map (fun (name, s) -> (name, s.acct)) (Hashtbl.to_seq sc.found));
+      live = sc.kept }
   in
-  let existed = Sys.file_exists path in
-  let contents = Option.value (read_file path) ~default:"" in
-  let len = String.length contents in
-  let corrupt = ref false in
-  let valid_end = ref 0 in
-  if len = 0 then begin
-    if existed then
-      warn "journal %s exists but is empty; starting with no sessions" path
-  end
-  else if len < String.length magic || String.sub contents 0 (String.length magic) <> magic
-  then begin
-    corrupt := true;
-    warn "journal %s has a bad or torn header; dropping all %d bytes" path len
-  end
-  else begin
-    valid_end := String.length magic;
-    let stop = ref None in
-    while !stop = None && !valid_end < len do
-      let pos = !valid_end in
-      if len - pos < 8 then stop := Some "torn frame header"
-      else begin
-        let plen = get_le32 contents pos in
-        let crc = get_le32 contents (pos + 4) in
-        if plen <= 0 || plen > max_frame then
-          stop := Some (Printf.sprintf "implausible frame length %d" plen)
-        else if len - pos - 8 < plen then stop := Some "torn frame payload"
-        else
-          let payload = String.sub contents (pos + 8) plen in
-          if crc32 payload <> crc then stop := Some "CRC mismatch"
-          else
-            match Json.parse payload with
-            | Error m -> stop := Some ("unparseable record: " ^ m)
-            | Ok obj ->
-                apply t (8 + plen) obj;
-                t.records <- t.records + 1;
-                valid_end := pos + 8 + plen
-      end
-    done;
-    match !stop with
-    | Some reason ->
-        corrupt := true;
-        warn
-          "journal %s: %s at offset %d; recovered the valid prefix and \
-           dropped %d byte(s) from the tail"
-          path reason !valid_end (len - !valid_end)
-    | None -> ()
-  end;
-  let dropped = len - !valid_end in
-  (* truncate away the corrupt tail so appends never follow garbage *)
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  Unix.ftruncate fd !valid_end;
-  ignore (Unix.lseek fd 0 Unix.SEEK_END);
-  t.fd <- fd;
-  t.bytes <- !valid_end;
-  if !valid_end = 0 then begin
+  if sc.valid_end = 0 then begin
     write_all fd (Bytes.of_string magic);
     t.bytes <- String.length magic;
-    ignore (write_frame t (meta_payload ()));
+    t.live <- t.bytes + write_frame t (meta_payload ());
     (match fsync with Always | Interval _ -> do_sync t | Never -> ())
   end;
   let r_sessions =
     Hashtbl.fold
       (fun name s acc ->
-        let snap_entries =
-          match s.snap with Some (entries, _, _) -> entries | None -> []
-        in
-        let tail_entries = List.rev_map (fun tr -> tr.tr_entry) s.tail in
         { rs_name = name;
-          rs_entries = snap_entries @ tail_entries;
+          rs_entries = List.rev s.entries;
           rs_busy = s.busy;
           rs_last_ts = s.last_ts }
         :: acc)
-      t.sessions []
+      sc.found []
     |> List.sort (fun a b -> compare a.rs_name b.rs_name)
   in
   ( t,
     { r_sessions;
-      r_replays = List.of_seq (Queue.to_seq t.rids);
-      r_corrupt = !corrupt;
-      r_dropped_bytes = dropped } )
+      r_replays = List.of_seq (Queue.to_seq sc.rids);
+      r_corrupt = sc.stop <> None;
+      r_dropped_bytes = sc.len - sc.valid_end } )
 
 (* --- appends ------------------------------------------------------------ *)
+
+let get_sess t name =
+  match Hashtbl.find_opt t.sessions name with
+  | Some s -> s
+  | None ->
+      let s = fresh_sess 0 in
+      Hashtbl.add t.sessions name s;
+      s
 
 let append t ~session ?request_id ?response ~busy entry =
   let ts = Unix.gettimeofday () in
@@ -520,16 +532,8 @@ let append t ~session ?request_id ?response ~busy entry =
       let flen =
         write_frame t (mutation_payload ~session ~rid ~busy ~ts entry)
       in
-      let s = get_sess t session in
-      s.tail <-
-        { tr_entry = entry; tr_rid = rid; tr_busy = busy; tr_ts = ts }
-        :: s.tail;
-      s.tail_n <- s.tail_n + 1;
-      s.live_bytes <- s.live_bytes + flen;
-      t.live <- t.live + flen;
-      s.busy <- busy;
-      s.last_ts <- ts;
-      Option.iter (push_rid t) rid)
+      t.live <- t.live + account (get_sess t session) flen entry;
+      maybe_rewrite t)
 
 let evict t name =
   Mutex.protect t.mutex (fun () ->
@@ -537,28 +541,9 @@ let evict t name =
       | None -> ()
       | Some s ->
           ignore (write_frame t (evict_payload ~session:name ~ts:(Unix.gettimeofday ())));
-          t.live <- t.live - s.live_bytes;
-          Hashtbl.remove t.sessions name)
-
-let snapshot t ~session ~entries ~busy =
-  let ts = Unix.gettimeofday () in
-  Mutex.protect t.mutex (fun () ->
-      let flen = write_frame t (snap_payload ~session ~entries ~busy ~ts) in
-      let s = get_sess t session in
-      t.live <- t.live - s.live_bytes + flen;
-      s.snap <- Some (entries, busy, ts);
-      s.tail <- [];
-      s.tail_n <- 0;
-      s.live_bytes <- flen;
-      s.busy <- busy;
-      s.last_ts <- ts;
-      maybe_rewrite t)
-
-let tail_length t ~session =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.sessions session with
-      | Some s -> s.tail_n
-      | None -> 0)
+          t.live <- t.live - s.live;
+          Hashtbl.remove t.sessions name;
+          maybe_rewrite t)
 
 let tick t =
   Mutex.protect t.mutex (fun () ->

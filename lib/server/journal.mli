@@ -19,14 +19,17 @@
     and the file is truncated back to the valid prefix so new appends
     never interleave with garbage.
 
-    {b Compaction.}  The journal mirrors its live contents in memory
-    (per session: the latest snapshot script plus the records appended
-    since).  When a session accumulates enough tail records the server
-    appends a snapshot record — a minimal replay script exported from
-    the live {!Sharpe_lang.Interp.Session} — which supersedes all of the
-    session's earlier records; once the file carries more superseded
-    than live bytes it is rewritten (write-temp-then-rename) from the
-    in-memory state, dropping dead records and evicted sessions.
+    {b Compaction.}  The file is the only copy of a session's history:
+    in memory the journal keeps, per session, the bytes a rewrite would
+    keep and the frame lengths of the binds since its last eval.  A bind
+    is dead when a later bind of the same name follows with no eval
+    between them (an eval may read it).  Once the file is more than
+    twice its live bytes (and over 64 KiB), {!append} or {!evict}
+    re-runs the recovery scan on the file and rewrites it
+    (write-temp-then-rename) as one [snap] record per session, holding
+    its entries with dead binds dropped, plus the request-id window.
+    Evicted sessions and dead binds go; an eval-only session keeps
+    every eval, so its recovery time follows its eval history.
 
     One daemon per journal directory: the journal takes no lock file, so
     concurrent writers would corrupt each other. *)
@@ -39,13 +42,14 @@ val fsync_of_string : string -> (fsync, string) result
 val fsync_to_string : fsync -> string
 
 type entry = [ `Eval of string | `Bind of string * float ]
-(** Same shape as {!Sharpe_lang.Interp.Session.replay_entry}. *)
+(** One mutating request: an [eval] source fragment or a numeric
+    [bind], replayed through {!Sharpe_lang.Interp.Session.eval} and
+    {!Sharpe_lang.Interp.Session.bind}. *)
 
 type recovered_session = {
   rs_name : string;
   rs_entries : entry list;
-      (** snapshot entries followed by post-snapshot records, in
-          execution order *)
+      (** in execution order, dead binds dropped *)
   rs_busy : float;  (** cumulative busy-seconds at the last record *)
   rs_last_ts : float;  (** wall-clock time of the last record *)
 }
@@ -74,21 +78,14 @@ val append :
   busy:float ->
   entry ->
   unit
-(** Append one mutating record and apply the fsync policy.  [response]
-    is the exact [(ok, line)] the client will receive. *)
+(** Append one mutating record and apply the fsync policy, then
+    compact if dead bytes dominate.  [response] is the exact
+    [(ok, line)] the client will receive. *)
 
 val evict : t -> string -> unit
 (** Record that a session was evicted (TTL, LRU, memory pressure):
     recovery will not resurrect it, and the next rewrite drops its
-    records. *)
-
-val snapshot : t -> session:string -> entries:entry list -> busy:float -> unit
-(** Append a snapshot record superseding all earlier records of the
-    session, then rewrite the file if it is mostly superseded bytes. *)
-
-val tail_length : t -> session:string -> int
-(** Records appended for [session] since its last snapshot — the
-    server's snapshot-compaction trigger. *)
+    records.  Compacts like {!append}. *)
 
 val tick : t -> unit
 (** Apply the [Interval] fsync policy: sync if there are unsynced bytes

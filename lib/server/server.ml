@@ -32,7 +32,6 @@ type config = {
   inject : (string -> unit) option;
   journal_dir : string option;
   fsync : Journal.fsync;
-  snapshot_every : int;
 }
 
 let default_config =
@@ -47,8 +46,7 @@ let default_config =
     retry_after_ms = 50;
     inject = None;
     journal_dir = None;
-    fsync = Journal.Interval 0.1;
-    snapshot_every = 64 }
+    fsync = Journal.Interval 0.1 }
 
 (* --- idempotency: the replay cache -------------------------------------- *)
 
@@ -429,14 +427,7 @@ let with_session st ~id ?(mutates = false) ?rid session f =
                            client sees this line, the mutation is on disk
                            (exactly so under --fsync always) *)
                         Journal.append j ~session:name ?request_id:rid
-                          ~response:(ok, resp) ~busy:e.busy_seconds entry;
-                        if
-                          Journal.tail_length j ~session:name
-                          >= st.config.snapshot_every
-                        then
-                          Journal.snapshot j ~session:name
-                            ~entries:(Interp.Session.replay_script e.sess)
-                            ~busy:e.busy_seconds
+                          ~response:(ok, resp) ~busy:e.busy_seconds entry
                     | _ -> ());
                     (ok, resp, true)))
 
@@ -828,7 +819,7 @@ let bind_socket = function
 (* --- startup recovery ---------------------------------------------------- *)
 
 (* Rebuild sessions from the recovered journal by re-evaluating their
-   replay scripts in order (evaluation is deterministic, so the rebuilt
+   journaled entries in order (evaluation is deterministic, so the rebuilt
    environment matches the pre-crash one).  Runs before the socket is
    bound, on the accept thread, with no concurrency to fight: sessions
    are installed directly.  PR-6 lifecycle is honored — sessions whose

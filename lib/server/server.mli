@@ -76,11 +76,6 @@ type config = {
       (** journal fsync policy: [Always] makes responded-implies-durable
           exact, [Interval s] bounds the loss window to [s] seconds,
           [Never] leaves syncing to the OS (default [Interval 0.1]) *)
-  snapshot_every : int;
-      (** append a snapshot (minimal replay script) for a session after
-          this many journaled records since its last snapshot; rewrites
-          of the whole file follow when it is mostly superseded bytes
-          (default 64) *)
 }
 
 val default_config : config
@@ -102,9 +97,10 @@ val serve :
 
     When [config.journal_dir] is set, startup first recovers the journal:
     sessions are rebuilt by deterministic re-evaluation of their journaled
-    statements, sessions past their idle TTL or time quota are tombstoned
-    instead of resurrected, and recovered [request_id]s preload the
-    idempotency cache.  A torn or corrupt journal tail is dropped with a
+    statements (the journal file is the only copy of a session's history,
+    and compacts itself; see {!Journal}), sessions past their idle TTL or
+    time quota are tombstoned instead of resurrected, and recovered
+    [request_id]s preload the idempotency cache.  A torn or corrupt journal tail is dropped with a
     structured Diag warning — recovery never refuses to start.
 
     [?drain] is the graceful-shutdown knob (the launcher flips it from a

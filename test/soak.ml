@@ -394,7 +394,8 @@ let chaos_main ~seconds ~clients ~seed =
    binary (a SIGKILL cannot target a thread), with --journal-dir and
    --fsync always, so every acknowledged response implies a durable
    journal record.  Concurrent clients bind per-session counters and
-   remember the last ACKED value; after kill -9 and a restart on the same
+   remember the last ACKED value; their superseded binds must make the
+   journal compact itself before the kill.  After kill -9 and a restart on the same
    journal directory, every acked value must read back exactly, a model
    evaluated before the crash must answer its query bit-identically to an
    uninterrupted in-process session, and a pre-crash request_id must
@@ -433,7 +434,7 @@ let crash_recovery_soak ~seed =
     let spawn () =
       Unix.create_process sharped
         [| "sharped"; "--socket"; sock; "--journal-dir"; dir;
-           "--fsync"; "always"; "--workers"; "2"; "--snapshot-every"; "8" |]
+           "--fsync"; "always"; "--workers"; "2" |]
         Unix.stdin Unix.stdout Unix.stderr
     in
     let one_shot = { Client.default_policy with Client.attempts = 1 } in
@@ -528,8 +529,32 @@ let crash_recovery_soak ~seed =
               done)
             ())
     in
+    (* the superseded binds make the journal compact itself, which shows
+       as a fall in health's journal_bytes; load for at least a second
+       and until one fall was seen (30 s at most) *)
+    let journal_bytes () =
+      match
+        Client.request ~policy:one_shot (`Unix sock)
+          (Json.Obj [ ("op", Json.Str "health") ])
+      with
+      | Ok r -> Option.bind (Json.member "journal_bytes" r) Json.to_float
+      | Error _ -> None
+    in
+    let t_load = Unix.gettimeofday () in
+    let rec watch last fell =
+      let elapsed = Unix.gettimeofday () -. t_load in
+      if (fell && elapsed >= 1.0) || elapsed > 30.0 then fell
+      else begin
+        Thread.delay 0.05;
+        match journal_bytes () with
+        | Some b -> watch b (fell || b < last)
+        | None -> watch last fell
+      end
+    in
+    fail_if
+      (not (watch 0.0 false))
+      "health's journal_bytes never fell under load: no compaction ran";
     (* kill -9 mid-load: no drain, no flush beyond the per-request fsync *)
-    Thread.delay 1.0;
     Unix.kill pid Sys.sigkill;
     Atomic.set stop_load true;
     List.iter Thread.join workers;

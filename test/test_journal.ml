@@ -1,5 +1,6 @@
 (* Tests for the durability layer: the write-ahead journal itself
-   (framing, corruption recovery, compaction), crash/restart semantics of
+   (framing, corruption recovery and its fuzzing, compaction, the format a
+   parent daemon wrote, bounded memory), crash/restart semantics of
    the daemon (sessions rebuilt deterministically, idempotency across a
    restart, TTL/quota interaction), graceful drain, the health op and the
    client's deadline-capped backoff. *)
@@ -11,11 +12,14 @@ module Journal = Sharpe_server.Journal
 module Client = Sharpe_server.Client
 module Json = Sharpe_server.Json
 
+let temp_dirs = ref 0
+
 let temp_dir prefix =
+  incr temp_dirs;
   let d =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s_%d_%.0f" prefix (Unix.getpid ())
+      (Printf.sprintf "%s_%d_%d_%.0f" prefix (Unix.getpid ()) !temp_dirs
          (Unix.gettimeofday () *. 1e6))
   in
   Unix.mkdir d 0o755;
@@ -137,37 +141,27 @@ let with_server ?config ?drain f =
       Thread.join server)
     (fun () -> f path)
 
-let journal_config ?(snapshot_every = 64) ?session_ttl ?session_quota dir =
+let journal_config ?session_ttl ?session_quota dir =
   { Server.default_config with
     Server.workers = 1;
     journal_dir = Some dir;
     fsync = Journal.Always;
-    snapshot_every;
     session_ttl;
     session_quota }
 
-(* --- replay-script compression ------------------------------------------ *)
+let recover dir =
+  let j, r = Journal.open_ ~dir ~fsync:Journal.Never in
+  Journal.close j;
+  r
 
-let test_replay_script_minimal () =
-  let s = Interp.Session.create () in
-  Interp.Session.bind s "x" 1.0;
-  Interp.Session.bind s "x" 2.0;
-  Interp.Session.bind s "y" 5.0;
-  (match Interp.Session.replay_script s with
-  | [ `Bind ("x", 2.0); `Bind ("y", 5.0) ] -> ()
-  | script ->
-      Alcotest.failf "superseded bind not dropped (%d entries)"
-        (List.length script));
-  (* an eval between two binds of the same name pins the earlier one:
-     the eval may have read it *)
-  let s2 = Interp.Session.create () in
-  Interp.Session.bind s2 "x" 1.0;
-  let _ = Interp.Session.eval s2 "bind z x * 10" in
-  Interp.Session.bind s2 "x" 2.0;
-  match Interp.Session.replay_script s2 with
-  | [ `Bind ("x", 1.0); `Eval _; `Bind ("x", 2.0) ] -> ()
-  | script -> Alcotest.failf "eval-pinned bind dropped (%d entries)"
-                (List.length script)
+(* the checkout's root, found upward from the test's working directory *)
+let src_root =
+  let rec find dir depth =
+    if Sys.file_exists (Filename.concat dir "test/journal_v1") then dir
+    else if depth = 0 then failwith "test_journal: cannot locate source root"
+    else find (Filename.dirname dir) (depth - 1)
+  in
+  find (Sys.getcwd ()) 6
 
 (* --- journal unit behaviour --------------------------------------------- *)
 
@@ -253,52 +247,327 @@ let test_zero_length_file () =
       Alcotest.(check int) "append after empty start survives" 1
         (List.length r2.Journal.r_sessions))
 
-let test_snapshot_compaction () =
+(* --- compaction --------------------------------------------------------- *)
+
+let magic = "SHARPEWAL1\n"
+
+(* The end offset and payload of every whole frame of a journal file, read
+   by the frame format alone (length, CRC, payload); stops at the first
+   frame that does not fit. *)
+let frames contents =
+  let len = String.length contents in
+  let rec go pos acc =
+    if len - pos < 8 then List.rev acc
+    else
+      let plen = Int32.to_int (String.get_int32_le contents pos) land 0xFFFFFFFF in
+      if plen <= 0 || len - pos - 8 < plen then List.rev acc
+      else
+        go (pos + 8 + plen)
+          ((pos + 8 + plen, String.sub contents (pos + 8) plen) :: acc)
+  in
+  if len < String.length magic then [] else go (String.length magic) []
+
+(* The entries of every snap frame of [session] in the file, as JSON. *)
+let snap_entries dir session =
+  List.concat_map
+    (fun (_, payload) ->
+      match Json.parse payload with
+      | Ok r
+        when Json.member "t" r = Some (Json.Str "snap")
+             && Json.member "s" r = Some (Json.Str session) -> (
+          match Json.member "entries" r with
+          | Some (Json.List l) -> List.map Json.to_string l
+          | _ -> [])
+      | _ -> [])
+    (frames (read_file (wal dir)))
+
+(* Bind one name over and over in a session of its own until the journal
+   compacts itself, which shows as a shrinking file. *)
+let until_rewrite j =
+  let rec go i =
+    if i > 100_000 then Alcotest.fail "the journal never compacted";
+    let before = Journal.file_bytes j in
+    Journal.append j ~session:"pad" ~busy:0.0 (`Bind ("p", float_of_int i));
+    if Journal.file_bytes j >= before then go (i + 1)
+  in
+  go 0
+
+let entries_of r name =
+  List.find_map
+    (fun rs -> if rs.Journal.rs_name = name then Some rs.Journal.rs_entries else None)
+    r.Journal.r_sessions
+
+let test_rewrite_drops_superseded_bind () =
   with_temp_dir (fun dir ->
       let j, _ = Journal.open_ ~dir ~fsync:Journal.Never in
-      for i = 1 to 50 do
-        Journal.append j ~session:"a" ~busy:0.0
-          (`Bind ("x", float_of_int i))
-      done;
-      Alcotest.(check int) "tail grows" 50 (Journal.tail_length j ~session:"a");
-      (* what the server does when the tail exceeds snapshot_every: write
-         the minimal script (one bind — all 50 are superseded) *)
-      Journal.snapshot j ~session:"a" ~entries:[ `Bind ("x", 50.0) ] ~busy:1.0;
-      Alcotest.(check int) "snapshot resets the tail" 0
-        (Journal.tail_length j ~session:"a");
+      Journal.append j ~session:"a" ~busy:0.0 (`Bind ("x", 1.0));
+      Journal.append j ~session:"a" ~busy:0.0 (`Bind ("x", 2.0));
+      Journal.append j ~session:"a" ~busy:0.0 (`Bind ("y", 5.0));
+      until_rewrite j;
       Journal.close j;
-      let j2, r = Journal.open_ ~dir ~fsync:Journal.Never in
-      Journal.close j2;
-      match r.Journal.r_sessions with
-      | [ { Journal.rs_entries = [ `Bind ("x", 50.0) ]; rs_busy; _ } ] ->
-          Alcotest.(check (float 1e-9)) "snapshot busy" 1.0 rs_busy
-      | [ { Journal.rs_entries; _ } ] ->
-          Alcotest.failf "snapshot did not supersede the tail (%d entries)"
-            (List.length rs_entries)
-      | _ -> Alcotest.fail "expected one session")
+      Alcotest.(check (list string))
+        "the rewritten file holds the later bind of x only"
+        [ {|{"e":"bind","name":"x","value":2}|};
+          {|{"e":"bind","name":"y","value":5}|} ]
+        (snap_entries dir "a");
+      match entries_of (recover dir) "a" with
+      | Some [ `Bind ("x", 2.0); `Bind ("y", 5.0) ] -> ()
+      | Some l -> Alcotest.failf "recovered %d entries" (List.length l)
+      | None -> Alcotest.fail "session a lost")
+
+(* an eval between two binds of the same name pins the earlier one: the
+   eval may have read it *)
+let test_rewrite_keeps_pinned_bind () =
+  with_temp_dir (fun dir ->
+      let j, _ = Journal.open_ ~dir ~fsync:Journal.Never in
+      Journal.append j ~session:"a" ~busy:0.0 (`Bind ("x", 1.0));
+      Journal.append j ~session:"a" ~busy:0.0 (`Eval "bind z x * 10");
+      Journal.append j ~session:"a" ~busy:0.0 (`Bind ("x", 2.0));
+      until_rewrite j;
+      Journal.close j;
+      Alcotest.(check (list string)) "the eval-pinned bind stays"
+        [ {|{"e":"bind","name":"x","value":1}|};
+          {|{"e":"eval","src":"bind z x * 10"}|};
+          {|{"e":"bind","name":"x","value":2}|} ]
+        (snap_entries dir "a");
+      match entries_of (recover dir) "a" with
+      | Some [ `Bind ("x", 1.0); `Eval _; `Bind ("x", 2.0) ] -> ()
+      | Some l -> Alcotest.failf "recovered %d entries" (List.length l)
+      | None -> Alcotest.fail "session a lost")
 
 let test_rewrite_shrinks_file () =
   with_temp_dir (fun dir ->
       let j, _ = Journal.open_ ~dir ~fsync:Journal.Never in
-      (* enough superseded traffic to cross the 64 KiB rewrite floor *)
+      (* superseded binds carrying request ids, one live eval, and a big
+         session whose eviction makes the file mostly dead *)
+      for i = 1 to 300 do
+        Journal.append j ~session:"a" ~busy:(0.001 *. float_of_int i)
+          ~request_id:(Printf.sprintf "r%d" i)
+          ~response:(true, Printf.sprintf {|{"id":%d,"ok":true}|} i)
+          (`Bind ("x", float_of_int i))
+      done;
+      Journal.append j ~session:"b" ~busy:0.5 ~request_id:"rb"
+        ~response:(false, {|{"ok":false}|}) (`Eval "bind k 1");
       let big = String.make 400 'm' in
       for i = 1 to 300 do
-        Journal.append j ~session:"a" ~busy:0.0
+        Journal.append j ~session:"big" ~busy:0.0
           (`Eval (Printf.sprintf "bind x %d * 0 /* %s */" i big))
       done;
-      let before = Journal.file_bytes j in
-      Journal.snapshot j ~session:"a" ~entries:[ `Bind ("x", 0.0) ] ~busy:0.0;
-      let after = Journal.file_bytes j in
+      let before_dir = temp_dir "sharpe_journal_before" in
+      Fun.protect
+        ~finally:(fun () -> try rm_rf before_dir with _ -> ())
+        (fun () ->
+          write_file (wal before_dir) (read_file (wal dir));
+          let before = Journal.file_bytes j in
+          Journal.evict j "big";
+          let after = Journal.file_bytes j in
+          Journal.close j;
+          Alcotest.(check bool)
+            (Printf.sprintf "rewrite shrank the file (%d -> %d)" before after)
+            true
+            (after * 4 <= before);
+          let expected = recover before_dir and r = recover dir in
+          Alcotest.(check bool) "same sessions, entries and busy seconds" true
+            (List.filter (fun rs -> rs.Journal.rs_name <> "big")
+               expected.Journal.r_sessions
+            = r.Journal.r_sessions);
+          Alcotest.(check bool) "same replay window" true
+            (expected.Journal.r_replays = r.Journal.r_replays);
+          Alcotest.(check int) "the window holds every request id" 301
+            (List.length r.Journal.r_replays)))
+
+(* --- the format, pinned and fuzzed -------------------------------------- *)
+
+(* test/journal_v1/journal.wal pins the v1 format as an earlier daemon
+   wrote it: a rewrite left meta, one snap frame and a rids record,
+   followed by records with and without a request id and an evicted
+   session.  The values below are what that daemon recovered from it. *)
+let test_parent_format_recovers () =
+  with_temp_dir (fun dir ->
+      let fixture = read_file (Filename.concat src_root "test/journal_v1/journal.wal") in
+      write_file (wal dir) fixture;
+      let j, r = Journal.open_ ~dir ~fsync:Journal.Never in
+      Journal.append j ~session:"b" ~busy:0.25 (`Bind ("q", 2.0));
       Journal.close j;
-      Alcotest.(check bool)
-        (Printf.sprintf "rewrite shrank the file (%d -> %d)" before after)
-        true
-        (after < before / 4);
-      (* and the rewritten file still recovers *)
-      let j2, r = Journal.open_ ~dir ~fsync:Journal.Never in
-      Journal.close j2;
-      Alcotest.(check int) "one session after rewrite" 1
-        (List.length r.Journal.r_sessions))
+      Alcotest.(check bool) "clean file" false r.Journal.r_corrupt;
+      Alcotest.(check int) "nothing dropped" 0 r.Journal.r_dropped_bytes;
+      (match r.Journal.r_sessions with
+      | [ a; b ] ->
+          Alcotest.(check string) "session a" "a" a.Journal.rs_name;
+          Alcotest.(check bool) "entries of a" true
+            (a.Journal.rs_entries
+            = [ `Bind ("x", 2.0); `Eval "bind y x * 2"; `Bind ("z", 4.0);
+                `Bind ("x", 5.0); `Eval "expr x + y + z" ]);
+          Alcotest.(check (float 0.0)) "busy of a" 0x1.1eb851eb851ecp-4
+            a.Journal.rs_busy;
+          Alcotest.(check (float 0.0)) "last ts of a" 0x1.ab5a9d71b8855p+30
+            a.Journal.rs_last_ts;
+          Alcotest.(check string) "session b" "b" b.Journal.rs_name;
+          Alcotest.(check bool) "entries of b" true
+            (b.Journal.rs_entries = [ `Bind ("q", 1.0); `Eval "expr q" ]);
+          Alcotest.(check (float 0.0)) "busy of b" 0x1.999999999999ap-3
+            b.Journal.rs_busy;
+          Alcotest.(check (float 0.0)) "last ts of b" 0x1.ab5a9d71b888bp+30
+            b.Journal.rs_last_ts
+      | ss -> Alcotest.failf "expected sessions a and b, got %d" (List.length ss));
+      Alcotest.(check (list (triple string bool string))) "replay window"
+        [ ("r1", true, {|{"id":"r1","ok":true}|});
+          ("r2", true, {|{"id":"r2","ok":true}|});
+          ("r3", true, {|{"id":"r3","ok":true}|});
+          ("r4", false, {|{"id":"r4","ok":false}|}) ]
+        r.Journal.r_replays;
+      Alcotest.(check bool) "appends follow the recovered file" true
+        (String.starts_with ~prefix:fixture (read_file (wal dir)));
+      match entries_of (recover dir) "b" with
+      | Some [ `Bind ("q", 1.0); `Eval "expr q"; `Bind ("q", 2.0) ] -> ()
+      | _ -> Alcotest.fail "the appended bind did not recover")
+
+type op =
+  | Eval of string * string * string option
+  | Bind of string * string * float * string option
+  | Evict of string
+
+let show_op = function
+  | Eval (s, src, rid) ->
+      Printf.sprintf "eval %s %S%s" s src (Option.fold ~none:"" ~some:(( ^ ) " rid ") rid)
+  | Bind (s, n, v, rid) ->
+      Printf.sprintf "bind %s %s %h%s" s n v (Option.fold ~none:"" ~some:(( ^ ) " rid ") rid)
+  | Evict s -> "evict " ^ s
+
+let arb_damaged_journal =
+  let open QCheck.Gen in
+  let session = oneofl [ "a"; "b"; "c" ] in
+  let rid = opt (map (Printf.sprintf "rid-%d") (int_bound 20)) in
+  let op =
+    frequency
+      [ ( 3,
+          map3
+            (fun s src rid -> Eval (s, src, rid))
+            session
+            (string_size ~gen:printable (int_bound 40))
+            rid );
+        ( 4,
+          map3
+            (fun s (n, v) rid -> Bind (s, n, v, rid))
+            session
+            (pair (oneofl [ "x"; "y"; "z" ]) (float_range (-1e3) 1e3))
+            rid );
+        (1, map (fun s -> Evict s) session) ]
+  in
+  (* the damage: cut the file at, or flip a byte past the magic at, a
+     fraction of its length *)
+  let damage = triple bool (float_bound_exclusive 1.0) (int_range 1 255) in
+  QCheck.make
+    ~print:(fun (ops, (cut, at, mask)) ->
+      Printf.sprintf "%s at %g (mask %d) after:\n%s"
+        (if cut then "cut" else "flip")
+        at mask
+        (String.concat "\n" (List.map show_op ops)))
+    (pair (list_size (int_range 1 30) op) damage)
+
+let prop_damage_recovers_prefix =
+  QCheck.Test.make ~name:"damaged journal recovers its whole-frame prefix"
+    ~count:300 arb_damaged_journal (fun (ops, (cut, at, mask)) ->
+      with_temp_dir (fun dir ->
+          let j, _ = Journal.open_ ~dir ~fsync:Journal.Never in
+          List.iteri
+            (fun i op ->
+              let busy = float_of_int i in
+              let response rid = Option.map (fun _ -> (i mod 2 = 0, string_of_int i)) rid in
+              match op with
+              | Eval (s, src, rid) ->
+                  Journal.append j ~session:s ?request_id:rid ?response:(response rid)
+                    ~busy (`Eval src)
+              | Bind (s, n, v, rid) ->
+                  Journal.append j ~session:s ?request_id:rid ?response:(response rid)
+                    ~busy (`Bind (n, v))
+              | Evict s -> Journal.evict j s)
+            ops;
+          Journal.close j;
+          let good = read_file (wal dir) in
+          let len = String.length good and m = String.length magic in
+          let pos, damaged =
+            if cut then
+              let p = int_of_float (at *. float_of_int len) in
+              (p, String.sub good 0 p)
+            else
+              let p = m + int_of_float (at *. float_of_int (len - m)) in
+              let b = Bytes.of_string good in
+              Bytes.set b p (Char.chr (Char.code good.[p] lxor mask));
+              (p, Bytes.to_string b)
+          in
+          (* the end of the last whole frame before the damage *)
+          let keep =
+            List.fold_left
+              (fun k (e, _) -> if e <= pos then e else k)
+              (if pos >= m then m else 0)
+              (frames good)
+          in
+          let quiet f = fst (Diag.capture f) in
+          let expected =
+            with_temp_dir (fun ref_dir ->
+                write_file (wal ref_dir) (String.sub good 0 keep);
+                quiet (fun () -> recover ref_dir))
+          in
+          write_file (wal dir) damaged;
+          let r = quiet (fun () -> recover dir) in
+          let same a b =
+            a.Journal.r_sessions = b.Journal.r_sessions
+            && a.Journal.r_replays = b.Journal.r_replays
+          in
+          let truncated =
+            if keep > 0 then String.length (read_file (wal dir)) = keep
+            else String.starts_with ~prefix:magic (read_file (wal dir))
+          in
+          let j, _ = quiet (fun () -> Journal.open_ ~dir ~fsync:Journal.Never) in
+          Journal.append j ~session:"w" ~busy:1.0 (`Bind ("v", 1.0));
+          Journal.close j;
+          let after = recover dir in
+          let appended, rest =
+            List.partition (fun rs -> rs.Journal.rs_name = "w") after.Journal.r_sessions
+          in
+          same expected r && truncated
+          && rest = expected.Journal.r_sessions
+          && after.Journal.r_replays = expected.Journal.r_replays
+          && (match appended with
+             | [ { Journal.rs_entries = [ `Bind ("v", 1.0) ]; _ } ] -> true
+             | _ -> false)))
+
+(* --- bounded memory ----------------------------------------------------- *)
+
+(* neither a session nor the journal keeps a copy of the request
+   history: the footprint after 1 000 requests is the one after 10 *)
+let check_bounded what at10 at1000 =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d after 1000 requests, %d after 10" what at1000 at10)
+    true
+    (float_of_int at1000 <= 1.2 *. float_of_int at10)
+
+let test_session_footprint_bounded () =
+  let src = read_file (Filename.concat src_root "examples/sharpe/molloy.sharpe") in
+  let s = Interp.Session.create () in
+  let evals n = for _ = 1 to n do ignore (Interp.Session.eval s src) done in
+  evals 10;
+  let at10 = Interp.Session.approx_bytes s in
+  evals 990;
+  check_bounded "session approx_bytes" at10 (Interp.Session.approx_bytes s)
+
+let test_journal_footprint_bounded () =
+  with_temp_dir (fun dir ->
+      let j, _ = Journal.open_ ~dir ~fsync:Journal.Never in
+      let src = Printf.sprintf "bind x 1 /* %s */" (String.make 1000 'c') in
+      let appends n =
+        for _ = 1 to n do
+          Journal.append j ~session:"a" ~busy:0.0 (`Eval src)
+        done
+      in
+      appends 10;
+      let words () = Obj.reachable_words (Obj.repr j) in
+      let at10 = words () in
+      appends 990;
+      let at1000 = words () in
+      Journal.close j;
+      check_bounded "journal words" at10 at1000)
 
 (* --- daemon restart semantics ------------------------------------------- *)
 
@@ -417,8 +686,7 @@ let test_duplicate_request_id_across_restart () =
           Alcotest.(check string) "duplicate replays the recorded response"
             !first again;
           (* and the session was not mutated a second time: the journal
-             holds one eval record, so eval_count after recovery is 1;
-             observable via a query that n is still 3 *)
+             holds one eval record, so a query finds n still 3 *)
           let q =
             roundtrip fd
               [ ("op", Json.Str "query"); ("session", Json.Str "s");
@@ -562,19 +830,26 @@ let test_client_deadline_caps_backoff () =
     true (elapsed < 5.0)
 
 let suite =
-  [ Alcotest.test_case "replay script drops superseded binds" `Quick
-      test_replay_script_minimal;
-    Alcotest.test_case "journal roundtrip: sessions, rids, evict" `Quick
+  [ Alcotest.test_case "journal roundtrip: sessions, rids, evict" `Quick
       test_journal_roundtrip_direct;
     Alcotest.test_case "truncated final record recovers prefix" `Quick
       test_truncated_final_record;
     Alcotest.test_case "flipped CRC byte recovers prefix" `Quick
       test_flipped_crc_byte;
     Alcotest.test_case "zero-length journal file" `Quick test_zero_length_file;
-    Alcotest.test_case "snapshot supersedes the tail" `Quick
-      test_snapshot_compaction;
+    Alcotest.test_case "rewrite drops a superseded bind" `Quick
+      test_rewrite_drops_superseded_bind;
+    Alcotest.test_case "rewrite keeps eval-pinned binds" `Quick
+      test_rewrite_keeps_pinned_bind;
     Alcotest.test_case "rewrite drops superseded bytes" `Quick
       test_rewrite_shrinks_file;
+    Alcotest.test_case "parent-written journal recovers as before" `Quick
+      test_parent_format_recovers;
+    QCheck_alcotest.to_alcotest prop_damage_recovers_prefix;
+    Alcotest.test_case "session footprint bounded over 1000 evals" `Quick
+      test_session_footprint_bounded;
+    Alcotest.test_case "journal footprint bounded over 1000 appends" `Quick
+      test_journal_footprint_bounded;
     Alcotest.test_case "restart recovers sessions" `Quick
       test_restart_recovers_sessions;
     Alcotest.test_case "pepa block across restart" `Quick
