@@ -67,6 +67,11 @@ echo "== golden suite =="
 # a golden drift is reported even when someone trims the runtest alias
 dune exec test/test_main.exe -- test golden >/dev/null
 
+echo "== program round trip =="
+# parse (print (parse src)) = parse src on the programs Pretty prints;
+# run by name for the same reason as the golden suite
+dune exec test/test_main.exe -- test roundtrip >/dev/null
+
 # the harness above matches numbers at 1e-9; the CLI's stdout on every
 # example must also equal its golden file byte for byte, in four runs:
 # - no flags;

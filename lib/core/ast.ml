@@ -41,7 +41,7 @@ and tname = npart list
 type fbody = FExpr of expr | FStmts of stmt list
 
 and stmt =
-  | SBind of string * expr * [ `Single | `Block ]
+  | SBind of [ `Single of string * expr | `Block of (string * expr) list ]
   | SVar of string * expr (* re-evaluated on every use *)
   | SFunc of string * string list * fbody
   | SExpr of (string * expr) list (* display text + expression *)
@@ -81,23 +81,12 @@ and model =
           (* per-station optional per-chain rate overrides *)
       chains : (string * expr) list;
     }
-  | MMarkov of {
-      name : string;
-      params : string list;
-      readprobs : bool;
-      edges : medge list;
-      rewards : (mset list * expr option) option; (* sets, default *)
-      init : mset list;
-      fastmttf : (tname * [ `Reada | `Readf ]) list option;
-    }
+  | MMarkov of { name : string; params : string list; chain : chain }
   | MSemimark of {
       name : string;
       params : string list;
       mode : [ `Cond | `Uncond ];
-      edges : smedge list;
-      rewards : (mset list * expr option) option;
-      init : mset list;
-      fastmttf : (tname * [ `Reada | `Readf ]) list option;
+      chain : chain; (* edge values are distributions *)
     }
   | MMrgp of {
       name : string;
@@ -108,8 +97,6 @@ and model =
   | MPepa of {
       name : string;
       params : string list;
-      body : string; (* verbatim block body, reprinted by the pretty-printer *)
-      body_line : int; (* first source line of the body *)
       past : Sharpe_pepa.Ast.model; (* parsed once, at SHARPE parse time *)
     }
   | MSrn of {
@@ -124,17 +111,17 @@ and model =
       inhibitors : (string * string * expr) list;
     }
 
-and medge =
-  | MEdge of tname * tname * expr
-  | MEdgeLoop of string * expr * expr * expr option * medge list
+(* A markov or semimark chain: edges (source, target, value), reward
+   lines and a default, initial probabilities, and the fastmttf states *)
+and chain = {
+  edges : (tname * tname * expr) looped list;
+  rewards : ((tname * expr) looped list * expr option) option;
+  init : (tname * expr) looped list;
+  fastmttf : (tname * [ `Reada | `Readf ]) list option;
+}
 
-and smedge =
-  | SmEdge of tname * tname * expr
-  | SmEdgeLoop of string * expr * expr * expr option * smedge list
-
-and mset =
-  | MSet of tname * expr
-  | MSetLoop of string * expr * expr * expr option * mset list
+(* an item of a chain section, or a [loop v, lo, hi {, step}] over more *)
+and 'a looped = Item of 'a | Loop of string * expr * expr * expr option * 'a looped list
 
 and blockline =
   | BComp of string * expr

@@ -82,11 +82,12 @@ let intern st n =
 
 let state_names st = Array.of_list (List.rev st.names)
 
-(* The edge [a b x], its value [x] already evaluated.  Value, then
-   target, then source is the order an edge's expressions are read in,
-   which fixes the first error and the order of diagnostics; states are
+(* The edge [a b x], its value read by [value].  Value, then target,
+   then source is the order an edge's expressions are read in, which
+   fixes the first error and the order of diagnostics; states are
    numbered source first. *)
-let edge st ctx a b x =
+let edge st ctx value (a, b, x) =
+  let x = value ctx x in
   let nb = tname_in st.buf ctx b in
   let i = intern st (tname_in st.buf ctx a) in
   (i, intern st nb, x)
@@ -205,10 +206,19 @@ and build_model mctx = function
   | MGraph { edges; glines; _ } -> build_graph mctx edges glines
   | MPfqn { routing; stations; chains; _ } -> build_pfqn mctx routing stations chains
   | MMpfqn { routing; stations; chains; _ } -> build_mpfqn mctx routing stations chains
-  | MMarkov { edges; rewards; init; fastmttf; _ } ->
-      IMarkov (build_markov mctx edges rewards init fastmttf)
-  | MSemimark { mode; edges; rewards; init; fastmttf; _ } ->
-      ISemimark (build_semimark mctx mode edges rewards init fastmttf)
+  | MMarkov { chain; _ } ->
+      let ctmc, ch =
+        build_chain mctx chain ~value:ev ~make:(fun n edges -> Ctmc.make ~n edges)
+          ~check:(fun ctmc init names -> Ctmc.validate ?init ~names:(Array.get names) ctmc)
+      in
+      let steady = { pi = None; pi_records = []; pi_seen = 0 } in
+      IMarkov { mk_ctmc = ctmc; mk_chain = ch; mk_steady = steady }
+  | MSemimark { mode; chain; _ } ->
+      let sm, ch =
+        build_chain mctx chain ~value:dist_of_expr ~make:(fun n edges -> SM.make ~mode ~n edges)
+          ~check:(fun _ _ _ -> ())
+      in
+      ISemimark { sm; sm_chain = ch }
   | MMrgp { edges; rewards; _ } -> IMrgp (build_mrgp mctx edges rewards)
   | MSrn { name; places; timed; immediate; inputs; outputs; inhibitors; _ } ->
       ISrn
@@ -419,74 +429,63 @@ and build_mpfqn mctx routing stations chains =
   let pops = List.map (fun (c, e) -> (c, ev_int mctx e)) chains in
   IMpfqn (Mpfqn.make ~stations:stations' ~chains:chain_names ~rates ~routing:routing', pops)
 
-(* Edges as (source, target, rate) triples, newest first. *)
-and fold_medges mctx st acc edges =
+(* [item] folded over [items] in order, a loop's body once per value of
+   its variable, which is bound in a cell of its own *)
+and fold_looped : 'a 'acc. ctx -> (ctx -> 'acc -> 'a -> 'acc) -> 'acc -> 'a looped list -> 'acc =
+  fun mctx item acc items ->
   List.fold_left
-    (fun acc e ->
-      match e with
-      | MEdge (a, b, rate) ->
-          let r = ev mctx rate in
-          edge st mctx a b r :: acc
-      | MEdgeLoop (v, lo, hi, step, body) ->
-          expand_loop mctx v lo hi step (fun c acc -> fold_medges c st acc body) acc)
-    acc edges
+    (fun acc -> function
+      | Item x -> item mctx acc x
+      | Loop (v, lo, hi, step, body) ->
+          let lo = ev mctx lo and hi = ev mctx hi in
+          let step = match step with Some s -> ev mctx s | None -> if hi >= lo then 1.0 else -1.0 in
+          if step = 0.0 then err "loop step is zero";
+          let cell = ref lo in
+          let c = { mctx with locals = Var (v, cell) :: mctx.locals } in
+          let continues x = if step > 0.0 then x <= hi +. 1e-9 else x >= hi -. 1e-9 in
+          let rec go x acc =
+            if continues x then begin
+              cell := x;
+              go (x +. step) (fold_looped c item acc body)
+            end
+            else acc
+          in
+          go lo acc)
+    acc items
 
-(* [f] folded over the loop's iterations, [v] bound in a cell of its own *)
-and expand_loop : 'a. ctx -> string -> expr -> expr -> expr option ->
-                  (ctx -> 'a -> 'a) -> 'a -> 'a =
-  fun mctx v lo hi step f acc ->
-  let lo = ev mctx lo and hi = ev mctx hi in
-  let step = match step with Some s -> ev mctx s | None -> if hi >= lo then 1.0 else -1.0 in
-  if step = 0.0 then err "loop step is zero";
-  let cell = ref lo in
-  let c = { mctx with locals = Var (v, cell) :: mctx.locals } in
-  let acc = ref acc in
-  let x = ref lo in
-  let continues x = if step > 0.0 then x <= hi +. 1e-9 else x >= hi -. 1e-9 in
-  while continues !x do
-    cell := !x;
-    acc := f c !acc;
-    x := !x +. step
-  done;
-  !acc
+(* (name, value) of each reward or init line, in order; a line reads its
+   value, then its name *)
+and expand_sets mctx sets =
+  List.rev
+    (fold_looped mctx
+       (fun c acc (n, e) ->
+         let v = ev c e in
+         (tname_str c n, v) :: acc)
+       [] sets)
 
-and expand_msets mctx sets = List.rev (fold_msets mctx [] sets)
-
-and fold_msets mctx acc sets =
-  List.fold_left
-    (fun acc s ->
-      match s with
-      | MSet (n, e) ->
-          let v = ev mctx e in
-          (tname_str mctx n, v) :: acc
-      | MSetLoop (v, lo, hi, step, body) ->
-          expand_loop mctx v lo hi step (fun c acc -> fold_msets c acc body) acc)
-    acc sets
+(* [f i v] for each expanded line [(name, v)], [i] the index of [name] *)
+and at_states idx what lines f =
+  List.iter
+    (fun (name, v) ->
+      match Hashtbl.find_opt idx name with
+      | Some i -> f i v
+      | None -> err "%s for unknown state %s" what name)
+    lines
 
 and build_rewards mctx idx n rewards =
   match rewards with
   | None -> None
   | Some (sets, default) ->
       let arr = Array.make n (match default with Some e -> ev mctx e | None -> 0.0) in
-      List.iter
-        (fun (name, v) ->
-          match Hashtbl.find_opt idx name with
-          | Some i -> arr.(i) <- v
-          | None -> err "reward for unknown state %s" name)
-        (expand_msets mctx sets);
+      at_states idx "reward" (expand_sets mctx sets) (fun i v -> arr.(i) <- v);
       Some (fun i -> arr.(i))
 
 and build_init mctx idx n init =
-  match expand_msets mctx init with
+  match expand_sets mctx init with
   | [] -> None
-  | sets ->
+  | lines ->
       let arr = Array.make n 0.0 in
-      List.iter
-        (fun (name, v) ->
-          match Hashtbl.find_opt idx name with
-          | Some i -> arr.(i) <- arr.(i) +. v
-          | None -> err "initial probability for unknown state %s" name)
-        sets;
+      at_states idx "initial probability" lines (fun i v -> arr.(i) <- arr.(i) +. v);
       Some arr
 
 and build_fast mctx idx fast =
@@ -501,52 +500,32 @@ and build_fast mctx idx fast =
       in
       let reada = List.filter_map (fun (n, k) -> if k = `Reada then Some (resolve n) else None) lines in
       let readf = List.filter_map (fun (n, k) -> if k = `Readf then Some (resolve n) else None) lines in
-      Some (reada, readf)
+      Some { Fast_mttf.reada; readf }
 
-and build_markov mctx edges rewards init fastmttf =
+(* A markov or semimark chain: [value] reads an edge's value, [make]
+   builds the solver object from the state count and the edges, and
+   [check] validates it against the initial vector.  They are read in
+   that order, the initial vector after [make], then the fastmttf states
+   and the rewards: the order fixes the first error and the order of
+   diagnostics. *)
+and build_chain : 'v 's. ctx -> chain -> value:(ctx -> expr -> 'v) ->
+                  make:(int -> (int * int * 'v) list -> 's) ->
+                  check:('s -> float array option -> string array -> unit) -> 's * chain_inst =
+  fun mctx { edges; rewards; init; fastmttf } ~value ~make ~check ->
   let st = new_states () in
-  let rates = List.rev (fold_medges mctx st [] edges) in
+  let edges = fold_looped mctx (fun c acc e -> edge st c value e :: acc) [] edges in
   let idx = st.index and names = state_names st in
   let n = Array.length names in
-  let ctmc = Ctmc.make ~n rates in
+  let solver = make n (List.rev edges) in
   let init = build_init mctx idx n init in
-  Ctmc.validate ?init ~names:(fun i -> names.(i)) ctmc;
-  let fast =
-    match build_fast mctx idx fastmttf with
-    | Some (reada, readf) -> Some { Fast_mttf.reada; readf }
-    | None -> None
+  check solver init names;
+  let fast = build_fast mctx idx fastmttf in
+  let reward = build_rewards mctx idx n rewards in
+  (* without initial probabilities, all mass is on the first state *)
+  let init =
+    match init with Some v -> v | None -> Array.init n (fun i -> if i = 0 then 1.0 else 0.0)
   in
-  { mk_ctmc = ctmc;
-    mk_index = idx;
-    mk_names = names;
-    mk_init = init;
-    mk_reward = build_rewards mctx idx n rewards;
-    mk_fast = fast;
-    mk_steady = { pi = None; pi_records = []; pi_seen = 0 } }
-
-and fold_smedges mctx st acc edges =
-  List.fold_left
-    (fun acc e ->
-      match e with
-      | SmEdge (a, b, d) ->
-          let d = dist_of_expr mctx d in
-          edge st mctx a b d :: acc
-      | SmEdgeLoop (v, lo, hi, step, body) ->
-          expand_loop mctx v lo hi step (fun c acc -> fold_smedges c st acc body) acc)
-    acc edges
-
-and build_semimark mctx mode edges rewards init fastmttf =
-  let st = new_states () in
-  let kernel = List.rev (fold_smedges mctx st [] edges) in
-  let idx = st.index and names = state_names st in
-  let n = Array.length names in
-  let sm = SM.make ~mode ~n kernel in
-  { sm;
-    sm_index = idx;
-    sm_names = names;
-    sm_init = build_init mctx idx n init;
-    sm_reward = build_rewards mctx idx n rewards;
-    sm_fast = build_fast mctx idx fastmttf }
+  (solver, { ch_index = idx; ch_names = names; ch_init = init; ch_reward = reward; ch_fast = fast })
 
 and build_mrgp mctx edges rewards =
   let st = new_states () in
@@ -638,8 +617,8 @@ and build_srn mctx name places timed immediate inputs outputs inhibitors =
     Solve_cache.srn_key mctx ~places:places' ~timed ~immediate ~inputs
       ~outputs ~inhibitors
   with
-  | Some key when Sharpe_numerics.Structhash.enabled () -> Solve_cache.solve_srn ~key net
-  | _ -> Srn.solve net
+  | Some key -> Solve_cache.solve_srn ~key net
+  | None -> Srn.solve net
 
 and build_pepa mctx past =
   let resolve v =
@@ -652,15 +631,6 @@ and build_pepa mctx past =
   { pe_c = c; pe_steady = ref None }
 
 (* --- what the measures share ------------------------------------------ *)
-
-(* the default initial vector: all mass on the first-declared state *)
-let initial init names =
-  match init with
-  | Some init -> init
-  | None -> Array.mapi (fun i _ -> if i = 0 then 1.0 else 0.0) names
-
-let markov_init mi = initial mi.mk_init mi.mk_names
-let semimark_init si = initial si.sm_init si.sm_names
 
 let markov_steady ctx key mi =
   use ctx key (fun _ -> Steady) (fun () -> solve_steady ctx.env mi)
@@ -832,11 +802,11 @@ let importance of_event of_edge =
 let unreliability_at_0 =
   [ block (fun _ b -> Rbd.unreliability b 0.0); relgraph (fun _ g -> Relgraph.unreliability g 0.0) ]
 
-let markov_mtta = markov (fun _ mi -> Ctmc.mtta mi.mk_ctmc ~init:(markov_init mi))
+let markov_mtta = markov (fun _ mi -> Ctmc.mtta mi.mk_ctmc ~init:mi.mk_chain.ch_init)
 
 let markov_reward at =
-  markov (fun c mi ->
-      at mi.mk_ctmc ~init:(markov_init mi) ~reward:(section c "reward" mi.mk_reward) c.t)
+  markov (fun c { mk_ctmc; mk_chain = ch; _ } ->
+      at mk_ctmc ~init:ch.ch_init ~reward:(section c "reward" ch.ch_reward) c.t)
 
 let pfqn_util = pfqn (fun c (n, customers) -> Pfqn.utilization n ~customers (target c))
 let mpfqn_util = mpfqn (fun c (n, pops) -> Mpfqn.station_utilization n ~populations:pops (target c))
@@ -876,11 +846,11 @@ let table =
     (* transient state probability of a chain *)
     measure [ "value" ] T_sys_names
       [ markov (fun c mi ->
-            let pi = Ctmc.transient mi.mk_ctmc ~init:(markov_init mi) c.t in
-            pi.(state_idx mi.mk_index (target c) "markov"));
+            let pi = Ctmc.transient mi.mk_ctmc ~init:mi.mk_chain.ch_init c.t in
+            pi.(state_idx mi.mk_chain.ch_index (target c) "markov"));
         semimark (fun c si ->
-            let occ = SM.occupancy si.sm ~init:(semimark_init si) in
-            E.eval occ.(state_idx si.sm_index (target c) "semi-markov") c.t);
+            let occ = SM.occupancy si.sm ~init:si.sm_chain.ch_init in
+            E.eval occ.(state_idx si.sm_chain.ch_index (target c) "semi-markov") c.t);
         pepa (fun c p ->
             pepa_measure (fun () -> Pepa.prob p.pe_c (Pepa.transient p.pe_c c.t) (target c))) ];
     measure [ "mean" ] Sys
@@ -889,7 +859,7 @@ let table =
         relgraph (fun _ g -> Relgraph.mean g);
         graph (fun _ g -> Spg.mean g);
         markov_mtta;
-        semimark (fun _ si -> SM.mean_time_to_absorption si.sm ~init:(semimark_init si)) ];
+        semimark (fun _ si -> SM.mean_time_to_absorption si.sm ~init:si.sm_chain.ch_init) ];
     measure [ "var" ] Sys [ graph (fun _ g -> Spg.variance g) ];
     (* probabilities of combinatorial systems *)
     measure [ "sysprob" ] Sys_names
@@ -903,22 +873,23 @@ let table =
     (* steady-state probabilities and rewards *)
     measure [ "prob" ] Sys_names
       [ markov (fun c mi ->
-            let i = state_idx mi.mk_index (target c) "markov" and cm = mi.mk_ctmc in
-            if Ctmc.partly_absorbing cm then (Ctmc.absorption_probs cm ~init:(markov_init mi)).(i)
+            let ch = mi.mk_chain and cm = mi.mk_ctmc in
+            let i = state_idx ch.ch_index (target c) "markov" in
+            if Ctmc.partly_absorbing cm then (Ctmc.absorption_probs cm ~init:ch.ch_init).(i)
             else (markov_steady c.ctx c.key mi).(i));
         semimark (fun c si ->
-            (SM.steady_state si.sm).(state_idx si.sm_index (target c) "semi-markov"));
+            (SM.steady_state si.sm).(state_idx si.sm_chain.ch_index (target c) "semi-markov"));
         mrgp (fun c gi -> Mrgp.prob gi.mg (state_idx gi.mg_index (target c) "mrgp"));
         pepa (fun c p -> pepa_measure (fun () -> Pepa.prob p.pe_c (pepa_steady p) (target c))) ];
     measure [ "exrss" ] Sys
       [ markov (fun c mi ->
-            let r = section c "reward" mi.mk_reward in
+            let r = section c "reward" mi.mk_chain.ch_reward in
             let pi = markov_steady c.ctx c.key mi in
             let acc = ref 0.0 in
             Array.iteri (fun i p -> acc := !acc +. (p *. r i)) pi;
             !acc);
         semimark (fun c si ->
-            SM.expected_reward_ss si.sm ~reward:(section c "reward" si.sm_reward));
+            SM.expected_reward_ss si.sm ~reward:(section c "reward" si.sm_chain.ch_reward));
         mrgp (fun c gi -> Mrgp.expected_reward_ss gi.mg ~reward:(section c "reward" gi.mg_reward))
       ];
     measure [ "exrt" ] T_sys [ markov_reward (fun m -> Ctmc.expected_reward_at m) ];
@@ -926,11 +897,11 @@ let table =
     (* MTTF *)
     measure [ "fastmttf" ] Sys
       [ markov (fun c mi ->
-            let spec = section c "fastmttf" mi.mk_fast in
-            Fast_mttf.mttf_fast mi.mk_ctmc ~init:(markov_init mi) spec);
+            let spec = section c "fastmttf" mi.mk_chain.ch_fast in
+            Fast_mttf.mttf_fast mi.mk_ctmc ~init:mi.mk_chain.ch_init spec);
         semimark (fun c si ->
-            let _, readf = section c "fastmttf" si.sm_fast in
-            SM.mttf si.sm ~init:(semimark_init si) ~readf) ];
+            let spec = section c "fastmttf" si.sm_chain.ch_fast in
+            SM.mttf si.sm ~init:si.sm_chain.ch_init ~readf:spec.readf) ];
     measure [ "mtta" ] Sys [ srn (fun _ s -> Srn.mtta s.srn); markov_mtta ];
     (* importance measures *)
     measure [ "bimpt" ] T_sys_names (importance Ftree.birnbaum Relgraph.birnbaum);
@@ -975,17 +946,17 @@ let table =
                   (Printf.sprintf "%s: %s\n" c.text (fmt_num c.ctx.env (Mstree.sysprob ms g)))
             | None -> err "%s: multi-state trees need a top:state" c.f);
         markov (fun c mi ->
-            let probs = Acyclic.state_probabilities mi.mk_ctmc ~init:(markov_init mi) in
+            let probs = Acyclic.state_probabilities mi.mk_ctmc ~init:mi.mk_chain.ch_init in
             match gate c with
-            | Some s -> print_expo c probs.(state_idx mi.mk_index s "markov")
+            | Some s -> print_expo c probs.(state_idx mi.mk_chain.ch_index s "markov")
             | None ->
                 (* overall absorption CDF *)
                 let absorbed = List.map (fun s -> probs.(s)) (Ctmc.absorbing_states mi.mk_ctmc) in
                 print_expo c (List.fold_left E.add E.zero absorbed));
         semimark (fun c si ->
-            let fp = SM.first_passage si.sm ~init:(semimark_init si) in
+            let fp = SM.first_passage si.sm ~init:si.sm_chain.ch_init in
             match gate c with
-            | Some s -> print_expo c fp.(state_idx si.sm_index s "semi-markov")
+            | Some s -> print_expo c fp.(state_idx si.sm_chain.ch_index s "semi-markov")
             | None -> err "%s: semi-markov needs a state" c.f) ];
     printer [ "pqcdf" ]
       [ relgraph (fun c g ->

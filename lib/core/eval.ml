@@ -50,24 +50,20 @@ type steady = {
   mutable pi_seen : int;
 }
 
-type markov_inst = {
-  mk_ctmc : Ctmc.t;
-  mk_index : (string, int) Hashtbl.t;
-  mk_names : string array;
-  mk_init : float array option;
-  mk_reward : (int -> float) option;
-  mk_fast : Fast_mttf.spec option;
-  mk_steady : steady;
+(* What a markov and a semimark instance share: the states, numbered in
+   order of first appearance, the initial vector (all mass on the first
+   state unless the model gives one), the reward and the fastmttf
+   states. *)
+type chain_inst = {
+  ch_index : (string, int) Hashtbl.t;
+  ch_names : string array;
+  ch_init : float array;
+  ch_reward : (int -> float) option;
+  ch_fast : Fast_mttf.spec option;
 }
 
-type sm_inst = {
-  sm : SM.t;
-  sm_index : (string, int) Hashtbl.t;
-  sm_names : string array;
-  sm_init : float array option;
-  sm_reward : (int -> float) option;
-  sm_fast : (int list * int list) option; (* reada, readf *)
-}
+type markov_inst = { mk_ctmc : Ctmc.t; mk_chain : chain_inst; mk_steady : steady }
+type sm_inst = { sm : SM.t; sm_chain : chain_inst }
 
 type pepa_inst = {
   pe_c : Pepa.compiled;
@@ -145,7 +141,7 @@ and seg =
 
 and use = Build of entry | Steady
 
-(* One level of local bindings.  A loop variable ([expand_loop] in
+(* One level of local bindings.  A loop variable ([fold_looped] in
    Builtins, the [sum] builtin) is a single cell its loop overwrites per
    iteration; function and instance parameters, and names a function
    body binds, live in a table. *)
@@ -510,18 +506,13 @@ and exec_stmt ctx stmt : float option =
   | SSwitch ("ltimep", _) -> ctx.env.side <- `Left; None
   | SSwitch ("rtimep", _) -> ctx.env.side <- `Right; None
   | SSwitch (_, _) -> None
-  | SBind (n, e, form) ->
-      let v = eval_expr ctx e in
-      (match ctx.locals with
-      | Tbl tbl :: _ when ctx.in_func -> Hashtbl.replace tbl n v
-      | _ ->
-          set_binding ctx.env n (Val v);
-          (* SHARPE echoes single-statement binds of computed expressions *)
-          (match (form, e) with
-          | `Single, Num _ -> ()
-          | `Single, _ when not ctx.in_func ->
-              ctx.env.print (Printf.sprintf "%s <- %s\n" n (fmt_num ctx.env v))
-          | _ -> ()));
+  | SBind (`Single (n, e)) ->
+      (* SHARPE echoes single-statement binds of computed expressions *)
+      let echo = match e with Num _ -> false | _ -> not ctx.in_func in
+      bind ctx ~echo n e;
+      None
+  | SBind (`Block binds) ->
+      List.iter (fun (n, e) -> bind ctx ~echo:false n e) binds;
       None
   | SVar (n, e) -> set_binding ctx.env n (VarExpr e); None
   | SFunc (n, params, body) -> set_binding ctx.env n (Func (params, body)); None
@@ -676,6 +667,14 @@ and exec_loop_parallel ctx v values body =
         else match results.(i) with Some r, _ -> Some r | None, _ -> last (i - 1)
       in
       last (n - 1)
+
+and bind ctx ~echo n e =
+  let v = eval_expr ctx e in
+  match ctx.locals with
+  | Tbl tbl :: _ when ctx.in_func -> Hashtbl.replace tbl n v
+  | _ ->
+      set_binding ctx.env n (Val v);
+      if echo then ctx.env.print (Printf.sprintf "%s <- %s\n" n (fmt_num ctx.env v))
 
 (* A loop body is safe to parallelize when no statement in it (or in a
    nested loop/conditional) writes the shared environment: definitions,

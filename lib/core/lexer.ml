@@ -93,16 +93,16 @@ let tokenize ?(warn = fun _ -> ()) src =
   (* a [pepa] header line arms raw capture of the block body *)
   let pepa_pending = ref false in
   let capture_pepa_body () =
-    let body_line = !line in
+    let first_line = !line in
     let buf = Buffer.create 256 in
     let finished = ref false in
     while not !finished do
-      if !i >= n then error body_line 0 "pepa block not terminated by end";
+      if !i >= n then error first_line 0 "pepa block not terminated by end";
       let eol = try String.index_from src !i '\n' with Not_found -> n in
       let text = String.sub src !i (eol - !i) in
       if String.trim text = "end" then begin
         toks :=
-          { tok = Raw (Buffer.contents buf); line = body_line; col = 0;
+          { tok = Raw (Buffer.contents buf); line = first_line; col = 0;
             endcol = 0 }
           :: !toks;
         emit (Name "end") 0 3;

@@ -324,13 +324,13 @@ let loop_header st =
   (v, lo, hi, step)
 
 (* an [item], or a [loop] whose body, up to the loop's own [end], holds
-   more of them; [mk] builds the loop from its header and body *)
-let rec looped item mk st =
+   more of them *)
+let rec looped item st =
   if eat_name st "loop" then begin
-    let header = loop_header st in
-    mk header (section st (looped item mk))
+    let v, lo, hi, step = loop_header st in
+    Loop (v, lo, hi, step, section st (looped item))
   end
-  else item st
+  else Item (item st)
 
 (* [k, n] of a kofn line, with an optional comma before its inputs *)
 let kofn_bounds st =
@@ -339,34 +339,6 @@ let kofn_bounds st =
   let nn = parse_expr st in
   ignore (eat_comma st);
   (k, nn)
-
-(* --- the init-section decision -------------------------------------- *)
-
-let model_keywords =
-  [ "block"; "ftree"; "mstree"; "pms"; "relgraph"; "graph"; "pfqn"; "mpfqn";
-    "markov"; "semimark"; "mrgp"; "gspn"; "srn"; "pepa" ]
-
-let stmt_keywords =
-  [ "bind"; "func"; "var"; "expr"; "echo"; "format"; "epsilon"; "loop";
-    "while"; "if"; "bdd"; "verbose"; "debug"; "factor"; "multiple"; "ltimep";
-    "rtimep" ]
-  @ model_keywords
-
-(* the rule in this file's header; reads ahead at most one line past the
-   loop headers, and leaves the position where it was *)
-let init_section_opens st =
-  let saved = st.pos in
-  eat_newlines st;
-  while eat_name st "loop" do skip_to_eol st; eat_newlines st done;
-  let opens =
-    match peek st with
-    | Lexer.Eof -> false
-    | Lexer.Name "end" -> true
-    | Lexer.Name k when k = "reward" || k = "fastmttf" || List.mem k stmt_keywords -> false
-    | _ -> ( match parse_expr st with _ -> not (at_eol st) | exception Parse_error _ -> true)
-  in
-  st.pos <- saved;
-  opens
 
 (* --- model definitions ---------------------------------------------- *)
 
@@ -468,6 +440,11 @@ let relgraph_edges st =
   in
   List.filter_map Fun.id (section st edge)
 
+(* a node and the nodes it precedes *)
+let graph_node st =
+  let u = name st "node" in
+  (u, names_to_eol st)
+
 let graph_line st =
   match name st "graph line" with
   | "exit" ->
@@ -512,6 +489,10 @@ let station_kind st =
   | "lds" -> SkLds (comma_exprs st)
   | kw -> fail st (Printf.sprintf "unknown station type %s" kw)
 
+let pfqn_station st =
+  let n = name st "station" in
+  (n, station_kind st)
+
 (* [chain <name>] sections of routes; later chains' routes come first *)
 let mpfqn_routing st =
   let chain st =
@@ -538,34 +519,6 @@ let fastmttf_line st =
   | "reada" -> (n, `Reada)
   | "readf" -> (n, `Readf)
   | _ -> fail st "expected READA or READF"
-
-(* reward and init lines: [tname expr], possibly inside loops *)
-let msets st =
-  section st
-    (looped
-       (fun st ->
-         let n = parse_tname st in
-         MSet (n, parse_expr st))
-       (fun (v, lo, hi, step) body -> MSetLoop (v, lo, hi, step, body)))
-
-(* The body of a markov or semimark chain, which differ only in the edge
-   item and the edge-loop constructor.  The edge section ends either at a
-   bare [end] or directly at the [reward] keyword (one [end] then closes
-   sections 1+2, as in the thesis' Erlang-loss model). *)
-let chain_body st edge edge_loop =
-  let edges = section ~stop:at_reward st (looped edge edge_loop) in
-  let rewards =
-    if eat_line_name st "reward" then begin
-      let default = if eat_name st "default" then Some (parse_expr st) else None in
-      Some (msets st, default)
-    end
-    else None
-  in
-  let init = if init_section_opens st then msets st else [] in
-  let fastmttf =
-    if eat_line_name st "fastmttf" then Some (section st fastmttf_line) else None
-  in
-  (edges, rewards, init, fastmttf)
 
 let transition st =
   let n = name st "transition" in
@@ -601,97 +554,137 @@ let mrgp_edge st =
   let b = name st "state" in
   (a, kind, b, parse_dist st)
 
-let pepa_body st mname params =
+let pepa_body st name params =
   (* the lexer captured the block body verbatim into a Raw token *)
   eat_newlines st;
   match peek st with
   | Lexer.Raw body ->
-      let body_line = st.toks.(st.pos).Lexer.line in
+      let first_line = st.toks.(st.pos).Lexer.line in
       advance st;
       if not (eat_name st "end") then fail st "expected end closing pepa block";
       let past =
-        try Sharpe_pepa.Pepa.parse ~first_line:body_line body
+        try Sharpe_pepa.Pepa.parse ~first_line body
         with Sharpe_pepa.Pepa.Error msg ->
-          raise (Parse_error ("pepa " ^ mname ^ ": " ^ msg))
+          raise (Parse_error ("pepa " ^ name ^ ": " ^ msg))
       in
-      MPepa { name = mname; params; body; body_line; past }
+      MPepa { name; params; past }
   | _ -> fail st "expected a pepa block body terminated by end"
 
-let parse_model st kw =
-  advance st;
-  let mname = name st "model name" in
-  let params = parse_params st in
-  match kw with
-  | "block" -> MBlock { name = mname; params; lines = section st block_line }
-  | "ftree" -> MFtree { name = mname; params; lines = section st ftree_line }
-  | "mstree" -> MMstree { name = mname; params; lines = section st mstree_line }
-  | "pms" -> MPms { name = mname; params; phases = section st pms_phase }
-  | "relgraph" -> MRelgraph { name = mname; params; edges = relgraph_edges st }
-  | "graph" ->
-      let edges =
-        section st (fun st ->
-            let u = name st "node" in
-            (u, names_to_eol st))
-      in
-      MGraph { name = mname; params; edges; glines = section st graph_line }
-  | "pfqn" ->
-      let routing = section st route in
-      let stations =
-        section st (fun st ->
-            let n = name st "station" in
-            (n, station_kind st))
-      in
-      let chains = section st (named_expr "chain") in
-      MPfqn { name = mname; params; routing; stations; chains }
-  | "mpfqn" ->
-      let routing = mpfqn_routing st in
-      let stations = section st mpfqn_station in
-      let chains = section st (named_expr "chain") in
-      MMpfqn { name = mname; params; routing; stations; chains }
-  | "markov" ->
-      let readprobs = eat_name st "readprobs" in
-      let edges, rewards, init, fastmttf =
-        chain_body st
-          (fun st ->
-            let a = parse_tname st in
-            let b = parse_tname st in
-            MEdge (a, b, parse_expr st))
-          (fun (v, lo, hi, step) body -> MEdgeLoop (v, lo, hi, step, body))
-      in
-      MMarkov { name = mname; params; readprobs; edges; rewards; init; fastmttf }
-  | "semimark" ->
-      (* default: edge distributions race (independent competing timers),
-         which degenerates to the CTMC semantics when all edges are
-         exponential; [uncond] switches to unconditional-kernel semantics *)
-      let mode =
-        if eat_name st "uncond" then `Uncond else (ignore (eat_name st "cond"); `Cond)
-      in
-      let edges, rewards, init, fastmttf =
-        chain_body st
-          (fun st ->
-            let a = parse_tname st in
-            let b = parse_tname st in
-            SmEdge (a, b, parse_dist st))
-          (fun (v, lo, hi, step) body -> SmEdgeLoop (v, lo, hi, step, body))
-      in
-      MSemimark { name = mname; params; mode; edges; rewards; init; fastmttf }
-  | "mrgp" ->
-      (* a [reward] line closes the edges, and its section's [end] the model *)
-      let edges = section ~stop:at_reward st mrgp_edge in
-      let rewards = if eat_name st "reward" then section st (named_expr "state") else [] in
-      MMrgp { name = mname; params; edges; rewards }
-  | "gspn" | "srn" ->
-      let places = section st (named_expr "place") in
-      let timed = section st transition in
-      let immediate = section st transition in
-      let inputs = section st arc in
-      let outputs = section st arc in
-      let inhibitors = section st arc in
-      MSrn
-        { name = mname; params; gspn = kw = "gspn"; places; timed; immediate; inputs;
-          outputs; inhibitors }
-  | "pepa" -> pepa_body st mname params
-  | _ -> fail st "unknown model keyword"
+let srn_body ~gspn st name params =
+  let places = section st (named_expr "place") in
+  let timed = section st transition in
+  let immediate = section st transition in
+  let inputs = section st arc in
+  let outputs = section st arc in
+  let inhibitors = section st arc in
+  MSrn { name; params; gspn; places; timed; immediate; inputs; outputs; inhibitors }
+
+(* --- the kind table ------------------------------------------------- *)
+
+let stmt_keywords =
+  [ "bind"; "func"; "var"; "expr"; "echo"; "format"; "epsilon"; "loop";
+    "while"; "if"; "bdd"; "verbose"; "debug"; "factor"; "multiple"; "ltimep";
+    "rtimep" ]
+
+(* Each model keyword with the reader of the body after its name and
+   parameters.  The table is recursive with the chain reader: a model
+   keyword after a chain ends it (see [init_section_opens]). *)
+let rec model_kinds =
+  [ ("block", fun st name params -> MBlock { name; params; lines = section st block_line });
+    ("ftree", fun st name params -> MFtree { name; params; lines = section st ftree_line });
+    ("mstree", fun st name params -> MMstree { name; params; lines = section st mstree_line });
+    ("pms", fun st name params -> MPms { name; params; phases = section st pms_phase });
+    ("relgraph", fun st name params -> MRelgraph { name; params; edges = relgraph_edges st });
+    ( "graph",
+      fun st name params ->
+        let edges = section st graph_node in
+        MGraph { name; params; edges; glines = section st graph_line } );
+    ( "pfqn",
+      fun st name params ->
+        let routing = section st route in
+        let stations = section st pfqn_station in
+        let chains = section st (named_expr "chain") in
+        MPfqn { name; params; routing; stations; chains } );
+    ( "mpfqn",
+      fun st name params ->
+        let routing = mpfqn_routing st in
+        let stations = section st mpfqn_station in
+        let chains = section st (named_expr "chain") in
+        MMpfqn { name; params; routing; stations; chains } );
+    ( "markov",
+      fun st name params ->
+        (* [readprobs] is accepted and has no effect *)
+        ignore (eat_name st "readprobs");
+        MMarkov { name; params; chain = chain st parse_expr } );
+    ( "semimark",
+      fun st name params ->
+        (* default: edge distributions race (independent competing
+           timers), which degenerates to the CTMC semantics when all
+           edges are exponential; [uncond] switches to
+           unconditional-kernel semantics *)
+        let mode =
+          if eat_name st "uncond" then `Uncond else (ignore (eat_name st "cond"); `Cond)
+        in
+        MSemimark { name; params; mode; chain = chain st parse_dist } );
+    ( "mrgp",
+      fun st name params ->
+        (* a [reward] line closes the edges, and its section's [end] the model *)
+        let edges = section ~stop:at_reward st mrgp_edge in
+        let rewards = if eat_name st "reward" then section st (named_expr "state") else [] in
+        MMrgp { name; params; edges; rewards } );
+    ("gspn", srn_body ~gspn:true);
+    ("srn", srn_body ~gspn:false);
+    ("pepa", pepa_body) ]
+
+(* the rule in this file's header; reads ahead at most one line past the
+   loop headers, and leaves the position where it was *)
+and init_section_opens st =
+  let saved = st.pos in
+  eat_newlines st;
+  while eat_name st "loop" do skip_to_eol st; eat_newlines st done;
+  let opens =
+    match peek st with
+    | Lexer.Eof -> false
+    | Lexer.Name "end" -> true
+    | Lexer.Name k
+      when k = "reward" || k = "fastmttf" || List.mem k stmt_keywords
+           || List.mem_assoc k model_kinds ->
+        false
+    | _ -> ( match parse_expr st with _ -> not (at_eol st) | exception Parse_error _ -> true)
+  in
+  st.pos <- saved;
+  opens
+
+(* The body of a markov or semimark chain; [value] reads an edge's rate
+   or distribution.  The edge section ends either at a bare [end] or
+   directly at the [reward] keyword (one [end] then closes sections 1+2,
+   as in the thesis' Erlang-loss model).  Reward and init lines are
+   [tname expr]. *)
+and chain st value =
+  let edge st =
+    let a = parse_tname st in
+    let b = parse_tname st in
+    (a, b, value st)
+  in
+  let sets st =
+    section st
+      (looped (fun st ->
+           let n = parse_tname st in
+           (n, parse_expr st)))
+  in
+  let edges = section ~stop:at_reward st (looped edge) in
+  let rewards =
+    if eat_line_name st "reward" then begin
+      let default = if eat_name st "default" then Some (parse_expr st) else None in
+      Some (sets st, default)
+    end
+    else None
+  in
+  let init = if init_section_opens st then sets st else [] in
+  let fastmttf =
+    if eat_line_name st "fastmttf" then Some (section st fastmttf_line) else None
+  in
+  { edges; rewards; init; fastmttf }
 
 (* --- statements ----------------------------------------------------- *)
 
@@ -721,14 +714,11 @@ let rec parse_stmt st : stmt =
   | Lexer.Name ("ltimep" | "rtimep") -> SSwitch (name st "switch", "")
   | Lexer.Name "bind" ->
       advance st;
-      if at_eol st then
-        (* block form: name expr lines until end, represented as an
-           always-true conditional *)
-        let bs = section st (named_expr "bound variable") in
-        SIf ([ (Num 1.0, List.map (fun (n, e) -> SBind (n, e, `Block)) bs) ], [])
+      (* block form: name expr lines until end *)
+      if at_eol st then SBind (`Block (section st (named_expr "bound variable")))
       else begin
         let n = name st "bound variable" in
-        SBind (n, parse_expr st, `Single)
+        SBind (`Single (n, parse_expr st))
       end
   | Lexer.Name "var" ->
       advance st;
@@ -756,7 +746,11 @@ let rec parse_stmt st : stmt =
         if eat_comma st then item :: items () else [ item ]
       in
       SExpr (items ())
-  | Lexer.Name m when List.mem m model_keywords -> SModel (parse_model st m)
+  | Lexer.Name m when List.mem_assoc m model_kinds ->
+      advance st;
+      let mname = name st "model name" in
+      let params = parse_params st in
+      SModel (List.assoc m model_kinds st mname params)
   | _ ->
       (* bare expression statement, printed like expr *)
       SExpr [ text_expr st ]

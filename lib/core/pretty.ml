@@ -64,6 +64,51 @@ and pp_tname ppf tn =
 let expr ppf e = pp_expr ~level:0 ppf e
 let expr_to_string e = Format.asprintf "%a" expr e
 
+(* a distribution as [Parser.parse_dist] reads it: the [gen] family's
+   triples are separated by continuation marks *)
+let dist ppf = function
+  | Call ("gen", triples) ->
+      Format.fprintf ppf "gen %s"
+        (String.concat " \\ "
+           (List.map (fun g -> String.concat ", " (List.map expr_to_string g)) triples))
+  | e -> expr ppf e
+
+let pp_loop_header ppf (v, lo, hi, step) =
+  Format.fprintf ppf "loop %s, %a, %a%t" v expr lo expr hi (fun ppf ->
+      match step with Some s -> Format.fprintf ppf ", %a" expr s | None -> ())
+
+(* the items of a chain section, one a line, loops through their [end] *)
+let rec pp_looped item ppf =
+  List.iter (function
+    | Item x -> Format.fprintf ppf "%a@," item x
+    | Loop (v, lo, hi, step, body) ->
+        Format.fprintf ppf "%a@,%aend@," pp_loop_header (v, lo, hi, step) (pp_looped item) body)
+
+(* a chain's sections; the init section always prints, [end] alone when
+   empty, so whatever follows the model cannot be read as one *)
+let pp_chain value ppf { edges; rewards; init; fastmttf } =
+  let set ppf (n, e) = Format.fprintf ppf "%a %a" pp_tname n expr e in
+  Format.fprintf ppf "%aend@,"
+    (pp_looped (fun ppf (a, b, x) -> Format.fprintf ppf "%a %a %a" pp_tname a pp_tname b value x))
+    edges;
+  Option.iter
+    (fun (sets, default) ->
+      Format.fprintf ppf "reward%t@,%aend@,"
+        (fun ppf -> Option.iter (Format.fprintf ppf " default %a" expr) default)
+        (pp_looped set) sets)
+    rewards;
+  Format.fprintf ppf "%aend@," (pp_looped set) init;
+  Option.iter
+    (fun lines ->
+      Format.fprintf ppf "fastmttf@,";
+      List.iter
+        (fun (tn, k) ->
+          Format.fprintf ppf "%a %s@," pp_tname tn
+            (match k with `Reada -> "READA" | `Readf -> "READF"))
+        lines;
+      Format.fprintf ppf "end@,")
+    fastmttf
+
 let pp_gate = function
   | GAnd -> "and"
   | GOr -> "or"
@@ -75,8 +120,11 @@ let pp_gate = function
 
 let rec pp_stmt ppf s =
   match s with
-  | SBind (n, e, `Single) -> Format.fprintf ppf "bind %s %a@," n expr e
-  | SBind (n, e, `Block) -> Format.fprintf ppf "%s %a@," n expr e
+  | SBind (`Single (n, e)) -> Format.fprintf ppf "bind %s %a@," n expr e
+  | SBind (`Block binds) ->
+      Format.fprintf ppf "bind@,";
+      List.iter (fun (n, e) -> Format.fprintf ppf "%s %a@," n expr e) binds;
+      Format.fprintf ppf "end@,"
   | SVar (n, e) -> Format.fprintf ppf "var %s %a@," n expr e
   | SFunc (n, ps, FExpr e) ->
       Format.fprintf ppf "func %s(%s) %a@," n (String.concat ", " ps) expr e
@@ -97,10 +145,7 @@ let rec pp_stmt ppf s =
       Format.fprintf ppf "end@,"
   | SWhile (c, body) -> Format.fprintf ppf "while %a@,%aend@," expr c pp_stmts body
   | SLoop (v, lo, hi, step, body) ->
-      Format.fprintf ppf "loop %s, %a, %a%t@,%aend@," v expr lo expr hi
-        (fun ppf ->
-          match step with Some s -> Format.fprintf ppf ", %a" expr s | None -> ())
-        pp_stmts body
+      Format.fprintf ppf "%a@,%aend@," pp_loop_header (v, lo, hi, step) pp_stmts body
   | SEpsilon (what, e) -> Format.fprintf ppf "epsilon %s %a@," what expr e
   | SFormat e -> Format.fprintf ppf "format %a@," expr e
   | SSwitch (k, v) ->
@@ -119,7 +164,7 @@ and pp_model ppf = function
       List.iter
         (fun l ->
           match l with
-          | BComp (n, e) -> Format.fprintf ppf "comp %s %a@," n expr e
+          | BComp (n, e) -> Format.fprintf ppf "comp %s %a@," n dist e
           | BCombine (`Series, n, parts) ->
               Format.fprintf ppf "series %s %s@," n (String.concat " " parts)
           | BCombine (`Parallel, n, parts) ->
@@ -134,8 +179,8 @@ and pp_model ppf = function
       List.iter
         (fun l ->
           match l with
-          | FBasic (n, e) -> Format.fprintf ppf "basic %s %a@," n expr e
-          | FRepeat (n, e) -> Format.fprintf ppf "repeat %s %a@," n expr e
+          | FBasic (n, e) -> Format.fprintf ppf "basic %s %a@," n dist e
+          | FRepeat (n, e) -> Format.fprintf ppf "repeat %s %a@," n dist e
           | FTransfer (a, b) -> Format.fprintf ppf "transfer %s %s@," a b
           | FGate (n, GKofn (k, nn), inputs) ->
               Format.fprintf ppf "kofn %s %a,%a,%s@," n expr k expr nn
@@ -147,36 +192,13 @@ and pp_model ppf = function
               Format.fprintf ppf "%s %s %s@," (pp_gate g) n (String.concat " " inputs))
         lines;
       Format.fprintf ppf "end@,"
-  | MMarkov { name; params; readprobs; edges; rewards; init; fastmttf } ->
-      Format.fprintf ppf "markov %s%a%s@," name pp_params params
-        (if readprobs then " readprobs" else "");
-      pp_medges ppf edges;
-      Format.fprintf ppf "end@,";
-      (match rewards with
-      | Some (sets, default) ->
-          Format.fprintf ppf "reward%t@,"
-            (fun ppf ->
-              match default with
-              | Some d -> Format.fprintf ppf " default %a" expr d
-              | None -> ());
-          pp_msets ppf sets;
-          Format.fprintf ppf "end@,"
-      | None -> ());
-      if init <> [] then begin
-        pp_msets ppf init;
-        Format.fprintf ppf "end@,"
-      end;
-      (match fastmttf with
-      | Some lines ->
-          Format.fprintf ppf "fastmttf@,";
-          List.iter
-            (fun (tn, k) ->
-              Format.fprintf ppf "%a %s@," pp_tname tn
-                (match k with `Reada -> "READA" | `Readf -> "READF"))
-            lines;
-          Format.fprintf ppf "end@,"
-      | None -> ())
-  | MPepa { name; params; past; _ } ->
+  | MMarkov { name; params; chain } ->
+      Format.fprintf ppf "markov %s%a@,%a" name pp_params params (pp_chain expr) chain
+  | MSemimark { name; params; mode; chain } ->
+      Format.fprintf ppf "semimark %s%a%s@,%a" name pp_params params
+        (match mode with `Uncond -> " uncond" | `Cond -> "")
+        (pp_chain dist) chain
+  | MPepa { name; params; past } ->
       (* reprint from the parsed AST (canonical form), so pretty-printing
          then re-parsing is the identity on the model *)
       Format.fprintf ppf "pepa %s%a@," name pp_params params;
@@ -194,32 +216,11 @@ and pp_model ppf = function
         | MGraph _ -> "graph"
         | MPfqn _ -> "pfqn"
         | MMpfqn _ -> "mpfqn"
-        | MSemimark _ -> "semimark"
         | MMrgp _ -> "mrgp"
         | MSrn { gspn = true; _ } -> "gspn"
         | MSrn _ -> "srn"
-        | MBlock _ | MFtree _ | MMarkov _ | MPepa _ -> assert false)
+        | MBlock _ | MFtree _ | MMarkov _ | MSemimark _ | MPepa _ -> assert false)
         (model_name m)
-
-and pp_medges ppf =
-  List.iter (function
-    | MEdge (a, b, e) -> Format.fprintf ppf "%a %a %a@," pp_tname a pp_tname b expr e
-    | MEdgeLoop (v, lo, hi, step, body) ->
-        Format.fprintf ppf "loop %s, %a, %a%t@," v expr lo expr hi
-          (fun ppf ->
-            match step with Some s -> Format.fprintf ppf ", %a" expr s | None -> ());
-        pp_medges ppf body;
-        Format.fprintf ppf "end@,")
-
-and pp_msets ppf =
-  List.iter (function
-    | MSet (n, e) -> Format.fprintf ppf "%a %a@," pp_tname n expr e
-    | MSetLoop (v, lo, hi, step, body) ->
-        Format.fprintf ppf "loop %s, %a, %a%t@," v expr lo expr hi
-          (fun ppf ->
-            match step with Some s -> Format.fprintf ppf ", %a" expr s | None -> ());
-        pp_msets ppf body;
-        Format.fprintf ppf "end@,")
 
 let stmt ppf s = Format.fprintf ppf "@[<v>%a@]" pp_stmt s
 

@@ -122,11 +122,13 @@ let close_over (ctx : Eval.ctx) pins visited e =
      identifiers, and statement forms that write shared state stay
      uncacheable. *)
   and go_stmts bound ss = List.fold_left go_stmt bound ss
+  and go_bind bound (n, e) =
+    go false bound e;
+    n :: bound
   and go_stmt bound s =
     match s with
-    | SBind (n, e, _) ->
-        go false bound e;
-        n :: bound
+    | SBind (`Single b) -> go_bind bound b
+    | SBind (`Block bs) -> List.fold_left go_bind bound bs
     | SExpr items ->
         List.iter (fun (_, e) -> go false bound e) items;
         bound

@@ -388,13 +388,13 @@ module Reference = struct
                else Printf.sprintf "%g" v)
          tn)
 
-  let rec expand_medges mctx edges =
+  let rec expand_edges mctx edges =
     List.concat_map
       (fun e ->
         match e with
-        | MEdge (a, b, rate) -> [ (tname_str mctx a, tname_str mctx b, ev mctx rate) ]
-        | MEdgeLoop (v, lo, hi, step, body) ->
-            expand_loop mctx v lo hi step (fun c -> expand_medges c body))
+        | Item (a, b, rate) -> [ (tname_str mctx a, tname_str mctx b, ev mctx rate) ]
+        | Loop (v, lo, hi, step, body) ->
+            expand_loop mctx v lo hi step (fun c -> expand_edges c body))
       edges
 
   and expand_loop : 'a. ctx -> string -> expr -> expr -> expr option ->
@@ -431,7 +431,7 @@ module Reference = struct
     (idx, Array.of_list (List.rev !names))
 
   let build_markov mctx edges =
-    let es = expand_medges mctx edges in
+    let es = expand_edges mctx edges in
     let idx, names = state_table (List.map (fun (a, b, _) -> (a, b)) es) [] in
     let n = Array.length names in
     let rates =
@@ -441,7 +441,7 @@ module Reference = struct
 
   let instantiate ctx mname args =
     match Hashtbl.find_opt ctx.env.table mname with
-    | Some (Model (MMarkov { params; edges; _ })) ->
+    | Some (Model (MMarkov { params; chain = { edges; _ }; _ })) ->
         let tbl = Hashtbl.create 8 in
         List.iter2 (fun p v -> Hashtbl.replace tbl p v) params args;
         build_markov { ctx with locals = [ Tbl tbl ] } edges
@@ -465,11 +465,12 @@ let same_instance ctx mname args =
     | Eval.IMarkov mi -> mi
     | _ -> Alcotest.failf "%s is not a markov instance" what
   in
-  Alcotest.(check (array string)) (what ^ ": names") names mi.Eval.mk_names;
-  Alcotest.(check int) (what ^ ": index size") (Hashtbl.length idx) (Hashtbl.length mi.mk_index);
+  let ch = mi.Eval.mk_chain in
+  Alcotest.(check (array string)) (what ^ ": names") names ch.ch_names;
+  Alcotest.(check int) (what ^ ": index size") (Hashtbl.length idx) (Hashtbl.length ch.ch_index);
   Hashtbl.iter
     (fun n i -> Alcotest.(check (option int)) (what ^ ": index of " ^ n) (Some i)
-        (Hashtbl.find_opt mi.mk_index n))
+        (Hashtbl.find_opt ch.ch_index n))
     idx;
   let entries c =
     let acc = ref [] in
@@ -649,7 +650,7 @@ let test_prob_branches () =
   List.iter
     (fun s ->
       Alcotest.(check int64) ("absorption into " ^ s)
-        (bits_of absorbed.(Hashtbl.find ab.mk_index s))
+        (bits_of absorbed.(Hashtbl.find ab.mk_chain.ch_index s))
         (bits_of (prob "ab" s)))
     [ "b"; "c" ];
   Alcotest.(check (float 1e-12)) "b takes a third of the mass" (1.0 /. 3.0) (prob "ab" "b");
@@ -657,7 +658,7 @@ let test_prob_branches () =
   List.iter
     (fun s ->
       Alcotest.(check int64) ("steady state of " ^ s)
-        (bits_of pi.(Hashtbl.find irr.mk_index s))
+        (bits_of pi.(Hashtbl.find irr.mk_chain.ch_index s))
         (bits_of (prob "irr" s)))
     [ "a"; "b" ];
   let chain n rates = Ctmc.make ~n rates in

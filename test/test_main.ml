@@ -20,4 +20,5 @@ let () =
       ("differential", Test_differential.suite);
       ("server", Test_server.suite);
       ("journal", Test_journal.suite);
-      ("golden", Test_golden.suite) ]
+      ("golden", Test_golden.suite);
+      ("roundtrip", Test_roundtrip.suite) ]

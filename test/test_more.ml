@@ -93,16 +93,6 @@ let prop_pretty_roundtrip =
       let printed = Pretty.expr_to_string e in
       expr_equal e (P.parse_expression printed))
 
-let test_program_printing () =
-  let stmts =
-    P.parse_string
-      "bind x 2\nfunc f(a) a*x\nmarkov m\nu d 1.0\nd u 2.0\nend\nend\nexpr prob(m, u)"
-  in
-  let s = Pretty.program_to_string stmts in
-  Alcotest.(check bool) "mentions markov" true
-    (let rec has i = i + 6 <= String.length s && (String.sub s i 6 = "markov" || has (i + 1)) in
-     has 0)
-
 (* --- exponomial edge cases ------------------------------------------- *)
 
 let test_convolve_defective () =
@@ -419,7 +409,6 @@ let test_mpfqn_er_equals_pfqn () =
 let suite =
   [ ("pretty round trips (cases)", `Quick, test_pretty_roundtrip_cases);
     QCheck_alcotest.to_alcotest prop_pretty_roundtrip;
-    ("program printing", `Quick, test_program_printing);
     ("convolve defective", `Quick, test_convolve_defective);
     ("convolution associativity", `Quick, test_convolve_three_way_assoc);
     ("variance additivity", `Quick, test_variance_of_convolution_adds);
