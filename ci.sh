@@ -137,6 +137,14 @@ dense=$(metric linsolve.dense_materializations)
   echo "ci: large run reports '$dense' dense materializations per op" >&2
   exit 1
 }
+# BiCGStab's mean iterations per solve on the large chain: about 40 with
+# the all-ones first shadow, 62-110 when the shadow was b (every solve
+# rewound); above 55 the recursion is restarting again.
+iters=$(metric linsolve.iterations.bicgstab_ilu0)
+awk -v i="$iters" 'BEGIN { exit !(i != "" && i <= 55) }' || {
+  echo "ci: large run averages '$iters' BiCGStab(ILU(0)) iterations per solve, above 55" >&2
+  exit 1
+}
 rm -f "$pbout"
 
 echo "== guard-rails demo =="

@@ -28,7 +28,7 @@ let rec pp_expr ?(level = 0) ppf e =
   | Num x ->
       if Float.is_integer x && Float.abs x < 1e15 then
         Format.fprintf ppf "%d" (int_of_float x)
-      else Format.fprintf ppf "%.12g" x
+      else Format.pp_print_string ppf (Sharpe_pepa.Ast.pp_float x)
   | Ident n -> Format.pp_print_string ppf n
   | TokCount p -> Format.fprintf ppf "#(%s)" p
   | Enabled t -> Format.fprintf ppf "?(%s)" t

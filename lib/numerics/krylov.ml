@@ -19,7 +19,7 @@
    bit-identical to the serial kernel either way — with no per-iteration
    allocation beyond the small Hessenberg factors of GMRES. *)
 
-type stats = { iterations : int; residual : float; converged : bool }
+type stats = { iterations : int; restarts : int; residual : float; converged : bool }
 
 type precond = {
   p_name : string;
@@ -145,9 +145,6 @@ let ilu0 a =
 
 (* --- BiCGStab --------------------------------------------------------- *)
 
-(* pseudo-random shadow residuals tried after restarts without progress *)
-let shadow_draws = 3
-
 let bicgstab ?(tol = 1e-12) ?(precond = identity) a b =
   let max_iter = 2000 in
   let n = Array.length b in
@@ -155,7 +152,15 @@ let bicgstab ?(tol = 1e-12) ?(precond = identity) a b =
     invalid_arg "Krylov.bicgstab: shape";
   let x = Array.make n 0.0 in
   let r = Array.copy b in (* r = b - A*0 *)
-  let rhat = Array.copy b in
+  (* The first shadow residual is the all-ones vector, not r0 = b.  The
+     steady-state systems Linsolve builds have b = e_{n-1} (the
+     normalisation row), so rhat = b biorthogonalises the first recursion
+     against a single coordinate: on the 39 711-state SRN chain of
+     perfbench's [large] workload every solve then diverged from its best
+     iterate and rewound, at twice the iterations.  Ones weighs every
+     equation; if ones . r0 = 0 the rho1 test below restarts with
+     rhat = r. *)
+  let rhat = Array.make n 1.0 in
   let p = Array.make n 0.0 and v = Array.make n 0.0 in
   let s = Array.make n 0.0 and t = Array.make n 0.0 in
   let phat = Array.make n 0.0 and shat = Array.make n 0.0 in
@@ -164,35 +169,20 @@ let bicgstab ?(tol = 1e-12) ?(precond = identity) a b =
   let iter = ref 0 in
   let rnorm = ref (norm2 r) in
   let broke = ref false in
-  (* Breakdown of the recursion (rho or t·t collapsing — routine once the
-     shadow residual decorrelates) does not mean failure: restart the
-     recursion and keep iterating.  A restart that follows progress takes
-     the residual as its shadow, rhat = r.  One that brings no progress
-     over the previous restart would replay it: from the same best
-     iterate, rhat = r is the same vector, and on a strongly non-normal
-     preconditioned operator (rows scaled across twelve orders, where
-     r . A M^-1 r can vanish) its first step fails the same way.  It draws
-     a pseudo-random shadow instead, a fixed sequence, and the solver
-     gives up only once [shadow_draws] of them brought no progress
-     either -- or at once when the operator mapped the search direction
-     to zero (A M^-1 p = 0 or A M^-1 s = 0, as on a singular system),
-     which no shadow changes. *)
-  let last_break = ref infinity and draws = ref 0 in
-  let breakdown ?(annihilated = false) () =
-    let stuck = !rnorm >= 0.99 *. !last_break in
-    if stuck && (annihilated || !draws >= shadow_draws) then broke := true
+  (* Breakdown of the recursion (rho, rhat . v or t . t collapsing) does
+     not mean failure: restart the recursion with the residual as its
+     shadow, rhat = r, and keep iterating.  A restart that brings no
+     progress over the previous one would replay it -- from the same best
+     iterate rhat = r is the same vector -- so the solver gives up
+     instead, as on a singular system whose operator maps the search
+     direction to zero. *)
+  let last_break = ref infinity and restarts = ref 0 in
+  let breakdown () =
+    if !rnorm >= 0.99 *. !last_break then broke := true
     else begin
-      if stuck then begin
-        incr draws;
-        let st = Random.State.make [| !draws |] in
-        for i = 0 to n - 1 do
-          rhat.(i) <- Random.State.float st 2.0 -. 1.0
-        done
-      end
-      else begin
-        last_break := !rnorm;
-        Array.blit r 0 rhat 0 n
-      end;
+      incr restarts;
+      last_break := !rnorm;
+      Array.blit r 0 rhat 0 n;
       Array.fill p 0 n 0.0;
       Array.fill v 0 n 0.0;
       rho := 1.0;
@@ -240,7 +230,7 @@ let bicgstab ?(tol = 1e-12) ?(precond = identity) a b =
       precond.p_apply p phat;
       Sparse.par_mat_vec_into a phat v;
       let denom = dot rhat v in
-      if Float.abs denom < 1e-300 then breakdown ~annihilated:(norm2 v = 0.0) ()
+      if Float.abs denom < 1e-300 then breakdown ()
       else begin
         alpha := rho1 /. denom;
         for i = 0 to n - 1 do
@@ -257,7 +247,7 @@ let bicgstab ?(tol = 1e-12) ?(precond = identity) a b =
           precond.p_apply s shat;
           Sparse.par_mat_vec_into a shat t;
           let tt = dot t t in
-          if tt = 0.0 then breakdown ~annihilated:true ()
+          if tt = 0.0 then breakdown ()
           else begin
             omega := dot t s /. tt;
             for i = 0 to n - 1 do
@@ -284,7 +274,7 @@ let bicgstab ?(tol = 1e-12) ?(precond = identity) a b =
     tr := !tr +. (d *. d)
   done;
   let residual = sqrt !tr /. bnorm in
-  (x, { iterations = !iter; residual; converged = residual <= tol })
+  (x, { iterations = !iter; restarts = !restarts; residual; converged = residual <= tol })
 
 (* --- restarted GMRES -------------------------------------------------- *)
 
@@ -301,7 +291,7 @@ let gmres ?(tol = 1e-12) ?(precond = identity) a b =
   let g = Array.make (m + 1) 0.0 in
   let w = Array.make n 0.0 and z = Array.make n 0.0 in
   let r = Array.make n 0.0 in
-  let total = ref 0 in
+  let total = ref 0 and cycles = ref 0 in
   let resid = ref infinity in
   let finished = ref false in
   while not !finished do
@@ -315,6 +305,7 @@ let gmres ?(tol = 1e-12) ?(precond = identity) a b =
     resid := beta /. bnorm;
     if !resid <= tol || !total >= max_iter then finished := true
     else begin
+      incr cycles;
       let v0 = basis.(0) in
       for i = 0 to n - 1 do
         v0.(i) <- r.(i) /. beta
@@ -400,4 +391,6 @@ let gmres ?(tol = 1e-12) ?(precond = identity) a b =
       done
     end
   done;
-  (x, { iterations = !total; residual = !resid; converged = !resid <= tol })
+  (x,
+   { iterations = !total; restarts = max 0 (!cycles - 1); residual = !resid;
+     converged = !resid <= tol })

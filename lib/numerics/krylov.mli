@@ -13,6 +13,9 @@
 
 type stats = {
   iterations : int;  (** mat-vec applications performed *)
+  restarts : int;
+      (** times the recursion started over: BiCGStab's breakdown restarts
+          and best-iterate rewinds, GMRES's cycles after the first *)
   residual : float;  (** final relative true residual [||b - A x|| / ||b||] *)
   converged : bool;  (** residual fell below [tol] within the budget *)
 }
@@ -41,7 +44,12 @@ val bicgstab :
 (** Right-preconditioned BiCGStab (van der Vorst).  At most 2000
     iterations; [tol] bounds the relative true residual (default
     1e-12).  Keeps 7 work vectors — the first choice at 10^6 states.
-    Breakdown ([rho] or [t·t] collapsing) returns [converged = false]
+    The first shadow residual is the all-ones vector rather than [b]:
+    the steady-state systems of {!Linsolve} have [b = e_(n-1)], and a
+    shadow that sees one coordinate makes the recursion diverge and
+    rewind.  A breakdown ([rho] or [t·t] collapsing) or a divergence
+    restarts the recursion with the residual as shadow; one that brings
+    no progress over the previous restart returns [converged = false]
     with the residual reached. *)
 
 val gmres :

@@ -208,7 +208,7 @@ let krylov_refined variant ~tol a b p =
   let nrm2 v = sqrt (Array.fold_left (fun acc c -> acc +. (c *. c)) 0.0 v) in
   let bnorm = Float.max (nrm2 b) 1e-300 in
   let x, st0 = run b in
-  let iters = ref st0.Krylov.iterations in
+  let iters = ref st0.Krylov.iterations and restarts = ref st0.Krylov.restarts in
   let scratch = Array.make n 0.0 in
   let residual () =
     Sparse.par_mat_vec_into a x scratch;
@@ -227,13 +227,14 @@ let krylov_refined variant ~tol a b p =
         x.(i) <- x.(i) +. d.(i)
       done;
       iters := !iters + std.Krylov.iterations;
+      restarts := !restarts + std.Krylov.restarts;
       residual ();
       let r = nrm2 scratch /. bnorm in
       if r <= tol || r >= 0.5 *. res then r else refine (rounds + 1) r
     end
   in
   let res = if st0.Krylov.converged then st0.Krylov.residual else refine 0 st0.Krylov.residual in
-  (x, { Krylov.iterations = !iters; residual = res; converged = res <= tol })
+  (x, { Krylov.iterations = !iters; restarts = !restarts; residual = res; converged = res <= tol })
 
 let krylov_run variant ~tol a b =
   let a, b = equilibrate a b in
@@ -245,10 +246,11 @@ let krylov_run variant ~tol a b =
   let preconds =
     Option.to_list (Krylov.ilu0 a) @ Option.to_list (Krylov.jacobi a) @ [ Krylov.identity ]
   in
-  let rec go iters best = function
+  let rec go iters restarts best = function
     | [] ->
         let x, st, p = Option.get best in
-        (x, { st with Krylov.iterations = iters }, variant_name ^ "(" ^ p.Krylov.p_name ^ ")")
+        (x, { st with Krylov.iterations = iters; restarts },
+         variant_name ^ "(" ^ p.Krylov.p_name ^ ")")
     | p :: rest ->
         let x, st = krylov_refined variant ~tol a b p in
         let best =
@@ -256,9 +258,10 @@ let krylov_run variant ~tol a b =
           | Some (_, st0, _) when st0.Krylov.residual <= st.Krylov.residual -> best
           | _ -> Some (x, st, p)
         in
-        go (iters + st.Krylov.iterations) best (if st.Krylov.converged then [] else rest)
+        go (iters + st.Krylov.iterations) (restarts + st.Krylov.restarts) best
+          (if st.Krylov.converged then [] else rest)
   in
-  go 0 None preconds
+  go 0 0 None preconds
 
 let uniform n = Array.make n (1.0 /. float_of_int n)
 

@@ -313,6 +313,40 @@ let test_large_birth_death () =
   if not (!worst <= 1e-5) then
     Alcotest.failf "BiCGStab and banded GTH decile masses differ by %.3g" !worst
 
+(* The ring-with-two-chords SRN of perfbench's [large] workload at
+   N = 20 tokens (C(23, 3) = 1 771 markings), ring rates 1 and chords
+   0.1, each rate times its input place's marking.  Its replaced-row
+   system has b = e_{n-1}.  With that b as the first shadow residual the
+   recursion diverged from its best iterate at iteration 19 and rewound
+   (39 iterations, 1 restart); with the all-ones shadow it runs through
+   in 21. *)
+let test_ring_no_restart () =
+  let module Net = Sharpe_petri.Net in
+  let module Reach = Sharpe_petri.Reach in
+  let one _ = 1 in
+  let arc (name, src, dst, rate) =
+    { Net.t_name = name; kind = Net.Timed; rate = (fun m -> float_of_int m.(src) *. rate);
+      guard = (fun _ -> true); priority = 0; inputs = [ (src, one) ];
+      outputs = [ (dst, one) ]; inhibitors = [] }
+  in
+  let net =
+    Net.build
+      ~places:(List.init 4 (fun i -> (Printf.sprintf "p%d" i, if i = 0 then 20 else 0)))
+      ~transitions:
+        (List.map arc
+           [ ("t01", 0, 1, 1.0); ("t12", 1, 2, 1.0); ("t23", 2, 3, 1.0);
+             ("t30", 3, 0, 1.0); ("t02", 0, 2, 0.1); ("t13", 1, 3, 0.1) ])
+  in
+  let q = Sharpe_markov.Ctmc.generator (Reach.ctmc (Reach.build net)) in
+  Alcotest.(check int) "markings" 1771 (Sparse.rows q);
+  let a, b = Linsolve.ctmc_krylov_system q in
+  let precond = Option.get (Krylov.ilu0 a) in
+  let _, st = Krylov.bicgstab ~tol:1e-12 ~precond a b in
+  Alcotest.(check bool) "converged" true st.Krylov.converged;
+  Alcotest.(check int) "restarts" 0 st.Krylov.restarts;
+  if st.Krylov.iterations > 25 then
+    Alcotest.failf "%d iterations, above 25" st.Krylov.iterations
+
 let suite =
   List.map
     (QCheck_alcotest.to_alcotest ~verbose:false)
@@ -328,4 +362,6 @@ let suite =
       prop_krylov_steady ]
   @ [ Alcotest.test_case
         "200k-state birth-death: BiCGStab, no dense, matches GTH" `Quick
-        test_large_birth_death ]
+        test_large_birth_death;
+      Alcotest.test_case "N = 20 ring SRN: BiCGStab(ILU(0)) without a restart" `Quick
+        test_ring_no_restart ]

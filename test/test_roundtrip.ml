@@ -150,6 +150,8 @@ let test_covered () =
 let suite =
   ("programs the round trip covers", `Quick, test_covered)
   :: ("fixture: chains, loops, bind", `Quick, fun () -> round_trip "fixture" fixture)
+  :: ("literal of 13 significant digits", `Quick, fun () ->
+       round_trip "literal" "bind x 0.1234567890123\n")
   :: List.map
        (fun rel ->
          let run () = round_trip rel (Test_golden.read_file (src_path rel)) in
